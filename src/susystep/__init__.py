@@ -20,7 +20,6 @@ from .errors import (
 )
 from .oracle import DEFAULT_CONFIG, IntegrationConfig, extract_rt, integrate_wavefunction, numerical_rt
 from .potentials import (
-    HyperbolicParams,
     PotentialKind,
     PotentialSpec,
     potential,
@@ -59,10 +58,11 @@ from .solutions import (
     make_exponents,
     rotated_component,
     sample_wavefield,
+    wave_equation_residual,
     wronskian,
     x_to_z,
     z_to_x,
 )
-from .specfun import Hyp2F1Params, connect_near_one, gamma_ratio, hyp2f1, lngamma
+from .specfun import connect_near_one, gamma_ratio, hyp2f1, lngamma
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ConfigError, DomainError, IllConditionedError
-from .potentials import PotentialSpec, potential
+from .potentials import PotentialKind, PotentialSpec, potential
 from .scattering import ScatteringResult
 from .solutions import WaveField
 
@@ -49,7 +49,6 @@ class IntegrationConfig:
     x_min: float = -30.0
     x_max: float = 30.0
     step: float = 1e-3
-    method_order: int = 4
     match_window: float = 5.0
 
     def __post_init__(self):
@@ -59,11 +58,6 @@ class IntegrationConfig:
             raise ConfigError(f"x_max must be > 5, got {self.x_max}")
         if not self.step > 0:
             raise ConfigError(f"step must be positive, got {self.step}")
-        if self.method_order != 4:
-            raise ConfigError(
-                "only the classic fourth-order fixed-step integrator is provided; "
-                f"method_order must be 4, got {self.method_order}"
-            )
         if not self.match_window > 0:
             raise ConfigError(f"match_window must be positive, got {self.match_window}")
 
@@ -99,11 +93,9 @@ def integrate_wavefunction(spec: PotentialSpec, omega: float, cfg: IntegrationCo
 
     xs_half = np.linspace(cfg.x_min, cfg.x_max, 2 * n_steps + 1)
     q = np.asarray(potential(spec, xs_half), dtype=float) - omega * omega
-    if float(np.max(np.abs(q))) * h * h >= 0.01:
-        raise ConfigError(
-            f"step {h} too coarse: (max|V - omega^2|) step^2 = "
-            f"{float(np.max(np.abs(q))) * h * h:.3g} >= 0.01"
-        )
+    stiffness = float(np.max(np.abs(q))) * h * h
+    if stiffness >= 0.01:
+        raise ConfigError(f"step {h} too coarse: (max|V - omega^2|) step^2 = {stiffness:.3g} >= 0.01")
 
     kprime = math.sqrt(omega * omega - asym)
     zc = cmath.exp(1j * kprime * cfg.x_max)
@@ -111,13 +103,12 @@ def integrate_wavefunction(spec: PotentialSpec, omega: float, cfg: IntegrationCo
 
     values = np.empty(n_steps + 1, dtype=complex)
     values[n_steps] = zc
-    qh = q  # local alias for the march
     hm = -h  # marching right to left
     for i in range(n_steps):
         base = 2 * (n_steps - i)
-        q0 = qh[base]
-        qm = qh[base - 1]
-        q1 = qh[base - 2]
+        q0 = q[base]
+        qm = q[base - 1]
+        q1 = q[base - 2]
         k1z = dz
         k1d = q0 * zc
         k2z = dz + 0.5 * hm * k1d
@@ -167,14 +158,11 @@ def extract_rt(field: WaveField, omega: float, m_effective: float, cfg: Integrat
         )
     coef, *_ = np.linalg.lstsq(design, field.values[sel], rcond=None)
     a_in, b_refl = coef
-    R = b_refl / a_in
-    T = 1.0 / a_in
-    kprime = math.sqrt(omega * omega - m_effective * m_effective)
-    R2 = abs(R) ** 2
-    T2 = abs(T) ** 2
+    # The step's field carries its spec's unused m; its coupling is sqrt(V0).
+    m = m_effective if field.kind is PotentialKind.STEP else field.m
     return ScatteringResult(
-        omega=float(omega), m=field.m, kind=field.kind, R=R, T=T,
-        R2=R2, T2=T2, flux=R2 + (kprime / omega) * T2, k=float(omega), kprime=kprime,
+        omega=float(omega), m=m, kind=field.kind, R=b_refl / a_in, T=1.0 / a_in,
+        kprime=math.sqrt(omega * omega - m_effective * m_effective),
     )
 
 

@@ -20,7 +20,6 @@ from .errors import DomainError
 __all__ = [
     "PotentialKind",
     "PotentialSpec",
-    "HyperbolicParams",
     "superpotential",
     "superpotential_derivative",
     "v_plus",
@@ -84,17 +83,6 @@ class PotentialSpec:
         return self.m * self.m
 
 
-@dataclass(frozen=True)
-class HyperbolicParams:
-    """Coupling of the tanh form, mu = m / sqrt(2); never constructed freely."""
-
-    mu: float
-
-    @classmethod
-    def from_m(cls, m: float) -> "HyperbolicParams":
-        return cls(mu=m / math.sqrt(2.0))
-
-
 def _sigmoid(x):
     """e^x / (e^x + 1), overflow-safe for all finite x."""
     return np.exp(x - np.logaddexp(0.0, x))
@@ -150,7 +138,7 @@ def potential_hyperbolic(spec: PotentialSpec, x):
     """
     if spec.kind is PotentialKind.STEP:
         raise DomainError("hyperbolic form applies to the partner potentials only")
-    mu = HyperbolicParams.from_m(spec.m).mu
+    mu = spec.m / math.sqrt(2.0)
     x = np.asarray(x, dtype=float)
     th = np.tanh(0.5 * x)
     second = 0.25 * mu * np.sqrt(1.0 - th) / np.cosh(0.5 * x)

@@ -59,10 +59,12 @@ class AsymptoticCoefficients:
 
 @dataclass(frozen=True)
 class ScatteringResult:
-    """Amplitudes and coefficients of one scattering problem.
+    """Amplitudes of one scattering problem; the coefficients derive from
+    them.
 
-    ``flux`` is R2 + (kprime/omega) T2; for the analytic amplitudes it
-    equals 1 to rounding, for oracle-extracted ones to the integrator's
+    ``m`` is the coupling solved: m for the partners, sqrt(V0) for the
+    step.  ``flux`` is R2 + (kprime/omega) T2; for the analytic amplitudes
+    it equals 1 to rounding, for oracle-extracted ones to the integrator's
     accuracy.
     """
 
@@ -71,16 +73,23 @@ class ScatteringResult:
     kind: PotentialKind
     R: complex
     T: complex
-    R2: float
-    T2: float
-    flux: float
-    k: float
     kprime: float
 
-    def __post_init__(self):
-        expected = self.R2 + (self.kprime / self.omega) * self.T2
-        if not math.isclose(self.flux, expected, rel_tol=1e-12, abs_tol=1e-12):
-            raise DomainError("flux field inconsistent with R2, T2, kprime/omega")
+    @property
+    def R2(self) -> float:
+        return abs(self.R) ** 2
+
+    @property
+    def T2(self) -> float:
+        return abs(self.T) ** 2
+
+    @property
+    def flux(self) -> float:
+        return self.R2 + (self.kprime / self.omega) * self.T2
+
+    @property
+    def k(self) -> float:
+        return self.omega
 
 
 @dataclass(frozen=True)
@@ -144,22 +153,6 @@ def asymptotic_coefficients(omega: float, m: float) -> AsymptoticCoefficients:
     )
 
 
-def _partner_amplitudes(omega: float, m: float):
-    """(R+, T+, T-) Gamma products for omega > m."""
-    _, hyp = make_exponents(omega, m)
-    a1, b1, c1 = hyp.a1, hyp.b1, hyp.c1
-
-    def build():
-        r_plus = gamma_ratio([1.0 - a1, 1.0 - b1, c1], [1.0 - c1, c1 - a1, c1 - b1]) / m
-        t_core = gamma_ratio([1.0 - a1, 1.0 - b1], [1.0 - c1, 1.0 + c1 - a1 - b1])
-        return r_plus, t_core
-
-    r_plus, t_core = _wrap_gamma_pole(build)
-    t_plus = (1.0 + (c1 - a1) / m) * t_core
-    t_minus = (1.0 - (c1 - a1) / m) * t_core
-    return r_plus, t_plus, t_minus
-
-
 def reflection_transmission(kind: PotentialKind, omega: float, m: float) -> ScatteringResult:
     """Reflection and transmission amplitudes of V+ or V- for omega > m:
 
@@ -171,18 +164,21 @@ def reflection_transmission(kind: PotentialKind, omega: float, m: float) -> Scat
     if kind not in (PotentialKind.PLUS, PotentialKind.MINUS):
         raise DomainError("reflection_transmission handles the partner kinds; use step_amplitudes for the step")
     _check_scattering_regime(omega, m)
-    r_plus, t_plus, t_minus = _partner_amplitudes(omega, m)
+    _, hyp = make_exponents(omega, m)
+    a1, b1, c1 = hyp.a1, hyp.b1, hyp.c1
+
+    def build():
+        r_plus = gamma_ratio([1.0 - a1, 1.0 - b1, c1], [1.0 - c1, c1 - a1, c1 - b1]) / m
+        t_core = gamma_ratio([1.0 - a1, 1.0 - b1], [1.0 - c1, 1.0 + c1 - a1 - b1])
+        return r_plus, t_core
+
+    r_plus, t_core = _wrap_gamma_pole(build)
     if kind is PotentialKind.PLUS:
-        R, T = r_plus, t_plus
+        R, T = r_plus, (1.0 + (c1 - a1) / m) * t_core
     else:
-        R, T = -r_plus, t_minus
+        R, T = -r_plus, (1.0 - (c1 - a1) / m) * t_core
     kprime = math.sqrt(omega * omega - m * m)
-    R2 = abs(R) ** 2
-    T2 = abs(T) ** 2
-    return ScatteringResult(
-        omega=float(omega), m=float(m), kind=kind, R=R, T=T,
-        R2=R2, T2=T2, flux=R2 + (kprime / omega) * T2, k=float(omega), kprime=kprime,
-    )
+    return ScatteringResult(omega=float(omega), m=float(m), kind=kind, R=R, T=T, kprime=kprime)
 
 
 def _sinh_ratio(a: float, c: float) -> float:
@@ -199,12 +195,13 @@ def coefficients_closed_form(omega: float, m: float):
                                             / sinh(2 pi (omega + k'))
 
     rearranged into exponential differences, so no intermediate ever
-    overflows (plain sinh would at omega ~ 113).
+    overflows (plain sinh would at omega ~ 113), and with omega - k'
+    written as m^2/(omega + k'), which does not cancel for m << omega.
     """
     if not (m > 0 and omega > m):
         raise DomainError(f"closed forms require omega > m > 0; got omega = {omega}, m = {m}")
     kprime = math.sqrt(omega * omega - m * m)
-    a = 2.0 * math.pi * (omega - kprime)
+    a = 2.0 * math.pi * (m * m / (omega + kprime))
     b = 2.0 * math.pi * kprime
     c = 2.0 * math.pi * (omega + kprime)
     r2 = _sinh_ratio(a, c)
@@ -246,20 +243,16 @@ def step_amplitudes(omega: float, m: float) -> ScatteringResult:
         return r, t
 
     R, T = _wrap_gamma_pole(build)
-    R2 = abs(R) ** 2
-    T2 = abs(T) ** 2
-    return ScatteringResult(
-        omega=float(omega), m=float(m), kind=PotentialKind.STEP, R=R, T=T,
-        R2=R2, T2=T2, flux=R2 + (kprime / omega) * T2, k=float(omega), kprime=kprime,
-    )
+    return ScatteringResult(omega=float(omega), m=float(m), kind=PotentialKind.STEP, R=R, T=T, kprime=kprime)
 
 
 def step_reflection_closed_form(omega: float, m: float) -> float:
-    """|R^S|^2 = sinh^2(pi(omega - k')) / sinh^2(pi(omega + k'))."""
+    """|R^S|^2 = sinh^2(pi(omega - k')) / sinh^2(pi(omega + k')), with
+    omega - k' = m^2/(omega + k') free of cancellation."""
     if not (m > 0 and omega > m):
         raise DomainError(f"closed form requires omega > m > 0; got omega = {omega}, m = {m}")
     kprime = math.sqrt(omega * omega - m * m)
-    return _sinh_ratio(math.pi * (omega - kprime), math.pi * (omega + kprime)) ** 2
+    return _sinh_ratio(math.pi * (m * m / (omega + kprime)), math.pi * (omega + kprime)) ** 2
 
 
 def compare_reflection(omega_grid, m: float):

@@ -37,6 +37,7 @@ __all__ = [
     "exact_solution_at_z",
     "rotated_component",
     "coupled_residual",
+    "wave_equation_residual",
     "wronskian",
     "sample_wavefield",
 ]
@@ -99,29 +100,25 @@ def b_exponent(omega: complex, m: float) -> complex:
 
 @dataclass(frozen=True)
 class SolutionExponents:
-    """Power-factor exponents B_j, C_j of the two rotated components.
+    """Power-factor exponents of the two rotated components.
 
-    B1 = B2 = sqrt(m^2 - omega^2) (branch per ``b_exponent``), C1 = i omega,
-    C2 = C1 + 1/2; each pair solves C^2 - C/2 + i omega eps/2 + omega^2 = 0
-    and B^2 + omega^2 - m^2 = 0 with eps = +1 for j=1 and -1 for j=2.
+    Both components share B1 = sqrt(m^2 - omega^2) (branch per
+    ``b_exponent``); C1 = i omega, C2 = C1 + 1/2.  Each C_j solves
+    C^2 - C/2 + i omega eps/2 + omega^2 = 0 with eps = +1 for j=1 and -1
+    for j=2, and B1 solves B^2 + omega^2 - m^2 = 0.
     """
 
     omega: complex
     m: float
     B1: complex
-    B2: complex
     C1: complex
     C2: complex
-    epsilon1: int = 1
-    epsilon2: int = -1
 
     def indicial_residuals(self) -> float:
         """Largest residual of the defining algebraic equations."""
-        res = 0.0
-        for C, eps in ((self.C1, self.epsilon1), (self.C2, self.epsilon2)):
+        res = abs(self.B1 * self.B1 + self.omega**2 - self.m**2)
+        for C, eps in ((self.C1, 1), (self.C2, -1)):
             res = max(res, abs(C * C - 0.5 * C + 0.5j * self.omega * eps + self.omega**2))
-        for B in (self.B1, self.B2):
-            res = max(res, abs(B * B + self.omega**2 - self.m**2))
         return res
 
 
@@ -209,39 +206,23 @@ def make_exponents(omega: complex, m: float):
     c1 = 2.0 * C1 + 0.5
     if abs(c1 - round(c1.real)) < specfun.POLE_TOL:
         raise DegenerateCError(f"c1 = {c1} is within tolerance of an integer")
-    exps = SolutionExponents(omega=omega, m=float(m), B1=B1, B2=B1, C1=C1, C2=C2)
+    exps = SolutionExponents(omega=omega, m=float(m), B1=B1, C1=C1, C2=C2)
     a1 = C1 + B1 + 0.5
     b1 = C1 + B1
     hyp = HypSolutionParams(a1=a1, b1=b1, c1=c1, a2=b1 + 1.0, b2=a1, c2=c1 + 1.0)
     return exps, hyp
 
 
-def _f21(a, b, c, z, u, log_u):
-    """2F1 with the complement u = 1 - z supplied exactly."""
-    if z <= specfun.Z_SWITCH:
-        return specfun._gauss_series(a, b, c, z)
-    return specfun._hyp2f1_complement(a, b, c, u, log_u)
-
-
 def _rotated(j, branch, exps, hyp, coeff, z, u, log_z, log_u):
     """Rotated component (R-tilde)_j of the requested solution branch."""
-    B = exps.B1
+    C, a, b, c = (exps.C1, hyp.a1, hyp.b1, hyp.c1) if j == 1 else (exps.C2, hyp.a2, hyp.b2, hyp.c2)
     if branch == "I":
-        if j == 1:
-            pw = cmath.exp(exps.C1 * log_z + B * log_u)
-            return coeff.G1 * pw * _f21(hyp.a1, hyp.b1, hyp.c1, z, u, log_u)
-        pw = cmath.exp(exps.C2 * log_z + B * log_u)
-        return coeff.G2 * pw * _f21(hyp.a2, hyp.b2, hyp.c2, z, u, log_u)
+        pw = cmath.exp(C * log_z + exps.B1 * log_u)
+        return (coeff.G1 if j == 1 else coeff.G2) * pw * specfun.hyp2f1(a, b, c, z, u, log_u)
     if branch == "II":
-        if j == 1:
-            pw = cmath.exp((exps.C1 + 1.0 - hyp.c1) * log_z + B * log_u)
-            return coeff.H1 * pw * _f21(
-                hyp.a1 - hyp.c1 + 1.0, hyp.b1 - hyp.c1 + 1.0, 2.0 - hyp.c1, z, u, log_u
-            )
-        pw = cmath.exp((exps.C2 + 1.0 - hyp.c2) * log_z + B * log_u)
-        return coeff.H2 * pw * _f21(
-            hyp.a2 - hyp.c2 + 1.0, hyp.b2 - hyp.c2 + 1.0, 2.0 - hyp.c2, z, u, log_u
-        )
+        pw = cmath.exp((C + 1.0 - c) * log_z + exps.B1 * log_u)
+        f = specfun.hyp2f1(a - c + 1.0, b - c + 1.0, 2.0 - c, z, u, log_u)
+        return (coeff.H1 if j == 1 else coeff.H2) * pw * f
     raise DomainError(f"branch must be 'I' or 'II', got {branch!r}")
 
 
@@ -302,6 +283,15 @@ def rotated_component(j, branch, omega, m, z, coeff: SolutionCoefficients | None
     return _rotated(j, branch, exps, hyp, coeff, zz, u, log_z, log_u)
 
 
+def _five_point(f, x, h):
+    """(f(x), f'(x), f''(x)) by five-point central differences of step h;
+    f may return a numpy array, differentiated componentwise."""
+    fm2, fm1, f0, fp1, fp2 = (f(x + k * h) for k in (-2, -1, 0, 1, 2))
+    d1 = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
+    d2 = (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * h * h)
+    return f0, d1, d2
+
+
 def coupled_residual(omega, m, x_grid, branch="I", coeff: SolutionCoefficients | None = None) -> float:
     """Largest scaled residual of the coupled first-order system
 
@@ -323,20 +313,34 @@ def coupled_residual(omega, m, x_grid, branch="I", coeff: SolutionCoefficients |
         z, u, log_z, log_u = _logs_from_x(x)
         r1 = _rotated(1, branch, exps, hyp, coeff, z, u, log_z, log_u)
         r2 = _rotated(2, branch, exps, hyp, coeff, z, u, log_z, log_u)
-        return _QUARTER_TURN * (r1 + 1j * r2), _QUARTER_TURN * (r1 - 1j * r2)
+        return _QUARTER_TURN * np.array([r1 + 1j * r2, r1 - 1j * r2])
 
     worst = 0.0
     iw = 1j * complex(omega)
     for x in xs:
-        zp, zm = zip(*(z_pair(x + k * h) for k in (-2, -1, 0, 1, 2)))
-        dzp = (zp[0] - 8 * zp[1] + 8 * zp[3] - zp[4]) / (12 * h)
-        dzm = (zm[0] - 8 * zm[1] + 8 * zm[3] - zm[4]) / (12 * h)
+        (zp, zm), (dzp, dzm), _ = _five_point(z_pair, float(x), h)
         w = float(superpotential(x, m))
-        res1 = dzp - w * zp[2] - iw * zm[2]
-        res2 = dzm + w * zm[2] - iw * zp[2]
-        scale = (1.0 + abs(iw) + abs(w)) * (abs(zp[2]) + abs(zm[2]))
+        res1 = dzp - w * zp - iw * zm
+        res2 = dzm + w * zm - iw * zp
+        scale = (1.0 + abs(iw) + abs(w)) * (abs(zp) + abs(zm))
         worst = max(worst, max(abs(res1), abs(res2)) / scale)
-    return worst
+    return float(worst)
+
+
+def wave_equation_residual(branch, sign, omega, m, z) -> float:
+    """Scaled residual of the wave equation in z for Z_sign^branch,
+
+        d/dz[z(1-z) Z'] + q(z) Z = 0,
+        q = (omega^2 - m^2)/(1-z) + omega^2/z + sign m/(2 sqrt z),
+
+    at z in (0, 1), with five-point derivatives of step 0.01 z(1-z).
+    """
+    z = float(z)
+    f0, d1, d2 = _five_point(lambda zz: exact_solution_at_z(branch, sign, omega, m, zz), z, 0.01 * z * (1.0 - z))
+    q = (omega * omega - m * m) / (1 - z) + omega * omega / z + sign * m / (2.0 * math.sqrt(z))
+    res = (1 - 2 * z) * d1 + z * (1 - z) * d2 + q * f0
+    scale = abs(q * f0) + abs((1 - 2 * z) * d1) + abs(z * (1 - z) * d2)
+    return abs(res) / scale
 
 
 def wronskian(sign, omega, m, z) -> complex:
@@ -350,22 +354,18 @@ def wronskian(sign, omega, m, z) -> complex:
     The derivatives are evaluated numerically (five-point stencil) so the
     constancy check is independent of the algebra that predicts it.
     """
-    exps, hyp, coeff = _prepare(omega, m, None)
+    coeff = SolutionCoefficients.for_params(omega, m)
     z = float(z)
     if not 0.0 < z < 1.0:
         raise DomainError(f"z = {z} outside (0, 1)")
     h = 1e-3 * min(z, 1.0 - z, 0.5)
 
-    def val(branch, zz):
-        return exact_solution_at_z(branch, sign, omega, m, zz, coeff)
+    def branch_at(branch):
+        return _five_point(lambda zz: exact_solution_at_z(branch, sign, omega, m, zz, coeff), z, h)
 
-    d = {}
-    for branch in ("I", "II"):
-        f = [val(branch, z + k * h) for k in (-2, -1, 1, 2)]
-        d[branch] = (f[0] - 8 * f[1] + 8 * f[2] - f[3]) / (12 * h)
-    zi = val("I", z)
-    zii = val("II", z)
-    return z * (1.0 - z) * (zi * d["II"] - zii * d["I"])
+    zi, di, _ = branch_at("I")
+    zii, dii, _ = branch_at("II")
+    return z * (1.0 - z) * (zi * dii - zii * di)
 
 
 def sample_wavefield(branch, sign, omega, m, grid, coeff: SolutionCoefficients | None = None) -> WaveField:

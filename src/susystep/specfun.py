@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import DegenerateParamsError, DomainError, NonConvergenceError, PoleError
 
 __all__ = [
-    "Hyp2F1Params",
     "POLE_TOL",
     "Z_SWITCH",
     "MAX_SERIES_TERMS",
@@ -213,43 +211,18 @@ def gamma_ratio(numerators, denominators) -> complex:
     return cmath.exp(acc)
 
 
-@dataclass(frozen=True)
-class Hyp2F1Params:
-    """Arguments of 2F1(a, b; c; z) on the real segment z in [0, 1).
-
-    ``c`` must stay clear of the non-positive integers (the series
-    coefficients have Gamma(c + k) poles there) and ``z`` must lie in
-    [0, 1); both are checked at construction.
-    """
-
-    a: complex
-    b: complex
-    c: complex
-    z: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "b", complex(self.b))
-        object.__setattr__(self, "c", complex(self.c))
-        object.__setattr__(self, "z", float(self.z))
-        if _pole_distance(self.c) < POLE_TOL:
-            raise PoleError(self.c, location="denominator")
-        if not 0.0 <= self.z < 1.0:
-            raise DomainError(f"z = {self.z} outside [0, 1)")
-
-
-def _gauss_series(a, b, c, z, max_terms=MAX_SERIES_TERMS) -> complex:
+def _gauss_series(a, b, c, z) -> complex:
     """Raw Gauss series sum_k (a)_k (b)_k / ((c)_k k!) z^k with a term-ratio
     stopping rule.  Assumes |z| < 1 and c off the pole set."""
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
-    for k in range(max_terms):
+    for k in range(MAX_SERIES_TERMS):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
         total += term
         if abs(term) <= _SERIES_STOP * abs(total):
             return total
     raise NonConvergenceError(
-        f"Gauss series for 2F1({a}, {b}; {c}; {z}) did not converge in {max_terms} terms"
+        f"Gauss series for 2F1({a}, {b}; {c}; {z}) did not converge in {MAX_SERIES_TERMS} terms"
     )
 
 
@@ -264,7 +237,7 @@ def _ratio_or_zero(numerators, denominators) -> complex:
         raise
 
 
-def _hyp2f1_complement(a, b, c, u, log_u, max_terms=MAX_SERIES_TERMS) -> complex:
+def _hyp2f1_complement(a, b, c, u, log_u) -> complex:
     """Connection-formula value of 2F1(a,b;c;1-u) from the complement u=1-z.
 
     ``u`` and ``log_u`` are supplied separately so callers that know u to
@@ -279,15 +252,28 @@ def _hyp2f1_complement(a, b, c, u, log_u, max_terms=MAX_SERIES_TERMS) -> complex
         )
     first = _ratio_or_zero([c, s], [c - a, c - b])
     if first != 0.0:
-        first *= _gauss_series(a, b, 1.0 - s, u, max_terms)
+        first *= _gauss_series(a, b, 1.0 - s, u)
     second = _ratio_or_zero([c, -s], [a, b])
     if second != 0.0:
-        second *= cmath.exp(s * log_u) * _gauss_series(c - a, c - b, 1.0 + s, u, max_terms)
+        second *= cmath.exp(s * log_u) * _gauss_series(c - a, c - b, 1.0 + s, u)
     return first + second
 
 
-def hyp2f1(p: Hyp2F1Params, max_terms: int = MAX_SERIES_TERMS) -> complex:
+def _check_args(c, z, u, log_u):
+    if _pole_distance(c) < POLE_TOL:
+        raise PoleError(c, location="denominator")
+    # u may underflow to 0 (x beyond ~745) only when its log is supplied.
+    if not (z >= 0.0 and (u > 0.0 or (u == 0.0 and log_u is not None))):
+        raise DomainError(f"z = {z} with complement u = {u} outside [0, 1)")
+
+
+def hyp2f1(a, b, c, z, u=None, log_u=None) -> complex:
     """2F1(a, b; c; z) for complex parameters and real z in [0, 1).
+
+    ``u`` and ``log_u`` are the complement 1 - z and its log (default
+    u = 1 - z).  Callers that know them exactly, as u = 1/(1+e^x) for
+    z = e^x/(e^x+1), pass them: the connection formula then stays accurate
+    where z has rounded to 1.0 (x above ~37).
 
     Uses the Gauss series for ``z <= Z_SWITCH`` and the connection formula
     toward z = 1 otherwise.  Relative accuracy is ~1e-11 or better away
@@ -295,26 +281,36 @@ def hyp2f1(p: Hyp2F1Params, max_terms: int = MAX_SERIES_TERMS) -> complex:
 
     Raises
     ------
+    PoleError
+        If c is within ``POLE_TOL`` of a non-positive integer.
+    DomainError
+        Unless z >= 0 and u > 0.
     NonConvergenceError
         If the series fails to meet the term-ratio stop within
-        ``max_terms`` terms.
+        ``MAX_SERIES_TERMS`` terms.
     DegenerateParamsError
         If ``z > Z_SWITCH`` and c-a-b is within tolerance of an integer.
     """
-    if p.z <= Z_SWITCH:
-        return _gauss_series(p.a, p.b, p.c, p.z, max_terms)
-    return connect_near_one(p, max_terms)
+    a, b, c, z = complex(a), complex(b), complex(c), float(z)
+    if u is None:
+        u = 1.0 - z
+    _check_args(c, z, u, log_u)
+    if z <= Z_SWITCH:
+        return _gauss_series(a, b, c, z)
+    return _hyp2f1_complement(a, b, c, u, math.log(u) if log_u is None else log_u)
 
 
-def connect_near_one(p: Hyp2F1Params, max_terms: int = MAX_SERIES_TERMS) -> complex:
+def connect_near_one(a, b, c, z) -> complex:
     """Evaluate 2F1(a, b; c; z) through the connection formula at 1 - z:
 
         G(c)G(c-a-b)/(G(c-a)G(c-b)) * 2F1(a, b; a+b+1-c; 1-z)
       + G(c)G(a+b-c)/(G(a)G(b)) * (1-z)^(c-a-b) * 2F1(c-a, c-b; c+1-a-b; 1-z)
 
     with principal-branch powers (1 - z > 0 on the physical domain).
-    Intended for z above ``Z_SWITCH`` but valid on the whole overlap
-    window, which the tests exercise.
+    ``hyp2f1`` takes this route above ``Z_SWITCH``; forcing it is valid on
+    the whole overlap window, which the tests exercise.  Raises as
+    ``hyp2f1`` does.
     """
-    u = 1.0 - p.z
-    return _hyp2f1_complement(p.a, p.b, p.c, u, math.log(u), max_terms)
+    u = 1.0 - z
+    _check_args(c, z, u, None)
+    return _hyp2f1_complement(a, b, c, u, math.log(u))

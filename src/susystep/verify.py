@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle, scattering, solutions
+from .errors import DomainError
 from .potentials import (
     PotentialKind,
     PotentialSpec,
@@ -95,28 +96,10 @@ def _wronskian_constancy():
     return worst
 
 
-def _wave_equation_residual(pairs=((2.0, 1.0), (1.5, 1.0))):
-    zs = np.linspace(0.05, 0.95, 19)
-    worst = 0.0
-    for omega, m in pairs:
-        for branch in ("I", "II"):
-            for sign in (1, -1):
-                worst = max(worst, _zform_residual(branch, sign, omega, m, zs))
-    return worst
-
-
-def _zform_residual(branch, sign, omega, m, zs):
-    worst = 0.0
-    for z in zs:
-        h = 0.01 * z * (1.0 - z)
-        f = [solutions.exact_solution_at_z(branch, sign, omega, m, z + k * h) for k in (-2, -1, 0, 1, 2)]
-        d1 = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h)
-        d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
-        q = (omega * omega - m * m) / (1 - z) + omega * omega / z + sign * m / (2.0 * np.sqrt(z))
-        res = (1 - 2 * z) * d1 + z * (1 - z) * d2 + q * f[2]
-        scale = abs(q * f[2]) + abs((1 - 2 * z) * d1) + abs(z * (1 - z) * d2)
-        worst = max(worst, abs(res) / scale)
-    return worst
+def _wave_equation_residual():
+    return max(solutions.wave_equation_residual(branch, sign, omega, m, z)
+               for omega, m in ((2.0, 1.0), (1.5, 1.0)) for branch in ("I", "II")
+               for sign in (1, -1) for z in np.linspace(0.05, 0.95, 19))
 
 
 def _qnm_poles():
@@ -180,7 +163,7 @@ def _oracle_flux():
 def run_checks(level: str = QUICK, inject_failure: bool = False):
     """Run the verification suite; returns a list of CheckResult."""
     if level not in (QUICK, FULL):
-        raise ValueError(f"level must be {QUICK!r} or {FULL!r}, got {level!r}")
+        raise DomainError(f"level must be {QUICK!r} or {FULL!r}, got {level!r}")
     results = [
         _check("closed-form equivalence (Gamma vs sinh)", 1e-10, _closed_form_equivalence),
         _check("flux conservation", 1e-9, _flux_conservation),

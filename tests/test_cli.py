@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from susystep.cli import main
+from susystep.errors import DomainError
+from susystep.verify import run_checks
 
 
 def run_cli(capsys, *argv):
@@ -181,6 +183,11 @@ def test_verify_failure_injection(capsys):
     code, out, err = run_cli(capsys, "verify", "--level", "quick", "--inject-failure")
     assert code == 3
     assert "FAIL" in out
+
+
+def test_verify_unknown_level_is_a_domain_error():
+    with pytest.raises(DomainError):
+        run_checks("thorough")
 
 
 # --------------------------------------------------------------------- usage

@@ -9,7 +9,7 @@ import pytest
 
 import susystep.oracle as oracle_mod
 from susystep.errors import BlowUpError, ConfigError, DomainError, IllConditionedError
-from susystep.oracle import DEFAULT_CONFIG, IntegrationConfig, extract_rt, integrate_wavefunction, numerical_rt
+from susystep.oracle import IntegrationConfig, extract_rt, integrate_wavefunction, numerical_rt
 from susystep.potentials import PotentialKind, PotentialSpec
 from susystep.scattering import (
     coefficients_closed_form,
@@ -43,7 +43,7 @@ def test_convergence_order():
         cfg = IntegrationConfig(step=step)
         field = integrate_wavefunction(FREE, 2.0, cfg)
         errs.append(float(np.max(np.abs(field.values - np.exp(2j * field.grid)))))
-    assert errs[0] / errs[1] >= 2.0 ** (DEFAULT_CONFIG.method_order - 1)
+    assert errs[0] / errs[1] >= 2.0 ** (4 - 1)
 
 
 def test_field_matches_solution_combination():
@@ -81,6 +81,16 @@ def test_step_amplitudes_match_closed_forms():
     assert abs(num.flux - 1.0) < 1e-6
 
 
+def test_result_reports_the_coupling_solved():
+    # the step's coupling is sqrt(V0), the convention of step_amplitudes
+    assert numerical_rt(PotentialSpec.step(4.0), 3.0).m == 2.0
+    # partners report spec.m exactly, not sqrt(m * m), which differs once
+    # m * m is subnormal
+    m = 1e-170
+    assert math.sqrt(m * m) != m
+    assert numerical_rt(PotentialSpec.plus(m), 2.0).m == m
+
+
 def test_oracle_sweep_flux():
     for omega in (1.2, 1.5, 2.0, 3.0):
         res = numerical_rt(PotentialSpec.plus(1.0), omega)
@@ -98,8 +108,6 @@ def test_config_validation():
         IntegrationConfig(step=0.0)
     with pytest.raises(ConfigError):
         IntegrationConfig(step=-1e-3)
-    with pytest.raises(ConfigError):
-        IntegrationConfig(method_order=5)
     with pytest.raises(ConfigError):
         IntegrationConfig(match_window=0.0)
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from susystep.errors import DomainError
 from susystep.potentials import (
-    HyperbolicParams,
     PotentialKind,
     PotentialSpec,
     potential,
@@ -99,10 +98,6 @@ def test_spec_validation():
         PotentialSpec.minus(-1.0)
     with pytest.raises(DomainError):
         PotentialSpec.step(1.0, 0.0)
-
-
-def test_hyperbolic_params_construction():
-    assert HyperbolicParams.from_m(2.0).mu == 2.0 / math.sqrt(2.0)
 
 
 @given(x=XS, m=MS)

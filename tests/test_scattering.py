@@ -124,6 +124,19 @@ def test_closed_form_overflow_safety():
     assert abs(r2 + kp / 200.0 * t2 - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("m, omega, r2, r2_step", [
+    # frozen from mpmath at 50 digits: sinh ratios with k' = sqrt(omega^2 - m^2)
+    (1e-4, 2.0, 3.820665783852388275e-19, 3.0007438915415905661e-27),
+    (1e-4, 3.0, 8.8826463617042373985e-25, 4.650942760352952265e-33),
+    (1e-3, 2.0, 3.820671961735948013e-17, 3.0007489293107300641e-23),
+    (1e-3, 3.0, 8.8826558148505969076e-23, 4.6509478379094569592e-29),
+])
+def test_closed_forms_small_coupling(m, omega, r2, r2_step):
+    # omega - k' ~ m^2/(2 omega) would cancel to ~1e-8 relative error here
+    assert abs(coefficients_closed_form(omega, m)[0] - r2) <= 1e-13 * r2
+    assert abs(step_reflection_closed_form(omega, m) - r2_step) <= 1e-13 * r2_step
+
+
 def test_closed_form_domain():
     with pytest.raises(DomainError):
         coefficients_closed_form(1.0, 1.0)

@@ -20,6 +20,7 @@ from susystep.solutions import (
     make_exponents,
     rotated_component,
     sample_wavefield,
+    wave_equation_residual,
     wronskian,
     x_to_z,
     z_to_x,
@@ -75,7 +76,6 @@ def test_exponents_reference_values():
     exps, hyp = make_exponents(2.0, 1.0)
     kp = math.sqrt(3.0)
     assert abs(exps.B1 - 1j * kp) < 1e-15
-    assert exps.B2 == exps.B1
     assert exps.C1 == 2j
     assert exps.C2 == 0.5 + 2j
     assert abs(hyp.c1 - (0.5 + 4j)) < 1e-15
@@ -162,11 +162,23 @@ def test_wave_equation_residual_below_threshold():
         assert worst < 1e-7
 
 
+def test_library_wave_equation_residual():
+    zs = np.linspace(0.05, 0.95, 7)
+    for branch in ("I", "II"):
+        for sign in (1, -1):
+            worst = max(wave_equation_residual(branch, sign, 1.5, 1.0, z) for z in zs)
+            assert worst < 1e-7
+            assert worst == pytest.approx(max(zform_residual(branch, sign, 1.5, 1.0, float(z)) for z in zs), rel=1e-3)
+    for z in (0.0, 1.0, 1.3, -0.2):
+        with pytest.raises(DomainError):
+            wave_equation_residual("I", 1, 2.0, 1.0, z)
+
+
 def test_second_derivative_identity():
     # d/dz[z(1-z) R'] = (B^2/(1-z) + (C^2 - C/2)/z) R + (1/2)(1-z) R'
     omega, m = 2.0, 1.0
     exps, _ = make_exponents(omega, m)
-    consts = {1: (exps.B1, exps.C1), 2: (exps.B2, exps.C2)}
+    consts = {1: (exps.B1, exps.C1), 2: (exps.B1, exps.C2)}
     for j in (1, 2):
         B, C = consts[j]
         for z in np.linspace(0.1, 0.9, 9):

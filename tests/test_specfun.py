@@ -11,8 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from susystep.errors import DegenerateParamsError, DomainError, NonConvergenceError, PoleError
+import susystep.specfun as specfun_mod
+from susystep.solutions import exact_solution
 from susystep.specfun import (
-    Hyp2F1Params,
     Z_SWITCH,
     connect_near_one,
     gamma_ratio,
@@ -23,10 +24,6 @@ from susystep.specfun import (
 from _oracles import gamma_oracle, hyp2f1_oracle, lngamma_oracle
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
-
-
-def f21(a, b, c, z):
-    return hyp2f1(Hyp2F1Params(a=a, b=b, c=c, z=z))
 
 
 # ---------------------------------------------------------------- lngamma
@@ -127,60 +124,85 @@ def test_reflection_formula(re, im):
 
 def test_params_validation():
     with pytest.raises(PoleError):
-        Hyp2F1Params(a=1.0, b=1.0, c=0.0, z=0.3)
+        hyp2f1(1.0, 1.0, 0.0, 0.3)
     with pytest.raises(PoleError):
-        Hyp2F1Params(a=1.0, b=1.0, c=-3.0 + 1e-10j, z=0.3)
+        hyp2f1(1.0, 1.0, -3.0 + 1e-10j, 0.3)
     with pytest.raises(DomainError):
-        Hyp2F1Params(a=1.0, b=1.0, c=2.0, z=1.0)
+        hyp2f1(1.0, 1.0, 2.0, 1.0)
     with pytest.raises(DomainError):
-        Hyp2F1Params(a=1.0, b=1.0, c=2.0, z=-0.1)
+        hyp2f1(1.0, 1.0, 2.0, -0.1)
+    for z in (1.0, -0.1):
+        with pytest.raises(DomainError):
+            connect_near_one(1.0, 1.0, 2.0, z)
+    with pytest.raises(PoleError):
+        connect_near_one(1.0, 1.0, -2.0, 0.7)
+
+
+def test_saturated_z_uses_the_exact_complement():
+    # past x ~ 37, z = e^x/(e^x+1) rounds to 1.0 while u = 1/(e^x+1) stays
+    # exact; given u, hyp2f1 returns the connection value at 1 - u
+    kp = math.sqrt(3.0)
+    a, b, c = 0.5 + (2 + kp) * 1j, (2 + kp) * 1j, 0.5 + 4j  # omega = 2, m = 1
+    for u in (1e-17, 1e-200):
+        assert 1.0 - u == 1.0
+        with mp.workdps(40):
+            expected = complex(mp.hyp2f1(mp.mpc(a), mp.mpc(b), mp.mpc(c), 1 - mp.mpf(u)))
+        got = hyp2f1(a, b, c, 1.0, u=u, log_u=math.log(u))
+        assert abs(got - expected) <= 1e-11 * abs(expected)
+        assert hyp2f1(a, b, c, 1.0, u=u) == got
+    with pytest.raises(DomainError):
+        hyp2f1(a, b, c, 1.0)  # the default complement 1 - z is 0
+    with pytest.raises(DomainError):
+        hyp2f1(a, b, c, 0.3, u=-0.1)
+    for x in (-600.0, 600.0):
+        assert cmath.isfinite(exact_solution("I", 1, 2.0, 1.0, x))
 
 
 def test_value_one_at_origin():
-    assert f21(0.3 + 2j, -1.7, 2.2 - 1j, 0.0) == 1.0 + 0.0j
+    assert hyp2f1(0.3 + 2j, -1.7, 2.2 - 1j, 0.0) == 1.0 + 0.0j
 
 
 def test_classical_log_form():
     # 2F1(1,1;2;z) = -ln(1-z)/z
     z = 0.3
-    assert abs(f21(1.0, 1.0, 2.0, z) - (-math.log1p(-z) / z)) < 1e-14
+    assert abs(hyp2f1(1.0, 1.0, 2.0, z) - (-math.log1p(-z) / z)) < 1e-14
 
 
 def test_binomial_reduction_when_c_equals_b():
     a, b, z = 2 + 1j, 0.7, 0.4
     expected = (1.0 - z) ** (-a)
-    assert abs(f21(a, b, b, z) - expected) < 1e-13 * abs(expected)
+    assert abs(hyp2f1(a, b, b, z) - expected) < 1e-13 * abs(expected)
 
 
 def test_complex_parameter_frozen_value():
     # frozen from tests/_oracles.hyp2f1_oracle at 40 digits
     expected = complex(1.1516750418510497858, 1.2936868404728547567)
-    got = f21(0.5 + 2j, 1.5 + 2j, 1.5 + 4j, 0.6)
+    got = hyp2f1(0.5 + 2j, 1.5 + 2j, 1.5 + 4j, 0.6)
     assert abs(got - expected) <= 1e-11 * abs(expected)
     # and the oracle reproduces itself at double precision
     assert abs(hyp2f1_oracle(0.5 + 2j, 1.5 + 2j, 1.5 + 4j, 0.6) - expected) < 1e-15 * abs(expected)
 
 
-def test_nonconvergence_with_tiny_budget():
+def test_nonconvergence_with_tiny_budget(monkeypatch):
+    monkeypatch.setattr(specfun_mod, "MAX_SERIES_TERMS", 5)
     with pytest.raises(NonConvergenceError):
-        hyp2f1(Hyp2F1Params(a=1.0, b=1.0, c=2.0, z=0.5), max_terms=5)
+        hyp2f1(1.0, 1.0, 2.0, 0.5)
 
 
 # ------------------------------------------------------- connection formula
 
 def test_series_connection_consistency_at_nominal_switch():
-    p = Hyp2F1Params(a=0.5 + 2j, b=1.5 + 2j, c=1.5 + 4j, z=0.55)
-    series = hyp2f1(Hyp2F1Params(a=p.a, b=p.b, c=p.c, z=0.55))  # dispatches to connection
-    direct = hyp2f1_oracle(p.a, p.b, p.c, 0.55)
+    a, b, c = 0.5 + 2j, 1.5 + 2j, 1.5 + 4j
+    series = hyp2f1(a, b, c, 0.55)  # dispatches to connection
+    direct = hyp2f1_oracle(a, b, c, 0.55)
     assert abs(series - direct) <= 1e-10 * abs(direct)
-    assert abs(connect_near_one(p) - direct) <= 1e-10 * abs(direct)
+    assert abs(connect_near_one(a, b, c, 0.55) - direct) <= 1e-10 * abs(direct)
 
 
 def test_series_connection_overlap_window():
     a, b, c = 0.5 + 2j, 1.5 + 2j, 1.5 + 4j
     for z in np.linspace(0.45, 0.65, 9):
-        p = Hyp2F1Params(a=a, b=b, c=c, z=float(z))
-        via_connection = connect_near_one(p)
+        via_connection = connect_near_one(a, b, c, float(z))
         via_series = hyp2f1_oracle(a, b, c, float(z), dps=25)
         assert abs(via_connection - via_series) <= 1e-10 * abs(via_series)
 
@@ -190,18 +212,17 @@ def test_solution_parameters_at_reference_frequency():
     kp = math.sqrt(3.0)
     a1, b1, c1 = 0.5 + (2 + kp) * 1j, (2 + kp) * 1j, 0.5 + 4j
     expected = complex(-0.7578331315092058748, 0.67868640550922853464)
-    got = connect_near_one(Hyp2F1Params(a=a1, b=b1, c=c1, z=0.5))
+    got = connect_near_one(a1, b1, c1, 0.5)
     assert abs(got - expected) <= 1e-10 * abs(expected)
-    assert abs(f21(a1, b1, c1, 0.5) - expected) <= 1e-10 * abs(expected)
+    assert abs(hyp2f1(a1, b1, c1, 0.5) - expected) <= 1e-10 * abs(expected)
 
 
 def test_degenerate_connection_raises():
     # c - a - b = 1 exactly: the connection formula must refuse
-    p = Hyp2F1Params(a=1.0, b=1.0, c=3.0, z=0.999)
     with pytest.raises(DegenerateParamsError):
-        connect_near_one(p)
+        connect_near_one(1.0, 1.0, 3.0, 0.999)
     with pytest.raises(DegenerateParamsError):
-        hyp2f1(p)
+        hyp2f1(1.0, 1.0, 3.0, 0.999)
     # the value itself is finite and approaches 2 as z -> 1; the oracle
     # confirms the classical closed form 2((1-z)ln(1-z)+z)/z^2
     z = 0.999
@@ -212,8 +233,7 @@ def test_degenerate_connection_raises():
 
 def test_degenerate_only_when_connection_required():
     # same degenerate parameters converge through the series for z <= switch
-    p = Hyp2F1Params(a=1.0, b=1.0, c=3.0, z=0.4)
-    assert abs(hyp2f1(p) - hyp2f1_oracle(1.0, 1.0, 3.0, 0.4)) < 1e-13
+    assert abs(hyp2f1(1.0, 1.0, 3.0, 0.4) - hyp2f1_oracle(1.0, 1.0, 3.0, 0.4)) < 1e-13
 
 
 # ----------------------------------------------------- functional identities
@@ -234,8 +254,8 @@ def test_gauss_contiguous_relation(params):
     a, b, c, z = params
     s = c - a - b
     assume(abs(s - round(s.real)) > 0.05 and abs(s - 1 - round(s.real)) > 0.05)
-    lhs = c * f21(a, b, c, z) - c * f21(a + 1, b, c, z) + b * z * f21(a + 1, b + 1, c + 1, z)
-    scale = max(abs(c * f21(a, b, c, z)), 1.0)
+    lhs = c * hyp2f1(a, b, c, z) - c * hyp2f1(a + 1, b, c, z) + b * z * hyp2f1(a + 1, b + 1, c + 1, z)
+    scale = max(abs(c * hyp2f1(a, b, c, z)), 1.0)
     assert abs(lhs) <= 1e-9 * scale
 
 
@@ -249,7 +269,7 @@ def test_hypergeometric_ode_residual():
     for a, b, c in cases:
         for z in np.linspace(0.08, 0.92, 15):
             h = 0.01 * z * (1 - z)
-            f = [f21(a, b, c, z + k * h) for k in (-2, -1, 0, 1, 2)]
+            f = [hyp2f1(a, b, c, z + k * h) for k in (-2, -1, 0, 1, 2)]
             d1 = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h)
             d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
             res = z * (1 - z) * d2 + (c - (a + b + 1) * z) * d1 - a * b * f[2]
