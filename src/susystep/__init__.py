@@ -47,9 +47,7 @@ from .scattering import (
     susy_relation_check,
 )
 from .solutions import (
-    HypSolutionParams,
-    SolutionCoefficients,
-    SolutionExponents,
+    SolutionParams,
     WaveField,
     b_exponent,
     coupled_residual,

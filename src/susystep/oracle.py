@@ -127,26 +127,28 @@ def integrate_wavefunction(spec: PotentialSpec, omega: float, cfg: IntegrationCo
             )
 
     grid = np.linspace(cfg.x_min, cfg.x_max, n_steps + 1)
+    m = math.sqrt(asym) if spec.kind is PotentialKind.STEP else spec.m
     return WaveField(
-        grid=grid, values=values, omega=float(omega), m=spec.m, kind=spec.kind,
+        grid=grid, values=values, omega=float(omega), m=m, kind=spec.kind,
         branch=None, meta={"spec": spec, "config": cfg},
     )
 
 
-def extract_rt(field: WaveField, omega: float, m_effective: float, cfg: IntegrationConfig = DEFAULT_CONFIG) -> ScatteringResult:
+def extract_rt(field: WaveField, cfg: IntegrationConfig = DEFAULT_CONFIG) -> ScatteringResult:
     """Fit Z ~ A e^(i omega x) + B e^(-i omega x) over the left matching
     window and return R = B/A, T = 1/A (transmitted amplitude was set to 1
-    by the integration initial data).
+    by the integration initial data), at the field's own omega and coupling m.
 
     A least-squares fit over the whole window averages out the residual
     exponentially small contamination near the boundary.  Raises
+    DomainError unless the field's omega is real and above m >= 0, and
     IllConditionedError if the design matrix has condition number above
     1e8 (e.g. a window too short to separate the two exponentials).
     """
-    if not m_effective >= 0:
-        raise DomainError(f"m_effective must be >= 0, got {m_effective}")
-    if not omega * omega > m_effective * m_effective:
-        raise DomainError("omega must exceed the right asymptote threshold")
+    omega, m = field.omega, field.m
+    if not (omega.imag == 0 and omega.real > m >= 0):
+        raise DomainError(f"extract_rt needs a real field omega above its coupling m >= 0; got omega = {omega}, m = {m}")
+    omega = float(omega.real)
     xs = field.grid
     sel = xs <= xs[0] + cfg.match_window
     x_win = xs[sel]
@@ -158,15 +160,13 @@ def extract_rt(field: WaveField, omega: float, m_effective: float, cfg: Integrat
         )
     coef, *_ = np.linalg.lstsq(design, field.values[sel], rcond=None)
     a_in, b_refl = coef
-    # The step's field carries its spec's unused m; its coupling is sqrt(V0).
-    m = m_effective if field.kind is PotentialKind.STEP else field.m
     return ScatteringResult(
-        omega=float(omega), m=m, kind=field.kind, R=b_refl / a_in, T=1.0 / a_in,
-        kprime=math.sqrt(omega * omega - m_effective * m_effective),
+        omega=omega, m=m, kind=field.kind, R=b_refl / a_in, T=1.0 / a_in,
+        kprime=math.sqrt(omega * omega - m * m),
     )
 
 
 def numerical_rt(spec: PotentialSpec, omega: float, cfg: IntegrationConfig = DEFAULT_CONFIG) -> ScatteringResult:
     """Integrate and extract in one call."""
     field = integrate_wavefunction(spec, omega, cfg)
-    return extract_rt(field, omega, math.sqrt(spec.right_asymptote), cfg)
+    return extract_rt(field, cfg)

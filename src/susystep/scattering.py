@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DomainError, GammaPoleError, PoleError
@@ -102,12 +103,14 @@ class QnmFrequency:
 
 
 def _check_scattering_regime(omega: float, m: float):
-    if not (isinstance(omega, (int, float)) and isinstance(m, (int, float))):
-        raise DomainError("scattering amplitudes take real omega and m")
+    """(float(omega), float(m)) for real omega > m > 0 (numpy scalars too)."""
+    if not (isinstance(omega, numbers.Real) and isinstance(m, numbers.Real)):
+        raise DomainError("scattering amplitudes and closed forms take real omega and m")
     if not m > 0:
         raise DomainError(f"require m > 0, got m = {m}")
     if not omega > m:
         raise DomainError(f"scattering requires omega > m (~propagating transmitted wave); got omega = {omega}, m = {m}")
+    return float(omega), float(m)
 
 
 def _wrap_gamma_pole(fn):
@@ -127,9 +130,9 @@ def asymptotic_coefficients(omega: float, m: float) -> AsymptoticCoefficients:
     (c1-1)/m); at x -> +infinity they are the connection-formula Gamma
     products.  omega > m > 0 required.
     """
-    _check_scattering_regime(omega, m)
-    _, hyp = make_exponents(omega, m)
-    a1, b1, c1 = hyp.a1, hyp.b1, hyp.c1
+    omega, m = _check_scattering_regime(omega, m)
+    p = make_exponents(omega, m)
+    a1, b1, c1 = p.a1, p.b1, p.c1
     fac_in = 1.0 + (c1 - a1) / m
     fac_out = 1.0 + b1 / m
 
@@ -163,9 +166,9 @@ def reflection_transmission(kind: PotentialKind, omega: float, m: float) -> Scat
     """
     if kind not in (PotentialKind.PLUS, PotentialKind.MINUS):
         raise DomainError("reflection_transmission handles the partner kinds; use step_amplitudes for the step")
-    _check_scattering_regime(omega, m)
-    _, hyp = make_exponents(omega, m)
-    a1, b1, c1 = hyp.a1, hyp.b1, hyp.c1
+    omega, m = _check_scattering_regime(omega, m)
+    p = make_exponents(omega, m)
+    a1, b1, c1 = p.a1, p.b1, p.c1
 
     def build():
         r_plus = gamma_ratio([1.0 - a1, 1.0 - b1, c1], [1.0 - c1, c1 - a1, c1 - b1]) / m
@@ -178,7 +181,7 @@ def reflection_transmission(kind: PotentialKind, omega: float, m: float) -> Scat
     else:
         R, T = -r_plus, (1.0 - (c1 - a1) / m) * t_core
     kprime = math.sqrt(omega * omega - m * m)
-    return ScatteringResult(omega=float(omega), m=float(m), kind=kind, R=R, T=T, kprime=kprime)
+    return ScatteringResult(omega=omega, m=m, kind=kind, R=R, T=T, kprime=kprime)
 
 
 def _sinh_ratio(a: float, c: float) -> float:
@@ -198,8 +201,7 @@ def coefficients_closed_form(omega: float, m: float):
     overflows (plain sinh would at omega ~ 113), and with omega - k'
     written as m^2/(omega + k'), which does not cancel for m << omega.
     """
-    if not (m > 0 and omega > m):
-        raise DomainError(f"closed forms require omega > m > 0; got omega = {omega}, m = {m}")
+    omega, m = _check_scattering_regime(omega, m)
     kprime = math.sqrt(omega * omega - m * m)
     a = 2.0 * math.pi * (m * m / (omega + kprime))
     b = 2.0 * math.pi * kprime
@@ -215,7 +217,7 @@ def susy_relation_check(omega: float, m: float):
     """Partnership identities: returns (R+ + R-, T+ - (i k/(m + i k')) T-),
     both of which the closed amplitudes satisfy identically (k = omega,
     k' = sqrt(omega^2 - m^2))."""
-    _check_scattering_regime(omega, m)
+    omega, m = _check_scattering_regime(omega, m)
     res_plus = reflection_transmission(PotentialKind.PLUS, omega, m)
     res_minus = reflection_transmission(PotentialKind.MINUS, omega, m)
     factor = 1j * res_plus.k / (m + 1j * res_plus.kprime)
@@ -229,7 +231,7 @@ def step_amplitudes(omega: float, m: float) -> ScatteringResult:
         R^S = G(2iw)G(-iw-ik')G(1-iw-ik') / (G(-2iw)G(iw-ik')G(1+iw-ik'))
         T^S = G(1-iw-ik')G(-iw-ik') / (G(-2iw)G(1-2ik'))
     """
-    _check_scattering_regime(omega, m)
+    omega, m = _check_scattering_regime(omega, m)
     kprime = math.sqrt(omega * omega - m * m)
     iw = 1j * omega
     ikp = 1j * kprime
@@ -243,14 +245,13 @@ def step_amplitudes(omega: float, m: float) -> ScatteringResult:
         return r, t
 
     R, T = _wrap_gamma_pole(build)
-    return ScatteringResult(omega=float(omega), m=float(m), kind=PotentialKind.STEP, R=R, T=T, kprime=kprime)
+    return ScatteringResult(omega=omega, m=m, kind=PotentialKind.STEP, R=R, T=T, kprime=kprime)
 
 
 def step_reflection_closed_form(omega: float, m: float) -> float:
     """|R^S|^2 = sinh^2(pi(omega - k')) / sinh^2(pi(omega + k')), with
     omega - k' = m^2/(omega + k') free of cancellation."""
-    if not (m > 0 and omega > m):
-        raise DomainError(f"closed form requires omega > m > 0; got omega = {omega}, m = {m}")
+    omega, m = _check_scattering_regime(omega, m)
     kprime = math.sqrt(omega * omega - m * m)
     return _sinh_ratio(math.pi * (m * m / (omega + kprime)), math.pi * (omega + kprime)) ** 2
 
@@ -278,8 +279,8 @@ def qnm(kind: PotentialKind, n: int, m: float) -> QnmFrequency:
     Reported verbatim, including the low overtones with non-negative
     imaginary part; no stability filtering is applied.
     """
-    if n < 0:
-        raise DomainError(f"overtone index must be >= 0, got {n}")
+    if not (isinstance(n, numbers.Integral) and n >= 0):
+        raise DomainError(f"overtone index must be an integer >= 0, got {n!r}")
     if not m > 0:
         raise DomainError(f"require m > 0, got m = {m}")
     if kind is PotentialKind.STEP:

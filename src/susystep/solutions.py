@@ -25,9 +25,7 @@ from .errors import DegenerateCError, DomainError, ZeroFrequencyError
 from .potentials import PotentialKind, superpotential
 
 __all__ = [
-    "SolutionExponents",
-    "HypSolutionParams",
-    "SolutionCoefficients",
+    "SolutionParams",
     "WaveField",
     "x_to_z",
     "z_to_x",
@@ -99,13 +97,17 @@ def b_exponent(omega: complex, m: float) -> complex:
 
 
 @dataclass(frozen=True)
-class SolutionExponents:
-    """Power-factor exponents of the two rotated components.
+class SolutionParams:
+    """Everything that (omega, m) fixes in the exact solutions.
 
-    Both components share B1 = sqrt(m^2 - omega^2) (branch per
-    ``b_exponent``); C1 = i omega, C2 = C1 + 1/2.  Each C_j solves
-    C^2 - C/2 + i omega eps/2 + omega^2 = 0 with eps = +1 for j=1 and -1
-    for j=2, and B1 solves B^2 + omega^2 - m^2 = 0.
+    Exponents: B1 = sqrt(m^2 - omega^2) (branch per ``b_exponent``) solves
+    B^2 + omega^2 - m^2 = 0; C1 = i omega and C2 = C1 + 1/2 solve
+    C^2 - C/2 + i omega eps/2 + omega^2 = 0 with eps = +1, -1.  Gauss
+    parameters: a1 = C1 + B1 + 1/2, b1 = C1 + B1, c1 = 2 C1 + 1/2, and
+    a2 = b1 + 1, b2 = a1, c2 = c1 + 1.  The coupled system fixes the
+    second-component constants of the unit normalization G1 = H1 = 1:
+    G2 = i (a1 - c1) b1 / (m c1), H2 = i (1 - c1) / m.  Any other
+    normalization is a constant multiple of it.
     """
 
     omega: complex
@@ -113,6 +115,14 @@ class SolutionExponents:
     B1: complex
     C1: complex
     C2: complex
+    a1: complex
+    b1: complex
+    c1: complex
+    a2: complex
+    b2: complex
+    c2: complex
+    G2: complex
+    H2: complex
 
     def indicial_residuals(self) -> float:
         """Largest residual of the defining algebraic equations."""
@@ -123,44 +133,9 @@ class SolutionExponents:
 
 
 @dataclass(frozen=True)
-class HypSolutionParams:
-    """Hypergeometric parameters a_j = C_j + B_j + 1/2, b_j = C_j + B_j,
-    c_j = 2 C_j + 1/2; the j=2 set satisfies a2 = b1 + 1, b2 = a1,
-    c2 = c1 + 1."""
-
-    a1: complex
-    b1: complex
-    c1: complex
-    a2: complex
-    b2: complex
-    c2: complex
-
-
-@dataclass(frozen=True)
-class SolutionCoefficients:
-    """Free constants of the two solution branches.
-
-    The coupled system fixes the second-component constants:
-    G2 = i (a1 - c1) b1 G1 / (m c1) and H2 = i (1 - c1) H1 / m.
-    Use :meth:`for_params` and the constraints hold by construction.
-    """
-
-    G1: complex = 1.0 + 0.0j
-    G2: complex = 0.0j
-    H1: complex = 1.0 + 0.0j
-    H2: complex = 0.0j
-
-    @classmethod
-    def for_params(cls, omega: complex, m: float, G1: complex = 1.0, H1: complex = 1.0):
-        _, hyp = make_exponents(omega, m)
-        g2 = 1j * (hyp.a1 - hyp.c1) * hyp.b1 * G1 / (m * hyp.c1)
-        h2 = 1j * (1.0 - hyp.c1) * H1 / m
-        return cls(G1=complex(G1), G2=g2, H1=complex(H1), H2=h2)
-
-
-@dataclass(frozen=True)
 class WaveField:
-    """A complex wavefunction sampled on a strictly increasing x grid."""
+    """A complex wavefunction sampled on a strictly increasing x grid;
+    ``m`` is the coupling it solves (sqrt(V0) for the step)."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -183,8 +158,8 @@ class WaveField:
             raise DomainError("wavefunction values must be finite")
 
 
-def make_exponents(omega: complex, m: float):
-    """Build the exponent set and hypergeometric parameters for (omega, m).
+def make_exponents(omega: complex, m: float) -> SolutionParams:
+    """The :class:`SolutionParams` record of (omega, m).
 
     Raises
     ------
@@ -195,7 +170,7 @@ def make_exponents(omega: complex, m: float):
         When c1 = 2 i omega + 1/2 is within tolerance of an integer and
         the second power-series solution would pick up logarithms.
     """
-    omega = complex(omega)
+    omega, m = complex(omega), float(m)
     if abs(omega) < 1e-12:
         raise ZeroFrequencyError("solutions require omega != 0")
     if m == 0:
@@ -206,42 +181,36 @@ def make_exponents(omega: complex, m: float):
     c1 = 2.0 * C1 + 0.5
     if abs(c1 - round(c1.real)) < specfun.POLE_TOL:
         raise DegenerateCError(f"c1 = {c1} is within tolerance of an integer")
-    exps = SolutionExponents(omega=omega, m=float(m), B1=B1, C1=C1, C2=C2)
     a1 = C1 + B1 + 0.5
     b1 = C1 + B1
-    hyp = HypSolutionParams(a1=a1, b1=b1, c1=c1, a2=b1 + 1.0, b2=a1, c2=c1 + 1.0)
-    return exps, hyp
+    return SolutionParams(
+        omega=omega, m=m, B1=B1, C1=C1, C2=C2, a1=a1, b1=b1, c1=c1,
+        a2=b1 + 1.0, b2=a1, c2=c1 + 1.0, G2=1j * (a1 - c1) * b1 / (m * c1), H2=1j * (1.0 - c1) / m,
+    )
 
 
-def _rotated(j, branch, exps, hyp, coeff, z, u, log_z, log_u):
+def _rotated(j, branch, p, z, u, log_z, log_u):
     """Rotated component (R-tilde)_j of the requested solution branch."""
-    C, a, b, c = (exps.C1, hyp.a1, hyp.b1, hyp.c1) if j == 1 else (exps.C2, hyp.a2, hyp.b2, hyp.c2)
+    C, a, b, c = (p.C1, p.a1, p.b1, p.c1) if j == 1 else (p.C2, p.a2, p.b2, p.c2)
     if branch == "I":
-        pw = cmath.exp(C * log_z + exps.B1 * log_u)
-        return (coeff.G1 if j == 1 else coeff.G2) * pw * specfun.hyp2f1(a, b, c, z, u, log_u)
+        pw = cmath.exp(C * log_z + p.B1 * log_u)
+        return (1.0 if j == 1 else p.G2) * pw * specfun.hyp2f1(a, b, c, z, u, log_u)
     if branch == "II":
-        pw = cmath.exp((C + 1.0 - c) * log_z + exps.B1 * log_u)
+        pw = cmath.exp((C + 1.0 - c) * log_z + p.B1 * log_u)
         f = specfun.hyp2f1(a - c + 1.0, b - c + 1.0, 2.0 - c, z, u, log_u)
-        return (coeff.H1 if j == 1 else coeff.H2) * pw * f
+        return (1.0 if j == 1 else p.H2) * pw * f
     raise DomainError(f"branch must be 'I' or 'II', got {branch!r}")
 
 
-def _solution_from_logs(branch, sign, exps, hyp, coeff, z, u, log_z, log_u):
+def _solution_from_logs(branch, sign, p, z, u, log_z, log_u):
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
-    r1 = _rotated(1, branch, exps, hyp, coeff, z, u, log_z, log_u)
-    r2 = _rotated(2, branch, exps, hyp, coeff, z, u, log_z, log_u)
+    r1 = _rotated(1, branch, p, z, u, log_z, log_u)
+    r2 = _rotated(2, branch, p, z, u, log_z, log_u)
     return _QUARTER_TURN * (r1 + sign * 1j * r2)
 
 
-def _prepare(omega, m, coeff):
-    exps, hyp = make_exponents(omega, m)
-    if coeff is None:
-        coeff = SolutionCoefficients.for_params(omega, m)
-    return exps, hyp, coeff
-
-
-def exact_solution(branch, sign, omega, m, x, coeff: SolutionCoefficients | None = None) -> complex:
+def exact_solution(branch, sign, omega, m, x) -> complex:
     """Closed-form wavefunction Z_sign^branch at position x.
 
     Parameters
@@ -252,25 +221,25 @@ def exact_solution(branch, sign, omega, m, x, coeff: SolutionCoefficients | None
         Partner choice: +1 for the V+ equation, -1 for V-.
     omega, m : complex, float
         Frequency (E = omega^2) and coupling.
-    coeff : SolutionCoefficients, optional
-        Defaults to the unit normalization G1 = H1 = 1.
 
-    Evaluation is stable for any finite x; the hypergeometric argument and
-    all power factors come from log-space forms of z(x).
+    The normalization is the unit one, G1 = H1 = 1 (see
+    :class:`SolutionParams`).  Evaluation is stable for any finite x; the
+    hypergeometric argument and all power factors come from log-space
+    forms of z(x).
     """
-    exps, hyp, coeff = _prepare(omega, m, coeff)
+    p = make_exponents(omega, m)
     z, u, log_z, log_u = _logs_from_x(float(x))
-    return _solution_from_logs(branch, sign, exps, hyp, coeff, z, u, log_z, log_u)
+    return _solution_from_logs(branch, sign, p, z, u, log_z, log_u)
 
 
-def exact_solution_at_z(branch, sign, omega, m, z, coeff: SolutionCoefficients | None = None) -> complex:
+def exact_solution_at_z(branch, sign, omega, m, z) -> complex:
     """Same as :func:`exact_solution` but parametrized by z in (0, 1)."""
-    exps, hyp, coeff = _prepare(omega, m, coeff)
+    p = make_exponents(omega, m)
     zz, u, log_z, log_u = _logs_from_z(float(z))
-    return _solution_from_logs(branch, sign, exps, hyp, coeff, zz, u, log_z, log_u)
+    return _solution_from_logs(branch, sign, p, zz, u, log_z, log_u)
 
 
-def rotated_component(j, branch, omega, m, z, coeff: SolutionCoefficients | None = None) -> complex:
+def rotated_component(j, branch, omega, m, z) -> complex:
     """Rotated component (R-tilde)_j (j = 1, 2) of a solution branch at z.
 
     These are the functions in which the first-order system decouples;
@@ -278,9 +247,9 @@ def rotated_component(j, branch, omega, m, z, coeff: SolutionCoefficients | None
     """
     if j not in (1, 2):
         raise DomainError(f"component index must be 1 or 2, got {j!r}")
-    exps, hyp, coeff = _prepare(omega, m, coeff)
+    p = make_exponents(omega, m)
     zz, u, log_z, log_u = _logs_from_z(float(z))
-    return _rotated(j, branch, exps, hyp, coeff, zz, u, log_z, log_u)
+    return _rotated(j, branch, p, zz, u, log_z, log_u)
 
 
 def _five_point(f, x, h):
@@ -292,7 +261,7 @@ def _five_point(f, x, h):
     return f0, d1, d2
 
 
-def coupled_residual(omega, m, x_grid, branch="I", coeff: SolutionCoefficients | None = None) -> float:
+def coupled_residual(omega, m, x_grid, branch="I") -> float:
     """Largest scaled residual of the coupled first-order system
 
         (d/dx - W) Z+ = i omega Z-,      (d/dx + W) Z- = i omega Z+
@@ -306,13 +275,13 @@ def coupled_residual(omega, m, x_grid, branch="I", coeff: SolutionCoefficients |
         raise DomainError("coupled_residual needs a grid of at least 3 points")
     if not np.all(np.diff(xs) > 0):
         raise DomainError("x_grid must be strictly increasing")
-    exps, hyp, coeff = _prepare(omega, m, coeff)
+    p = make_exponents(omega, m)
     h = 0.5 * float(np.min(np.diff(xs)))
 
     def z_pair(x):
         z, u, log_z, log_u = _logs_from_x(x)
-        r1 = _rotated(1, branch, exps, hyp, coeff, z, u, log_z, log_u)
-        r2 = _rotated(2, branch, exps, hyp, coeff, z, u, log_z, log_u)
+        r1 = _rotated(1, branch, p, z, u, log_z, log_u)
+        r2 = _rotated(2, branch, p, z, u, log_z, log_u)
         return _QUARTER_TURN * np.array([r1 + 1j * r2, r1 - 1j * r2])
 
     worst = 0.0
@@ -349,32 +318,31 @@ def wronskian(sign, omega, m, z) -> complex:
     The z(1-z) weight is the self-adjoint coefficient of the transformed
     wave equation (equivalently, this is the plain x-Wronskian), so the
     value is z-independent:  +/- (2 omega / m)(1 - c1) for the unit
-    normalization G1 = H1 = 1, which this routine fixes.
+    normalization G1 = H1 = 1 of every solution here.
 
     The derivatives are evaluated numerically (five-point stencil) so the
     constancy check is independent of the algebra that predicts it.
     """
-    coeff = SolutionCoefficients.for_params(omega, m)
     z = float(z)
     if not 0.0 < z < 1.0:
         raise DomainError(f"z = {z} outside (0, 1)")
     h = 1e-3 * min(z, 1.0 - z, 0.5)
 
     def branch_at(branch):
-        return _five_point(lambda zz: exact_solution_at_z(branch, sign, omega, m, zz, coeff), z, h)
+        return _five_point(lambda zz: exact_solution_at_z(branch, sign, omega, m, zz), z, h)
 
     zi, di, _ = branch_at("I")
     zii, dii, _ = branch_at("II")
     return z * (1.0 - z) * (zi * dii - zii * di)
 
 
-def sample_wavefield(branch, sign, omega, m, grid, coeff: SolutionCoefficients | None = None) -> WaveField:
+def sample_wavefield(branch, sign, omega, m, grid) -> WaveField:
     """Sample an exact solution on an x grid into a :class:`WaveField`."""
-    exps, hyp, coeff = _prepare(omega, m, coeff)
+    p = make_exponents(omega, m)
     xs = np.asarray(grid, dtype=float)
     vals = np.empty(xs.size, dtype=complex)
     for i, x in enumerate(xs.ravel()):
         z, u, log_z, log_u = _logs_from_x(float(x))
-        vals[i] = _solution_from_logs(branch, sign, exps, hyp, coeff, z, u, log_z, log_u)
+        vals[i] = _solution_from_logs(branch, sign, p, z, u, log_z, log_u)
     kind = PotentialKind.PLUS if sign == 1 else PotentialKind.MINUS
     return WaveField(grid=xs, values=vals, omega=omega, m=float(m), kind=kind, branch=branch)

@@ -1,7 +1,9 @@
-"""Source-layout guard: no susystep module reads an underscore-prefixed
-(private) attribute of another susystep module."""
+"""Source-layout guards: no susystep module reads an underscore-prefixed
+(private) attribute of another susystep module, and every name a module
+exports in ``__all__`` exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import susystep
@@ -49,6 +51,16 @@ def private_reads(path):
 def test_no_module_reads_another_modules_private_names():
     offenders = {p.name: private_reads(p) for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: reads for name, reads in offenders.items() if reads} == {}
+
+
+def test_every_exported_name_is_defined():
+    missing = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"susystep.{path.stem}" if path.stem != "__init__" else "susystep")
+        gone = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        if gone:
+            missing[path.name] = gone
+    assert missing == {}
 
 
 def test_guard_sees_attribute_and_import_reads(tmp_path):

@@ -2,6 +2,7 @@
 order, agreement with the analytic solutions and amplitudes, and the error
 paths of the configuration and matching machinery."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -82,7 +83,9 @@ def test_step_amplitudes_match_closed_forms():
 
 
 def test_result_reports_the_coupling_solved():
-    # the step's coupling is sqrt(V0), the convention of step_amplitudes
+    # the step's coupling is sqrt(V0), the convention of step_amplitudes;
+    # the field carries it, and extract_rt reads it from there
+    assert integrate_wavefunction(PotentialSpec.step(4.0), 3.0).m == 2.0
     assert numerical_rt(PotentialSpec.step(4.0), 3.0).m == 2.0
     # partners report spec.m exactly, not sqrt(m * m), which differs once
     # m * m is subnormal
@@ -136,12 +139,13 @@ def test_blowup_guard(monkeypatch):
 def test_ill_conditioned_window():
     field = integrate_wavefunction(FREE, 2.0)
     with pytest.raises(IllConditionedError):
-        extract_rt(field, 2.0, 0.0, IntegrationConfig(match_window=1e-6))
+        extract_rt(field, IntegrationConfig(match_window=1e-6))
 
 
 def test_extract_rt_domain_checks():
+    # omega and the coupling come from the field; a field at or below its
+    # threshold, with a negative coupling, or at complex omega is rejected
     field = integrate_wavefunction(FREE, 2.0)
-    with pytest.raises(DomainError):
-        extract_rt(field, 2.0, -1.0)
-    with pytest.raises(DomainError):
-        extract_rt(field, 2.0, 5.0)
+    for omega, m in ((2.0, 2.0), (2.0, 5.0), (-3.0, 1.0), (2.0, -1.0), (2.0 + 0.5j, 0.0), (2.0, float("nan"))):
+        with pytest.raises(DomainError):
+            extract_rt(dataclasses.replace(field, omega=omega, m=m))

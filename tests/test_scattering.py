@@ -164,6 +164,27 @@ def test_rejects_threshold_and_below():
             reflection_transmission(PLUS, omega, 1.0)
 
 
+@pytest.mark.parametrize("omega, m", [
+    (np.int64(2), np.int64(1)), (np.float32(2.0), np.float32(1.0)), (np.float32(1.7), 1.1),
+])
+def test_numpy_scalars_match_python_floats(omega, m):
+    ref = float(omega), float(m)
+    for kind in (PLUS, MINUS):
+        assert reflection_transmission(kind, omega, m) == reflection_transmission(kind, *ref)
+    assert step_amplitudes(omega, m) == step_amplitudes(*ref)
+    assert susy_relation_check(omega, m) == susy_relation_check(*ref)
+    assert coefficients_closed_form(omega, m) == coefficients_closed_form(*ref)
+    assert step_reflection_closed_form(omega, m) == step_reflection_closed_form(*ref)
+
+
+def test_complex_arguments_rejected():
+    for fn in (lambda w, m: reflection_transmission(PLUS, w, m), step_amplitudes,
+               coefficients_closed_form, step_reflection_closed_form):
+        for omega, m in ((2.0 + 0j, 1.0), (2.0, 1.0 + 0j)):
+            with pytest.raises(DomainError):
+                fn(omega, m)
+
+
 # -------------------------------------------------------------- SUSY checks
 
 def test_susy_relations_at_reference():
@@ -259,6 +280,9 @@ def test_qnm_validation():
         qnm(PLUS, -1, 1.0)
     with pytest.raises(DomainError):
         qnm(PLUS, 0, 0.0)
+    with pytest.raises(DomainError):
+        qnm(PLUS, 1.5, 1.0)  # overtones are integers
+    assert qnm(PLUS, np.int64(2), 1.0) == qnm(PLUS, 2, 1.0)
 
 
 def test_qnm_pole_check_all_low_overtones():

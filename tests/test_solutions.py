@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susystep.errors import DegenerateCError, DomainError, ZeroFrequencyError
+import susystep.solutions as solutions_mod
 from susystep.solutions import (
-    SolutionCoefficients,
     WaveField,
     b_exponent,
     coupled_residual,
@@ -73,27 +73,27 @@ def test_map_inverse_pair_full_range(x):
 # ------------------------------------------------------------ exponent sets
 
 def test_exponents_reference_values():
-    exps, hyp = make_exponents(2.0, 1.0)
+    p = make_exponents(2.0, 1.0)
     kp = math.sqrt(3.0)
-    assert abs(exps.B1 - 1j * kp) < 1e-15
-    assert exps.C1 == 2j
-    assert exps.C2 == 0.5 + 2j
-    assert abs(hyp.c1 - (0.5 + 4j)) < 1e-15
-    assert abs(hyp.a1 - (0.5 + (2 + kp) * 1j)) < 1e-15
-    assert hyp.a2 == hyp.b1 + 1.0
-    assert hyp.b2 == hyp.a1
-    assert hyp.c2 == hyp.c1 + 1.0
+    assert abs(p.B1 - 1j * kp) < 1e-15
+    assert p.C1 == 2j
+    assert p.C2 == 0.5 + 2j
+    assert abs(p.c1 - (0.5 + 4j)) < 1e-15
+    assert abs(p.a1 - (0.5 + (2 + kp) * 1j)) < 1e-15
+    assert p.a2 == p.b1 + 1.0
+    assert p.b2 == p.a1
+    assert p.c2 == p.c1 + 1.0
 
 
 def test_exponents_satisfy_indicial_equations():
     for omega in (2.0, 0.6, 0.5 + 0.5j, 3.0 - 0.25j):
-        exps, _ = make_exponents(omega, 1.3)
-        assert exps.indicial_residuals() < 1e-14
+        p = make_exponents(omega, 1.3)
+        assert p.indicial_residuals() < 1e-14
 
 
 def test_exponent_at_threshold_vanishes():
-    exps, _ = make_exponents(1.0, 1.0)
-    assert exps.B1 == 0.0
+    p = make_exponents(1.0, 1.0)
+    assert p.B1 == 0.0
 
 
 def test_zero_frequency_rejected():
@@ -116,12 +116,33 @@ def test_branch_of_b_exponent():
 
 
 def test_coefficient_constraints():
-    coeff = SolutionCoefficients.for_params(2.0, 1.0, G1=1.5 - 0.5j, H1=2.0j)
-    _, hyp = make_exponents(2.0, 1.0)
-    g2 = 1j * (hyp.a1 - hyp.c1) * hyp.b1 * coeff.G1 / (1.0 * hyp.c1)
-    h2 = 1j * (1.0 - hyp.c1) * coeff.H1 / 1.0
-    assert abs(coeff.G2 - g2) < 1e-14
-    assert abs(coeff.H2 - h2) < 1e-14
+    # unit normalization G1 = H1 = 1
+    p = make_exponents(2.0, 1.0)
+    g2 = 1j * (p.a1 - p.c1) * p.b1 / (1.0 * p.c1)
+    h2 = 1j * (1.0 - p.c1) / 1.0
+    assert abs(p.G2 - g2) < 1e-14
+    assert abs(p.H2 - h2) < 1e-14
+
+
+def test_numpy_scalars_match_python_floats():
+    # a float32 coupling must not drag the record down to complex64
+    ref = exact_solution("I", 1, 1.7, float(np.float32(1.1)), 0.3)
+    for omega, m in ((np.float64(1.7), np.float32(1.1)), (1.7, np.float32(1.1))):
+        got = exact_solution("I", 1, omega, m, 0.3)
+        assert type(got) is complex and got == ref
+    assert make_exponents(np.int64(2), np.int64(1)) == make_exponents(2.0, 1.0)
+
+
+def test_one_parameter_record_per_evaluated_point(monkeypatch):
+    calls = []
+
+    def counting(omega, m):
+        calls.append((omega, m))
+        return make_exponents(omega, m)
+
+    monkeypatch.setattr(solutions_mod, "make_exponents", counting)
+    exact_solution("I", 1, 2.0, 1.0, 0.3)
+    assert calls == [(2.0, 1.0)]
 
 
 # ------------------------------------------------------ wave-equation residual
@@ -177,8 +198,8 @@ def test_library_wave_equation_residual():
 def test_second_derivative_identity():
     # d/dz[z(1-z) R'] = (B^2/(1-z) + (C^2 - C/2)/z) R + (1/2)(1-z) R'
     omega, m = 2.0, 1.0
-    exps, _ = make_exponents(omega, m)
-    consts = {1: (exps.B1, exps.C1), 2: (exps.B1, exps.C2)}
+    p = make_exponents(omega, m)
+    consts = {1: (p.B1, p.C1), 2: (p.B1, p.C2)}
     for j in (1, 2):
         B, C = consts[j]
         for z in np.linspace(0.1, 0.9, 9):
@@ -198,13 +219,13 @@ def test_left_asymptotic_forms():
     # Z+^I ~ G1 e^(-i pi/4) e^(i omega x) and
     # Z+^II ~ H1 e^(-i pi/4) ((c1-1)/m) e^(-i omega x) as x -> -infinity
     omega, m = 2.0, 1.0
-    _, hyp = make_exponents(omega, m)
+    p = make_exponents(omega, m)
     pref = cmath.exp(-0.25j * cmath.pi)
     x = -25.0
     zi = exact_solution("I", 1, omega, m, x)
     assert abs(zi / pref - cmath.exp(1j * omega * x)) < 1e-5
     zii = exact_solution("II", 1, omega, m, x)
-    target = pref * (hyp.c1 - 1.0) / m * cmath.exp(-1j * omega * x)
+    target = pref * (p.c1 - 1.0) / m * cmath.exp(-1j * omega * x)
     assert abs(zii - target) < 1e-5
 
 
