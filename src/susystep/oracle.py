@@ -70,63 +70,83 @@ def integrate_wavefunction(spec: PotentialSpec, omega: float, cfg: IntegrationCo
 
     Initial data at x_max is the pure transmitted wave Z = e^(i k' x),
     Z' = i k' e^(i k' x) with k' = sqrt(omega^2 - V(+inf)).  Classic RK4
-    with the configured fixed step; the potential is pre-sampled on the
-    half-step grid, so each step costs four complex multiply-adds.
+    with the configured fixed step on the potential pre-sampled on the
+    half-step grid.  The equation is linear, so each step is a fixed real
+    2x2 matrix acting on (Z, Z').  The steps are grouped in blocks of about
+    sqrt(n): one pass over the block columns forms the running product
+    inside every block at once, the state is carried from block to block,
+    and each value is its block's running product applied to the state
+    entering the block.  Each value is thus a product of at most about
+    2 sqrt(n) matrices taken in march order, so rounding accumulates as
+    in a point-by-point march.
 
     Raises
     ------
     ConfigError
         If omega is not above the right asymptote (no propagating
-        transmitted wave) or the step violates the stability bound.
+        transmitted wave), there are fewer than 2 steps, or the step
+        violates the stability bound (or the potential is not finite).
     BlowUpError
-        If |Z| exceeds 1e12 during the march.
+        If |Z| exceeds 1e12 (or is not finite) during the march; the
+        message names the first such x in march order.
     """
     asym = spec.right_asymptote
     if not omega * omega > asym:
         raise ConfigError(
             f"omega = {omega} is below the propagation threshold sqrt({asym}) of the right asymptote"
         )
-    n_steps = int(round((cfg.x_max - cfg.x_min) / cfg.step))
-    if n_steps < 2:
+    n = int(round((cfg.x_max - cfg.x_min) / cfg.step))
+    if n < 2:
         raise ConfigError("fewer than 2 integration steps; shrink step or widen the window")
-    h = (cfg.x_max - cfg.x_min) / n_steps
+    h = (cfg.x_max - cfg.x_min) / n
 
-    xs_half = np.linspace(cfg.x_min, cfg.x_max, 2 * n_steps + 1)
-    q = np.asarray(potential(spec, xs_half), dtype=float) - omega * omega
+    q = np.asarray(potential(spec, np.linspace(cfg.x_min, cfg.x_max, 2 * n + 1)), dtype=float) - omega * omega
     stiffness = float(np.max(np.abs(q))) * h * h
-    if stiffness >= 0.01:
-        raise ConfigError(f"step {h} too coarse: (max|V - omega^2|) step^2 = {stiffness:.3g} >= 0.01")
+    if not stiffness < 0.01:
+        raise ConfigError(f"step {h} too coarse: (max|V - omega^2|) step^2 = {stiffness:.3g} is not below 0.01")
+
+    # step i (right to left) maps (Z, Z') at x_max - i h to x_max - (i + 1) h;
+    # the steps are laid out as (blocks, width), padded with identities
+    hm, h2 = -h, h * h
+    width = math.isqrt(n) + 1
+    blocks = -(-n // width)
+    steps = np.empty((blocks * width, 2, 2))
+    steps[n:] = np.eye(2)
+    q0, qm, q1 = q[2 * n:0:-2], q[2 * n - 1::-2], q[2 * n - 2::-2]
+    steps[:n, 0, 0] = 1.0 + h2 / 6.0 * (q0 + 2.0 * qm) + h2 * h2 / 24.0 * qm * q0
+    steps[:n, 0, 1] = hm + hm * h2 / 6.0 * qm
+    steps[:n, 1, 0] = hm / 6.0 * (q0 + 4.0 * qm + q1 + 0.5 * h2 * qm * (q0 + q1))
+    steps[:n, 1, 1] = 1.0 + h2 / 6.0 * (2.0 * qm + q1) + h2 * h2 / 24.0 * q1 * qm
+    del q, q0, qm, q1
 
     kprime = math.sqrt(omega * omega - asym)
     zc = cmath.exp(1j * kprime * cfg.x_max)
     dz = 1j * kprime * zc
+    # buf[-1] is the initial point and buf[-2::-1] the march order, so the
+    # grid's values are the last n + 1 entries
+    buf = np.empty(blocks * width + 1, dtype=complex)
+    buf[-1] = zc
+    prod = steps.reshape(blocks, width, 2, 2)
+    z_in = np.empty(blocks, dtype=complex)
+    dz_in = np.empty(blocks, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, width):  # running product inside every block
+            prod[:, j] = prod[:, j] @ prod[:, j - 1]
+        for k, ((ta, tb), (tc, td)) in enumerate(prod[:, -1].tolist()):
+            z_in[k], dz_in[k] = zc, dz
+            zc, dz = ta * zc + tb * dz, tc * zc + td * dz
+        march = buf[-2::-1].reshape(blocks, width)
+        np.multiply(prod[..., 0, 0], z_in[:, None], out=march)
+        march += prod[..., 0, 1] * dz_in[:, None]
+        values = buf[blocks * width - n:]
+        bad = np.flatnonzero(~(np.abs(values[:n]) <= _BLOWUP_LIMIT))
+    if bad.size:
+        raise BlowUpError(
+            f"|Z| exceeded {_BLOWUP_LIMIT:g} at x = {cfg.x_max + (n - bad[-1]) * hm:.3f}; "
+            "omega below threshold or step too coarse"
+        )
 
-    values = np.empty(n_steps + 1, dtype=complex)
-    values[n_steps] = zc
-    hm = -h  # marching right to left
-    for i in range(n_steps):
-        base = 2 * (n_steps - i)
-        q0 = q[base]
-        qm = q[base - 1]
-        q1 = q[base - 2]
-        k1z = dz
-        k1d = q0 * zc
-        k2z = dz + 0.5 * hm * k1d
-        k2d = qm * (zc + 0.5 * hm * k1z)
-        k3z = dz + 0.5 * hm * k2d
-        k3d = qm * (zc + 0.5 * hm * k2z)
-        k4z = dz + hm * k3d
-        k4d = q1 * (zc + hm * k3z)
-        zc = zc + hm / 6.0 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-        dz = dz + hm / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        values[n_steps - i - 1] = zc
-        if abs(zc) > _BLOWUP_LIMIT:
-            raise BlowUpError(
-                f"|Z| exceeded {_BLOWUP_LIMIT:g} at x = {cfg.x_max + (i + 1) * hm:.3f}; "
-                "omega below threshold or step too coarse"
-            )
-
-    grid = np.linspace(cfg.x_min, cfg.x_max, n_steps + 1)
+    grid = np.linspace(cfg.x_min, cfg.x_max, n + 1)
     m = math.sqrt(asym) if spec.kind is PotentialKind.STEP else spec.m
     return WaveField(
         grid=grid, values=values, omega=float(omega), m=m, kind=spec.kind,
@@ -141,10 +161,14 @@ def extract_rt(field: WaveField, cfg: IntegrationConfig = DEFAULT_CONFIG) -> Sca
 
     A least-squares fit over the whole window averages out the residual
     exponentially small contamination near the boundary.  Raises
-    DomainError unless the field's omega is real and above m >= 0, and
-    IllConditionedError if the design matrix has condition number above
-    1e8 (e.g. a window too short to separate the two exponentials).
+    DomainError unless the field came from :func:`integrate_wavefunction`
+    (the only source of the unit transmitted wave) and its omega is real
+    and above m >= 0, and IllConditionedError if the design matrix has
+    condition number above 1e8 (e.g. a window too short to separate the
+    two exponentials).
     """
+    if field.branch is not None or "config" not in field.meta:
+        raise DomainError("extract_rt needs a field integrated by integrate_wavefunction (unit transmitted wave)")
     omega, m = field.omega, field.m
     if not (omega.imag == 0 and omega.real > m >= 0):
         raise DomainError(f"extract_rt needs a real field omega above its coupling m >= 0; got omega = {omega}, m = {m}")

@@ -305,7 +305,8 @@ def wave_equation_residual(branch, sign, omega, m, z) -> float:
     at z in (0, 1), with five-point derivatives of step 0.01 z(1-z).
     """
     z = float(z)
-    f0, d1, d2 = _five_point(lambda zz: exact_solution_at_z(branch, sign, omega, m, zz), z, 0.01 * z * (1.0 - z))
+    p = make_exponents(omega, m)
+    f0, d1, d2 = _five_point(lambda zz: _solution_from_logs(branch, sign, p, *_logs_from_z(zz)), z, 0.01 * z * (1.0 - z))
     q = (omega * omega - m * m) / (1 - z) + omega * omega / z + sign * m / (2.0 * math.sqrt(z))
     res = (1 - 2 * z) * d1 + z * (1 - z) * d2 + q * f0
     scale = abs(q * f0) + abs((1 - 2 * z) * d1) + abs(z * (1 - z) * d2)
@@ -327,9 +328,10 @@ def wronskian(sign, omega, m, z) -> complex:
     if not 0.0 < z < 1.0:
         raise DomainError(f"z = {z} outside (0, 1)")
     h = 1e-3 * min(z, 1.0 - z, 0.5)
+    p = make_exponents(omega, m)
 
     def branch_at(branch):
-        return _five_point(lambda zz: exact_solution_at_z(branch, sign, omega, m, zz), z, h)
+        return _five_point(lambda zz: _solution_from_logs(branch, sign, p, *_logs_from_z(zz)), z, h)
 
     zi, di, _ = branch_at("I")
     zii, dii, _ = branch_at("II")

@@ -2,8 +2,9 @@
 
 These deliberately share no code with the package: log-Gamma comes from a
 plain 64-step recurrence into the Stirling regime (no Lanczos, no
-compensated summation), and the hypergeometric reference is a brute-force
-extended-precision summation of the defining series in mpmath.
+compensated summation), the hypergeometric reference is a brute-force
+extended-precision summation of the defining series in mpmath, and the
+wave-equation reference is a point-by-point complex RK4 march.
 """
 
 import cmath
@@ -79,3 +80,29 @@ def hyp2f1_derivative_oracle(a, b, c, z, dps=40):
     with mp.workdps(dps):
         value = hyp2f1_oracle(a + 1, b + 1, c + 1, z, dps=dps)
         return complex(complex(a) * complex(b) / complex(c) * value)
+
+
+def rk4_march_oracle(v, omega, kprime, x_min, x_max, n):
+    """Reference RK4 march of Z'' = (V - omega^2) Z from x_max down to x_min
+    in n equal steps, one complex step at a time, starting from the unit
+    transmitted wave e^(i k' x).  ``v`` samples the potential on an array
+    of x; it is called once, on the 2n + 1 point half-step grid.  Returns
+    the n + 1 values on the grid in increasing x."""
+    h = (x_max - x_min) / n
+    xs_half = [x_min + (x_max - x_min) * k / (2 * n) for k in range(2 * n + 1)]
+    xs_half[-1] = x_max
+    q = [float(vk) - omega * omega for vk in v(xs_half)]
+    zc = cmath.exp(1j * kprime * x_max)
+    dz = 1j * kprime * zc
+    values = [zc]
+    hm = -h
+    for i in range(n):
+        q0, qm, q1 = q[2 * (n - i)], q[2 * (n - i) - 1], q[2 * (n - i) - 2]
+        k1z, k1d = dz, q0 * zc
+        k2z, k2d = dz + 0.5 * hm * k1d, qm * (zc + 0.5 * hm * k1z)
+        k3z, k3d = dz + 0.5 * hm * k2d, qm * (zc + 0.5 * hm * k2z)
+        k4z, k4d = dz + hm * k3d, q1 * (zc + hm * k3z)
+        zc, dz = (zc + hm / 6.0 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z),
+                  dz + hm / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d))
+        values.append(zc)
+    return values[::-1]

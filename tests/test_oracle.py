@@ -4,14 +4,16 @@ paths of the configuration and matching machinery."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from _oracles import rk4_march_oracle
 
 import susystep.oracle as oracle_mod
 from susystep.errors import BlowUpError, ConfigError, DomainError, IllConditionedError
 from susystep.oracle import IntegrationConfig, extract_rt, integrate_wavefunction, numerical_rt
-from susystep.potentials import PotentialKind, PotentialSpec
+from susystep.potentials import PotentialKind, PotentialSpec, potential
 from susystep.scattering import (
     coefficients_closed_form,
     reflection_transmission,
@@ -94,6 +96,33 @@ def test_result_reports_the_coupling_solved():
     assert numerical_rt(PotentialSpec.plus(m), 2.0).m == m
 
 
+COARSE = IntegrationConfig(step=0.01)  # n = 6000, not a multiple of the block width 78
+UNPADDED = IntegrationConfig(x_min=-25.0, x_max=24.7, step=0.01)  # n = 4970 = 71 blocks of 70
+
+
+@pytest.mark.parametrize(
+    "spec, omega, cfg",
+    [(spec, omega, COARSE)
+     for spec in (PotentialSpec.plus(1.0), PotentialSpec.minus(1.0), PotentialSpec.step(1.0, 1.0))
+     for omega in (1.2, 3.0)]
+    + [(PotentialSpec.plus(1.0), 2.0, UNPADDED), (PotentialSpec.minus(1.0), 1.5, oracle_mod.DEFAULT_CONFIG)],
+)
+def test_march_matches_sequential_reference(spec, omega, cfg):
+    # the blocked step-matrix march against a point-by-point complex march
+    field = integrate_wavefunction(spec, omega, cfg)
+    n = field.values.size - 1
+    kprime = math.sqrt(omega * omega - spec.right_asymptote)
+    ref = np.asarray(rk4_march_oracle(lambda xs: potential(spec, np.asarray(xs)), omega, kprime, cfg.x_min, cfg.x_max, n))
+    assert float(np.max(np.abs(field.values - ref))) <= 1e-10 * float(np.max(np.abs(ref)))
+    num = extract_rt(field, cfg)
+    seq = extract_rt(dataclasses.replace(field, values=ref), cfg)
+    # R = B/A and T = 1/A share the error of the fitted A, so both are
+    # measured against the amplitude scale |R| + |T| (R is ~1e-8 at omega = 3)
+    scale = abs(seq.R) + abs(seq.T)
+    assert abs(num.R - seq.R) <= 1e-10 * scale
+    assert abs(num.T - seq.T) <= 1e-10 * scale
+
+
 def test_oracle_sweep_flux():
     for omega in (1.2, 1.5, 2.0, 3.0):
         res = numerical_rt(PotentialSpec.plus(1.0), omega)
@@ -132,8 +161,30 @@ def test_blowup_guard(monkeypatch):
     # and stability preconditions catch the triggering scenarios first),
     # so exercise it by tightening the limit
     monkeypatch.setattr(oracle_mod, "_BLOWUP_LIMIT", 0.5)
-    with pytest.raises(BlowUpError):
+    with pytest.raises(BlowUpError, match=r"at x = 29\.999;"):
         integrate_wavefunction(FREE, 2.0)
+
+
+def test_blowup_of_an_overflowing_march(monkeypatch):
+    # a growing mode at the stability bound overflows float64 long before
+    # x_min; the guard names the first x past the limit and no overflow
+    # warning escapes
+    monkeypatch.setattr(oracle_mod, "potential", lambda spec, x: np.full(np.shape(x), 4.0 + 9000.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError, match=r"at x = 29\.701;"):
+            integrate_wavefunction(PotentialSpec.plus(1.0), 2.0)
+
+
+def test_non_finite_potential_rejected(monkeypatch):
+    def one_nan(spec, x):
+        v = np.array(potential(spec, x), dtype=float)
+        v[7] = np.nan
+        return v
+
+    monkeypatch.setattr(oracle_mod, "potential", one_nan)
+    with pytest.raises(ConfigError):
+        integrate_wavefunction(PotentialSpec.plus(1.0), 2.0)
 
 
 def test_ill_conditioned_window():
@@ -149,3 +200,12 @@ def test_extract_rt_domain_checks():
     for omega, m in ((2.0, 2.0), (2.0, 5.0), (-3.0, 1.0), (2.0, -1.0), (2.0 + 0.5j, 0.0), (2.0, float("nan"))):
         with pytest.raises(DomainError):
             extract_rt(dataclasses.replace(field, omega=omega, m=m))
+
+
+def test_extract_rt_needs_an_integrated_field():
+    # T = 1/A holds only for the unit transmitted wave the march starts from
+    with pytest.raises(DomainError):
+        extract_rt(sample_wavefield("I", 1, 2.0, 1.0, np.linspace(-30, 30, 6001)))
+    field = integrate_wavefunction(FREE, 2.0)
+    with pytest.raises(DomainError):
+        extract_rt(dataclasses.replace(field, meta={}))
