@@ -80,6 +80,28 @@ def _logs_from_z(z: float):
     return z, 1.0 - z, math.log(z), math.log1p(-z)
 
 
+def _columns(points):
+    """The (z, u, log z, log u) columns, as float arrays, of an iterable of
+    per-point ``_logs_from_x``/``_logs_from_z`` tuples."""
+    return np.array(list(points), dtype=float).reshape(-1, 4).T
+
+
+def _x_grid(grid, min_points=0):
+    """``grid`` as a float array, checked to be a 1-d, finite, strictly
+    increasing x grid of at least ``min_points`` points."""
+    xs = np.asarray(grid, dtype=float)
+    if xs.ndim != 1:
+        raise DomainError(f"the x grid must be 1-d, got shape {xs.shape}")
+    if xs.size < min_points:
+        raise DomainError(f"the x grid needs at least {min_points} points")
+    bad = xs[~np.isfinite(xs)]
+    if bad.size:
+        raise DomainError(f"x = {bad[0]} is not finite")
+    if not np.all(np.diff(xs) > 0):
+        raise DomainError("the x grid must be strictly increasing")
+    return xs
+
+
 def b_exponent(omega: complex, m: float) -> complex:
     """The branch of B = sqrt(m^2 - omega^2) used throughout.
 
@@ -190,24 +212,29 @@ def make_exponents(omega: complex, m: float) -> SolutionParams:
 
 
 def _rotated(j, branch, p, z, u, log_z, log_u):
-    """Rotated component (R-tilde)_j of the requested solution branch."""
+    """Rotated component (R-tilde)_j of the requested solution branch at
+    every point of the (z, u, log z, log u) column arrays, as a list; the
+    2F1 factor takes one ``hyp2f1`` call for all of them."""
     C, a, b, c = (p.C1, p.a1, p.b1, p.c1) if j == 1 else (p.C2, p.a2, p.b2, p.c2)
     if branch == "I":
-        pw = cmath.exp(C * log_z + p.B1 * log_u)
-        return (1.0 if j == 1 else p.G2) * pw * specfun.hyp2f1(a, b, c, z, u, log_u)
-    if branch == "II":
-        pw = cmath.exp((C + 1.0 - c) * log_z + p.B1 * log_u)
+        scale, power = (1.0 if j == 1 else p.G2), C
+        f = specfun.hyp2f1(a, b, c, z, u, log_u)
+    elif branch == "II":
+        scale, power = (1.0 if j == 1 else p.H2), C + 1.0 - c
         f = specfun.hyp2f1(a - c + 1.0, b - c + 1.0, 2.0 - c, z, u, log_u)
-        return (1.0 if j == 1 else p.H2) * pw * f
-    raise DomainError(f"branch must be 'I' or 'II', got {branch!r}")
+    else:
+        raise DomainError(f"branch must be 'I' or 'II', got {branch!r}")
+    return [scale * cmath.exp(power * lz + p.B1 * lu) * fi
+            for lz, lu, fi in zip(log_z.tolist(), log_u.tolist(), f.tolist())]
 
 
 def _solution_from_logs(branch, sign, p, z, u, log_z, log_u):
+    """Z_sign^branch at every point of the column arrays, as a list."""
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
     r1 = _rotated(1, branch, p, z, u, log_z, log_u)
     r2 = _rotated(2, branch, p, z, u, log_z, log_u)
-    return _QUARTER_TURN * (r1 + sign * 1j * r2)
+    return [_QUARTER_TURN * (v1 + sign * 1j * v2) for v1, v2 in zip(r1, r2)]
 
 
 def exact_solution(branch, sign, omega, m, x) -> complex:
@@ -225,18 +252,16 @@ def exact_solution(branch, sign, omega, m, x) -> complex:
     The normalization is the unit one, G1 = H1 = 1 (see
     :class:`SolutionParams`).  Evaluation is stable for any finite x; the
     hypergeometric argument and all power factors come from log-space
-    forms of z(x).
+    forms of z(x).  A non-finite x raises ``DomainError``.
     """
     p = make_exponents(omega, m)
-    z, u, log_z, log_u = _logs_from_x(float(x))
-    return _solution_from_logs(branch, sign, p, z, u, log_z, log_u)
+    return _solution_from_logs(branch, sign, p, *_columns(map(_logs_from_x, _x_grid([float(x)]).tolist())))[0]
 
 
 def exact_solution_at_z(branch, sign, omega, m, z) -> complex:
     """Same as :func:`exact_solution` but parametrized by z in (0, 1)."""
     p = make_exponents(omega, m)
-    zz, u, log_z, log_u = _logs_from_z(float(z))
-    return _solution_from_logs(branch, sign, p, zz, u, log_z, log_u)
+    return _solution_from_logs(branch, sign, p, *_columns([_logs_from_z(float(z))]))[0]
 
 
 def rotated_component(j, branch, omega, m, z) -> complex:
@@ -248,14 +273,19 @@ def rotated_component(j, branch, omega, m, z) -> complex:
     if j not in (1, 2):
         raise DomainError(f"component index must be 1 or 2, got {j!r}")
     p = make_exponents(omega, m)
-    zz, u, log_z, log_u = _logs_from_z(float(z))
-    return _rotated(j, branch, p, zz, u, log_z, log_u)
+    return _rotated(j, branch, p, *_columns([_logs_from_z(float(z))]))[0]
 
 
-def _five_point(f, x, h):
-    """(f(x), f'(x), f''(x)) by five-point central differences of step h;
-    f may return a numpy array, differentiated componentwise."""
-    fm2, fm1, f0, fp1, fp2 = (f(x + k * h) for k in (-2, -1, 0, 1, 2))
+def _stencil(x, h):
+    """The five points x + k h, k = -2..2, of ``_five_point``."""
+    return [x + k * h for k in (-2, -1, 0, 1, 2)]
+
+
+def _five_point(samples, h):
+    """(f(x), f'(x), f''(x)) by five-point central differences of step h
+    from the samples of f at ``_stencil(x, h)``; a sample may be a numpy
+    array, differentiated componentwise."""
+    fm2, fm1, f0, fp1, fp2 = samples
     d1 = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
     d2 = (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * h * h)
     return f0, d1, d2
@@ -268,26 +298,22 @@ def coupled_residual(omega, m, x_grid, branch="I") -> float:
 
     over ``x_grid``, with Z+/- reconstructed from the rotated components
     and d/dx taken by five-point central differences with step equal to
-    half the smallest grid spacing.  Requires at least 3 grid points.
+    half the smallest grid spacing.  Requires a finite, strictly increasing
+    grid of at least 3 points; all stencil points are evaluated in one
+    ``hyp2f1`` call per component.
     """
-    xs = np.asarray(x_grid, dtype=float)
-    if xs.ndim != 1 or xs.size < 3:
-        raise DomainError("coupled_residual needs a grid of at least 3 points")
-    if not np.all(np.diff(xs) > 0):
-        raise DomainError("x_grid must be strictly increasing")
+    xs = _x_grid(x_grid, 3)
     p = make_exponents(omega, m)
     h = 0.5 * float(np.min(np.diff(xs)))
-
-    def z_pair(x):
-        z, u, log_z, log_u = _logs_from_x(x)
-        r1 = _rotated(1, branch, p, z, u, log_z, log_u)
-        r2 = _rotated(2, branch, p, z, u, log_z, log_u)
-        return _QUARTER_TURN * np.array([r1 + 1j * r2, r1 - 1j * r2])
+    points = _columns(_logs_from_x(s) for x in xs.tolist() for s in _stencil(x, h))
+    r1 = _rotated(1, branch, p, *points)
+    r2 = _rotated(2, branch, p, *points)
+    pairs = [_QUARTER_TURN * np.array([v1 + 1j * v2, v1 - 1j * v2]) for v1, v2 in zip(r1, r2)]
 
     worst = 0.0
     iw = 1j * complex(omega)
-    for x in xs:
-        (zp, zm), (dzp, dzm), _ = _five_point(z_pair, float(x), h)
+    for i, x in enumerate(xs):
+        (zp, zm), (dzp, dzm), _ = _five_point(pairs[5 * i:5 * i + 5], h)
         w = float(superpotential(x, m))
         res1 = dzp - w * zp - iw * zm
         res2 = dzm + w * zm - iw * zp
@@ -306,7 +332,9 @@ def wave_equation_residual(branch, sign, omega, m, z) -> float:
     """
     z = float(z)
     p = make_exponents(omega, m)
-    f0, d1, d2 = _five_point(lambda zz: _solution_from_logs(branch, sign, p, *_logs_from_z(zz)), z, 0.01 * z * (1.0 - z))
+    h = 0.01 * z * (1.0 - z)
+    points = _columns(_logs_from_z(zz) for zz in _stencil(z, h))
+    f0, d1, d2 = _five_point(_solution_from_logs(branch, sign, p, *points), h)
     q = (omega * omega - m * m) / (1 - z) + omega * omega / z + sign * m / (2.0 * math.sqrt(z))
     res = (1 - 2 * z) * d1 + z * (1 - z) * d2 + q * f0
     scale = abs(q * f0) + abs((1 - 2 * z) * d1) + abs(z * (1 - z) * d2)
@@ -329,22 +357,21 @@ def wronskian(sign, omega, m, z) -> complex:
         raise DomainError(f"z = {z} outside (0, 1)")
     h = 1e-3 * min(z, 1.0 - z, 0.5)
     p = make_exponents(omega, m)
-
-    def branch_at(branch):
-        return _five_point(lambda zz: _solution_from_logs(branch, sign, p, *_logs_from_z(zz)), z, h)
-
-    zi, di, _ = branch_at("I")
-    zii, dii, _ = branch_at("II")
+    points = _columns(_logs_from_z(zz) for zz in _stencil(z, h))
+    zi, di, _ = _five_point(_solution_from_logs("I", sign, p, *points), h)
+    zii, dii, _ = _five_point(_solution_from_logs("II", sign, p, *points), h)
     return z * (1.0 - z) * (zi * dii - zii * di)
 
 
 def sample_wavefield(branch, sign, omega, m, grid) -> WaveField:
-    """Sample an exact solution on an x grid into a :class:`WaveField`."""
+    """Sample an exact solution on an x grid into a :class:`WaveField`.
+
+    The grid must be 1-d, finite and strictly increasing (``DomainError``
+    otherwise, before any point is evaluated); the whole grid takes one
+    ``hyp2f1`` call per component.
+    """
+    xs = _x_grid(grid)
     p = make_exponents(omega, m)
-    xs = np.asarray(grid, dtype=float)
-    vals = np.empty(xs.size, dtype=complex)
-    for i, x in enumerate(xs.ravel()):
-        z, u, log_z, log_u = _logs_from_x(float(x))
-        vals[i] = _solution_from_logs(branch, sign, p, z, u, log_z, log_u)
+    vals = np.array(_solution_from_logs(branch, sign, p, *_columns(map(_logs_from_x, xs.tolist()))), dtype=complex)
     kind = PotentialKind.PLUS if sign == 1 else PotentialKind.MINUS
     return WaveField(grid=xs, values=vals, omega=omega, m=float(m), kind=kind, branch=branch)

@@ -11,13 +11,17 @@ concurrently.  The evaluation strategy:
   ``Re(z) < 1/2``.
 * ``hyp2f1`` -- the defining Gauss series up to ``z = Z_SWITCH``; beyond
   that the connection formula toward z = 1 (``connect_near_one``), whose
-  series argument ``1 - z`` is then small.
+  series argument ``1 - z`` is then small.  Given a 1-d array of z it
+  forms the connection formula's Gamma ratios, which depend on (a, b, c)
+  only, once for the whole array.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+
+import numpy as np
 
 from .errors import DegenerateParamsError, DomainError, NonConvergenceError, PoleError
 
@@ -42,6 +46,12 @@ Z_SWITCH = 0.5
 
 MAX_SERIES_TERMS = 10_000
 _SERIES_STOP = 1e-16
+
+# A supplied complement u may differ from 1 - z by this many units of the
+# double epsilon (absolutely: z saturates to 1.0 while u stays exact), and
+# log_u from log u by this many ulps of max(1, |log_u|) and of u.
+_COMPLEMENT_ULPS = 4.0
+_EPS = float(np.finfo(float).eps)
 
 _LOG_PI = 1.1447298858494001741434273
 _HALF_LOG_TWO_PI_HI = 0.9189385332046727
@@ -237,12 +247,14 @@ def _ratio_or_zero(numerators, denominators) -> complex:
         raise
 
 
-def _hyp2f1_complement(a, b, c, u, log_u) -> complex:
-    """Connection-formula value of 2F1(a,b;c;1-u) from the complement u=1-z.
+def _hyp2f1_complement(a, b, c, u, log_u) -> list:
+    """Connection-formula values of 2F1(a,b;c;1-u) at each complement u=1-z.
 
-    ``u`` and ``log_u`` are supplied separately so callers that know u to
-    full relative precision (e.g. u = 1/(1+e^x)) do not lose digits to the
-    1-z subtraction.  Requires c-a-b away from the integers.
+    ``u`` and ``log_u`` are equal-length sequences of floats, supplied
+    separately so callers that know u to full relative precision (e.g.
+    u = 1/(1+e^x)) do not lose digits to the 1-z subtraction.  The two
+    Gamma ratios depend on (a, b, c) only and are formed once; the two
+    series are summed per element.  Requires c-a-b away from the integers.
     """
     s = c - a - b
     if _near_integer(s):
@@ -250,54 +262,91 @@ def _hyp2f1_complement(a, b, c, u, log_u) -> complex:
             f"c - a - b = {s} is within {POLE_TOL} of an integer; "
             "the connection formula degenerates"
         )
-    first = _ratio_or_zero([c, s], [c - a, c - b])
-    if first != 0.0:
-        first *= _gauss_series(a, b, 1.0 - s, u)
-    second = _ratio_or_zero([c, -s], [a, b])
-    if second != 0.0:
-        second *= cmath.exp(s * log_u) * _gauss_series(c - a, c - b, 1.0 + s, u)
-    return first + second
+    first_ratio = _ratio_or_zero([c, s], [c - a, c - b])
+    second_ratio = _ratio_or_zero([c, -s], [a, b])
+    values = []
+    for ui, log_ui in zip(u, log_u):
+        first = first_ratio
+        if first != 0.0:
+            first *= _gauss_series(a, b, 1.0 - s, ui)
+        second = second_ratio
+        if second != 0.0:
+            second *= cmath.exp(s * log_ui) * _gauss_series(c - a, c - b, 1.0 + s, ui)
+        values.append(first + second)
+    return values
 
 
-def _check_args(c, z, u, log_u):
+def _checked_args(c, z, u, log_u):
+    """(z, u, log_u) as 1-d float arrays, log_u None unless supplied, once
+    c and every element have passed ``hyp2f1``'s checks."""
     if _pole_distance(c) < POLE_TOL:
         raise PoleError(c, location="denominator")
-    # u may underflow to 0 (x beyond ~745) only when its log is supplied.
-    if not (z >= 0.0 and (u > 0.0 or (u == 0.0 and log_u is not None))):
-        raise DomainError(f"z = {z} with complement u = {u} outside [0, 1)")
+    z = np.asarray(z, dtype=float)
+    u = 1.0 - z if u is None else np.asarray(u, dtype=float)
+    if log_u is not None:
+        log_u = np.asarray(log_u, dtype=float)
+    if z.ndim > 1 or u.shape != z.shape or (log_u is not None and log_u.shape != z.shape):
+        raise DomainError("z, u and log_u must be floats or 1-d arrays of one length")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # absolute: z rounds to 1.0 past x ~ 37 while u stays exact
+        ok = (z >= 0.0) & (np.abs(u - (1.0 - z)) <= _COMPLEMENT_ULPS * _EPS)
+        if log_u is None:
+            ok &= u > 0.0
+        else:
+            # u may underflow to 0 (x beyond ~745) only with its log; spacing(u)/u
+            # allows for the few significant bits of a subnormal u
+            tol = _COMPLEMENT_ULPS * (_EPS * np.maximum(1.0, np.abs(log_u)) + np.spacing(u) / u)
+            ok &= np.where(u > 0.0, np.abs(log_u - np.log(u)) <= tol, (u == 0.0) & (np.exp(log_u) == 0.0))
+    if not ok.all():
+        i = np.flatnonzero(~ok)[0] if ok.ndim else ()
+        raise DomainError(
+            f"z = {z[i]} with complement u = {u[i]}, log_u = {None if log_u is None else log_u[i]}: "
+            "need z >= 0, u = 1 - z > 0 and log_u = log u, to a few ulps "
+            "(u = 0 only where exp(log_u) underflows)"
+        )
+    return z.reshape(-1), u.reshape(-1), None if log_u is None else log_u.reshape(-1)
 
 
-def hyp2f1(a, b, c, z, u=None, log_u=None) -> complex:
+def hyp2f1(a, b, c, z, u=None, log_u=None):
     """2F1(a, b; c; z) for complex parameters and real z in [0, 1).
 
-    ``u`` and ``log_u`` are the complement 1 - z and its log (default
-    u = 1 - z).  Callers that know them exactly, as u = 1/(1+e^x) for
-    z = e^x/(e^x+1), pass them: the connection formula then stays accurate
-    where z has rounded to 1.0 (x above ~37).
+    ``z`` is a float or a 1-d array; an array gives an array of values, a
+    float a ``complex``.  ``u`` and ``log_u``, of the same shape, are the
+    complement 1 - z and its log (default u = 1 - z).  Callers that know
+    them exactly, as u = 1/(1+e^x) for z = e^x/(e^x+1), pass them: the
+    connection formula then stays accurate where z has rounded to 1.0
+    (x above ~37).
 
     Uses the Gauss series for ``z <= Z_SWITCH`` and the connection formula
-    toward z = 1 otherwise.  Relative accuracy is ~1e-11 or better away
-    from the c-a-b integer degeneracy.
+    toward z = 1 otherwise; its Gamma ratios are formed once per call.
+    Relative accuracy is ~1e-11 or better away from the c-a-b integer
+    degeneracy.  Every element is checked before any is evaluated.
 
     Raises
     ------
     PoleError
         If c is within ``POLE_TOL`` of a non-positive integer.
     DomainError
-        Unless z >= 0 and u > 0.
+        Unless z >= 0, u = 1 - z > 0 and log_u = log u, the last two to a
+        few ulps (u may be 0 where exp(log_u) underflows).
     NonConvergenceError
         If the series fails to meet the term-ratio stop within
         ``MAX_SERIES_TERMS`` terms.
     DegenerateParamsError
-        If ``z > Z_SWITCH`` and c-a-b is within tolerance of an integer.
+        If some ``z > Z_SWITCH`` and c-a-b is within tolerance of an integer.
     """
-    a, b, c, z = complex(a), complex(b), complex(c), float(z)
-    if u is None:
-        u = 1.0 - z
-    _check_args(c, z, u, log_u)
-    if z <= Z_SWITCH:
-        return _gauss_series(a, b, c, z)
-    return _hyp2f1_complement(a, b, c, u, math.log(u) if log_u is None else log_u)
+    a, b, c = complex(a), complex(b), complex(c)
+    scalar = np.ndim(z) == 0
+    z, u, log_u = _checked_args(c, z, u, log_u)
+    zs = z.tolist()
+    values = [_gauss_series(a, b, c, zi) if zi <= Z_SWITCH else None for zi in zs]
+    far = [i for i, zi in enumerate(zs) if zi > Z_SWITCH]
+    if far:
+        us = u[far].tolist()
+        logs = [math.log(ui) for ui in us] if log_u is None else log_u[far].tolist()
+        for i, value in zip(far, _hyp2f1_complement(a, b, c, us, logs)):
+            values[i] = value
+    return values[0] if scalar else np.array(values, dtype=complex)
 
 
 def connect_near_one(a, b, c, z) -> complex:
@@ -311,6 +360,7 @@ def connect_near_one(a, b, c, z) -> complex:
     the whole overlap window, which the tests exercise.  Raises as
     ``hyp2f1`` does.
     """
+    z = float(z)
+    _checked_args(complex(c), z, None, None)
     u = 1.0 - z
-    _check_args(c, z, u, None)
-    return _hyp2f1_complement(a, b, c, u, math.log(u))
+    return _hyp2f1_complement(a, b, c, [u], [math.log(u)])[0]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from susystep.errors import DegenerateCError, DomainError, ZeroFrequencyError
 import susystep.solutions as solutions_mod
+import susystep.specfun as specfun_mod
 from susystep.solutions import (
     WaveField,
     b_exponent,
@@ -306,11 +307,50 @@ def test_wavefield_validation():
 
 
 def test_sample_wavefield_matches_pointwise():
-    grid = np.linspace(-5.0, 5.0, 21)
-    field = sample_wavefield("I", 1, 2.0, 1.0, grid)
-    assert field.branch == "I"
-    assert field.values[10] == exact_solution("I", 1, 2.0, 1.0, 0.0)
-    assert np.all(np.isfinite(field.values.view(float)))
+    grid = np.concatenate([[-600.0], np.linspace(-5.0, 5.0, 21), [600.0]])
+    for branch in ("I", "II"):
+        for sign in (1, -1):
+            field = sample_wavefield(branch, sign, 2.0, 1.0, grid)
+            assert field.branch == branch and field.values[11] == exact_solution(branch, sign, 2.0, 1.0, 0.0)
+            pointwise = [exact_solution(branch, sign, 2.0, 1.0, x) for x in grid]
+            assert field.values.tobytes() == np.array(pointwise).tobytes()
+            assert np.all(np.isfinite(field.values.view(float)))
+
+
+def test_non_finite_x_rejected():
+    for x in (float("inf"), -float("inf"), float("nan")):
+        with pytest.raises(DomainError, match="x = "):
+            exact_solution("I", 1, 2.0, 1.0, x)
+        with pytest.raises(DomainError, match="x = "):
+            sample_wavefield("I", 1, 2.0, 1.0, [0.0, 1.0, x])
+        with pytest.raises(DomainError, match="x = "):
+            coupled_residual(2.0, 1.0, [-1.0, 0.0, x])
+
+
+def test_sample_wavefield_checks_the_grid_first(monkeypatch):
+    calls = []
+    monkeypatch.setattr(specfun_mod, "hyp2f1", lambda *args: calls.append(args))
+    for grid in (np.zeros((2, 3)), [0.0, 2.0, 1.0], [0.0, 0.0], [0.0, float("nan")]):
+        with pytest.raises(DomainError):
+            sample_wavefield("I", 1, 2.0, 1.0, grid)
+    assert calls == []
+
+
+def test_connection_gamma_ratios_once_per_call(monkeypatch):
+    # the connection formula's two Gamma ratios depend on (omega, m) only;
+    # a call makes them once per component, whatever its number of points
+    calls = []
+    ratio = specfun_mod.gamma_ratio
+    monkeypatch.setattr(specfun_mod, "gamma_ratio", lambda *args: calls.append(args) or ratio(*args))
+    sample_wavefield("I", 1, 2.0, 1.0, np.linspace(-20.0, 20.0, 1001))
+    assert 0 < len(calls) <= 4
+    for evaluate, expected in ((lambda: exact_solution("I", 1, 2.0, 1.0, 1.0), 4),
+                               (lambda: coupled_residual(2.0, 1.0, np.linspace(0.5, 3.0, 11)), 4),
+                               (lambda: wave_equation_residual("II", -1, 2.0, 1.0, 0.7), 4),
+                               (lambda: wronskian(1, 2.0, 1.0, 0.7), 8)):
+        calls.clear()
+        evaluate()
+        assert len(calls) == expected
 
 
 def test_solution_invalid_arguments():

@@ -158,6 +158,60 @@ def test_saturated_z_uses_the_exact_complement():
         assert cmath.isfinite(exact_solution("I", 1, 2.0, 1.0, x))
 
 
+def test_complement_must_match_z():
+    with pytest.raises(DomainError):
+        hyp2f1(1.0, 2.0, 3.0, 0.3, u=0.5)
+    with pytest.raises(DomainError):
+        hyp2f1(0.5 + 1j, 2.0, 3.3, 0.7, u=0.3, log_u=-5.0)  # u fits z, log_u does not
+    with pytest.raises(DomainError):
+        hyp2f1(0.5 + 1j, 2.0, 3.3, 0.7, u=0.3, log_u=float("nan"))
+    with pytest.raises(DomainError):
+        hyp2f1(0.5 + 1j, 2.0, 3.3, 1.0, u=0.0, log_u=-700.0)  # exp(-700) does not underflow
+    # within a few ulps: 1 - 0.7 is 0.30000000000000004
+    near = hyp2f1(0.5 + 1j, 2.0, 3.3, 0.7, u=0.3, log_u=math.log(0.3))
+    assert abs(near - hyp2f1(0.5 + 1j, 2.0, 3.3, 0.7)) <= 1e-14 * abs(near)
+    # a subnormal complement has few significant bits; its log is exact from x
+    for x in (709.0, 720.0, 745.0, 800.0):
+        assert cmath.isfinite(exact_solution("I", 1, 2.0, 1.0, x))
+
+
+def test_array_form_matches_scalar_calls():
+    kp = math.sqrt(3.0)
+    a, b, c = 0.5 + (2 + kp) * 1j, (2 + kp) * 1j, 0.5 + 4j  # omega = 2, m = 1
+    # across Z_SWITCH, z = 1/2 exactly, and saturated z = 1.0 with its exact complement
+    z = np.concatenate([np.linspace(0.0, 0.97, 25), [Z_SWITCH, 1.0, 1.0, 1.0]])
+    u = 1.0 - z
+    u[-3:] = (1e-17, 1e-200, 0.0)
+    log_u = np.array([math.log(v) if v > 0.0 else -800.0 for v in u])
+    got = hyp2f1(a, b, c, z, u, log_u)
+    expected = [hyp2f1(a, b, c, *args) for args in zip(z.tolist(), u.tolist(), log_u.tolist())]
+    assert all(type(v) is complex for v in expected)
+    assert got.dtype == complex and got.tobytes() == np.array(expected).tobytes()
+    plain = z[:-3]
+    assert hyp2f1(a, b, c, plain).tobytes() == np.array([hyp2f1(a, b, c, v) for v in plain]).tobytes()
+    assert hyp2f1(a, b, c, np.array([])).shape == (0,)
+
+
+def test_array_form_checks_every_element_first(monkeypatch):
+    evaluated = []
+    monkeypatch.setattr(specfun_mod, "_gauss_series", lambda *args: evaluated.append(args) or 1.0)
+    for z in ([0.1, 0.2, -0.1], [0.1, float("nan")], [0.1, 1.0], [[0.1, 0.2]]):
+        with pytest.raises(DomainError):
+            hyp2f1(1.0, 1.0, 2.0, np.array(z))
+    with pytest.raises(DomainError):
+        hyp2f1(1.0, 1.0, 2.0, np.array([0.1, 0.3]), u=np.array([0.9, 0.5]))
+    with pytest.raises(DomainError):
+        hyp2f1(1.0, 1.0, 2.0, np.array([0.1, 0.3]), u=0.9)
+    with pytest.raises(PoleError):
+        hyp2f1(1.0, 1.0, -2.0, np.array([0.1, 0.7]))
+    assert evaluated == []
+    monkeypatch.undo()
+    # c - a - b = 1: only an element on the connection route makes it an error
+    assert hyp2f1(1.0, 1.0, 3.0, np.array([0.1, 0.4])).shape == (2,)
+    with pytest.raises(DegenerateParamsError):
+        hyp2f1(1.0, 1.0, 3.0, np.array([0.1, 0.4, 0.999]))
+
+
 def test_value_one_at_origin():
     assert hyp2f1(0.3 + 2j, -1.7, 2.2 - 1j, 0.0) == 1.0 + 0.0j
 
