@@ -52,6 +52,11 @@ def _fmt(value: float) -> str:
     return f"{value + 0.0:.17g}"  # + 0.0 normalizes negative zero
 
 
+def _rows(columns):
+    """The rows, as lists of floats, of equal-length array columns."""
+    return [list(row) for row in zip(*(column.tolist() for column in columns))]
+
+
 def _emit(rows, header, args, parameters):
     lines = [",".join(header)]
     for row in rows:
@@ -78,15 +83,12 @@ def _cmd_potential(args):
     v0 = args.v0 if args.v0 is not None else args.m * args.m
     if args.with_step:
         header.append("V_step")
-    rows = []
-    for x in xs:
-        # the closed forms are valid for either sign of m; m < 0 swaps the
-        # partners, which is exactly the shape-invariance identity
-        row = [x, float(v_plus(x, args.m)), float(v_minus(x, args.m)), float(superpotential(x, args.m))]
-        if args.with_step:
-            row.append(float(v_step(x, v0, args.alpha)))
-        rows.append(row)
-    _emit(rows, header, args, {
+    # the closed forms are valid for either sign of m; m < 0 swaps the
+    # partners, which is exactly the shape-invariance identity
+    columns = [xs, v_plus(xs, args.m), v_minus(xs, args.m), superpotential(xs, args.m)]
+    if args.with_step:
+        columns.append(v_step(xs, v0, args.alpha))
+    _emit(_rows(columns), header, args, {
         "m": args.m, "x_min": args.x_min, "x_max": args.x_max,
         "n_points": args.n_points, "with_step": args.with_step,
         "v0": v0, "alpha": args.alpha,
@@ -111,23 +113,17 @@ def _cmd_scatter(args):
         header += ["R2_num", "T2_num"]
     if partner:
         spec = PotentialSpec.plus(args.m) if kind is PotentialKind.PLUS else PotentialSpec.minus(args.m)
+        res = scattering.reflection_transmission(kind, omegas, args.m)
+        diff = [res.R2 - scattering.step_reflection_closed_form(omegas, args.m)]
     else:
         spec = PotentialSpec.step(args.m * args.m, 1.0)
-    rows = []
-    for omega in omegas:
-        if partner:
-            res = scattering.reflection_transmission(kind, float(omega), args.m)
-            diff = res.R2 - scattering.step_reflection_closed_form(float(omega), args.m)
-        else:
-            res = scattering.step_amplitudes(float(omega), args.m)
-            diff = None
-        row = [float(omega), res.R2, res.T2, res.flux]
-        if partner:
-            row.append(diff)
-        if args.with_oracle:
-            num = oracle.numerical_rt(spec, float(omega))
+        res = scattering.step_amplitudes(omegas, args.m)
+        diff = []
+    rows = _rows([omegas, res.R2, res.T2, res.flux] + diff)
+    if args.with_oracle:
+        for row in rows:
+            num = oracle.numerical_rt(spec, row[0])
             row += [num.R2, num.T2]
-        rows.append(row)
     _emit(rows, header, args, {
         "kind": args.kind, "m": args.m, "omega_min": args.omega_min,
         "omega_max": args.omega_max, "n_points": args.n_points,

@@ -4,6 +4,10 @@ and quasinormal frequencies for the partner potentials and the smooth step.
 All Gamma products run through :func:`susystep.specfun.gamma_ratio` in log
 space; hyperbolic-ratio closed forms are rearranged into exponential
 differences so they stay finite for arbitrarily large omega.
+
+The amplitudes and closed forms take omega as a number or as a 1-d array
+(an omega column); a column gives array fields from one Gamma-ratio call
+per product, a number the pure-Python path.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, GammaPoleError, PoleError
 from .potentials import PotentialKind
@@ -58,6 +64,12 @@ class AsymptoticCoefficients:
     bII_plus: complex
 
 
+def _modulus(value):
+    """|value|; for an array, hypot(re, im), which rounds as Python's
+    abs(complex) does (numpy's abs on complex may differ by an ulp)."""
+    return np.hypot(value.real, value.imag) if isinstance(value, np.ndarray) else abs(value)
+
+
 @dataclass(frozen=True)
 class ScatteringResult:
     """Amplitudes of one scattering problem; the coefficients derive from
@@ -66,7 +78,8 @@ class ScatteringResult:
     ``m`` is the coupling solved: m for the partners, sqrt(V0) for the
     step.  ``flux`` is R2 + (kprime/omega) T2; for the analytic amplitudes
     it equals 1 to rounding, for oracle-extracted ones to the integrator's
-    accuracy.
+    accuracy.  For an omega column, ``omega``, ``R``, ``T``, ``kprime`` and
+    the derived fields are arrays.
     """
 
     omega: float
@@ -78,19 +91,15 @@ class ScatteringResult:
 
     @property
     def R2(self) -> float:
-        return abs(self.R) ** 2
+        return _modulus(self.R) ** 2
 
     @property
     def T2(self) -> float:
-        return abs(self.T) ** 2
+        return _modulus(self.T) ** 2
 
     @property
     def flux(self) -> float:
         return self.R2 + (self.kprime / self.omega) * self.T2
-
-    @property
-    def k(self) -> float:
-        return self.omega
 
 
 @dataclass(frozen=True)
@@ -102,15 +111,45 @@ class QnmFrequency:
     kind: PotentialKind
 
 
-def _check_scattering_regime(omega: float, m: float):
-    """(float(omega), float(m)) for real omega > m > 0 (numpy scalars too)."""
-    if not (isinstance(omega, numbers.Real) and isinstance(m, numbers.Real)):
-        raise DomainError("scattering amplitudes and closed forms take real omega and m")
+def _check_scattering_regime(omega, m: float):
+    """(omega, float(m)) for real omega > m > 0: omega a Python float for a
+    real number (numpy scalars too), a float array for a 1-d real array,
+    whose every element is checked."""
+    column = np.ndim(omega) > 0
+    if column:
+        omega = np.asarray(omega)
+        real = omega.ndim == 1 and omega.dtype.kind in "iuf"
+    else:
+        real = isinstance(omega, numbers.Real)
+    if not (real and isinstance(m, numbers.Real)):
+        raise DomainError("scattering amplitudes and closed forms take real m and real omega, a number or a 1-d array")
     if not m > 0:
         raise DomainError(f"require m > 0, got m = {m}")
-    if not omega > m:
-        raise DomainError(f"scattering requires omega > m (~propagating transmitted wave); got omega = {omega}, m = {m}")
-    return float(omega), float(m)
+    if column:
+        omega = omega.astype(float)
+        below = omega[~(omega > m)]
+    else:
+        omega = float(omega)
+        below = [] if omega > m else [omega]
+    if len(below):
+        raise DomainError(f"scattering requires omega > m (~propagating transmitted wave); got omega = {below[0]}, m = {m}")
+    return omega, float(m)
+
+
+def _math(omega):
+    """The module of elementwise functions (exp, expm1, sqrt) for omega:
+    numpy for a column, math for a number."""
+    return np if isinstance(omega, np.ndarray) else math
+
+
+def _over(z, m: float):
+    """z / m for a real m; an array is divided part by part, as Python
+    divides a complex number (numpy multiplies by 1/m instead)."""
+    if not isinstance(z, np.ndarray):
+        return z / m
+    out = np.empty_like(z)
+    out.real, out.imag = z.real / m, z.imag / m
+    return out
 
 
 def _wrap_gamma_pole(fn):
@@ -156,8 +195,9 @@ def asymptotic_coefficients(omega: float, m: float) -> AsymptoticCoefficients:
     )
 
 
-def reflection_transmission(kind: PotentialKind, omega: float, m: float) -> ScatteringResult:
-    """Reflection and transmission amplitudes of V+ or V- for omega > m:
+def reflection_transmission(kind: PotentialKind, omega, m: float) -> ScatteringResult:
+    """Reflection and transmission amplitudes of V+ or V- for omega > m
+    (omega a number or a 1-d array):
 
         R+ = (1/m) G(1-a1)G(1-b1)G(c1) / (G(1-c1)G(c1-a1)G(c1-b1))
         T+ = (1 + (c1-a1)/m) G(1-a1)G(1-b1) / (G(1-c1)G(1+c1-a1-b1))
@@ -171,25 +211,26 @@ def reflection_transmission(kind: PotentialKind, omega: float, m: float) -> Scat
     a1, b1, c1 = p.a1, p.b1, p.c1
 
     def build():
-        r_plus = gamma_ratio([1.0 - a1, 1.0 - b1, c1], [1.0 - c1, c1 - a1, c1 - b1]) / m
+        r_plus = _over(gamma_ratio([1.0 - a1, 1.0 - b1, c1], [1.0 - c1, c1 - a1, c1 - b1]), m)
         t_core = gamma_ratio([1.0 - a1, 1.0 - b1], [1.0 - c1, 1.0 + c1 - a1 - b1])
         return r_plus, t_core
 
     r_plus, t_core = _wrap_gamma_pole(build)
     if kind is PotentialKind.PLUS:
-        R, T = r_plus, (1.0 + (c1 - a1) / m) * t_core
+        R, T = r_plus, (1.0 + _over(c1 - a1, m)) * t_core
     else:
-        R, T = -r_plus, (1.0 - (c1 - a1) / m) * t_core
-    kprime = math.sqrt(omega * omega - m * m)
+        R, T = -r_plus, (1.0 - _over(c1 - a1, m)) * t_core
+    kprime = _math(omega).sqrt(omega * omega - m * m)
     return ScatteringResult(omega=omega, m=m, kind=kind, R=R, T=T, kprime=kprime)
 
 
-def _sinh_ratio(a: float, c: float) -> float:
-    """sinh(a)/sinh(c) for 0 <= a <= c, via exponent differences."""
-    return math.exp(a - c) * math.expm1(-2.0 * a) / math.expm1(-2.0 * c)
+def _sinh_ratio(a, c, xp):
+    """sinh(a)/sinh(c) for 0 <= a <= c, via exponent differences; ``xp`` as
+    from ``_math``."""
+    return xp.exp(a - c) * xp.expm1(-2.0 * a) / xp.expm1(-2.0 * c)
 
 
-def coefficients_closed_form(omega: float, m: float):
+def coefficients_closed_form(omega, m: float):
     """Closed hyperbolic forms of the partner reflection/transmission
     coefficients,
 
@@ -199,40 +240,43 @@ def coefficients_closed_form(omega: float, m: float):
 
     rearranged into exponential differences, so no intermediate ever
     overflows (plain sinh would at omega ~ 113), and with omega - k'
-    written as m^2/(omega + k'), which does not cancel for m << omega.
+    written as m^2/(omega + k'), which does not cancel for m << omega.  An
+    omega column gives two arrays.
     """
     omega, m = _check_scattering_regime(omega, m)
-    kprime = math.sqrt(omega * omega - m * m)
+    xp = _math(omega)
+    kprime = xp.sqrt(omega * omega - m * m)
     a = 2.0 * math.pi * (m * m / (omega + kprime))
     b = 2.0 * math.pi * kprime
     c = 2.0 * math.pi * (omega + kprime)
-    r2 = _sinh_ratio(a, c)
+    r2 = _sinh_ratio(a, c, xp)
     # 2 cosh(2 pi w) sinh(2 pi k') / sinh(2 pi (w + k')):
     # exponents cancel exactly, leaving expm1 factors only.
-    t2 = (omega / kprime) * (1.0 + math.exp(-2.0 * c + 2.0 * b)) * (-math.expm1(-2.0 * b)) / (-math.expm1(-2.0 * c))
+    t2 = (omega / kprime) * (1.0 + xp.exp(-2.0 * c + 2.0 * b)) * (-xp.expm1(-2.0 * b)) / (-xp.expm1(-2.0 * c))
     return r2, t2
 
 
-def susy_relation_check(omega: float, m: float):
+def susy_relation_check(omega, m: float):
     """Partnership identities: returns (R+ + R-, T+ - (i k/(m + i k')) T-),
     both of which the closed amplitudes satisfy identically (k = omega,
-    k' = sqrt(omega^2 - m^2))."""
+    k' = sqrt(omega^2 - m^2)); arrays for an omega column."""
     omega, m = _check_scattering_regime(omega, m)
     res_plus = reflection_transmission(PotentialKind.PLUS, omega, m)
     res_minus = reflection_transmission(PotentialKind.MINUS, omega, m)
-    factor = 1j * res_plus.k / (m + 1j * res_plus.kprime)
+    factor = 1j * res_plus.omega / (m + 1j * res_plus.kprime)
     return res_plus.R + res_minus.R, res_plus.T - factor * res_minus.T
 
 
-def step_amplitudes(omega: float, m: float) -> ScatteringResult:
+def step_amplitudes(omega, m: float) -> ScatteringResult:
     """Amplitudes of the smooth step with height V0 = m^2 and width
-    alpha = 1 (the comparison convention used throughout):
+    alpha = 1 (the comparison convention used throughout), omega a number
+    or a 1-d array:
 
         R^S = G(2iw)G(-iw-ik')G(1-iw-ik') / (G(-2iw)G(iw-ik')G(1+iw-ik'))
         T^S = G(1-iw-ik')G(-iw-ik') / (G(-2iw)G(1-2ik'))
     """
     omega, m = _check_scattering_regime(omega, m)
-    kprime = math.sqrt(omega * omega - m * m)
+    kprime = _math(omega).sqrt(omega * omega - m * m)
     iw = 1j * omega
     ikp = 1j * kprime
 
@@ -248,12 +292,14 @@ def step_amplitudes(omega: float, m: float) -> ScatteringResult:
     return ScatteringResult(omega=omega, m=m, kind=PotentialKind.STEP, R=R, T=T, kprime=kprime)
 
 
-def step_reflection_closed_form(omega: float, m: float) -> float:
+def step_reflection_closed_form(omega, m: float):
     """|R^S|^2 = sinh^2(pi(omega - k')) / sinh^2(pi(omega + k')), with
-    omega - k' = m^2/(omega + k') free of cancellation."""
+    omega - k' = m^2/(omega + k') free of cancellation; an array for an
+    omega column."""
     omega, m = _check_scattering_regime(omega, m)
-    kprime = math.sqrt(omega * omega - m * m)
-    return _sinh_ratio(math.pi * (m * m / (omega + kprime)), math.pi * (omega + kprime)) ** 2
+    xp = _math(omega)
+    kprime = xp.sqrt(omega * omega - m * m)
+    return _sinh_ratio(math.pi * (m * m / (omega + kprime)), math.pi * (omega + kprime), xp) ** 2
 
 
 def compare_reflection(omega_grid, m: float):
@@ -262,12 +308,10 @@ def compare_reflection(omega_grid, m: float):
     The two reflection coefficients are visually indistinguishable but not
     equal; the difference column is the quantity of interest.
     """
-    out = []
-    for omega in omega_grid:
-        r2_plus, _ = coefficients_closed_form(float(omega), m)
-        r2_step = step_reflection_closed_form(float(omega), m)
-        out.append((r2_plus, r2_step, r2_plus - r2_step))
-    return out
+    omega = np.asarray(omega_grid)
+    r2_plus, _ = coefficients_closed_form(omega, m)
+    r2_step = step_reflection_closed_form(omega, m)
+    return list(zip(r2_plus.tolist(), r2_step.tolist(), (r2_plus - r2_step).tolist()))
 
 
 def qnm(kind: PotentialKind, n: int, m: float) -> QnmFrequency:

@@ -147,11 +147,12 @@ class SolutionParams:
     H2: complex
 
     def indicial_residuals(self) -> float:
-        """Largest residual of the defining algebraic equations."""
-        res = abs(self.B1 * self.B1 + self.omega**2 - self.m**2)
+        """Largest residual of the defining algebraic equations (over every
+        element of a record of columns)."""
+        residuals = [abs(self.B1 * self.B1 + self.omega**2 - self.m**2)]
         for C, eps in ((self.C1, 1), (self.C2, -1)):
-            res = max(res, abs(C * C - 0.5 * C + 0.5j * self.omega * eps + self.omega**2))
-        return res
+            residuals.append(abs(C * C - 0.5 * C + 0.5j * self.omega * eps + self.omega**2))
+        return float(np.max(residuals))
 
 
 @dataclass(frozen=True)
@@ -180,8 +181,13 @@ class WaveField:
             raise DomainError("wavefunction values must be finite")
 
 
-def make_exponents(omega: complex, m: float) -> SolutionParams:
+def make_exponents(omega, m: float) -> SolutionParams:
     """The :class:`SolutionParams` record of (omega, m).
+
+    ``omega`` is a number or a 1-d array; an array gives a record whose
+    fields are columns (``m`` stays a float), each element equal to the
+    field of the one-omega record (G2 and H2 to rounding: numpy divides
+    complex numbers differently).
 
     Raises
     ------
@@ -192,23 +198,37 @@ def make_exponents(omega: complex, m: float) -> SolutionParams:
         When c1 = 2 i omega + 1/2 is within tolerance of an integer and
         the second power-series solution would pick up logarithms.
     """
-    omega, m = complex(omega), float(m)
-    if abs(omega) < 1e-12:
-        raise ZeroFrequencyError("solutions require omega != 0")
-    if m == 0:
-        raise DomainError("solutions require m != 0")
-    B1 = b_exponent(omega, m)
+    column = np.ndim(omega) > 0
+    omega, m = (np.asarray(omega, dtype=complex) if column else complex(omega)), float(m)
     C1 = 1j * omega
     C2 = C1 + 0.5
     c1 = 2.0 * C1 + 0.5
-    if abs(c1 - round(c1.real)) < specfun.POLE_TOL:
-        raise DegenerateCError(f"c1 = {c1} is within tolerance of an integer")
+    if column:
+        if omega.ndim != 1:
+            raise DomainError(f"omega must be a number or a 1-d array, got shape {omega.shape}")
+        omegas = omega.tolist()
+        for w, c in zip(omegas, c1.tolist()):
+            _check_frequency(w, m, c)
+        B1 = np.array([b_exponent(w, m) for w in omegas], dtype=complex)
+    else:
+        _check_frequency(omega, m, c1)
+        B1 = b_exponent(omega, m)
     a1 = C1 + B1 + 0.5
     b1 = C1 + B1
     return SolutionParams(
         omega=omega, m=m, B1=B1, C1=C1, C2=C2, a1=a1, b1=b1, c1=c1,
         a2=b1 + 1.0, b2=a1, c2=c1 + 1.0, G2=1j * (a1 - c1) * b1 / (m * c1), H2=1j * (1.0 - c1) / m,
     )
+
+
+def _check_frequency(omega: complex, m: float, c1: complex):
+    """``make_exponents``' checks of one omega and its c1."""
+    if abs(omega) < 1e-12:
+        raise ZeroFrequencyError("solutions require omega != 0")
+    if m == 0:
+        raise DomainError("solutions require m != 0")
+    if abs(c1 - round(c1.real)) < specfun.POLE_TOL:
+        raise DegenerateCError(f"c1 = {c1} is within tolerance of an integer")
 
 
 def _rotated(j, branch, p, z, u, log_z, log_u):
@@ -224,8 +244,13 @@ def _rotated(j, branch, p, z, u, log_z, log_u):
         f = specfun.hyp2f1(a - c + 1.0, b - c + 1.0, 2.0 - c, z, u, log_u)
     else:
         raise DomainError(f"branch must be 'I' or 'II', got {branch!r}")
-    return [scale * cmath.exp(power * lz + p.B1 * lu) * fi
-            for lz, lu, fi in zip(log_z.tolist(), log_u.tolist(), f.tolist())]
+    values = []
+    for lz, lu, fi in zip(log_z.tolist(), log_u.tolist(), f.tolist()):
+        try:
+            values.append(scale * cmath.exp(power * lz + p.B1 * lu) * fi)
+        except OverflowError:
+            raise DomainError(f"the power factor z^C (1-z)^B overflows at x = {lz - lu}, omega = {p.omega}") from None
+    return values
 
 
 def _solution_from_logs(branch, sign, p, z, u, log_z, log_u):
@@ -252,7 +277,9 @@ def exact_solution(branch, sign, omega, m, x) -> complex:
     The normalization is the unit one, G1 = H1 = 1 (see
     :class:`SolutionParams`).  Evaluation is stable for any finite x; the
     hypergeometric argument and all power factors come from log-space
-    forms of z(x).  A non-finite x raises ``DomainError``.
+    forms of z(x).  A non-finite x raises ``DomainError``, and so does an
+    x where the power factor overflows (complex omega, |x| in the
+    hundreds).
     """
     p = make_exponents(omega, m)
     return _solution_from_logs(branch, sign, p, *_columns(map(_logs_from_x, _x_grid([float(x)]).tolist())))[0]

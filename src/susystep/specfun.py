@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 
 import numpy as np
 
@@ -128,24 +129,21 @@ def _dd_add(xh: float, xl: float, yh: float, yl: float):
     return _two_sum(sh, sl)
 
 
-def _lngamma_stirling(z: complex) -> complex:
-    """Stirling series after shifting Re(z) right; the dominant
-    (z - 1/2) log z - z term is accumulated in double-double arithmetic so
-    exp(lngamma) keeps ~1e-14 relative accuracy out to |z| = 100."""
-    sh_re = sh_im = sl_re = sl_im = 0.0
-    while z.real < _STIRLING_SHIFT_TO:
-        lg = cmath.log(z)
-        sh_re, sl_re = _dd_add(sh_re, sl_re, lg.real, 0.0)
-        sh_im, sl_im = _dd_add(sh_im, sl_im, lg.imag, 0.0)
-        z += 1.0
+def _stirling_shifted(z, log, sh_re, sl_re, sh_im, sl_im):
+    """(Re, Im) of the Stirling series at z, Re(z) >= ``_STIRLING_SHIFT_TO``,
+    less the double-double sum (sh + sl) of the logs the shift took off.
 
+    The dominant (z - 1/2) log z - z term is accumulated in double-double
+    arithmetic so exp(lngamma) keeps ~1e-14 relative accuracy out to
+    |z| = 100.  ``log`` is ``cmath.log`` for a complex z or ``np.log`` for
+    an array; the arithmetic is the same for both."""
     w2 = 1.0 / (z * z)
     series = 0.0j
     for c in reversed(_STIRLING):
         series = (series + c) * w2
     series *= z  # series = sum c_n z^{-(2n-1)}
 
-    lg = cmath.log(z)
+    lg = log(z)
     zr, zi = z.real - 0.5, z.imag
     # (z - 1/2) * log z, real and imaginary parts in double-double
     p1h, p1l = _two_prod(zr, lg.real)
@@ -162,7 +160,45 @@ def _lngamma_stirling(z: complex) -> complex:
     imh, iml = _dd_add(imh, iml, series.imag, 0.0)
     reh, rel = _dd_add(reh, rel, -sh_re, -sl_re)
     imh, iml = _dd_add(imh, iml, -sh_im, -sl_im)
-    return complex(reh + rel, imh + iml)
+    return reh + rel, imh + iml
+
+
+def _lngamma_stirling(z: complex) -> complex:
+    """Stirling series after shifting Re(z) right by unit steps."""
+    sh_re = sh_im = sl_re = sl_im = 0.0
+    while z.real < _STIRLING_SHIFT_TO:
+        lg = cmath.log(z)
+        sh_re, sl_re = _dd_add(sh_re, sl_re, lg.real, 0.0)
+        sh_im, sl_im = _dd_add(sh_im, sl_im, lg.imag, 0.0)
+        z += 1.0
+    return complex(*_stirling_shifted(z, cmath.log, sh_re, sl_re, sh_im, sl_im))
+
+
+def _real_over_complex(x, z):
+    """x / z for a float x and a complex array z, rounded as Python's own
+    complex division rounds it (numpy multiplies by 1/denominator)."""
+    rows = np.abs(z.real) >= np.abs(z.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(rows, z.imag / z.real, z.real / z.imag)
+        denom = np.where(rows, z.real + z.imag * ratio, z.real * ratio + z.imag)
+        out = np.empty_like(z)
+        out.real = np.where(rows, (x + 0.0 * ratio) / denom, (x * ratio + 0.0) / denom)
+        out.imag = np.where(rows, (0.0 - x * ratio) / denom, (0.0 * ratio - x) / denom)
+    return out
+
+
+def _lanczos(z, log, quot):
+    """Lanczos log-Gamma for Re(z) >= 1/2, |z| < ``_STIRLING_RADIUS``; z and
+    ``log`` as for ``_stirling_shifted``, and ``quot`` the float-by-z
+    division (``operator.truediv`` or ``_real_over_complex``)."""
+    zm1 = z - 1.0
+    acc = complex(_LANCZOS[0])
+    for i in range(1, len(_LANCZOS)):
+        acc += quot(_LANCZOS[i], zm1 + i)
+    t = zm1 + 7.5
+    # t = z + 6.5, so (z - 1/2)(log t - 1) - 7 avoids the large cancellation
+    # of (z - 1/2) log t - t.
+    return _HALF_LOG_TWO_PI_HI + (zm1 + 0.5) * (log(t) - 1.0) - 7.0 + log(acc)
 
 
 def lngamma(z: complex) -> complex:
@@ -187,26 +223,61 @@ def lngamma(z: complex) -> complex:
         return _LOG_PI - cmath.log(cmath.sin(cmath.pi * z)) - lngamma(1.0 - z)
     if abs(z) >= _STIRLING_RADIUS:
         return _lngamma_stirling(z)
-    zm1 = z - 1.0
-    acc = complex(_LANCZOS[0])
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (zm1 + i)
-    t = zm1 + 7.5
-    # t = z + 6.5, so (z - 1/2)(log t - 1) - 7 avoids the large cancellation
-    # of (z - 1/2) log t - t.
-    return _HALF_LOG_TWO_PI_HI + (zm1 + 0.5) * (cmath.log(t) - 1.0) - 7.0 + cmath.log(acc)
+    return _lanczos(z, cmath.log, operator.truediv)
 
 
-def gamma_ratio(numerators, denominators) -> complex:
+def _lngamma_array(z):
+    """``lngamma`` of every element of a 1-d complex array off the poles:
+    the same branches and arithmetic, with masks for the reflection and the
+    branch choice and a per-element count of Stirling shifts.  np.log and
+    cmath.log may round differently, so values agree with ``lngamma`` to
+    about 1e-15, not always bitwise.  Overflow gives inf or nan, not an
+    exception."""
+    reflect = z.real < 0.5
+    w = np.where(reflect, 1.0 - z, z)
+    big = np.hypot(w.real, w.imag) >= _STIRLING_RADIUS  # abs() as Python rounds it
+    out = np.empty_like(w)
+    out[~big] = _lanczos(w[~big], np.log, _real_over_complex)
+
+    s = w[big]
+    zero = np.zeros(s.shape)
+    sh_re, sl_re, sh_im, sl_im = zero, zero, zero, zero
+    short = s.real < _STIRLING_SHIFT_TO
+    while short.any():
+        lg = np.log(np.where(short, s, 1.0))
+        h, lo = _dd_add(sh_re, sl_re, lg.real, 0.0)
+        sh_re, sl_re = np.where(short, h, sh_re), np.where(short, lo, sl_re)
+        h, lo = _dd_add(sh_im, sl_im, lg.imag, 0.0)
+        sh_im, sl_im = np.where(short, h, sh_im), np.where(short, lo, sl_im)
+        s = np.where(short, s + 1.0, s)
+        short = s.real < _STIRLING_SHIFT_TO
+    re, im = _stirling_shifted(s, np.log, sh_re, sl_re, sh_im, sl_im)
+    out.real[big], out.imag[big] = re, im
+
+    out[reflect] = _LOG_PI - np.log(np.sin(np.pi * z[reflect])) - out[reflect]
+    return out
+
+
+def gamma_ratio(numerators, denominators):
     """prod Gamma(numerators) / prod Gamma(denominators), evaluated in log
     space so products like Gamma(1-a1)Gamma(1-b1)Gamma(c1)/... neither
     overflow nor lose precision to cancellation.
 
+    Each argument is a number, giving a ``complex``, or some are 1-d arrays
+    of one length, giving an array of ratios (numbers broadcast).  Numbers
+    take the pure-Python path; arrays take one vectorized log-Gamma pass
+    over all their arguments, which agrees with the elementwise number
+    calls to about 1e-14 relative.
+
     Numerator arguments at a pole raise ``PoleError(location="numerator")``
     (the ratio is infinite -- an amplitude pole); denominator poles violate
     the precondition and raise ``PoleError(location="denominator")``.
-    Numerator poles are reported first when both occur.
+    Numerator poles are reported first when both occur, and otherwise the
+    first pole in argument order, then element order.  A ratio that
+    overflows raises ``OverflowError`` on both paths.
     """
+    if any(isinstance(v, np.ndarray) and v.ndim for v in (*numerators, *denominators)):
+        return _gamma_ratio_columns(numerators, denominators)
     for u in numerators:
         if _pole_distance(complex(u)) < POLE_TOL:
             raise PoleError(complex(u), location="numerator")
@@ -219,6 +290,34 @@ def gamma_ratio(numerators, denominators) -> complex:
     for v in denominators:
         acc -= lngamma(v)
     return cmath.exp(acc)
+
+
+def _gamma_ratio_columns(numerators, denominators):
+    """``gamma_ratio`` with array arguments: one ``_lngamma_array`` call on
+    every argument column, summed in the scalar path's order."""
+    columns = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in (*numerators, *denominators)))
+    if columns[0].ndim != 1:
+        raise DomainError("gamma_ratio takes numbers or 1-d arrays of one length")
+    n_num = len(numerators)
+    for k, column in enumerate(columns):
+        if not np.isfinite(column).all():
+            raise DomainError(f"Gamma argument {column[~np.isfinite(column)][0]} is not finite")
+        gap = column - np.minimum(np.round(column.real), 0.0)  # as _pole_distance, with abs() as Python rounds it
+        pole = np.hypot(gap.real, gap.imag) < POLE_TOL
+        if pole.any():
+            raise PoleError(complex(column[pole][0]), location="numerator" if k < n_num else "denominator")
+    with np.errstate(over="ignore", invalid="ignore"):
+        logs = _lngamma_array(np.concatenate(columns)).reshape(len(columns), -1)
+        acc = 0.0j
+        for row in logs[:n_num]:
+            acc = acc + row
+        for row in logs[n_num:]:
+            acc = acc - row
+        values = np.exp(acc)
+    bad = ~(np.isfinite(acc) & np.isfinite(values))
+    if bad.any():
+        raise OverflowError(f"Gamma ratio overflows at element {np.flatnonzero(bad)[0]}")
+    return values
 
 
 def _gauss_series(a, b, c, z) -> complex:
@@ -276,15 +375,23 @@ def _hyp2f1_complement(a, b, c, u, log_u) -> list:
     return values
 
 
+def _real_array(name, value):
+    """``value`` as a float array; ``DomainError`` unless it is real."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "biuf":
+        raise DomainError(f"{name} must be real, got {value!r}")
+    return np.asarray(array, dtype=float)
+
+
 def _checked_args(c, z, u, log_u):
     """(z, u, log_u) as 1-d float arrays, log_u None unless supplied, once
     c and every element have passed ``hyp2f1``'s checks."""
     if _pole_distance(c) < POLE_TOL:
         raise PoleError(c, location="denominator")
-    z = np.asarray(z, dtype=float)
-    u = 1.0 - z if u is None else np.asarray(u, dtype=float)
+    z = _real_array("z", z)
+    u = 1.0 - z if u is None else _real_array("u", u)
     if log_u is not None:
-        log_u = np.asarray(log_u, dtype=float)
+        log_u = _real_array("log_u", log_u)
     if z.ndim > 1 or u.shape != z.shape or (log_u is not None and log_u.shape != z.shape):
         raise DomainError("z, u and log_u must be floats or 1-d arrays of one length")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -360,7 +467,7 @@ def connect_near_one(a, b, c, z) -> complex:
     the whole overlap window, which the tests exercise.  Raises as
     ``hyp2f1`` does.
     """
-    z = float(z)
+    z = float(_real_array("z", z))
     _checked_args(complex(c), z, None, None)
     u = 1.0 - z
     return _hyp2f1_complement(a, b, c, [u], [math.log(u)])[0]

@@ -109,6 +109,38 @@ def test_scatter_with_oracle(capsys):
         assert abs(float(r[1]) - float(r[5])) < 1e-5
 
 
+@pytest.mark.parametrize("kind", ["plus", "minus", "step"])
+def test_scatter_rows_are_the_array_form(capsys, kind):
+    from susystep.potentials import PotentialKind
+    from susystep.scattering import reflection_transmission, step_amplitudes, step_reflection_closed_form
+
+    code, out, _ = run_cli(capsys, "scatter", "--kind", kind, "--m", "0.7",
+                           "--omega-min", "0.71", "--omega-max", "30", "--n-points", "57")
+    assert code == 0
+    _, rows = parse_csv(out)
+    omega = np.linspace(0.71, 30.0, 57)
+    if kind == "step":
+        res = step_amplitudes(omega, 0.7)
+        columns = [omega, res.R2, res.T2, res.flux]
+    else:
+        res = reflection_transmission(PotentialKind(kind), omega, 0.7)
+        columns = [omega, res.R2, res.T2, res.flux, res.R2 - step_reflection_closed_form(omega, 0.7)]
+    assert [[float(cell) for cell in row] for row in rows] == np.column_stack(columns).tolist()
+
+
+def test_potential_evaluates_each_column_once(capsys, monkeypatch):
+    import susystep.cli as cli_mod
+
+    sizes = []
+    for name in ("v_plus", "v_minus", "superpotential", "v_step"):
+        fn = getattr(cli_mod, name)
+        monkeypatch.setattr(cli_mod, name, lambda x, *args, fn=fn: sizes.append(np.size(x)) or fn(x, *args))
+    code, out, _ = run_cli(capsys, "potential", "--m", "1.7", "--n-points", "64", "--with-step")
+    assert code == 0 and sizes == [64] * 4
+    _, rows = parse_csv(out)
+    assert len(rows) == 64
+
+
 def test_scatter_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "scatter", "--kind", "plus", "--m", "1",
                            "--omega-min", "0.5", "--omega-max", "2")
@@ -161,7 +193,7 @@ def test_output_full_precision_roundtrip(tmp_path, capsys):
     _, rows = parse_csv(target.read_text())
     from susystep.scattering import reflection_transmission
     from susystep.potentials import PotentialKind
-    exact = reflection_transmission(PotentialKind.PLUS, 1.3, 1.0).R2
+    exact = reflection_transmission(PotentialKind.PLUS, np.array([1.3]), 1.0).R2[0]
     assert float(rows[0][1]) == exact  # 17 significant digits survive
 
 

@@ -149,7 +149,7 @@ def test_amplitude_relations_between_partners():
     res_m = reflection_transmission(MINUS, 2.0, 1.0)
     assert abs(res_p.R + res_m.R) < 1e-15
     assert abs(res_p.T2 - res_m.T2) <= 1e-11 * res_p.T2
-    assert res_p.k == 2.0
+    assert res_p.omega == 2.0
     assert abs(res_p.kprime - math.sqrt(3.0)) < 1e-15
 
 
@@ -183,6 +183,71 @@ def test_complex_arguments_rejected():
         for omega, m in ((2.0 + 0j, 1.0), (2.0, 1.0 + 0j)):
             with pytest.raises(DomainError):
                 fn(omega, m)
+
+
+# ------------------------------------------------------------ omega columns
+
+def _relative_gap(got, expected):
+    return float(np.max(np.abs(got - expected) / np.maximum(np.abs(expected), 1e-300)))
+
+
+@pytest.mark.parametrize("m", [0.01, 0.5, 1.0, 2.0])
+def test_array_amplitudes_match_scalar_calls(m):
+    omega = m * np.concatenate([1.0 + np.geomspace(1e-5, 1.0, 25), np.linspace(2.0, 44.0, 60)])
+    for fn in (lambda w: reflection_transmission(PLUS, w, m), lambda w: reflection_transmission(MINUS, w, m),
+               lambda w: step_amplitudes(w, m)):
+        got = fn(omega)
+        expected = [fn(w) for w in omega.tolist()]
+        assert got.omega.tolist() == omega.tolist() and got.m == m and got.kind is expected[0].kind
+        assert got.kprime.tolist() == [e.kprime for e in expected]
+        for field in ("R", "T", "R2", "T2", "flux"):
+            assert _relative_gap(getattr(got, field), np.array([getattr(e, field) for e in expected])) <= 2e-14
+    r2, t2 = coefficients_closed_form(omega, m)
+    expected = np.array([coefficients_closed_form(w, m) for w in omega.tolist()])
+    assert _relative_gap(r2, expected[:, 0]) <= 2e-14 and _relative_gap(t2, expected[:, 1]) <= 2e-14
+    expected = np.array([step_reflection_closed_form(w, m) for w in omega.tolist()])
+    assert _relative_gap(step_reflection_closed_form(omega, m), expected) <= 2e-14
+    r_sum, t_diff = susy_relation_check(omega, m)
+    expected = np.array([susy_relation_check(w, m) for w in omega.tolist()])
+    scale = np.abs(reflection_transmission(PLUS, omega, m).T)
+    assert np.all(np.abs(r_sum - expected[:, 0]) <= 2e-14 * scale)
+    assert np.all(np.abs(t_diff - expected[:, 1]) <= 2e-14 * scale)
+
+
+def test_array_gamma_pole_is_a_gamma_pole_error():
+    # at m = 1e-4 a Gamma argument ~ i (omega - k') = i m^2/(omega + k') is
+    # within POLE_TOL of 0 from omega ~ 5 on; omega = 8 is the column's only pole
+    for fn in (lambda w: reflection_transmission(PLUS, w, 1e-4), lambda w: step_amplitudes(w, 1e-4)):
+        fn(1.0)
+        with pytest.raises(GammaPoleError) as scalar:
+            fn(8.0)
+        with pytest.raises(GammaPoleError) as column:
+            fn(np.array([1.0, 2.0, 8.0, 3.0]))
+        got, expected = column.value.__cause__, scalar.value.__cause__
+        assert (got.location, got.argument) == (expected.location, expected.argument)
+
+
+@pytest.mark.parametrize("omega", [
+    [1.5, float("nan"), 2.0], [1.5, 1.0, 2.0], [1.5, 0.3], np.array([1.5, 2.0 + 0j]), [[1.5, 2.0]], ["1.5"],
+])
+def test_array_regime_checked_before_any_gamma(monkeypatch, omega):
+    import susystep.scattering as scattering_mod
+
+    evaluated = []
+    monkeypatch.setattr(scattering_mod, "gamma_ratio", lambda *args: evaluated.append(args))
+    for fn in (lambda w, m: reflection_transmission(PLUS, w, m), step_amplitudes, susy_relation_check,
+               coefficients_closed_form, step_reflection_closed_form, compare_reflection):
+        with pytest.raises(DomainError):
+            fn(np.asarray(omega), 1.0)
+    assert evaluated == []
+
+
+def test_compare_reflection_is_the_closed_form_columns():
+    grid = np.linspace(1.05, 3.0, 40)
+    r2_plus, _ = coefficients_closed_form(grid, 1.0)
+    r2_step = step_reflection_closed_form(grid, 1.0)
+    assert compare_reflection(grid, 1.0) == list(zip(r2_plus.tolist(), r2_step.tolist(), (r2_plus - r2_step).tolist()))
+    assert compare_reflection([], 1.0) == []
 
 
 # -------------------------------------------------------------- SUSY checks

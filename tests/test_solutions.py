@@ -134,6 +134,25 @@ def test_numpy_scalars_match_python_floats():
     assert make_exponents(np.int64(2), np.int64(1)) == make_exponents(2.0, 1.0)
 
 
+def test_record_of_an_omega_column():
+    omega = np.array([2.0, 1.5 + 0.2j, 0.5, 30.0])
+    column = make_exponents(omega, 1.0)
+    assert column.m == 1.0
+    for i, w in enumerate(omega.tolist()):
+        one = make_exponents(w, 1.0)
+        for name in ("omega", "B1", "C1", "C2", "a1", "b1", "c1", "a2", "b2", "c2"):
+            assert getattr(column, name)[i] == getattr(one, name), name
+        for name in ("G2", "H2"):  # numpy and Python round complex division differently
+            assert abs(getattr(column, name)[i] - getattr(one, name)) <= 1e-15 * abs(getattr(one, name)), name
+    assert column.indicial_residuals() == max(make_exponents(w, 1.0).indicial_residuals() for w in omega.tolist())
+    with pytest.raises(ZeroFrequencyError):
+        make_exponents(np.array([2.0, 0.0]), 1.0)
+    with pytest.raises(DegenerateCError):
+        make_exponents(np.array([2.0, -0.25j]), 1.0)
+    with pytest.raises(DomainError):
+        make_exponents(np.ones((2, 2)), 1.0)
+
+
 def test_one_parameter_record_per_evaluated_point(monkeypatch):
     calls = []
 
@@ -325,6 +344,15 @@ def test_non_finite_x_rejected():
             sample_wavefield("I", 1, 2.0, 1.0, [0.0, 1.0, x])
         with pytest.raises(DomainError, match="x = "):
             coupled_residual(2.0, 1.0, [-1.0, 0.0, x])
+
+
+def test_power_factor_overflow_is_a_domain_error():
+    # complex omega: |z^C (1-z)^B| grows like e^(x Im sqrt(omega^2 - m^2))
+    with pytest.raises(DomainError, match=r"x = 800\.0, omega = \(0\.5\+0\.2j\)"):
+        exact_solution("I", 1, 0.5 + 0.2j, 1.0, 800.0)
+    with pytest.raises(DomainError, match=r"x = 800\.0"):
+        sample_wavefield("I", 1, 0.5 + 0.2j, 1.0, np.linspace(0.0, 800.0, 9))
+    assert cmath.isfinite(exact_solution("I", 1, 0.5 + 0.2j, 1.0, 100.0))
 
 
 def test_sample_wavefield_checks_the_grid_first(monkeypatch):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from susystep.errors import DegenerateParamsError, DomainError, NonConvergenceError, PoleError
 import susystep.specfun as specfun_mod
-from susystep.solutions import exact_solution
+from susystep.solutions import exact_solution, make_exponents
 from susystep.specfun import (
     Z_SWITCH,
     connect_near_one,
@@ -105,6 +105,81 @@ def test_gamma_ratio_pole_locations():
     with pytest.raises(PoleError) as err:
         gamma_ratio([-1.0], [-2.0])
     assert err.value.location == "numerator"
+
+
+def _ring(radius, count, seed):
+    rng = np.random.default_rng(seed)
+    z = radius * np.exp(1j * rng.uniform(-math.pi, math.pi, count))
+    return z[np.abs(z - np.minimum(np.round(z.real), 0.0)) > 1e-3]  # off the poles
+
+
+def _amplitude_arguments():
+    """The Gamma arguments of the partner (either sign) and step amplitudes
+    over omega from just above m to 40 m, as (numerators, denominators)
+    column lists."""
+    cases = []
+    for m in (0.01, 0.5, 1.0, 2.5):
+        omega = m * np.concatenate([1.0 + np.geomspace(1e-4, 1.0, 20), np.linspace(2.0, 40.0, 40)])
+        p = make_exponents(omega, m)
+        a1, b1, c1 = p.a1, p.b1, p.c1
+        cases.append(([1.0 - a1, 1.0 - b1, c1], [1.0 - c1, c1 - a1, c1 - b1]))
+        cases.append(([1.0 - a1, 1.0 - b1], [1.0 - c1, 1.0 + c1 - a1 - b1]))
+        iw, ikp = 1j * omega, 1j * np.sqrt(omega * omega - m * m)
+        cases.append(([2.0 * iw, -iw - ikp, 1.0 - iw - ikp], [-2.0 * iw, iw - ikp, 1.0 + iw - ikp]))
+        cases.append(([1.0 - iw - ikp, -iw - ikp], [-2.0 * iw, 1.0 - 2.0 * ikp]))
+    return cases
+
+
+def test_gamma_ratio_array_matches_scalar_loop():
+    # Lanczos (|z| < 10), Stirling (|z| >= 10) and reflected (Re z < 1/2)
+    # arguments, out to |z| = 160, and the amplitude arguments
+    rings = [_ring(r, 60, seed) for seed, r in enumerate((0.3, 2.0, 6.0, 9.9, 10.0, 40.0, 100.0, 160.0))]
+    cases = [([z], []) for z in rings]
+    n = min(map(len, rings))
+    cases.append(([rings[1][:n], rings[3][:n], rings[4][:n]], [rings[0][:n], rings[2][:n]]))
+    cases += _amplitude_arguments()
+    for numerators, denominators in cases:
+        got = gamma_ratio(numerators, denominators)
+        nums, dens = [c.tolist() for c in numerators], [c.tolist() for c in denominators]
+        expected = np.array([gamma_ratio([c[i] for c in nums], [c[i] for c in dens]) for i in range(len(got))])
+        assert got.dtype == complex and got.shape == expected.shape
+        finite = np.abs(expected) > 1e-300
+        assert np.all(np.abs(got - expected)[finite] <= 2e-14 * np.abs(expected)[finite])
+
+
+def test_gamma_ratio_array_matches_oracle():
+    for seed, radius in enumerate((0.5, 3.0, 9.0, 11.0, 40.0, 100.0, 160.0)):
+        z = _ring(radius, 40, seed)
+        reference = np.array([lngamma_oracle(v) for v in z.tolist()])
+        keep = np.abs(reference.real) < 700.0  # Gamma(z) representable
+        expected = np.exp(reference[keep])
+        got = gamma_ratio([z[keep]], [])
+        assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
+    # numbers broadcast against the array arguments
+    z = np.array([1.5, 2.5 + 1j, 12.0 - 30j])
+    assert np.all(np.abs(gamma_ratio([z + 1.0], [z, 1.0]) - z) <= 1e-13 * np.abs(z))
+
+
+def test_gamma_ratio_array_poles():
+    z = np.array([1.5, 2.0 + 1j, -3.0, 4.0])
+    with pytest.raises(PoleError) as err:
+        gamma_ratio([z], [1.0])
+    assert (err.value.location, err.value.argument) == ("numerator", -3.0)
+    with pytest.raises(PoleError) as err:
+        gamma_ratio([1.0], [z + 1.0])
+    assert (err.value.location, err.value.argument) == ("denominator", -2.0)
+    # numerator poles first, whichever element or argument comes first
+    with pytest.raises(PoleError) as err:
+        gamma_ratio([np.array([1.0, 1.0, 1.0, -1e-12j])], [z])
+    assert (err.value.location, err.value.argument) == ("numerator", -1e-12j)
+    with pytest.raises(DomainError):
+        gamma_ratio([np.array([1.0, math.nan])], [])
+    with pytest.raises(DomainError):
+        gamma_ratio([np.ones((2, 2))], [])
+    with pytest.raises(OverflowError):  # as the scalar path: cmath.sin overflows
+        gamma_ratio([np.array([1.0, 300j])], [])
+    with pytest.raises(OverflowError):
+        gamma_ratio([300j], [])
 
 
 @given(
@@ -210,6 +285,15 @@ def test_array_form_checks_every_element_first(monkeypatch):
     assert hyp2f1(1.0, 1.0, 3.0, np.array([0.1, 0.4])).shape == (2,)
     with pytest.raises(DegenerateParamsError):
         hyp2f1(1.0, 1.0, 3.0, np.array([0.1, 0.4, 0.999]))
+
+
+def test_complex_arguments_are_domain_errors():
+    for kwargs in ({"z": 0.3 + 0j}, {"z": np.array([0.3 + 0j])}, {"z": 0.6, "u": 0.4 + 0j},
+                   {"z": np.array([0.6]), "u": np.array([0.4]), "log_u": np.array([math.log(0.4) + 0j])}):
+        with pytest.raises(DomainError, match="must be real"):
+            hyp2f1(1.0, 1.0, 2.0, **kwargs)
+    with pytest.raises(DomainError, match="must be real"):
+        connect_near_one(1.0, 1.0, 2.5, 0.6 + 0j)
 
 
 def test_value_one_at_origin():
