@@ -119,12 +119,11 @@ def _cmd_scatter(args):
         spec = PotentialSpec.step(args.m * args.m, 1.0)
         res = scattering.step_amplitudes(omegas, args.m)
         diff = []
-    rows = _rows([omegas, res.R2, res.T2, res.flux] + diff)
+    columns = [omegas, res.R2, res.T2, res.flux] + diff
     if args.with_oracle:
-        for row in rows:
-            num = oracle.numerical_rt(spec, row[0])
-            row += [num.R2, num.T2]
-    _emit(rows, header, args, {
+        num = oracle.numerical_rt(spec, omegas)
+        columns += [num.R2, num.T2]
+    _emit(_rows(columns), header, args, {
         "kind": args.kind, "m": args.m, "omega_min": args.omega_min,
         "omega_max": args.omega_max, "n_points": args.n_points,
         "with_oracle": args.with_oracle,

@@ -65,6 +65,106 @@ class IntegrationConfig:
 DEFAULT_CONFIG = IntegrationConfig()
 
 
+def _prepare(spec: PotentialSpec, omega, cfg: IntegrationConfig):
+    """(omegas, v, h) for the marches at omega: omega as Python floats
+    ([omega] for a number, a 1-d array's elements in order), V sampled by
+    one call of ``potential`` on the 2n + 1 point half-step grid of the
+    n-step march, and the step h.  Every omega passes the domain and
+    threshold checks before V is sampled, and the stability check before
+    any march."""
+    column = np.asarray(omega)
+    if not (column.ndim <= 1 and column.dtype.kind in "iuf"):
+        raise DomainError(f"the oracle takes a real omega, a number or a 1-d array; got {omega!r}")
+    omegas = column.astype(float).reshape(-1).tolist()
+    asym = spec.right_asymptote
+    for w in omegas:
+        if not (math.isfinite(w) and w > 0):
+            raise DomainError(f"omega = {w} is not a finite positive frequency")
+        if not w * w > asym:
+            raise ConfigError(f"omega = {w} is below the propagation threshold sqrt({asym}) of the right asymptote")
+
+    n = int(round((cfg.x_max - cfg.x_min) / cfg.step))
+    if n < 2:
+        raise ConfigError("fewer than 2 integration steps; shrink step or widen the window")
+    h = (cfg.x_max - cfg.x_min) / n
+    v = np.asarray(potential(spec, np.linspace(cfg.x_min, cfg.x_max, 2 * n + 1)), dtype=float)
+    # rounding is monotone, so max|V - omega^2| is exactly the larger of
+    # max V - omega^2 and omega^2 - min V (nan if V has a nan)
+    v_lo, v_hi = float(v.min()), float(v.max())
+    for w in omegas:
+        stiffness = max(v_hi - w * w, w * w - v_lo) * h * h
+        if not stiffness < 0.01:
+            raise ConfigError(
+                f"step {h} too coarse at omega = {w}: (max|V - omega^2|) step^2 = {stiffness:.3g} is not below 0.01"
+            )
+    return omegas, v, h
+
+
+def _march(spec: PotentialSpec, cfg: IntegrationConfig, v, h: float, omega: float) -> WaveField:
+    """The RK4 march of one omega over the half-step samples v: the field
+    on the n + 1 point grid.  Besides the field it holds the packed step
+    rows, two complex numbers per step, and no other omega's data."""
+    n = (v.size - 1) // 2
+    w2 = omega * omega
+    # step i (right to left) maps (Z, Z') at x_max - i h to x_max - (i + 1) h
+    # by the real matrix [[a, b], [c, d]], stored as its rows a + ib and
+    # c + id; the steps are laid out as (blocks, width), padded with
+    # identities.  A running product's rows pack the same way, so row r of
+    # S P is S[r, 0] P[0] + S[r, 1] P[1]: real-by-complex products
+    hm, h2 = -h, h * h
+    width = math.isqrt(n) + 1
+    blocks = -(-n // width)
+    q_ends = v[::-2] - w2
+    q0, qm, q1 = q_ends[:-1], v[-2::-2] - w2, q_ends[1:]
+    rows = np.empty((2, blocks * width), dtype=complex)
+    rows[0].real[:n] = 1.0 + h2 / 6.0 * (q0 + 2.0 * qm) + h2 * h2 / 24.0 * qm * q0
+    rows[0].imag[:n] = hm + hm * h2 / 6.0 * qm
+    rows[1].real[:n] = hm / 6.0 * (q0 + 4.0 * qm + q1 + 0.5 * h2 * qm * (q0 + q1))
+    rows[1].imag[:n] = 1.0 + h2 / 6.0 * (2.0 * qm + q1) + h2 * h2 / 24.0 * q1 * qm
+    rows[:, n:] = [[1.0], [1j]]
+    del q_ends, q0, qm, q1
+    rows = rows.reshape(2, blocks, width)
+
+    kprime = math.sqrt(w2 - spec.right_asymptote)
+    zc = cmath.exp(1j * kprime * cfg.x_max)
+    dz = 1j * kprime * zc
+    # buf[-1] is the initial point and buf[-2::-1] the march order, so the
+    # grid's values are the last n + 1 entries
+    buf = np.empty(blocks * width + 1, dtype=complex)
+    buf[-1] = zc
+    z_in = np.empty(blocks, dtype=complex)
+    dz_in = np.empty(blocks, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, width):  # running product inside every block
+            upper, lower = rows[:, :, j - 1]
+            row = rows[:, :, j]
+            np.add(row.real * upper, row.imag * lower, out=row)
+        for k, (ab, cd) in enumerate(zip(*rows[:, :, -1].tolist())):
+            z_in[k], dz_in[k] = zc, dz
+            zc, dz = ab.real * zc + ab.imag * dz, cd.real * zc + cd.imag * dz
+        march = buf[-2::-1].reshape(blocks, width)
+        np.multiply(rows[0].real, z_in[:, None], out=march)
+        march += rows[0].imag * dz_in[:, None]
+        values = buf[blocks * width - n:]
+        bad = np.flatnonzero(~(np.abs(values[:n]) <= _BLOWUP_LIMIT))
+    if bad.size:
+        raise BlowUpError(
+            f"|Z| exceeded {_BLOWUP_LIMIT:g} at x = {cfg.x_max + (n - bad[-1]) * hm:.3f}; "
+            f"omega = {omega} is below threshold or the step too coarse"
+        )
+
+    grid = np.linspace(cfg.x_min, cfg.x_max, n + 1)
+    return WaveField(
+        grid=grid, values=values, omega=omega, m=_coupling(spec), kind=spec.kind,
+        branch=None, meta={"spec": spec, "config": cfg},
+    )
+
+
+def _coupling(spec: PotentialSpec) -> float:
+    """The coupling the oracle solves: m for the partners, sqrt(V0) for the step."""
+    return math.sqrt(spec.right_asymptote) if spec.kind is PotentialKind.STEP else spec.m
+
+
 def integrate_wavefunction(spec: PotentialSpec, omega: float, cfg: IntegrationConfig = DEFAULT_CONFIG) -> WaveField:
     """Integrate Z'' = (V - omega^2) Z from x_max down to x_min.
 
@@ -72,86 +172,38 @@ def integrate_wavefunction(spec: PotentialSpec, omega: float, cfg: IntegrationCo
     Z' = i k' e^(i k' x) with k' = sqrt(omega^2 - V(+inf)).  Classic RK4
     with the configured fixed step on the potential pre-sampled on the
     half-step grid.  The equation is linear, so each step is a fixed real
-    2x2 matrix acting on (Z, Z').  The steps are grouped in blocks of about
-    sqrt(n): one pass over the block columns forms the running product
-    inside every block at once, the state is carried from block to block,
-    and each value is its block's running product applied to the state
-    entering the block.  Each value is thus a product of at most about
-    2 sqrt(n) matrices taken in march order, so rounding accumulates as
-    in a point-by-point march.
+    2x2 matrix acting on (Z, Z'), stored as its two rows packed into
+    complex numbers.  The steps are grouped in blocks of about sqrt(n):
+    one pass over the block columns forms the running product inside every
+    block at once, the state is carried from block to block, and each
+    value is its block's running product applied to the state entering
+    the block.  Each value is thus a product of at most about 2 sqrt(n)
+    matrices taken in march order, so rounding accumulates as in a
+    point-by-point march.
+
+    ``omega`` is one real number; this is the one-omega case of the march
+    that :func:`numerical_rt` runs over an omega column.  Beyond the field
+    itself (n + 1 complex values and the grid), the march holds about
+    2 n complex numbers (the packed step rows) and the 2n + 1 potential
+    samples.
 
     Raises
     ------
+    DomainError
+        If omega is not a real, finite, positive number (complex, nan,
+        negative, a string, an array).
     ConfigError
         If omega is not above the right asymptote (no propagating
         transmitted wave), there are fewer than 2 steps, or the step
         violates the stability bound (or the potential is not finite).
     BlowUpError
         If |Z| exceeds 1e12 (or is not finite) during the march; the
-        message names the first such x in march order.
+        message names omega and the first such x in march order.
     """
-    asym = spec.right_asymptote
-    if not omega * omega > asym:
-        raise ConfigError(
-            f"omega = {omega} is below the propagation threshold sqrt({asym}) of the right asymptote"
-        )
-    n = int(round((cfg.x_max - cfg.x_min) / cfg.step))
-    if n < 2:
-        raise ConfigError("fewer than 2 integration steps; shrink step or widen the window")
-    h = (cfg.x_max - cfg.x_min) / n
-
-    q = np.asarray(potential(spec, np.linspace(cfg.x_min, cfg.x_max, 2 * n + 1)), dtype=float) - omega * omega
-    stiffness = float(np.max(np.abs(q))) * h * h
-    if not stiffness < 0.01:
-        raise ConfigError(f"step {h} too coarse: (max|V - omega^2|) step^2 = {stiffness:.3g} is not below 0.01")
-
-    # step i (right to left) maps (Z, Z') at x_max - i h to x_max - (i + 1) h;
-    # the steps are laid out as (blocks, width), padded with identities
-    hm, h2 = -h, h * h
-    width = math.isqrt(n) + 1
-    blocks = -(-n // width)
-    steps = np.empty((blocks * width, 2, 2))
-    steps[n:] = np.eye(2)
-    q0, qm, q1 = q[2 * n:0:-2], q[2 * n - 1::-2], q[2 * n - 2::-2]
-    steps[:n, 0, 0] = 1.0 + h2 / 6.0 * (q0 + 2.0 * qm) + h2 * h2 / 24.0 * qm * q0
-    steps[:n, 0, 1] = hm + hm * h2 / 6.0 * qm
-    steps[:n, 1, 0] = hm / 6.0 * (q0 + 4.0 * qm + q1 + 0.5 * h2 * qm * (q0 + q1))
-    steps[:n, 1, 1] = 1.0 + h2 / 6.0 * (2.0 * qm + q1) + h2 * h2 / 24.0 * q1 * qm
-    del q, q0, qm, q1
-
-    kprime = math.sqrt(omega * omega - asym)
-    zc = cmath.exp(1j * kprime * cfg.x_max)
-    dz = 1j * kprime * zc
-    # buf[-1] is the initial point and buf[-2::-1] the march order, so the
-    # grid's values are the last n + 1 entries
-    buf = np.empty(blocks * width + 1, dtype=complex)
-    buf[-1] = zc
-    prod = steps.reshape(blocks, width, 2, 2)
-    z_in = np.empty(blocks, dtype=complex)
-    dz_in = np.empty(blocks, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, width):  # running product inside every block
-            prod[:, j] = prod[:, j] @ prod[:, j - 1]
-        for k, ((ta, tb), (tc, td)) in enumerate(prod[:, -1].tolist()):
-            z_in[k], dz_in[k] = zc, dz
-            zc, dz = ta * zc + tb * dz, tc * zc + td * dz
-        march = buf[-2::-1].reshape(blocks, width)
-        np.multiply(prod[..., 0, 0], z_in[:, None], out=march)
-        march += prod[..., 0, 1] * dz_in[:, None]
-        values = buf[blocks * width - n:]
-        bad = np.flatnonzero(~(np.abs(values[:n]) <= _BLOWUP_LIMIT))
-    if bad.size:
-        raise BlowUpError(
-            f"|Z| exceeded {_BLOWUP_LIMIT:g} at x = {cfg.x_max + (n - bad[-1]) * hm:.3f}; "
-            "omega below threshold or step too coarse"
-        )
-
-    grid = np.linspace(cfg.x_min, cfg.x_max, n + 1)
-    m = math.sqrt(asym) if spec.kind is PotentialKind.STEP else spec.m
-    return WaveField(
-        grid=grid, values=values, omega=float(omega), m=m, kind=spec.kind,
-        branch=None, meta={"spec": spec, "config": cfg},
-    )
+    if np.ndim(omega) > 0:
+        raise DomainError(f"integrate_wavefunction takes one omega; got an array of shape {np.shape(omega)}")
+    omegas, v, h = _prepare(spec, omega, cfg)
+    return _march(spec, cfg, v, h, omegas[0])
 
 
 def extract_rt(field: WaveField, cfg: IntegrationConfig = DEFAULT_CONFIG) -> ScatteringResult:
@@ -190,7 +242,24 @@ def extract_rt(field: WaveField, cfg: IntegrationConfig = DEFAULT_CONFIG) -> Sca
     )
 
 
-def numerical_rt(spec: PotentialSpec, omega: float, cfg: IntegrationConfig = DEFAULT_CONFIG) -> ScatteringResult:
-    """Integrate and extract in one call."""
-    field = integrate_wavefunction(spec, omega, cfg)
-    return extract_rt(field, cfg)
+def numerical_rt(spec: PotentialSpec, omega, cfg: IntegrationConfig = DEFAULT_CONFIG) -> ScatteringResult:
+    """Integrate and extract: :func:`extract_rt` of the march at omega.
+
+    ``omega`` is a real number or a 1-d real array (an omega column).  A
+    column gives one result whose ``omega``, ``R``, ``T`` and ``kprime``
+    are arrays, each element equal bit for bit to the one-omega call: the
+    potential is sampled once for the column, every element is checked
+    (domain and threshold before the potential is sampled, stability
+    before any march), and then each omega is marched and fitted in turn,
+    so the memory held is that of one omega whatever the column's length.
+    Raises as :func:`integrate_wavefunction` and :func:`extract_rt`.
+    """
+    if np.ndim(omega) == 0:
+        return extract_rt(integrate_wavefunction(spec, omega, cfg), cfg)
+    omegas, v, h = _prepare(spec, omega, cfg)
+    fits = [extract_rt(_march(spec, cfg, v, h, w), cfg) for w in omegas]
+    return ScatteringResult(
+        omega=np.array(omegas), m=_coupling(spec), kind=spec.kind,
+        R=np.array([fit.R for fit in fits], dtype=complex), T=np.array([fit.T for fit in fits], dtype=complex),
+        kprime=np.array([fit.kprime for fit in fits]),
+    )

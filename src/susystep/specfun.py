@@ -88,6 +88,11 @@ _STIRLING = (
 _STIRLING_RADIUS = 10.0
 # Recurrence shifts push Re(z) at least this far right before the series.
 _STIRLING_SHIFT_TO = 24.0
+# |Im z| above which sin(pi z) overflows a double (cosh(pi y) passes 1.8e308
+# at y ~ 226.2) and the reflection step takes log sin(pi z) from its
+# exponential form instead.
+_SIN_OVERFLOW_IM = 225.0
+_LOG_2 = math.log(2.0)
 
 
 def _pole_distance(z: complex) -> float:
@@ -201,6 +206,17 @@ def _lanczos(z, log, quot):
     return _HALF_LOG_TWO_PI_HI + (zm1 + 0.5) * (log(t) - 1.0) - 7.0 + log(acc)
 
 
+def _log_sin_pi_far(x, y, xp):
+    """(Re, Im) of log sin(pi z), z = x + iy, modulo 2 pi i, for |y| past
+    ``_SIN_OVERFLOW_IM``: the exponential form
+    log(+-i/2 e^(-+i pi z)) + log1p(-e^(+-2 i pi z)), upper signs for y > 0.
+    There |e^(+-2 i pi z)| = e^(-2 pi |y|) underflows to 0, so the log1p
+    term is exactly 0 in double precision and is left out.  ``xp`` is
+    ``math`` for numbers, ``numpy`` for arrays."""
+    sign = xp.copysign(1.0, y)
+    return math.pi * abs(y) - _LOG_2, sign * (0.5 * math.pi - math.pi * x)
+
+
 def lngamma(z: complex) -> complex:
     """Log-Gamma of a complex argument.
 
@@ -208,7 +224,8 @@ def lngamma(z: complex) -> complex:
     accuracy for ``|z| <= 100`` away from the poles.  The imaginary part is
     continuous on the right half-plane; across the reflection step it is
     only defined modulo 2*pi*i, which every downstream use (ratios fed
-    through ``exp``) is insensitive to.
+    through ``exp``) is insensitive to.  The reflection step stays finite
+    where sin(pi z) overflows a double (|Im z| > 225).
 
     Raises
     ------
@@ -220,7 +237,11 @@ def lngamma(z: complex) -> complex:
         raise PoleError(z)
     if z.real < 0.5:
         # reflection: log Gamma(z) = log pi - log sin(pi z) - log Gamma(1-z)
-        return _LOG_PI - cmath.log(cmath.sin(cmath.pi * z)) - lngamma(1.0 - z)
+        if abs(z.imag) <= _SIN_OVERFLOW_IM:
+            log_sin = cmath.log(cmath.sin(cmath.pi * z))
+        else:
+            log_sin = complex(*_log_sin_pi_far(z.real, z.imag, math))
+        return _LOG_PI - log_sin - lngamma(1.0 - z)
     if abs(z) >= _STIRLING_RADIUS:
         return _lngamma_stirling(z)
     return _lanczos(z, cmath.log, operator.truediv)
@@ -254,7 +275,11 @@ def _lngamma_array(z):
     re, im = _stirling_shifted(s, np.log, sh_re, sl_re, sh_im, sl_im)
     out.real[big], out.imag[big] = re, im
 
-    out[reflect] = _LOG_PI - np.log(np.sin(np.pi * z[reflect])) - out[reflect]
+    zr = z[reflect]
+    far = np.abs(zr.imag) > _SIN_OVERFLOW_IM
+    log_sin = np.log(np.sin(np.pi * np.where(far, 0.5, zr)))
+    log_sin.real[far], log_sin.imag[far] = _log_sin_pi_far(zr.real[far], zr.imag[far], np)
+    out[reflect] = _LOG_PI - log_sin - out[reflect]
     return out
 
 

@@ -28,14 +28,14 @@ _STIRLING_TAIL = (
 
 def lngamma_oracle(z):
     """Reference log-Gamma: reflection for Re(z) < 0.5, otherwise a 64-term
-    product shift followed by the Stirling series at |z + 64| >= 64."""
+    product shift followed by the Stirling series at |z + 64| >= 64.  The
+    reflection's log sin(pi z) is taken in extended precision, where
+    sin(pi z) cannot overflow (it does in a double for |Im z| > ~226)."""
     z = complex(z)
     if z.real < 0.5:
-        return (
-            math.log(math.pi)
-            - cmath.log(cmath.sin(cmath.pi * z))
-            - lngamma_oracle(1.0 - z)
-        )
+        with mp.workdps(30):
+            log_sin = complex(mp.log(mp.sin(mp.pi * mp.mpc(z.real, z.imag))))
+        return math.log(math.pi) - log_sin - lngamma_oracle(1.0 - z)
     shifted = z + _SHIFT
     series = 0.0j
     for coeff in reversed(_STIRLING_TAIL):

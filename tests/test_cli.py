@@ -110,6 +110,21 @@ def test_scatter_with_oracle(capsys):
 
 
 @pytest.mark.parametrize("kind", ["plus", "minus", "step"])
+def test_scatter_oracle_columns_are_the_column_call(capsys, kind):
+    from susystep.oracle import numerical_rt
+    from susystep.potentials import PotentialSpec
+
+    code, out, _ = run_cli(capsys, "scatter", "--kind", kind, "--m", "0.7",
+                           "--omega-min", "0.8", "--omega-max", "2.5", "--n-points", "3", "--with-oracle")
+    assert code == 0
+    _, rows = parse_csv(out)
+    spec = {"plus": PotentialSpec.plus(0.7), "minus": PotentialSpec.minus(0.7),
+            "step": PotentialSpec.step(0.7 * 0.7, 1.0)}[kind]
+    num = numerical_rt(spec, np.linspace(0.8, 2.5, 3))
+    assert [[float(v) for v in row[-2:]] for row in rows] == np.column_stack([num.R2, num.T2]).tolist()
+
+
+@pytest.mark.parametrize("kind", ["plus", "minus", "step"])
 def test_scatter_rows_are_the_array_form(capsys, kind):
     from susystep.potentials import PotentialKind
     from susystep.scattering import reflection_transmission, step_amplitudes, step_reflection_closed_form

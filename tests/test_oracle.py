@@ -4,6 +4,7 @@ paths of the configuration and matching machinery."""
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -121,6 +122,103 @@ def test_march_matches_sequential_reference(spec, omega, cfg):
     scale = abs(seq.R) + abs(seq.T)
     assert abs(num.R - seq.R) <= 1e-10 * scale
     assert abs(num.T - seq.T) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("spec", [PotentialSpec.plus(1.0), PotentialSpec.minus(1.0), PotentialSpec.step(1.0, 1.0)])
+def test_column_is_the_one_omega_calls(spec):
+    # one march serves both forms, so the column equals the number calls
+    # bit for bit, in the column's order
+    omega = np.array([3.0, 1.2, 2.0, 1.5])
+    col = numerical_rt(spec, omega, COARSE)
+    one = [numerical_rt(spec, w, COARSE) for w in omega.tolist()]
+    assert col.omega.tolist() == omega.tolist()
+    assert col.R.tolist() == [r.R for r in one] and col.T.tolist() == [r.T for r in one]
+    assert col.kprime.tolist() == [r.kprime for r in one]
+    assert col.R2.tolist() == [r.R2 for r in one] and col.flux.tolist() == [r.flux for r in one]
+    assert (col.m, col.kind) == (one[0].m, one[0].kind)
+    # a list and an integer array are columns too
+    assert numerical_rt(spec, [2, 3], COARSE).R.tolist() == [one[2].R, one[0].R]
+    empty = numerical_rt(spec, np.array([]), COARSE)
+    assert empty.R.shape == empty.T.shape == empty.kprime.shape == (0,)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(oracle_mod, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle_mod, name, counted)
+    return calls
+
+
+def test_column_samples_the_potential_once(monkeypatch):
+    sampled = _counting(monkeypatch, "potential")
+    numerical_rt(PotentialSpec.plus(1.0), np.array([1.2, 2.0, 3.0]), COARSE)
+    assert len(sampled) == 1 and sampled[0][1].size == 2 * 6000 + 1
+
+
+@pytest.mark.parametrize("omega", [2.0 + 0.1j, np.complex128(2.0), "2.0", math.nan, math.inf, None, -2.0,
+                                   np.array([2.0, 2.0 + 0.1j]), np.array([2.0, math.nan]), np.array([-math.inf]),
+                                   np.array([2.0, -2.0]), np.array(["2.0"]), np.array([[2.0, 3.0]])])
+def test_bad_omega_is_a_domain_error(monkeypatch, omega):
+    # complex, nan, infinite, negative (above threshold in omega^2, but
+    # outside extract_rt's omega > m), non-numeric or not 1-d: a typed
+    # error before the potential is sampled, from both forms
+    sampled = _counting(monkeypatch, "potential")
+    with pytest.raises(DomainError):
+        numerical_rt(PotentialSpec.plus(1.0), omega)
+    if np.ndim(omega) == 0:
+        with pytest.raises(DomainError):
+            integrate_wavefunction(PotentialSpec.plus(1.0), omega)
+    assert sampled == []
+
+
+def test_integrate_takes_one_omega():
+    with pytest.raises(DomainError):
+        integrate_wavefunction(PotentialSpec.plus(1.0), np.array([2.0]))
+
+
+def test_column_checks_every_omega_before_any_work(monkeypatch):
+    sampled = _counting(monkeypatch, "potential")
+    marched = _counting(monkeypatch, "_march")
+    with pytest.raises(ConfigError, match="omega = 0.5"):  # below threshold: before the potential
+        numerical_rt(PotentialSpec.plus(1.0), np.array([2.0, 3.0, 0.5]))
+    assert sampled == [] and marched == []
+    with pytest.raises(ConfigError, match="at omega = 100.0"):  # too stiff: before any march
+        numerical_rt(PotentialSpec.plus(1.0), np.array([2.0, 3.0, 100.0]))
+    assert len(sampled) == 1 and marched == []
+
+
+def test_stability_bound_at_its_edge():
+    # V = 0, so max|V - omega^2| = omega^2 - min V: omega^2 h^2 = 0.01 (to
+    # rounding) is rejected, just below it passes
+    cfg = IntegrationConfig(step=0.05)
+    with pytest.raises(ConfigError):
+        integrate_wavefunction(FREE, 2.0, cfg)
+    integrate_wavefunction(FREE, 1.99, cfg)
+
+
+def test_column_blowup_names_omega_and_x(monkeypatch):
+    monkeypatch.setattr(oracle_mod, "_BLOWUP_LIMIT", 0.5)
+    with pytest.raises(BlowUpError, match=r"at x = 29\.999; omega = 3\.0 "):
+        numerical_rt(FREE, np.array([3.0, 2.0]))
+
+
+def test_column_holds_one_omega_at_a_time():
+    # each omega is marched and fitted in turn, so a 4-omega column peaks
+    # at about the memory of one omega
+    def peak(omega):
+        tracemalloc.start()
+        try:
+            numerical_rt(PotentialSpec.plus(1.0), omega)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(np.array([1.2, 1.5, 2.0, 3.0])) <= 1.25 * peak(2.0)
 
 
 def test_oracle_sweep_flux():

@@ -294,6 +294,16 @@ def test_step_flux_conservation():
             assert abs(step_amplitudes(omega, m).flux - 1.0) < 1e-9
 
 
+def test_step_amplitudes_past_the_sine_overflow():
+    # the argument 2i omega passes |Im z| ~ 226 at omega ~ 113, where
+    # sin(pi z) in lngamma's reflection step overflows a double
+    for omega in (120.0, 200.0, np.array([50.0, 120.0, 200.0])):
+        res = step_amplitudes(omega, 1.0)
+        closed = step_reflection_closed_form(omega, 1.0)
+        assert np.all(np.abs(res.R2 - closed) <= 1e-10 * closed)
+        assert np.all(np.abs(res.flux - 1.0) <= 1e-9)
+
+
 def test_step_unit_reflection_at_threshold():
     assert abs(step_reflection_closed_form(1.0 + 1e-14, 1.0) - 1.0) < 1e-5
 

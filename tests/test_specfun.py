@@ -176,10 +176,28 @@ def test_gamma_ratio_array_poles():
         gamma_ratio([np.array([1.0, math.nan])], [])
     with pytest.raises(DomainError):
         gamma_ratio([np.ones((2, 2))], [])
-    with pytest.raises(OverflowError):  # as the scalar path: cmath.sin overflows
-        gamma_ratio([np.array([1.0, 300j])], [])
+    with pytest.raises(OverflowError):  # as the scalar path: Gamma(200) is past the double range
+        gamma_ratio([np.array([1.0, 200.0])], [])
     with pytest.raises(OverflowError):
-        gamma_ratio([300j], [])
+        gamma_ratio([200.0], [])
+
+
+def test_lngamma_past_the_sine_overflow():
+    # sin(pi z) overflows a double for |Im z| > ~226; the reflection step
+    # takes its log from the exponential form there.  The reference is
+    # compared modulo 2 pi i, through exp of the difference (a wrong branch
+    # of log(+-i/2) would be off by i pi, where exp gives -1)
+    rng = np.random.default_rng(230)
+    z = rng.uniform(-60.0, 60.0, 40) + 1j * rng.choice([-1.0, 1.0], 40) * rng.uniform(230.0, 400.0, 40)
+    z[:4] = [0.3 + 230j, 0.49 - 230.5j, 400j, -0.5 - 400j]
+    for v, from_array in zip(z.tolist(), specfun_mod._lngamma_array(z).tolist()):
+        reference = lngamma_oracle(v)
+        for got in (lngamma(v), from_array):
+            assert abs(cmath.exp(got - reference) - 1.0) <= 1e-12, v
+    # Gamma(300i) ~ 1e-205 no longer overflows on the way
+    expected = complex(mp.gamma(mp.mpc(0, 300)))
+    assert abs(gamma_ratio([300j], []) - expected) <= 1e-12 * abs(expected)
+    assert abs(gamma_ratio([np.array([1.0, 300j])], [])[1] - expected) <= 1e-12 * abs(expected)
 
 
 @given(
