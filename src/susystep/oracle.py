@@ -52,6 +52,9 @@ class IntegrationConfig:
     match_window: float = 5.0
 
     def __post_init__(self):
+        for name in ("x_min", "x_max", "step", "match_window"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.x_min < -5.0:
             raise ConfigError(f"x_min must be < -5, got {self.x_min}")
         if not self.x_max > 5.0:

@@ -54,6 +54,9 @@ class PotentialSpec:
     alpha: float = 1.0
 
     def __post_init__(self):
+        for name in ("m", "v0", "alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"potential parameters must be finite, got {name} = {getattr(self, name)}")
         if self.kind in (PotentialKind.PLUS, PotentialKind.MINUS):
             if not self.m > 0:
                 raise DomainError(f"partner potentials require m > 0, got m = {self.m}")
@@ -83,11 +86,6 @@ class PotentialSpec:
         return self.m * self.m
 
 
-def _sigmoid(x):
-    """e^x / (e^x + 1), overflow-safe for all finite x."""
-    return np.exp(x - np.logaddexp(0.0, x))
-
-
 def superpotential(x, m):
     """Superpotential W(x, m) = -m (1 + e^(-x))^(-1/2).
 
@@ -99,19 +97,26 @@ def superpotential(x, m):
     return -m * np.exp(0.5 * (x - np.logaddexp(0.0, x)))
 
 
+def _dw(x, m, softplus):
+    """dW/dx from softplus = logaddexp(0, x)."""
+    return -0.5 * m * np.exp(0.5 * x - 1.5 * softplus)
+
+
 def superpotential_derivative(x, m):
     """dW/dx = -(m/2) e^(x/2) / (e^x + 1)^(3/2), in closed form."""
-    return -0.5 * m * np.exp(0.5 * x - 1.5 * np.logaddexp(0.0, x))
+    return _dw(x, m, np.logaddexp(0.0, x))
 
 
 def v_plus(x, m):
     """V+(x, m) = W^2 + dW/dx = m^2 e^x/(e^x+1) - (m/2) e^(x/2)/(e^x+1)^(3/2)."""
-    return m * m * _sigmoid(x) + superpotential_derivative(x, m)
+    softplus = np.logaddexp(0.0, x)
+    return m * m * np.exp(x - softplus) + _dw(x, m, softplus)
 
 
 def v_minus(x, m):
     """V-(x, m) = W^2 - dW/dx = m^2 e^x/(e^x+1) + (m/2) e^(x/2)/(e^x+1)^(3/2)."""
-    return m * m * _sigmoid(x) - superpotential_derivative(x, m)
+    softplus = np.logaddexp(0.0, x)
+    return m * m * np.exp(x - softplus) - _dw(x, m, softplus)
 
 
 def v_step(x, v0, alpha=1.0):

@@ -123,16 +123,16 @@ def _check_scattering_regime(omega, m: float):
         real = isinstance(omega, numbers.Real)
     if not (real and isinstance(m, numbers.Real)):
         raise DomainError("scattering amplitudes and closed forms take real m and real omega, a number or a 1-d array")
-    if not m > 0:
-        raise DomainError(f"require m > 0, got m = {m}")
+    if not 0 < m < math.inf:
+        raise DomainError(f"require a finite m > 0, got m = {m}")
     if column:
         omega = omega.astype(float)
-        below = omega[~(omega > m)]
+        below = omega[~((omega > m) & (omega < math.inf))]
     else:
         omega = float(omega)
-        below = [] if omega > m else [omega]
+        below = [] if m < omega < math.inf else [omega]
     if len(below):
-        raise DomainError(f"scattering requires omega > m (~propagating transmitted wave); got omega = {below[0]}, m = {m}")
+        raise DomainError(f"scattering requires a finite omega > m (~propagating transmitted wave); got omega = {below[0]}, m = {m}")
     return omega, float(m)
 
 
@@ -325,8 +325,8 @@ def qnm(kind: PotentialKind, n: int, m: float) -> QnmFrequency:
     """
     if not (isinstance(n, numbers.Integral) and n >= 0):
         raise DomainError(f"overtone index must be an integer >= 0, got {n!r}")
-    if not m > 0:
-        raise DomainError(f"require m > 0, got m = {m}")
+    if not 0 < m < math.inf:
+        raise DomainError(f"require a finite m > 0, got m = {m}")
     if kind is PotentialKind.STEP:
         omega = -0.5j * (n + 1.0 - m * m / (n + 1.0))
     elif kind in (PotentialKind.PLUS, PotentialKind.MINUS):
@@ -350,9 +350,11 @@ def inverse_transmission_magnitude(kind: PotentialKind, omega: complex, m: float
     """
     if kind not in (PotentialKind.PLUS, PotentialKind.MINUS):
         raise DomainError("transmission poles are computed for the partner kinds")
-    if not m > 0:
-        raise DomainError(f"require m > 0, got m = {m}")
+    if not 0 < m < math.inf:
+        raise DomainError(f"require a finite m > 0, got m = {m}")
     omega = complex(omega)
+    if not cmath.isfinite(omega):
+        raise DomainError(f"omega = {omega} is not finite")
     B = b_exponent(omega, m)
     kprime = -1j * B
     numerator_arg = 1.0 - 2j * omega - 2j * kprime

@@ -58,32 +58,31 @@ def x_to_z(x: float) -> float:
 
 def z_to_x(z: float) -> float:
     """Inverse map x = ln(z / (1 - z)) for z in (0, 1)."""
-    if not 0.0 < z < 1.0:
-        raise DomainError(f"z = {z} outside (0, 1)")
+    z = _unit_z(z)
     return math.log(z) - math.log1p(-z)
 
 
-def _logs_from_x(x: float):
-    """(z, u, log z, log u) with u = 1 - z, all at full relative accuracy."""
-    if x >= 0.0:
-        t = math.exp(-x)
-        log_z = -math.log1p(t)
-        return 1.0 / (1.0 + t), t / (1.0 + t), log_z, log_z - x
-    s = math.exp(x)
-    log_u = -math.log1p(s)
-    return s / (1.0 + s), 1.0 / (1.0 + s), log_u + x, log_u
+def _logs_from_x(x):
+    """(z, log z, log u) columns, u = 1 - z, of a float array of x, all at
+    full relative accuracy."""
+    e = np.exp(-np.abs(x))  # e^-x for x >= 0, e^x below
+    log_near = -np.log1p(e)  # log z for x >= 0, log u below
+    right = x >= 0.0
+    z = np.where(right, 1.0, e) / (1.0 + e)
+    return z, np.where(right, log_near, log_near + x), np.where(right, log_near - x, log_near)
 
 
-def _logs_from_z(z: float):
+def _unit_z(z) -> float:
+    """z as a float; ``DomainError`` unless it is in (0, 1)."""
+    z = float(z)
     if not 0.0 < z < 1.0:
         raise DomainError(f"z = {z} outside (0, 1)")
-    return z, 1.0 - z, math.log(z), math.log1p(-z)
+    return z
 
 
-def _columns(points):
-    """The (z, u, log z, log u) columns, as float arrays, of an iterable of
-    per-point ``_logs_from_x``/``_logs_from_z`` tuples."""
-    return np.array(list(points), dtype=float).reshape(-1, 4).T
+def _logs_from_z(z):
+    """(z, log z, log u) columns of a float array of z in (0, 1)."""
+    return z, np.log(z), np.log1p(-z)
 
 
 def _x_grid(grid, min_points=0):
@@ -191,6 +190,8 @@ def make_exponents(omega, m: float) -> SolutionParams:
 
     Raises
     ------
+    DomainError
+        For a non-finite omega or m, or m = 0.
     ZeroFrequencyError
         For omega = 0, where the first-order factorization that couples
         Z+ and Z- breaks down.
@@ -200,19 +201,17 @@ def make_exponents(omega, m: float) -> SolutionParams:
     """
     column = np.ndim(omega) > 0
     omega, m = (np.asarray(omega, dtype=complex) if column else complex(omega)), float(m)
+    if column and omega.ndim != 1:
+        raise DomainError(f"omega must be a number or a 1-d array, got shape {omega.shape}")
+    omegas = omega.tolist() if column else [omega]
+    if not (all(map(cmath.isfinite, omegas)) and math.isfinite(m)):
+        raise DomainError(f"solutions require finite omega and m, got omega = {omega}, m = {m}")
     C1 = 1j * omega
     C2 = C1 + 0.5
     c1 = 2.0 * C1 + 0.5
-    if column:
-        if omega.ndim != 1:
-            raise DomainError(f"omega must be a number or a 1-d array, got shape {omega.shape}")
-        omegas = omega.tolist()
-        for w, c in zip(omegas, c1.tolist()):
-            _check_frequency(w, m, c)
-        B1 = np.array([b_exponent(w, m) for w in omegas], dtype=complex)
-    else:
-        _check_frequency(omega, m, c1)
-        B1 = b_exponent(omega, m)
+    for w, c in zip(omegas, c1.tolist() if column else [c1]):
+        _check_frequency(w, m, c)
+    B1 = np.array([b_exponent(w, m) for w in omegas], dtype=complex) if column else b_exponent(omega, m)
     a1 = C1 + B1 + 0.5
     b1 = C1 + B1
     return SolutionParams(
@@ -231,35 +230,34 @@ def _check_frequency(omega: complex, m: float, c1: complex):
         raise DegenerateCError(f"c1 = {c1} is within tolerance of an integer")
 
 
-def _rotated(j, branch, p, z, u, log_z, log_u):
+def _rotated(j, branch, p, z, log_z, log_u):
     """Rotated component (R-tilde)_j of the requested solution branch at
-    every point of the (z, u, log z, log u) column arrays, as a list; the
+    every point of the (z, log z, log u) column arrays, as an array; the
     2F1 factor takes one ``hyp2f1`` call for all of them."""
     C, a, b, c = (p.C1, p.a1, p.b1, p.c1) if j == 1 else (p.C2, p.a2, p.b2, p.c2)
     if branch == "I":
         scale, power = (1.0 if j == 1 else p.G2), C
-        f = specfun.hyp2f1(a, b, c, z, u, log_u)
+        f = specfun.hyp2f1(a, b, c, z, log_u)
     elif branch == "II":
         scale, power = (1.0 if j == 1 else p.H2), C + 1.0 - c
-        f = specfun.hyp2f1(a - c + 1.0, b - c + 1.0, 2.0 - c, z, u, log_u)
+        f = specfun.hyp2f1(a - c + 1.0, b - c + 1.0, 2.0 - c, z, log_u)
     else:
         raise DomainError(f"branch must be 'I' or 'II', got {branch!r}")
-    values = []
-    for lz, lu, fi in zip(log_z.tolist(), log_u.tolist(), f.tolist()):
-        try:
-            values.append(scale * cmath.exp(power * lz + p.B1 * lu) * fi)
-        except OverflowError:
-            raise DomainError(f"the power factor z^C (1-z)^B overflows at x = {lz - lu}, omega = {p.omega}") from None
-    return values
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = np.exp(power * log_z + p.B1 * log_u)
+    if not np.isfinite(factor).all():
+        i = np.argmin(np.isfinite(factor))
+        raise DomainError(f"the power factor z^C (1-z)^B overflows at x = {log_z[i] - log_u[i]}, omega = {p.omega}")
+    return scale * factor * f
 
 
-def _solution_from_logs(branch, sign, p, z, u, log_z, log_u):
-    """Z_sign^branch at every point of the column arrays, as a list."""
+def _solution_from_logs(branch, sign, p, z, log_z, log_u):
+    """Z_sign^branch at every point of the column arrays, as an array."""
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
-    r1 = _rotated(1, branch, p, z, u, log_z, log_u)
-    r2 = _rotated(2, branch, p, z, u, log_z, log_u)
-    return [_QUARTER_TURN * (v1 + sign * 1j * v2) for v1, v2 in zip(r1, r2)]
+    r1 = _rotated(1, branch, p, z, log_z, log_u)
+    r2 = _rotated(2, branch, p, z, log_z, log_u)
+    return _QUARTER_TURN * (r1 + sign * 1j * r2)
 
 
 def exact_solution(branch, sign, omega, m, x) -> complex:
@@ -277,18 +275,18 @@ def exact_solution(branch, sign, omega, m, x) -> complex:
     The normalization is the unit one, G1 = H1 = 1 (see
     :class:`SolutionParams`).  Evaluation is stable for any finite x; the
     hypergeometric argument and all power factors come from log-space
-    forms of z(x).  A non-finite x raises ``DomainError``, and so does an
-    x where the power factor overflows (complex omega, |x| in the
-    hundreds).
+    forms of z(x).  A non-finite x, omega or m raises ``DomainError``, and
+    so does an x where the power factor overflows (complex omega, |x| in
+    the hundreds).
     """
     p = make_exponents(omega, m)
-    return _solution_from_logs(branch, sign, p, *_columns(map(_logs_from_x, _x_grid([float(x)]).tolist())))[0]
+    return complex(_solution_from_logs(branch, sign, p, *_logs_from_x(_x_grid([float(x)])))[0])
 
 
 def exact_solution_at_z(branch, sign, omega, m, z) -> complex:
     """Same as :func:`exact_solution` but parametrized by z in (0, 1)."""
     p = make_exponents(omega, m)
-    return _solution_from_logs(branch, sign, p, *_columns([_logs_from_z(float(z))]))[0]
+    return complex(_solution_from_logs(branch, sign, p, *_logs_from_z(np.array([_unit_z(z)])))[0])
 
 
 def rotated_component(j, branch, omega, m, z) -> complex:
@@ -300,19 +298,19 @@ def rotated_component(j, branch, omega, m, z) -> complex:
     if j not in (1, 2):
         raise DomainError(f"component index must be 1 or 2, got {j!r}")
     p = make_exponents(omega, m)
-    return _rotated(j, branch, p, *_columns([_logs_from_z(float(z))]))[0]
+    return complex(_rotated(j, branch, p, *_logs_from_z(np.array([_unit_z(z)])))[0])
 
 
 def _stencil(x, h):
-    """The five points x + k h, k = -2..2, of ``_five_point``."""
-    return [x + k * h for k in (-2, -1, 0, 1, 2)]
+    """The points x + k h, k = -2..2, of ``_five_point``, on a new trailing axis."""
+    return np.asarray(x, dtype=float)[..., None] + np.arange(-2, 3) * h
 
 
 def _five_point(samples, h):
     """(f(x), f'(x), f''(x)) by five-point central differences of step h
-    from the samples of f at ``_stencil(x, h)``; a sample may be a numpy
-    array, differentiated componentwise."""
-    fm2, fm1, f0, fp1, fp2 = samples
+    from the samples of f at ``_stencil(x, h)``, differentiating along the
+    trailing axis."""
+    fm2, fm1, f0, fp1, fp2 = np.moveaxis(samples, -1, 0)
     d1 = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
     d2 = (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * h * h)
     return f0, d1, d2
@@ -332,21 +330,15 @@ def coupled_residual(omega, m, x_grid, branch="I") -> float:
     xs = _x_grid(x_grid, 3)
     p = make_exponents(omega, m)
     h = 0.5 * float(np.min(np.diff(xs)))
-    points = _columns(_logs_from_x(s) for x in xs.tolist() for s in _stencil(x, h))
-    r1 = _rotated(1, branch, p, *points)
-    r2 = _rotated(2, branch, p, *points)
-    pairs = [_QUARTER_TURN * np.array([v1 + 1j * v2, v1 - 1j * v2]) for v1, v2 in zip(r1, r2)]
-
-    worst = 0.0
+    points = _logs_from_x(_stencil(xs, h).reshape(-1))
+    r1 = _rotated(1, branch, p, *points).reshape(-1, 5)
+    r2 = _rotated(2, branch, p, *points).reshape(-1, 5)
+    (zp, zm), (dzp, dzm), _ = _five_point(_QUARTER_TURN * np.stack([r1 + 1j * r2, r1 - 1j * r2]), h)
+    w = superpotential(xs, m)
     iw = 1j * complex(omega)
-    for i, x in enumerate(xs):
-        (zp, zm), (dzp, dzm), _ = _five_point(pairs[5 * i:5 * i + 5], h)
-        w = float(superpotential(x, m))
-        res1 = dzp - w * zp - iw * zm
-        res2 = dzm + w * zm - iw * zp
-        scale = (1.0 + abs(iw) + abs(w)) * (abs(zp) + abs(zm))
-        worst = max(worst, max(abs(res1), abs(res2)) / scale)
-    return float(worst)
+    res = np.maximum(np.abs(dzp - w * zp - iw * zm), np.abs(dzm + w * zm - iw * zp))
+    scale = (1.0 + abs(iw) + np.abs(w)) * (np.abs(zp) + np.abs(zm))
+    return float(np.max(res / scale))
 
 
 def wave_equation_residual(branch, sign, omega, m, z) -> float:
@@ -357,15 +349,14 @@ def wave_equation_residual(branch, sign, omega, m, z) -> float:
 
     at z in (0, 1), with five-point derivatives of step 0.01 z(1-z).
     """
-    z = float(z)
+    z = _unit_z(z)
     p = make_exponents(omega, m)
     h = 0.01 * z * (1.0 - z)
-    points = _columns(_logs_from_z(zz) for zz in _stencil(z, h))
-    f0, d1, d2 = _five_point(_solution_from_logs(branch, sign, p, *points), h)
+    f0, d1, d2 = _five_point(_solution_from_logs(branch, sign, p, *_logs_from_z(_stencil(z, h))), h)
     q = (omega * omega - m * m) / (1 - z) + omega * omega / z + sign * m / (2.0 * math.sqrt(z))
     res = (1 - 2 * z) * d1 + z * (1 - z) * d2 + q * f0
     scale = abs(q * f0) + abs((1 - 2 * z) * d1) + abs(z * (1 - z) * d2)
-    return abs(res) / scale
+    return float(abs(res) / scale)
 
 
 def wronskian(sign, omega, m, z) -> complex:
@@ -379,15 +370,13 @@ def wronskian(sign, omega, m, z) -> complex:
     The derivatives are evaluated numerically (five-point stencil) so the
     constancy check is independent of the algebra that predicts it.
     """
-    z = float(z)
-    if not 0.0 < z < 1.0:
-        raise DomainError(f"z = {z} outside (0, 1)")
+    z = _unit_z(z)
     h = 1e-3 * min(z, 1.0 - z, 0.5)
     p = make_exponents(omega, m)
-    points = _columns(_logs_from_z(zz) for zz in _stencil(z, h))
+    points = _logs_from_z(_stencil(z, h))
     zi, di, _ = _five_point(_solution_from_logs("I", sign, p, *points), h)
     zii, dii, _ = _five_point(_solution_from_logs("II", sign, p, *points), h)
-    return z * (1.0 - z) * (zi * dii - zii * di)
+    return complex(z * (1.0 - z) * (zi * dii - zii * di))
 
 
 def sample_wavefield(branch, sign, omega, m, grid) -> WaveField:
@@ -399,6 +388,6 @@ def sample_wavefield(branch, sign, omega, m, grid) -> WaveField:
     """
     xs = _x_grid(grid)
     p = make_exponents(omega, m)
-    vals = np.array(_solution_from_logs(branch, sign, p, *_columns(map(_logs_from_x, xs.tolist()))), dtype=complex)
+    values = _solution_from_logs(branch, sign, p, *_logs_from_x(xs))
     kind = PotentialKind.PLUS if sign == 1 else PotentialKind.MINUS
-    return WaveField(grid=xs, values=vals, omega=omega, m=float(m), kind=kind, branch=branch)
+    return WaveField(grid=xs, values=values, omega=omega, m=float(m), kind=kind, branch=branch)

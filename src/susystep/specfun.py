@@ -48,9 +48,8 @@ Z_SWITCH = 0.5
 MAX_SERIES_TERMS = 10_000
 _SERIES_STOP = 1e-16
 
-# A supplied complement u may differ from 1 - z by this many units of the
-# double epsilon (absolutely: z saturates to 1.0 while u stays exact), and
-# log_u from log u by this many ulps of max(1, |log_u|) and of u.
+# exp(log_u), for a supplied log_u, may differ from 1 - z by this many
+# units of the double epsilon, absolutely.
 _COMPLEMENT_ULPS = 4.0
 _EPS = float(np.finfo(float).eps)
 
@@ -96,7 +95,10 @@ _LOG_2 = math.log(2.0)
 
 
 def _pole_distance(z: complex) -> float:
-    """Distance from z to the nearest non-positive integer."""
+    """Distance from z to the nearest non-positive integer; ``DomainError``
+    unless z is finite."""
+    if not cmath.isfinite(z):
+        raise DomainError(f"Gamma argument {z} is not finite")
     n = round(z.real)
     if n > 0:
         n = 0
@@ -229,6 +231,8 @@ def lngamma(z: complex) -> complex:
 
     Raises
     ------
+    DomainError
+        If ``z`` is not finite.
     PoleError
         If ``z`` is within ``POLE_TOL`` of a non-positive integer.
     """
@@ -298,8 +302,9 @@ def gamma_ratio(numerators, denominators):
     (the ratio is infinite -- an amplitude pole); denominator poles violate
     the precondition and raise ``PoleError(location="denominator")``.
     Numerator poles are reported first when both occur, and otherwise the
-    first pole in argument order, then element order.  A ratio that
-    overflows raises ``OverflowError`` on both paths.
+    first pole in argument order, then element order.  A non-finite
+    argument raises ``DomainError`` and a ratio that overflows
+    ``OverflowError``, on both paths.
     """
     if any(isinstance(v, np.ndarray) and v.ndim for v in (*numerators, *denominators)):
         return _gamma_ratio_columns(numerators, denominators)
@@ -374,11 +379,10 @@ def _ratio_or_zero(numerators, denominators) -> complex:
 def _hyp2f1_complement(a, b, c, u, log_u) -> list:
     """Connection-formula values of 2F1(a,b;c;1-u) at each complement u=1-z.
 
-    ``u`` and ``log_u`` are equal-length sequences of floats, supplied
-    separately so callers that know u to full relative precision (e.g.
-    u = 1/(1+e^x)) do not lose digits to the 1-z subtraction.  The two
-    Gamma ratios depend on (a, b, c) only and are formed once; the two
-    series are summed per element.  Requires c-a-b away from the integers.
+    ``u`` and ``log_u`` are equal-length sequences of floats, log_u = log u.
+    The two Gamma ratios depend on (a, b, c) only and are formed once; the
+    two series are summed per element.  Requires c-a-b away from the
+    integers.
     """
     s = c - a - b
     if _near_integer(s):
@@ -408,46 +412,43 @@ def _real_array(name, value):
     return np.asarray(array, dtype=float)
 
 
-def _checked_args(c, z, u, log_u):
-    """(z, u, log_u) as 1-d float arrays, log_u None unless supplied, once
-    c and every element have passed ``hyp2f1``'s checks."""
+def _checked_args(a, b, c, z, log_u):
+    """(z, u, log_u) as 1-d float arrays, u = 1 - z and log_u = log u unless
+    log_u is supplied, then u = exp(log_u), once a, b, c and every element
+    have passed ``hyp2f1``'s checks."""
+    if not all(map(cmath.isfinite, (a, b, c))):
+        raise DomainError(f"2F1 parameters must be finite, got a = {a}, b = {b}, c = {c}")
     if _pole_distance(c) < POLE_TOL:
         raise PoleError(c, location="denominator")
     z = _real_array("z", z)
-    u = 1.0 - z if u is None else _real_array("u", u)
-    if log_u is not None:
-        log_u = _real_array("log_u", log_u)
-    if z.ndim > 1 or u.shape != z.shape or (log_u is not None and log_u.shape != z.shape):
-        raise DomainError("z, u and log_u must be floats or 1-d arrays of one length")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # absolute: z rounds to 1.0 past x ~ 37 while u stays exact
-        ok = (z >= 0.0) & (np.abs(u - (1.0 - z)) <= _COMPLEMENT_ULPS * _EPS)
-        if log_u is None:
-            ok &= u > 0.0
-        else:
-            # u may underflow to 0 (x beyond ~745) only with its log; spacing(u)/u
-            # allows for the few significant bits of a subnormal u
-            tol = _COMPLEMENT_ULPS * (_EPS * np.maximum(1.0, np.abs(log_u)) + np.spacing(u) / u)
-            ok &= np.where(u > 0.0, np.abs(log_u - np.log(u)) <= tol, (u == 0.0) & (np.exp(log_u) == 0.0))
+    log_u = None if log_u is None else _real_array("log_u", log_u)
+    if z.ndim > 1 or (log_u is not None and log_u.shape != z.shape):
+        raise DomainError("z and log_u must be floats or 1-d arrays of one length")
+    if log_u is None:
+        ok = (z >= 0.0) & (z < 1.0)
+    else:
+        with np.errstate(over="ignore"):
+            u = np.exp(log_u)
+        # absolute: z rounds to 1.0 past x ~ 37 while exp(log_u) stays exact
+        ok = (z >= 0.0) & np.isfinite(log_u) & (log_u <= 0.0) & (np.abs(u - (1.0 - z)) <= _COMPLEMENT_ULPS * _EPS)
     if not ok.all():
         i = np.flatnonzero(~ok)[0] if ok.ndim else ()
-        raise DomainError(
-            f"z = {z[i]} with complement u = {u[i]}, log_u = {None if log_u is None else log_u[i]}: "
-            "need z >= 0, u = 1 - z > 0 and log_u = log u, to a few ulps "
-            "(u = 0 only where exp(log_u) underflows)"
-        )
-    return z.reshape(-1), u.reshape(-1), None if log_u is None else log_u.reshape(-1)
+        raise DomainError(f"z = {z[i]}, log_u = {None if log_u is None else log_u[i]}: need 0 <= z < 1 and a "
+                          "supplied log_u finite, <= 0 and with exp(log_u) within a few eps of 1 - z")
+    if log_u is None:
+        u, log_u = 1.0 - z, np.log1p(-z)
+    return z.reshape(-1), u.reshape(-1), log_u.reshape(-1)
 
 
-def hyp2f1(a, b, c, z, u=None, log_u=None):
+def hyp2f1(a, b, c, z, log_u=None):
     """2F1(a, b; c; z) for complex parameters and real z in [0, 1).
 
     ``z`` is a float or a 1-d array; an array gives an array of values, a
-    float a ``complex``.  ``u`` and ``log_u``, of the same shape, are the
-    complement 1 - z and its log (default u = 1 - z).  Callers that know
-    them exactly, as u = 1/(1+e^x) for z = e^x/(e^x+1), pass them: the
-    connection formula then stays accurate where z has rounded to 1.0
-    (x above ~37).
+    float a ``complex``.  ``log_u``, of the same shape, is log(1 - z)
+    (default: computed from z).  Callers that know it exactly, as
+    log_u = -log(1 + e^x) for z = e^x/(e^x+1), pass it: the connection
+    formula then sums its series in u = exp(log_u), which stays accurate
+    where z has rounded to 1.0 (x above ~37).
 
     Uses the Gauss series for ``z <= Z_SWITCH`` and the connection formula
     toward z = 1 otherwise; its Gamma ratios are formed once per call.
@@ -459,8 +460,8 @@ def hyp2f1(a, b, c, z, u=None, log_u=None):
     PoleError
         If c is within ``POLE_TOL`` of a non-positive integer.
     DomainError
-        Unless z >= 0, u = 1 - z > 0 and log_u = log u, the last two to a
-        few ulps (u may be 0 where exp(log_u) underflows).
+        If a, b or c is not finite, or unless z >= 0 and log_u is finite
+        and <= 0, with exp(log_u) within a few eps (absolutely) of 1 - z.
     NonConvergenceError
         If the series fails to meet the term-ratio stop within
         ``MAX_SERIES_TERMS`` terms.
@@ -469,14 +470,12 @@ def hyp2f1(a, b, c, z, u=None, log_u=None):
     """
     a, b, c = complex(a), complex(b), complex(c)
     scalar = np.ndim(z) == 0
-    z, u, log_u = _checked_args(c, z, u, log_u)
+    z, u, log_u = _checked_args(a, b, c, z, log_u)
     zs = z.tolist()
     values = [_gauss_series(a, b, c, zi) if zi <= Z_SWITCH else None for zi in zs]
     far = [i for i, zi in enumerate(zs) if zi > Z_SWITCH]
     if far:
-        us = u[far].tolist()
-        logs = [math.log(ui) for ui in us] if log_u is None else log_u[far].tolist()
-        for i, value in zip(far, _hyp2f1_complement(a, b, c, us, logs)):
+        for i, value in zip(far, _hyp2f1_complement(a, b, c, u[far].tolist(), log_u[far].tolist())):
             values[i] = value
     return values[0] if scalar else np.array(values, dtype=complex)
 
@@ -492,7 +491,5 @@ def connect_near_one(a, b, c, z) -> complex:
     the whole overlap window, which the tests exercise.  Raises as
     ``hyp2f1`` does.
     """
-    z = float(_real_array("z", z))
-    _checked_args(complex(c), z, None, None)
-    u = 1.0 - z
-    return _hyp2f1_complement(a, b, c, [u], [math.log(u)])[0]
+    _, u, log_u = _checked_args(a, b, c, float(_real_array("z", z)), None)
+    return _hyp2f1_complement(a, b, c, u.tolist(), log_u.tolist())[0]

@@ -242,6 +242,13 @@ def test_config_validation():
         IntegrationConfig(match_window=0.0)
 
 
+@pytest.mark.parametrize("field, value", [("x_min", -math.inf), ("x_max", math.inf), ("step", math.inf),
+                                          ("match_window", math.inf)])
+def test_config_rejects_non_finite_fields(field, value):
+    with pytest.raises(ConfigError, match="finite"):
+        IntegrationConfig(**{field: value})
+
+
 def test_below_threshold_rejected():
     with pytest.raises(ConfigError):
         integrate_wavefunction(PotentialSpec.plus(1.0), 0.5)

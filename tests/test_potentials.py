@@ -91,6 +91,18 @@ def test_step_asymptotes():
     assert abs(float(potential(spec, -60.0))) < 1e-12
 
 
+@pytest.mark.parametrize("build", [
+    lambda: PotentialSpec.plus(math.inf),
+    lambda: PotentialSpec.minus(-math.inf),
+    lambda: PotentialSpec.step(math.nan),
+    lambda: PotentialSpec.step(1.0, math.inf),
+    lambda: PotentialSpec(PotentialKind.MINUS, 1.0, v0=math.nan),
+], ids=["plus m=inf", "minus m=-inf", "step v0=nan", "step alpha=inf", "minus v0=nan"])
+def test_spec_rejects_non_finite_fields(build):
+    with pytest.raises(DomainError, match="finite"):
+        build()
+
+
 def test_spec_validation():
     with pytest.raises(DomainError):
         PotentialSpec.plus(0.0)
@@ -209,6 +221,16 @@ def test_vectorized_evaluation_matches_scalars():
         assert arr[i] == float(v_plus(float(x), 1.2))
     assert np.allclose(v_step(xs, 1.0, 1.0), 0.5 * (1 + np.tanh(xs / 2.0)))
     assert v_minus(0.0, 1.0) == pytest.approx(0.5 + 2.0**-2.5)
+
+
+def test_partners_are_w_squared_plus_minus_the_derivative_bitwise():
+    # V+/- share one logaddexp(0, x); the sum must round as the two-term form does
+    xs = np.linspace(-60.0, 60.0, 12001)
+    for m in (0.3, 1.0, 2.7):
+        w2 = m * m * np.exp(xs - np.logaddexp(0.0, xs))
+        dw = superpotential_derivative(xs, m)
+        assert v_plus(xs, m).tobytes() == (w2 + dw).tobytes()
+        assert v_minus(xs, m).tobytes() == (w2 - dw).tobytes()
 
 
 def test_extreme_arguments_do_not_overflow():

@@ -401,3 +401,19 @@ def test_qnm_degenerate_c_values_still_resolve():
         with pytest.raises(DegenerateCError):
             make_exponents(omega, 1.0)
         assert qnm_pole_check(PLUS, n, 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("call, args", [
+    (reflection_transmission, (PotentialKind.PLUS, math.inf, 1.0)),
+    (step_amplitudes, (math.inf, 1.0)),
+    (coefficients_closed_form, (math.inf, 1.0)),
+    (coefficients_closed_form, (np.array([2.0, math.inf]), 1.0)),
+    (step_reflection_closed_form, (math.inf, 1.0)),
+    (inverse_transmission_magnitude, (PotentialKind.PLUS, math.nan, 1.0)),
+    (inverse_transmission_magnitude, (PotentialKind.PLUS, 1j, math.inf)),
+    (qnm, (PotentialKind.PLUS, 1, math.inf)),
+    (qnm, (PotentialKind.STEP, 1, math.inf)),
+], ids=lambda v: v.__name__ if callable(v) else repr(v))
+def test_non_finite_numbers_are_domain_errors(call, args):
+    with pytest.raises(DomainError):
+        call(*args)

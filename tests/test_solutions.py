@@ -346,6 +346,20 @@ def test_non_finite_x_rejected():
             coupled_residual(2.0, 1.0, [-1.0, 0.0, x])
 
 
+@pytest.mark.parametrize("call, args, message", [
+    (make_exponents, (math.inf, 1.0), "finite"),
+    (make_exponents, (2.0, math.nan), "finite"),
+    (make_exponents, (np.array([2.0, math.inf]), 1.0), "finite"),
+    (exact_solution, ("I", 1, math.nan, 1.0, 0.3), "finite"),
+    (wronskian, (1, math.inf, 1.0, 0.5), "finite"),
+    (sample_wavefield, ("I", 1, 2.0, math.inf, [0.0, 1.0]), "finite"),
+    (wave_equation_residual, ("I", 1, 2.0, 1.0, 1.5), r"z = 1\.5 outside"),
+], ids=lambda v: v.__name__ if callable(v) else repr(v))
+def test_non_finite_numbers_are_domain_errors(call, args, message):
+    with pytest.raises(DomainError, match=message):
+        call(*args)
+
+
 def test_power_factor_overflow_is_a_domain_error():
     # complex omega: |z^C (1-z)^B| grows like e^(x Im sqrt(omega^2 - m^2))
     with pytest.raises(DomainError, match=r"x = 800\.0, omega = \(0\.5\+0\.2j\)"):
