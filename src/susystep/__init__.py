@@ -33,7 +33,6 @@ from .potentials import (
 )
 from .scattering import (
     AsymptoticCoefficients,
-    QnmFrequency,
     ScatteringResult,
     asymptotic_coefficients,
     coefficients_closed_form,

@@ -138,12 +138,12 @@ def _cmd_qnm(args):
     header = ["n", "re_omega", "im_omega", "pole_residual"]
     rows = []
     for n in range(args.n_max + 1):
-        freq = scattering.qnm(kind, n, args.m)
+        omega = scattering.qnm(kind, n, args.m)
         if kind is PotentialKind.STEP:
             residual = ""
         else:
             residual = scattering.qnm_pole_check(kind, n, args.m)
-        rows.append([float(n), freq.omega.real, freq.omega.imag, residual])
+        rows.append([float(n), omega.real, omega.imag, residual])
     _emit(rows, header, args, {"kind": args.kind, "m": args.m, "n_max": args.n_max})
     return 0
 

@@ -27,7 +27,6 @@ from .specfun import POLE_TOL, gamma_ratio
 __all__ = [
     "AsymptoticCoefficients",
     "ScatteringResult",
-    "QnmFrequency",
     "asymptotic_coefficients",
     "reflection_transmission",
     "coefficients_closed_form",
@@ -102,15 +101,6 @@ class ScatteringResult:
         return self.R2 + (self.kprime / self.omega) * self.T2
 
 
-@dataclass(frozen=True)
-class QnmFrequency:
-    """One quasinormal frequency (pole of the transmission amplitude)."""
-
-    n: int
-    omega: complex
-    kind: PotentialKind
-
-
 def _check_scattering_regime(omega, m: float):
     """(omega, float(m)) for real omega > m > 0: omega a Python float for a
     real number (numpy scalars too), a float array for a 1-d real array,
@@ -142,14 +132,21 @@ def _math(omega):
     return np if isinstance(omega, np.ndarray) else math
 
 
-def _over(z, m: float):
-    """z / m for a real m; an array is divided part by part, as Python
-    divides a complex number (numpy multiplies by 1/m instead)."""
-    if not isinstance(z, np.ndarray):
-        return z / m
-    out = np.empty_like(z)
-    out.real, out.imag = z.real / m, z.imag / m
-    return out
+def _kprime(omega, m: float):
+    """k' = sqrt(omega^2 - m^2) as sqrt(omega - m) sqrt(omega + m), which
+    neither overflows for large omega nor cancels just above threshold."""
+    xp = _math(omega)
+    return xp.sqrt(omega - m) * xp.sqrt(omega + m)
+
+
+def _top_exponent(scale, omega, kprime):
+    """scale (omega + k'), the largest exponent of a closed form;
+    ``DomainError`` where it overflows a double (omega past ~1e307)."""
+    with np.errstate(over="ignore"):
+        c = scale * (omega + kprime)
+    if not np.isfinite(c).all():
+        raise DomainError("omega is too large for the closed form: its exponent overflows a double")
+    return c
 
 
 def _wrap_gamma_pole(fn):
@@ -211,17 +208,16 @@ def reflection_transmission(kind: PotentialKind, omega, m: float) -> ScatteringR
     a1, b1, c1 = p.a1, p.b1, p.c1
 
     def build():
-        r_plus = _over(gamma_ratio([1.0 - a1, 1.0 - b1, c1], [1.0 - c1, c1 - a1, c1 - b1]), m)
+        r_plus = gamma_ratio([1.0 - a1, 1.0 - b1, c1], [1.0 - c1, c1 - a1, c1 - b1]) / m
         t_core = gamma_ratio([1.0 - a1, 1.0 - b1], [1.0 - c1, 1.0 + c1 - a1 - b1])
         return r_plus, t_core
 
     r_plus, t_core = _wrap_gamma_pole(build)
     if kind is PotentialKind.PLUS:
-        R, T = r_plus, (1.0 + _over(c1 - a1, m)) * t_core
+        R, T = r_plus, (1.0 + (c1 - a1) / m) * t_core
     else:
-        R, T = -r_plus, (1.0 - _over(c1 - a1, m)) * t_core
-    kprime = _math(omega).sqrt(omega * omega - m * m)
-    return ScatteringResult(omega=omega, m=m, kind=kind, R=R, T=T, kprime=kprime)
+        R, T = -r_plus, (1.0 - (c1 - a1) / m) * t_core
+    return ScatteringResult(omega=omega, m=m, kind=kind, R=R, T=T, kprime=_kprime(omega, m))
 
 
 def _sinh_ratio(a, c, xp):
@@ -245,10 +241,10 @@ def coefficients_closed_form(omega, m: float):
     """
     omega, m = _check_scattering_regime(omega, m)
     xp = _math(omega)
-    kprime = xp.sqrt(omega * omega - m * m)
+    kprime = _kprime(omega, m)
+    c = _top_exponent(2.0 * math.pi, omega, kprime)
     a = 2.0 * math.pi * (m * m / (omega + kprime))
     b = 2.0 * math.pi * kprime
-    c = 2.0 * math.pi * (omega + kprime)
     r2 = _sinh_ratio(a, c, xp)
     # 2 cosh(2 pi w) sinh(2 pi k') / sinh(2 pi (w + k')):
     # exponents cancel exactly, leaving expm1 factors only.
@@ -276,7 +272,7 @@ def step_amplitudes(omega, m: float) -> ScatteringResult:
         T^S = G(1-iw-ik')G(-iw-ik') / (G(-2iw)G(1-2ik'))
     """
     omega, m = _check_scattering_regime(omega, m)
-    kprime = _math(omega).sqrt(omega * omega - m * m)
+    kprime = _kprime(omega, m)
     iw = 1j * omega
     ikp = 1j * kprime
 
@@ -297,9 +293,9 @@ def step_reflection_closed_form(omega, m: float):
     omega - k' = m^2/(omega + k') free of cancellation; an array for an
     omega column."""
     omega, m = _check_scattering_regime(omega, m)
-    xp = _math(omega)
-    kprime = xp.sqrt(omega * omega - m * m)
-    return _sinh_ratio(math.pi * (m * m / (omega + kprime)), math.pi * (omega + kprime), xp) ** 2
+    kprime = _kprime(omega, m)
+    c = _top_exponent(math.pi, omega, kprime)
+    return _sinh_ratio(math.pi * (m * m / (omega + kprime)), c, _math(omega)) ** 2
 
 
 def compare_reflection(omega_grid, m: float):
@@ -314,7 +310,7 @@ def compare_reflection(omega_grid, m: float):
     return list(zip(r2_plus.tolist(), r2_step.tolist(), (r2_plus - r2_step).tolist()))
 
 
-def qnm(kind: PotentialKind, n: int, m: float) -> QnmFrequency:
+def qnm(kind: PotentialKind, n: int, m: float) -> complex:
     """Closed-form quasinormal frequency of overtone n:
 
         step:    omega = -(i/2) (n + 1 - m^2/(n+1))
@@ -333,7 +329,7 @@ def qnm(kind: PotentialKind, n: int, m: float) -> QnmFrequency:
         omega = -0.25j * (n + 1.0 - 4.0 * m * m / (n + 1.0))
     else:
         raise DomainError(f"unknown potential kind {kind!r}")
-    return QnmFrequency(n=int(n), omega=omega, kind=kind)
+    return omega
 
 
 def inverse_transmission_magnitude(kind: PotentialKind, omega: complex, m: float) -> float:
@@ -381,5 +377,4 @@ def qnm_pole_check(kind: PotentialKind, n: int, m: float) -> float:
     non-positive integer, so the returned magnitude is 0.0 up to the pole
     tolerance; perturbing the frequency moves it far from zero.
     """
-    freq = qnm(kind, n, m)
-    return inverse_transmission_magnitude(kind, freq.omega, m)
+    return inverse_transmission_magnitude(kind, qnm(kind, n, m), m)

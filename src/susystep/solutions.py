@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 _QUARTER_TURN = cmath.exp(-0.25j * cmath.pi)
+# A rounded stencil offset (x + k h) - x may miss k h by this fraction of h.
+_STENCIL_SLIP = 1e-6
 
 
 def x_to_z(x: float) -> float:
@@ -302,8 +304,16 @@ def rotated_component(j, branch, omega, m, z) -> complex:
 
 
 def _stencil(x, h):
-    """The points x + k h, k = -2..2, of ``_five_point``, on a new trailing axis."""
-    return np.asarray(x, dtype=float)[..., None] + np.arange(-2, 3) * h
+    """The points x + k h, k = -2..2, of ``_five_point``, on a new trailing
+    axis.  ``DomainError`` where the stencil collapses: unless h^2, which
+    ``_five_point`` divides by, is a normal double and every rounded offset
+    (x + k h) - x is within ``_STENCIL_SLIP`` h of k h."""
+    x = np.asarray(x, dtype=float)[..., None]
+    offsets = np.arange(-2, 3) * h
+    points = x + offsets
+    if not h * h >= np.finfo(float).tiny or np.any(np.abs((points - x) - offsets) > _STENCIL_SLIP * h):
+        raise DomainError(f"the five-point stencil of step h = {h} collapses in double precision")
+    return points
 
 
 def _five_point(samples, h):

@@ -6,9 +6,11 @@ Everything here is a pure function of its inputs and safe to call
 concurrently.  The evaluation strategy:
 
 * ``lngamma`` -- Lanczos rational approximation for small ``|z|`` in the
-  right half-plane, a compensated Stirling series (with recurrence
-  shifting) for large ``|z|``, and the reflection formula for
-  ``Re(z) < 1/2``.
+  right half-plane, a compensated Stirling series for ``|z| >= 10``, and
+  the reflection formula for ``Re(z) < 1/2``.  The Stirling series runs
+  unshifted: by DLMF 5.11.ii its remainder after the 9 terms is at most
+  |B_20| / (20 * 19 |z|^19) sec^20(ph(z)/2), below 1.4e-16 for |z| >= 10
+  and Re(z) >= 1/2.
 * ``hyp2f1`` -- the defining Gauss series up to ``z = Z_SWITCH``; beyond
   that the connection formula toward z = 1 (``connect_near_one``), whose
   series argument ``1 - z`` is then small.  Given a 1-d array of z it
@@ -83,10 +85,8 @@ _STIRLING = (
     43867.0 / 244188.0,
 )
 
-# |z| above which the shifted Stirling branch takes over from Lanczos.
+# |z| above which the Stirling branch takes over from Lanczos.
 _STIRLING_RADIUS = 10.0
-# Recurrence shifts push Re(z) at least this far right before the series.
-_STIRLING_SHIFT_TO = 24.0
 # |Im z| above which sin(pi z) overflows a double (cosh(pi y) passes 1.8e308
 # at y ~ 226.2) and the reflection step takes log sin(pi z) from its
 # exponential form instead.
@@ -136,9 +136,9 @@ def _dd_add(xh: float, xl: float, yh: float, yl: float):
     return _two_sum(sh, sl)
 
 
-def _stirling_shifted(z, log, sh_re, sl_re, sh_im, sl_im):
-    """(Re, Im) of the Stirling series at z, Re(z) >= ``_STIRLING_SHIFT_TO``,
-    less the double-double sum (sh + sl) of the logs the shift took off.
+def _stirling(z, log):
+    """(Re, Im) of the Stirling series at z, |z| >= ``_STIRLING_RADIUS`` and
+    Re(z) >= 1/2, where the 9-term series needs no recurrence shift.
 
     The dominant (z - 1/2) log z - z term is accumulated in double-double
     arithmetic so exp(lngamma) keeps ~1e-14 relative accuracy out to
@@ -165,20 +165,7 @@ def _stirling_shifted(z, log, sh_re, sl_re, sh_im, sl_im):
     reh, rel = _dd_add(reh, rel, _HALF_LOG_TWO_PI_HI, _HALF_LOG_TWO_PI_LO)
     reh, rel = _dd_add(reh, rel, series.real, 0.0)
     imh, iml = _dd_add(imh, iml, series.imag, 0.0)
-    reh, rel = _dd_add(reh, rel, -sh_re, -sl_re)
-    imh, iml = _dd_add(imh, iml, -sh_im, -sl_im)
     return reh + rel, imh + iml
-
-
-def _lngamma_stirling(z: complex) -> complex:
-    """Stirling series after shifting Re(z) right by unit steps."""
-    sh_re = sh_im = sl_re = sl_im = 0.0
-    while z.real < _STIRLING_SHIFT_TO:
-        lg = cmath.log(z)
-        sh_re, sl_re = _dd_add(sh_re, sl_re, lg.real, 0.0)
-        sh_im, sl_im = _dd_add(sh_im, sl_im, lg.imag, 0.0)
-        z += 1.0
-    return complex(*_stirling_shifted(z, cmath.log, sh_re, sl_re, sh_im, sl_im))
 
 
 def _real_over_complex(x, z):
@@ -196,7 +183,7 @@ def _real_over_complex(x, z):
 
 def _lanczos(z, log, quot):
     """Lanczos log-Gamma for Re(z) >= 1/2, |z| < ``_STIRLING_RADIUS``; z and
-    ``log`` as for ``_stirling_shifted``, and ``quot`` the float-by-z
+    ``log`` as for ``_stirling``, and ``quot`` the float-by-z
     division (``operator.truediv`` or ``_real_over_complex``)."""
     zm1 = z - 1.0
     acc = complex(_LANCZOS[0])
@@ -227,7 +214,9 @@ def lngamma(z: complex) -> complex:
     continuous on the right half-plane; across the reflection step it is
     only defined modulo 2*pi*i, which every downstream use (ratios fed
     through ``exp``) is insensitive to.  The reflection step stays finite
-    where sin(pi z) overflows a double (|Im z| > 225).
+    where sin(pi z) overflows a double (|Im z| > 225).  From |z| = 10 the
+    Stirling series is summed at z itself, with no recurrence shift: its
+    truncation error there is below 1.4e-16 (DLMF 5.11.ii).
 
     Raises
     ------
@@ -247,37 +236,22 @@ def lngamma(z: complex) -> complex:
             log_sin = complex(*_log_sin_pi_far(z.real, z.imag, math))
         return _LOG_PI - log_sin - lngamma(1.0 - z)
     if abs(z) >= _STIRLING_RADIUS:
-        return _lngamma_stirling(z)
+        return complex(*_stirling(z, cmath.log))
     return _lanczos(z, cmath.log, operator.truediv)
 
 
 def _lngamma_array(z):
     """``lngamma`` of every element of a 1-d complex array off the poles:
     the same branches and arithmetic, with masks for the reflection and the
-    branch choice and a per-element count of Stirling shifts.  np.log and
-    cmath.log may round differently, so values agree with ``lngamma`` to
-    about 1e-15, not always bitwise.  Overflow gives inf or nan, not an
-    exception."""
+    branch choice.  np.log and cmath.log may round differently, so values
+    agree with ``lngamma`` to about 1e-15, not always bitwise.  Overflow
+    gives inf or nan, not an exception."""
     reflect = z.real < 0.5
     w = np.where(reflect, 1.0 - z, z)
     big = np.hypot(w.real, w.imag) >= _STIRLING_RADIUS  # abs() as Python rounds it
     out = np.empty_like(w)
     out[~big] = _lanczos(w[~big], np.log, _real_over_complex)
-
-    s = w[big]
-    zero = np.zeros(s.shape)
-    sh_re, sl_re, sh_im, sl_im = zero, zero, zero, zero
-    short = s.real < _STIRLING_SHIFT_TO
-    while short.any():
-        lg = np.log(np.where(short, s, 1.0))
-        h, lo = _dd_add(sh_re, sl_re, lg.real, 0.0)
-        sh_re, sl_re = np.where(short, h, sh_re), np.where(short, lo, sl_re)
-        h, lo = _dd_add(sh_im, sl_im, lg.imag, 0.0)
-        sh_im, sl_im = np.where(short, h, sh_im), np.where(short, lo, sl_im)
-        s = np.where(short, s + 1.0, s)
-        short = s.real < _STIRLING_SHIFT_TO
-    re, im = _stirling_shifted(s, np.log, sh_re, sl_re, sh_im, sl_im)
-    out.real[big], out.imag[big] = re, im
+    out.real[big], out.imag[big] = _stirling(w[big], np.log)
 
     zr = z[reflect]
     far = np.abs(zr.imag) > _SIN_OVERFLOW_IM

@@ -106,8 +106,8 @@ def _qnm_poles():
     worst = 0.0
     for n in range(6):
         worst = max(worst, scattering.qnm_pole_check(PotentialKind.PLUS, n, 1.0))
-        freq = scattering.qnm(PotentialKind.PLUS, n, 1.0)
-        off = scattering.inverse_transmission_magnitude(PotentialKind.PLUS, freq.omega + 0.1, 1.0)
+        omega = scattering.qnm(PotentialKind.PLUS, n, 1.0)
+        off = scattering.inverse_transmission_magnitude(PotentialKind.PLUS, omega + 0.1, 1.0)
         if off <= 1e-3:  # perturbed frequency must NOT look like a pole
             worst = max(worst, 1.0)
     return worst

@@ -142,10 +142,10 @@ def test_criterion_6_qnm_poles():
     min_perturbed = float("inf")
     for n in range(6):
         worst_pole = max(worst_pole, qnm_pole_check(PLUS, n, 1.0))
-        omega = qnm(PLUS, n, 1.0).omega + 0.1
+        omega = qnm(PLUS, n, 1.0) + 0.1
         min_perturbed = min(min_perturbed, inverse_transmission_magnitude(PLUS, omega, 1.0))
     formula_exact = all(
-        qnm(STEP, n, 1.0).omega == -0.5j * (n + 1.0 - 1.0 / (n + 1.0)) for n in range(6)
+        qnm(STEP, n, 1.0) == -0.5j * (n + 1.0 - 1.0 / (n + 1.0)) for n in range(6)
     )
     passed = worst_pole < 1e-6 and min_perturbed > 1e-3 and formula_exact
     _report(6, "transmission poles at quasinormal frequencies", passed,

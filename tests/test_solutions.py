@@ -314,6 +314,23 @@ def test_wronskian_matches_closed_form_on_pairs():
             assert abs(wronskian(sign, omega, m, 0.35) - expected) < 1e-9
 
 
+@pytest.mark.parametrize("z", [1 - 1e-16, 1 - 1e-14, 1e-300, 1e-320, 5e-324])
+def test_collapsed_stencil_is_a_domain_error(z):
+    # near 1 the offsets z + k h round onto z; near 0 h or h^2 underflows
+    with pytest.raises(DomainError, match="stencil"):
+        wronskian(1, 2.0, 1.0, z)
+    with pytest.raises(DomainError, match="stencil"):
+        wave_equation_residual("I", 1, 2.0, 1.0, z)
+
+
+def test_stencil_checks_pass_where_verify_evaluates():
+    # the stencil depends on z only; these are the z values verify uses
+    for z in (0.2, 0.3, 0.5, 0.8):
+        assert cmath.isfinite(wronskian(1, 2.0, 1.0, z))
+    for z in np.linspace(0.05, 0.95, 19):
+        assert math.isfinite(wave_equation_residual("I", 1, 2.0, 1.0, z))
+
+
 # ----------------------------------------------------------------- wavefield
 
 def test_wavefield_validation():

@@ -69,6 +69,40 @@ def test_lngamma_accuracy_contract_across_disk():
             assert abs(got - ref) <= 1e-13 * abs(ref), f"z = {z}"
 
 
+# (z, log Gamma(z)) from mpmath.loggamma at 40 digits, on the rings
+# |z| = 10, 10.5 and 12 with Re z in [1/2, 1]: the Stirling branch's
+# smallest |z| and its largest phase, where the unshifted series is
+# least accurate.
+_STIRLING_EDGE = [
+    (0.5, 9.987492177719089, -14.769377493449236, 13.00123276263681),
+    (0.5, -9.987492177719089, -14.769377493449236, -13.00123276263681),
+    (0.75, 9.971835337589566, -14.169921314254621, 13.354782941617227),
+    (0.75, -9.971835337589566, -14.169921314254621, -13.354782941617227),
+    (1.0, 9.9498743710662, -13.561507618403148, 13.687578263447518),
+    (1.0, -9.9498743710662, -13.561507618403148, -13.687578263447518),
+    (0.5, 10.488088481701515, -15.555712328951932, 14.165413383421162),
+    (0.5, -10.488088481701515, -15.555712328951932, -14.165413383421162),
+    (0.75, 10.473180032826706, -14.945161092519934, 14.52010449311803),
+    (0.75, -10.473180032826706, -14.945161092519934, -14.52010449311803),
+    (1.0, 10.452272480183437, -14.326042976832928, 14.8547465044931),
+    (1.0, -10.452272480183437, -14.326042976832928, -14.8547465044931),
+    (0.5, 11.989578808281799, -17.91424781866231, 17.796465288815465),
+    (0.5, -11.989578808281799, -17.91424781866231, -17.796465288815465),
+    (0.75, 11.976539567003485, -17.273082927100475, 18.154174685587876),
+    (0.75, -11.976539567003485, -17.273082927100475, -18.154174685587876),
+    (1.0, 11.958260743101398, -16.624342359349637, 18.493662167289155),
+    (1.0, -11.958260743101398, -16.624342359349637, -18.493662167289155),
+]
+
+
+def test_unshifted_stirling_near_the_imaginary_axis():
+    z = np.array([complex(x, y) for x, y, _, _ in _STIRLING_EDGE])
+    reference = [complex(re, im) for _, _, re, im in _STIRLING_EDGE]
+    for v, from_array, ref in zip(z.tolist(), specfun_mod._lngamma_array(z).tolist(), reference):
+        for got in (lngamma(v), from_array):
+            assert abs(cmath.exp(got - ref) - 1.0) <= 1e-14, v
+
+
 def test_lngamma_pole_rejection():
     for z in (0.0, -1.0, -7.0, -3.0 + 1e-11j, 5e-10):
         with pytest.raises(PoleError):
