@@ -239,10 +239,7 @@ def extract_rt(field: WaveField, cfg: IntegrationConfig = DEFAULT_CONFIG) -> Sca
         )
     coef, *_ = np.linalg.lstsq(design, field.values[sel], rcond=None)
     a_in, b_refl = coef
-    return ScatteringResult(
-        omega=omega, m=m, kind=field.kind, R=b_refl / a_in, T=1.0 / a_in,
-        kprime=math.sqrt(omega * omega - m * m),
-    )
+    return ScatteringResult(omega=omega, m=m, kind=field.kind, R=b_refl / a_in, T=1.0 / a_in)
 
 
 def numerical_rt(spec: PotentialSpec, omega, cfg: IntegrationConfig = DEFAULT_CONFIG) -> ScatteringResult:
@@ -264,5 +261,4 @@ def numerical_rt(spec: PotentialSpec, omega, cfg: IntegrationConfig = DEFAULT_CO
     return ScatteringResult(
         omega=np.array(omegas), m=_coupling(spec), kind=spec.kind,
         R=np.array([fit.R for fit in fits], dtype=complex), T=np.array([fit.T for fit in fits], dtype=complex),
-        kprime=np.array([fit.kprime for fit in fits]),
     )

@@ -71,14 +71,14 @@ def _modulus(value):
 
 @dataclass(frozen=True)
 class ScatteringResult:
-    """Amplitudes of one scattering problem; the coefficients derive from
-    them.
+    """Amplitudes of one scattering problem; k' derives from (omega, m), the
+    coefficients from the amplitudes.
 
     ``m`` is the coupling solved: m for the partners, sqrt(V0) for the
     step.  ``flux`` is R2 + (kprime/omega) T2; for the analytic amplitudes
     it equals 1 to rounding, for oracle-extracted ones to the integrator's
-    accuracy.  For an omega column, ``omega``, ``R``, ``T``, ``kprime`` and
-    the derived fields are arrays.
+    accuracy.  For an omega column, ``omega``, ``R``, ``T`` and the derived
+    fields are arrays.
     """
 
     omega: float
@@ -86,7 +86,10 @@ class ScatteringResult:
     kind: PotentialKind
     R: complex
     T: complex
-    kprime: float
+
+    @property
+    def kprime(self) -> float:
+        return _kprime(self.omega, self.m)
 
     @property
     def R2(self) -> float:
@@ -149,14 +152,28 @@ def _top_exponent(scale, omega, kprime):
     return c
 
 
-def _wrap_gamma_pole(fn):
+def _gamma_arguments(omega, m: float):
+    """The checked (omega, m) and k', s = i(omega + k'), d = i omega - i k'
+    and d/m, with d written as i m^2/(omega + k') so it never cancels.  Past
+    omega = 1e4 each log-Gamma near +-2i omega carries about |z| eps of
+    error and the products miss 1e-10: any such element raises."""
+    omega, m = _check_scattering_regime(omega, m)
+    if np.any(omega > 1e4):
+        raise DomainError(f"the Gamma products hold their accuracy for omega <= 1e4, got omega = {np.max(omega)}; "
+                          "the closed forms hold at any omega")
+    kprime = _kprime(omega, m)
+    total = omega + kprime
+    return omega, m, kprime, 1j * total, 1j * (m * m / total), 1j * (m / total)
+
+
+def _gamma_products(*pairs):
+    """``gamma_ratio(numerators, denominators)`` of each pair, in order; a
+    pole raises ``GammaPoleError``."""
     try:
-        return fn()
+        return [gamma_ratio(num, den) for num, den in pairs]
     except PoleError as err:
-        raise GammaPoleError(
-            f"Gamma product hit a pole at argument {err.argument} "
-            f"({err.location}); quasinormal frequency or degenerate parameters"
-        ) from err
+        raise GammaPoleError(f"Gamma product hit a pole at argument {err.argument} ({err.location}); "
+                             "quasinormal frequency or degenerate parameters") from err
 
 
 def asymptotic_coefficients(omega: float, m: float) -> AsymptoticCoefficients:
@@ -164,60 +181,54 @@ def asymptotic_coefficients(omega: float, m: float) -> AsymptoticCoefficients:
 
     At x -> -infinity the values are exact by construction (1, 0, 0,
     (c1-1)/m); at x -> +infinity they are the connection-formula Gamma
-    products.  omega > m > 0 required.
+    products of the record's a1, b1, c1, with c1 - a1 = d as in
+    :func:`reflection_transmission` and 1/G(d) = d/G(1 + d).  Holds for
+    m < omega <= 1e4.
     """
-    omega, m = _check_scattering_regime(omega, m)
+    omega, m, kprime, _, d, d_m = _gamma_arguments(omega, m)
     p = make_exponents(omega, m)
     a1, b1, c1 = p.a1, p.b1, p.c1
-    fac_in = 1.0 + (c1 - a1) / m
-    fac_out = 1.0 + b1 / m
-
-    def build():
-        aI_plus = gamma_ratio([c1, a1 + b1 - c1], [a1, b1]) * fac_in
-        bI_plus = gamma_ratio([c1, c1 - a1 - b1], [c1 - a1, c1 - b1]) * fac_out
-        aII_plus = gamma_ratio([2.0 - c1, a1 + b1 - c1], [a1 - c1 + 1.0, b1 - c1 + 1.0]) * fac_in
-        bII_plus = gamma_ratio([2.0 - c1, c1 - a1 - b1], [1.0 - a1, 1.0 - b1]) * fac_out
-        return aI_plus, bI_plus, aII_plus, bII_plus
-
-    aI_plus, bI_plus, aII_plus, bII_plus = _wrap_gamma_pole(build)
+    aI_plus, bI_plus, aII_plus, bII_plus = _gamma_products(
+        ([c1, 2j * kprime], [a1, b1]),
+        ([c1, -2j * kprime], [1.0 + d, 0.5 + d]),
+        ([2.0 - c1, 2j * kprime], [1.0 - d, 0.5 - d]),
+        ([2.0 - c1, -2j * kprime], [1.0 - a1, 1.0 - b1]),
+    )
+    fac_in, fac_out = 1.0 + d_m, 1.0 + b1 / m
     return AsymptoticCoefficients(
         aI_minus=1.0 + 0.0j,
         bI_minus=0.0j,
         aII_minus=0.0j,
         bII_minus=(c1 - 1.0) / m,
-        aI_plus=aI_plus,
-        bI_plus=bI_plus,
-        aII_plus=aII_plus,
-        bII_plus=bII_plus,
+        aI_plus=aI_plus * fac_in,
+        bI_plus=d * bI_plus * fac_out,
+        aII_plus=aII_plus * fac_in,
+        bII_plus=bII_plus * fac_out,
     )
 
 
 def reflection_transmission(kind: PotentialKind, omega, m: float) -> ScatteringResult:
-    """Reflection and transmission amplitudes of V+ or V- for omega > m
-    (omega a number or a 1-d array):
+    """Reflection and transmission amplitudes of V+ or V- (omega a number or
+    a 1-d array), with s = i(omega + k') and d = i omega - i k' =
+    i m^2/(omega + k'):
 
-        R+ = (1/m) G(1-a1)G(1-b1)G(c1) / (G(1-c1)G(c1-a1)G(c1-b1))
-        T+ = (1 + (c1-a1)/m) G(1-a1)G(1-b1) / (G(1-c1)G(1+c1-a1-b1))
+        R+ = (d/m) G(1/2-s)G(1-s)G(1/2+2iw) / (G(1/2-2iw)G(1+d)G(1/2+d))
+        T+- = (1 +- d/m) G(1/2-s)G(1-s) / (G(1/2-2iw)G(1-2ik'))
 
-    and R- = -R+, T- = ((1-(c1-a1)/m)/(1+(c1-a1)/m)) T+.
+    and R- = -R+.  1/G(d) = d/G(1+d) (DLMF 5.5.1) takes out the factor
+    that is near a pole for m << omega.  |R|^2 and |T|^2 meet the closed
+    forms to 1e-10 relative for any m > 0 and m < omega <= 1e4; above
+    that ``DomainError`` is raised (the closed forms hold at any omega).
     """
     if kind not in (PotentialKind.PLUS, PotentialKind.MINUS):
         raise DomainError("reflection_transmission handles the partner kinds; use step_amplitudes for the step")
-    omega, m = _check_scattering_regime(omega, m)
-    p = make_exponents(omega, m)
-    a1, b1, c1 = p.a1, p.b1, p.c1
-
-    def build():
-        r_plus = gamma_ratio([1.0 - a1, 1.0 - b1, c1], [1.0 - c1, c1 - a1, c1 - b1]) / m
-        t_core = gamma_ratio([1.0 - a1, 1.0 - b1], [1.0 - c1, 1.0 + c1 - a1 - b1])
-        return r_plus, t_core
-
-    r_plus, t_core = _wrap_gamma_pole(build)
-    if kind is PotentialKind.PLUS:
-        R, T = r_plus, (1.0 + (c1 - a1) / m) * t_core
-    else:
-        R, T = -r_plus, (1.0 - (c1 - a1) / m) * t_core
-    return ScatteringResult(omega=omega, m=m, kind=kind, R=R, T=T, kprime=_kprime(omega, m))
+    omega, m, kprime, s, d, d_m = _gamma_arguments(omega, m)
+    r_plus, t_core = _gamma_products(
+        ([0.5 - s, 1.0 - s, 0.5 + 2j * omega], [0.5 - 2j * omega, 1.0 + d, 0.5 + d]),
+        ([0.5 - s, 1.0 - s], [0.5 - 2j * omega, 1.0 - 2j * kprime]),
+    )
+    sign = 1.0 if kind is PotentialKind.PLUS else -1.0
+    return ScatteringResult(omega=omega, m=m, kind=kind, R=sign * d_m * r_plus, T=(1.0 + sign * d_m) * t_core)
 
 
 def _sinh_ratio(a, c, xp):
@@ -256,36 +267,31 @@ def susy_relation_check(omega, m: float):
     """Partnership identities: returns (R+ + R-, T+ - (i k/(m + i k')) T-),
     both of which the closed amplitudes satisfy identically (k = omega,
     k' = sqrt(omega^2 - m^2)); arrays for an omega column."""
-    omega, m = _check_scattering_regime(omega, m)
     res_plus = reflection_transmission(PotentialKind.PLUS, omega, m)
     res_minus = reflection_transmission(PotentialKind.MINUS, omega, m)
-    factor = 1j * res_plus.omega / (m + 1j * res_plus.kprime)
+    factor = 1j * res_plus.omega / (res_plus.m + 1j * res_plus.kprime)
     return res_plus.R + res_minus.R, res_plus.T - factor * res_minus.T
 
 
 def step_amplitudes(omega, m: float) -> ScatteringResult:
     """Amplitudes of the smooth step with height V0 = m^2 and width
     alpha = 1 (the comparison convention used throughout), omega a number
-    or a 1-d array:
+    or a 1-d array, with s and d as in :func:`reflection_transmission`:
 
-        R^S = G(2iw)G(-iw-ik')G(1-iw-ik') / (G(-2iw)G(iw-ik')G(1+iw-ik'))
-        T^S = G(1-iw-ik')G(-iw-ik') / (G(-2iw)G(1-2ik'))
+        R^S = d G(2iw)G(-s)G(1-s) / (G(-2iw)G(1+d)^2)
+        T^S = G(1-s)G(-s) / (G(-2iw)G(1-2ik'))
+
+    |R^S|^2 and |T^S|^2 meet the closed form to 1e-10 relative for any
+    m > 0 and m < omega <= 1e4; above that ``DomainError`` is raised, and
+    below omega ~ 5e-10 the arguments +-2iw are within ``POLE_TOL`` of a
+    pole and ``GammaPoleError`` is raised.
     """
-    omega, m = _check_scattering_regime(omega, m)
-    kprime = _kprime(omega, m)
-    iw = 1j * omega
-    ikp = 1j * kprime
-
-    def build():
-        r = gamma_ratio(
-            [2.0 * iw, -iw - ikp, 1.0 - iw - ikp],
-            [-2.0 * iw, iw - ikp, 1.0 + iw - ikp],
-        )
-        t = gamma_ratio([1.0 - iw - ikp, -iw - ikp], [-2.0 * iw, 1.0 - 2.0 * ikp])
-        return r, t
-
-    R, T = _wrap_gamma_pole(build)
-    return ScatteringResult(omega=omega, m=m, kind=PotentialKind.STEP, R=R, T=T, kprime=kprime)
+    omega, m, kprime, s, d, _ = _gamma_arguments(omega, m)
+    r, T = _gamma_products(
+        ([2j * omega, -s, 1.0 - s], [-2j * omega, 1.0 + d, 1.0 + d]),
+        ([1.0 - s, -s], [-2j * omega, 1.0 - 2j * kprime]),
+    )
+    return ScatteringResult(omega=omega, m=m, kind=PotentialKind.STEP, R=d * r, T=T)
 
 
 def step_reflection_closed_form(omega, m: float):
@@ -361,11 +367,7 @@ def inverse_transmission_magnitude(kind: PotentialKind, omega: complex, m: float
     pref = 1.0 + sign * (1j * omega - B) / m
     if pref == 0.0:
         return float("inf")
-
-    def build():
-        return gamma_ratio([0.5 - 2j * omega, 1.0 - 2j * kprime], [numerator_arg])
-
-    ratio = _wrap_gamma_pole(build)
+    (ratio,) = _gamma_products(([0.5 - 2j * omega, 1.0 - 2j * kprime], [numerator_arg]))
     inv_t = ratio / (pref * _SQRT_PI * cmath.exp((2j * omega + 2j * kprime) * _LOG_2))
     return abs(inv_t)
 

@@ -73,6 +73,19 @@ def test_coefficients_reproduce_numerical_asymptotics():
         assert abs(got[1] - b_minus) < 1e-8
 
 
+def test_asymptotic_coefficients_at_small_coupling():
+    # c1 - a1 = i m^2/(omega + k') ~ 6e-10 i is within POLE_TOL of Gamma's
+    # pole at 0; frozen from mpmath at 50 digits (the Gamma products in a1, b1, c1)
+    coeffs = asymptotic_coefficients(8.0, 1e-4)
+    for got, expected in (
+        (coeffs.aI_plus, 1.0000000000195312519 + 6.249999695041150189e-6j),
+        (coeffs.bI_plus, -9.1958293536276395367e-27 - 9.3405556413446953593e-27j),
+        (coeffs.aII_plus, -1.4485097558470130598e-21 - 1.5180354747871458027e-21j),
+        (coeffs.bII_plus, -4999.0000001464496755 + 160000.03125312347551j),
+    ):
+        assert abs(got - expected) <= 1e-12 * abs(expected)
+
+
 def test_asymptotic_coefficients_require_scattering_regime():
     with pytest.raises(DomainError):
         asymptotic_coefficients(0.5, 1.0)
@@ -233,17 +246,69 @@ def test_array_amplitudes_match_scalar_calls(m):
     assert np.all(np.abs(t_diff - expected[:, 1]) <= 2e-14 * scale)
 
 
-def test_array_gamma_pole_is_a_gamma_pole_error():
-    # at m = 1e-4 a Gamma argument ~ i (omega - k') = i m^2/(omega + k') is
-    # within POLE_TOL of 0 from omega ~ 5 on; omega = 8 is the column's only pole
-    for fn in (lambda w: reflection_transmission(PLUS, w, 1e-4), lambda w: step_amplitudes(w, 1e-4)):
-        fn(1.0)
-        with pytest.raises(GammaPoleError) as scalar:
-            fn(8.0)
-        with pytest.raises(GammaPoleError) as column:
-            fn(np.array([1.0, 2.0, 8.0, 3.0]))
-        got, expected = column.value.__cause__, scalar.value.__cause__
-        assert (got.location, got.argument) == (expected.location, expected.argument)
+def test_array_amplitudes_evaluate_where_d_is_tiny():
+    # at m = 1e-4, d = i omega - i k' = i m^2/(omega + k') is within POLE_TOL
+    # of 0 from omega ~ 5 on; 1/Gamma(d) = d/Gamma(1 + d) keeps every Gamma
+    # argument off the pole
+    omega = np.array([1.0, 2.0, 8.0, 3.0])
+    r2, _ = coefficients_closed_form(omega, 1e-4)
+    for fn, closed in ((lambda w: reflection_transmission(PLUS, w, 1e-4), r2),
+                       (lambda w: reflection_transmission(MINUS, w, 1e-4), r2),
+                       (lambda w: step_amplitudes(w, 1e-4), step_reflection_closed_form(omega, 1e-4))):
+        got = fn(omega)
+        expected = [fn(w) for w in omega.tolist()]
+        assert got.R.tolist() == [e.R for e in expected] and got.T.tolist() == [e.T for e in expected]
+        assert np.all(np.abs(got.R2 - closed) <= 1e-12 * closed)
+        assert np.all(np.abs(got.flux - 1.0) <= 1e-12)
+
+
+@pytest.mark.parametrize("m, omega, r2, t2, r2_step, t2_step", [
+    # frozen from mpmath at 50 digits: |R+|^2, |T+|^2, |R^S|^2, |T^S|^2 of the
+    # Gamma products in a1, b1, c1, equal to the sinh closed forms
+    (1e-4, 2.0, 3.8206657838523879088e-19, 1.000000001250000002, 3.0007438915415899909e-27, 1.0000000012500000023),
+    (1e-4, 10.0, 1.6715744181481228833e-63, 1.00000000005, 2.6257029560570305744e-72, 1.00000000005),
+    (1e-4, 40.0, 7.8687049798230535126e-228, 1.000000000003125, 3.0900332197395190702e-237, 1.000000000003125),
+    (1e-3, 2.0, 3.8206719617359478539e-17, 1.0000001250000233993, 3.0007489293107298142e-23, 1.0000001250000234375),
+    (1e-3, 10.0, 1.6715749421745658157e-61, 1.0000000050000000375, 2.6257037856944375893e-68, 1.0000000050000000375),
+    (1e-3, 40.0, 7.8687055928668533882e-226, 1.0000000003125000001, 3.0900334609592442857e-233, 1.0000000003125000001),
+    (1e-2, 2.0, 3.8212898200324876912e-15, 1.0000125002343760616, 3.0012527583117525862e-19, 1.0000125002343798826),
+    (1e-2, 10.0, 1.6716273459338203404e-59, 1.0000005000003750003, 2.625786750993636458e-64, 1.0000005000003750003),
+    (1e-2, 40.0, 7.868766897569077416e-224, 1.0000000312500014648, 3.0900575830429616338e-229, 1.0000000312500014648),
+])
+def test_gamma_products_at_small_coupling(m, omega, r2, t2, r2_step, t2_step):
+    # d formed as c1 - a1 cancels to ~1e-8 relative error here
+    for w in (omega, np.array([omega])):
+        plus, step = reflection_transmission(PLUS, w, m), step_amplitudes(w, m)
+        for got, expected in ((plus.R2, r2), (plus.T2, t2), (step.R2, r2_step), (step.T2, t2_step)):
+            assert np.all(np.abs(got - expected) <= 1e-12 * expected)
+
+
+@pytest.mark.parametrize("m", [1e-4, 1.0, 50.0])
+@pytest.mark.parametrize("omega", [1e4, np.array([60.0, 5e3, 1e4])])
+def test_gamma_products_hold_up_to_omega_1e4(m, omega):
+    plus, step = reflection_transmission(PLUS, omega, m), step_amplitudes(omega, m)
+    r2, t2 = coefficients_closed_form(omega, m)
+    for got, expected in ((plus.R2, r2), (plus.T2, t2), (step.R2, step_reflection_closed_form(omega, m)),
+                          (step.flux, 1.0)):
+        assert np.all(np.abs(got - expected) <= 1e-10 * expected)
+    susy_relation_check(omega, m)
+    asymptotic_coefficients(1e4, m)
+
+
+@pytest.mark.parametrize("omega", [math.nextafter(1e4, math.inf), 1e200, np.array([60.0, 1.0001e4, 2.0])])
+def test_gamma_products_raise_above_omega_1e4(monkeypatch, omega):
+    import susystep.scattering as scattering_mod
+
+    evaluated = []
+    monkeypatch.setattr(scattering_mod, "gamma_ratio", lambda *args: evaluated.append(args))
+    monkeypatch.setattr(scattering_mod, "make_exponents", lambda *args: evaluated.append(args))
+    for fn in (lambda w, m: reflection_transmission(PLUS, w, m), step_amplitudes, susy_relation_check,
+               asymptotic_coefficients):
+        with pytest.raises(DomainError, match="omega <= 1e4"):
+            fn(omega, 1.0)
+    assert evaluated == []
+    coefficients_closed_form(omega, 1.0)  # the closed forms hold at any omega
+    step_reflection_closed_form(omega, 1.0)
 
 
 @pytest.mark.parametrize("omega", [
