@@ -7,7 +7,7 @@ differences so they stay finite for arbitrarily large omega.
 
 The amplitudes and closed forms take omega as a number or as a 1-d array
 (an omega column); a column gives array fields from one Gamma-ratio call
-per product, a number the pure-Python path.
+per product, a number Python-number fields from the same calls.
 """
 
 from __future__ import annotations

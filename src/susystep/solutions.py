@@ -82,6 +82,13 @@ def _unit_z(z) -> float:
     return z
 
 
+def _unit_column(z):
+    """(is z a 1-d array, z as a 1-d float array), each element through ``_unit_z``."""
+    if np.ndim(z) > 1:
+        raise DomainError(f"z must be a float or a 1-d array, got shape {np.shape(z)}")
+    return np.ndim(z) == 1, np.array([_unit_z(v) for v in np.ravel(z).tolist()], dtype=float)
+
+
 def _logs_from_z(z):
     """(z, log z, log u) columns of a float array of z in (0, 1)."""
     return z, np.log(z), np.log1p(-z)
@@ -304,23 +311,27 @@ def rotated_component(j, branch, omega, m, z) -> complex:
 
 
 def _stencil(x, h):
-    """The points x + k h, k = -2..2, of ``_five_point``, on a new trailing
-    axis.  ``DomainError`` where the stencil collapses: unless h^2, which
-    ``_five_point`` divides by, is a normal double and every rounded offset
-    (x + k h) - x is within ``_STENCIL_SLIP`` h of k h."""
+    """The points x + k h, k = -2..2, of ``_five_point``, five per element
+    of x in a flat array, h a number or of x's shape.  ``DomainError`` where
+    the stencil collapses: unless h^2, which ``_five_point`` divides by, is
+    a normal double and every rounded offset (x + k h) - x is within
+    ``_STENCIL_SLIP`` h of k h."""
     x = np.asarray(x, dtype=float)[..., None]
+    h = np.asarray(h, dtype=float)[..., None]
     offsets = np.arange(-2, 3) * h
     points = x + offsets
-    if not h * h >= np.finfo(float).tiny or np.any(np.abs((points - x) - offsets) > _STENCIL_SLIP * h):
-        raise DomainError(f"the five-point stencil of step h = {h} collapses in double precision")
-    return points
+    collapsed = ~(h * h >= np.finfo(float).tiny) | (np.abs((points - x) - offsets) > _STENCIL_SLIP * h)
+    if collapsed.any():
+        step = np.broadcast_to(h, collapsed.shape)[collapsed][0]
+        raise DomainError(f"the five-point stencil of step h = {step} collapses in double precision")
+    return points.reshape(-1)
 
 
 def _five_point(samples, h):
     """(f(x), f'(x), f''(x)) by five-point central differences of step h
-    from the samples of f at ``_stencil(x, h)``, differentiating along the
+    from the samples of f at ``_stencil(x, h)``, five per x along the
     trailing axis."""
-    fm2, fm1, f0, fp1, fp2 = np.moveaxis(samples, -1, 0)
+    fm2, fm1, f0, fp1, fp2 = np.moveaxis(samples.reshape(*samples.shape[:-1], -1, 5), -1, 0)
     d1 = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
     d2 = (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * h * h)
     return f0, d1, d2
@@ -340,9 +351,9 @@ def coupled_residual(omega, m, x_grid, branch="I") -> float:
     xs = _x_grid(x_grid, 3)
     p = make_exponents(omega, m)
     h = 0.5 * float(np.min(np.diff(xs)))
-    points = _logs_from_x(_stencil(xs, h).reshape(-1))
-    r1 = _rotated(1, branch, p, *points).reshape(-1, 5)
-    r2 = _rotated(2, branch, p, *points).reshape(-1, 5)
+    points = _logs_from_x(_stencil(xs, h))
+    r1 = _rotated(1, branch, p, *points)
+    r2 = _rotated(2, branch, p, *points)
     (zp, zm), (dzp, dzm), _ = _five_point(_QUARTER_TURN * np.stack([r1 + 1j * r2, r1 - 1j * r2]), h)
     w = superpotential(xs, m)
     iw = 1j * complex(omega)
@@ -351,25 +362,27 @@ def coupled_residual(omega, m, x_grid, branch="I") -> float:
     return float(np.max(res / scale))
 
 
-def wave_equation_residual(branch, sign, omega, m, z) -> float:
+def wave_equation_residual(branch, sign, omega, m, z):
     """Scaled residual of the wave equation in z for Z_sign^branch,
 
         d/dz[z(1-z) Z'] + q(z) Z = 0,
         q = (omega^2 - m^2)/(1-z) + omega^2/z + sign m/(2 sqrt z),
 
-    at z in (0, 1), with five-point derivatives of step 0.01 z(1-z).
+    at z in (0, 1), with five-point derivatives of step 0.01 z(1-z).  A 1-d
+    array of z, every element checked first, gives the float calls' values.
     """
-    z = _unit_z(z)
-    p = make_exponents(omega, m)
+    column, z = _unit_column(z)
     h = 0.01 * z * (1.0 - z)
-    f0, d1, d2 = _five_point(_solution_from_logs(branch, sign, p, *_logs_from_z(_stencil(z, h))), h)
-    q = (omega * omega - m * m) / (1 - z) + omega * omega / z + sign * m / (2.0 * math.sqrt(z))
+    points = _logs_from_z(_stencil(z, h))
+    f0, d1, d2 = _five_point(_solution_from_logs(branch, sign, make_exponents(omega, m), *points), h)
+    q = (omega * omega - m * m) / (1 - z) + omega * omega / z + sign * m / (2.0 * np.sqrt(z))
     res = (1 - 2 * z) * d1 + z * (1 - z) * d2 + q * f0
-    scale = abs(q * f0) + abs((1 - 2 * z) * d1) + abs(z * (1 - z) * d2)
-    return float(abs(res) / scale)
+    scale = np.abs(q * f0) + np.abs((1 - 2 * z) * d1) + np.abs(z * (1 - z) * d2)
+    residual = np.abs(res) / scale
+    return residual if column else float(residual[0])
 
 
-def wronskian(sign, omega, m, z) -> complex:
+def wronskian(sign, omega, m, z):
     """Flux-form Wronskian z(1-z) (Z^I dZ^II/dz - Z^II dZ^I/dz) at z.
 
     The z(1-z) weight is the self-adjoint coefficient of the transformed
@@ -378,15 +391,17 @@ def wronskian(sign, omega, m, z) -> complex:
     normalization G1 = H1 = 1 of every solution here.
 
     The derivatives are evaluated numerically (five-point stencil) so the
-    constancy check is independent of the algebra that predicts it.
+    constancy check is independent of the algebra that predicts it.  A 1-d
+    array of z, every element checked first, gives the float calls' values.
     """
-    z = _unit_z(z)
-    h = 1e-3 * min(z, 1.0 - z, 0.5)
-    p = make_exponents(omega, m)
+    column, z = _unit_column(z)
+    h = 1e-3 * np.minimum(np.minimum(z, 1.0 - z), 0.5)
     points = _logs_from_z(_stencil(z, h))
+    p = make_exponents(omega, m)
     zi, di, _ = _five_point(_solution_from_logs("I", sign, p, *points), h)
     zii, dii, _ = _five_point(_solution_from_logs("II", sign, p, *points), h)
-    return complex(z * (1.0 - z) * (zi * dii - zii * di))
+    value = z * (1.0 - z) * (zi * dii - zii * di)
+    return value if column else complex(value[0])
 
 
 def sample_wavefield(branch, sign, omega, m, grid) -> WaveField:

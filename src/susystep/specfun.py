@@ -5,12 +5,9 @@ argument z in [0, 1).
 Everything here is a pure function of its inputs and safe to call
 concurrently.  The evaluation strategy:
 
-* ``lngamma`` -- Lanczos rational approximation for small ``|z|`` in the
-  right half-plane, a compensated Stirling series for ``|z| >= 10``, and
-  the reflection formula for ``Re(z) < 1/2``.  The Stirling series runs
-  unshifted: by DLMF 5.11.ii its remainder after the 9 terms is at most
-  |B_20| / (20 * 19 |z|^19) sec^20(ph(z)/2), below 1.4e-16 for |z| >= 10
-  and Re(z) >= 1/2.
+* ``lngamma`` and ``gamma_ratio`` -- one numpy log-Gamma pass, a number
+  being its one-element case: the reflection formula for Re(z) < 1/2, then
+  a compensated Stirling series, summed at z + 10 inside |z| = 10.
 * ``hyp2f1`` -- the defining Gauss series up to ``z = Z_SWITCH``; beyond
   that the connection formula toward z = 1 (``connect_near_one``), whose
   series argument ``1 - z`` is then small.  Given a 1-d array of z it
@@ -22,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 
 import numpy as np
 
@@ -56,21 +52,6 @@ _COMPLEMENT_ULPS = 4.0
 _EPS = float(np.finfo(float).eps)
 
 _LOG_PI = 1.1447298858494001741434273
-_HALF_LOG_TWO_PI_HI = 0.9189385332046727
-_HALF_LOG_TWO_PI_LO = 5.2907123667054244e-17
-
-# Lanczos coefficients, g = 7, n = 9.
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 # B_{2n} / (2n (2n-1)) for the Stirling asymptotic series of log-Gamma.
 _STIRLING = (
@@ -85,180 +66,138 @@ _STIRLING = (
     43867.0 / 244188.0,
 )
 
-# |z| above which the Stirling branch takes over from Lanczos.
+# |w| below which the Stirling series is summed at w + 10, and the k of the
+# pair products (w + k)(w + k + 1) that divide the shift back out:
+# Gamma(w) = Gamma(w + 10) / (w (w + 1) ... (w + 9)), DLMF 5.5.1.
 _STIRLING_RADIUS = 10.0
+_PAIR_OFFSETS = np.arange(0.0, 10.0, 2.0)[:, None]
 # |Im z| above which sin(pi z) overflows a double (cosh(pi y) passes 1.8e308
 # at y ~ 226.2) and the reflection step takes log sin(pi z) from its
 # exponential form instead.
 _SIN_OVERFLOW_IM = 225.0
-_LOG_2 = math.log(2.0)
-
-
-def _pole_distance(z: complex) -> float:
-    """Distance from z to the nearest non-positive integer; ``DomainError``
-    unless z is finite."""
-    if not cmath.isfinite(z):
-        raise DomainError(f"Gamma argument {z} is not finite")
-    n = round(z.real)
-    if n > 0:
-        n = 0
-    return abs(z - n)
-
-
-def _near_integer(z: complex, tol: float = POLE_TOL) -> bool:
-    return abs(z - round(z.real)) < tol
 
 
 # -- error-free transformations for the compensated Stirling evaluation ----
 
-def _two_sum(a: float, b: float):
+def _two_sum(a, b):
     s = a + b
     t = s - a
     return s, (a - (s - t)) + (b - t)
 
 
-def _split(a: float):
+def _split(a):
     t = 134217729.0 * a  # 2**27 + 1
     hi = t - (t - a)
     return hi, a - hi
 
 
-def _two_prod(a: float, b: float):
+def _two_prod(a, b):
     p = a * b
     ah, al = _split(a)
     bh, bl = _split(b)
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _dd_add(xh: float, xl: float, yh: float, yl: float):
-    sh, sl = _two_sum(xh, yh)
-    sl += xl + yl
-    return _two_sum(sh, sl)
+def _lngamma_array(z):
+    """log Gamma of every element of a 1-d complex array off the poles, as
+    ``lngamma`` describes; Re z < 1/2 is reflected to w = 1 - z.  For
+    Re w >= 1/2 each pair product (w + k)(w + k + 1) has its argument inside
+    (-pi, pi), so its log adds no branch jump.  (v - 1/2) log v - v and the
+    pair logs are summed with error-free products and sums (a complex sum
+    rounds its real and imaginary parts apart), elementwise, so an element's
+    value does not depend on the others.  Overflow gives inf or nan."""
+    with np.errstate(all="ignore"):
+        reflect = z.real < 0.5
+        w = np.where(reflect, 1.0 - z, z)
+        small = np.abs(w) < _STIRLING_RADIUS
+        v = np.where(small, w + 10.0, w)
 
+        # sum c_n v^(1 - 2n)
+        inv_v2 = 1.0 / (v * v)
+        series = 0.0
+        for c in reversed(_STIRLING):
+            series = (series + c) * inv_v2
+        series = series * v + 0.5 * math.log(2.0 * math.pi)
 
-def _stirling(z, log):
-    """(Re, Im) of the Stirling series at z, |z| >= ``_STIRLING_RADIUS`` and
-    Re(z) >= 1/2, where the 9-term series needs no recurrence shift.
+        # (v - 1/2) log v - v, with (v - 1/2) log v = x log v + i y log v for
+        # x + iy = v - 1/2: the real x and y times the (Re, Im) pair of log v
+        xy = (v - 0.5).view(float).reshape(-1, 2, 1)
+        products, errors = (a.view(complex).reshape(-1, 2) for a in _two_prod(xy, np.log(v).view(float).reshape(-1, 1, 2)))
+        total, low = _two_sum(products[:, 0], 1j * products[:, 1])
+        total, error = _two_sum(total, -v)
+        low = low + errors[:, 0] + 1j * errors[:, 1] + error
+        if small.any():
+            pairs = w[small] + _PAIR_OFFSETS
+            shifted, shifted_low = total[small], low[small]
+            for log_pair in np.log(pairs * (pairs + 1.0)):
+                shifted, error = _two_sum(shifted, -log_pair)
+                shifted_low = shifted_low + error
+            total[small], low[small] = shifted, shifted_low
+        # |series| < 1: added to the low part it rounds at ~1e-16
+        out = total + (low + series)
 
-    The dominant (z - 1/2) log z - z term is accumulated in double-double
-    arithmetic so exp(lngamma) keeps ~1e-14 relative accuracy out to
-    |z| = 100.  ``log`` is ``cmath.log`` for a complex z or ``np.log`` for
-    an array; the arithmetic is the same for both."""
-    w2 = 1.0 / (z * z)
-    series = 0.0j
-    for c in reversed(_STIRLING):
-        series = (series + c) * w2
-    series *= z  # series = sum c_n z^{-(2n-1)}
-
-    lg = log(z)
-    zr, zi = z.real - 0.5, z.imag
-    # (z - 1/2) * log z, real and imaginary parts in double-double
-    p1h, p1l = _two_prod(zr, lg.real)
-    p2h, p2l = _two_prod(-zi, lg.imag)
-    reh, rel = _dd_add(p1h, p1l, p2h, p2l)
-    q1h, q1l = _two_prod(zr, lg.imag)
-    q2h, q2l = _two_prod(zi, lg.real)
-    imh, iml = _dd_add(q1h, q1l, q2h, q2l)
-
-    reh, rel = _dd_add(reh, rel, -z.real, 0.0)
-    imh, iml = _dd_add(imh, iml, -z.imag, 0.0)
-    reh, rel = _dd_add(reh, rel, _HALF_LOG_TWO_PI_HI, _HALF_LOG_TWO_PI_LO)
-    reh, rel = _dd_add(reh, rel, series.real, 0.0)
-    imh, iml = _dd_add(imh, iml, series.imag, 0.0)
-    return reh + rel, imh + iml
-
-
-def _real_over_complex(x, z):
-    """x / z for a float x and a complex array z, rounded as Python's own
-    complex division rounds it (numpy multiplies by 1/denominator)."""
-    rows = np.abs(z.real) >= np.abs(z.imag)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(rows, z.imag / z.real, z.real / z.imag)
-        denom = np.where(rows, z.real + z.imag * ratio, z.real * ratio + z.imag)
-        out = np.empty_like(z)
-        out.real = np.where(rows, (x + 0.0 * ratio) / denom, (x * ratio + 0.0) / denom)
-        out.imag = np.where(rows, (0.0 - x * ratio) / denom, (0.0 * ratio - x) / denom)
+        if reflect.any():
+            # log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z)
+            zr = z[reflect]
+            log_sin = np.log(np.sin(np.pi * zr))
+            far = np.abs(zr.imag) > _SIN_OVERFLOW_IM
+            if far.any():
+                # log(+-i/2 e^(-+i pi z)) + log1p(-e^(+-2 i pi z)), upper signs for
+                # Im z > 0, where e^(+-2 i pi z) underflows: the log1p term is 0
+                log_sin = np.where(far, (math.pi * np.abs(zr.imag) - math.log(2.0)) + 1j * (
+                    np.copysign(1.0, zr.imag) * (0.5 * math.pi - math.pi * zr.real)), log_sin)
+            out[reflect] = _LOG_PI - log_sin - out[reflect]
     return out
 
 
-def _lanczos(z, log, quot):
-    """Lanczos log-Gamma for Re(z) >= 1/2, |z| < ``_STIRLING_RADIUS``; z and
-    ``log`` as for ``_stirling``, and ``quot`` the float-by-z
-    division (``operator.truediv`` or ``_real_over_complex``)."""
-    zm1 = z - 1.0
-    acc = complex(_LANCZOS[0])
-    for i in range(1, len(_LANCZOS)):
-        acc += quot(_LANCZOS[i], zm1 + i)
-    t = zm1 + 7.5
-    # t = z + 6.5, so (z - 1/2)(log t - 1) - 7 avoids the large cancellation
-    # of (z - 1/2) log t - t.
-    return _HALF_LOG_TWO_PI_HI + (zm1 + 0.5) * (log(t) - 1.0) - 7.0 + log(acc)
+def _gamma_arguments(args, n_num):
+    """(column, stack): whether any argument is a 1-d array, and the
+    arguments broadcast into a (len(args), n) complex array, n = 1 for
+    numbers.  A non-finite argument raises ``DomainError``, one within
+    ``POLE_TOL`` of a non-positive integer ``PoleError``, located in the
+    numerator for the first ``n_num`` arguments; the first argument with
+    either, then its first element, is reported."""
+    column = any(np.ndim(v) for v in args if not isinstance(v, (int, float, complex)))  # np.ndim is slow on numbers
+    if column:
+        args = np.broadcast_arrays(*args)
+        if args[0].ndim != 1:
+            raise DomainError("Gamma arguments must be numbers or 1-d arrays of one length")
+    stack = np.array(args, dtype=complex).reshape(len(args), np.size(args[0]))
+    finite = np.isfinite(stack)
+    with np.errstate(invalid="ignore"):
+        bad = ~finite | (np.abs(stack - np.minimum(np.rint(stack.real), 0.0)) < POLE_TOL)
+    if bad.any():
+        k = np.flatnonzero(bad.any(axis=1))[0]
+        if not finite[k].all():
+            raise DomainError(f"Gamma argument {stack[k][~finite[k]][0]} is not finite")
+        raise PoleError(complex(stack[k][bad[k]][0]), location="numerator" if k < n_num else "denominator")
+    return column, stack
 
 
-def _log_sin_pi_far(x, y, xp):
-    """(Re, Im) of log sin(pi z), z = x + iy, modulo 2 pi i, for |y| past
-    ``_SIN_OVERFLOW_IM``: the exponential form
-    log(+-i/2 e^(-+i pi z)) + log1p(-e^(+-2 i pi z)), upper signs for y > 0.
-    There |e^(+-2 i pi z)| = e^(-2 pi |y|) underflows to 0, so the log1p
-    term is exactly 0 in double precision and is left out.  ``xp`` is
-    ``math`` for numbers, ``numpy`` for arrays."""
-    sign = xp.copysign(1.0, y)
-    return math.pi * abs(y) - _LOG_2, sign * (0.5 * math.pi - math.pi * x)
+def lngamma(z):
+    """Log-Gamma of a complex number, as a ``complex``, or of each element
+    of a 1-d array, as an array equal to the number calls bit for bit.
 
-
-def lngamma(z: complex) -> complex:
-    """Log-Gamma of a complex argument.
-
-    Satisfies ``exp(lngamma(z)) == Gamma(z)`` to better than 1e-13 relative
-    accuracy for ``|z| <= 100`` away from the poles.  The imaginary part is
-    continuous on the right half-plane; across the reflection step it is
-    only defined modulo 2*pi*i, which every downstream use (ratios fed
-    through ``exp``) is insensitive to.  The reflection step stays finite
-    where sin(pi z) overflows a double (|Im z| > 225).  From |z| = 10 the
-    Stirling series is summed at z itself, with no recurrence shift: its
-    truncation error there is below 1.4e-16 (DLMF 5.11.ii).
+    Satisfies ``exp(lngamma(z)) == Gamma(z)`` to better than 2e-14 relative
+    accuracy for ``|z| < 10`` and 1e-13 for ``|z| <= 100``, off the poles.
+    For ``Re z >= 1/2`` the 9-term Stirling series is summed at z from
+    ``|z| = 10`` and at z + 10 inside, divided back by z (z + 1) ... (z + 9),
+    with truncation error below 1.4e-16 (DLMF 5.11.ii).  The imaginary part
+    is continuous on the right half-plane; across the reflection step for
+    ``Re z < 1/2`` it is only defined modulo 2*pi*i, which every downstream
+    use (ratios fed through ``exp``) is insensitive to.  The reflection step
+    stays finite where sin(pi z) overflows a double (|Im z| > 225).
 
     Raises
     ------
     DomainError
-        If ``z`` is not finite.
+        If an argument is not finite, or an array is not 1-d.
     PoleError
-        If ``z`` is within ``POLE_TOL`` of a non-positive integer.
+        If an argument is within ``POLE_TOL`` of a non-positive integer.
     """
-    z = complex(z)
-    if _pole_distance(z) < POLE_TOL:
-        raise PoleError(z)
-    if z.real < 0.5:
-        # reflection: log Gamma(z) = log pi - log sin(pi z) - log Gamma(1-z)
-        if abs(z.imag) <= _SIN_OVERFLOW_IM:
-            log_sin = cmath.log(cmath.sin(cmath.pi * z))
-        else:
-            log_sin = complex(*_log_sin_pi_far(z.real, z.imag, math))
-        return _LOG_PI - log_sin - lngamma(1.0 - z)
-    if abs(z) >= _STIRLING_RADIUS:
-        return complex(*_stirling(z, cmath.log))
-    return _lanczos(z, cmath.log, operator.truediv)
-
-
-def _lngamma_array(z):
-    """``lngamma`` of every element of a 1-d complex array off the poles:
-    the same branches and arithmetic, with masks for the reflection and the
-    branch choice.  np.log and cmath.log may round differently, so values
-    agree with ``lngamma`` to about 1e-15, not always bitwise.  Overflow
-    gives inf or nan, not an exception."""
-    reflect = z.real < 0.5
-    w = np.where(reflect, 1.0 - z, z)
-    big = np.hypot(w.real, w.imag) >= _STIRLING_RADIUS  # abs() as Python rounds it
-    out = np.empty_like(w)
-    out[~big] = _lanczos(w[~big], np.log, _real_over_complex)
-    out.real[big], out.imag[big] = _stirling(w[big], np.log)
-
-    zr = z[reflect]
-    far = np.abs(zr.imag) > _SIN_OVERFLOW_IM
-    log_sin = np.log(np.sin(np.pi * np.where(far, 0.5, zr)))
-    log_sin.real[far], log_sin.imag[far] = _log_sin_pi_far(zr.real[far], zr.imag[far], np)
-    out[reflect] = _LOG_PI - log_sin - out[reflect]
-    return out
+    column, stack = _gamma_arguments([z], 1)
+    values = _lngamma_array(stack[0])
+    return values if column else complex(values[0])
 
 
 def gamma_ratio(numerators, denominators):
@@ -267,10 +206,10 @@ def gamma_ratio(numerators, denominators):
     overflow nor lose precision to cancellation.
 
     Each argument is a number, giving a ``complex``, or some are 1-d arrays
-    of one length, giving an array of ratios (numbers broadcast).  Numbers
-    take the pure-Python path; arrays take one vectorized log-Gamma pass
-    over all their arguments, which agrees with the elementwise number
-    calls to about 1e-14 relative.
+    of one length, giving an array of ratios (numbers broadcast).  Either
+    way all arguments take one log-Gamma pass, so an array's elements
+    equal the elementwise number calls bit for bit, and each factor has
+    ``lngamma``'s accuracy.
 
     Numerator arguments at a pole raise ``PoleError(location="numerator")``
     (the ratio is infinite -- an amplitude pole); denominator poles violate
@@ -278,50 +217,18 @@ def gamma_ratio(numerators, denominators):
     Numerator poles are reported first when both occur, and otherwise the
     first pole in argument order, then element order.  A non-finite
     argument raises ``DomainError`` and a ratio that overflows
-    ``OverflowError``, on both paths.
+    ``OverflowError``.
     """
-    if any(isinstance(v, np.ndarray) and v.ndim for v in (*numerators, *denominators)):
-        return _gamma_ratio_columns(numerators, denominators)
-    for u in numerators:
-        if _pole_distance(complex(u)) < POLE_TOL:
-            raise PoleError(complex(u), location="numerator")
-    for v in denominators:
-        if _pole_distance(complex(v)) < POLE_TOL:
-            raise PoleError(complex(v), location="denominator")
-    acc = 0.0j
-    for u in numerators:
-        acc += lngamma(u)
-    for v in denominators:
-        acc -= lngamma(v)
-    return cmath.exp(acc)
-
-
-def _gamma_ratio_columns(numerators, denominators):
-    """``gamma_ratio`` with array arguments: one ``_lngamma_array`` call on
-    every argument column, summed in the scalar path's order."""
-    columns = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in (*numerators, *denominators)))
-    if columns[0].ndim != 1:
-        raise DomainError("gamma_ratio takes numbers or 1-d arrays of one length")
     n_num = len(numerators)
-    for k, column in enumerate(columns):
-        if not np.isfinite(column).all():
-            raise DomainError(f"Gamma argument {column[~np.isfinite(column)][0]} is not finite")
-        gap = column - np.minimum(np.round(column.real), 0.0)  # as _pole_distance, with abs() as Python rounds it
-        pole = np.hypot(gap.real, gap.imag) < POLE_TOL
-        if pole.any():
-            raise PoleError(complex(column[pole][0]), location="numerator" if k < n_num else "denominator")
+    column, stack = _gamma_arguments([*numerators, *denominators], n_num)
+    logs = _lngamma_array(stack.ravel()).reshape(stack.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        logs = _lngamma_array(np.concatenate(columns)).reshape(len(columns), -1)
-        acc = 0.0j
-        for row in logs[:n_num]:
-            acc = acc + row
-        for row in logs[n_num:]:
-            acc = acc - row
+        acc = sum(logs[:n_num], 0.0j) - sum(logs[n_num:], 0.0j)
         values = np.exp(acc)
     bad = ~(np.isfinite(acc) & np.isfinite(values))
     if bad.any():
         raise OverflowError(f"Gamma ratio overflows at element {np.flatnonzero(bad)[0]}")
-    return values
+    return values if column else complex(values[0])
 
 
 def _gauss_series(a, b, c, z) -> complex:
@@ -359,7 +266,7 @@ def _hyp2f1_complement(a, b, c, u, log_u) -> list:
     integers.
     """
     s = c - a - b
-    if _near_integer(s):
+    if abs(s - round(s.real)) < POLE_TOL:
         raise DegenerateParamsError(
             f"c - a - b = {s} is within {POLE_TOL} of an integer; "
             "the connection formula degenerates"
@@ -392,8 +299,7 @@ def _checked_args(a, b, c, z, log_u):
     have passed ``hyp2f1``'s checks."""
     if not all(map(cmath.isfinite, (a, b, c))):
         raise DomainError(f"2F1 parameters must be finite, got a = {a}, b = {b}, c = {c}")
-    if _pole_distance(c) < POLE_TOL:
-        raise PoleError(c, location="denominator")
+    _gamma_arguments([c], 0)  # c sits in the series' denominators
     z = _real_array("z", z)
     log_u = None if log_u is None else _real_array("log_u", log_u)
     if z.ndim > 1 or (log_u is not None and log_u.shape != z.shape):

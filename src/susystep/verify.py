@@ -90,16 +90,15 @@ def _wronskian_constancy():
         c1 = 2j * omega + 0.5
         for sign in (1, -1):
             expected = sign * 2.0 * omega / m * (1.0 - c1)
-            values = [solutions.wronskian(sign, omega, m, z) for z in (0.2, 0.5, 0.8)]
-            worst = max(worst, max(abs(v - expected) for v in values))
-            worst = max(worst, abs(values[0] - values[-1]))
+            values = solutions.wronskian(sign, omega, m, np.array([0.2, 0.5, 0.8]))
+            worst = max(worst, np.max(np.abs(values - expected)), abs(values[0] - values[-1]))
     return worst
 
 
 def _wave_equation_residual():
-    return max(solutions.wave_equation_residual(branch, sign, omega, m, z)
-               for omega, m in ((2.0, 1.0), (1.5, 1.0)) for branch in ("I", "II")
-               for sign in (1, -1) for z in np.linspace(0.05, 0.95, 19))
+    z = np.linspace(0.05, 0.95, 19)
+    return max(np.max(solutions.wave_equation_residual(branch, sign, omega, m, z))
+               for omega, m in ((2.0, 1.0), (1.5, 1.0)) for branch in ("I", "II") for sign in (1, -1))
 
 
 def _qnm_poles():

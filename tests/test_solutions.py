@@ -331,6 +331,30 @@ def test_stencil_checks_pass_where_verify_evaluates():
         assert math.isfinite(wave_equation_residual("I", 1, 2.0, 1.0, z))
 
 
+def test_residuals_over_a_z_column_match_the_float_calls(monkeypatch):
+    z = np.linspace(0.05, 0.95, 19)
+    for branch in ("I", "II"):
+        for sign in (1, -1):
+            got = wave_equation_residual(branch, sign, 1.5, 1.0, z)
+            expected = [wave_equation_residual(branch, sign, 1.5, 1.0, v) for v in z.tolist()]
+            assert all(type(v) is float for v in expected)
+            assert got.tobytes() == np.array(expected).tobytes()
+    for sign in (1, -1):
+        got = wronskian(sign, 2.0, 1.0, z)
+        expected = [wronskian(sign, 2.0, 1.0, v) for v in z.tolist()]
+        assert all(type(v) is complex for v in expected)
+        assert got.tobytes() == np.array(expected).tobytes()
+    # every element is checked before any is evaluated
+    calls = []
+    monkeypatch.setattr(specfun_mod, "hyp2f1", lambda *args: calls.append(args))
+    for bad in ([0.3, 1.2], [0.3, 0.0], [0.3, 1 - 1e-16], [[0.3, 0.5]]):
+        with pytest.raises(DomainError):
+            wave_equation_residual("I", 1, 2.0, 1.0, np.array(bad))
+        with pytest.raises(DomainError):
+            wronskian(1, 2.0, 1.0, np.array(bad))
+    assert calls == []
+
+
 # ----------------------------------------------------------------- wavefield
 
 def test_wavefield_validation():
