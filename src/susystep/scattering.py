@@ -63,10 +63,13 @@ class AsymptoticCoefficients:
     bII_plus: complex
 
 
-def _modulus(value):
-    """|value|; for an array, hypot(re, im), which rounds as Python's
-    abs(complex) does (numpy's abs on complex may differ by an ulp)."""
-    return np.hypot(value.real, value.imag) if isinstance(value, np.ndarray) else abs(value)
+def _squared_modulus(value):
+    """|value|^2 as r * r with r = |value|; for an array r = hypot(re, im),
+    which rounds as Python's abs(complex) does (numpy's abs on complex may
+    differ by an ulp), and r * r, not r ** 2, which on a float is pow() and
+    may round apart from the array's square."""
+    r = np.hypot(value.real, value.imag) if isinstance(value, np.ndarray) else abs(value)
+    return r * r
 
 
 @dataclass(frozen=True)
@@ -93,11 +96,11 @@ class ScatteringResult:
 
     @property
     def R2(self) -> float:
-        return _modulus(self.R) ** 2
+        return _squared_modulus(self.R)
 
     @property
     def T2(self) -> float:
-        return _modulus(self.T) ** 2
+        return _squared_modulus(self.T)
 
     @property
     def flux(self) -> float:
@@ -278,20 +281,30 @@ def step_amplitudes(omega, m: float) -> ScatteringResult:
     alpha = 1 (the comparison convention used throughout), omega a number
     or a 1-d array, with s and d as in :func:`reflection_transmission`:
 
-        R^S = d G(2iw)G(-s)G(1-s) / (G(-2iw)G(1+d)^2)
-        T^S = G(1-s)G(-s) / (G(-2iw)G(1-2ik'))
+        R^S = (d/s) G(1+2iw)G(1-s)^2 / (G(1-2iw)G(1+d)^2)
+        T^S = (2iw/s) G(1-s)^2 / (G(1-2iw)G(1-2ik'))
 
-    |R^S|^2 and |T^S|^2 meet the closed form to 1e-10 relative for any
-    m > 0 and m < omega <= 1e4; above that ``DomainError`` is raised, and
-    below omega ~ 5e-10 the arguments +-2iw are within ``POLE_TOL`` of a
-    pole and ``GammaPoleError`` is raised.
+    where d/s = m^2/(omega + k')^2 and 2iw/s = 2 omega/(omega + k') are
+    real.  G(-s) = -G(1-s)/s and G(+-2iw) = G(1+-2iw)/(+-2iw) (DLMF 5.5.1)
+    keep every argument a unit away from the poles, however small omega
+    is.  G(1-s)^2 is evaluated as G(1-s)G(2-s)/(1-s), whose two log-Gamma
+    errors do not add up coherently as a square's do.  |R^S|^2 and
+    |T^S|^2 meet the closed form to 1e-10 relative for any m > 0 and
+    m < omega <= 1e4; above that ``DomainError`` is raised.
     """
     omega, m, kprime, s, d, _ = _gamma_arguments(omega, m)
-    r, T = _gamma_products(
-        ([2j * omega, -s, 1.0 - s], [-2j * omega, 1.0 + d, 1.0 + d]),
-        ([1.0 - s, -s], [-2j * omega, 1.0 - 2j * kprime]),
+    total = omega + kprime
+    # 1/(1 - s) = (1 + s)/(1 + (omega + k')^2), applied as x (1 + s) =
+    # x + s x: complex division and complex-by-complex products round apart
+    # on numbers and arrays, products by the imaginary s do not
+    q = m / total
+    scale = 1.0 / (1.0 + total * total)
+    r, t = _gamma_products(
+        ([1.0 + 2j * omega, 1.0 - s, 2.0 - s], [1.0 - 2j * omega, 1.0 + d, 1.0 + d]),
+        ([1.0 - s, 2.0 - s], [1.0 - 2j * omega, 1.0 - 2j * kprime]),
     )
-    return ScatteringResult(omega=omega, m=m, kind=PotentialKind.STEP, R=d * r, T=T)
+    return ScatteringResult(omega=omega, m=m, kind=PotentialKind.STEP,
+                            R=q * q * scale * (r + s * r), T=2.0 * omega / total * scale * (t + s * t))
 
 
 def step_reflection_closed_form(omega, m: float):

@@ -10,9 +10,11 @@ concurrently.  The evaluation strategy:
   a compensated Stirling series, summed at z + 10 inside |z| = 10.
 * ``hyp2f1`` -- the defining Gauss series up to ``z = Z_SWITCH``; beyond
   that the connection formula toward z = 1 (``connect_near_one``), whose
-  series argument ``1 - z`` is then small.  Given a 1-d array of z it
-  forms the connection formula's Gamma ratios, which depend on (a, b, c)
-  only, once for the whole array.
+  series argument ``1 - z`` is then small.  A number is the one-element
+  column.  Each series is summed in one numpy pass over its part of the
+  column, every element stopped by its own term-ratio rule, and the
+  connection formula's Gamma ratios, which depend on (a, b, c) only, are
+  formed once per call.
 """
 
 from __future__ import annotations
@@ -105,7 +107,8 @@ def _lngamma_array(z):
     (-pi, pi), so its log adds no branch jump.  (v - 1/2) log v - v and the
     pair logs are summed with error-free products and sums (a complex sum
     rounds its real and imaginary parts apart), elementwise, so an element's
-    value does not depend on the others.  Overflow gives inf or nan."""
+    value does not depend on the others.  An argument whose evaluation
+    overflows (possible from |z| ~ 1e154 up) raises ``DomainError``."""
     with np.errstate(all="ignore"):
         reflect = z.real < 0.5
         w = np.where(reflect, 1.0 - z, z)
@@ -147,6 +150,9 @@ def _lngamma_array(z):
                 log_sin = np.where(far, (math.pi * np.abs(zr.imag) - math.log(2.0)) + 1j * (
                     np.copysign(1.0, zr.imag) * (0.5 * math.pi - math.pi * zr.real)), log_sin)
             out[reflect] = _LOG_PI - log_sin - out[reflect]
+    finite = np.isfinite(out)
+    if not finite.all():
+        raise DomainError(f"log Gamma of {z[~finite][0]} is not finite in double precision")
     return out
 
 
@@ -191,7 +197,8 @@ def lngamma(z):
     Raises
     ------
     DomainError
-        If an argument is not finite, or an array is not 1-d.
+        If an argument is not finite, an array is not 1-d, or the
+        evaluation overflows a double (possible from |z| ~ 1e154 up).
     PoleError
         If an argument is within ``POLE_TOL`` of a non-positive integer.
     """
@@ -216,8 +223,8 @@ def gamma_ratio(numerators, denominators):
     the precondition and raise ``PoleError(location="denominator")``.
     Numerator poles are reported first when both occur, and otherwise the
     first pole in argument order, then element order.  A non-finite
-    argument raises ``DomainError`` and a ratio that overflows
-    ``OverflowError``.
+    argument, or one whose log-Gamma overflows, raises ``DomainError`` and
+    a ratio that overflows ``OverflowError``.
     """
     n_num = len(numerators)
     column, stack = _gamma_arguments([*numerators, *denominators], n_num)
@@ -231,19 +238,33 @@ def gamma_ratio(numerators, denominators):
     return values if column else complex(values[0])
 
 
-def _gauss_series(a, b, c, z) -> complex:
-    """Raw Gauss series sum_k (a)_k (b)_k / ((c)_k k!) z^k with a term-ratio
-    stopping rule.  Assumes |z| < 1 and c off the pole set."""
-    term = 1.0 + 0.0j
-    total = 1.0 + 0.0j
-    for k in range(MAX_SERIES_TERMS):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        total += term
-        if abs(term) <= _SERIES_STOP * abs(total):
-            return total
-    raise NonConvergenceError(
-        f"Gauss series for 2F1({a}, {b}; {c}; {z}) did not converge in {MAX_SERIES_TERMS} terms"
-    )
+def _gauss_series(a, b, c, z):
+    """Raw Gauss series sum_k (a)_k (b)_k / ((c)_k k!) z^k at every element
+    of a 1-d float array, as a complex array.  One pass over the column: an
+    element stops at the first k with |t_k| <= 1e-16 |S_k|, is written out
+    and dropped from the live arrays, so its value does not depend on the
+    other elements.  Assumes 0 <= z < 1 and c off the pole set."""
+    out = np.empty(z.shape, dtype=complex)
+    live = np.arange(z.size)
+    w = z.astype(complex)  # the live z; numpy would cast it for each complex product
+    term = total = np.ones(z.shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing series runs out of terms
+        for k in range(MAX_SERIES_TERMS):
+            if not live.size:
+                break
+            # out of place: numpy's in-place complex multiply rounds differently on long arrays
+            term = term * ((a + k) * (b + k) / ((c + k) * (k + 1.0)) * w)
+            total = total + term
+            done = np.abs(term) <= _SERIES_STOP * np.abs(total)
+            if np.count_nonzero(done):
+                out[live[done]] = total[done]
+                keep = ~done
+                live, w, term, total = live[keep], w[keep], term[keep], total[keep]
+    if live.size:
+        raise NonConvergenceError(
+            f"Gauss series for 2F1({a}, {b}; {c}; {z[live[0]]}) did not converge in {MAX_SERIES_TERMS} terms"
+        )
+    return out
 
 
 def _ratio_or_zero(numerators, denominators) -> complex:
@@ -257,13 +278,13 @@ def _ratio_or_zero(numerators, denominators) -> complex:
         raise
 
 
-def _hyp2f1_complement(a, b, c, u, log_u) -> list:
+def _hyp2f1_complement(a, b, c, u, log_u):
     """Connection-formula values of 2F1(a,b;c;1-u) at each complement u=1-z.
 
-    ``u`` and ``log_u`` are equal-length sequences of floats, log_u = log u.
-    The two Gamma ratios depend on (a, b, c) only and are formed once; the
-    two series are summed per element.  Requires c-a-b away from the
-    integers.
+    ``u`` and ``log_u`` are equal-length 1-d float arrays, log_u = log u.
+    The two Gamma ratios depend on (a, b, c) only and are formed once; each
+    of the two series is summed in one pass over the column.  Requires
+    c-a-b away from the integers.
     """
     s = c - a - b
     if abs(s - round(s.real)) < POLE_TOL:
@@ -273,15 +294,15 @@ def _hyp2f1_complement(a, b, c, u, log_u) -> list:
         )
     first_ratio = _ratio_or_zero([c, s], [c - a, c - b])
     second_ratio = _ratio_or_zero([c, -s], [a, b])
-    values = []
-    for ui, log_ui in zip(u, log_u):
-        first = first_ratio
-        if first != 0.0:
-            first *= _gauss_series(a, b, 1.0 - s, ui)
-        second = second_ratio
-        if second != 0.0:
-            second *= cmath.exp(s * log_ui) * _gauss_series(c - a, c - b, 1.0 + s, ui)
-        values.append(first + second)
+    values = np.zeros(u.shape, dtype=complex)
+    if first_ratio != 0.0:
+        values = first_ratio * _gauss_series(a, b, 1.0 - s, u)
+    if second_ratio != 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = np.exp(s * log_u)
+        if not np.isfinite(power).all():
+            raise OverflowError(f"(1 - z)^(c - a - b) overflows at log(1 - z) = {log_u[~np.isfinite(power)][0]}")
+        values = values + second_ratio * (power * _gauss_series(c - a, c - b, 1.0 + s, u))
     return values
 
 
@@ -332,8 +353,11 @@ def hyp2f1(a, b, c, z, log_u=None):
 
     Uses the Gauss series for ``z <= Z_SWITCH`` and the connection formula
     toward z = 1 otherwise; its Gamma ratios are formed once per call.
-    Relative accuracy is ~1e-11 or better away from the c-a-b integer
-    degeneracy.  Every element is checked before any is evaluated.
+    Each series is summed once over the elements on its route, each
+    element stopping at its own first |t_k| <= 1e-16 |S_k|, so an array's
+    elements equal the number calls bit for bit.  Relative accuracy is
+    ~1e-11 or better away from the c-a-b integer degeneracy.  Every
+    element is checked before any is evaluated.
 
     Raises
     ------
@@ -343,21 +367,23 @@ def hyp2f1(a, b, c, z, log_u=None):
         If a, b or c is not finite, or unless z >= 0 and log_u is finite
         and <= 0, with exp(log_u) within a few eps (absolutely) of 1 - z.
     NonConvergenceError
-        If the series fails to meet the term-ratio stop within
-        ``MAX_SERIES_TERMS`` terms.
+        If a series fails to meet the term-ratio stop within
+        ``MAX_SERIES_TERMS`` terms at some element (the first is named).
+    OverflowError
+        If (1 - z)^(c-a-b) overflows on the connection route.
     DegenerateParamsError
         If some ``z > Z_SWITCH`` and c-a-b is within tolerance of an integer.
     """
     a, b, c = complex(a), complex(b), complex(c)
     scalar = np.ndim(z) == 0
     z, u, log_u = _checked_args(a, b, c, z, log_u)
-    zs = z.tolist()
-    values = [_gauss_series(a, b, c, zi) if zi <= Z_SWITCH else None for zi in zs]
-    far = [i for i, zi in enumerate(zs) if zi > Z_SWITCH]
-    if far:
-        for i, value in zip(far, _hyp2f1_complement(a, b, c, u[far].tolist(), log_u[far].tolist())):
-            values[i] = value
-    return values[0] if scalar else np.array(values, dtype=complex)
+    far = z > Z_SWITCH
+    values = np.empty(z.shape, dtype=complex)
+    if not far.all():
+        values[~far] = _gauss_series(a, b, c, z[~far])
+    if far.any():
+        values[far] = _hyp2f1_complement(a, b, c, u[far], log_u[far])
+    return complex(values[0]) if scalar else values
 
 
 def connect_near_one(a, b, c, z) -> complex:
@@ -372,4 +398,4 @@ def connect_near_one(a, b, c, z) -> complex:
     ``hyp2f1`` does.
     """
     _, u, log_u = _checked_args(a, b, c, float(_real_array("z", z)), None)
-    return _hyp2f1_complement(a, b, c, u.tolist(), log_u.tolist())[0]
+    return complex(_hyp2f1_complement(a, b, c, u, log_u)[0])

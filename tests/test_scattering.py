@@ -388,6 +388,21 @@ def test_step_amplitudes_past_the_sine_overflow():
         assert np.all(np.abs(res.flux - 1.0) <= 1e-9)
 
 
+@pytest.mark.parametrize("omega, m, r2", [
+    # frozen from mpmath at 50 digits: sinh^2(pi(omega - k'))/sinh^2(pi(omega + k'))
+    (6e-10, 5e-10, 0.0829555783665743521),
+    (1e-12, 9e-13, 0.15434248266215422822),
+])
+def test_step_amplitudes_at_tiny_omega(omega, m, r2):
+    # +-2i omega and -s = -i(omega + k') lie within POLE_TOL of Gamma's pole
+    # at 0; the products are written in 1 +- 2i omega and 1 - s instead
+    for w in (omega, np.array([omega, 2.0 * omega])):
+        res = step_amplitudes(w, m)
+        assert np.all(np.abs(res.flux - 1.0) <= 1e-14)
+        assert abs(np.ravel(res.R2)[0] - r2) <= 1e-14 * r2
+    assert abs(step_reflection_closed_form(omega, m) - r2) <= 1e-14 * r2
+
+
 def test_step_unit_reflection_at_threshold():
     assert abs(step_reflection_closed_form(1.0 + 1e-14, 1.0) - 1.0) < 1e-5
 

@@ -324,6 +324,8 @@ def test_saturated_z_uses_the_exact_complement():
         hyp2f1(a, b, c, 1.0)  # the default complement 1 - z is 0
     with pytest.raises(DomainError):
         hyp2f1(a, b, c, -0.1, log_u=math.log1p(0.1))  # a complement above 1
+    with pytest.raises(OverflowError):  # (1 - z)^(c - a - b) = e^1200
+        hyp2f1(1.0, 1.0, 0.5, np.array([0.6, 1.0]), log_u=np.array([math.log(0.4), -800.0]))
     for x in (-600.0, 600.0):
         assert cmath.isfinite(exact_solution("I", 1, 2.0, 1.0, x))
 
@@ -407,6 +409,18 @@ def test_non_finite_numbers_are_domain_errors(call, args):
         call(*args)
 
 
+@pytest.mark.parametrize("call, args", [
+    (lngamma, (1e200 + 1e200j,)),
+    (lngamma, (1e307j,)),
+    (lngamma, (np.array([2.0, 1e307j]),)),
+    (gamma_ratio, ([1e200 + 1e200j], [2.0])),
+], ids=repr)
+def test_overflowing_log_gamma_is_a_domain_error(call, args):
+    # finite arguments whose log-Gamma overflows on the way raise, not nan
+    with pytest.raises(DomainError, match="not finite"):
+        call(*args)
+
+
 def test_value_one_at_origin():
     assert hyp2f1(0.3 + 2j, -1.7, 2.2 - 1j, 0.0) == 1.0 + 0.0j
 
@@ -436,6 +450,36 @@ def test_nonconvergence_with_tiny_budget(monkeypatch):
     monkeypatch.setattr(specfun_mod, "MAX_SERIES_TERMS", 5)
     with pytest.raises(NonConvergenceError):
         hyp2f1(1.0, 1.0, 2.0, 0.5)
+
+
+def test_column_series_stops_each_element_on_its_own(monkeypatch):
+    fast = hyp2f1(1.0, 1.0, 2.0, 0.01)
+    # 0.01 meets the stop within 20 terms, 0.4 does not (0.4^20 ~ 1e-8)
+    monkeypatch.setattr(specfun_mod, "MAX_SERIES_TERMS", 20)
+    for z in ([0.01, 0.4, 0.02], [0.4], [0.0, 0.02, 0.01, 0.4, 0.45]):
+        with pytest.raises(NonConvergenceError, match=r"; 0\.4\) did not converge in 20 terms"):
+            hyp2f1(1.0, 1.0, 2.0, np.array(z))
+    assert hyp2f1(1.0, 1.0, 2.0, 0.01) == fast
+    assert hyp2f1(1.0, 1.0, 2.0, np.array([0.0, 0.01, 0.02]))[1] == fast
+
+
+@pytest.mark.parametrize("omega, m", [(2.0, 1.0), (10.0, 0.5), (30.0, 2.0)])
+def test_shuffled_column_equals_the_number_calls(omega, m):
+    # one series pass over a column gives each element the bits of its own
+    # one-point call, on both routes, whatever the order of the column
+    p = make_exponents(omega, m)
+    rng = np.random.default_rng(12)
+    z = np.concatenate([rng.uniform(0.0, 1.0, 230), [0.0, Z_SWITCH, 0.5 * (1.0 + Z_SWITCH)]])
+    # and saturated z = 1.0, each with its exact complement
+    log_u = np.concatenate([np.log1p(-z), [math.log(1e-17), math.log(1e-200), -800.0]])
+    z = np.concatenate([z, [1.0, 1.0, 1.0]])
+    order = rng.permutation(z.size)
+    z, log_u = z[order], log_u[order]
+    for a, b, c in ((p.a1, p.b1, p.c1), (p.a2, p.b2, p.c2)):
+        got = hyp2f1(a, b, c, z, log_u)
+        expected = np.array([hyp2f1(a, b, c, *args) for args in zip(z.tolist(), log_u.tolist())])
+        assert got.tobytes() == expected.tobytes()
+        assert np.all(np.isfinite(got))
 
 
 # ------------------------------------------------------- connection formula
