@@ -15,6 +15,7 @@ from .errors import (
     IllConditionedError,
     NonConvergenceError,
     PoleError,
+    ResultOverflowError,
     SusystepError,
     ZeroFrequencyError,
 )

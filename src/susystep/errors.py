@@ -60,3 +60,7 @@ class BlowUpError(SusystepError):
 
 class IllConditionedError(SusystepError):
     """The boundary-matching least-squares system is numerically singular."""
+
+
+class ResultOverflowError(SusystepError, OverflowError):
+    """A result lies past the double range (a Gamma ratio, a connection power)."""

@@ -103,6 +103,15 @@ def _prepare(spec: PotentialSpec, omega, cfg: IntegrationConfig):
     return omegas, v, h
 
 
+def _running_products(rows):
+    """Packed step rows M_j along the last axis, replaced in place by M_j ... M_0."""
+    for j in range(1, rows.shape[-1]):
+        upper, lower = rows[..., j - 1]
+        row = rows[..., j]
+        np.add(row.real * upper, row.imag * lower, out=row)
+    return rows
+
+
 def _march(spec: PotentialSpec, cfg: IntegrationConfig, v, h: float, omega: float) -> WaveField:
     """The RK4 march of one omega over the half-step samples v: the field
     on the n + 1 point grid.  Besides the field it holds the packed step
@@ -111,44 +120,43 @@ def _march(spec: PotentialSpec, cfg: IntegrationConfig, v, h: float, omega: floa
     w2 = omega * omega
     # step i (right to left) maps (Z, Z') at x_max - i h to x_max - (i + 1) h
     # by the real matrix [[a, b], [c, d]], stored as its rows a + ib and
-    # c + id; the steps are laid out as (blocks, width), padded with
-    # identities.  A running product's rows pack the same way, so row r of
-    # S P is S[r, 0] P[0] + S[r, 1] P[1]: real-by-complex products
+    # c + id; the steps are laid out as (groups, width, width) blocks,
+    # padded with identities.  A running product's rows pack the same way,
+    # so row r of S P is S[r, 0] P[0] + S[r, 1] P[1]: real-by-complex products
     hm, h2 = -h, h * h
-    width = math.isqrt(n) + 1
-    blocks = -(-n // width)
+    width = round(n ** (1 / 3)) + 1
+    groups = -(-n // (width * width))
     q_ends = v[::-2] - w2
     q0, qm, q1 = q_ends[:-1], v[-2::-2] - w2, q_ends[1:]
-    rows = np.empty((2, blocks * width), dtype=complex)
+    rows = np.empty((2, groups * width * width), dtype=complex)
     rows[0].real[:n] = 1.0 + h2 / 6.0 * (q0 + 2.0 * qm) + h2 * h2 / 24.0 * qm * q0
     rows[0].imag[:n] = hm + hm * h2 / 6.0 * qm
     rows[1].real[:n] = hm / 6.0 * (q0 + 4.0 * qm + q1 + 0.5 * h2 * qm * (q0 + q1))
     rows[1].imag[:n] = 1.0 + h2 / 6.0 * (2.0 * qm + q1) + h2 * h2 / 24.0 * q1 * qm
     rows[:, n:] = [[1.0], [1j]]
     del q_ends, q0, qm, q1
-    rows = rows.reshape(2, blocks, width)
+    rows = rows.reshape(2, groups, width, width)
 
     kprime = math.sqrt(w2 - spec.right_asymptote)
     zc = cmath.exp(1j * kprime * cfg.x_max)
     dz = 1j * kprime * zc
     # buf[-1] is the initial point and buf[-2::-1] the march order, so the
     # grid's values are the last n + 1 entries
-    buf = np.empty(blocks * width + 1, dtype=complex)
+    buf = np.empty(groups * width * width + 1, dtype=complex)
     buf[-1] = zc
-    z_in = np.empty(blocks, dtype=complex)
-    dz_in = np.empty(blocks, dtype=complex)
+    entering = np.empty((2, groups, width), dtype=complex)  # (Z, Z') entering each block
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, width):  # running product inside every block
-            upper, lower = rows[:, :, j - 1]
-            row = rows[:, :, j]
-            np.add(row.real * upper, row.imag * lower, out=row)
-        for k, (ab, cd) in enumerate(zip(*rows[:, :, -1].tolist())):
-            z_in[k], dz_in[k] = zc, dz
+        # running products inside the blocks, then of the block totals inside
+        # the groups; the state carried over the groups, then into each block
+        totals = _running_products(_running_products(rows)[..., -1].copy())
+        for k, (ab, cd) in enumerate(zip(*totals[..., -1].tolist())):
+            entering[:, k, 0] = zc, dz
             zc, dz = ab.real * zc + ab.imag * dz, cd.real * zc + cd.imag * dz
-        march = buf[-2::-1].reshape(blocks, width)
-        np.multiply(rows[0].real, z_in[:, None], out=march)
-        march += rows[0].imag * dz_in[:, None]
-        values = buf[blocks * width - n:]
+        entering[..., 1:] = totals[..., :-1].real * entering[0, :, :1] + totals[..., :-1].imag * entering[1, :, :1]
+        march = buf[-2::-1].reshape(groups, width, width)
+        np.multiply(rows[0].real, entering[0, ..., None], out=march)
+        march += rows[0].imag * entering[1, ..., None]
+        values = buf[groups * width * width - n:]
         bad = np.flatnonzero(~(np.abs(values[:n]) <= _BLOWUP_LIMIT))
     if bad.size:
         raise BlowUpError(
@@ -176,13 +184,13 @@ def integrate_wavefunction(spec: PotentialSpec, omega: float, cfg: IntegrationCo
     with the configured fixed step on the potential pre-sampled on the
     half-step grid.  The equation is linear, so each step is a fixed real
     2x2 matrix acting on (Z, Z'), stored as its two rows packed into
-    complex numbers.  The steps are grouped in blocks of about sqrt(n):
-    one pass over the block columns forms the running product inside every
-    block at once, the state is carried from block to block, and each
-    value is its block's running product applied to the state entering
-    the block.  Each value is thus a product of at most about 2 sqrt(n)
-    matrices taken in march order, so rounding accumulates as in a
-    point-by-point march.
+    complex numbers.  The march is a three-level scan: one pass forms the
+    running products inside blocks of w = round(n^(1/3)) + 1 steps, a
+    second those of the block totals inside groups of w blocks, the state
+    is carried from group to group, and each value is its block's running
+    product applied to the state entering the block.  Each value is thus
+    a product of at most about 3 n^(1/3) matrices taken in march order, so
+    rounding accumulates as in a point-by-point march (to about 1e-13).
 
     ``omega`` is one real number; this is the one-omega case of the march
     that :func:`numerical_rt` runs over an omega column.  Beyond the field
@@ -231,14 +239,14 @@ def extract_rt(field: WaveField, cfg: IntegrationConfig = DEFAULT_CONFIG) -> Sca
     xs = field.grid
     sel = xs <= xs[0] + cfg.match_window
     x_win = xs[sel]
-    design = np.column_stack([np.exp(1j * omega * x_win), np.exp(-1j * omega * x_win)])
-    cond = np.linalg.cond(design) if x_win.size >= 2 else float("inf")
+    incoming = np.exp(1j * omega * x_win)
+    design = np.column_stack([incoming, incoming.conj()])
+    (a_in, b_refl), _, _, sv = np.linalg.lstsq(design, field.values[sel], rcond=None)
+    cond = sv[0] / sv[-1] if x_win.size >= 2 and sv[-1] > 0 else math.inf
     if not cond < _COND_LIMIT:
         raise IllConditionedError(
             f"matching fit condition number {cond:.3g} exceeds {_COND_LIMIT:g}"
         )
-    coef, *_ = np.linalg.lstsq(design, field.values[sel], rcond=None)
-    a_in, b_refl = coef
     return ScatteringResult(omega=omega, m=m, kind=field.kind, R=b_refl / a_in, T=1.0 / a_in)
 
 

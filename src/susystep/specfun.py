@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateParamsError, DomainError, NonConvergenceError, PoleError
+from .errors import DegenerateParamsError, DomainError, NonConvergenceError, PoleError, ResultOverflowError
 
 __all__ = [
     "POLE_TOL",
@@ -224,7 +224,7 @@ def gamma_ratio(numerators, denominators):
     Numerator poles are reported first when both occur, and otherwise the
     first pole in argument order, then element order.  A non-finite
     argument, or one whose log-Gamma overflows, raises ``DomainError`` and
-    a ratio that overflows ``OverflowError``.
+    a ratio that overflows ``ResultOverflowError`` (an ``OverflowError``).
     """
     n_num = len(numerators)
     column, stack = _gamma_arguments([*numerators, *denominators], n_num)
@@ -234,7 +234,7 @@ def gamma_ratio(numerators, denominators):
         values = np.exp(acc)
     bad = ~(np.isfinite(acc) & np.isfinite(values))
     if bad.any():
-        raise OverflowError(f"Gamma ratio overflows at element {np.flatnonzero(bad)[0]}")
+        raise ResultOverflowError(f"Gamma ratio overflows at element {np.flatnonzero(bad)[0]}")
     return values if column else complex(values[0])
 
 
@@ -301,7 +301,7 @@ def _hyp2f1_complement(a, b, c, u, log_u):
         with np.errstate(over="ignore", invalid="ignore"):
             power = np.exp(s * log_u)
         if not np.isfinite(power).all():
-            raise OverflowError(f"(1 - z)^(c - a - b) overflows at log(1 - z) = {log_u[~np.isfinite(power)][0]}")
+            raise ResultOverflowError(f"(1 - z)^(c - a - b) overflows at log(1 - z) = {log_u[~np.isfinite(power)][0]}")
         values = values + second_ratio * (power * _gauss_series(c - a, c - b, 1.0 + s, u))
     return values
 
@@ -369,7 +369,7 @@ def hyp2f1(a, b, c, z, log_u=None):
     NonConvergenceError
         If a series fails to meet the term-ratio stop within
         ``MAX_SERIES_TERMS`` terms at some element (the first is named).
-    OverflowError
+    ResultOverflowError (an OverflowError)
         If (1 - z)^(c-a-b) overflows on the connection route.
     DegenerateParamsError
         If some ``z > Z_SWITCH`` and c-a-b is within tolerance of an integer.

@@ -3,12 +3,14 @@
 Each check evaluates one analytic contract (closed-form equivalence, flux
 conservation, SUSY identities, Wronskian constancy, wave-equation
 residuals, quasinormal poles, potential identities) and reports its worst
-residual against the contracted tolerance.  ``full`` adds the numerical
-integration sweeps.
+residual against the contracted tolerance.  ``full`` adds the two oracle
+checks, which read one oracle sweep per run: one march per (spec, omega),
+timed in the agreement row.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -138,24 +140,23 @@ def _figure_difference_window():
     return 0.0
 
 
-def _oracle_agreement():
+_ORACLE_SPECS = (PotentialSpec.plus(1.0), PotentialSpec.minus(1.0), PotentialSpec.step(1.0))
+
+
+def _oracle_agreement(sweep):
     worst = 0.0
-    omega = np.array([1.2, 1.5, 2.0, 3.0])
-    for spec in (PotentialSpec.plus(1.0), PotentialSpec.minus(1.0), PotentialSpec.step(1.0)):
-        num = oracle.numerical_rt(spec, omega)
+    for spec in _ORACLE_SPECS:
+        num = sweep(spec)
         if spec.kind is PotentialKind.STEP:
-            ana = scattering.step_amplitudes(omega, 1.0)
+            ana = scattering.step_amplitudes(num.omega, 1.0)
         else:
-            ana = scattering.reflection_transmission(spec.kind, omega, 1.0)
+            ana = scattering.reflection_transmission(spec.kind, num.omega, 1.0)
         worst = max(worst, np.max(np.abs(num.R - ana.R)), np.max(np.abs(num.T - ana.T)))
     return worst
 
 
-def _oracle_flux():
-    worst = 0.0
-    for spec in (PotentialSpec.plus(1.0), PotentialSpec.step(1.0)):
-        worst = max(worst, np.max(np.abs(oracle.numerical_rt(spec, np.array([1.2, 2.0])).flux - 1.0)))
-    return worst
+def _oracle_flux(sweep):
+    return max(np.max(np.abs(sweep(spec).flux - 1.0)) for spec in _ORACLE_SPECS)
 
 
 def run_checks(level: str = QUICK, inject_failure: bool = False):
@@ -173,8 +174,9 @@ def run_checks(level: str = QUICK, inject_failure: bool = False):
         _check("reflection-difference window", 0.5, _figure_difference_window),
     ]
     if level == FULL:
-        results.append(_check("oracle amplitude agreement", 1e-5, _oracle_agreement))
-        results.append(_check("oracle flux conservation", 1e-6, _oracle_flux))
+        sweep = functools.cache(lambda spec: oracle.numerical_rt(spec, np.array([1.2, 1.5, 2.0, 3.0])))
+        results.append(_check("oracle amplitude agreement", 1e-5, lambda: _oracle_agreement(sweep)))
+        results.append(_check("oracle flux conservation", 1e-6, lambda: _oracle_flux(sweep)))
     if inject_failure:
         # Negative control: report the Wronskian check against a constant
         # perturbed by 1e-3; it must fail and drive a nonzero exit status.

@@ -22,6 +22,7 @@ from susystep.scattering import (
     step_reflection_closed_form,
 )
 from susystep.solutions import sample_wavefield
+from susystep.verify import FULL, run_checks
 
 FREE = PotentialSpec.step(0.0, 1.0)  # V identically 0
 
@@ -97,8 +98,12 @@ def test_result_reports_the_coupling_solved():
     assert numerical_rt(PotentialSpec.plus(m), 2.0).m == m
 
 
-COARSE = IntegrationConfig(step=0.01)  # n = 6000, not a multiple of the block width 78
-UNPADDED = IntegrationConfig(x_min=-25.0, x_max=24.7, step=0.01)  # n = 4970 = 71 blocks of 70
+# The march lays its n steps out as groups of width x width blocks, width =
+# round(n^(1/3)) + 1, padded with identities up to a whole group.
+COARSE = IntegrationConfig(step=0.01)  # n = 6000: 17 groups of 19 x 19, padded
+UNPADDED = IntegrationConfig(x_min=-25.0, x_max=23.6, step=0.01)  # n = 4860 = 15 groups of 18 x 18
+FEW_STEPS = IntegrationConfig(step=5.0)  # n = 12: 2 groups of 3 x 3, padded
+TWO_STEPS = IntegrationConfig(step=30.0, match_window=30.0)  # n = 2: 1 group of 2 x 2, padded
 
 
 @pytest.mark.parametrize(
@@ -106,10 +111,11 @@ UNPADDED = IntegrationConfig(x_min=-25.0, x_max=24.7, step=0.01)  # n = 4970 = 7
     [(spec, omega, COARSE)
      for spec in (PotentialSpec.plus(1.0), PotentialSpec.minus(1.0), PotentialSpec.step(1.0, 1.0))
      for omega in (1.2, 3.0)]
-    + [(PotentialSpec.plus(1.0), 2.0, UNPADDED), (PotentialSpec.minus(1.0), 1.5, oracle_mod.DEFAULT_CONFIG)],
+    + [(PotentialSpec.plus(1.0), 2.0, UNPADDED), (PotentialSpec.minus(1.0), 1.5, oracle_mod.DEFAULT_CONFIG),
+       (FREE, 0.01, FEW_STEPS), (FREE, 0.002, TWO_STEPS)],  # omega h under the 0.1 stability bound
 )
 def test_march_matches_sequential_reference(spec, omega, cfg):
-    # the blocked step-matrix march against a point-by-point complex march
+    # the three-level step-matrix march against a point-by-point complex march
     field = integrate_wavefunction(spec, omega, cfg)
     n = field.values.size - 1
     kprime = math.sqrt(omega * omega - spec.right_asymptote)
@@ -225,6 +231,22 @@ def test_oracle_sweep_flux():
     for omega in (1.2, 1.5, 2.0, 3.0):
         res = numerical_rt(PotentialSpec.plus(1.0), omega)
         assert abs(res.flux - 1.0) < 1e-6
+
+
+def test_full_verify_marches_each_spec_and_omega_once(monkeypatch):
+    # one oracle sweep per run serves both oracle checks, and no run reuses
+    # another's: 3 specs x 4 omegas, the potential sampled once per spec
+    specs = (PotentialSpec.plus(1.0), PotentialSpec.minus(1.0), PotentialSpec.step(1.0))
+    omega = np.array([1.2, 1.5, 2.0, 3.0])
+    flux = max(float(np.max(np.abs(numerical_rt(spec, omega).flux - 1.0))) for spec in specs)
+    sampled = _counting(monkeypatch, "potential")
+    marched = _counting(monkeypatch, "_march")
+    for run in (1, 2):
+        results = run_checks(FULL)
+        assert len(results) == 10 and all(r.passed for r in results)
+        assert len(marched) == 12 * run and len(sampled) == 3 * run
+        assert {(args[0], args[4]) for args in marched} == {(spec, w) for spec in specs for w in omega.tolist()}
+        assert results[-1].name == "oracle flux conservation" and results[-1].max_residual == flux
 
 
 # --------------------------------------------------------------- error paths

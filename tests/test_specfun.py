@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from susystep.errors import DegenerateParamsError, DomainError, NonConvergenceError, PoleError
+from susystep.errors import DegenerateParamsError, DomainError, NonConvergenceError, PoleError, SusystepError
 import susystep.specfun as specfun_mod
 from susystep.solutions import exact_solution, make_exponents
 from susystep.specfun import (
@@ -258,6 +258,8 @@ def test_gamma_ratio_array_poles():
         gamma_ratio([np.array([1.0, 200.0])], [])
     with pytest.raises(OverflowError):
         gamma_ratio([200.0], [])
+    with pytest.raises(SusystepError):  # typed, as every error of the package
+        gamma_ratio([200.0], [])
 
 
 def test_lngamma_past_the_sine_overflow():
@@ -326,6 +328,8 @@ def test_saturated_z_uses_the_exact_complement():
         hyp2f1(a, b, c, -0.1, log_u=math.log1p(0.1))  # a complement above 1
     with pytest.raises(OverflowError):  # (1 - z)^(c - a - b) = e^1200
         hyp2f1(1.0, 1.0, 0.5, np.array([0.6, 1.0]), log_u=np.array([math.log(0.4), -800.0]))
+    with pytest.raises(SusystepError):
+        hyp2f1(1.0, 1.0, 0.5, 1.0, log_u=-800.0)
     for x in (-600.0, 600.0):
         assert cmath.isfinite(exact_solution("I", 1, 2.0, 1.0, x))
 
