@@ -418,7 +418,7 @@ def test_non_finite_numbers_are_domain_errors(call, args):
     (lngamma, (1e307j,)),
     (lngamma, (np.array([2.0, 1e307j]),)),
     (gamma_ratio, ([1e200 + 1e200j], [2.0])),
-], ids=repr)
+], ids=["lngamma 1e200+1e200j", "lngamma 1e307j", "lngamma column", "gamma_ratio 1e200+1e200j"])
 def test_overflowing_log_gamma_is_a_domain_error(call, args):
     # finite arguments whose log-Gamma overflows on the way raise, not nan
     with pytest.raises(DomainError, match="not finite"):
