@@ -59,7 +59,6 @@ from .solutions import (
     wave_equation_residual,
     wronskian,
     x_to_z,
-    z_to_x,
 )
 from .specfun import connect_near_one, gamma_ratio, hyp2f1, lngamma
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,6 @@ __all__ = [
     "PotentialKind",
     "PotentialSpec",
     "superpotential",
-    "superpotential_derivative",
     "v_plus",
     "v_minus",
     "v_step",
@@ -55,8 +55,9 @@ class PotentialSpec:
 
     def __post_init__(self):
         for name in ("m", "v0", "alpha"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"potential parameters must be finite, got {name} = {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise DomainError(f"potential parameters must be real and finite, got {name} = {value}")
         if self.kind in (PotentialKind.PLUS, PotentialKind.MINUS):
             if not self.m > 0:
                 raise DomainError(f"partner potentials require m > 0, got m = {self.m}")
@@ -98,13 +99,8 @@ def superpotential(x, m):
 
 
 def _dw(x, m, softplus):
-    """dW/dx from softplus = logaddexp(0, x)."""
+    """dW/dx = -(m/2) e^(x/2) / (e^x + 1)^(3/2) from softplus = logaddexp(0, x)."""
     return -0.5 * m * np.exp(0.5 * x - 1.5 * softplus)
-
-
-def superpotential_derivative(x, m):
-    """dW/dx = -(m/2) e^(x/2) / (e^x + 1)^(3/2), in closed form."""
-    return _dw(x, m, np.logaddexp(0.0, x))
 
 
 def v_plus(x, m):

@@ -107,20 +107,26 @@ class ScatteringResult:
         return self.R2 + (self.kprime / self.omega) * self.T2
 
 
+def _coupling(m) -> float:
+    """m as a float; ``DomainError`` unless it is a real number in (0, inf)."""
+    if not (isinstance(m, numbers.Real) and 0 < m < math.inf):
+        raise DomainError(f"require a real, finite m > 0, got m = {m}")
+    return float(m)
+
+
 def _check_scattering_regime(omega, m: float):
     """(omega, float(m)) for real omega > m > 0: omega a Python float for a
     real number (numpy scalars too), a float array for a 1-d real array,
     whose every element is checked."""
+    m = _coupling(m)
     column = np.ndim(omega) > 0
     if column:
         omega = np.asarray(omega)
         real = omega.ndim == 1 and omega.dtype.kind in "iuf"
     else:
         real = isinstance(omega, numbers.Real)
-    if not (real and isinstance(m, numbers.Real)):
-        raise DomainError("scattering amplitudes and closed forms take real m and real omega, a number or a 1-d array")
-    if not 0 < m < math.inf:
-        raise DomainError(f"require a finite m > 0, got m = {m}")
+    if not real:
+        raise DomainError("scattering amplitudes and closed forms take a real omega, a number or a 1-d array")
     if column:
         omega = omega.astype(float)
         below = omega[~((omega > m) & (omega < math.inf))]
@@ -129,7 +135,7 @@ def _check_scattering_regime(omega, m: float):
         below = [] if m < omega < math.inf else [omega]
     if len(below):
         raise DomainError(f"scattering requires a finite omega > m (~propagating transmitted wave); got omega = {below[0]}, m = {m}")
-    return omega, float(m)
+    return omega, m
 
 
 def _math(omega):
@@ -340,15 +346,12 @@ def qnm(kind: PotentialKind, n: int, m: float) -> complex:
     """
     if not (isinstance(n, numbers.Integral) and n >= 0):
         raise DomainError(f"overtone index must be an integer >= 0, got {n!r}")
-    if not 0 < m < math.inf:
-        raise DomainError(f"require a finite m > 0, got m = {m}")
+    m = _coupling(m)
     if kind is PotentialKind.STEP:
-        omega = -0.5j * (n + 1.0 - m * m / (n + 1.0))
-    elif kind in (PotentialKind.PLUS, PotentialKind.MINUS):
-        omega = -0.25j * (n + 1.0 - 4.0 * m * m / (n + 1.0))
-    else:
-        raise DomainError(f"unknown potential kind {kind!r}")
-    return omega
+        return -0.5j * (n + 1.0 - m * m / (n + 1.0))
+    if kind in (PotentialKind.PLUS, PotentialKind.MINUS):
+        return -0.25j * (n + 1.0 - 4.0 * m * m / (n + 1.0))
+    raise DomainError(f"unknown potential kind {kind!r}")
 
 
 def inverse_transmission_magnitude(kind: PotentialKind, omega: complex, m: float) -> float:
@@ -361,16 +364,17 @@ def inverse_transmission_magnitude(kind: PotentialKind, omega: complex, m: float
     which stays evaluable where the hypergeometric parameter c1 is an
     integer.  A pole of the numerator Gamma means T is infinite, so 0.0 is
     returned (the amplitude-pole signal that locates quasinormal
-    frequencies).  A pole of a denominator Gamma raises GammaPoleError.
+    frequencies).  A pole of a denominator Gamma raises GammaPoleError;
+    an omega that is not one finite number, or an m that is not a real
+    0 < m < inf, raises DomainError.
     """
     if kind not in (PotentialKind.PLUS, PotentialKind.MINUS):
         raise DomainError("transmission poles are computed for the partner kinds")
-    if not 0 < m < math.inf:
-        raise DomainError(f"require a finite m > 0, got m = {m}")
+    m = _coupling(m)
+    if not (isinstance(omega, numbers.Number) and cmath.isfinite(omega)):
+        raise DomainError(f"omega must be a finite number, got omega = {omega}")
     omega = complex(omega)
-    if not cmath.isfinite(omega):
-        raise DomainError(f"omega = {omega} is not finite")
-    B = b_exponent(omega, m)
+    B = complex(b_exponent(omega, m))
     kprime = -1j * B
     numerator_arg = 1.0 - 2j * omega - 2j * kprime
     dist = numerator_arg - round(numerator_arg.real)

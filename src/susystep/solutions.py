@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,6 @@ __all__ = [
     "SolutionParams",
     "WaveField",
     "x_to_z",
-    "z_to_x",
     "b_exponent",
     "make_exponents",
     "exact_solution",
@@ -45,23 +45,16 @@ _QUARTER_TURN = cmath.exp(-0.25j * cmath.pi)
 _STENCIL_SLIP = 1e-6
 
 
-def x_to_z(x: float) -> float:
-    """z = e^x / (e^x + 1), the map onto (0, 1); overflow-safe.
+def x_to_z(x):
+    """z = e^x / (e^x + 1), the map onto (0, 1); overflow-safe.  x is a
+    real number (a float is returned) or array (an array of its shape).
 
     In floating point the value saturates to exactly 0.0 or 1.0 once
     |x| exceeds ~37; the solution evaluators below avoid that loss by
     working with log z and log(1-z) directly.
     """
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
-def z_to_x(z: float) -> float:
-    """Inverse map x = ln(z / (1 - z)) for z in (0, 1)."""
-    z = _unit_z(z)
-    return math.log(z) - math.log1p(-z)
+    z = _logs_from_x(_real(x, "x"))[0]
+    return z if np.ndim(z) else float(z)
 
 
 def _logs_from_x(x):
@@ -74,19 +67,24 @@ def _logs_from_x(x):
     return z, np.where(right, log_near, log_near + x), np.where(right, log_near - x, log_near)
 
 
-def _unit_z(z) -> float:
-    """z as a float; ``DomainError`` unless it is in (0, 1)."""
-    z = float(z)
-    if not 0.0 < z < 1.0:
-        raise DomainError(f"z = {z} outside (0, 1)")
-    return z
+def _real(values, name):
+    """``values`` as a float array; ``DomainError`` for a complex (or any non-real) dtype."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be real, got an array of dtype {values.dtype}")
+    return values.astype(float)
 
 
 def _unit_column(z):
-    """(is z a 1-d array, z as a 1-d float array), each element through ``_unit_z``."""
-    if np.ndim(z) > 1:
-        raise DomainError(f"z must be a float or a 1-d array, got shape {np.shape(z)}")
-    return np.ndim(z) == 1, np.array([_unit_z(v) for v in np.ravel(z).tolist()], dtype=float)
+    """(is z a 1-d array, z as a 1-d float array); ``DomainError`` unless z
+    is a real number or 1-d array with every element in (0, 1)."""
+    z = _real(z, "z")
+    if z.ndim > 1:
+        raise DomainError(f"z must be a float or a 1-d array, got shape {z.shape}")
+    outside = z[~((z > 0.0) & (z < 1.0))]
+    if outside.size:
+        raise DomainError(f"z = {outside[0]} outside (0, 1)")
+    return z.ndim == 1, np.atleast_1d(z)
 
 
 def _logs_from_z(z):
@@ -95,9 +93,9 @@ def _logs_from_z(z):
 
 
 def _x_grid(grid, min_points=0):
-    """``grid`` as a float array, checked to be a 1-d, finite, strictly
+    """``grid`` as a float array, checked to be a real, 1-d, finite, strictly
     increasing x grid of at least ``min_points`` points."""
-    xs = np.asarray(grid, dtype=float)
+    xs = _real(grid, "x")
     if xs.ndim != 1:
         raise DomainError(f"the x grid must be 1-d, got shape {xs.shape}")
     if xs.size < min_points:
@@ -110,8 +108,9 @@ def _x_grid(grid, min_points=0):
     return xs
 
 
-def b_exponent(omega: complex, m: float) -> complex:
-    """The branch of B = sqrt(m^2 - omega^2) used throughout.
+def b_exponent(omega, m: float):
+    """The branch of B = sqrt(m^2 - omega^2) used throughout, elementwise
+    over a number or an array of omega (a numpy scalar or array).
 
     Real omega > m: +i sqrt(omega^2 - m^2), so the first connection term
     carries e^(-i sqrt(omega^2-m^2) x) as x -> +infinity.  Real omega < m:
@@ -120,10 +119,8 @@ def b_exponent(omega: complex, m: float) -> complex:
     omega > m case; when the root is real (omega on the imaginary axis)
     the tie is broken toward positive real part.
     """
-    r = cmath.sqrt(m * m - omega * omega + 0.0j)
-    if abs(r.imag) <= 1e-14 * abs(r):
-        return r  # real root: principal sqrt already has Re >= 0
-    return r if r.imag > 0 else -r
+    r = np.sqrt(m * m - omega * omega + 0j)
+    return np.where(r.imag < -1e-14 * np.abs(r), -r, r)[()]  # a (near-)real root keeps the principal Re >= 0
 
 
 @dataclass(frozen=True)
@@ -154,14 +151,6 @@ class SolutionParams:
     G2: complex
     H2: complex
 
-    def indicial_residuals(self) -> float:
-        """Largest residual of the defining algebraic equations (over every
-        element of a record of columns)."""
-        residuals = [abs(self.B1 * self.B1 + self.omega**2 - self.m**2)]
-        for C, eps in ((self.C1, 1), (self.C2, -1)):
-            residuals.append(abs(C * C - 0.5 * C + 0.5j * self.omega * eps + self.omega**2))
-        return float(np.max(residuals))
-
 
 @dataclass(frozen=True)
 class WaveField:
@@ -177,7 +166,7 @@ class WaveField:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
+        grid = _real(self.grid, "grid")
         values = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
@@ -192,51 +181,43 @@ class WaveField:
 def make_exponents(omega, m: float) -> SolutionParams:
     """The :class:`SolutionParams` record of (omega, m).
 
-    ``omega`` is a number or a 1-d array; an array gives a record whose
-    fields are columns (``m`` stays a float), each element equal to the
-    field of the one-omega record (G2 and H2 to rounding: numpy divides
-    complex numbers differently).
+    ``omega`` is a number, giving ``complex`` fields, or a 1-d array,
+    giving a record whose fields are columns (``m`` stays a float).  A
+    number is the one-element case of one checked numpy pass, so a column
+    record equals the one-omega records bit for bit.
 
     Raises
     ------
     DomainError
-        For a non-finite omega or m, or m = 0.
+        For an omega that is not a number or a 1-d array, a non-finite
+        omega, or an m that is not a real, finite number other than 0.
     ZeroFrequencyError
         For omega = 0, where the first-order factorization that couples
-        Z+ and Z- breaks down.
+        Z+ and Z- breaks down.  A column with a zero element raises this
+        before ``DegenerateCError``, whatever the element order.
     DegenerateCError
         When c1 = 2 i omega + 1/2 is within tolerance of an integer and
         the second power-series solution would pick up logarithms.
     """
-    column = np.ndim(omega) > 0
-    omega, m = (np.asarray(omega, dtype=complex) if column else complex(omega)), float(m)
-    if column and omega.ndim != 1:
-        raise DomainError(f"omega must be a number or a 1-d array, got shape {omega.shape}")
-    omegas = omega.tolist() if column else [omega]
-    if not (all(map(cmath.isfinite, omegas)) and math.isfinite(m)):
-        raise DomainError(f"solutions require finite omega and m, got omega = {omega}, m = {m}")
+    column, omega = np.ndim(omega) > 0, np.atleast_1d(omega)
+    if omega.ndim > 1 or omega.dtype.kind not in "iufc":
+        raise DomainError(f"omega must be a number or a 1-d array, got omega = {omega}")
+    if not (isinstance(m, numbers.Real) and math.isfinite(m) and m != 0 and np.isfinite(omega).all()):
+        raise DomainError(f"solutions require finite omega and a real, finite m != 0, got omega = {omega}, m = {m}")
+    omega, m = omega.astype(complex), float(m)
+    if (abs(omega) < 1e-12).any():
+        raise ZeroFrequencyError("solutions require omega != 0")
     C1 = 1j * omega
-    C2 = C1 + 0.5
     c1 = 2.0 * C1 + 0.5
-    for w, c in zip(omegas, c1.tolist() if column else [c1]):
-        _check_frequency(w, m, c)
-    B1 = np.array([b_exponent(w, m) for w in omegas], dtype=complex) if column else b_exponent(omega, m)
+    degenerate = c1[abs(c1 - c1.real.round()) < specfun.POLE_TOL]
+    if degenerate.size:
+        raise DegenerateCError(f"c1 = {degenerate[0]} is within tolerance of an integer")
+    B1 = b_exponent(omega, m)
     a1 = C1 + B1 + 0.5
     b1 = C1 + B1
-    return SolutionParams(
-        omega=omega, m=m, B1=B1, C1=C1, C2=C2, a1=a1, b1=b1, c1=c1,
-        a2=b1 + 1.0, b2=a1, c2=c1 + 1.0, G2=1j * (a1 - c1) * b1 / (m * c1), H2=1j * (1.0 - c1) / m,
-    )
-
-
-def _check_frequency(omega: complex, m: float, c1: complex):
-    """``make_exponents``' checks of one omega and its c1."""
-    if abs(omega) < 1e-12:
-        raise ZeroFrequencyError("solutions require omega != 0")
-    if m == 0:
-        raise DomainError("solutions require m != 0")
-    if abs(c1 - round(c1.real)) < specfun.POLE_TOL:
-        raise DegenerateCError(f"c1 = {c1} is within tolerance of an integer")
+    fields = dict(omega=omega, B1=B1, C1=C1, C2=C1 + 0.5, a1=a1, b1=b1, c1=c1, a2=b1 + 1.0, b2=a1, c2=c1 + 1.0,
+                  G2=1j * (a1 - c1) * b1 / (m * c1), H2=1j * (1.0 - c1) / m)
+    return SolutionParams(m=m, **{name: v if column else complex(v[0]) for name, v in fields.items()})
 
 
 def _rotated(j, branch, p, z, log_z, log_u):
@@ -285,17 +266,17 @@ def exact_solution(branch, sign, omega, m, x) -> complex:
     :class:`SolutionParams`).  Evaluation is stable for any finite x; the
     hypergeometric argument and all power factors come from log-space
     forms of z(x).  A non-finite x, omega or m raises ``DomainError``, and
-    so does an x where the power factor overflows (complex omega, |x| in
-    the hundreds).
+    so do a complex x or m and an x where the power factor overflows
+    (complex omega, |x| in the hundreds).
     """
     p = make_exponents(omega, m)
-    return complex(_solution_from_logs(branch, sign, p, *_logs_from_x(_x_grid([float(x)])))[0])
+    return complex(_solution_from_logs(branch, sign, p, *_logs_from_x(_x_grid([x])))[0])
 
 
 def exact_solution_at_z(branch, sign, omega, m, z) -> complex:
     """Same as :func:`exact_solution` but parametrized by z in (0, 1)."""
     p = make_exponents(omega, m)
-    return complex(_solution_from_logs(branch, sign, p, *_logs_from_z(np.array([_unit_z(z)])))[0])
+    return complex(_solution_from_logs(branch, sign, p, *_logs_from_z(_unit_column([z])[1]))[0])
 
 
 def rotated_component(j, branch, omega, m, z) -> complex:
@@ -307,7 +288,7 @@ def rotated_component(j, branch, omega, m, z) -> complex:
     if j not in (1, 2):
         raise DomainError(f"component index must be 1 or 2, got {j!r}")
     p = make_exponents(omega, m)
-    return complex(_rotated(j, branch, p, *_logs_from_z(np.array([_unit_z(z)])))[0])
+    return complex(_rotated(j, branch, p, *_logs_from_z(_unit_column([z])[1]))[0])
 
 
 def _stencil(x, h):

@@ -503,6 +503,21 @@ def test_qnm_degenerate_c_values_still_resolve():
 
 
 @pytest.mark.parametrize("call, args", [
+    (qnm, (PotentialKind.PLUS, 1, 1 + 0j)),
+    (inverse_transmission_magnitude, (PotentialKind.PLUS, 2.0, 1 + 0j)),
+    (inverse_transmission_magnitude, (PotentialKind.PLUS, np.array([2.0, 3.0]), 1.0)),
+    (reflection_transmission, (PotentialKind.PLUS, 2.0, 1 + 0j)),
+    (coefficients_closed_form, (np.array([2.0, 3.0]), np.float64(1.0) + 0j)),
+], ids=["qnm m complex", "inverse_transmission m complex", "inverse_transmission omega column",
+        "reflection_transmission m complex", "closed form m complex"])
+def test_a_complex_coupling_or_an_omega_column_is_a_domain_error(call, args):
+    # one coupling check serves the amplitudes, the closed forms, qnm and
+    # inverse_transmission_magnitude; |1/T| takes one omega
+    with pytest.raises(DomainError):
+        call(*args)
+
+
+@pytest.mark.parametrize("call, args", [
     (reflection_transmission, (PotentialKind.PLUS, math.inf, 1.0)),
     (step_amplitudes, (math.inf, 1.0)),
     (coefficients_closed_form, (math.inf, 1.0)),
