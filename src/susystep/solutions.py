@@ -220,6 +220,16 @@ def make_exponents(omega, m: float) -> SolutionParams:
     return SolutionParams(m=m, **{name: v if column else complex(v[0]) for name, v in fields.items()})
 
 
+def _one_omega(omega, m) -> SolutionParams:
+    """``make_exponents(omega, m)`` for the functions that evaluate one
+    wavefunction, which take one omega: an omega array raises
+    ``DomainError`` naming its shape."""
+    if not isinstance(omega, numbers.Number) and np.ndim(omega):
+        raise DomainError(f"omega must be a number here, got an array of shape {np.shape(omega)}; "
+                          "make_exponents takes omega columns")
+    return make_exponents(omega, m)
+
+
 def _rotated(j, branch, p, z, log_z, log_u):
     """Rotated component (R-tilde)_j of the requested solution branch at
     every point of the (z, log z, log u) column arrays, as an array; the
@@ -269,13 +279,13 @@ def exact_solution(branch, sign, omega, m, x) -> complex:
     so do a complex x or m and an x where the power factor overflows
     (complex omega, |x| in the hundreds).
     """
-    p = make_exponents(omega, m)
+    p = _one_omega(omega, m)
     return complex(_solution_from_logs(branch, sign, p, *_logs_from_x(_x_grid([x])))[0])
 
 
 def exact_solution_at_z(branch, sign, omega, m, z) -> complex:
     """Same as :func:`exact_solution` but parametrized by z in (0, 1)."""
-    p = make_exponents(omega, m)
+    p = _one_omega(omega, m)
     return complex(_solution_from_logs(branch, sign, p, *_logs_from_z(_unit_column([z])[1]))[0])
 
 
@@ -287,7 +297,7 @@ def rotated_component(j, branch, omega, m, z) -> complex:
     """
     if j not in (1, 2):
         raise DomainError(f"component index must be 1 or 2, got {j!r}")
-    p = make_exponents(omega, m)
+    p = _one_omega(omega, m)
     return complex(_rotated(j, branch, p, *_logs_from_z(_unit_column([z])[1]))[0])
 
 
@@ -330,7 +340,7 @@ def coupled_residual(omega, m, x_grid, branch="I") -> float:
     ``hyp2f1`` call per component.
     """
     xs = _x_grid(x_grid, 3)
-    p = make_exponents(omega, m)
+    p = _one_omega(omega, m)
     h = 0.5 * float(np.min(np.diff(xs)))
     points = _logs_from_x(_stencil(xs, h))
     r1 = _rotated(1, branch, p, *points)
@@ -349,13 +359,16 @@ def wave_equation_residual(branch, sign, omega, m, z):
         d/dz[z(1-z) Z'] + q(z) Z = 0,
         q = (omega^2 - m^2)/(1-z) + omega^2/z + sign m/(2 sqrt z),
 
-    at z in (0, 1), with five-point derivatives of step 0.01 z(1-z).  A 1-d
-    array of z, every element checked first, gives the float calls' values.
+    at z in (0, 1), with five-point derivatives of step
+    0.01 z(1-z) / max(1, |omega|), which follows the wave's oscillation as
+    omega grows.  A 1-d array of z, every element checked first, gives the
+    float calls' values.
     """
     column, z = _unit_column(z)
-    h = 0.01 * z * (1.0 - z)
+    p = _one_omega(omega, m)
+    h = 0.01 * z * (1.0 - z) / max(1.0, abs(p.omega))
     points = _logs_from_z(_stencil(z, h))
-    f0, d1, d2 = _five_point(_solution_from_logs(branch, sign, make_exponents(omega, m), *points), h)
+    f0, d1, d2 = _five_point(_solution_from_logs(branch, sign, p, *points), h)
     q = (omega * omega - m * m) / (1 - z) + omega * omega / z + sign * m / (2.0 * np.sqrt(z))
     res = (1 - 2 * z) * d1 + z * (1 - z) * d2 + q * f0
     scale = np.abs(q * f0) + np.abs((1 - 2 * z) * d1) + np.abs(z * (1 - z) * d2)
@@ -378,7 +391,7 @@ def wronskian(sign, omega, m, z):
     column, z = _unit_column(z)
     h = 1e-3 * np.minimum(np.minimum(z, 1.0 - z), 0.5)
     points = _logs_from_z(_stencil(z, h))
-    p = make_exponents(omega, m)
+    p = _one_omega(omega, m)
     zi, di, _ = _five_point(_solution_from_logs("I", sign, p, *points), h)
     zii, dii, _ = _five_point(_solution_from_logs("II", sign, p, *points), h)
     value = z * (1.0 - z) * (zi * dii - zii * di)
@@ -393,7 +406,7 @@ def sample_wavefield(branch, sign, omega, m, grid) -> WaveField:
     ``hyp2f1`` call per component.
     """
     xs = _x_grid(grid)
-    p = make_exponents(omega, m)
+    p = _one_omega(omega, m)
     values = _solution_from_logs(branch, sign, p, *_logs_from_x(xs))
     kind = PotentialKind.PLUS if sign == 1 else PotentialKind.MINUS
     return WaveField(grid=xs, values=values, omega=omega, m=float(m), kind=kind, branch=branch)

@@ -12,9 +12,11 @@ concurrently.  The evaluation strategy:
   that the connection formula toward z = 1 (``connect_near_one``), whose
   series argument ``1 - z`` is then small.  A number is the one-element
   column.  Each series is summed in one numpy pass over its part of the
-  column, every element stopped by its own term-ratio rule, and the
-  connection formula's Gamma ratios, which depend on (a, b, c) only, are
-  formed once per call.
+  column, up to 16 terms per numpy round with one stop test per round;
+  every element stops at the first term that meets its own term-ratio
+  rule, as a term-by-term loop would, so the values do not depend on the
+  block.  The connection formula's Gamma ratios, which depend on (a, b, c)
+  only, are formed once per call.
 """
 
 from __future__ import annotations
@@ -47,6 +49,12 @@ Z_SWITCH = 0.5
 
 MAX_SERIES_TERMS = 10_000
 _SERIES_STOP = 1e-16
+# ``_gauss_series`` sums up to _SERIES_BLOCK terms per numpy round, so its
+# stop test and compaction run once per block, not once per term; a round
+# holds at most _SERIES_ROUND element-terms (64 KiB per buffer) unless one
+# term is longer, so long columns keep cache-sized buffers.
+_SERIES_BLOCK = 16
+_SERIES_ROUND = 4096
 
 # exp(log_u), for a supplied log_u, may differ from 1 - z by this many
 # units of the double epsilon, absolutely.
@@ -239,25 +247,40 @@ def gamma_ratio(numerators, denominators):
 
 
 def _gauss_series(a, b, c, z):
-    """Raw Gauss series sum_k (a)_k (b)_k / ((c)_k k!) z^k at every element
-    of a 1-d float array, as a complex array.  One pass over the column: an
-    element stops at the first k with |t_k| <= 1e-16 |S_k|, is written out
-    and dropped from the live arrays, so its value does not depend on the
-    other elements.  Assumes 0 <= z < 1 and c off the pole set."""
+    """Raw Gauss series sum_k (a)_k (b)_k / ((c)_k k!) z^k (DLMF 15.2.1) at
+    every element of a 1-d float array, as a complex array.  One pass over
+    the column in numpy rounds of up to ``_SERIES_BLOCK`` terms: each term
+    is t_k = t_(k-1) * (r_k z) and S_k = S_(k-1) + t_k, three elementwise
+    operations, and once per round the stop test runs over the whole
+    block.  An element stops at the first k with |t_k| <= 1e-16 |S_k|, the
+    same k and S_k as a term-by-term loop gives, is written out and dropped
+    from the live arrays, so its value does not depend on the other
+    elements or on the block size.  Assumes 0 <= z < 1 and c off the pole
+    set."""
     out = np.empty(z.shape, dtype=complex)
     live = np.arange(z.size)
     w = z.astype(complex)  # the live z; numpy would cast it for each complex product
     term = total = np.ones(z.shape, dtype=complex)
+    k = 0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing series runs out of terms
-        for k in range(MAX_SERIES_TERMS):
-            if not live.size:
-                break
-            # out of place: numpy's in-place complex multiply rounds differently on long arrays
-            term = term * ((a + k) * (b + k) / ((c + k) * (k + 1.0)) * w)
-            total = total + term
-            done = np.abs(term) <= _SERIES_STOP * np.abs(total)
-            if np.count_nonzero(done):
-                out[live[done]] = total[done]
+        while live.size and k < MAX_SERIES_TERMS:
+            rows = min(_SERIES_BLOCK, max(1, _SERIES_ROUND // live.size), MAX_SERIES_TERMS - k)
+            # row j holds t_(k+j) and S_(k+j).  Each t is multiplied into its
+            # row, apart from its operands: numpy rounds an in-place complex
+            # multiply differently, and from 256 KiB on makes ``x * temporary``
+            # one.
+            terms = np.empty((rows, live.size), dtype=complex)
+            totals = np.empty_like(terms)
+            for j in range(rows):
+                term = np.multiply(term, (a + k) * (b + k) / ((c + k) * (k + 1.0)) * w, out=terms[j])
+                total = np.add(total, term, out=totals[j])
+                k += 1
+            hit = np.abs(terms) <= _SERIES_STOP * np.abs(totals)
+            done = hit.any(axis=0)
+            stops = np.flatnonzero(done)  # indexes faster than the mask on 2-d arrays
+            if stops.size:
+                # an element's first hit is where a term-by-term loop stops it
+                out[live[stops]] = totals[hit[:, stops].argmax(axis=0), stops]
                 keep = ~done
                 live, w, term, total = live[keep], w[keep], term[keep], total[keep]
     if live.size:

@@ -3,6 +3,7 @@ handling, and the classical functional identities as property tests."""
 
 import cmath
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -465,6 +466,88 @@ def test_column_series_stops_each_element_on_its_own(monkeypatch):
             hyp2f1(1.0, 1.0, 2.0, np.array(z))
     assert hyp2f1(1.0, 1.0, 2.0, 0.01) == fast
     assert hyp2f1(1.0, 1.0, 2.0, np.array([0.0, 0.01, 0.02]))[1] == fast
+
+
+def _term_by_term(a, b, c, z):
+    """The Gauss series one term per numpy round, each element stopped at
+    its first |t_k| <= 1e-16 |S_k|: (values, stopping k of each element,
+    -1 where the budget runs out)."""
+    out, stop = np.empty(z.shape, dtype=complex), np.full(z.shape, -1)
+    live = np.arange(z.size)
+    w = z.astype(complex)
+    term = total = np.ones(z.shape, dtype=complex)
+    for k in range(specfun_mod.MAX_SERIES_TERMS):
+        if not live.size:
+            break
+        term = term * ((a + k) * (b + k) / ((c + k) * (k + 1.0)) * w)
+        total = total + term
+        done = np.abs(term) <= 1e-16 * np.abs(total)
+        out[live[done]], stop[live[done]] = total[done], k
+        live, w, term, total = live[~done], w[~done], term[~done], total[~done]
+    return out, stop
+
+
+def _stopping_at(a, b, c, ks, grid):
+    """Points of ``grid`` at which the series of (a, b, c) stops at each k
+    in ``ks``, one per k, by the term-by-term loop."""
+    stop = _term_by_term(a, b, c, grid)[1]
+    picked = [grid[stop == k][:1] for k in ks]
+    assert all(p.size for p in picked), ks
+    return np.concatenate(picked)
+
+
+BLOCK = specfun_mod._SERIES_BLOCK
+
+
+@pytest.mark.parametrize("ks", [
+    [BLOCK - 1], [BLOCK], [BLOCK + 1], [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1], [1, 149],
+], ids=["block-1", "block", "block+1", "both sides of two rounds", "2 and 150 terms"])
+def test_blocked_series_equals_the_term_by_term_loop(ks):
+    # a round of the kernel sums a block of terms, then finds each element's
+    # first stop in it: the same k and the same bits as one term per round
+    p = make_exponents(2.0, 1.0)
+    grid = np.concatenate([np.geomspace(1e-20, 1e-6, 200), np.linspace(1e-6, 0.2, 4000), np.linspace(0.2, 0.9, 4000)])
+    z = np.repeat(_stopping_at(p.a1, p.b1, p.c1, ks, grid), 3)
+    got = specfun_mod._gauss_series(p.a1, p.b1, p.c1, z)
+    expected, stop = _term_by_term(p.a1, p.b1, p.c1, z)
+    assert sorted(set(stop.tolist())) == ks
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_blocked_series_rounds_grow_as_the_column_shrinks():
+    # from 8400 live elements down to a few, a round holds 1 up to BLOCK terms
+    p = make_exponents(2.0, 1.0)
+    z = np.random.default_rng(7).permutation(np.concatenate([np.geomspace(1e-20, 0.2, 4200), np.linspace(0.2, 0.9, 4200)]))
+    assert specfun_mod._SERIES_ROUND // z.size < 1
+    expected = _term_by_term(p.a1, p.b1, p.c1, z)[0]
+    assert specfun_mod._gauss_series(p.a1, p.b1, p.c1, z).tobytes() == expected.tobytes()
+
+
+def test_blocked_series_budget_is_exact(monkeypatch):
+    # a budget that is not a multiple of the block: the last round is cut
+    # short, an element may stop at its last term, and the message is as before
+    monkeypatch.setattr(specfun_mod, "MAX_SERIES_TERMS", 37)
+    a, b, c = 1.0 + 0j, 1.0 + 0j, 2.0 + 0j
+    z = _stopping_at(a, b, c, [7, 36, -1], np.linspace(0.01, 0.6, 3000))
+    assert specfun_mod._gauss_series(a, b, c, z[:2]).tobytes() == _term_by_term(a, b, c, z[:2])[0].tobytes()
+    message = f"Gauss series for 2F1({a}, {b}; {c}; {z[2]}) did not converge in 37 terms"
+    with pytest.raises(NonConvergenceError, match=re.escape(message)):
+        specfun_mod._gauss_series(a, b, c, z)
+
+
+def test_blocked_series_of_an_empty_column():
+    assert specfun_mod._gauss_series(1.0 + 0j, 1.0 + 0j, 2.0 + 0j, np.array([])).shape == (0,)
+
+
+def test_long_gauss_column_equals_the_number_calls():
+    # past 16384 elements (256 KiB of complex) numpy turns x * temporary into
+    # an in-place multiply, which rounds differently; the kernel writes each
+    # term to a row of its own, so a long column keeps the number calls' bits
+    p = make_exponents(12.0, 1.0)
+    z = np.random.default_rng(3).uniform(0.0, 0.5, 16400)
+    got = hyp2f1(p.a1, p.b1, p.c1, z)
+    for i in range(0, z.size, 401):
+        assert got[i] == hyp2f1(p.a1, p.b1, p.c1, float(z[i])), i
 
 
 @pytest.mark.parametrize("omega, m", [(2.0, 1.0), (10.0, 0.5), (30.0, 2.0)])
