@@ -21,13 +21,7 @@ from .potentials import PotentialKind, PotentialSpec, potential
 from .scattering import ScatteringResult
 from .solutions import WaveField
 
-__all__ = [
-    "IntegrationConfig",
-    "DEFAULT_CONFIG",
-    "integrate_wavefunction",
-    "extract_rt",
-    "numerical_rt",
-]
+__all__ = ["IntegrationConfig", "DEFAULT_CONFIG", "integrate_wavefunction", "extract_rt", "numerical_rt"]
 
 _BLOWUP_LIMIT = 1e12
 _COND_LIMIT = 1e8
@@ -37,13 +31,13 @@ _COND_LIMIT = 1e8
 class IntegrationConfig:
     """Fixed-step integration window and matching-window geometry.
 
-    The defaults put the boundaries where the residual potential is below
-    1e-12 (the potentials decay like e^-|x|) and sample densely enough
-    that (max|V - omega^2|) step^2 stays well under the 0.01 stability
-    bound checked at integration time.  The 5-unit matching window keeps
-    the slowly decaying e^(x/2) contamination near the left boundary below
-    the 1e-6 flux budget even just above threshold (a 10-unit window
-    admits ~1.4e-6 flux error at omega = 1.2 m).
+    The step must keep (max|V - omega^2|) step^2 < 0.01.  At the default
+    +-30 window the partners' e^(x/2) tail sets the error of R and T
+    (7.5e-7 at omega = 1.2 m); ``verify`` marches +-45 at step 0.02 to
+    reach 5e-10.  The 5-unit matching window keeps the slowly decaying
+    e^(x/2) contamination near the left boundary below the 1e-6 flux
+    budget even just above threshold (a 10-unit window admits ~1.4e-6 flux
+    error at omega = 1.2 m).
     """
 
     x_min: float = -30.0
@@ -52,17 +46,14 @@ class IntegrationConfig:
     match_window: float = 5.0
 
     def __post_init__(self):
-        for name in ("x_min", "x_max", "step", "match_window"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.x_min < -5.0:
-            raise ConfigError(f"x_min must be < -5, got {self.x_min}")
-        if not self.x_max > 5.0:
-            raise ConfigError(f"x_max must be > 5, got {self.x_max}")
-        if not self.step > 0:
-            raise ConfigError(f"step must be positive, got {self.step}")
-        if not self.match_window > 0:
-            raise ConfigError(f"match_window must be positive, got {self.match_window}")
+        rules = (("x_min", self.x_min < -5.0, "< -5"), ("x_max", self.x_max > 5.0, "> 5"),
+                 ("step", self.step > 0, "positive"), ("match_window", self.match_window > 0, "positive"))
+        for name, ok, rule in rules:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {value}")
 
 
 DEFAULT_CONFIG = IntegrationConfig()
@@ -73,8 +64,8 @@ def _prepare(spec: PotentialSpec, omega, cfg: IntegrationConfig):
     ([omega] for a number, a 1-d array's elements in order), V sampled by
     one call of ``potential`` on the 2n + 1 point half-step grid of the
     n-step march, and the step h.  Every omega passes the domain and
-    threshold checks before V is sampled, and the stability check before
-    any march."""
+    threshold checks before V is sampled, and the step bound
+    (max|V - omega^2|) h^2 < 0.01 (see ``_march``) before any march."""
     column = np.asarray(omega)
     if not (column.ndim <= 1 and column.dtype.kind in "iuf"):
         raise DomainError(f"the oracle takes a real omega, a number or a 1-d array; got {omega!r}")
@@ -97,44 +88,53 @@ def _prepare(spec: PotentialSpec, omega, cfg: IntegrationConfig):
     for w in omegas:
         stiffness = max(v_hi - w * w, w * w - v_lo) * h * h
         if not stiffness < 0.01:
-            raise ConfigError(
-                f"step {h} too coarse at omega = {w}: (max|V - omega^2|) step^2 = {stiffness:.3g} is not below 0.01"
-            )
+            raise ConfigError(f"step {h} too coarse at omega = {w}: "
+                              f"(max|V - omega^2|) step^2 = {stiffness:.3g} is not below 0.01")
     return omegas, v, h
 
 
 def _running_products(rows):
     """Packed step rows M_j along the last axis, replaced in place by M_j ... M_0."""
     for j in range(1, rows.shape[-1]):
-        upper, lower = rows[..., j - 1]
-        row = rows[..., j]
+        (upper, lower), row = rows[..., j - 1], rows[..., j]
         np.add(row.real * upper, row.imag * lower, out=row)
     return rows
 
 
 def _march(spec: PotentialSpec, cfg: IntegrationConfig, v, h: float, omega: float) -> WaveField:
-    """The RK4 march of one omega over the half-step samples v: the field
-    on the n + 1 point grid.  Besides the field it holds the packed step
-    rows, two complex numbers per step, and no other omega's data."""
+    """The Magnus-4 march of one omega over the half-step samples v: the
+    field on the n + 1 point grid.  Besides the field it holds the packed
+    step rows, two complex numbers per step, and no other omega's data."""
     n = (v.size - 1) // 2
     w2 = omega * omega
     # step i (right to left) maps (Z, Z') at x_max - i h to x_max - (i + 1) h
     # by the real matrix [[a, b], [c, d]], stored as its rows a + ib and
     # c + id; the steps are laid out as (groups, width, width) blocks,
     # padded with identities.  A running product's rows pack the same way,
-    # so row r of S P is S[r, 0] P[0] + S[r, 1] P[1]: real-by-complex products
-    hm, h2 = -h, h * h
+    # so row r of S P is S[r, 0] P[0] + S[r, 1] P[1]: real-by-complex products.
+    # A step is exp(Omega) = cosh(s) I + (sinh(s)/s) Omega, Omega^2 = s^2 I, for
+    # the Magnus-4 Omega = [[-e, -h], [-h qs, e]] at Simpson nodes of
+    # q = V - omega^2: qs = (q0 + 4 qm + q1)/6 and e = h^2 (q1 - q0)/12
+    hm = -h
     width = round(n ** (1 / 3)) + 1
     groups = -(-n // (width * width))
-    q_ends = v[::-2] - w2
-    q0, qm, q1 = q_ends[:-1], v[-2::-2] - w2, q_ends[1:]
+    ends = v[::-2]
+    dqs = (ends[:-1] + 4.0 * v[-2::-2] + ends[1:]) * (hm / 6.0) - hm * w2  # -h qs
+    e = (ends[1:] - ends[:-1]) * (h * h / 12.0)
+    s2 = e * e + hm * dqs
+    cosh_s, sinhc_s = series = np.multiply.outer((1.0 / math.factorial(8), 1.0 / math.factorial(9)), s2)
+    for k in (6, 4, 2):  # Horner in s^2, exact to rounding for |s^2| <= 0.01
+        series += [[1.0 / math.factorial(k)], [1.0 / math.factorial(k + 1)]]
+        series *= s2
+    series += 1.0
+    e *= sinhc_s
     rows = np.empty((2, groups * width * width), dtype=complex)
-    rows[0].real[:n] = 1.0 + h2 / 6.0 * (q0 + 2.0 * qm) + h2 * h2 / 24.0 * qm * q0
-    rows[0].imag[:n] = hm + hm * h2 / 6.0 * qm
-    rows[1].real[:n] = hm / 6.0 * (q0 + 4.0 * qm + q1 + 0.5 * h2 * qm * (q0 + q1))
-    rows[1].imag[:n] = 1.0 + h2 / 6.0 * (2.0 * qm + q1) + h2 * h2 / 24.0 * q1 * qm
+    np.subtract(cosh_s, e, out=rows[0].real[:n])
+    np.multiply(sinhc_s, hm, out=rows[0].imag[:n])
+    np.multiply(sinhc_s, dqs, out=rows[1].real[:n])
+    np.add(cosh_s, e, out=rows[1].imag[:n])
     rows[:, n:] = [[1.0], [1j]]
-    del q_ends, q0, qm, q1
+    del dqs, e, s2, series, cosh_s, sinhc_s
     rows = rows.reshape(2, groups, width, width)
 
     kprime = math.sqrt(w2 - spec.right_asymptote)
@@ -159,16 +159,11 @@ def _march(spec: PotentialSpec, cfg: IntegrationConfig, v, h: float, omega: floa
         values = buf[groups * width * width - n:]
         bad = np.flatnonzero(~(np.abs(values[:n]) <= _BLOWUP_LIMIT))
     if bad.size:
-        raise BlowUpError(
-            f"|Z| exceeded {_BLOWUP_LIMIT:g} at x = {cfg.x_max + (n - bad[-1]) * hm:.3f}; "
-            f"omega = {omega} is below threshold or the step too coarse"
-        )
+        raise BlowUpError(f"|Z| exceeded {_BLOWUP_LIMIT:g} at x = {cfg.x_max + (n - bad[-1]) * hm:.3f}; "
+                          f"omega = {omega} is below threshold or the step too coarse")
 
-    grid = np.linspace(cfg.x_min, cfg.x_max, n + 1)
-    return WaveField(
-        grid=grid, values=values, omega=omega, m=_coupling(spec), kind=spec.kind,
-        branch=None, meta={"spec": spec, "config": cfg},
-    )
+    return WaveField(grid=np.linspace(cfg.x_min, cfg.x_max, n + 1), values=values, omega=omega, m=_coupling(spec),
+                     kind=spec.kind, meta={"spec": spec, "config": cfg})
 
 
 def _coupling(spec: PotentialSpec) -> float:
@@ -180,12 +175,13 @@ def integrate_wavefunction(spec: PotentialSpec, omega: float, cfg: IntegrationCo
     """Integrate Z'' = (V - omega^2) Z from x_max down to x_min.
 
     Initial data at x_max is the pure transmitted wave Z = e^(i k' x),
-    Z' = i k' e^(i k' x) with k' = sqrt(omega^2 - V(+inf)).  Classic RK4
-    with the configured fixed step on the potential pre-sampled on the
-    half-step grid.  The equation is linear, so each step is a fixed real
-    2x2 matrix acting on (Z, Z'), stored as its two rows packed into
-    complex numbers.  The march is a three-level scan: one pass forms the
-    running products inside blocks of w = round(n^(1/3)) + 1 steps, a
+    Z' = i k' e^(i k' x) with k' = sqrt(omega^2 - V(+inf)).  Fourth-order
+    Magnus steps (Iserles & Norsett 1999; Blanes et al. 2009) at Simpson
+    nodes of V, pre-sampled on the half-step grid, with error O(step^4):
+    each a real 2x2 matrix on (Z, Z'), its rows packed into complex
+    numbers, from 5-term cosh and sinh series that the step bound keeps
+    exact to rounding.  The march is a three-level scan: one pass forms
+    the running products inside blocks of w = round(n^(1/3)) + 1 steps, a
     second those of the block totals inside groups of w blocks, the state
     is carried from group to group, and each value is its block's running
     product applied to the state entering the block.  Each value is thus
@@ -206,7 +202,7 @@ def integrate_wavefunction(spec: PotentialSpec, omega: float, cfg: IntegrationCo
     ConfigError
         If omega is not above the right asymptote (no propagating
         transmitted wave), there are fewer than 2 steps, or the step
-        violates the stability bound (or the potential is not finite).
+        bound (max|V - omega^2|) step^2 < 0.01 fails (or V is not finite).
     BlowUpError
         If |Z| exceeds 1e12 (or is not finite) during the march; the
         message names omega and the first such x in march order.
@@ -244,9 +240,7 @@ def extract_rt(field: WaveField, cfg: IntegrationConfig = DEFAULT_CONFIG) -> Sca
     (a_in, b_refl), _, _, sv = np.linalg.lstsq(design, field.values[sel], rcond=None)
     cond = sv[0] / sv[-1] if x_win.size >= 2 and sv[-1] > 0 else math.inf
     if not cond < _COND_LIMIT:
-        raise IllConditionedError(
-            f"matching fit condition number {cond:.3g} exceeds {_COND_LIMIT:g}"
-        )
+        raise IllConditionedError(f"matching fit condition number {cond:.3g} exceeds {_COND_LIMIT:g}")
     return ScatteringResult(omega=omega, m=m, kind=field.kind, R=b_refl / a_in, T=1.0 / a_in)
 
 
@@ -266,7 +260,5 @@ def numerical_rt(spec: PotentialSpec, omega, cfg: IntegrationConfig = DEFAULT_CO
         return extract_rt(integrate_wavefunction(spec, omega, cfg), cfg)
     omegas, v, h = _prepare(spec, omega, cfg)
     fits = [extract_rt(_march(spec, cfg, v, h, w), cfg) for w in omegas]
-    return ScatteringResult(
-        omega=np.array(omegas), m=_coupling(spec), kind=spec.kind,
-        R=np.array([fit.R for fit in fits], dtype=complex), T=np.array([fit.T for fit in fits], dtype=complex),
-    )
+    R, T = np.array([(fit.R, fit.T) for fit in fits], dtype=complex).reshape(-1, 2).T
+    return ScatteringResult(omega=np.array(omegas), m=_coupling(spec), kind=spec.kind, R=R, T=T)

@@ -248,7 +248,8 @@ def _rotated(j, branch, p, z, log_z, log_u):
     if not np.isfinite(factor).all():
         i = np.argmin(np.isfinite(factor))
         raise DomainError(f"the power factor z^C (1-z)^B overflows at x = {log_z[i] - log_u[i]}, omega = {p.omega}")
-    return scale * factor * f
+    # a product of its own: numpy's in-place ``x * temporary`` rounds apart
+    return np.multiply(scale * factor, f, out=factor)
 
 
 def _solution_from_logs(branch, sign, p, z, log_z, log_u):
@@ -257,7 +258,7 @@ def _solution_from_logs(branch, sign, p, z, log_z, log_u):
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
     r1 = _rotated(1, branch, p, z, log_z, log_u)
     r2 = _rotated(2, branch, p, z, log_z, log_u)
-    return _QUARTER_TURN * (r1 + sign * 1j * r2)
+    return np.multiply(_QUARTER_TURN, r1 + sign * 1j * r2, out=r1)
 
 
 def exact_solution(branch, sign, omega, m, x) -> complex:

@@ -317,15 +317,17 @@ def _hyp2f1_complement(a, b, c, u, log_u):
         )
     first_ratio = _ratio_or_zero([c, s], [c - a, c - b])
     second_ratio = _ratio_or_zero([c, -s], [a, b])
+    # each product into an array of its own, as in ``_gauss_series``
     values = np.zeros(u.shape, dtype=complex)
     if first_ratio != 0.0:
-        values = first_ratio * _gauss_series(a, b, 1.0 - s, u)
+        np.multiply(first_ratio, _gauss_series(a, b, 1.0 - s, u), out=values)
     if second_ratio != 0.0:
         with np.errstate(over="ignore", invalid="ignore"):
             power = np.exp(s * log_u)
         if not np.isfinite(power).all():
             raise ResultOverflowError(f"(1 - z)^(c - a - b) overflows at log(1 - z) = {log_u[~np.isfinite(power)][0]}")
-        values = values + second_ratio * (power * _gauss_series(c - a, c - b, 1.0 + s, u))
+        term = np.multiply(power, _gauss_series(c - a, c - b, 1.0 + s, u), out=np.empty_like(power))
+        values += second_ratio * term
     return values
 
 
@@ -387,8 +389,8 @@ def hyp2f1(a, b, c, z, log_u=None):
     PoleError
         If c is within ``POLE_TOL`` of a non-positive integer.
     DomainError
-        If a, b or c is not finite, or unless z >= 0 and log_u is finite
-        and <= 0, with exp(log_u) within a few eps (absolutely) of 1 - z.
+        If a, b or c is not a finite number, or unless z >= 0 and log_u is
+        finite and <= 0, with exp(log_u) within a few eps (absolutely) of 1 - z.
     NonConvergenceError
         If a series fails to meet the term-ratio stop within
         ``MAX_SERIES_TERMS`` terms at some element (the first is named).
@@ -397,7 +399,10 @@ def hyp2f1(a, b, c, z, log_u=None):
     DegenerateParamsError
         If some ``z > Z_SWITCH`` and c-a-b is within tolerance of an integer.
     """
-    a, b, c = complex(a), complex(b), complex(c)
+    try:
+        a, b, c = complex(a), complex(b), complex(c)
+    except (TypeError, ValueError):
+        raise DomainError(f"2F1 parameters must be numbers, got a = {a!r}, b = {b!r}, c = {c!r}") from None
     scalar = np.ndim(z) == 0
     z, u, log_u = _checked_args(a, b, c, z, log_u)
     far = z > Z_SWITCH

@@ -4,8 +4,8 @@ Each check evaluates one analytic contract (closed-form equivalence, flux
 conservation, SUSY identities, Wronskian constancy, wave-equation
 residuals, quasinormal poles, potential identities) and reports its worst
 residual against the contracted tolerance.  ``full`` adds the two oracle
-checks, which read one oracle sweep per run: one march per (spec, omega),
-timed in the agreement row.
+checks, which read one oracle sweep per run: one Magnus-4 march per
+(spec, omega) at ``ORACLE_CONFIG``, timed in the agreement row.
 """
 
 from __future__ import annotations
@@ -27,10 +27,12 @@ from .potentials import (
     shape_invariance_check,
 )
 
-__all__ = ["CheckResult", "run_checks", "QUICK", "FULL"]
+__all__ = ["CheckResult", "run_checks", "QUICK", "FULL", "ORACLE_CONFIG"]
 
 QUICK = "quick"
 FULL = "full"
+
+ORACLE_CONFIG = oracle.IntegrationConfig(x_min=-45.0, x_max=45.0, step=0.02)
 
 
 @dataclass(frozen=True)
@@ -174,9 +176,9 @@ def run_checks(level: str = QUICK, inject_failure: bool = False):
         _check("reflection-difference window", 0.5, _figure_difference_window),
     ]
     if level == FULL:
-        sweep = functools.cache(lambda spec: oracle.numerical_rt(spec, np.array([1.2, 1.5, 2.0, 3.0])))
-        results.append(_check("oracle amplitude agreement", 1e-5, lambda: _oracle_agreement(sweep)))
-        results.append(_check("oracle flux conservation", 1e-6, lambda: _oracle_flux(sweep)))
+        sweep = functools.cache(lambda spec: oracle.numerical_rt(spec, np.array([1.2, 1.5, 2.0, 3.0]), ORACLE_CONFIG))
+        results.append(_check("oracle amplitude agreement", 1e-8, lambda: _oracle_agreement(sweep)))
+        results.append(_check("oracle flux conservation", 1e-9, lambda: _oracle_flux(sweep)))
     if inject_failure:
         # Negative control: report the Wronskian check against a constant
         # perturbed by 1e-3; it must fail and drive a nonzero exit status.

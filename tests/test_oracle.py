@@ -2,6 +2,7 @@
 order, agreement with the analytic solutions and amplitudes, and the error
 paths of the configuration and matching machinery."""
 
+import cmath
 import dataclasses
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from _oracles import rk4_march_oracle
+from _oracles import magnus_march_oracle
 
 import susystep.oracle as oracle_mod
 from susystep.errors import BlowUpError, ConfigError, DomainError, IllConditionedError
@@ -22,33 +23,59 @@ from susystep.scattering import (
     step_reflection_closed_form,
 )
 from susystep.solutions import sample_wavefield
-from susystep.verify import FULL, run_checks
+from susystep.verify import FULL, ORACLE_CONFIG, run_checks
 
 FREE = PotentialSpec.step(0.0, 1.0)  # V identically 0
 
 
 def test_free_particle_stays_plane_wave():
+    # a constant potential makes every Magnus step the exact propagator, so
+    # only rounding is left (about 1.6e-12 over the 60 000 steps)
     field = integrate_wavefunction(FREE, 2.0)
     exact = np.exp(2j * field.grid)
-    assert float(np.max(np.abs(field.values - exact))) < 1e-9
+    assert float(np.max(np.abs(field.values - exact))) < 1e-11
 
 
 def test_free_particle_extraction():
     res = numerical_rt(FREE, 2.0)
-    assert abs(res.R) < 1e-9
-    assert abs(res.T - 1.0) < 1e-9
-    assert abs(res.flux - 1.0) < 1e-9
+    assert abs(res.R) < 1e-11
+    assert abs(res.T - 1.0) < 1e-11
+    assert abs(res.flux - 1.0) < 1e-11
 
 
 def test_convergence_order():
-    # halving the step must shrink the free-particle deviation by at least
-    # 2^(order-1) = 8; classic RK4 gives ~16
-    errs = []
-    for step in (0.02, 0.01):
-        cfg = IntegrationConfig(step=step)
-        field = integrate_wavefunction(FREE, 2.0, cfg)
-        errs.append(float(np.max(np.abs(field.values - np.exp(2j * field.grid)))))
-    assert errs[0] / errs[1] >= 2.0 ** (4 - 1)
+    # halving the step must shrink the field's deviation from an h/4 march
+    # by at least 2^(order-1) = 8; Magnus-4 gives ~16.  The free particle
+    # cannot show this (its steps are exact), so V+ is marched
+    spec = PotentialSpec.plus(1.0)
+    for omega in (1.2, 2.0):
+        ref = integrate_wavefunction(spec, omega, IntegrationConfig(step=0.0025)).values
+        errs = []
+        for step, stride in ((0.02, 8), (0.01, 4)):
+            field = integrate_wavefunction(spec, omega, IntegrationConfig(step=step))
+            errs.append(float(np.max(np.abs(field.values - ref[::stride]))))
+        assert errs[0] / errs[1] >= 2.0 ** (4 - 1), omega
+
+
+@pytest.mark.parametrize("s2", [0.00999, -0.00999, -1e-3])
+def test_step_series_meet_cmath_at_the_bound(monkeypatch, s2):
+    # under a constant potential q = V - omega^2 each step is exactly
+    # cosh(s) I + (sinh(s)/s) [[0, -h], [-h q, 0]] with s^2 = h^2 q; the
+    # march sums cosh and sinh(s)/s as 5-term series, which must meet
+    # cmath's to rounding up to the step bound |s^2| < 0.01
+    omega, h = 0.002, 30.0
+    q = s2 / (h * h)
+    monkeypatch.setattr(oracle_mod, "potential", lambda spec, x: np.full(np.shape(x), q + omega * omega))
+    field = integrate_wavefunction(FREE, omega, TWO_STEPS)
+    s = cmath.sqrt(s2)
+    cosh_s, sinhc_s = cmath.cosh(s), cmath.sinh(s) / s
+    zc = cmath.exp(1j * omega * 30.0)
+    dz = 1j * omega * zc
+    expected = [zc]
+    for _ in range(2):
+        zc, dz = cosh_s * zc - h * sinhc_s * dz, -h * q * sinhc_s * zc + cosh_s * dz
+        expected.append(zc)
+    assert np.max(np.abs(field.values - expected[::-1])) <= 1e-15
 
 
 def test_field_matches_solution_combination():
@@ -119,7 +146,7 @@ def test_march_matches_sequential_reference(spec, omega, cfg):
     field = integrate_wavefunction(spec, omega, cfg)
     n = field.values.size - 1
     kprime = math.sqrt(omega * omega - spec.right_asymptote)
-    ref = np.asarray(rk4_march_oracle(lambda xs: potential(spec, np.asarray(xs)), omega, kprime, cfg.x_min, cfg.x_max, n))
+    ref = np.asarray(magnus_march_oracle(lambda xs: potential(spec, np.asarray(xs)), omega, kprime, cfg.x_min, cfg.x_max, n))
     assert float(np.max(np.abs(field.values - ref))) <= 1e-10 * float(np.max(np.abs(ref)))
     num = extract_rt(field, cfg)
     seq = extract_rt(dataclasses.replace(field, values=ref), cfg)
@@ -238,7 +265,7 @@ def test_full_verify_marches_each_spec_and_omega_once(monkeypatch):
     # another's: 3 specs x 4 omegas, the potential sampled once per spec
     specs = (PotentialSpec.plus(1.0), PotentialSpec.minus(1.0), PotentialSpec.step(1.0))
     omega = np.array([1.2, 1.5, 2.0, 3.0])
-    flux = max(float(np.max(np.abs(numerical_rt(spec, omega).flux - 1.0))) for spec in specs)
+    flux = max(float(np.max(np.abs(numerical_rt(spec, omega, ORACLE_CONFIG).flux - 1.0))) for spec in specs)
     sampled = _counting(monkeypatch, "potential")
     marched = _counting(monkeypatch, "_march")
     for run in (1, 2):
@@ -247,6 +274,18 @@ def test_full_verify_marches_each_spec_and_omega_once(monkeypatch):
         assert len(marched) == 12 * run and len(sampled) == 3 * run
         assert {(args[0], args[4]) for args in marched} == {(spec, w) for spec in specs for w in omega.tolist()}
         assert results[-1].name == "oracle flux conservation" and results[-1].max_residual == flux
+
+
+def test_full_verify_sweep_stays_coarse(monkeypatch):
+    # verify's oracle sweep marches at most 4 500 steps per omega (a
+    # potential column of at most 9 001 samples), and its two oracle checks
+    # hold R and T to 1e-8 and flux to 1e-9
+    marched = _counting(monkeypatch, "_march")
+    results = run_checks(FULL)
+    assert marched and all(args[2].size <= 9001 for args in marched)
+    assert [(r.name, r.tolerance) for r in results[-2:]] == [("oracle amplitude agreement", 1e-8),
+                                                            ("oracle flux conservation", 1e-9)]
+    assert all(r.passed for r in results[-2:])
 
 
 # --------------------------------------------------------------- error paths

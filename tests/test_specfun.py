@@ -398,6 +398,15 @@ def test_complex_arguments_are_domain_errors():
         connect_near_one(1.0, 1.0, 2.5, 0.6 + 0j)
 
 
+def test_array_parameters_are_domain_errors():
+    # a, b and c are numbers; an array among them is a typed error, not the
+    # bare TypeError of complex(array)
+    for args in ((np.array([1.0, 2.0]), 1.0, 2.0, 0.3), (1.0, np.array([1.0, 2.0]), 2.0, np.array([0.3, 0.6])),
+                 (1.0, 1.0, np.array([2.0]), 0.7), (1.0, "one", 2.0, 0.3)):
+        with pytest.raises(DomainError, match="must be numbers"):
+            hyp2f1(*args)
+
+
 @pytest.mark.parametrize("call, args", [
     (lngamma, (math.nan,)),
     (lngamma, (math.inf,)),
@@ -547,6 +556,18 @@ def test_long_gauss_column_equals_the_number_calls():
     z = np.random.default_rng(3).uniform(0.0, 0.5, 16400)
     got = hyp2f1(p.a1, p.b1, p.c1, z)
     for i in range(0, z.size, 401):
+        assert got[i] == hyp2f1(p.a1, p.b1, p.c1, float(z[i])), i
+
+
+def test_long_connection_column_equals_the_number_calls():
+    # on the connection route the Gamma ratios and the power multiply whole
+    # series columns; each product goes to an array of its own, so a column
+    # past 16384 elements keeps the number calls' bits too
+    p = make_exponents(12.0, 1.0)
+    z = np.random.default_rng(3).uniform(0.5, 1.0, 40000)
+    assert (z > Z_SWITCH).all()
+    got = hyp2f1(p.a1, p.b1, p.c1, z)
+    for i in range(0, z.size, 211):
         assert got[i] == hyp2f1(p.a1, p.b1, p.c1, float(z[i])), i
 
 
