@@ -37,7 +37,6 @@ from .scattering import (
     ScatteringResult,
     asymptotic_coefficients,
     coefficients_closed_form,
-    compare_reflection,
     inverse_transmission_magnitude,
     qnm,
     qnm_pole_check,
@@ -60,6 +59,6 @@ from .solutions import (
     wronskian,
     x_to_z,
 )
-from .specfun import connect_near_one, gamma_ratio, hyp2f1, lngamma
+from .specfun import gamma_ratio, hyp2f1, lngamma
 
 __version__ = "0.1.0"

@@ -25,29 +25,31 @@ __all__ = ["IntegrationConfig", "DEFAULT_CONFIG", "integrate_wavefunction", "ext
 
 _BLOWUP_LIMIT = 1e12
 _COND_LIMIT = 1e8
+# Width of the left matching window: 5 units keep the slowly decaying
+# e^(x/2) contamination near the left boundary below the 1e-6 flux budget
+# even just above threshold (a 10-unit window admits ~1.4e-6 flux error at
+# omega = 1.2 m).
+_MATCH_WINDOW = 5.0
 
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Fixed-step integration window and matching-window geometry.
+    """Fixed-step integration window and step.
 
     The step must keep (max|V - omega^2|) step^2 < 0.01.  At the default
     +-30 window the partners' e^(x/2) tail sets the error of R and T
     (7.5e-7 at omega = 1.2 m); ``verify`` marches +-45 at step 0.02 to
-    reach 5e-10.  The 5-unit matching window keeps the slowly decaying
-    e^(x/2) contamination near the left boundary below the 1e-6 flux
-    budget even just above threshold (a 10-unit window admits ~1.4e-6 flux
-    error at omega = 1.2 m).
+    reach 5e-10.  R and T are fitted over the leftmost 5 units of the
+    window (``_MATCH_WINDOW``).
     """
 
     x_min: float = -30.0
     x_max: float = 30.0
     step: float = 1e-3
-    match_window: float = 5.0
 
     def __post_init__(self):
         rules = (("x_min", self.x_min < -5.0, "< -5"), ("x_max", self.x_max > 5.0, "> 5"),
-                 ("step", self.step > 0, "positive"), ("match_window", self.match_window > 0, "positive"))
+                 ("step", self.step > 0, "positive"))
         for name, ok, rule in rules:
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -65,12 +67,16 @@ def _prepare(spec: PotentialSpec, omega, cfg: IntegrationConfig):
     one call of ``potential`` on the 2n + 1 point half-step grid of the
     n-step march, and the step h.  Every omega passes the domain and
     threshold checks before V is sampled, and the step bound
-    (max|V - omega^2|) h^2 < 0.01 (see ``_march``) before any march."""
+    (max|V - omega^2|) h^2 < 0.01 (see ``_march``) before any march.  A
+    step that goes down (V0 < 0) has no real coupling sqrt(V0) and raises
+    ``DomainError`` first."""
+    asym = spec.right_asymptote
+    if asym < 0:
+        raise DomainError(f"the oracle solves a step that goes up, V0 >= 0; got V0 = {asym}")
     column = np.asarray(omega)
     if not (column.ndim <= 1 and column.dtype.kind in "iuf"):
         raise DomainError(f"the oracle takes a real omega, a number or a 1-d array; got {omega!r}")
     omegas = column.astype(float).reshape(-1).tolist()
-    asym = spec.right_asymptote
     for w in omegas:
         if not (math.isfinite(w) and w > 0):
             raise DomainError(f"omega = {w} is not a finite positive frequency")
@@ -198,7 +204,8 @@ def integrate_wavefunction(spec: PotentialSpec, omega: float, cfg: IntegrationCo
     ------
     DomainError
         If omega is not a real, finite, positive number (complex, nan,
-        negative, a string, an array).
+        negative, a string, an array), or the spec is a step that goes
+        down (V0 < 0).
     ConfigError
         If omega is not above the right asymptote (no propagating
         transmitted wave), there are fewer than 2 steps, or the step
@@ -213,18 +220,19 @@ def integrate_wavefunction(spec: PotentialSpec, omega: float, cfg: IntegrationCo
     return _march(spec, cfg, v, h, omegas[0])
 
 
-def extract_rt(field: WaveField, cfg: IntegrationConfig = DEFAULT_CONFIG) -> ScatteringResult:
-    """Fit Z ~ A e^(i omega x) + B e^(-i omega x) over the left matching
-    window and return R = B/A, T = 1/A (transmitted amplitude was set to 1
-    by the integration initial data), at the field's own omega and coupling m.
+def extract_rt(field: WaveField) -> ScatteringResult:
+    """Fit Z ~ A e^(i omega x) + B e^(-i omega x) over the field's leftmost
+    5 units and return R = B/A, T = 1/A (transmitted amplitude was set to 1
+    by the integration initial data), at the field's own omega and coupling
+    m, as Python ``complex`` numbers.
 
     A least-squares fit over the whole window averages out the residual
     exponentially small contamination near the boundary.  Raises
     DomainError unless the field came from :func:`integrate_wavefunction`
     (the only source of the unit transmitted wave) and its omega is real
     and above m >= 0, and IllConditionedError if the design matrix has
-    condition number above 1e8 (e.g. a window too short to separate the
-    two exponentials).
+    condition number above 1e8 (e.g. a step so coarse that the window
+    holds one grid point).
     """
     if field.branch is not None or "config" not in field.meta:
         raise DomainError("extract_rt needs a field integrated by integrate_wavefunction (unit transmitted wave)")
@@ -233,7 +241,7 @@ def extract_rt(field: WaveField, cfg: IntegrationConfig = DEFAULT_CONFIG) -> Sca
         raise DomainError(f"extract_rt needs a real field omega above its coupling m >= 0; got omega = {omega}, m = {m}")
     omega = float(omega.real)
     xs = field.grid
-    sel = xs <= xs[0] + cfg.match_window
+    sel = xs <= xs[0] + _MATCH_WINDOW
     x_win = xs[sel]
     incoming = np.exp(1j * omega * x_win)
     design = np.column_stack([incoming, incoming.conj()])
@@ -241,7 +249,8 @@ def extract_rt(field: WaveField, cfg: IntegrationConfig = DEFAULT_CONFIG) -> Sca
     cond = sv[0] / sv[-1] if x_win.size >= 2 and sv[-1] > 0 else math.inf
     if not cond < _COND_LIMIT:
         raise IllConditionedError(f"matching fit condition number {cond:.3g} exceeds {_COND_LIMIT:g}")
-    return ScatteringResult(omega=omega, m=m, kind=field.kind, R=b_refl / a_in, T=1.0 / a_in)
+    return ScatteringResult(omega=omega, m=m, kind=field.kind,
+                            R=complex(b_refl / a_in), T=complex(1.0 / a_in))
 
 
 def numerical_rt(spec: PotentialSpec, omega, cfg: IntegrationConfig = DEFAULT_CONFIG) -> ScatteringResult:
@@ -257,8 +266,8 @@ def numerical_rt(spec: PotentialSpec, omega, cfg: IntegrationConfig = DEFAULT_CO
     Raises as :func:`integrate_wavefunction` and :func:`extract_rt`.
     """
     if np.ndim(omega) == 0:
-        return extract_rt(integrate_wavefunction(spec, omega, cfg), cfg)
+        return extract_rt(integrate_wavefunction(spec, omega, cfg))
     omegas, v, h = _prepare(spec, omega, cfg)
-    fits = [extract_rt(_march(spec, cfg, v, h, w), cfg) for w in omegas]
+    fits = [extract_rt(_march(spec, cfg, v, h, w)) for w in omegas]
     R, T = np.array([(fit.R, fit.T) for fit in fits], dtype=complex).reshape(-1, 2).T
     return ScatteringResult(omega=np.array(omegas), m=_coupling(spec), kind=spec.kind, R=R, T=T)

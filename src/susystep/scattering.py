@@ -33,7 +33,6 @@ __all__ = [
     "susy_relation_check",
     "step_amplitudes",
     "step_reflection_closed_form",
-    "compare_reflection",
     "qnm",
     "qnm_pole_check",
     "inverse_transmission_magnitude",
@@ -115,27 +114,19 @@ def _coupling(m) -> float:
 
 
 def _check_scattering_regime(omega, m: float):
-    """(omega, float(m)) for real omega > m > 0: omega a Python float for a
-    real number (numpy scalars too), a float array for a 1-d real array,
-    whose every element is checked."""
+    """(omega, float(m)) for real omega > m > 0, checked in one numpy pass
+    over every element: omega a Python float for a number (a numpy scalar
+    or 0-d array too), a float array for a 1-d array.  A bool is not a
+    frequency."""
     m = _coupling(m)
-    column = np.ndim(omega) > 0
-    if column:
-        omega = np.asarray(omega)
-        real = omega.ndim == 1 and omega.dtype.kind in "iuf"
-    else:
-        real = isinstance(omega, numbers.Real)
-    if not real:
+    omega = np.asarray(omega)
+    if omega.ndim > 1 or omega.dtype.kind not in "iuf":
         raise DomainError("scattering amplitudes and closed forms take a real omega, a number or a 1-d array")
-    if column:
-        omega = omega.astype(float)
-        below = omega[~((omega > m) & (omega < math.inf))]
-    else:
-        omega = float(omega)
-        below = [] if m < omega < math.inf else [omega]
-    if len(below):
+    omega = omega.astype(float)
+    below = omega[~((omega > m) & (omega < math.inf))]
+    if below.size:
         raise DomainError(f"scattering requires a finite omega > m (~propagating transmitted wave); got omega = {below[0]}, m = {m}")
-    return omega, m
+    return (omega if omega.ndim else float(omega)), m
 
 
 def _math(omega):
@@ -321,18 +312,6 @@ def step_reflection_closed_form(omega, m: float):
     kprime = _kprime(omega, m)
     c = _top_exponent(math.pi, omega, kprime)
     return _sinh_ratio(math.pi * (m * m / (omega + kprime)), c, _math(omega)) ** 2
-
-
-def compare_reflection(omega_grid, m: float):
-    """Per-frequency triples (|R+|^2, |R^S|^2, difference) over a grid.
-
-    The two reflection coefficients are visually indistinguishable but not
-    equal; the difference column is the quantity of interest.
-    """
-    omega = np.asarray(omega_grid)
-    r2_plus, _ = coefficients_closed_form(omega, m)
-    r2_step = step_reflection_closed_form(omega, m)
-    return list(zip(r2_plus.tolist(), r2_step.tolist(), (r2_plus - r2_step).tolist()))
 
 
 def qnm(kind: PotentialKind, n: int, m: float) -> complex:

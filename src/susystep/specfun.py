@@ -9,7 +9,7 @@ concurrently.  The evaluation strategy:
   being its one-element case: the reflection formula for Re(z) < 1/2, then
   a compensated Stirling series, summed at z + 10 inside |z| = 10.
 * ``hyp2f1`` -- the defining Gauss series up to ``z = Z_SWITCH``; beyond
-  that the connection formula toward z = 1 (``connect_near_one``), whose
+  that the connection formula toward z = 1 (``_hyp2f1_complement``), whose
   series argument ``1 - z`` is then small.  A number is the one-element
   column.  Each series is summed in one numpy pass over its part of the
   column, up to 16 terms per numpy round with one stop test per round;
@@ -35,7 +35,6 @@ __all__ = [
     "lngamma",
     "gamma_ratio",
     "hyp2f1",
-    "connect_near_one",
 ]
 
 # An argument within this distance of a non-positive integer is treated as
@@ -302,12 +301,17 @@ def _ratio_or_zero(numerators, denominators) -> complex:
 
 
 def _hyp2f1_complement(a, b, c, u, log_u):
-    """Connection-formula values of 2F1(a,b;c;1-u) at each complement u=1-z.
+    """Connection-formula values of 2F1(a,b;c;1-u) at each complement u=1-z,
 
-    ``u`` and ``log_u`` are equal-length 1-d float arrays, log_u = log u.
-    The two Gamma ratios depend on (a, b, c) only and are formed once; each
-    of the two series is summed in one pass over the column.  Requires
-    c-a-b away from the integers.
+        G(c)G(c-a-b)/(G(c-a)G(c-b)) * 2F1(a, b; a+b+1-c; u)
+      + G(c)G(a+b-c)/(G(a)G(b)) * u^(c-a-b) * 2F1(c-a, c-b; c+1-a-b; u)
+
+    with principal-branch powers (u > 0 on the physical domain); ``hyp2f1``
+    takes this route above ``Z_SWITCH``, and it holds on the whole overlap
+    window.  ``u`` and ``log_u`` are equal-length 1-d float arrays, log_u =
+    log u.  The two Gamma ratios depend on (a, b, c) only and are formed
+    once; each of the two series is summed in one pass over the column.
+    Requires c-a-b away from the integers.
     """
     s = c - a - b
     if abs(s - round(s.real)) < POLE_TOL:
@@ -337,33 +341,6 @@ def _real_array(name, value):
     if array.dtype.kind not in "biuf":
         raise DomainError(f"{name} must be real, got {value!r}")
     return np.asarray(array, dtype=float)
-
-
-def _checked_args(a, b, c, z, log_u):
-    """(z, u, log_u) as 1-d float arrays, u = 1 - z and log_u = log u unless
-    log_u is supplied, then u = exp(log_u), once a, b, c and every element
-    have passed ``hyp2f1``'s checks."""
-    if not all(map(cmath.isfinite, (a, b, c))):
-        raise DomainError(f"2F1 parameters must be finite, got a = {a}, b = {b}, c = {c}")
-    _gamma_arguments([c], 0)  # c sits in the series' denominators
-    z = _real_array("z", z)
-    log_u = None if log_u is None else _real_array("log_u", log_u)
-    if z.ndim > 1 or (log_u is not None and log_u.shape != z.shape):
-        raise DomainError("z and log_u must be floats or 1-d arrays of one length")
-    if log_u is None:
-        ok = (z >= 0.0) & (z < 1.0)
-    else:
-        with np.errstate(over="ignore"):
-            u = np.exp(log_u)
-        # absolute: z rounds to 1.0 past x ~ 37 while exp(log_u) stays exact
-        ok = (z >= 0.0) & np.isfinite(log_u) & (log_u <= 0.0) & (np.abs(u - (1.0 - z)) <= _COMPLEMENT_ULPS * _EPS)
-    if not ok.all():
-        i = np.flatnonzero(~ok)[0] if ok.ndim else ()
-        raise DomainError(f"z = {z[i]}, log_u = {None if log_u is None else log_u[i]}: need 0 <= z < 1 and a "
-                          "supplied log_u finite, <= 0 and with exp(log_u) within a few eps of 1 - z")
-    if log_u is None:
-        u, log_u = 1.0 - z, np.log1p(-z)
-    return z.reshape(-1), u.reshape(-1), log_u.reshape(-1)
 
 
 def hyp2f1(a, b, c, z, log_u=None):
@@ -403,8 +380,28 @@ def hyp2f1(a, b, c, z, log_u=None):
         a, b, c = complex(a), complex(b), complex(c)
     except (TypeError, ValueError):
         raise DomainError(f"2F1 parameters must be numbers, got a = {a!r}, b = {b!r}, c = {c!r}") from None
+    if not all(map(cmath.isfinite, (a, b, c))):
+        raise DomainError(f"2F1 parameters must be finite, got a = {a}, b = {b}, c = {c}")
+    _gamma_arguments([c], 0)  # c sits in the series' denominators
     scalar = np.ndim(z) == 0
-    z, u, log_u = _checked_args(a, b, c, z, log_u)
+    z = _real_array("z", z)
+    log_u = None if log_u is None else _real_array("log_u", log_u)
+    if z.ndim > 1 or (log_u is not None and log_u.shape != z.shape):
+        raise DomainError("z and log_u must be floats or 1-d arrays of one length")
+    if log_u is None:
+        ok = (z >= 0.0) & (z < 1.0)
+    else:
+        with np.errstate(over="ignore"):
+            u = np.exp(log_u)
+        # absolute: z rounds to 1.0 past x ~ 37 while exp(log_u) stays exact
+        ok = (z >= 0.0) & np.isfinite(log_u) & (log_u <= 0.0) & (np.abs(u - (1.0 - z)) <= _COMPLEMENT_ULPS * _EPS)
+    if not ok.all():
+        i = np.flatnonzero(~ok)[0] if ok.ndim else ()
+        raise DomainError(f"z = {z[i]}, log_u = {None if log_u is None else log_u[i]}: need 0 <= z < 1 and a "
+                          "supplied log_u finite, <= 0 and with exp(log_u) within a few eps of 1 - z")
+    if log_u is None:
+        u, log_u = 1.0 - z, np.log1p(-z)
+    z, u, log_u = z.reshape(-1), u.reshape(-1), log_u.reshape(-1)
     far = z > Z_SWITCH
     values = np.empty(z.shape, dtype=complex)
     if not far.all():
@@ -412,18 +409,3 @@ def hyp2f1(a, b, c, z, log_u=None):
     if far.any():
         values[far] = _hyp2f1_complement(a, b, c, u[far], log_u[far])
     return complex(values[0]) if scalar else values
-
-
-def connect_near_one(a, b, c, z) -> complex:
-    """Evaluate 2F1(a, b; c; z) through the connection formula at 1 - z:
-
-        G(c)G(c-a-b)/(G(c-a)G(c-b)) * 2F1(a, b; a+b+1-c; 1-z)
-      + G(c)G(a+b-c)/(G(a)G(b)) * (1-z)^(c-a-b) * 2F1(c-a, c-b; c+1-a-b; 1-z)
-
-    with principal-branch powers (1 - z > 0 on the physical domain).
-    ``hyp2f1`` takes this route above ``Z_SWITCH``; forcing it is valid on
-    the whole overlap window, which the tests exercise.  Raises as
-    ``hyp2f1`` does.
-    """
-    _, u, log_u = _checked_args(a, b, c, float(_real_array("z", z)), None)
-    return complex(_hyp2f1_complement(a, b, c, u, log_u)[0])

@@ -130,7 +130,7 @@ def test_result_reports_the_coupling_solved():
 COARSE = IntegrationConfig(step=0.01)  # n = 6000: 17 groups of 19 x 19, padded
 UNPADDED = IntegrationConfig(x_min=-25.0, x_max=23.6, step=0.01)  # n = 4860 = 15 groups of 18 x 18
 FEW_STEPS = IntegrationConfig(step=5.0)  # n = 12: 2 groups of 3 x 3, padded
-TWO_STEPS = IntegrationConfig(step=30.0, match_window=30.0)  # n = 2: 1 group of 2 x 2, padded
+TWO_STEPS = IntegrationConfig(step=30.0)  # n = 2: 1 group of 2 x 2, padded; one point to fit
 
 
 @pytest.mark.parametrize(
@@ -148,8 +148,10 @@ def test_march_matches_sequential_reference(spec, omega, cfg):
     kprime = math.sqrt(omega * omega - spec.right_asymptote)
     ref = np.asarray(magnus_march_oracle(lambda xs: potential(spec, np.asarray(xs)), omega, kprime, cfg.x_min, cfg.x_max, n))
     assert float(np.max(np.abs(field.values - ref))) <= 1e-10 * float(np.max(np.abs(ref)))
-    num = extract_rt(field, cfg)
-    seq = extract_rt(dataclasses.replace(field, values=ref), cfg)
+    if cfg is TWO_STEPS:
+        return  # its 5-unit matching window holds one grid point: no fit
+    num = extract_rt(field)
+    seq = extract_rt(dataclasses.replace(field, values=ref))
     # R = B/A and T = 1/A share the error of the fitted A, so both are
     # measured against the amplitude scale |R| + |T| (R is ~1e-8 at omega = 3)
     scale = abs(seq.R) + abs(seq.T)
@@ -299,12 +301,9 @@ def test_config_validation():
         IntegrationConfig(step=0.0)
     with pytest.raises(ConfigError):
         IntegrationConfig(step=-1e-3)
-    with pytest.raises(ConfigError):
-        IntegrationConfig(match_window=0.0)
 
 
-@pytest.mark.parametrize("field, value", [("x_min", -math.inf), ("x_max", math.inf), ("step", math.inf),
-                                          ("match_window", math.inf)])
+@pytest.mark.parametrize("field, value", [("x_min", -math.inf), ("x_max", math.inf), ("step", math.inf)])
 def test_config_rejects_non_finite_fields(field, value):
     with pytest.raises(ConfigError, match="finite"):
         IntegrationConfig(**{field: value})
@@ -354,9 +353,31 @@ def test_non_finite_potential_rejected(monkeypatch):
 
 
 def test_ill_conditioned_window():
-    field = integrate_wavefunction(FREE, 2.0)
+    # the 5-unit matching window holds one point of a 30-unit step
+    field = integrate_wavefunction(FREE, 0.002, TWO_STEPS)
     with pytest.raises(IllConditionedError):
-        extract_rt(field, IntegrationConfig(match_window=1e-6))
+        extract_rt(field)
+
+
+def test_a_step_that_goes_down_is_a_domain_error(monkeypatch):
+    # sqrt(V0), the coupling the oracle reports, is not real for V0 < 0:
+    # a typed error before the potential is sampled, not math's ValueError
+    sampled = _counting(monkeypatch, "potential")
+    for call in (integrate_wavefunction, numerical_rt):
+        with pytest.raises(DomainError, match="V0 >= 0"):
+            call(PotentialSpec.step(-1.0), 2.0)
+    with pytest.raises(DomainError, match="V0 >= 0"):
+        numerical_rt(PotentialSpec.step(-1.0), np.array([2.0, 3.0]))
+    assert sampled == []
+
+
+def test_one_omega_results_have_python_fields():
+    # as the analytic amplitudes do; a column's fields stay arrays
+    res = numerical_rt(PotentialSpec.plus(1.0), 2.0, COARSE)
+    assert type(res.R) is complex and type(res.T) is complex
+    assert all(type(value) is float for value in (res.omega, res.kprime, res.R2, res.T2, res.flux))
+    col = numerical_rt(PotentialSpec.plus(1.0), np.array([2.0]), COARSE)
+    assert col.R.tolist() == [res.R] and col.flux.tolist() == [res.flux]
 
 
 def test_extract_rt_domain_checks():

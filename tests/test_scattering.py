@@ -12,7 +12,6 @@ from susystep.potentials import PotentialKind
 from susystep.scattering import (
     asymptotic_coefficients,
     coefficients_closed_form,
-    compare_reflection,
     inverse_transmission_magnitude,
     qnm,
     qnm_pole_check,
@@ -320,18 +319,32 @@ def test_array_regime_checked_before_any_gamma(monkeypatch, omega):
     evaluated = []
     monkeypatch.setattr(scattering_mod, "gamma_ratio", lambda *args: evaluated.append(args))
     for fn in (lambda w, m: reflection_transmission(PLUS, w, m), step_amplitudes, susy_relation_check,
-               coefficients_closed_form, step_reflection_closed_form, compare_reflection):
+               coefficients_closed_form, step_reflection_closed_form):
         with pytest.raises(DomainError):
             fn(np.asarray(omega), 1.0)
     assert evaluated == []
 
 
-def test_compare_reflection_is_the_closed_form_columns():
-    grid = np.linspace(1.05, 3.0, 40)
-    r2_plus, _ = coefficients_closed_form(grid, 1.0)
-    r2_step = step_reflection_closed_form(grid, 1.0)
-    assert compare_reflection(grid, 1.0) == list(zip(r2_plus.tolist(), r2_step.tolist(), (r2_plus - r2_step).tolist()))
-    assert compare_reflection([], 1.0) == []
+_ONE_OMEGA_CALLS = (lambda w: reflection_transmission(PLUS, w, 0.5), lambda w: reflection_transmission(MINUS, w, 0.5),
+                    lambda w: step_amplitudes(w, 0.5), lambda w: susy_relation_check(w, 0.5),
+                    lambda w: asymptotic_coefficients(w, 0.5), lambda w: coefficients_closed_form(w, 0.5),
+                    lambda w: step_reflection_closed_form(w, 0.5))
+
+
+def test_a_zero_d_array_omega_is_the_number_call():
+    # one numpy check serves numbers and columns; a 0-d array is a number
+    for fn in _ONE_OMEGA_CALLS:
+        assert fn(np.array(2.0)) == fn(2.0)
+    for res in (reflection_transmission(PLUS, np.array(2.0), 0.5), step_amplitudes(np.array(2.0), 0.5)):
+        assert type(res.omega) is float and type(res.R) is complex and type(res.flux) is float
+
+
+@pytest.mark.parametrize("omega", [True, np.True_, np.array(True), np.array([True, True])])
+def test_a_bool_omega_is_a_domain_error(omega):
+    # True would pass as 1.0 > m = 0.5; a bool is not a frequency
+    for fn in _ONE_OMEGA_CALLS:
+        with pytest.raises(DomainError):
+            fn(omega)
 
 
 # -------------------------------------------------------------- SUSY checks
@@ -411,9 +424,7 @@ def test_step_unit_reflection_at_threshold():
 
 def test_reflection_difference_window():
     grid = np.linspace(1.05, 3.0, 391)
-    triples = compare_reflection(grid, 1.0)
-    diffs = [abs(d) for _, _, d in triples]
-    peak = max(diffs)
+    peak = float(np.max(np.abs(coefficients_closed_form(grid, 1.0)[0] - step_reflection_closed_form(grid, 1.0))))
     assert peak > 1e-4
     assert peak < 0.05
     # frozen from the double-precision evaluation, cross-checked against a
@@ -422,10 +433,11 @@ def test_reflection_difference_window():
 
 
 def test_reflection_difference_vanishes_at_threshold():
-    r2_plus, r2_step, diff = compare_reflection([1.0 + 1e-9], 1.0)[0]
+    r2_plus, _ = coefficients_closed_form(1.0 + 1e-9, 1.0)
+    r2_step = step_reflection_closed_form(1.0 + 1e-9, 1.0)
     assert abs(r2_plus - 1.0) < 1e-3
     assert abs(r2_step - 1.0) < 1e-3
-    assert abs(diff) < 1e-4
+    assert abs(r2_plus - r2_step) < 1e-4
 
 
 # -------------------------------------------------------------------- QNMs

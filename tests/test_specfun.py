@@ -16,7 +16,6 @@ import susystep.specfun as specfun_mod
 from susystep.solutions import exact_solution, make_exponents
 from susystep.specfun import (
     Z_SWITCH,
-    connect_near_one,
     gamma_ratio,
     hyp2f1,
     lngamma,
@@ -305,11 +304,8 @@ def test_params_validation():
         hyp2f1(1.0, 1.0, 2.0, 1.0)
     with pytest.raises(DomainError):
         hyp2f1(1.0, 1.0, 2.0, -0.1)
-    for z in (1.0, -0.1):
-        with pytest.raises(DomainError):
-            connect_near_one(1.0, 1.0, 2.0, z)
     with pytest.raises(PoleError):
-        connect_near_one(1.0, 1.0, -2.0, 0.7)
+        hyp2f1(1.0, 1.0, -2.0, 0.7)  # checked before the route is taken
 
 
 def test_saturated_z_uses_the_exact_complement():
@@ -394,8 +390,6 @@ def test_complex_arguments_are_domain_errors():
                    {"z": np.array([0.6]), "log_u": np.array([math.log(0.4) + 0j])}):
         with pytest.raises(DomainError, match="must be real"):
             hyp2f1(1.0, 1.0, 2.0, **kwargs)
-    with pytest.raises(DomainError, match="must be real"):
-        connect_near_one(1.0, 1.0, 2.5, 0.6 + 0j)
 
 
 def test_array_parameters_are_domain_errors():
@@ -416,7 +410,6 @@ def test_array_parameters_are_domain_errors():
     (hyp2f1, (1.0, 1.0, math.nan, 0.3)),
     (hyp2f1, (math.nan, 1.0, 2.0, 0.3)),
     (hyp2f1, (1.0, math.inf, 2.0, 0.7)),
-    (connect_near_one, (1.0, math.inf, 2.5, 0.7)),
 ], ids=lambda v: repr(v) if isinstance(v, tuple) else v.__name__)
 def test_non_finite_numbers_are_domain_errors(call, args):
     with pytest.raises(DomainError):
@@ -592,20 +585,27 @@ def test_shuffled_column_equals_the_number_calls(omega, m):
 
 # ------------------------------------------------------- connection formula
 
+def via_connection(a, b, c, z):
+    """2F1(a, b; c; z) from the connection-formula kernel that ``hyp2f1``
+    takes above ``Z_SWITCH``, forced at any z."""
+    z = np.array([z])
+    return complex(specfun_mod._hyp2f1_complement(complex(a), complex(b), complex(c), 1.0 - z, np.log1p(-z))[0])
+
+
 def test_series_connection_consistency_at_nominal_switch():
     a, b, c = 0.5 + 2j, 1.5 + 2j, 1.5 + 4j
     series = hyp2f1(a, b, c, 0.55)  # dispatches to connection
     direct = hyp2f1_oracle(a, b, c, 0.55)
     assert abs(series - direct) <= 1e-10 * abs(direct)
-    assert abs(connect_near_one(a, b, c, 0.55) - direct) <= 1e-10 * abs(direct)
+    assert via_connection(a, b, c, 0.55) == series
 
 
 def test_series_connection_overlap_window():
     a, b, c = 0.5 + 2j, 1.5 + 2j, 1.5 + 4j
     for z in np.linspace(0.45, 0.65, 9):
-        via_connection = connect_near_one(a, b, c, float(z))
+        forced = via_connection(a, b, c, float(z))
         via_series = hyp2f1_oracle(a, b, c, float(z), dps=25)
-        assert abs(via_connection - via_series) <= 1e-10 * abs(via_series)
+        assert abs(forced - via_series) <= 1e-10 * abs(via_series)
 
 
 def test_solution_parameters_at_reference_frequency():
@@ -613,7 +613,7 @@ def test_solution_parameters_at_reference_frequency():
     kp = math.sqrt(3.0)
     a1, b1, c1 = 0.5 + (2 + kp) * 1j, (2 + kp) * 1j, 0.5 + 4j
     expected = complex(-0.7578331315092058748, 0.67868640550922853464)
-    got = connect_near_one(a1, b1, c1, 0.5)
+    got = via_connection(a1, b1, c1, 0.5)
     assert abs(got - expected) <= 1e-10 * abs(expected)
     assert abs(hyp2f1(a1, b1, c1, 0.5) - expected) <= 1e-10 * abs(expected)
 
@@ -621,7 +621,7 @@ def test_solution_parameters_at_reference_frequency():
 def test_degenerate_connection_raises():
     # c - a - b = 1 exactly: the connection formula must refuse
     with pytest.raises(DegenerateParamsError):
-        connect_near_one(1.0, 1.0, 3.0, 0.999)
+        via_connection(1.0, 1.0, 3.0, 0.999)
     with pytest.raises(DegenerateParamsError):
         hyp2f1(1.0, 1.0, 3.0, 0.999)
     # the value itself is finite and approaches 2 as z -> 1; the oracle
