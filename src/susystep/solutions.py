@@ -252,13 +252,20 @@ def _rotated(j, branch, p, z, log_z, log_u):
     return np.multiply(scale * factor, f, out=factor)
 
 
-def _solution_from_logs(branch, sign, p, z, log_z, log_u):
-    """Z_sign^branch at every point of the column arrays, as an array."""
-    if sign not in (1, -1):
-        raise DomainError(f"sign must be +1 or -1, got {sign!r}")
+def _signs(sign, many=False):
+    """``sign``, +1 or -1 (where ``many``, also a 1-d array of them), as a column against z columns."""
+    signs = np.asarray(sign)
+    if signs.dtype.kind not in "iuf" or signs.ndim > many or not signs.size or not (np.abs(signs) == 1).all():
+        raise DomainError(f"sign must be +1 or -1{', or a 1-d array of them' if many else ''}, got {sign!r}")
+    return signs[..., None]
+
+
+def _solution_from_logs(branch, signs, p, z, log_z, log_u):
+    """Z_sign^branch at every point of the column arrays, one row per row of
+    the ``_signs`` column: the R-tilde columns are evaluated once for all."""
     r1 = _rotated(1, branch, p, z, log_z, log_u)
     r2 = _rotated(2, branch, p, z, log_z, log_u)
-    return np.multiply(_QUARTER_TURN, r1 + sign * 1j * r2, out=r1)
+    return np.multiply(_QUARTER_TURN, r1 + signs * 1j * r2)
 
 
 def exact_solution(branch, sign, omega, m, x) -> complex:
@@ -281,13 +288,13 @@ def exact_solution(branch, sign, omega, m, x) -> complex:
     (complex omega, |x| in the hundreds).
     """
     p = _one_omega(omega, m)
-    return complex(_solution_from_logs(branch, sign, p, *_logs_from_x(_x_grid([x])))[0])
+    return complex(_solution_from_logs(branch, _signs(sign), p, *_logs_from_x(_x_grid([x])))[0])
 
 
 def exact_solution_at_z(branch, sign, omega, m, z) -> complex:
     """Same as :func:`exact_solution` but parametrized by z in (0, 1)."""
     p = _one_omega(omega, m)
-    return complex(_solution_from_logs(branch, sign, p, *_logs_from_z(_unit_column([z])[1]))[0])
+    return complex(_solution_from_logs(branch, _signs(sign), p, *_logs_from_z(_unit_column([z])[1]))[0])
 
 
 def rotated_component(j, branch, omega, m, z) -> complex:
@@ -344,9 +351,7 @@ def coupled_residual(omega, m, x_grid, branch="I") -> float:
     p = _one_omega(omega, m)
     h = 0.5 * float(np.min(np.diff(xs)))
     points = _logs_from_x(_stencil(xs, h))
-    r1 = _rotated(1, branch, p, *points)
-    r2 = _rotated(2, branch, p, *points)
-    (zp, zm), (dzp, dzm), _ = _five_point(_QUARTER_TURN * np.stack([r1 + 1j * r2, r1 - 1j * r2]), h)
+    (zp, zm), (dzp, dzm), _ = _five_point(_solution_from_logs(branch, np.array([[1], [-1]]), p, *points), h)
     w = superpotential(xs, m)
     iw = 1j * complex(omega)
     res = np.maximum(np.abs(dzp - w * zp - iw * zm), np.abs(dzm + w * zm - iw * zp))
@@ -362,19 +367,20 @@ def wave_equation_residual(branch, sign, omega, m, z):
 
     at z in (0, 1), with five-point derivatives of step
     0.01 z(1-z) / max(1, |omega|), which follows the wave's oscillation as
-    omega grows.  A 1-d array of z, every element checked first, gives the
-    float calls' values.
+    omega grows.  A 1-d array of z (every element checked first) or of
+    signs gives the number calls' values, a row per sign; all signs share
+    one R-tilde evaluation.
     """
     column, z = _unit_column(z)
-    p = _one_omega(omega, m)
+    signs, p = _signs(sign, many=True), _one_omega(omega, m)
     h = 0.01 * z * (1.0 - z) / max(1.0, abs(p.omega))
     points = _logs_from_z(_stencil(z, h))
-    f0, d1, d2 = _five_point(_solution_from_logs(branch, sign, p, *points), h)
-    q = (omega * omega - m * m) / (1 - z) + omega * omega / z + sign * m / (2.0 * np.sqrt(z))
+    f0, d1, d2 = _five_point(_solution_from_logs(branch, signs, p, *points), h)
+    q = (omega * omega - m * m) / (1 - z) + omega * omega / z + signs * m / (2.0 * np.sqrt(z))
     res = (1 - 2 * z) * d1 + z * (1 - z) * d2 + q * f0
     scale = np.abs(q * f0) + np.abs((1 - 2 * z) * d1) + np.abs(z * (1 - z) * d2)
     residual = np.abs(res) / scale
-    return residual if column else float(residual[0])
+    return residual if column else residual[..., 0] if residual.ndim > 1 else float(residual[0])
 
 
 def wronskian(sign, omega, m, z):
@@ -387,16 +393,17 @@ def wronskian(sign, omega, m, z):
 
     The derivatives are evaluated numerically (five-point stencil) so the
     constancy check is independent of the algebra that predicts it.  A 1-d
-    array of z, every element checked first, gives the float calls' values.
+    array of z (every element checked first) or of signs gives the number
+    calls' values, a row per sign; all signs share one R-tilde evaluation.
     """
     column, z = _unit_column(z)
     h = 1e-3 * np.minimum(np.minimum(z, 1.0 - z), 0.5)
     points = _logs_from_z(_stencil(z, h))
-    p = _one_omega(omega, m)
-    zi, di, _ = _five_point(_solution_from_logs("I", sign, p, *points), h)
-    zii, dii, _ = _five_point(_solution_from_logs("II", sign, p, *points), h)
+    signs, p = _signs(sign, many=True), _one_omega(omega, m)
+    zi, di, _ = _five_point(_solution_from_logs("I", signs, p, *points), h)
+    zii, dii, _ = _five_point(_solution_from_logs("II", signs, p, *points), h)
     value = z * (1.0 - z) * (zi * dii - zii * di)
-    return value if column else complex(value[0])
+    return value if column else value[..., 0] if value.ndim > 1 else complex(value[0])
 
 
 def sample_wavefield(branch, sign, omega, m, grid) -> WaveField:
@@ -408,6 +415,6 @@ def sample_wavefield(branch, sign, omega, m, grid) -> WaveField:
     """
     xs = _x_grid(grid)
     p = _one_omega(omega, m)
-    values = _solution_from_logs(branch, sign, p, *_logs_from_x(xs))
+    values = _solution_from_logs(branch, _signs(sign), p, *_logs_from_x(xs))
     kind = PotentialKind.PLUS if sign == 1 else PotentialKind.MINUS
     return WaveField(grid=xs, values=values, omega=omega, m=float(m), kind=kind, branch=branch)

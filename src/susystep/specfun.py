@@ -338,7 +338,7 @@ def _hyp2f1_complement(a, b, c, u, log_u):
 def _real_array(name, value):
     """``value`` as a float array; ``DomainError`` unless it is real."""
     array = np.asarray(value)
-    if array.dtype.kind not in "biuf":
+    if array.dtype.kind not in "iuf":
         raise DomainError(f"{name} must be real, got {value!r}")
     return np.asarray(array, dtype=float)
 

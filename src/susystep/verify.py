@@ -3,9 +3,10 @@
 Each check evaluates one analytic contract (closed-form equivalence, flux
 conservation, SUSY identities, Wronskian constancy, wave-equation
 residuals, quasinormal poles, potential identities) and reports its worst
-residual against the contracted tolerance.  ``full`` adds the two oracle
-checks, which read one oracle sweep per run: one Magnus-4 march per
-(spec, omega) at ``ORACLE_CONFIG``, timed in the agreement row.
+residual against the contracted tolerance; the Wronskian and wave-equation
+checks get both partners from one R-tilde evaluation.  ``full`` adds the
+two oracle checks, which read one oracle sweep per run: one Magnus-4 march
+per (spec, omega) at ``ORACLE_CONFIG``, timed in the agreement row.
 """
 
 from __future__ import annotations
@@ -89,20 +90,19 @@ def _susy_relations():
 
 
 def _wronskian_constancy():
-    worst = 0.0
+    worst, signs = 0.0, np.array([1, -1])
     for omega, m in ((2.0, 1.0), (1.5, 1.0), (3.0, 2.0)):
         c1 = 2j * omega + 0.5
-        for sign in (1, -1):
-            expected = sign * 2.0 * omega / m * (1.0 - c1)
-            values = solutions.wronskian(sign, omega, m, np.array([0.2, 0.5, 0.8]))
-            worst = max(worst, np.max(np.abs(values - expected)), abs(values[0] - values[-1]))
+        expected = signs[:, None] * 2.0 * omega / m * (1.0 - c1)
+        values = solutions.wronskian(signs, omega, m, np.array([0.2, 0.5, 0.8]))
+        worst = max(worst, np.max(np.abs(values - expected)), np.max(np.abs(values[:, 0] - values[:, -1])))
     return worst
 
 
 def _wave_equation_residual():
     z = np.linspace(0.05, 0.95, 19)
-    return max(np.max(solutions.wave_equation_residual(branch, sign, omega, m, z))
-               for omega, m in ((2.0, 1.0), (1.5, 1.0)) for branch in ("I", "II") for sign in (1, -1))
+    return max(np.max(solutions.wave_equation_residual(branch, np.array([1, -1]), omega, m, z))
+               for omega, m in ((2.0, 1.0), (1.5, 1.0)) for branch in ("I", "II"))
 
 
 def _qnm_poles():

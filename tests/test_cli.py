@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from susystep import solutions, specfun, verify
 from susystep.cli import main
 from susystep.errors import DomainError
-from susystep.verify import run_checks
+from susystep.verify import FULL, run_checks
 
 
 def run_cli(capsys, *argv):
@@ -230,6 +231,45 @@ def test_verify_failure_injection(capsys):
     code, out, err = run_cli(capsys, "verify", "--level", "quick", "--inject-failure")
     assert code == 3
     assert "FAIL" in out
+
+
+_PARTNER_CHECKS = {"Wronskian value and constancy": "_wronskian_constancy",
+                   "wave-equation residual in z": "_wave_equation_residual"}
+
+
+def test_partner_checks_share_each_r_tilde_column(monkeypatch):
+    # each (omega, m[, branch]) takes one call for both signs: 2 components x
+    # 2 branches x 3 pairs for the Wronskian, x 2 pairs for the wave equation
+    calls, made = [], {}
+    hyp2f1 = specfun.hyp2f1
+    monkeypatch.setattr(specfun, "hyp2f1", lambda *args: calls.append(args) or hyp2f1(*args))
+
+    def counted(name, check):
+        def run():
+            before = len(calls)
+            worst = check()
+            made[name] = len(calls) - before
+            return worst
+        return run
+
+    for name in _PARTNER_CHECKS.values():
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    assert all(r.passed for r in run_checks(FULL))
+    assert made == {"_wronskian_constancy": 12, "_wave_equation_residual": 8}
+
+
+def test_partner_checks_judge_the_minus_row(monkeypatch):
+    # negative control: the V- row's sign scaled by 1 + 1e-6 makes Z- no
+    # longer a solution, and each check that evaluates both partners fails
+    checked = solutions._signs
+
+    def minus_row_scaled(sign, many=False):
+        column = checked(sign, many)
+        return column * np.array([[1.0], [1.0 + 1e-6]]) if np.shape(sign) == (2,) else column
+
+    monkeypatch.setattr(solutions, "_signs", minus_row_scaled)
+    failed = {r.name for r in run_checks() if not r.passed}
+    assert failed == set(_PARTNER_CHECKS)
 
 
 def test_verify_unknown_level_is_a_domain_error():

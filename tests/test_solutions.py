@@ -387,6 +387,60 @@ def test_residuals_over_a_z_column_match_the_float_calls(monkeypatch):
     assert calls == []
 
 
+# Gauss route up to z = 1/2, connection route above it
+_BOTH_ROUTES = np.linspace(0.05, 0.95, 19)
+
+
+@pytest.mark.parametrize("omega", [1.5, 2.0, 10.0])
+@pytest.mark.parametrize("z", [_BOTH_ROUTES, np.array([0.2, 0.5, 0.8]), 0.3, 0.7],
+                         ids=["column", "verify column", "Gauss float", "connection float"])
+def test_sign_array_rows_equal_the_number_sign_calls(omega, z):
+    # one evaluation of the R-tilde columns serves every sign; each row keeps
+    # the bits of its number-sign call
+    for signs in (np.array([1, -1]), np.array([-1, 1, 1]), [1.0, -1.0]):
+        got = wronskian(signs, omega, 1.0, z)
+        assert got.shape == (len(signs),) + np.shape(z)
+        for row, sign in zip(got, signs):
+            assert row.tobytes() == np.array(wronskian(sign, omega, 1.0, z)).tobytes()
+        for branch in ("I", "II"):
+            got = wave_equation_residual(branch, signs, omega, 1.0, z)
+            assert got.shape == (len(signs),) + np.shape(z)
+            for row, sign in zip(got, signs):
+                assert row.tobytes() == np.array(wave_equation_residual(branch, sign, omega, 1.0, z)).tobytes()
+
+
+_ONE_SIGN = [(exact_solution, ("I", "sign", 2.0, 1.0, 0.3)), (exact_solution_at_z, ("I", "sign", 2.0, 1.0, 0.3)),
+             (sample_wavefield, ("I", "sign", 2.0, 1.0, [0.0, 1.0]))]
+_SIGN_ROWS = [(wronskian, ("sign", 2.0, 1.0, 0.3)), (wave_equation_residual, ("I", "sign", 2.0, 1.0, 0.3))]
+
+
+def _refuses_sign(monkeypatch, call, args, sign):
+    """``call`` raises the typed sign error before any 2F1 is summed."""
+    calls = []
+    monkeypatch.setattr(specfun_mod, "hyp2f1", lambda *a: calls.append(a))
+    with pytest.raises(DomainError, match="sign must be"):
+        call(*[sign if a == "sign" else a for a in args])
+    assert calls == []
+
+
+@pytest.mark.parametrize("call, args", _ONE_SIGN + _SIGN_ROWS, ids=[c.__name__ for c, _ in _ONE_SIGN + _SIGN_ROWS])
+@pytest.mark.parametrize("sign", [True, False, np.True_, 0, 2, -1.5, math.nan, None, "+", np.array([], dtype=int),
+                                  np.array([[1, -1]]), np.array([1, 0]), np.array([True, False]),
+                                  np.array([1, -1]) + 0j],
+                         ids=["True", "False", "np.True_", "0", "2", "-1.5", "nan", "None", "'+'", "empty array",
+                              "2-d array", "array with 0", "bool array", "complex array"])
+def test_a_sign_other_than_plus_or_minus_one_is_a_domain_error(monkeypatch, call, args, sign):
+    # True is not +1; nor is any array a valid sign list unless it is 1-d,
+    # non-empty and holds only +1 and -1
+    _refuses_sign(monkeypatch, call, args, sign)
+
+
+@pytest.mark.parametrize("call, args", _ONE_SIGN, ids=[c.__name__ for c, _ in _ONE_SIGN])
+@pytest.mark.parametrize("signs", [np.array([1, -1]), np.array([1]), [1, -1]], ids=["pair", "one", "list"])
+def test_a_sign_array_is_a_domain_error_where_one_wavefunction_is_returned(monkeypatch, call, args, signs):
+    _refuses_sign(monkeypatch, call, args, signs)
+
+
 # ----------------------------------------------------------------- wavefield
 
 def test_wavefield_validation():
@@ -515,7 +569,9 @@ def test_connection_gamma_ratios_once_per_call(monkeypatch):
     for evaluate, expected in ((lambda: exact_solution("I", 1, 2.0, 1.0, 1.0), 4),
                                (lambda: coupled_residual(2.0, 1.0, np.linspace(0.5, 3.0, 11)), 4),
                                (lambda: wave_equation_residual("II", -1, 2.0, 1.0, 0.7), 4),
-                               (lambda: wronskian(1, 2.0, 1.0, 0.7), 8)):
+                               (lambda: wave_equation_residual("II", np.array([1, -1]), 2.0, 1.0, 0.7), 4),
+                               (lambda: wronskian(1, 2.0, 1.0, 0.7), 8),
+                               (lambda: wronskian(np.array([1, -1]), 2.0, 1.0, 0.7), 8)):
         calls.clear()
         evaluate()
         assert len(calls) == expected

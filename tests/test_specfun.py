@@ -392,6 +392,15 @@ def test_complex_arguments_are_domain_errors():
             hyp2f1(1.0, 1.0, 2.0, **kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [{"z": False}, {"z": True}, {"z": np.array([False, True])},
+                                    {"z": 0.6, "log_u": False}, {"z": np.array([0.6]), "log_u": np.array([True])}],
+                         ids=["z False", "z True", "z bool column", "log_u False", "log_u bool column"])
+def test_bool_arguments_are_domain_errors(kwargs):
+    # False is not z = 0, nor True z = 1
+    with pytest.raises(DomainError, match="must be real"):
+        hyp2f1(1.0, 1.0, 2.0, **kwargs)
+
+
 def test_array_parameters_are_domain_errors():
     # a, b and c are numbers; an array among them is a typed error, not the
     # bare TypeError of complex(array)
