@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Subcommands emit CSV (header row, LF endings, 17 significant digits so
-values survive a round-trip) either to stdout or to ``--output``; writing
-to a file also drops a small JSON run manifest next to it.
+values survive a round-trip) either to stdout or to ``--output``.  Each
+builds its table as one dict from header name to column: an equal-length
+float array, range or list, or ``None`` for a column of empty cells.
+Writing to a file also drops a JSON run manifest next to it, with the
+keys ``command``, ``parameters``, ``output_path`` and ``schema_version``.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 verification
 failure.
@@ -13,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,21 +24,11 @@ from .errors import SusystepError
 from .potentials import PotentialKind, PotentialSpec, superpotential, v_minus, v_plus, v_step
 from .verify import run_checks
 
-__all__ = ["main", "RunManifest"]
+__all__ = ["main"]
 
 SCHEMA_VERSION = 1
 
 _KINDS = {"plus": PotentialKind.PLUS, "minus": PotentialKind.MINUS, "step": PotentialKind.STEP}
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record written alongside file output."""
-
-    command: str
-    parameters: dict = field(default_factory=dict)
-    output_path: str = "-"
-    schema_version: int = SCHEMA_VERSION
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,26 +40,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _fmt(value: float) -> str:
-    return f"{value + 0.0:.17g}"  # + 0.0 normalizes negative zero
-
-
-def _rows(columns):
-    """The rows, as lists of floats, of equal-length array columns."""
-    return [list(row) for row in zip(*(column.tolist() for column in columns))]
-
-
-def _emit(rows, header, args, parameters):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    text = "\n".join(lines) + "\n"
+def _emit(table, args, parameters):
+    row = ",".join("" if column is None else "%.17g" for column in table.values())
+    # + 0.0 normalizes negative zero
+    columns = [np.add(column, 0.0).tolist() for column in table.values() if column is not None]
+    text = "\n".join([",".join(table)] + [row % cells for cells in zip(*columns)]) + "\n"
     if args.output:
         with open(args.output, "w", newline="") as fh:
             fh.write(text)
-        manifest = RunManifest(command=args.command, parameters=parameters, output_path=args.output)
+        manifest = {"command": args.command, "parameters": parameters, "output_path": args.output,
+                    "schema_version": SCHEMA_VERSION}
         with open(args.output + ".manifest.json", "w") as fh:
-            json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
+            json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
     else:
         sys.stdout.write(text)
@@ -79,16 +63,13 @@ def _cmd_potential(args):
     if args.n_points < 2:
         raise SusystepError("n-points must be at least 2")
     xs = np.linspace(args.x_min, args.x_max, args.n_points)
-    header = ["x", "V_plus", "V_minus", "W"]
     v0 = args.v0 if args.v0 is not None else args.m * args.m
-    if args.with_step:
-        header.append("V_step")
     # the closed forms are valid for either sign of m; m < 0 swaps the
     # partners, which is exactly the shape-invariance identity
-    columns = [xs, v_plus(xs, args.m), v_minus(xs, args.m), superpotential(xs, args.m)]
+    table = {"x": xs, "V_plus": v_plus(xs, args.m), "V_minus": v_minus(xs, args.m), "W": superpotential(xs, args.m)}
     if args.with_step:
-        columns.append(v_step(xs, v0, args.alpha))
-    _emit(_rows(columns), header, args, {
+        table["V_step"] = v_step(xs, v0, args.alpha)
+    _emit(table, args, {
         "m": args.m, "x_min": args.x_min, "x_max": args.x_max,
         "n_points": args.n_points, "with_step": args.with_step,
         "v0": v0, "alpha": args.alpha,
@@ -105,25 +86,17 @@ def _cmd_scatter(args):
     if args.n_points < 1:
         raise SusystepError("n-points must be at least 1")
     omegas = np.linspace(args.omega_min, args.omega_max, args.n_points)
-    header = ["omega", "R2", "T2", "flux"]
-    partner = kind in (PotentialKind.PLUS, PotentialKind.MINUS)
-    if partner:
-        header.append("R2_minus_step")
-    if args.with_oracle:
-        header += ["R2_num", "T2_num"]
-    if partner:
-        spec = PotentialSpec.plus(args.m) if kind is PotentialKind.PLUS else PotentialSpec.minus(args.m)
-        res = scattering.reflection_transmission(kind, omegas, args.m)
-        diff = [res.R2 - scattering.step_reflection_closed_form(omegas, args.m)]
+    if kind is PotentialKind.STEP:
+        spec, res = PotentialSpec.step(args.m * args.m), scattering.step_amplitudes(omegas, args.m)
+        table = {"omega": omegas, "R2": res.R2, "T2": res.T2, "flux": res.flux}
     else:
-        spec = PotentialSpec.step(args.m * args.m, 1.0)
-        res = scattering.step_amplitudes(omegas, args.m)
-        diff = []
-    columns = [omegas, res.R2, res.T2, res.flux] + diff
+        spec, res = PotentialSpec(kind, args.m), scattering.reflection_transmission(kind, omegas, args.m)
+        table = {"omega": omegas, "R2": res.R2, "T2": res.T2, "flux": res.flux,
+                 "R2_minus_step": res.R2 - scattering.step_reflection_closed_form(omegas, args.m)}
     if args.with_oracle:
         num = oracle.numerical_rt(spec, omegas)
-        columns += [num.R2, num.T2]
-    _emit(_rows(columns), header, args, {
+        table.update(R2_num=num.R2, T2_num=num.T2)
+    _emit(table, args, {
         "kind": args.kind, "m": args.m, "omega_min": args.omega_min,
         "omega_max": args.omega_max, "n_points": args.n_points,
         "with_oracle": args.with_oracle,
@@ -135,16 +108,11 @@ def _cmd_qnm(args):
     kind = _KINDS[args.kind]
     if args.n_max < 0:
         raise SusystepError("n-max must be >= 0")
-    header = ["n", "re_omega", "im_omega", "pole_residual"]
-    rows = []
-    for n in range(args.n_max + 1):
-        omega = scattering.qnm(kind, n, args.m)
-        if kind is PotentialKind.STEP:
-            residual = ""
-        else:
-            residual = scattering.qnm_pole_check(kind, n, args.m)
-        rows.append([float(n), omega.real, omega.imag, residual])
-    _emit(rows, header, args, {"kind": args.kind, "m": args.m, "n_max": args.n_max})
+    ns = range(args.n_max + 1)
+    omegas = np.array([scattering.qnm(kind, n, args.m) for n in ns])
+    residuals = None if kind is PotentialKind.STEP else [scattering.qnm_pole_check(kind, n, args.m) for n in ns]
+    table = {"n": ns, "re_omega": omegas.real, "im_omega": omegas.imag, "pole_residual": residuals}
+    _emit(table, args, {"kind": args.kind, "m": args.m, "n_max": args.n_max})
     return 0
 
 

@@ -45,7 +45,8 @@ class PotentialSpec:
     Partner kinds use the coupling ``m`` (> 0 by convention; the m < 0
     potentials are recovered through ``shape_invariance_check``'s identity
     V+(x, m) = V-(x, -m) rather than a separate code path).  The step kind
-    uses the height ``v0`` and width ``alpha``.
+    uses the height ``v0`` and width ``alpha``.  A bool parameter, or a kind
+    that is not a ``PotentialKind``, raises ``DomainError``.
     """
 
     kind: PotentialKind
@@ -56,7 +57,7 @@ class PotentialSpec:
     def __post_init__(self):
         for name in ("m", "v0", "alpha"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise DomainError(f"potential parameters must be real and finite, got {name} = {value}")
         if self.kind in (PotentialKind.PLUS, PotentialKind.MINUS):
             if not self.m > 0:
@@ -64,7 +65,7 @@ class PotentialSpec:
         elif self.kind is PotentialKind.STEP:
             if not self.alpha > 0:
                 raise DomainError(f"step potential requires alpha > 0, got alpha = {self.alpha}")
-        else:  # pragma: no cover - enum exhausts the cases
+        else:
             raise DomainError(f"unknown potential kind {self.kind!r}")
 
     @classmethod

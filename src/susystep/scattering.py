@@ -107,8 +107,8 @@ class ScatteringResult:
 
 
 def _coupling(m) -> float:
-    """m as a float; ``DomainError`` unless it is a real number in (0, inf)."""
-    if not (isinstance(m, numbers.Real) and 0 < m < math.inf):
+    """m as a float; ``DomainError`` unless it is a real number in (0, inf) and not a bool."""
+    if isinstance(m, bool) or not (isinstance(m, numbers.Real) and 0 < m < math.inf):
         raise DomainError(f"require a real, finite m > 0, got m = {m}")
     return float(m)
 
@@ -321,9 +321,10 @@ def qnm(kind: PotentialKind, n: int, m: float) -> complex:
         partner: omega = -(i/4) (n + 1 - 4 m^2/(n+1))
 
     Reported verbatim, including the low overtones with non-negative
-    imaginary part; no stability filtering is applied.
+    imaginary part; no stability filtering is applied.  A bool n or m is
+    a DomainError.
     """
-    if not (isinstance(n, numbers.Integral) and n >= 0):
+    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 0):
         raise DomainError(f"overtone index must be an integer >= 0, got {n!r}")
     m = _coupling(m)
     if kind is PotentialKind.STEP:
@@ -345,12 +346,12 @@ def inverse_transmission_magnitude(kind: PotentialKind, omega: complex, m: float
     returned (the amplitude-pole signal that locates quasinormal
     frequencies).  A pole of a denominator Gamma raises GammaPoleError;
     an omega that is not one finite number, or an m that is not a real
-    0 < m < inf, raises DomainError.
+    0 < m < inf (a bool is neither), raises DomainError.
     """
     if kind not in (PotentialKind.PLUS, PotentialKind.MINUS):
         raise DomainError("transmission poles are computed for the partner kinds")
     m = _coupling(m)
-    if not (isinstance(omega, numbers.Number) and cmath.isfinite(omega)):
+    if isinstance(omega, bool) or not (isinstance(omega, numbers.Number) and cmath.isfinite(omega)):
         raise DomainError(f"omega must be a finite number, got omega = {omega}")
     omega = complex(omega)
     B = complex(b_exponent(omega, m))

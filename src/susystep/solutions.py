@@ -190,7 +190,8 @@ def make_exponents(omega, m: float) -> SolutionParams:
     ------
     DomainError
         For an omega that is not a number or a 1-d array, a non-finite
-        omega, or an m that is not a real, finite number other than 0.
+        omega, or an m that is not a real, finite number other than 0
+        (a bool is not one).
     ZeroFrequencyError
         For omega = 0, where the first-order factorization that couples
         Z+ and Z- breaks down.  A column with a zero element raises this
@@ -202,7 +203,7 @@ def make_exponents(omega, m: float) -> SolutionParams:
     column, omega = np.ndim(omega) > 0, np.atleast_1d(omega)
     if omega.ndim > 1 or omega.dtype.kind not in "iufc":
         raise DomainError(f"omega must be a number or a 1-d array, got omega = {omega}")
-    if not (isinstance(m, numbers.Real) and math.isfinite(m) and m != 0 and np.isfinite(omega).all()):
+    if isinstance(m, bool) or not (isinstance(m, numbers.Real) and math.isfinite(m) and m != 0 and np.isfinite(omega).all()):
         raise DomainError(f"solutions require finite omega and a real, finite m != 0, got omega = {omega}, m = {m}")
     omega, m = omega.astype(complex), float(m)
     if (abs(omega) < 1e-12).any():

@@ -170,7 +170,7 @@ def run_checks(level: str = QUICK, inject_failure: bool = False):
         _check("flux conservation", 1e-9, _flux_conservation),
         _check("SUSY amplitude relations", 1e-11, _susy_relations),
         _check("Wronskian value and constancy", 1e-9, _wronskian_constancy),
-        _check("wave-equation residual in z", 1e-7, _wave_equation_residual),
+        _check("wave-equation residual in z", 1e-8, _wave_equation_residual),
         _check("quasinormal transmission poles", 1e-6, _qnm_poles),
         _check("potential identities", 1e-8, _potential_identities),
         _check("reflection-difference window", 0.5, _figure_difference_window),

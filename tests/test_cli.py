@@ -26,6 +26,13 @@ def parse_csv(text):
     return header, rows
 
 
+def _cell_text(columns):
+    """The CSV cells of library columns: 17 digits with negative zero made
+    positive, or empty cells for a ``None`` column."""
+    n = len(next(column for column in columns if column is not None))
+    return [["" if column is None else "%.17g" % (column[i] + 0.0) for column in columns] for i in range(n)]
+
+
 # ----------------------------------------------------------------- potential
 
 def test_potential_row_count_and_header(capsys):
@@ -141,7 +148,32 @@ def test_scatter_rows_are_the_array_form(capsys, kind):
     else:
         res = reflection_transmission(PotentialKind(kind), omega, 0.7)
         columns = [omega, res.R2, res.T2, res.flux, res.R2 - step_reflection_closed_form(omega, 0.7)]
-    assert [[float(cell) for cell in row] for row in rows] == np.column_stack(columns).tolist()
+    assert rows == _cell_text(columns)
+
+
+def test_potential_rows_are_the_array_form(capsys):
+    from susystep.potentials import superpotential, v_minus, v_plus, v_step
+
+    code, out, _ = run_cli(capsys, "potential", "--m", "-1.3", "--with-step", "--v0", "2", "--alpha", "0.5",
+                           "--x-min", "-800", "--x-max", "800", "--n-points", "201")
+    assert code == 0
+    _, rows = parse_csv(out)
+    x = np.linspace(-800.0, 800.0, 201)
+    assert rows == _cell_text([x, v_plus(x, -1.3), v_minus(x, -1.3), superpotential(x, -1.3), v_step(x, 2.0, 0.5)])
+
+
+@pytest.mark.parametrize("kind", ["plus", "step"])
+def test_qnm_rows_are_the_library_values(capsys, kind):
+    from susystep.potentials import PotentialKind
+    from susystep.scattering import qnm, qnm_pole_check
+
+    code, out, _ = run_cli(capsys, "qnm", "--kind", kind, "--m", "1", "--n-max", "12")
+    assert code == 0
+    _, rows = parse_csv(out)
+    kind = PotentialKind(kind)
+    omegas = [qnm(kind, n, 1.0) for n in range(13)]
+    residuals = None if kind is PotentialKind.STEP else [qnm_pole_check(kind, n, 1.0) for n in range(13)]
+    assert rows == _cell_text([range(13), [w.real for w in omegas], [w.imag for w in omegas], residuals])
 
 
 def test_potential_evaluates_each_column_once(capsys, monkeypatch):
@@ -258,16 +290,29 @@ def test_partner_checks_share_each_r_tilde_column(monkeypatch):
     assert made == {"_wronskian_constancy": 12, "_wave_equation_residual": 8}
 
 
-def test_partner_checks_judge_the_minus_row(monkeypatch):
-    # negative control: the V- row's sign scaled by 1 + 1e-6 makes Z- no
-    # longer a solution, and each check that evaluates both partners fails
-    checked = solutions._signs
+def _scale_sign_row(monkeypatch, row):
+    """Scale row ``row`` (0 for V+, 1 for V-) of every two-sign column by
+    1 + 1e-6, so that partner is no longer a solution."""
+    checked, scale = solutions._signs, np.ones((2, 1))
+    scale[row] += 1e-6
 
-    def minus_row_scaled(sign, many=False):
+    def row_scaled(sign, many=False):
         column = checked(sign, many)
-        return column * np.array([[1.0], [1.0 + 1e-6]]) if np.shape(sign) == (2,) else column
+        return column * scale if np.shape(sign) == (2,) else column
 
-    monkeypatch.setattr(solutions, "_signs", minus_row_scaled)
+    monkeypatch.setattr(solutions, "_signs", row_scaled)
+
+
+def test_partner_checks_judge_the_minus_row(monkeypatch):
+    # negative control: each check that evaluates both partners fails
+    _scale_sign_row(monkeypatch, 1)
+    failed = {r.name for r in run_checks() if not r.passed}
+    assert failed == set(_PARTNER_CHECKS)
+
+
+def test_partner_checks_judge_the_plus_row(monkeypatch):
+    # the wave-equation check reads 9.1e-8 here, so its tolerance is 1e-8
+    _scale_sign_row(monkeypatch, 0)
     failed = {r.name for r in run_checks() if not r.passed}
     assert failed == set(_PARTNER_CHECKS)
 

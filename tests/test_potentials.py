@@ -112,6 +112,12 @@ def test_spec_validation():
         PotentialSpec.step(1.0, 0.0)
     with pytest.raises(DomainError, match="real"):
         PotentialSpec.plus(1 + 0j)
+    with pytest.raises(DomainError, match="real"):
+        PotentialSpec.plus(True)  # a bool is not m = 1
+    with pytest.raises(DomainError, match="real"):
+        PotentialSpec.step(1.0, True)
+    with pytest.raises(DomainError, match="unknown potential kind"):
+        PotentialSpec("plus")  # the string, not PotentialKind.PLUS
 
 
 @given(x=XS, m=MS)

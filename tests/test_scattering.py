@@ -342,9 +342,21 @@ def test_a_zero_d_array_omega_is_the_number_call():
 @pytest.mark.parametrize("omega", [True, np.True_, np.array(True), np.array([True, True])])
 def test_a_bool_omega_is_a_domain_error(omega):
     # True would pass as 1.0 > m = 0.5; a bool is not a frequency
-    for fn in _ONE_OMEGA_CALLS:
+    for fn in _ONE_OMEGA_CALLS + (lambda w: inverse_transmission_magnitude(PLUS, w, 1.0),):
         with pytest.raises(DomainError):
             fn(omega)
+
+
+@pytest.mark.parametrize("call, args", [
+    (qnm, (PLUS, True, 1.0)), (qnm_pole_check, (PLUS, True, 1.0)), (qnm, (STEP, 1, True)),
+    (inverse_transmission_magnitude, (PLUS, 1.5, True)), (reflection_transmission, (PLUS, 2.0, True)),
+    (step_amplitudes, (2.0, True)), (make_exponents, (2.0, True)),
+], ids=["qnm n", "qnm_pole_check n", "qnm m", "inverse_transmission m", "reflection_transmission m",
+        "step_amplitudes m", "make_exponents m"])
+def test_a_bool_n_or_m_is_a_domain_error(call, args):
+    # True would pass as n = 1 or m = 1; a bool is not an overtone or a coupling
+    with pytest.raises(DomainError):
+        call(*args)
 
 
 # -------------------------------------------------------------- SUSY checks
