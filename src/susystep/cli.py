@@ -5,7 +5,10 @@ values survive a round-trip) either to stdout or to ``--output``.  Each
 builds its table as one dict from header name to column: an equal-length
 float array, range or list, or ``None`` for a column of empty cells.
 Writing to a file also drops a JSON run manifest next to it, with the
-keys ``command``, ``parameters``, ``output_path`` and ``schema_version``.
+keys ``command``, ``parameters`` (every option of the subcommand, as
+resolved), ``output_path`` and ``schema_version``.  The parser is built
+once, at import, and only read afterwards: each ``main`` call parses into
+a fresh namespace, so ``main`` is safe to call concurrently.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 verification
 failure.
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -36,23 +40,20 @@ class _Parser(argparse.ArgumentParser):
     # reserves 2 for domain errors and uses 1 for usage.
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _emit(table, args, parameters):
+def _emit(table, args, **resolved):
     row = ",".join("" if column is None else "%.17g" for column in table.values())
     # + 0.0 normalizes negative zero
     columns = [np.add(column, 0.0).tolist() for column in table.values() if column is not None]
     text = "\n".join([",".join(table)] + [row % cells for cells in zip(*columns)]) + "\n"
     if args.output:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(text)
+        Path(args.output).write_text(text, newline="")
+        parameters = {k: v for k, v in vars(args).items() if k not in ("command", "func", "output")} | resolved
         manifest = {"command": args.command, "parameters": parameters, "output_path": args.output,
                     "schema_version": SCHEMA_VERSION}
-        with open(args.output + ".manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        Path(args.output + ".manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     else:
         sys.stdout.write(text)
 
@@ -62,18 +63,19 @@ def _cmd_potential(args):
         raise SusystepError("m must be nonzero")
     if args.n_points < 2:
         raise SusystepError("n-points must be at least 2")
-    xs = np.linspace(args.x_min, args.x_max, args.n_points)
+    if not np.isfinite([args.x_min, args.x_max]).all():
+        raise SusystepError("x-min and x-max must be finite")
     v0 = args.v0 if args.v0 is not None else args.m * args.m
+    PotentialSpec.plus(abs(args.m))  # m finite
+    if args.with_step:
+        PotentialSpec.step(v0, args.alpha)  # v0 finite, alpha finite and > 0
+    xs = np.linspace(args.x_min, args.x_max, args.n_points)
     # the closed forms are valid for either sign of m; m < 0 swaps the
     # partners, which is exactly the shape-invariance identity
     table = {"x": xs, "V_plus": v_plus(xs, args.m), "V_minus": v_minus(xs, args.m), "W": superpotential(xs, args.m)}
     if args.with_step:
         table["V_step"] = v_step(xs, v0, args.alpha)
-    _emit(table, args, {
-        "m": args.m, "x_min": args.x_min, "x_max": args.x_max,
-        "n_points": args.n_points, "with_step": args.with_step,
-        "v0": v0, "alpha": args.alpha,
-    })
+    _emit(table, args, v0=v0)
     return 0
 
 
@@ -96,11 +98,7 @@ def _cmd_scatter(args):
     if args.with_oracle:
         num = oracle.numerical_rt(spec, omegas)
         table.update(R2_num=num.R2, T2_num=num.T2)
-    _emit(table, args, {
-        "kind": args.kind, "m": args.m, "omega_min": args.omega_min,
-        "omega_max": args.omega_max, "n_points": args.n_points,
-        "with_oracle": args.with_oracle,
-    })
+    _emit(table, args)
     return 0
 
 
@@ -112,7 +110,7 @@ def _cmd_qnm(args):
     omegas = np.array([scattering.qnm(kind, n, args.m) for n in ns])
     residuals = None if kind is PotentialKind.STEP else [scattering.qnm_pole_check(kind, n, args.m) for n in ns]
     table = {"n": ns, "re_omega": omegas.real, "im_omega": omegas.imag, "pole_residual": residuals}
-    _emit(table, args, {"kind": args.kind, "m": args.m, "n_max": args.n_max})
+    _emit(table, args)
     return 0
 
 
@@ -173,9 +171,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except SusystepError as err:

@@ -3,6 +3,7 @@ manifests, exit codes, and the verification subcommand."""
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -189,6 +190,24 @@ def test_potential_evaluates_each_column_once(capsys, monkeypatch):
     assert len(rows) == 64
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--m", "nan"], "m = nan"),
+    (["--m", "inf"], "m = inf"),
+    (["--x-max", "inf"], "x-min and x-max must be finite"),
+    (["--v0", "nan", "--with-step"], "v0 = nan"),
+    (["--alpha", "0", "--with-step"], "alpha > 0"),
+    (["--alpha", "-1", "--with-step"], "alpha > 0"),
+])
+def test_potential_non_finite_parameters_are_domain_errors(capsys, tmp_path, argv, message):
+    code, out, err = run_cli(capsys, "potential", "--n-points", "3", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("susystep potential: ") and message in err
+    target = tmp_path / "pot.csv"
+    code, out, _ = run_cli(capsys, "potential", "--n-points", "3", *argv, "--output", str(target))
+    assert (code, out) == (2, "")
+    assert list(tmp_path.iterdir()) == []  # neither the CSV nor its manifest
+
+
 def test_scatter_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "scatter", "--kind", "plus", "--m", "1",
                            "--omega-min", "0.5", "--omega-max", "2")
@@ -334,3 +353,77 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+
+
+# ------------------------------------------------------------ shared parser
+
+def test_calls_build_no_parser(capsys, monkeypatch):
+    import susystep.cli as cli_mod
+
+    built = []
+    init = cli_mod._Parser.__init__
+    monkeypatch.setattr(cli_mod._Parser, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    cli_mod._build_parser()
+    assert len(built) == 5  # the counter sees a build: the root and four subcommands
+    built.clear()
+    assert run_cli(capsys, "qnm", "--n-max", "2")[0] == 0
+    assert run_cli(capsys, "potential", "--n-points", "3")[0] == 0
+    assert built == []
+
+
+def test_no_option_carries_over_to_the_next_call(tmp_path, capsys):
+    _, out, _ = run_cli(capsys, "potential", "--n-points", "3", "--with-step", "--v0", "2", "--alpha", "0.5")
+    assert parse_csv(out)[0][-1] == "V_step"
+    code, out, _ = run_cli(capsys, "potential", "--n-points", "3")
+    assert code == 0 and parse_csv(out)[0] == ["x", "V_plus", "V_minus", "W"]
+
+    target = tmp_path / "q.csv"
+    assert run_cli(capsys, "qnm", "--n-max", "2", "--output", str(target)) == (0, "", "")
+    code, out, _ = run_cli(capsys, "qnm", "--n-max", "2")
+    assert code == 0 and out == target.read_text()
+    target = tmp_path / "p.csv"
+    run_cli(capsys, "potential", "--m", "2", "--n-points", "3", "--output", str(target))
+    parameters = json.loads((tmp_path / "p.csv.manifest.json").read_text())["parameters"]
+    assert parameters == {"m": 2.0, "x_min": -10.0, "x_max": 10.0, "n_points": 3, "with_step": False,
+                          "v0": 4.0, "alpha": 1.0}
+
+
+def test_usage_error_after_a_successful_call(capsys):
+    assert run_cli(capsys, "qnm", "--n-max", "2")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["qnm", "--n-max", "two"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: susystep qnm ")
+    assert "susystep qnm: error: argument --n-max: invalid int value: 'two'" in captured.err
+
+
+def test_concurrent_calls_write_what_sequential_calls_write(tmp_path):
+    from concurrent.futures import ThreadPoolExecutor
+
+    jobs = [["scatter", "--kind", kind, "--m", "0.7", "--omega-min", "0.8", "--omega-max", "30", "--n-points", "400"]
+            for kind in ("plus", "minus", "step")]
+    jobs += [["qnm", "--kind", "plus", "--n-max", "40"], ["potential", "--with-step", "--n-points", "2001"]]
+    jobs = jobs * 4
+
+    def run(name):
+        # each caller writes its own directory; manifests name it
+        outdir = tmp_path / name
+        outdir.mkdir()
+        outputs = []
+        for i, argv in enumerate(jobs):
+            assert main(argv + ["--output", str(outdir / f"{i}.csv")]) == 0
+            manifest = (outdir / f"{i}.csv.manifest.json").read_bytes().replace(str(outdir).encode(), b"DIR")
+            outputs.append(((outdir / f"{i}.csv").read_bytes(), manifest))
+        return outputs
+
+    sequential = run("sequential")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-parse included
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(run, ["thread0", "thread1", "thread2", "thread3"], timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == [sequential] * 4
