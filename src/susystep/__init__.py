@@ -42,6 +42,7 @@ from .scattering import (
     qnm_pole_check,
     reflection_transmission,
     step_amplitudes,
+    step_coefficients_closed_form,
     step_reflection_closed_form,
     susy_relation_check,
 )

@@ -6,9 +6,10 @@ builds its table as one dict from header name to column: an equal-length
 float array, range or list, or ``None`` for a column of empty cells.
 Writing to a file also drops a JSON run manifest next to it, with the
 keys ``command``, ``parameters`` (every option of the subcommand, as
-resolved), ``output_path`` and ``schema_version``.  The parser is built
-once, at import, and only read afterwards: each ``main`` call parses into
-a fresh namespace, so ``main`` is safe to call concurrently.
+resolved), ``output_path`` and ``schema_version``.  ``scatter`` tabulates
+the sinh closed forms (any omega > m, no Gamma function).  The parser is
+built once, at import, and only read afterwards: each ``main`` call parses
+into a fresh namespace, so ``main`` is safe to call concurrently.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 verification
 failure.
@@ -49,11 +50,12 @@ def _emit(table, args, **resolved):
     columns = [np.add(column, 0.0).tolist() for column in table.values() if column is not None]
     text = "\n".join([",".join(table)] + [row % cells for cells in zip(*columns)]) + "\n"
     if args.output:
-        Path(args.output).write_text(text, newline="")
         parameters = {k: v for k, v in vars(args).items() if k not in ("command", "func", "output")} | resolved
-        manifest = {"command": args.command, "parameters": parameters, "output_path": args.output,
-                    "schema_version": SCHEMA_VERSION}
-        Path(args.output + ".manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        # strict JSON, formed before either file is written: a NaN or inf parameter raises here
+        manifest = json.dumps({"command": args.command, "parameters": parameters, "output_path": args.output,
+                               "schema_version": SCHEMA_VERSION}, indent=2, sort_keys=True, allow_nan=False)
+        Path(args.output).write_text(text, newline="")
+        Path(args.output + ".manifest.json").write_text(manifest + "\n")
     else:
         sys.stdout.write(text)
 
@@ -65,10 +67,10 @@ def _cmd_potential(args):
         raise SusystepError("n-points must be at least 2")
     if not np.isfinite([args.x_min, args.x_max]).all():
         raise SusystepError("x-min and x-max must be finite")
+    PotentialSpec.plus(abs(args.m))  # m and m^2 finite
     v0 = args.v0 if args.v0 is not None else args.m * args.m
-    PotentialSpec.plus(abs(args.m))  # m finite
-    if args.with_step:
-        PotentialSpec.step(v0, args.alpha)  # v0 finite, alpha finite and > 0
+    # v0 and alpha finite whether or not they make a column (the manifest records them), alpha > 0 if they do
+    PotentialSpec(PotentialKind.STEP if args.with_step else PotentialKind.PLUS, 1.0, v0, args.alpha)
     xs = np.linspace(args.x_min, args.x_max, args.n_points)
     # the closed forms are valid for either sign of m; m < 0 swaps the
     # partners, which is exactly the shape-invariance identity
@@ -88,14 +90,14 @@ def _cmd_scatter(args):
     if args.n_points < 1:
         raise SusystepError("n-points must be at least 1")
     omegas = np.linspace(args.omega_min, args.omega_max, args.n_points)
-    if kind is PotentialKind.STEP:
-        spec, res = PotentialSpec.step(args.m * args.m), scattering.step_amplitudes(omegas, args.m)
-        table = {"omega": omegas, "R2": res.R2, "T2": res.T2, "flux": res.flux}
-    else:
-        spec, res = PotentialSpec(kind, args.m), scattering.reflection_transmission(kind, omegas, args.m)
-        table = {"omega": omegas, "R2": res.R2, "T2": res.T2, "flux": res.flux,
-                 "R2_minus_step": res.R2 - scattering.step_reflection_closed_form(omegas, args.m)}
+    step = kind is PotentialKind.STEP
+    r2, t2 = (scattering.step_coefficients_closed_form if step else scattering.coefficients_closed_form)(omegas, args.m)
+    kprime = np.sqrt(omegas - args.m) * np.sqrt(omegas + args.m)
+    table = {"omega": omegas, "R2": r2, "T2": t2, "flux": r2 + (kprime / omegas) * t2}
+    if not step:
+        table["R2_minus_step"] = r2 - scattering.step_reflection_closed_form(omegas, args.m)
     if args.with_oracle:
+        spec = PotentialSpec.step(args.m * args.m) if step else PotentialSpec(kind, args.m)
         num = oracle.numerical_rt(spec, omegas)
         table.update(R2_num=num.R2, T2_num=num.T2)
     _emit(table, args)

@@ -45,8 +45,8 @@ class PotentialSpec:
     Partner kinds use the coupling ``m`` (> 0 by convention; the m < 0
     potentials are recovered through ``shape_invariance_check``'s identity
     V+(x, m) = V-(x, -m) rather than a separate code path).  The step kind
-    uses the height ``v0`` and width ``alpha``.  A bool parameter, or a kind
-    that is not a ``PotentialKind``, raises ``DomainError``.
+    uses the height ``v0`` and width ``alpha``.  A bool or non-finite
+    parameter, a partner m^2 that overflows or a foreign kind raises ``DomainError``.
     """
 
     kind: PotentialKind
@@ -60,8 +60,8 @@ class PotentialSpec:
             if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise DomainError(f"potential parameters must be real and finite, got {name} = {value}")
         if self.kind in (PotentialKind.PLUS, PotentialKind.MINUS):
-            if not self.m > 0:
-                raise DomainError(f"partner potentials require m > 0, got m = {self.m}")
+            if not (self.m > 0 and math.isfinite(self.m * self.m)):
+                raise DomainError(f"partner potentials require m > 0 with m^2 finite, got m = {self.m}")
         elif self.kind is PotentialKind.STEP:
             if not self.alpha > 0:
                 raise DomainError(f"step potential requires alpha > 0, got alpha = {self.alpha}")

@@ -32,6 +32,7 @@ __all__ = [
     "coefficients_closed_form",
     "susy_relation_check",
     "step_amplitudes",
+    "step_coefficients_closed_form",
     "step_reflection_closed_form",
     "qnm",
     "qnm_pole_check",
@@ -142,16 +143,6 @@ def _kprime(omega, m: float):
     return xp.sqrt(omega - m) * xp.sqrt(omega + m)
 
 
-def _top_exponent(scale, omega, kprime):
-    """scale (omega + k'), the largest exponent of a closed form;
-    ``DomainError`` where it overflows a double (omega past ~1e307)."""
-    with np.errstate(over="ignore"):
-        c = scale * (omega + kprime)
-    if not np.isfinite(c).all():
-        raise DomainError("omega is too large for the closed form: its exponent overflows a double")
-    return c
-
-
 def _gamma_arguments(omega, m: float):
     """The checked (omega, m) and k', s = i(omega + k'), d = i omega - i k'
     and d/m, with d written as i m^2/(omega + k') so it never cancels.  Past
@@ -231,10 +222,19 @@ def reflection_transmission(kind: PotentialKind, omega, m: float) -> ScatteringR
     return ScatteringResult(omega=omega, m=m, kind=kind, R=sign * d_m * r_plus, T=(1.0 + sign * d_m) * t_core)
 
 
-def _sinh_ratio(a, c, xp):
-    """sinh(a)/sinh(c) for 0 <= a <= c, via exponent differences; ``xp`` as
-    from ``_math``."""
-    return xp.exp(a - c) * xp.expm1(-2.0 * a) / xp.expm1(-2.0 * c)
+def _closed_form_parts(omega, m, scale):
+    """(checked omega, ``xp`` as from ``_math``, k', b, c, sinh(a)/sinh(c)) for
+    a = scale (omega - k') = scale m^2/(omega + k'), b = scale k', c = a + 2b: the
+    ratio is e^(-2b) expm1(-2a)/expm1(-2c), finite even where m^2 overflows, and
+    cancels neither at threshold (a ~ c) nor for m << omega.  ``DomainError`` where c overflows."""
+    omega, m = _check_scattering_regime(omega, m)
+    xp, kprime = _math(omega), _kprime(omega, m)
+    with np.errstate(over="ignore"):
+        c = scale * (omega + kprime)
+    if not np.isfinite(c).all():
+        raise DomainError("omega is too large for the closed form: its exponent overflows a double")
+    a, b = scale * (m * m / (omega + kprime)), scale * kprime
+    return omega, xp, kprime, b, c, xp.exp(-2.0 * b) * xp.expm1(-2.0 * a) / xp.expm1(-2.0 * c)
 
 
 def coefficients_closed_form(omega, m: float):
@@ -245,18 +245,11 @@ def coefficients_closed_form(omega, m: float):
         |T|^2 = (omega/k') 2 cosh(2 pi omega) sinh(2 pi k')
                                             / sinh(2 pi (omega + k'))
 
-    rearranged into exponential differences, so no intermediate ever
-    overflows (plain sinh would at omega ~ 113), and with omega - k'
-    written as m^2/(omega + k'), which does not cancel for m << omega.  An
-    omega column gives two arrays.
+    rearranged into exponential differences (``_closed_form_parts``), so
+    no intermediate ever overflows (plain sinh would at omega ~ 113) or
+    cancels.  An omega column gives two arrays.
     """
-    omega, m = _check_scattering_regime(omega, m)
-    xp = _math(omega)
-    kprime = _kprime(omega, m)
-    c = _top_exponent(2.0 * math.pi, omega, kprime)
-    a = 2.0 * math.pi * (m * m / (omega + kprime))
-    b = 2.0 * math.pi * kprime
-    r2 = _sinh_ratio(a, c, xp)
+    omega, xp, kprime, b, c, r2 = _closed_form_parts(omega, m, 2.0 * math.pi)
     # 2 cosh(2 pi w) sinh(2 pi k') / sinh(2 pi (w + k')):
     # exponents cancel exactly, leaving expm1 factors only.
     t2 = (omega / kprime) * (1.0 + xp.exp(-2.0 * c + 2.0 * b)) * (-xp.expm1(-2.0 * b)) / (-xp.expm1(-2.0 * c))
@@ -304,14 +297,18 @@ def step_amplitudes(omega, m: float) -> ScatteringResult:
                             R=q * q * scale * (r + s * r), T=2.0 * omega / total * scale * (t + s * t))
 
 
+def step_coefficients_closed_form(omega, m: float):
+    """|R^S|^2 = sinh^2(pi(omega - k'))/sinh^2(pi(omega + k')) and |T^S|^2 =
+    (omega/k') sinh(2 pi omega) sinh(2 pi k')/sinh^2(pi(omega + k')) =
+    (omega/k') expm1(-4 pi omega) expm1(-4 pi k')/expm1(-2 pi(omega + k'))^2, in
+    exponent differences as :func:`coefficients_closed_form`; arrays for a column."""
+    omega, xp, kprime, b, c, r = _closed_form_parts(omega, m, math.pi)
+    return r * r, (omega / kprime) * xp.expm1(-4.0 * math.pi * omega) * xp.expm1(-4.0 * b) / xp.expm1(-2.0 * c) ** 2
+
+
 def step_reflection_closed_form(omega, m: float):
-    """|R^S|^2 = sinh^2(pi(omega - k')) / sinh^2(pi(omega + k')), with
-    omega - k' = m^2/(omega + k') free of cancellation; an array for an
-    omega column."""
-    omega, m = _check_scattering_regime(omega, m)
-    kprime = _kprime(omega, m)
-    c = _top_exponent(math.pi, omega, kprime)
-    return _sinh_ratio(math.pi * (m * m / (omega + kprime)), c, _math(omega)) ** 2
+    """|R^S|^2 of :func:`step_coefficients_closed_form` alone."""
+    return step_coefficients_closed_form(omega, m)[0]
 
 
 def qnm(kind: PotentialKind, n: int, m: float) -> complex:

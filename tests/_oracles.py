@@ -111,3 +111,15 @@ def magnus_march_oracle(v, omega, kprime, x_min, x_max, n):
                   sinhc_s * d * qs * zc + (cosh_s + sinhc_s * e) * dz)
         values.append(zc)
     return values[::-1]
+
+
+def step_coefficients_oracle(omega, m, dps=40):
+    """(|R^S|^2, |T^S|^2, k') of the smooth step of height m^2 and unit
+    width, from the plain sinh forms in mpmath at ``dps`` digits, with
+    k' = sqrt(omega^2 - m^2) taken from the exact doubles omega and m."""
+    with mp.workdps(dps):
+        w, m = mp.mpf(omega), mp.mpf(m)
+        kprime = mp.sqrt(w * w - m * m)
+        r2 = (mp.sinh(mp.pi * (w - kprime)) / mp.sinh(mp.pi * (w + kprime))) ** 2
+        t2 = (w / kprime) * mp.sinh(2 * mp.pi * w) * mp.sinh(2 * mp.pi * kprime) / mp.sinh(mp.pi * (w + kprime)) ** 2
+        return float(r2), float(t2), float(kprime)

@@ -135,21 +135,43 @@ def test_scatter_oracle_columns_are_the_column_call(capsys, kind):
 
 @pytest.mark.parametrize("kind", ["plus", "minus", "step"])
 def test_scatter_rows_are_the_array_form(capsys, kind):
-    from susystep.potentials import PotentialKind
-    from susystep.scattering import reflection_transmission, step_amplitudes, step_reflection_closed_form
+    from susystep.scattering import coefficients_closed_form, step_coefficients_closed_form, step_reflection_closed_form
 
     code, out, _ = run_cli(capsys, "scatter", "--kind", kind, "--m", "0.7",
                            "--omega-min", "0.71", "--omega-max", "30", "--n-points", "57")
     assert code == 0
     _, rows = parse_csv(out)
     omega = np.linspace(0.71, 30.0, 57)
-    if kind == "step":
-        res = step_amplitudes(omega, 0.7)
-        columns = [omega, res.R2, res.T2, res.flux]
-    else:
-        res = reflection_transmission(PotentialKind(kind), omega, 0.7)
-        columns = [omega, res.R2, res.T2, res.flux, res.R2 - step_reflection_closed_form(omega, 0.7)]
+    r2, t2 = (step_coefficients_closed_form if kind == "step" else coefficients_closed_form)(omega, 0.7)
+    flux = r2 + (np.sqrt(omega - 0.7) * np.sqrt(omega + 0.7) / omega) * t2
+    columns = [omega, r2, t2, flux] + ([] if kind == "step" else [r2 - step_reflection_closed_form(omega, 0.7)])
     assert rows == _cell_text(columns)
+
+
+@pytest.mark.parametrize("kind", ["plus", "minus", "step"])
+def test_scatter_evaluates_no_gamma_function(capsys, monkeypatch, kind):
+    import susystep.scattering as scattering_mod
+
+    def refuse(*args):
+        raise AssertionError("scatter evaluated a Gamma function")
+
+    for module, name in ((specfun, "gamma_ratio"), (specfun, "lngamma"), (specfun, "_lngamma_array"),
+                         (scattering_mod, "gamma_ratio")):
+        monkeypatch.setattr(module, name, refuse)
+    code, out, _ = run_cli(capsys, "scatter", "--kind", kind, "--m", "0.7",
+                           "--omega-min", "0.71", "--omega-max", "30", "--n-points", "57")
+    assert code == 0 and len(parse_csv(out)[1]) == 57
+
+
+def test_scatter_takes_omega_past_1e4(capsys):
+    # the Gamma products stop at omega = 1e4; the closed forms hold at any omega
+    for kind in ("plus", "minus", "step"):
+        code, out, _ = run_cli(capsys, "scatter", "--kind", kind, "--m", "1",
+                               "--omega-min", "1.5", "--omega-max", "2e4", "--n-points", "5")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert float(rows[-1][0]) == 2e4 and float(rows[-1][1]) == 0.0
+        assert all(abs(float(row[3]) - 1.0) <= 1e-15 for row in rows)
 
 
 def test_potential_rows_are_the_array_form(capsys):
@@ -195,6 +217,10 @@ def test_potential_evaluates_each_column_once(capsys, monkeypatch):
     (["--m", "inf"], "m = inf"),
     (["--x-max", "inf"], "x-min and x-max must be finite"),
     (["--v0", "nan", "--with-step"], "v0 = nan"),
+    (["--v0", "nan"], "v0 = nan"),  # recorded in the manifest without a step column too
+    (["--alpha", "nan"], "alpha = nan"),
+    (["--m", "1e200"], "m = 1e+200"),  # m^2 overflows
+    (["--m=-1e200", "--v0", "1"], "m = 1e+200"),
     (["--alpha", "0", "--with-step"], "alpha > 0"),
     (["--alpha", "-1", "--with-step"], "alpha > 0"),
 ])
@@ -253,14 +279,36 @@ def test_output_file_and_manifest(tmp_path, capsys):
     assert manifest["parameters"]["n_points"] == 3
 
 
+def test_every_manifest_is_strict_json(tmp_path, capsys):
+    def refuse(constant):
+        raise AssertionError(f"{constant} in a manifest")
+
+    for i, argv in enumerate((["potential", "--n-points", "3"], ["potential", "--with-step", "--n-points", "3"],
+                              ["scatter", "--omega-min", "1.5", "--omega-max", "2e4", "--n-points", "2"],
+                              ["qnm", "--n-max", "2"])):
+        target = tmp_path / f"{i}.csv"
+        assert run_cli(capsys, *argv, "--output", str(target))[0] == 0
+        json.loads((tmp_path / f"{i}.csv.manifest.json").read_text(), parse_constant=refuse)
+
+
+def test_a_non_finite_manifest_value_writes_nothing(tmp_path):
+    import argparse
+
+    import susystep.cli as cli_mod
+
+    args = argparse.Namespace(command="potential", output=str(tmp_path / "p.csv"), m=1.0)
+    with pytest.raises(ValueError):
+        cli_mod._emit({"x": np.zeros(2)}, args, v0=float("nan"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_output_full_precision_roundtrip(tmp_path, capsys):
     target = tmp_path / "s.csv"
     run_cli(capsys, "scatter", "--kind", "plus", "--m", "1", "--omega-min", "1.3",
             "--omega-max", "1.3", "--n-points", "1", "--output", str(target))
     _, rows = parse_csv(target.read_text())
-    from susystep.scattering import reflection_transmission
-    from susystep.potentials import PotentialKind
-    exact = reflection_transmission(PotentialKind.PLUS, np.array([1.3]), 1.0).R2[0]
+    from susystep.scattering import coefficients_closed_form
+    exact = coefficients_closed_form(np.array([1.3]), 1.0)[0][0]
     assert float(rows[0][1]) == exact  # 17 significant digits survive
 
 

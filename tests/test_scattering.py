@@ -17,10 +17,13 @@ from susystep.scattering import (
     qnm_pole_check,
     reflection_transmission,
     step_amplitudes,
+    step_coefficients_closed_form,
     step_reflection_closed_form,
     susy_relation_check,
 )
 from susystep.solutions import exact_solution, make_exponents
+
+from _oracles import step_coefficients_oracle
 
 PLUS, MINUS, STEP = PotentialKind.PLUS, PotentialKind.MINUS, PotentialKind.STEP
 
@@ -140,10 +143,11 @@ def test_closed_form_overflow_safety():
 def test_closed_forms_at_huge_omega(omega):
     # omega * omega overflows here; k' = sqrt(omega - m) sqrt(omega + m) does not
     r2, t2 = coefficients_closed_form(omega, 1.0)
-    r2_step = step_reflection_closed_form(omega, 1.0)
+    r2_step, t2_step = step_coefficients_closed_form(omega, 1.0)
     huge = np.asarray(omega) > 1e100
     assert np.all(np.asarray(r2)[huge] == 0.0) and np.all(np.asarray(r2_step)[huge] == 0.0)
     assert np.all(np.abs(np.asarray(t2)[huge] - 1.0) <= 1e-15)
+    assert np.all(np.abs(np.asarray(t2_step)[huge] - 1.0) <= 1e-15)
 
 
 @pytest.mark.parametrize("omega", [1e308, np.array([2.0, 1e308])])
@@ -153,6 +157,8 @@ def test_closed_forms_reject_an_overflowing_exponent(omega):
         coefficients_closed_form(omega, 1.0)
     with pytest.raises(DomainError):
         step_reflection_closed_form(omega, 1.0)
+    with pytest.raises(DomainError):
+        step_coefficients_closed_form(omega, 1.0)
 
 
 @pytest.mark.parametrize("m, omega, r2, r2_step", [
@@ -205,12 +211,13 @@ def test_numpy_scalars_match_python_floats(omega, m):
     assert step_amplitudes(omega, m) == step_amplitudes(*ref)
     assert susy_relation_check(omega, m) == susy_relation_check(*ref)
     assert coefficients_closed_form(omega, m) == coefficients_closed_form(*ref)
+    assert step_coefficients_closed_form(omega, m) == step_coefficients_closed_form(*ref)
     assert step_reflection_closed_form(omega, m) == step_reflection_closed_form(*ref)
 
 
 def test_complex_arguments_rejected():
     for fn in (lambda w, m: reflection_transmission(PLUS, w, m), step_amplitudes,
-               coefficients_closed_form, step_reflection_closed_form):
+               coefficients_closed_form, step_coefficients_closed_form, step_reflection_closed_form):
         for omega, m in ((2.0 + 0j, 1.0), (2.0, 1.0 + 0j)):
             with pytest.raises(DomainError):
                 fn(omega, m)
@@ -236,8 +243,10 @@ def test_array_amplitudes_match_scalar_calls(m):
     r2, t2 = coefficients_closed_form(omega, m)
     expected = np.array([coefficients_closed_form(w, m) for w in omega.tolist()])
     assert _relative_gap(r2, expected[:, 0]) <= 2e-14 and _relative_gap(t2, expected[:, 1]) <= 2e-14
-    expected = np.array([step_reflection_closed_form(w, m) for w in omega.tolist()])
-    assert _relative_gap(step_reflection_closed_form(omega, m), expected) <= 2e-14
+    r2, t2 = step_coefficients_closed_form(omega, m)
+    expected = np.array([step_coefficients_closed_form(w, m) for w in omega.tolist()])
+    assert _relative_gap(r2, expected[:, 0]) <= 2e-14 and _relative_gap(t2, expected[:, 1]) <= 2e-14
+    assert step_reflection_closed_form(omega, m).tolist() == r2.tolist()
     r_sum, t_diff = susy_relation_check(omega, m)
     expected = np.array([susy_relation_check(w, m) for w in omega.tolist()])
     scale = np.abs(reflection_transmission(PLUS, omega, m).T)
@@ -287,8 +296,8 @@ def test_gamma_products_at_small_coupling(m, omega, r2, t2, r2_step, t2_step):
 def test_gamma_products_hold_up_to_omega_1e4(m, omega):
     plus, step = reflection_transmission(PLUS, omega, m), step_amplitudes(omega, m)
     r2, t2 = coefficients_closed_form(omega, m)
-    for got, expected in ((plus.R2, r2), (plus.T2, t2), (step.R2, step_reflection_closed_form(omega, m)),
-                          (step.flux, 1.0)):
+    r2_step, t2_step = step_coefficients_closed_form(omega, m)
+    for got, expected in ((plus.R2, r2), (plus.T2, t2), (step.R2, r2_step), (step.T2, t2_step), (step.flux, 1.0)):
         assert np.all(np.abs(got - expected) <= 1e-10 * expected)
     susy_relation_check(omega, m)
     asymptotic_coefficients(1e4, m)
@@ -307,7 +316,7 @@ def test_gamma_products_raise_above_omega_1e4(monkeypatch, omega):
             fn(omega, 1.0)
     assert evaluated == []
     coefficients_closed_form(omega, 1.0)  # the closed forms hold at any omega
-    step_reflection_closed_form(omega, 1.0)
+    step_coefficients_closed_form(omega, 1.0)
 
 
 @pytest.mark.parametrize("omega", [
@@ -319,7 +328,7 @@ def test_array_regime_checked_before_any_gamma(monkeypatch, omega):
     evaluated = []
     monkeypatch.setattr(scattering_mod, "gamma_ratio", lambda *args: evaluated.append(args))
     for fn in (lambda w, m: reflection_transmission(PLUS, w, m), step_amplitudes, susy_relation_check,
-               coefficients_closed_form, step_reflection_closed_form):
+               coefficients_closed_form, step_coefficients_closed_form):
         with pytest.raises(DomainError):
             fn(np.asarray(omega), 1.0)
     assert evaluated == []
@@ -328,7 +337,7 @@ def test_array_regime_checked_before_any_gamma(monkeypatch, omega):
 _ONE_OMEGA_CALLS = (lambda w: reflection_transmission(PLUS, w, 0.5), lambda w: reflection_transmission(MINUS, w, 0.5),
                     lambda w: step_amplitudes(w, 0.5), lambda w: susy_relation_check(w, 0.5),
                     lambda w: asymptotic_coefficients(w, 0.5), lambda w: coefficients_closed_form(w, 0.5),
-                    lambda w: step_reflection_closed_form(w, 0.5))
+                    lambda w: step_coefficients_closed_form(w, 0.5))
 
 
 def test_a_zero_d_array_omega_is_the_number_call():
@@ -430,6 +439,30 @@ def test_step_amplitudes_at_tiny_omega(omega, m, r2):
 
 def test_step_unit_reflection_at_threshold():
     assert abs(step_reflection_closed_form(1.0 + 1e-14, 1.0) - 1.0) < 1e-5
+
+
+@pytest.mark.parametrize("m", [0.01, 0.5, 2.0])
+@pytest.mark.parametrize("ratio", [1.0 + 1e-10, 1.002, 2.0, 40.0, 1e4, 2e4])
+def test_step_closed_forms_match_mpmath(m, ratio):
+    omega = m * ratio
+    r2_ref, t2_ref, kprime = step_coefficients_oracle(omega, m)
+    for w in (omega, np.array([omega])):
+        r2, t2 = (float(np.ravel(v)[0]) for v in step_coefficients_closed_form(w, m))
+        # expm1 factors only: no cancellation at threshold, no overflow at 2e4
+        assert abs(t2 - t2_ref) <= 1e-13 * t2_ref
+        # |R^S|^2 ~ e^(-4 pi k') inherits k''s rounding, amplified by 4 pi k'
+        assert abs(r2 - r2_ref) <= 8 * np.finfo(float).eps * (1.0 + 4.0 * math.pi * kprime) * r2_ref
+        assert abs(r2 + math.sqrt(omega - m) * math.sqrt(omega + m) / omega * t2 - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("omega", [1.0000000000001e200, np.array([1.0000000000001e200, 3e200])])
+def test_closed_forms_where_m_squared_overflows(omega):
+    # m^2 is past a double (a = inf): k' >= 1e192 here, so |R|^2 = 0 and |T|^2 = omega/k'
+    m = 1e200
+    kprime = np.sqrt(omega - m) * np.sqrt(omega + m)
+    for r2, t2 in (coefficients_closed_form(omega, m), step_coefficients_closed_form(omega, m)):
+        assert np.all(np.asarray(r2) == 0.0)
+        assert np.all(np.abs(t2 - omega / kprime) <= 1e-15 * omega / kprime)
 
 
 # ------------------------------------------------------- reflection compare
