@@ -92,8 +92,7 @@ def _cmd_scatter(args):
     omegas = np.linspace(args.omega_min, args.omega_max, args.n_points)
     step = kind is PotentialKind.STEP
     r2, t2 = (scattering.step_coefficients_closed_form if step else scattering.coefficients_closed_form)(omegas, args.m)
-    kprime = np.sqrt(omegas - args.m) * np.sqrt(omegas + args.m)
-    table = {"omega": omegas, "R2": r2, "T2": t2, "flux": r2 + (kprime / omegas) * t2}
+    table = {"omega": omegas, "R2": r2, "T2": t2, "flux": r2 + scattering.transmitted_wavenumber(omegas, args.m) / omegas * t2}
     if not step:
         table["R2_minus_step"] = r2 - scattering.step_reflection_closed_form(omegas, args.m)
     if args.with_oracle:

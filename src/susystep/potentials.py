@@ -60,7 +60,7 @@ class PotentialSpec:
             if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise DomainError(f"potential parameters must be real and finite, got {name} = {value}")
         if self.kind in (PotentialKind.PLUS, PotentialKind.MINUS):
-            if not (self.m > 0 and math.isfinite(self.m * self.m)):
+            if not (self.m > 0 and math.isfinite(float(self.m) * float(self.m))):
                 raise DomainError(f"partner potentials require m > 0 with m^2 finite, got m = {self.m}")
         elif self.kind is PotentialKind.STEP:
             if not self.alpha > 0:

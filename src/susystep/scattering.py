@@ -34,6 +34,7 @@ __all__ = [
     "step_amplitudes",
     "step_coefficients_closed_form",
     "step_reflection_closed_form",
+    "transmitted_wavenumber",
     "qnm",
     "qnm_pole_check",
     "inverse_transmission_magnitude",
@@ -92,7 +93,7 @@ class ScatteringResult:
 
     @property
     def kprime(self) -> float:
-        return _kprime(self.omega, self.m)
+        return transmitted_wavenumber(self.omega, self.m)
 
     @property
     def R2(self) -> float:
@@ -136,9 +137,9 @@ def _math(omega):
     return np if isinstance(omega, np.ndarray) else math
 
 
-def _kprime(omega, m: float):
-    """k' = sqrt(omega^2 - m^2) as sqrt(omega - m) sqrt(omega + m), which
-    neither overflows for large omega nor cancels just above threshold."""
+def transmitted_wavenumber(omega, m: float):
+    """k' = sqrt(omega^2 - m^2) as sqrt(omega - m) sqrt(omega + m), which neither
+    overflows for large omega nor cancels just above threshold; omega > m is not checked."""
     xp = _math(omega)
     return xp.sqrt(omega - m) * xp.sqrt(omega + m)
 
@@ -152,7 +153,7 @@ def _gamma_arguments(omega, m: float):
     if np.any(omega > 1e4):
         raise DomainError(f"the Gamma products hold their accuracy for omega <= 1e4, got omega = {np.max(omega)}; "
                           "the closed forms hold at any omega")
-    kprime = _kprime(omega, m)
+    kprime = transmitted_wavenumber(omega, m)
     total = omega + kprime
     return omega, m, kprime, 1j * total, 1j * (m * m / total), 1j * (m / total)
 
@@ -228,7 +229,7 @@ def _closed_form_parts(omega, m, scale):
     ratio is e^(-2b) expm1(-2a)/expm1(-2c), finite even where m^2 overflows, and
     cancels neither at threshold (a ~ c) nor for m << omega.  ``DomainError`` where c overflows."""
     omega, m = _check_scattering_regime(omega, m)
-    xp, kprime = _math(omega), _kprime(omega, m)
+    xp, kprime = _math(omega), transmitted_wavenumber(omega, m)
     with np.errstate(over="ignore"):
         c = scale * (omega + kprime)
     if not np.isfinite(c).all():

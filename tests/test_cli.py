@@ -135,7 +135,8 @@ def test_scatter_oracle_columns_are_the_column_call(capsys, kind):
 
 @pytest.mark.parametrize("kind", ["plus", "minus", "step"])
 def test_scatter_rows_are_the_array_form(capsys, kind):
-    from susystep.scattering import coefficients_closed_form, step_coefficients_closed_form, step_reflection_closed_form
+    from susystep.scattering import (coefficients_closed_form, step_coefficients_closed_form,
+                                     step_reflection_closed_form, transmitted_wavenumber)
 
     code, out, _ = run_cli(capsys, "scatter", "--kind", kind, "--m", "0.7",
                            "--omega-min", "0.71", "--omega-max", "30", "--n-points", "57")
@@ -143,7 +144,7 @@ def test_scatter_rows_are_the_array_form(capsys, kind):
     _, rows = parse_csv(out)
     omega = np.linspace(0.71, 30.0, 57)
     r2, t2 = (step_coefficients_closed_form if kind == "step" else coefficients_closed_form)(omega, 0.7)
-    flux = r2 + (np.sqrt(omega - 0.7) * np.sqrt(omega + 0.7) / omega) * t2
+    flux = r2 + (transmitted_wavenumber(omega, 0.7) / omega) * t2
     columns = [omega, r2, t2, flux] + ([] if kind == "step" else [r2 - step_reflection_closed_form(omega, 0.7)])
     assert rows == _cell_text(columns)
 

@@ -116,6 +116,9 @@ def test_spec_validation():
         PotentialSpec.plus(True)  # a bool is not m = 1
     with pytest.raises(DomainError, match="real"):
         PotentialSpec.step(1.0, True)
+    for m in (1e200, 10**200):  # m^2 overflows a double; the int's exact square is past a float
+        with pytest.raises(DomainError, match=r"m\^2 finite"):
+            PotentialSpec.plus(m)
     with pytest.raises(DomainError, match="unknown potential kind"):
         PotentialSpec("plus")  # the string, not PotentialKind.PLUS
 

@@ -144,6 +144,7 @@ def test_closed_forms_at_huge_omega(omega):
     # omega * omega overflows here; k' = sqrt(omega - m) sqrt(omega + m) does not
     r2, t2 = coefficients_closed_form(omega, 1.0)
     r2_step, t2_step = step_coefficients_closed_form(omega, 1.0)
+    assert np.all(np.asarray(step_reflection_closed_form(omega, 1.0)) == np.asarray(r2_step))
     huge = np.asarray(omega) > 1e100
     assert np.all(np.asarray(r2)[huge] == 0.0) and np.all(np.asarray(r2_step)[huge] == 0.0)
     assert np.all(np.abs(np.asarray(t2)[huge] - 1.0) <= 1e-15)
@@ -317,6 +318,7 @@ def test_gamma_products_raise_above_omega_1e4(monkeypatch, omega):
     assert evaluated == []
     coefficients_closed_form(omega, 1.0)  # the closed forms hold at any omega
     step_coefficients_closed_form(omega, 1.0)
+    step_reflection_closed_form(omega, 1.0)
 
 
 @pytest.mark.parametrize("omega", [
@@ -328,7 +330,7 @@ def test_array_regime_checked_before_any_gamma(monkeypatch, omega):
     evaluated = []
     monkeypatch.setattr(scattering_mod, "gamma_ratio", lambda *args: evaluated.append(args))
     for fn in (lambda w, m: reflection_transmission(PLUS, w, m), step_amplitudes, susy_relation_check,
-               coefficients_closed_form, step_coefficients_closed_form):
+               coefficients_closed_form, step_coefficients_closed_form, step_reflection_closed_form):
         with pytest.raises(DomainError):
             fn(np.asarray(omega), 1.0)
     assert evaluated == []
@@ -337,7 +339,7 @@ def test_array_regime_checked_before_any_gamma(monkeypatch, omega):
 _ONE_OMEGA_CALLS = (lambda w: reflection_transmission(PLUS, w, 0.5), lambda w: reflection_transmission(MINUS, w, 0.5),
                     lambda w: step_amplitudes(w, 0.5), lambda w: susy_relation_check(w, 0.5),
                     lambda w: asymptotic_coefficients(w, 0.5), lambda w: coefficients_closed_form(w, 0.5),
-                    lambda w: step_coefficients_closed_form(w, 0.5))
+                    lambda w: step_coefficients_closed_form(w, 0.5), lambda w: step_reflection_closed_form(w, 0.5))
 
 
 def test_a_zero_d_array_omega_is_the_number_call():
