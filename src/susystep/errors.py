@@ -1,4 +1,17 @@
-"""Exception hierarchy shared by all susystep modules."""
+"""Exception hierarchy shared by all susystep modules, and the real-number
+check that they raise it on."""
+
+import math
+import numbers
+import sys
+
+
+def finite_real(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, that a double holds
+    (not an int past the double range, which ``float`` refuses)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
 
 
 class SusystepError(Exception):

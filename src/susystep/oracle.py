@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigError, DomainError, IllConditionedError
+from .errors import BlowUpError, ConfigError, DomainError, IllConditionedError, finite_real
 from .potentials import PotentialKind, PotentialSpec, potential
 from .scattering import ScatteringResult
 from .solutions import WaveField
@@ -52,7 +52,7 @@ class IntegrationConfig:
                  ("step", self.step > 0, "positive"))
         for name, ok, rule in rules:
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if not finite_real(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {value}")

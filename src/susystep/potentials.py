@@ -11,24 +11,15 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, finite_real
 
 __all__ = [
-    "PotentialKind",
-    "PotentialSpec",
-    "superpotential",
-    "v_plus",
-    "v_minus",
-    "v_step",
-    "potential",
-    "potential_hyperbolic",
-    "potential_antiderivative",
-    "shape_invariance_check",
+    "PotentialKind", "PotentialSpec", "superpotential", "v_plus", "v_minus", "v_step", "potential",
+    "potential_hyperbolic", "potential_antiderivative", "shape_invariance_check"
 ]
 
 
@@ -57,7 +48,7 @@ class PotentialSpec:
     def __post_init__(self):
         for name in ("m", "v0", "alpha"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            if not finite_real(value):
                 raise DomainError(f"potential parameters must be real and finite, got {name} = {value}")
         if self.kind in (PotentialKind.PLUS, PotentialKind.MINUS):
             if not (self.m > 0 and math.isfinite(float(self.m) * float(self.m))):

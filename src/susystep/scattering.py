@@ -6,8 +6,9 @@ space; hyperbolic-ratio closed forms are rearranged into exponential
 differences so they stay finite for arbitrarily large omega.
 
 The amplitudes and closed forms take omega as a number or as a 1-d array
-(an omega column); a column gives array fields from one Gamma-ratio call
-per product, a number Python-number fields from the same calls.
+(an omega column).  Each amplitude call makes one Gamma-ratio call, its
+products stacked along the column; a column gives array fields, a number
+Python-number fields from the same numpy products.
 """
 
 from __future__ import annotations
@@ -19,25 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GammaPoleError, PoleError
+from .errors import DomainError, GammaPoleError, PoleError, finite_real
 from .potentials import PotentialKind
 from .solutions import b_exponent, make_exponents
 from .specfun import POLE_TOL, gamma_ratio
 
 __all__ = [
-    "AsymptoticCoefficients",
-    "ScatteringResult",
-    "asymptotic_coefficients",
-    "reflection_transmission",
-    "coefficients_closed_form",
-    "susy_relation_check",
-    "step_amplitudes",
-    "step_coefficients_closed_form",
-    "step_reflection_closed_form",
-    "transmitted_wavenumber",
-    "qnm",
-    "qnm_pole_check",
-    "inverse_transmission_magnitude",
+    "AsymptoticCoefficients", "ScatteringResult", "asymptotic_coefficients", "reflection_transmission",
+    "coefficients_closed_form", "susy_relation_check", "step_amplitudes", "step_coefficients_closed_form",
+    "step_reflection_closed_form", "transmitted_wavenumber", "qnm", "qnm_pole_check", "inverse_transmission_magnitude"
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -110,7 +101,7 @@ class ScatteringResult:
 
 def _coupling(m) -> float:
     """m as a float; ``DomainError`` unless it is a real number in (0, inf) and not a bool."""
-    if isinstance(m, bool) or not (isinstance(m, numbers.Real) and 0 < m < math.inf):
+    if not (finite_real(m) and m > 0):
         raise DomainError(f"require a real, finite m > 0, got m = {m}")
     return float(m)
 
@@ -159,13 +150,22 @@ def _gamma_arguments(omega, m: float):
 
 
 def _gamma_products(*pairs):
-    """``gamma_ratio(numerators, denominators)`` of each pair, in order; a
-    pole raises ``GammaPoleError``."""
+    """``gamma_ratio(numerators, denominators)`` of each pair of one arity, a
+    row of one element per omega (one for a number) per pair, in one call
+    over the pairs stacked along the column; a pole raises ``GammaPoleError``."""
+    numerators, denominators = ([np.concatenate([np.atleast_1d(v) for v in args]) for args in zip(*side)]
+                                for side in zip(*pairs))
     try:
-        return [gamma_ratio(num, den) for num, den in pairs]
+        return gamma_ratio(numerators, denominators).reshape(len(pairs), -1)
     except PoleError as err:
         raise GammaPoleError(f"Gamma product hit a pole at argument {err.argument} ({err.location}); "
                              "quasinormal frequency or degenerate parameters") from err
+
+
+def _per_omega(omega, *rows):
+    """``_gamma_products`` rows, or numpy products of them, as they are for
+    an omega column and as Python complex numbers for a number omega."""
+    return rows if isinstance(omega, np.ndarray) else [complex(row[0]) for row in rows]
 
 
 def asymptotic_coefficients(omega: float, m: float) -> AsymptoticCoefficients:
@@ -174,8 +174,8 @@ def asymptotic_coefficients(omega: float, m: float) -> AsymptoticCoefficients:
     At x -> -infinity the values are exact by construction (1, 0, 0,
     (c1-1)/m); at x -> +infinity they are the connection-formula Gamma
     products of the record's a1, b1, c1, with c1 - a1 = d as in
-    :func:`reflection_transmission` and 1/G(d) = d/G(1 + d).  Holds for
-    m < omega <= 1e4.
+    :func:`reflection_transmission` and 1/G(d) = d/G(1 + d), all four from
+    one ``gamma_ratio`` call.  Holds for m < omega <= 1e4.
     """
     omega, m, kprime, _, d, d_m = _gamma_arguments(omega, m)
     p = make_exponents(omega, m)
@@ -187,16 +187,8 @@ def asymptotic_coefficients(omega: float, m: float) -> AsymptoticCoefficients:
         ([2.0 - c1, -2j * kprime], [1.0 - a1, 1.0 - b1]),
     )
     fac_in, fac_out = 1.0 + d_m, 1.0 + b1 / m
-    return AsymptoticCoefficients(
-        aI_minus=1.0 + 0.0j,
-        bI_minus=0.0j,
-        aII_minus=0.0j,
-        bII_minus=(c1 - 1.0) / m,
-        aI_plus=aI_plus * fac_in,
-        bI_plus=d * bI_plus * fac_out,
-        aII_plus=aII_plus * fac_in,
-        bII_plus=bII_plus * fac_out,
-    )
+    return AsymptoticCoefficients(1.0 + 0.0j, 0.0j, 0.0j, (c1 - 1.0) / m, *_per_omega(
+        omega, aI_plus * fac_in, d * bI_plus * fac_out, aII_plus * fac_in, bII_plus * fac_out))
 
 
 def reflection_transmission(kind: PotentialKind, omega, m: float) -> ScatteringResult:
@@ -207,20 +199,22 @@ def reflection_transmission(kind: PotentialKind, omega, m: float) -> ScatteringR
         R+ = (d/m) G(1/2-s)G(1-s)G(1/2+2iw) / (G(1/2-2iw)G(1+d)G(1/2+d))
         T+- = (1 +- d/m) G(1/2-s)G(1-s) / (G(1/2-2iw)G(1-2ik'))
 
-    and R- = -R+.  1/G(d) = d/G(1+d) (DLMF 5.5.1) takes out the factor
-    that is near a pole for m << omega.  |R|^2 and |T|^2 meet the closed
-    forms to 1e-10 relative for any m > 0 and m < omega <= 1e4; above
-    that ``DomainError`` is raised (the closed forms hold at any omega).
+    and R- = -R+, R+ as T's Gamma core times G(1/2+2iw)G(1-2ik')/(G(1+d)
+    G(1/2+d)), in one call.  1/G(d) = d/G(1+d) (DLMF 5.5.1) takes out the
+    factor that is near a pole for m << omega.  |R|^2 and |T|^2 meet the
+    closed forms to 1e-10 relative for any m > 0 and m < omega <= 1e4;
+    above that ``DomainError`` is raised (the closed forms hold at any omega).
     """
     if kind not in (PotentialKind.PLUS, PotentialKind.MINUS):
         raise DomainError("reflection_transmission handles the partner kinds; use step_amplitudes for the step")
     omega, m, kprime, s, d, d_m = _gamma_arguments(omega, m)
-    r_plus, t_core = _gamma_products(
-        ([0.5 - s, 1.0 - s, 0.5 + 2j * omega], [0.5 - 2j * omega, 1.0 + d, 0.5 + d]),
+    t_core, r_factor = _gamma_products(
         ([0.5 - s, 1.0 - s], [0.5 - 2j * omega, 1.0 - 2j * kprime]),
+        ([0.5 + 2j * omega, 1.0 - 2j * kprime], [1.0 + d, 0.5 + d]),
     )
     sign = 1.0 if kind is PotentialKind.PLUS else -1.0
-    return ScatteringResult(omega=omega, m=m, kind=kind, R=sign * d_m * r_plus, T=(1.0 + sign * d_m) * t_core)
+    R, T = _per_omega(omega, sign * d_m * (t_core * r_factor), (1.0 + sign * d_m) * t_core)
+    return ScatteringResult(omega=omega, m=m, kind=kind, R=R, T=T)
 
 
 def _closed_form_parts(omega, m, scale):
@@ -279,7 +273,8 @@ def step_amplitudes(omega, m: float) -> ScatteringResult:
     real.  G(-s) = -G(1-s)/s and G(+-2iw) = G(1+-2iw)/(+-2iw) (DLMF 5.5.1)
     keep every argument a unit away from the poles, however small omega
     is.  G(1-s)^2 is evaluated as G(1-s)G(2-s)/(1-s), whose two log-Gamma
-    errors do not add up coherently as a square's do.  |R^S|^2 and
+    errors do not add up coherently as a square's do.  R^S is T^S's Gamma
+    core times G(1+2iw)G(1-2ik')/G(1+d)^2, in one call.  |R^S|^2 and
     |T^S|^2 meet the closed form to 1e-10 relative for any m > 0 and
     m < omega <= 1e4; above that ``DomainError`` is raised.
     """
@@ -290,12 +285,13 @@ def step_amplitudes(omega, m: float) -> ScatteringResult:
     # on numbers and arrays, products by the imaginary s do not
     q = m / total
     scale = 1.0 / (1.0 + total * total)
-    r, t = _gamma_products(
-        ([1.0 + 2j * omega, 1.0 - s, 2.0 - s], [1.0 - 2j * omega, 1.0 + d, 1.0 + d]),
+    t, r_factor = _gamma_products(
         ([1.0 - s, 2.0 - s], [1.0 - 2j * omega, 1.0 - 2j * kprime]),
+        ([1.0 + 2j * omega, 1.0 - 2j * kprime], [1.0 + d, 1.0 + d]),
     )
-    return ScatteringResult(omega=omega, m=m, kind=PotentialKind.STEP,
-                            R=q * q * scale * (r + s * r), T=2.0 * omega / total * scale * (t + s * t))
+    r = t * r_factor
+    R, T = _per_omega(omega, q * q * scale * (r + s * r), 2.0 * omega / total * scale * (t + s * t))
+    return ScatteringResult(omega=omega, m=m, kind=PotentialKind.STEP, R=R, T=T)
 
 
 def step_coefficients_closed_form(omega, m: float):
@@ -322,8 +318,8 @@ def qnm(kind: PotentialKind, n: int, m: float) -> complex:
     imaginary part; no stability filtering is applied.  A bool n or m is
     a DomainError.
     """
-    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 0):
-        raise DomainError(f"overtone index must be an integer >= 0, got {n!r}")
+    if not (finite_real(n) and isinstance(n, numbers.Integral) and n >= 0):
+        raise DomainError(f"overtone index must be an integer >= 0 within the double range, got {n!r}")
     m = _coupling(m)
     if kind is PotentialKind.STEP:
         return -0.5j * (n + 1.0 - m * m / (n + 1.0))
@@ -362,7 +358,7 @@ def inverse_transmission_magnitude(kind: PotentialKind, omega: complex, m: float
     pref = 1.0 + sign * (1j * omega - B) / m
     if pref == 0.0:
         return float("inf")
-    (ratio,) = _gamma_products(([0.5 - 2j * omega, 1.0 - 2j * kprime], [numerator_arg]))
+    ratio = complex(_gamma_products(([0.5 - 2j * omega, 1.0 - 2j * kprime], [numerator_arg]))[0, 0])
     inv_t = ratio / (pref * _SQRT_PI * cmath.exp((2j * omega + 2j * kprime) * _LOG_2))
     return abs(inv_t)
 

@@ -15,29 +15,18 @@ the way into the asymptotic regions.
 from __future__ import annotations
 
 import cmath
-import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import specfun
-from .errors import DegenerateCError, DomainError, ZeroFrequencyError
+from .errors import DegenerateCError, DomainError, ZeroFrequencyError, finite_real
 from .potentials import PotentialKind, superpotential
 
 __all__ = [
-    "SolutionParams",
-    "WaveField",
-    "x_to_z",
-    "b_exponent",
-    "make_exponents",
-    "exact_solution",
-    "exact_solution_at_z",
-    "rotated_component",
-    "coupled_residual",
-    "wave_equation_residual",
-    "wronskian",
-    "sample_wavefield",
+    "SolutionParams", "WaveField", "x_to_z", "b_exponent", "make_exponents", "exact_solution", "exact_solution_at_z",
+    "rotated_component", "coupled_residual", "wave_equation_residual", "wronskian", "sample_wavefield"
 ]
 
 _QUARTER_TURN = cmath.exp(-0.25j * cmath.pi)
@@ -203,7 +192,7 @@ def make_exponents(omega, m: float) -> SolutionParams:
     column, omega = np.ndim(omega) > 0, np.atleast_1d(omega)
     if omega.ndim > 1 or omega.dtype.kind not in "iufc":
         raise DomainError(f"omega must be a number or a 1-d array, got omega = {omega}")
-    if isinstance(m, bool) or not (isinstance(m, numbers.Real) and math.isfinite(m) and m != 0 and np.isfinite(omega).all()):
+    if not (finite_real(m) and m != 0 and np.isfinite(omega).all()):
         raise DomainError(f"solutions require finite omega and a real, finite m != 0, got omega = {omega}, m = {m}")
     omega, m = omega.astype(complex), float(m)
     if (abs(omega) < 1e-12).any():
@@ -231,26 +220,24 @@ def _one_omega(omega, m) -> SolutionParams:
     return make_exponents(omega, m)
 
 
-def _rotated(j, branch, p, z, log_z, log_u):
-    """Rotated component (R-tilde)_j of the requested solution branch at
-    every point of the (z, log z, log u) column arrays, as an array; the
-    2F1 factor takes one ``hyp2f1`` call for all of them."""
+def _rotated(j, branches, p, z, log_z, log_u):
+    """Rotated components (R-tilde)_j of a tuple of solution branches at
+    every point of the (z, log z, log u) column arrays, a row per branch,
+    from one ``hyp2f1`` call with a parameter set per branch."""
     C, a, b, c = (p.C1, p.a1, p.b1, p.c1) if j == 1 else (p.C2, p.a2, p.b2, p.c2)
-    if branch == "I":
-        scale, power = (1.0 if j == 1 else p.G2), C
-        f = specfun.hyp2f1(a, b, c, z, log_u)
-    elif branch == "II":
-        scale, power = (1.0 if j == 1 else p.H2), C + 1.0 - c
-        f = specfun.hyp2f1(a - c + 1.0, b - c + 1.0, 2.0 - c, z, log_u)
-    else:
-        raise DomainError(f"branch must be 'I' or 'II', got {branch!r}")
+    sets = {"I": (1.0 if j == 1 else p.G2, C, a, b, c),  # (scale, power, a, b, c)
+            "II": (1.0 if j == 1 else p.H2, C + 1.0 - c, a - c + 1.0, b - c + 1.0, 2.0 - c)}
+    if not branches or not all(isinstance(branch, str) and branch in sets for branch in branches):
+        raise DomainError(f"branches must each be 'I' or 'II', got {branches!r}")
+    scale, power, a, b, c = np.array([sets[branch] for branch in branches], dtype=complex).T
+    f = specfun.hyp2f1(a, b, c, z, log_u)
     with np.errstate(over="ignore", invalid="ignore"):
-        factor = np.exp(power * log_z + p.B1 * log_u)
+        factor = np.exp(power[:, None] * log_z + p.B1 * log_u)
     if not np.isfinite(factor).all():
-        i = np.argmin(np.isfinite(factor))
+        i = np.argmin(np.isfinite(factor).all(axis=0))
         raise DomainError(f"the power factor z^C (1-z)^B overflows at x = {log_z[i] - log_u[i]}, omega = {p.omega}")
     # a product of its own: numpy's in-place ``x * temporary`` rounds apart
-    return np.multiply(scale * factor, f, out=factor)
+    return np.multiply(scale[:, None] * factor, f, out=factor)
 
 
 def _signs(sign, many=False):
@@ -261,11 +248,12 @@ def _signs(sign, many=False):
     return signs[..., None]
 
 
-def _solution_from_logs(branch, signs, p, z, log_z, log_u):
-    """Z_sign^branch at every point of the column arrays, one row per row of
-    the ``_signs`` column: the R-tilde columns are evaluated once for all."""
-    r1 = _rotated(1, branch, p, z, log_z, log_u)
-    r2 = _rotated(2, branch, p, z, log_z, log_u)
+def _solution_from_logs(branches, signs, p, z, log_z, log_u):
+    """Z_sign^branch at every point of the column arrays, a row per branch
+    of the ``branches`` tuple, each with a row per row of the ``_signs``
+    column: the R-tilde columns are evaluated once for all."""
+    shape = (len(branches),) + (1,) * (signs.ndim - 1) + (-1,)
+    r1, r2 = (_rotated(j, branches, p, z, log_z, log_u).reshape(shape) for j in (1, 2))
     return np.multiply(_QUARTER_TURN, r1 + signs * 1j * r2)
 
 
@@ -289,13 +277,13 @@ def exact_solution(branch, sign, omega, m, x) -> complex:
     (complex omega, |x| in the hundreds).
     """
     p = _one_omega(omega, m)
-    return complex(_solution_from_logs(branch, _signs(sign), p, *_logs_from_x(_x_grid([x])))[0])
+    return complex(_solution_from_logs((branch,), _signs(sign), p, *_logs_from_x(_x_grid([x])))[0, 0])
 
 
 def exact_solution_at_z(branch, sign, omega, m, z) -> complex:
     """Same as :func:`exact_solution` but parametrized by z in (0, 1)."""
     p = _one_omega(omega, m)
-    return complex(_solution_from_logs(branch, _signs(sign), p, *_logs_from_z(_unit_column([z])[1]))[0])
+    return complex(_solution_from_logs((branch,), _signs(sign), p, *_logs_from_z(_unit_column([z])[1]))[0, 0])
 
 
 def rotated_component(j, branch, omega, m, z) -> complex:
@@ -307,7 +295,7 @@ def rotated_component(j, branch, omega, m, z) -> complex:
     if j not in (1, 2):
         raise DomainError(f"component index must be 1 or 2, got {j!r}")
     p = _one_omega(omega, m)
-    return complex(_rotated(j, branch, p, *_logs_from_z(_unit_column([z])[1]))[0])
+    return complex(_rotated(j, (branch,), p, *_logs_from_z(_unit_column([z])[1]))[0, 0])
 
 
 def _stencil(x, h):
@@ -352,7 +340,7 @@ def coupled_residual(omega, m, x_grid, branch="I") -> float:
     p = _one_omega(omega, m)
     h = 0.5 * float(np.min(np.diff(xs)))
     points = _logs_from_x(_stencil(xs, h))
-    (zp, zm), (dzp, dzm), _ = _five_point(_solution_from_logs(branch, np.array([[1], [-1]]), p, *points), h)
+    (zp, zm), (dzp, dzm), _ = _five_point(_solution_from_logs((branch,), np.array([[1], [-1]]), p, *points)[0], h)
     w = superpotential(xs, m)
     iw = 1j * complex(omega)
     res = np.maximum(np.abs(dzp - w * zp - iw * zm), np.abs(dzm + w * zm - iw * zp))
@@ -369,18 +357,20 @@ def wave_equation_residual(branch, sign, omega, m, z):
     at z in (0, 1), with five-point derivatives of step
     0.01 z(1-z) / max(1, |omega|), which follows the wave's oscillation as
     omega grows.  A 1-d array of z (every element checked first) or of
-    signs gives the number calls' values, a row per sign; all signs share
-    one R-tilde evaluation.
+    signs gives the number calls' values, a row per sign, and a tuple of
+    branches, such as ("I", "II"), a row per branch ahead of those; all
+    branches and signs share one ``hyp2f1`` call per R-tilde component.
     """
     column, z = _unit_column(z)
-    signs, p = _signs(sign, many=True), _one_omega(omega, m)
+    branches, signs, p = branch if isinstance(branch, tuple) else (branch,), _signs(sign, many=True), _one_omega(omega, m)
     h = 0.01 * z * (1.0 - z) / max(1.0, abs(p.omega))
     points = _logs_from_z(_stencil(z, h))
-    f0, d1, d2 = _five_point(_solution_from_logs(branch, signs, p, *points), h)
+    f0, d1, d2 = _five_point(_solution_from_logs(branches, signs, p, *points), h)
     q = (omega * omega - m * m) / (1 - z) + omega * omega / z + signs * m / (2.0 * np.sqrt(z))
     res = (1 - 2 * z) * d1 + z * (1 - z) * d2 + q * f0
     scale = np.abs(q * f0) + np.abs((1 - 2 * z) * d1) + np.abs(z * (1 - z) * d2)
     residual = np.abs(res) / scale
+    residual = residual if isinstance(branch, tuple) else residual[0]
     return residual if column else residual[..., 0] if residual.ndim > 1 else float(residual[0])
 
 
@@ -395,14 +385,14 @@ def wronskian(sign, omega, m, z):
     The derivatives are evaluated numerically (five-point stencil) so the
     constancy check is independent of the algebra that predicts it.  A 1-d
     array of z (every element checked first) or of signs gives the number
-    calls' values, a row per sign; all signs share one R-tilde evaluation.
+    calls' values, a row per sign.  Z^I and Z^II, with all signs, share
+    one ``hyp2f1`` call per R-tilde component.
     """
     column, z = _unit_column(z)
     h = 1e-3 * np.minimum(np.minimum(z, 1.0 - z), 0.5)
     points = _logs_from_z(_stencil(z, h))
     signs, p = _signs(sign, many=True), _one_omega(omega, m)
-    zi, di, _ = _five_point(_solution_from_logs("I", signs, p, *points), h)
-    zii, dii, _ = _five_point(_solution_from_logs("II", signs, p, *points), h)
+    (zi, zii), (di, dii), _ = _five_point(_solution_from_logs(("I", "II"), signs, p, *points), h)
     value = z * (1.0 - z) * (zi * dii - zii * di)
     return value if column else value[..., 0] if value.ndim > 1 else complex(value[0])
 
@@ -416,6 +406,6 @@ def sample_wavefield(branch, sign, omega, m, grid) -> WaveField:
     """
     xs = _x_grid(grid)
     p = _one_omega(omega, m)
-    values = _solution_from_logs(branch, _signs(sign), p, *_logs_from_x(xs))
+    values = _solution_from_logs((branch,), _signs(sign), p, *_logs_from_x(xs))[0]
     kind = PotentialKind.PLUS if sign == 1 else PotentialKind.MINUS
     return WaveField(grid=xs, values=values, omega=omega, m=float(m), kind=kind, branch=branch)

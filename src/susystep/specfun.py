@@ -11,31 +11,23 @@ concurrently.  The evaluation strategy:
 * ``hyp2f1`` -- the defining Gauss series up to ``z = Z_SWITCH``; beyond
   that the connection formula toward z = 1 (``_hyp2f1_complement``), whose
   series argument ``1 - z`` is then small.  A number is the one-element
-  column.  Each series is summed in one numpy pass over its part of the
-  column, up to 16 terms per numpy round with one stop test per round;
-  every element stops at the first term that meets its own term-ratio
-  rule, as a term-by-term loop would, so the values do not depend on the
-  block.  The connection formula's Gamma ratios, which depend on (a, b, c)
-  only, are formed once per call.
+  column, (a, b, c) a one-element column of parameter sets.  Each series
+  is summed in one numpy pass over its part of the column for all sets,
+  up to 16 terms per numpy round with one stop test per round; every
+  element stops at the first term that meets its own term-ratio rule, as
+  a term-by-term loop would, so no value depends on the block or the
+  other sets.  Each connection Gamma ratio is one call for all sets.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
 from .errors import DegenerateParamsError, DomainError, NonConvergenceError, PoleError, ResultOverflowError
 
-__all__ = [
-    "POLE_TOL",
-    "Z_SWITCH",
-    "MAX_SERIES_TERMS",
-    "lngamma",
-    "gamma_ratio",
-    "hyp2f1",
-]
+__all__ = ["POLE_TOL", "Z_SWITCH", "MAX_SERIES_TERMS", "lngamma", "gamma_ratio", "hyp2f1"]
 
 # An argument within this distance of a non-positive integer is treated as
 # sitting on a Gamma pole; the same tolerance flags integer degeneracies.
@@ -166,16 +158,21 @@ def _lngamma_array(z):
 def _gamma_arguments(args, n_num):
     """(column, stack): whether any argument is a 1-d array, and the
     arguments broadcast into a (len(args), n) complex array, n = 1 for
-    numbers.  A non-finite argument raises ``DomainError``, one within
-    ``POLE_TOL`` of a non-positive integer ``PoleError``, located in the
-    numerator for the first ``n_num`` arguments; the first argument with
-    either, then its first element, is reported."""
+    numbers.  A non-finite argument (or an int past the double range)
+    raises ``DomainError``, one within ``POLE_TOL`` of a non-positive
+    integer ``PoleError``, located in the numerator for the first ``n_num``
+    arguments; the first argument with either, then its first element, is
+    reported."""
     column = any(np.ndim(v) for v in args if not isinstance(v, (int, float, complex)))  # np.ndim is slow on numbers
-    if column:
-        args = np.broadcast_arrays(*args)
-        if args[0].ndim != 1:
-            raise DomainError("Gamma arguments must be numbers or 1-d arrays of one length")
-    stack = np.array(args, dtype=complex).reshape(len(args), np.size(args[0]))
+    shape = np.broadcast(*args).shape if column else (1,)
+    if len(shape) != 1:
+        raise DomainError("Gamma arguments must be numbers or 1-d arrays of one length")
+    stack = np.empty((len(args),) + shape, dtype=complex)
+    try:
+        for row, v in zip(stack, args):
+            row[...] = v
+    except OverflowError:
+        raise DomainError("a Gamma argument is an int past the double range") from None
     finite = np.isfinite(stack)
     with np.errstate(invalid="ignore"):
         bad = ~finite | (np.abs(stack - np.minimum(np.rint(stack.real), 0.0)) < POLE_TOL)
@@ -246,58 +243,65 @@ def gamma_ratio(numerators, denominators):
 
 
 def _gauss_series(a, b, c, z):
-    """Raw Gauss series sum_k (a)_k (b)_k / ((c)_k k!) z^k (DLMF 15.2.1) at
-    every element of a 1-d float array, as a complex array.  One pass over
-    the column in numpy rounds of up to ``_SERIES_BLOCK`` terms: each term
-    is t_k = t_(k-1) * (r_k z) and S_k = S_(k-1) + t_k, three elementwise
-    operations, and once per round the stop test runs over the whole
-    block.  An element stops at the first k with |t_k| <= 1e-16 |S_k|, the
-    same k and S_k as a term-by-term loop gives, is written out and dropped
-    from the live arrays, so its value does not depend on the other
-    elements or on the block size.  Assumes 0 <= z < 1 and c off the pole
-    set."""
-    out = np.empty(z.shape, dtype=complex)
-    live = np.arange(z.size)
-    w = z.astype(complex)  # the live z; numpy would cast it for each complex product
-    term = total = np.ones(z.shape, dtype=complex)
+    """Raw Gauss series sum_k (a)_k (b)_k / ((c)_k k!) z^k (DLMF 15.2.1) of
+    each parameter set of the 1-d complex arrays a, b, c at every element
+    of a 1-d float array z, as a (sets, z.size) array, in one pass over the
+    set-major column in rounds of up to ``_SERIES_BLOCK`` terms: each set's
+    Python-complex ratios r_k multiply its slice of z into a block of r_k z,
+    then t_k = t_(k-1) * (r_k z), S_k = S_(k-1) + t_k and one stop test per
+    block.  An element stops at its first |t_k| <= 1e-16 |S_k|, as a
+    term-by-term loop stops it, and leaves the live arrays, so no value
+    depends on the other elements, sets or block size.  Assumes 0 <= z < 1
+    and c off the pole set."""
+    sets, n = list(zip(a.tolist(), b.tolist(), c.tolist())), z.size
+    out = np.empty(len(sets) * n, dtype=complex)
+    live = np.arange(out.size)
+    w = np.concatenate([z] * len(sets), dtype=complex)  # the live z; numpy would cast it for each complex product
+    term = total = np.ones(out.size, dtype=complex)
+    bounds = starts = [i * n for i in range(len(sets) + 1)]  # set i holds live[bounds[i]:bounds[i + 1]]
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing series runs out of terms
         while live.size and k < MAX_SERIES_TERMS:
             rows = min(_SERIES_BLOCK, max(1, _SERIES_ROUND // live.size), MAX_SERIES_TERMS - k)
-            # row j holds t_(k+j) and S_(k+j).  Each t is multiplied into its
-            # row, apart from its operands: numpy rounds an in-place complex
-            # multiply differently, and from 256 KiB on makes ``x * temporary``
-            # one.
-            terms = np.empty((rows, live.size), dtype=complex)
-            totals = np.empty_like(terms)
+            # row j holds r_(k+j) z, t_(k+j) and S_(k+j).  Each product goes to
+            # an array of its own: numpy rounds an in-place complex multiply
+            # differently, and from 256 KiB on makes ``x * temporary`` one.
+            factors = np.empty((rows, live.size), dtype=complex)
+            for (p, q, r), lo, hi in zip(sets, bounds, bounds[1:]):
+                ratios = [(p + j) * (q + j) / ((r + j) * (j + 1.0)) for j in range(k, k + rows)]
+                np.multiply(np.array(ratios)[:, None], w[lo:hi], out=factors[:, lo:hi])
+            terms, totals = np.empty_like(factors), np.empty_like(factors)
             for j in range(rows):
-                term = np.multiply(term, (a + k) * (b + k) / ((c + k) * (k + 1.0)) * w, out=terms[j])
+                term = np.multiply(term, factors[j], out=terms[j])
                 total = np.add(total, term, out=totals[j])
-                k += 1
+            k += rows
             hit = np.abs(terms) <= _SERIES_STOP * np.abs(totals)
-            done = hit.any(axis=0)
-            stops = np.flatnonzero(done)  # indexes faster than the mask on 2-d arrays
+            done = np.logical_or.reduce(hit)
+            stops = done.nonzero()[0]  # indexes faster than the mask on 2-d arrays
             if stops.size:
                 # an element's first hit is where a term-by-term loop stops it
                 out[live[stops]] = totals[hit[:, stops].argmax(axis=0), stops]
                 keep = ~done
                 live, w, term, total = live[keep], w[keep], term[keep], total[keep]
+                bounds = np.searchsorted(live, starts).tolist() if len(sets) > 1 else [0, live.size]
     if live.size:
-        raise NonConvergenceError(
-            f"Gauss series for 2F1({a}, {b}; {c}; {z[live[0]]}) did not converge in {MAX_SERIES_TERMS} terms"
-        )
-    return out
+        i, e = divmod(int(live[0]), n)
+        raise NonConvergenceError(f"Gauss series for 2F1({a[i]}, {b[i]}; {c[i]}; {z[e]}) did not converge in "
+                                  f"{MAX_SERIES_TERMS} terms")
+    return out.reshape(len(sets), n)
 
 
-def _ratio_or_zero(numerators, denominators) -> complex:
-    """Gamma ratio where a denominator pole means the ratio is exactly zero
-    (1/Gamma vanishing), as happens when a connection coefficient dies."""
+def _connection_ratio(numerators, denominators):
+    """``gamma_ratio`` of the parameter-set columns, exactly 0 for a set with a
+    denominator pole (its connection coefficient dies), found before any log-Gamma."""
     try:
         return gamma_ratio(numerators, denominators)
     except PoleError as err:
-        if err.location == "denominator":
-            return 0.0j
-        raise
+        if err.location != "denominator":
+            raise
+    dead = (np.abs(np.array(denominators) - np.minimum(np.rint(np.real(denominators)), 0.0)) < POLE_TOL).any(axis=0)
+    ratio = gamma_ratio(*([np.where(dead, 1.0, v) for v in side] for side in (numerators, denominators)))
+    return np.where(dead, 0.0, ratio)
 
 
 def _hyp2f1_complement(a, b, c, u, log_u):
@@ -306,32 +310,34 @@ def _hyp2f1_complement(a, b, c, u, log_u):
         G(c)G(c-a-b)/(G(c-a)G(c-b)) * 2F1(a, b; a+b+1-c; u)
       + G(c)G(a+b-c)/(G(a)G(b)) * u^(c-a-b) * 2F1(c-a, c-b; c+1-a-b; u)
 
-    with principal-branch powers (u > 0 on the physical domain); ``hyp2f1``
-    takes this route above ``Z_SWITCH``, and it holds on the whole overlap
-    window.  ``u`` and ``log_u`` are equal-length 1-d float arrays, log_u =
-    log u.  The two Gamma ratios depend on (a, b, c) only and are formed
-    once; each of the two series is summed in one pass over the column.
-    Requires c-a-b away from the integers.
+    with principal-branch powers (u > 0 on the physical domain), a row per
+    parameter set of the 1-d complex arrays a, b, c; ``hyp2f1`` takes this
+    route above ``Z_SWITCH``, and it holds on the whole overlap window.
+    ``u`` and ``log_u`` = log u are 1-d float arrays of one length.  Each
+    Gamma ratio is formed once for all sets, each series summed in one
+    pass over the sets whose ratio is not 0.  Needs c-a-b off the integers.
     """
     s = c - a - b
-    if abs(s - round(s.real)) < POLE_TOL:
-        raise DegenerateParamsError(
-            f"c - a - b = {s} is within {POLE_TOL} of an integer; "
-            "the connection formula degenerates"
-        )
-    first_ratio = _ratio_or_zero([c, s], [c - a, c - b])
-    second_ratio = _ratio_or_zero([c, -s], [a, b])
-    # each product into an array of its own, as in ``_gauss_series``
-    values = np.zeros(u.shape, dtype=complex)
-    if first_ratio != 0.0:
-        np.multiply(first_ratio, _gauss_series(a, b, 1.0 - s, u), out=values)
-    if second_ratio != 0.0:
-        with np.errstate(over="ignore", invalid="ignore"):
-            power = np.exp(s * log_u)
-        if not np.isfinite(power).all():
-            raise ResultOverflowError(f"(1 - z)^(c - a - b) overflows at log(1 - z) = {log_u[~np.isfinite(power)][0]}")
-        term = np.multiply(power, _gauss_series(c - a, c - b, 1.0 + s, u), out=np.empty_like(power))
-        values += second_ratio * term
+    for v in s.tolist():
+        if abs(v - round(v.real)) < POLE_TOL:
+            raise DegenerateParamsError(f"c - a - b = {v} is within {POLE_TOL} of an integer; the formula degenerates")
+    values = np.zeros((s.size, u.size), dtype=complex)
+    for ratio, params, exponent in ((_connection_ratio([c, s], [c - a, c - b]), (a, b, 1.0 - s), None),
+                                    (_connection_ratio([c, -s], [a, b]), (c - a, c - b, 1.0 + s), s)):
+        on = ratio.nonzero()[0]
+        if not on.size:
+            continue
+        on = slice(None) if on.size == s.size else on  # views where every set is live
+        # each product into an array of its own, as in ``_gauss_series``
+        series = _gauss_series(*(v[on] for v in params), u)
+        if exponent is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                power = np.exp(exponent[on, None] * log_u)
+            if not np.isfinite(power).all():
+                raise ResultOverflowError("(1 - z)^(c - a - b) overflows at log(1 - z) = "
+                                          f"{log_u[~np.isfinite(power).all(axis=0)][0]}")
+            series = np.multiply(power, series, out=np.empty_like(power))
+        values[on] += ratio[on, None] * series
     return values
 
 
@@ -353,59 +359,62 @@ def hyp2f1(a, b, c, z, log_u=None):
     formula then sums its series in u = exp(log_u), which stays accurate
     where z has rounded to 1.0 (x above ~37).
 
-    Uses the Gauss series for ``z <= Z_SWITCH`` and the connection formula
-    toward z = 1 otherwise; its Gamma ratios are formed once per call.
-    Each series is summed once over the elements on its route, each
-    element stopping at its own first |t_k| <= 1e-16 |S_k|, so an array's
-    elements equal the number calls bit for bit.  Relative accuracy is
-    ~1e-11 or better away from the c-a-b integer degeneracy.  Every
-    element is checked before any is evaluated.
+    a, b and c are numbers, or three 1-d arrays of one length whose
+    elements are parameter sets, each giving a row.  Uses the Gauss series
+    for ``z <= Z_SWITCH`` and the connection formula toward z = 1
+    otherwise, with its Gamma ratios formed once per call.  Each series is
+    summed once over the elements on its route for all sets, each element
+    stopping at its own first |t_k| <= 1e-16 |S_k|, so array elements and
+    rows equal their number calls bit for bit.  Relative accuracy is
+    ~1e-11 or better away from the c-a-b integer degeneracy.  Every element
+    and set is checked before any is evaluated.
 
     Raises
     ------
     PoleError
         If c is within ``POLE_TOL`` of a non-positive integer.
     DomainError
-        If a, b or c is not a finite number, or unless z >= 0 and log_u is
-        finite and <= 0, with exp(log_u) within a few eps (absolutely) of 1 - z.
+        If a, b, c are not finite numbers or 1-d arrays of one length, or
+        unless z >= 0 and log_u is finite and <= 0, with exp(log_u) within
+        a few eps (absolutely) of 1 - z.
     NonConvergenceError
         If a series fails to meet the term-ratio stop within
         ``MAX_SERIES_TERMS`` terms at some element (the first is named).
     ResultOverflowError (an OverflowError)
         If (1 - z)^(c-a-b) overflows on the connection route.
     DegenerateParamsError
-        If some ``z > Z_SWITCH`` and c-a-b is within tolerance of an integer.
+        If some ``z > Z_SWITCH`` and some c-a-b is near an integer.
     """
     try:
-        a, b, c = complex(a), complex(b), complex(c)
-    except (TypeError, ValueError):
-        raise DomainError(f"2F1 parameters must be numbers, got a = {a!r}, b = {b!r}, c = {c!r}") from None
-    if not all(map(cmath.isfinite, (a, b, c))):
+        params = np.array([a, b, c], dtype=complex)
+        if params.ndim > 2:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"2F1 parameters must be numbers, or three 1-d arrays of one length, got a = {a!r}, "
+                          f"b = {b!r}, c = {c!r}") from None
+    if not np.isfinite(params).all():
         raise DomainError(f"2F1 parameters must be finite, got a = {a}, b = {b}, c = {c}")
-    _gamma_arguments([c], 0)  # c sits in the series' denominators
-    scalar = np.ndim(z) == 0
+    sets, (a, b, c) = params.ndim == 2, params.reshape(3, -1)
+    _gamma_arguments(c.tolist(), 0)  # c sits in the series' denominators
+    scalar, given = np.ndim(z) == 0, log_u is not None
     z = _real_array("z", z)
-    log_u = None if log_u is None else _real_array("log_u", log_u)
-    if z.ndim > 1 or (log_u is not None and log_u.shape != z.shape):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        log_u = _real_array("log_u", log_u) if given else np.log1p(-z)
+        u = np.exp(log_u) if given else 1.0 - z
+    if z.ndim > 1 or log_u.shape != z.shape:
         raise DomainError("z and log_u must be floats or 1-d arrays of one length")
-    if log_u is None:
-        ok = (z >= 0.0) & (z < 1.0)
-    else:
-        with np.errstate(over="ignore"):
-            u = np.exp(log_u)
-        # absolute: z rounds to 1.0 past x ~ 37 while exp(log_u) stays exact
-        ok = (z >= 0.0) & np.isfinite(log_u) & (log_u <= 0.0) & (np.abs(u - (1.0 - z)) <= _COMPLEMENT_ULPS * _EPS)
+    # absolute: z rounds to 1.0 past x ~ 37 while exp(log_u) stays exact
+    ok = (z >= 0.0) & np.isfinite(log_u) & (log_u <= 0.0) & (np.abs(u - (1.0 - z)) <= _COMPLEMENT_ULPS * _EPS)
     if not ok.all():
         i = np.flatnonzero(~ok)[0] if ok.ndim else ()
-        raise DomainError(f"z = {z[i]}, log_u = {None if log_u is None else log_u[i]}: need 0 <= z < 1 and a "
+        raise DomainError(f"z = {z[i]}, log_u = {log_u[i] if given else None}: need 0 <= z < 1 and a "
                           "supplied log_u finite, <= 0 and with exp(log_u) within a few eps of 1 - z")
-    if log_u is None:
-        u, log_u = 1.0 - z, np.log1p(-z)
     z, u, log_u = z.reshape(-1), u.reshape(-1), log_u.reshape(-1)
     far = z > Z_SWITCH
-    values = np.empty(z.shape, dtype=complex)
-    if not far.all():
-        values[~far] = _gauss_series(a, b, c, z[~far])
-    if far.any():
-        values[far] = _hyp2f1_complement(a, b, c, u[far], log_u[far])
-    return complex(values[0]) if scalar else values
+    values = np.empty((a.size, z.size), dtype=complex)
+    for route, kernel, args in ((~far, _gauss_series, (z,)), (far, _hyp2f1_complement, (u, log_u))):
+        if a.size and route.any():
+            for row, part in zip(values, kernel(a, b, c, *(v[route] for v in args))):
+                row[route] = part
+    values = values[:, 0] if scalar else values
+    return values if sets else complex(values[0]) if scalar else values[0]

@@ -4,9 +4,10 @@ Each check evaluates one analytic contract (closed-form equivalence, flux
 conservation, SUSY identities, Wronskian constancy, wave-equation
 residuals, quasinormal poles, potential identities) and reports its worst
 residual against the contracted tolerance; the Wronskian and wave-equation
-checks get both partners from one R-tilde evaluation.  ``full`` adds the
-two oracle checks, which read one oracle sweep per run: one Magnus-4 march
-per (spec, omega) at ``ORACLE_CONFIG``, timed in the agreement row.
+checks take both branches and partners from one 2F1 call per component.
+``full`` adds the two oracle checks, which read one oracle sweep per run:
+one Magnus-4 march per (spec, omega) at ``ORACLE_CONFIG``, timed in the
+agreement row.
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ def _wronskian_constancy():
 
 def _wave_equation_residual():
     z = np.linspace(0.05, 0.95, 19)
-    return max(np.max(solutions.wave_equation_residual(branch, np.array([1, -1]), omega, m, z))
-               for omega, m in ((2.0, 1.0), (1.5, 1.0)) for branch in ("I", "II"))
+    return max(np.max(solutions.wave_equation_residual(("I", "II"), np.array([1, -1]), omega, m, z))
+               for omega, m in ((2.0, 1.0), (1.5, 1.0)))
 
 
 def _qnm_poles():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import susystep
 from susystep.errors import DomainError
 from susystep.potentials import (
     PotentialKind,
@@ -249,3 +250,39 @@ def test_extreme_arguments_do_not_overflow():
         for f in (lambda t: v_plus(t, 1.0), lambda t: v_minus(t, 1.0), lambda t: superpotential(t, 1.0)):
             val = float(f(x))
             assert math.isfinite(val)
+
+
+_HUGE = 10**400  # an exact int that no double holds
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: PotentialSpec.plus(_HUGE), "DomainError"),
+    (lambda: PotentialSpec.minus(_HUGE), "DomainError"),
+    (lambda: PotentialSpec.step(_HUGE), "DomainError"),
+    (lambda: susystep.coefficients_closed_form(2.0, _HUGE), "DomainError"),
+    (lambda: susystep.reflection_transmission(PotentialKind.PLUS, 2.0, _HUGE), "DomainError"),
+    (lambda: susystep.step_amplitudes(2.0, _HUGE), "DomainError"),
+    (lambda: susystep.qnm(PotentialKind.PLUS, 1, _HUGE), "DomainError"),
+    (lambda: susystep.qnm(PotentialKind.PLUS, _HUGE, 1.0), "DomainError"),
+    (lambda: susystep.qnm(PotentialKind.STEP, _HUGE, 1.0), "DomainError"),
+    (lambda: susystep.make_exponents(2.0, _HUGE), "DomainError"),
+    (lambda: susystep.exact_solution("I", 1, 2.0, _HUGE, 0.3), "DomainError"),
+    (lambda: susystep.lngamma(_HUGE), "DomainError"),
+    (lambda: susystep.gamma_ratio([2.0], [_HUGE]), "DomainError"),
+    (lambda: susystep.hyp2f1(_HUGE, 1.0, 2.0, 0.3), "DomainError"),
+    (lambda: susystep.IntegrationConfig(x_min=-_HUGE), "ConfigError"),
+    (lambda: susystep.IntegrationConfig(step=_HUGE), "ConfigError"),
+], ids=["plus", "minus", "step", "closed form m", "amplitudes m", "step amplitudes m", "qnm m", "qnm n", "step qnm n",
+        "make_exponents m", "exact_solution m", "lngamma", "gamma_ratio", "hyp2f1", "oracle x_min", "oracle step"])
+def test_an_int_past_the_double_range_is_a_typed_error(call, error):
+    # float(10**400) raises a bare OverflowError; every documented domain
+    # check meets such an int first and raises its typed error
+    with pytest.raises(getattr(susystep, error)):
+        call()
+
+
+def test_numpy_float32_parameters_stay_accepted():
+    # the double-range check must not overflow casting its bound to float32
+    assert PotentialSpec.plus(np.float32(1.5)).m == np.float32(1.5)
+    assert susystep.IntegrationConfig(step=np.float32(0.5)).step == 0.5
+    assert susystep.qnm(PotentialKind.PLUS, 2, np.float32(1.0)) == susystep.qnm(PotentialKind.PLUS, 2, 1.0)

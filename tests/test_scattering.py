@@ -350,6 +350,23 @@ def test_a_zero_d_array_omega_is_the_number_call():
         assert type(res.omega) is float and type(res.R) is complex and type(res.flux) is float
 
 
+@pytest.mark.parametrize("omega", [2.0, np.array([1.2, 2.0, 7.5])], ids=["number", "column"])
+@pytest.mark.parametrize("call", [lambda w: reflection_transmission(PLUS, w, 0.5),
+                                  lambda w: reflection_transmission(MINUS, w, 0.5),
+                                  lambda w: step_amplitudes(w, 0.5), lambda w: asymptotic_coefficients(w, 0.5)],
+                         ids=["R/T plus", "R/T minus", "step", "asymptotic coefficients"])
+def test_each_amplitude_call_takes_one_gamma_ratio_call(monkeypatch, call, omega):
+    # every Gamma product of a call, R as T's core times a second ratio,
+    # stacked along one column: one log-Gamma pass per call
+    import susystep.scattering as scattering_mod
+
+    calls = []
+    ratio = scattering_mod.gamma_ratio
+    monkeypatch.setattr(scattering_mod, "gamma_ratio", lambda *args: calls.append(args) or ratio(*args))
+    call(omega)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("omega", [True, np.True_, np.array(True), np.array([True, True])])
 def test_a_bool_omega_is_a_domain_error(omega):
     # True would pass as 1.0 > m = 0.5; a bool is not a frequency

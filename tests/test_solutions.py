@@ -409,6 +409,55 @@ def test_sign_array_rows_equal_the_number_sign_calls(omega, z):
                 assert row.tobytes() == np.array(wave_equation_residual(branch, sign, omega, 1.0, z)).tobytes()
 
 
+def _one_branch_at_a_time(monkeypatch):
+    """Evaluate every tuple of branches one ``hyp2f1`` set at a time, as
+    separate single-branch evaluations."""
+    merged = solutions_mod._solution_from_logs
+    monkeypatch.setattr(solutions_mod, "_solution_from_logs",
+                        lambda branches, *args: np.concatenate([merged((b,), *args) for b in branches]))
+
+
+@pytest.mark.parametrize("omega", [1.5, 2.0, 10.0])
+@pytest.mark.parametrize("z", [_BOTH_ROUTES, np.array([0.2, 0.5, 0.8]), 0.3, 0.7],
+                         ids=["column", "verify column", "Gauss float", "connection float"])
+def test_branch_tuple_rows_equal_the_single_branch_evaluations(monkeypatch, omega, z):
+    # Z^I and Z^II share one hyp2f1 call per component, one parameter set
+    # each; every row keeps the bits of its single-branch evaluation
+    signs = np.array([1, -1])
+    for sign in (1, signs):
+        got = wave_equation_residual(("I", "II"), sign, omega, 1.0, z)
+        assert got.shape == (2,) + np.shape(sign) + np.shape(z)
+        for row, branch in zip(got, ("I", "II")):
+            assert row.tobytes() == np.array(wave_equation_residual(branch, sign, omega, 1.0, z)).tobytes()
+        assert wave_equation_residual(("II",), sign, omega, 1.0, z).tobytes() == got[1:].tobytes()
+    merged = wronskian(signs, omega, 1.0, z), wronskian(1, omega, 1.0, z)
+    _one_branch_at_a_time(monkeypatch)
+    assert merged[0].tobytes() == wronskian(signs, omega, 1.0, z).tobytes()
+    assert np.array(merged[1]).tobytes() == np.array(wronskian(1, omega, 1.0, z)).tobytes()
+
+
+@pytest.mark.parametrize("branch", ["III", ("I", "III"), (), ["I", "II"], ("I", ("II",))],
+                         ids=["III", "tuple with III", "empty tuple", "list", "nested tuple"])
+def test_a_branch_tuple_holds_only_i_and_ii(monkeypatch, branch):
+    calls = []
+    monkeypatch.setattr(specfun_mod, "hyp2f1", lambda *a: calls.append(a))
+    with pytest.raises(DomainError, match="'I' or 'II'"):
+        wave_equation_residual(branch, 1, 2.0, 1.0, 0.3)
+    assert calls == []
+
+
+@pytest.mark.parametrize("call", [lambda b: exact_solution(b, 1, 2.0, 1.0, 0.3),
+                                  lambda b: exact_solution_at_z(b, 1, 2.0, 1.0, 0.3),
+                                  lambda b: rotated_component(1, b, 2.0, 1.0, 0.3),
+                                  lambda b: sample_wavefield(b, 1, 2.0, 1.0, [0.0, 1.0]),
+                                  lambda b: coupled_residual(2.0, 1.0, [0.0, 0.5, 1.0], b)],
+                         ids=["exact_solution", "exact_solution_at_z", "rotated_component", "sample_wavefield",
+                              "coupled_residual"])
+def test_a_branch_tuple_is_a_domain_error_where_one_wavefunction_is_returned(call):
+    with pytest.raises(DomainError, match="'I' or 'II'"):
+        call(("I", "II"))
+
+
 _ONE_SIGN = [(exact_solution, ("I", "sign", 2.0, 1.0, 0.3)), (exact_solution_at_z, ("I", "sign", 2.0, 1.0, 0.3)),
              (sample_wavefield, ("I", "sign", 2.0, 1.0, [0.0, 1.0]))]
 _SIGN_ROWS = [(wronskian, ("sign", 2.0, 1.0, 0.3)), (wave_equation_residual, ("I", "sign", 2.0, 1.0, 0.3))]
@@ -560,7 +609,8 @@ def test_sample_wavefield_checks_the_grid_first(monkeypatch):
 
 def test_connection_gamma_ratios_once_per_call(monkeypatch):
     # the connection formula's two Gamma ratios depend on (omega, m) only;
-    # a call makes them once per component, whatever its number of points
+    # a call makes them once per component, whatever its number of points,
+    # branches and signs
     calls = []
     ratio = specfun_mod.gamma_ratio
     monkeypatch.setattr(specfun_mod, "gamma_ratio", lambda *args: calls.append(args) or ratio(*args))
@@ -570,8 +620,9 @@ def test_connection_gamma_ratios_once_per_call(monkeypatch):
                                (lambda: coupled_residual(2.0, 1.0, np.linspace(0.5, 3.0, 11)), 4),
                                (lambda: wave_equation_residual("II", -1, 2.0, 1.0, 0.7), 4),
                                (lambda: wave_equation_residual("II", np.array([1, -1]), 2.0, 1.0, 0.7), 4),
-                               (lambda: wronskian(1, 2.0, 1.0, 0.7), 8),
-                               (lambda: wronskian(np.array([1, -1]), 2.0, 1.0, 0.7), 8)):
+                               (lambda: wave_equation_residual(("I", "II"), np.array([1, -1]), 2.0, 1.0, 0.7), 4),
+                               (lambda: wronskian(1, 2.0, 1.0, 0.7), 4),
+                               (lambda: wronskian(np.array([1, -1]), 2.0, 1.0, 0.7), 4)):
         calls.clear()
         evaluate()
         assert len(calls) == expected

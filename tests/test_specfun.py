@@ -479,6 +479,16 @@ def test_column_series_stops_each_element_on_its_own(monkeypatch):
     assert hyp2f1(1.0, 1.0, 2.0, np.array([0.0, 0.01, 0.02]))[1] == fast
 
 
+def _one_set(a, b, c):
+    """One parameter set as the kernels take it: three one-element columns."""
+    return (np.array([v], dtype=complex) for v in (a, b, c))
+
+
+def _one_set_series(a, b, c, z):
+    """The Gauss series kernel's row of the one set (a, b, c)."""
+    return specfun_mod._gauss_series(*_one_set(a, b, c), z)[0]
+
+
 def _term_by_term(a, b, c, z):
     """The Gauss series one term per numpy round, each element stopped at
     its first |t_k| <= 1e-16 |S_k|: (values, stopping k of each element,
@@ -519,7 +529,7 @@ def test_blocked_series_equals_the_term_by_term_loop(ks):
     p = make_exponents(2.0, 1.0)
     grid = np.concatenate([np.geomspace(1e-20, 1e-6, 200), np.linspace(1e-6, 0.2, 4000), np.linspace(0.2, 0.9, 4000)])
     z = np.repeat(_stopping_at(p.a1, p.b1, p.c1, ks, grid), 3)
-    got = specfun_mod._gauss_series(p.a1, p.b1, p.c1, z)
+    got = _one_set_series(p.a1, p.b1, p.c1, z)
     expected, stop = _term_by_term(p.a1, p.b1, p.c1, z)
     assert sorted(set(stop.tolist())) == ks
     assert got.tobytes() == expected.tobytes()
@@ -531,7 +541,7 @@ def test_blocked_series_rounds_grow_as_the_column_shrinks():
     z = np.random.default_rng(7).permutation(np.concatenate([np.geomspace(1e-20, 0.2, 4200), np.linspace(0.2, 0.9, 4200)]))
     assert specfun_mod._SERIES_ROUND // z.size < 1
     expected = _term_by_term(p.a1, p.b1, p.c1, z)[0]
-    assert specfun_mod._gauss_series(p.a1, p.b1, p.c1, z).tobytes() == expected.tobytes()
+    assert _one_set_series(p.a1, p.b1, p.c1, z).tobytes() == expected.tobytes()
 
 
 def test_blocked_series_budget_is_exact(monkeypatch):
@@ -540,14 +550,14 @@ def test_blocked_series_budget_is_exact(monkeypatch):
     monkeypatch.setattr(specfun_mod, "MAX_SERIES_TERMS", 37)
     a, b, c = 1.0 + 0j, 1.0 + 0j, 2.0 + 0j
     z = _stopping_at(a, b, c, [7, 36, -1], np.linspace(0.01, 0.6, 3000))
-    assert specfun_mod._gauss_series(a, b, c, z[:2]).tobytes() == _term_by_term(a, b, c, z[:2])[0].tobytes()
+    assert _one_set_series(a, b, c, z[:2]).tobytes() == _term_by_term(a, b, c, z[:2])[0].tobytes()
     message = f"Gauss series for 2F1({a}, {b}; {c}; {z[2]}) did not converge in 37 terms"
     with pytest.raises(NonConvergenceError, match=re.escape(message)):
-        specfun_mod._gauss_series(a, b, c, z)
+        _one_set_series(a, b, c, z)
 
 
 def test_blocked_series_of_an_empty_column():
-    assert specfun_mod._gauss_series(1.0 + 0j, 1.0 + 0j, 2.0 + 0j, np.array([])).shape == (0,)
+    assert _one_set_series(1.0 + 0j, 1.0 + 0j, 2.0 + 0j, np.array([])).shape == (0,)
 
 
 def test_long_gauss_column_equals_the_number_calls():
@@ -592,13 +602,118 @@ def test_shuffled_column_equals_the_number_calls(omega, m):
         assert np.all(np.isfinite(got))
 
 
+# ------------------------------------------------------- parameter sets
+
+def _set_columns(triples):
+    """a, b and c as three 1-d arrays, one parameter set per element."""
+    return [np.array(column, dtype=complex) for column in zip(*triples)]
+
+
+def _rows_equal_one_set_calls(triples, z, log_u=None):
+    """hyp2f1 over the parameter sets of ``triples``: one row per set, each
+    with the bits of its one-set call."""
+    got = hyp2f1(*_set_columns(triples), z, log_u)
+    assert got.shape == (len(triples),) + np.shape(z) and got.dtype == complex
+    for row, (a, b, c) in zip(got, triples):
+        assert row.tobytes() == np.array(hyp2f1(a, b, c, z, log_u)).tobytes()
+    return got
+
+
+def _solution_sets(omega, m):
+    """The four parameter sets of the exact solutions at (omega, m): Z^I and
+    Z^II, first and second component."""
+    p = make_exponents(omega, m)
+    return [(p.a1, p.b1, p.c1), (p.a1 - p.c1 + 1, p.b1 - p.c1 + 1, 2 - p.c1),
+            (p.a2, p.b2, p.c2), (p.a2 - p.c2 + 1, p.b2 - p.c2 + 1, 2 - p.c2)]
+
+
+@pytest.mark.parametrize("omega, m", [(2.0, 1.0), (1.5, 1.0), (30.0, 2.0)])
+@pytest.mark.parametrize("sets", [2, 3])
+@pytest.mark.parametrize("z", [np.linspace(0.0, 0.5, 40), np.linspace(0.5, 0.99, 40), np.linspace(0.05, 0.95, 19),
+                               np.array([Z_SWITCH]), 0.3, 0.7],
+                         ids=["Gauss route", "connection route", "across Z_SWITCH", "at Z_SWITCH", "Gauss float",
+                              "connection float"])
+def test_parameter_set_rows_equal_the_one_set_calls(omega, m, sets, z):
+    _rows_equal_one_set_calls(_solution_sets(omega, m)[:sets], z)
+
+
+def test_parameter_set_rows_with_exact_complements():
+    # saturated z = 1.0 with its exact complement, on a shuffled column
+    rng = np.random.default_rng(5)
+    z = np.concatenate([rng.uniform(0.0, 1.0, 60), [1.0, 1.0, 1.0]])
+    log_u = np.concatenate([np.log1p(-z[:-3]), [math.log(1e-17), math.log(1e-200), -800.0]])
+    order = rng.permutation(z.size)
+    got = _rows_equal_one_set_calls(_solution_sets(2.0, 1.0)[:3], z[order], log_u[order])
+    assert np.all(np.isfinite(got))
+
+
+def test_long_parameter_set_columns_equal_the_one_set_calls():
+    # two sets past 16384 elements each, on both routes: each set's ratio
+    # multiplies its own slice, so every row keeps the one-set bits
+    z = np.random.default_rng(3).uniform(0.0, 1.0, 16400)
+    _rows_equal_one_set_calls(_solution_sets(12.0, 1.0)[:2], z)
+
+
+def test_a_vanishing_connection_coefficient_is_zeroed_for_its_set_only(monkeypatch):
+    # c - a = -1 puts Gamma(c - a) of the first connection ratio on a pole:
+    # that set's first term is exactly 0, the other sets' are not
+    dead = (2.5 + 1.0j, 0.3 - 0.2j, 1.5 + 1.0j)
+    triples = [_solution_sets(2.0, 1.0)[0], dead, _solution_sets(2.0, 1.0)[1]]
+    z = np.linspace(0.55, 0.95, 9)
+    got = _rows_equal_one_set_calls(triples, z)
+    for v, value in zip(z, got[1]):
+        expected = hyp2f1_oracle(*dead, float(v))
+        assert abs(value - expected) <= 1e-10 * abs(expected)
+    calls = []
+    ratio = specfun_mod.gamma_ratio
+    monkeypatch.setattr(specfun_mod, "gamma_ratio", lambda *args: calls.append(args) or ratio(*args))
+    hyp2f1(*_set_columns(triples[::2]), z)
+    assert len(calls) == 2  # one per connection ratio, for all sets
+
+
+def test_a_degenerate_set_raises_as_its_one_set_call():
+    triples = [_solution_sets(2.0, 1.0)[0], (1.0, 1.0, 3.0)]  # c - a - b = 1
+    assert hyp2f1(*_set_columns(triples), np.array([0.1, 0.4])).shape == (2, 2)
+    for z in (0.999, np.array([0.1, 0.999])):
+        with pytest.raises(DegenerateParamsError):
+            hyp2f1(1.0, 1.0, 3.0, z)
+        with pytest.raises(DegenerateParamsError):
+            hyp2f1(*_set_columns(triples), z)
+    with pytest.raises(PoleError):
+        hyp2f1(*_set_columns([triples[0], (1.0, 1.0, -2.0)]), 0.3)
+
+
+def test_parameter_sets_take_one_series_pass_per_route(monkeypatch):
+    passes = []
+    series = specfun_mod._gauss_series
+    monkeypatch.setattr(specfun_mod, "_gauss_series", lambda *args: passes.append(len(args[0])) or series(*args))
+    hyp2f1(*_set_columns(_solution_sets(2.0, 1.0)[:3]), np.linspace(0.05, 0.95, 19))
+    assert passes == [3, 3, 3]  # the Gauss route, then the two connection series
+
+
+def test_no_parameter_sets_give_no_rows():
+    empty = np.array([], dtype=complex)
+    for z, shape in ((np.array([0.1, 0.7]), (0, 2)), (0.2, (0,)), (0.7, (0,)), (np.array([]), (0, 0))):
+        assert hyp2f1(empty, empty, empty, z).shape == shape
+
+
+@pytest.mark.parametrize("args", [
+    (np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.array([2.0, 3.0, 4.0]), 0.3),
+    (np.ones((2, 2)), np.ones((2, 2)), np.full((2, 2), 2.0), 0.3),
+    (np.array([1.0, 2.0]), np.array([1.0, 2.0]), 2.0, 0.3),
+], ids=["lengths differ", "2-d", "a number among arrays"])
+def test_parameter_sets_must_be_three_1d_arrays_of_one_length(args):
+    with pytest.raises(DomainError, match="must be numbers"):
+        hyp2f1(*args)
+
+
 # ------------------------------------------------------- connection formula
 
 def via_connection(a, b, c, z):
     """2F1(a, b; c; z) from the connection-formula kernel that ``hyp2f1``
     takes above ``Z_SWITCH``, forced at any z."""
     z = np.array([z])
-    return complex(specfun_mod._hyp2f1_complement(complex(a), complex(b), complex(c), 1.0 - z, np.log1p(-z))[0])
+    return complex(specfun_mod._hyp2f1_complement(*_one_set(a, b, c), 1.0 - z, np.log1p(-z))[0, 0])
 
 
 def test_series_connection_consistency_at_nominal_switch():
