@@ -1,9 +1,11 @@
-"""Exception hierarchy shared by all susystep modules, and the real-number
-check that they raise it on."""
+"""Exception hierarchy shared by all susystep modules, and the real-value rules
+it is raised on: ``finite_real`` for one number, ``real_array`` for an array."""
 
 import math
 import numbers
 import sys
+
+import numpy as np
 
 
 def finite_real(value) -> bool:
@@ -12,6 +14,15 @@ def finite_real(value) -> bool:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
     return abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
+
+
+def real_array(value, name):
+    """``value`` as a new float array of its shape; ``DomainError`` unless its dtype
+    is real (not bool, complex or non-numeric).  Shape and range are the caller's."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be real, got dtype {array.dtype}")
+    return array.astype(float)
 
 
 class SusystepError(Exception):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigError, DomainError, IllConditionedError, finite_real
+from .errors import BlowUpError, ConfigError, DomainError, IllConditionedError, finite_real, real_array
 from .potentials import PotentialKind, PotentialSpec, potential
 from .scattering import ScatteringResult
 from .solutions import WaveField
@@ -73,10 +73,10 @@ def _prepare(spec: PotentialSpec, omega, cfg: IntegrationConfig):
     asym = spec.right_asymptote
     if asym < 0:
         raise DomainError(f"the oracle solves a step that goes up, V0 >= 0; got V0 = {asym}")
-    column = np.asarray(omega)
-    if not (column.ndim <= 1 and column.dtype.kind in "iuf"):
-        raise DomainError(f"the oracle takes a real omega, a number or a 1-d array; got {omega!r}")
-    omegas = column.astype(float).reshape(-1).tolist()
+    column = real_array(omega, "omega")
+    if column.ndim > 1:
+        raise DomainError(f"the oracle takes omega as a number or a 1-d array, got shape {column.shape}")
+    omegas = column.reshape(-1).tolist()
     for w in omegas:
         if not (math.isfinite(w) and w > 0):
             raise DomainError(f"omega = {w} is not a finite positive frequency")

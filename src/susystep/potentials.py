@@ -84,9 +84,10 @@ def superpotential(x, m):
 
     Strictly negative for m > 0 and strictly positive for m < 0; it never
     crosses the x axis.  W -> -m as x -> +inf and W -> 0 as x -> -inf.
+    ``DomainError`` unless m is a real, finite number other than 0.
     """
-    if m == 0:
-        raise DomainError("superpotential requires m != 0")
+    if not (finite_real(m) and m != 0):
+        raise DomainError(f"superpotential requires a real, finite m != 0, got m = {m!r}")
     return -m * np.exp(0.5 * (x - np.logaddexp(0.0, x)))
 
 
@@ -163,8 +164,8 @@ def shape_invariance_check(m: float, x):
 
     The partner pair is multiplicatively shape invariant with parameter map
     m -> -m and vanishing remainder, so this difference is an exact-zero
-    contract checked by the tests.  Accepts any m != 0.
+    contract checked by the tests.  Accepts any real, finite m != 0.
     """
-    if m == 0:
-        raise DomainError("shape invariance check requires m != 0")
+    if not (finite_real(m) and m != 0):
+        raise DomainError(f"shape invariance check requires a real, finite m != 0, got m = {m!r}")
     return v_plus(x, m) - v_minus(x, -m)

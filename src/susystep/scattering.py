@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GammaPoleError, PoleError, finite_real
+from .errors import DomainError, GammaPoleError, PoleError, finite_real, real_array
 from .potentials import PotentialKind
 from .solutions import b_exponent, make_exponents
 from .specfun import POLE_TOL, gamma_ratio
@@ -107,32 +107,26 @@ def _coupling(m) -> float:
 
 
 def _check_scattering_regime(omega, m: float):
-    """(omega, float(m)) for real omega > m > 0, checked in one numpy pass
-    over every element: omega a Python float for a number (a numpy scalar
-    or 0-d array too), a float array for a 1-d array.  A bool is not a
-    frequency."""
-    m = _coupling(m)
-    omega = np.asarray(omega)
-    if omega.ndim > 1 or omega.dtype.kind not in "iuf":
-        raise DomainError("scattering amplitudes and closed forms take a real omega, a number or a 1-d array")
-    omega = omega.astype(float)
+    """(omega, m, k') for the float m and an omega checked in one numpy pass to
+    be real (not a bool), finite and above m: a float for a number (a numpy
+    scalar or 0-d array too), a float array for a 1-d array.  k' is formed as
+    sqrt(omega - m) sqrt(omega + m), which neither overflows nor cancels."""
+    omega = real_array(omega, "omega")
+    if omega.ndim > 1:
+        raise DomainError(f"omega must be a number or a 1-d array, got shape {omega.shape}")
     below = omega[~((omega > m) & (omega < math.inf))]
     if below.size:
         raise DomainError(f"scattering requires a finite omega > m (~propagating transmitted wave); got omega = {below[0]}, m = {m}")
-    return (omega if omega.ndim else float(omega)), m
-
-
-def _math(omega):
-    """The module of elementwise functions (exp, expm1, sqrt) for omega:
-    numpy for a column, math for a number."""
-    return np if isinstance(omega, np.ndarray) else math
+    omega, xp = (omega, np) if omega.ndim else (float(omega), math)
+    return omega, m, xp.sqrt(omega - m) * xp.sqrt(omega + m)
 
 
 def transmitted_wavenumber(omega, m: float):
-    """k' = sqrt(omega^2 - m^2) as sqrt(omega - m) sqrt(omega + m), which neither
-    overflows for large omega nor cancels just above threshold; omega > m is not checked."""
-    xp = _math(omega)
-    return xp.sqrt(omega - m) * xp.sqrt(omega + m)
+    """k' = sqrt(omega^2 - m^2), a float for a number omega, an array for a 1-d
+    array; ``DomainError`` unless m >= 0 and omega > m are real (not bools) and finite."""
+    if not (finite_real(m) and m >= 0):
+        raise DomainError(f"k' requires a real, finite m >= 0, got m = {m}")
+    return _check_scattering_regime(omega, float(m))[2]
 
 
 def _gamma_arguments(omega, m: float):
@@ -140,11 +134,10 @@ def _gamma_arguments(omega, m: float):
     and d/m, with d written as i m^2/(omega + k') so it never cancels.  Past
     omega = 1e4 each log-Gamma near +-2i omega carries about |z| eps of
     error and the products miss 1e-10: any such element raises."""
-    omega, m = _check_scattering_regime(omega, m)
+    omega, m, kprime = _check_scattering_regime(omega, _coupling(m))
     if np.any(omega > 1e4):
         raise DomainError(f"the Gamma products hold their accuracy for omega <= 1e4, got omega = {np.max(omega)}; "
                           "the closed forms hold at any omega")
-    kprime = transmitted_wavenumber(omega, m)
     total = omega + kprime
     return omega, m, kprime, 1j * total, 1j * (m * m / total), 1j * (m / total)
 
@@ -218,12 +211,12 @@ def reflection_transmission(kind: PotentialKind, omega, m: float) -> ScatteringR
 
 
 def _closed_form_parts(omega, m, scale):
-    """(checked omega, ``xp`` as from ``_math``, k', b, c, sinh(a)/sinh(c)) for
+    """(checked omega, ``xp`` (numpy for a column, math for a number), k', b, c, sinh(a)/sinh(c)) for
     a = scale (omega - k') = scale m^2/(omega + k'), b = scale k', c = a + 2b: the
     ratio is e^(-2b) expm1(-2a)/expm1(-2c), finite even where m^2 overflows, and
     cancels neither at threshold (a ~ c) nor for m << omega.  ``DomainError`` where c overflows."""
-    omega, m = _check_scattering_regime(omega, m)
-    xp, kprime = _math(omega), transmitted_wavenumber(omega, m)
+    omega, m, kprime = _check_scattering_regime(omega, _coupling(m))
+    xp = np if isinstance(omega, np.ndarray) else math
     with np.errstate(over="ignore"):
         c = scale * (omega + kprime)
     if not np.isfinite(c).all():
@@ -254,7 +247,9 @@ def coefficients_closed_form(omega, m: float):
 def susy_relation_check(omega, m: float):
     """Partnership identities: returns (R+ + R-, T+ - (i k/(m + i k')) T-),
     both of which the closed amplitudes satisfy identically (k = omega,
-    k' = sqrt(omega^2 - m^2)); arrays for an omega column."""
+    k' = sqrt(omega^2 - m^2)); arrays for an omega column.  R+ + R- is 0.0
+    by construction (``reflection_transmission`` forms R- as -R+ from the
+    same Gamma products), so only the T relation can fail."""
     res_plus = reflection_transmission(PotentialKind.PLUS, omega, m)
     res_minus = reflection_transmission(PotentialKind.MINUS, omega, m)
     factor = 1j * res_plus.omega / (res_plus.m + 1j * res_plus.kprime)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specfun
-from .errors import DegenerateCError, DomainError, ZeroFrequencyError, finite_real
+from .errors import DegenerateCError, DomainError, ZeroFrequencyError, finite_real, real_array
 from .potentials import PotentialKind, superpotential
 
 __all__ = [
@@ -38,11 +38,14 @@ def x_to_z(x):
     """z = e^x / (e^x + 1), the map onto (0, 1); overflow-safe.  x is a
     real number (a float is returned) or array (an array of its shape).
 
-    In floating point the value saturates to exactly 0.0 or 1.0 once
-    |x| exceeds ~37; the solution evaluators below avoid that loss by
-    working with log z and log(1-z) directly.
+    In floating point the value saturates to exactly 0.0 or 1.0 once |x|
+    exceeds ~37 (x = +-inf gives that limit, a NaN ``DomainError``); the
+    solution evaluators below avoid that loss by working with log z and
+    log(1-z) directly.
     """
-    z = _logs_from_x(_real(x, "x"))[0]
+    z = _logs_from_x(real_array(x, "x"))[0]
+    if np.isnan(z).any():
+        raise DomainError("x = nan has no z")
     return z if np.ndim(z) else float(z)
 
 
@@ -56,18 +59,10 @@ def _logs_from_x(x):
     return z, np.where(right, log_near, log_near + x), np.where(right, log_near - x, log_near)
 
 
-def _real(values, name):
-    """``values`` as a float array; ``DomainError`` for a complex (or any non-real) dtype."""
-    values = np.asarray(values)
-    if values.dtype.kind not in "iuf":
-        raise DomainError(f"{name} must be real, got an array of dtype {values.dtype}")
-    return values.astype(float)
-
-
 def _unit_column(z):
     """(is z a 1-d array, z as a 1-d float array); ``DomainError`` unless z
     is a real number or 1-d array with every element in (0, 1)."""
-    z = _real(z, "z")
+    z = real_array(z, "z")
     if z.ndim > 1:
         raise DomainError(f"z must be a float or a 1-d array, got shape {z.shape}")
     outside = z[~((z > 0.0) & (z < 1.0))]
@@ -84,7 +79,7 @@ def _logs_from_z(z):
 def _x_grid(grid, min_points=0):
     """``grid`` as a float array, checked to be a real, 1-d, finite, strictly
     increasing x grid of at least ``min_points`` points."""
-    xs = _real(grid, "x")
+    xs = real_array(grid, "x")
     if xs.ndim != 1:
         raise DomainError(f"the x grid must be 1-d, got shape {xs.shape}")
     if xs.size < min_points:
@@ -143,8 +138,8 @@ class SolutionParams:
 
 @dataclass(frozen=True)
 class WaveField:
-    """A complex wavefunction sampled on a strictly increasing x grid;
-    ``m`` is the coupling it solves (sqrt(V0) for the step)."""
+    """A finite complex wavefunction on a real, finite, strictly increasing 1-d
+    x grid (``DomainError`` otherwise); ``m`` is the coupling it solves (sqrt(V0) for the step)."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -155,14 +150,11 @@ class WaveField:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        grid = _real(self.grid, "grid")
-        values = np.asarray(self.values, dtype=complex)
+        grid, values = _x_grid(self.grid), np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        if grid.ndim != 1 or grid.size != values.size:
+        if values.shape != grid.shape:
             raise DomainError("grid and values must be 1-d arrays of equal length")
-        if grid.size >= 2 and not np.all(np.diff(grid) > 0):
-            raise DomainError("grid must be strictly increasing")
         if not np.all(np.isfinite(values.view(float))):
             raise DomainError("wavefunction values must be finite")
 
@@ -242,8 +234,8 @@ def _rotated(j, branches, p, z, log_z, log_u):
 
 def _signs(sign, many=False):
     """``sign``, +1 or -1 (where ``many``, also a 1-d array of them), as a column against z columns."""
-    signs = np.asarray(sign)
-    if signs.dtype.kind not in "iuf" or signs.ndim > many or not signs.size or not (np.abs(signs) == 1).all():
+    signs = real_array(sign, "sign")
+    if signs.ndim > many or not signs.size or not (np.abs(signs) == 1).all():
         raise DomainError(f"sign must be +1 or -1{', or a 1-d array of them' if many else ''}, got {sign!r}")
     return signs[..., None]
 

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateParamsError, DomainError, NonConvergenceError, PoleError, ResultOverflowError
+from .errors import DegenerateParamsError, DomainError, NonConvergenceError, PoleError, ResultOverflowError, real_array
 
 __all__ = ["POLE_TOL", "Z_SWITCH", "MAX_SERIES_TERMS", "lngamma", "gamma_ratio", "hyp2f1"]
 
@@ -158,12 +158,15 @@ def _lngamma_array(z):
 def _gamma_arguments(args, n_num):
     """(column, stack): whether any argument is a 1-d array, and the
     arguments broadcast into a (len(args), n) complex array, n = 1 for
-    numbers.  A non-finite argument (or an int past the double range)
+    numbers.  A bool or non-finite argument (or an int past the double range)
     raises ``DomainError``, one within ``POLE_TOL`` of a non-positive
     integer ``PoleError``, located in the numerator for the first ``n_num``
     arguments; the first argument with either, then its first element, is
     reported."""
-    column = any(np.ndim(v) for v in args if not isinstance(v, (int, float, complex)))  # np.ndim is slow on numbers
+    shaped = [np.asarray(v) for v in args if type(v) not in (int, float, complex)]  # numpy is slow on numbers
+    if any(v.dtype.kind == "b" for v in shaped):
+        raise DomainError("a Gamma argument must be a number, not a bool")
+    column = any(v.ndim for v in shaped)
     shape = np.broadcast(*args).shape if column else (1,)
     if len(shape) != 1:
         raise DomainError("Gamma arguments must be numbers or 1-d arrays of one length")
@@ -201,7 +204,7 @@ def lngamma(z):
     Raises
     ------
     DomainError
-        If an argument is not finite, an array is not 1-d, or the
+        If an argument is a bool or not finite, an array is not 1-d, or the
         evaluation overflows a double (possible from |z| ~ 1e154 up).
     PoleError
         If an argument is within ``POLE_TOL`` of a non-positive integer.
@@ -226,15 +229,16 @@ def gamma_ratio(numerators, denominators):
     (the ratio is infinite -- an amplitude pole); denominator poles violate
     the precondition and raise ``PoleError(location="denominator")``.
     Numerator poles are reported first when both occur, and otherwise the
-    first pole in argument order, then element order.  A non-finite
+    first pole in argument order, then element order.  A bool or non-finite
     argument, or one whose log-Gamma overflows, raises ``DomainError`` and
     a ratio that overflows ``ResultOverflowError`` (an ``OverflowError``).
+    No arguments at all give the empty product, 1+0j.
     """
     n_num = len(numerators)
     column, stack = _gamma_arguments([*numerators, *denominators], n_num)
     logs = _lngamma_array(stack.ravel()).reshape(stack.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        acc = sum(logs[:n_num], 0.0j) - sum(logs[n_num:], 0.0j)
+        acc = sum(logs[:n_num], np.zeros(stack.shape[1:], complex)) - sum(logs[n_num:], 0.0j)
         values = np.exp(acc)
     bad = ~(np.isfinite(acc) & np.isfinite(values))
     if bad.any():
@@ -341,14 +345,6 @@ def _hyp2f1_complement(a, b, c, u, log_u):
     return values
 
 
-def _real_array(name, value):
-    """``value`` as a float array; ``DomainError`` unless it is real."""
-    array = np.asarray(value)
-    if array.dtype.kind not in "iuf":
-        raise DomainError(f"{name} must be real, got {value!r}")
-    return np.asarray(array, dtype=float)
-
-
 def hyp2f1(a, b, c, z, log_u=None):
     """2F1(a, b; c; z) for complex parameters and real z in [0, 1).
 
@@ -397,9 +393,9 @@ def hyp2f1(a, b, c, z, log_u=None):
     sets, (a, b, c) = params.ndim == 2, params.reshape(3, -1)
     _gamma_arguments(c.tolist(), 0)  # c sits in the series' denominators
     scalar, given = np.ndim(z) == 0, log_u is not None
-    z = _real_array("z", z)
+    z = real_array(z, "z")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        log_u = _real_array("log_u", log_u) if given else np.log1p(-z)
+        log_u = real_array(log_u, "log_u") if given else np.log1p(-z)
         u = np.exp(log_u) if given else 1.0 - z
     if z.ndim > 1 or log_u.shape != z.shape:
         raise DomainError("z and log_u must be floats or 1-d arrays of one length")
@@ -414,7 +410,6 @@ def hyp2f1(a, b, c, z, log_u=None):
     values = np.empty((a.size, z.size), dtype=complex)
     for route, kernel, args in ((~far, _gauss_series, (z,)), (far, _hyp2f1_complement, (u, log_u))):
         if a.size and route.any():
-            for row, part in zip(values, kernel(a, b, c, *(v[route] for v in args))):
-                row[route] = part
+            values[:, route] = kernel(a, b, c, *(v[route] for v in args))
     values = values[:, 0] if scalar else values
     return values if sets else complex(values[0]) if scalar else values[0]

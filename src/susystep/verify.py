@@ -5,6 +5,8 @@ conservation, SUSY identities, Wronskian constancy, wave-equation
 residuals, quasinormal poles, potential identities) and reports its worst
 residual against the contracted tolerance; the Wronskian and wave-equation
 checks take both branches and partners from one 2F1 call per component.
+The SUSY check can fail only through its T relation: R- is -R+ by
+construction, so R+ + R- reads exactly 0.
 ``full`` adds the two oracle checks, which read one oracle sweep per run:
 one Magnus-4 march per (spec, omega) at ``ORACLE_CONFIG``, timed in the
 agreement row.

@@ -1,6 +1,7 @@
 """Command-line interface tests: CSV shape and values, determinism,
 manifests, exit codes, and the verification subcommand."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -8,9 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from susystep import solutions, specfun, verify
+from susystep import scattering, solutions, specfun, verify
 from susystep.cli import main
 from susystep.errors import DomainError
+from susystep.potentials import PotentialKind
 from susystep.verify import FULL, run_checks
 
 
@@ -384,6 +386,20 @@ def test_partner_checks_judge_the_plus_row(monkeypatch):
     _scale_sign_row(monkeypatch, 0)
     failed = {r.name for r in run_checks() if not r.passed}
     assert failed == set(_PARTNER_CHECKS)
+
+
+def test_susy_check_judges_the_t_relation(monkeypatch):
+    # negative control: R- is -R+ by construction, so the check can fail
+    # only through T; a T- off by 1e-9 reads 1.29e-9 against 1e-11
+    exact = scattering.reflection_transmission
+
+    def t_minus_scaled(kind, omega, m):
+        result = exact(kind, omega, m)
+        return dataclasses.replace(result, T=result.T * (1.0 + 1e-9)) if kind is PotentialKind.MINUS else result
+
+    monkeypatch.setattr(scattering, "reflection_transmission", t_minus_scaled)
+    (check,) = [r for r in run_checks() if r.name == "SUSY amplitude relations"]
+    assert not check.passed and 1e-9 < check.max_residual < 2e-9
 
 
 def test_verify_unknown_level_is_a_domain_error():

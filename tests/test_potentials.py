@@ -225,6 +225,15 @@ def test_shape_invariance_rejects_zero():
         shape_invariance_check(0.0, 1.0)
 
 
+@pytest.mark.parametrize("m", [math.nan, math.inf, 0.0, True, 1.0 + 0j], ids=["nan", "inf", "0", "True", "complex"])
+def test_superpotential_and_shape_invariance_check_refuse_a_non_real_m(m):
+    # a NaN or infinite m would give non-finite values, and a bool m count as 1
+    with pytest.raises(DomainError):
+        superpotential(0.0, m)
+    with pytest.raises(DomainError):
+        shape_invariance_check(m, 0.0)
+
+
 def test_vectorized_evaluation_matches_scalars():
     xs = np.array([-3.0, 0.0, 2.5])
     arr = v_plus(xs, 1.2)

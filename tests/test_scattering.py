@@ -20,6 +20,7 @@ from susystep.scattering import (
     step_coefficients_closed_form,
     step_reflection_closed_form,
     susy_relation_check,
+    transmitted_wavenumber,
 )
 from susystep.solutions import exact_solution, make_exponents
 
@@ -385,6 +386,25 @@ def test_a_bool_n_or_m_is_a_domain_error(call, args):
     # True would pass as n = 1 or m = 1; a bool is not an overtone or a coupling
     with pytest.raises(DomainError):
         call(*args)
+
+
+@pytest.mark.parametrize("omega, m", [(0.5, 1.0), (1.0, 1.0), (np.array([2.0, 0.5, 3.0]), 1.0), (True, 0.0),
+                                      (np.array([True, True]), 0.5), (math.nan, 1.0), (math.inf, 1.0), (2.0, -1.0),
+                                      (2.0, math.nan), (2.0, True), (1.5 + 0j, 1.0), (np.ones((2, 2)) * 2.0, 1.0)],
+                         ids=["number below m", "number at m", "column element below m", "bool", "bool column",
+                              "nan", "inf", "negative m", "nan m", "bool m", "complex", "2-d"])
+def test_transmitted_wavenumber_outside_its_domain_is_a_domain_error(omega, m):
+    # no bare math-domain ValueError, no NaN with a RuntimeWarning, no bool taken as 1
+    with pytest.raises(DomainError):
+        transmitted_wavenumber(omega, m)
+
+
+def test_transmitted_wavenumber_values():
+    # m = 0 is the free particle, whose k' the oracle reads
+    assert transmitted_wavenumber(2.0, 0.0) == math.sqrt(2.0) * math.sqrt(2.0)
+    assert transmitted_wavenumber(np.float64(5.0), 3) == math.sqrt(2.0) * math.sqrt(8.0)
+    assert transmitted_wavenumber(np.array([5, 10]), 3.0).tolist() == [math.sqrt(2.0) * math.sqrt(8.0),
+                                                                       math.sqrt(7.0) * math.sqrt(13.0)]
 
 
 # -------------------------------------------------------------- SUSY checks

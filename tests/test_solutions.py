@@ -490,6 +490,15 @@ def test_a_sign_array_is_a_domain_error_where_one_wavefunction_is_returned(monke
     _refuses_sign(monkeypatch, call, args, signs)
 
 
+def test_x_to_z_of_nan_is_a_domain_error():
+    for x in (math.nan, np.array([0.0, math.nan])):
+        with pytest.raises(DomainError, match="nan"):
+            x_to_z(x)
+    # the infinities keep their exact limits
+    assert (x_to_z(math.inf), x_to_z(-math.inf)) == (1.0, 0.0)
+    assert x_to_z(np.array([-math.inf, 0.0, math.inf])).tolist() == [0.0, 0.5, 1.0]
+
+
 # ----------------------------------------------------------------- wavefield
 
 def test_wavefield_validation():
@@ -499,6 +508,26 @@ def test_wavefield_validation():
     with pytest.raises(DomainError):
         WaveField(grid=np.array([0.0, 1.0]), values=np.array([1j, complex("nan")]),
                   omega=2.0, m=1.0, kind=None)
+
+
+@pytest.mark.parametrize("grid", [[0.0, math.inf], [-math.inf, 0.0], [0.0, math.nan], [[0.0, 1.0]], [0.0, 1j],
+                                  [False, True]],
+                         ids=["inf", "-inf", "nan", "2-d", "complex", "bool"])
+def test_wavefield_grid_rule_is_the_x_grid_rule(grid):
+    # a non-finite grid point is refused as sample_wavefield refuses it
+    values = np.ones(np.size(grid), dtype=complex)
+    with pytest.raises(DomainError):
+        WaveField(grid=grid, values=values, omega=2.0, m=1.0, kind=None)
+    with pytest.raises(DomainError):
+        sample_wavefield("I", 1, 2.0, 1.0, grid)
+
+
+def test_wavefield_owns_a_float_copy_of_its_grid():
+    grid = np.array([0, 1, 2])
+    field = WaveField(grid=grid, values=np.ones(3, dtype=complex), omega=2.0, m=1.0, kind=None)
+    assert field.grid.dtype == float and field.grid is not grid
+    with pytest.raises(DomainError, match="equal length"):
+        WaveField(grid=grid, values=np.ones((1, 3), dtype=complex), omega=2.0, m=1.0, kind=None)
 
 
 def test_sample_wavefield_matches_pointwise():

@@ -163,6 +163,24 @@ def test_gamma_ratio_trivial_one():
     assert abs(gamma_ratio([2.0], [1.0]) - 1.0) < 1e-14
 
 
+def test_gamma_ratio_of_no_arguments_is_the_empty_product():
+    assert gamma_ratio([], []) == 1 + 0j
+    assert isinstance(gamma_ratio([], []), complex)
+    assert gamma_ratio([], [np.array([])]).shape == (0,)
+
+
+@pytest.mark.parametrize("call", [lambda: lngamma(True), lambda: lngamma(np.True_),
+                                  lambda: lngamma(np.array([False, True])),
+                                  lambda: gamma_ratio([np.True_], [2.0]), lambda: gamma_ratio([2.0], [False]),
+                                  lambda: gamma_ratio([np.array([True, False])], [2.0])],
+                         ids=["lngamma True", "lngamma np.True_", "lngamma bool column", "gamma_ratio numerator",
+                              "gamma_ratio denominator", "gamma_ratio bool column"])
+def test_a_bool_gamma_argument_is_a_domain_error(call):
+    # True is not the argument 1, nor False a pole at 0
+    with pytest.raises(DomainError, match="not a bool"):
+        call()
+
+
 def test_gamma_ratio_recurrence():
     z = 3.7
     assert abs(gamma_ratio([z + 1.0], [z]) - z) < 1e-13
