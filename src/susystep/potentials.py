@@ -4,7 +4,8 @@ hyperbolic forms, antiderivatives, and the shape-invariance identity.
 
 All evaluators accept scalars or numpy arrays and are overflow-safe for
 |x| up to the largest representable exponents: every exponential ratio is
-computed through ``exp(... - logaddexp(0, x))``.
+computed through ``exp(... - logaddexp(0, x))``.  x must be real (not a
+bool or complex) and finite (``DomainError`` otherwise); V- is V+ at -m.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, finite_real
+from .errors import DomainError, finite_real, real_array
 
 __all__ = [
     "PotentialKind", "PotentialSpec", "superpotential", "v_plus", "v_minus", "v_step", "potential",
@@ -79,6 +80,17 @@ class PotentialSpec:
         return self.m * self.m
 
 
+_SIGN = {PotentialKind.PLUS: 1.0, PotentialKind.MINUS: -1.0}  # m -> -m maps V+ to V-
+
+
+def _real_x(x):
+    """x as a float array (0-d for a number); ``DomainError`` unless it is real and finite."""
+    x = real_array(x, "x")
+    if not np.isfinite(x).all():
+        raise DomainError(f"x = {x[~np.isfinite(x)][0]} is not finite")
+    return x
+
+
 def superpotential(x, m):
     """Superpotential W(x, m) = -m (1 + e^(-x))^(-1/2).
 
@@ -88,38 +100,32 @@ def superpotential(x, m):
     """
     if not (finite_real(m) and m != 0):
         raise DomainError(f"superpotential requires a real, finite m != 0, got m = {m!r}")
+    x = _real_x(x)
     return -m * np.exp(0.5 * (x - np.logaddexp(0.0, x)))
-
-
-def _dw(x, m, softplus):
-    """dW/dx = -(m/2) e^(x/2) / (e^x + 1)^(3/2) from softplus = logaddexp(0, x)."""
-    return -0.5 * m * np.exp(0.5 * x - 1.5 * softplus)
 
 
 def v_plus(x, m):
     """V+(x, m) = W^2 + dW/dx = m^2 e^x/(e^x+1) - (m/2) e^(x/2)/(e^x+1)^(3/2)."""
+    x = _real_x(x)
     softplus = np.logaddexp(0.0, x)
-    return m * m * np.exp(x - softplus) + _dw(x, m, softplus)
+    return m * m * np.exp(x - softplus) - 0.5 * m * np.exp(0.5 * x - 1.5 * softplus)
 
 
 def v_minus(x, m):
-    """V-(x, m) = W^2 - dW/dx = m^2 e^x/(e^x+1) + (m/2) e^(x/2)/(e^x+1)^(3/2)."""
-    softplus = np.logaddexp(0.0, x)
-    return m * m * np.exp(x - softplus) - _dw(x, m, softplus)
+    """V-(x, m) = W^2 - dW/dx = m^2 e^x/(e^x+1) + (m/2) e^(x/2)/(e^x+1)^(3/2) = V+(x, -m)."""
+    return v_plus(x, -m)
 
 
 def v_step(x, v0, alpha=1.0):
     """Smooth step (V0/2)(1 + tanh(x / 2 alpha))."""
-    return 0.5 * v0 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=float) / alpha))
+    return 0.5 * v0 * (1.0 + np.tanh(0.5 * _real_x(x) / alpha))
 
 
 def potential(spec: PotentialSpec, x):
     """Evaluate the potential described by ``spec`` at x (scalar or array)."""
-    if spec.kind is PotentialKind.PLUS:
-        return v_plus(x, spec.m)
-    if spec.kind is PotentialKind.MINUS:
-        return v_minus(x, spec.m)
-    return v_step(x, spec.v0, spec.alpha)
+    if spec.kind is PotentialKind.STEP:
+        return v_step(x, spec.v0, spec.alpha)
+    return v_plus(x, _SIGN[spec.kind] * spec.m)
 
 
 def potential_hyperbolic(spec: PotentialSpec, x):
@@ -127,18 +133,15 @@ def potential_hyperbolic(spec: PotentialSpec, x):
 
         mu^2 (1 + tanh(x/2)) -/+ (mu/4) sqrt(1 - tanh(x/2)) / cosh(x/2)
 
-    with mu = m / sqrt(2).  Algebraically identical to ``potential`` for
+    with mu = m / sqrt(2) (-m for V-).  Algebraically identical to ``potential`` for
     the partner kinds; kept as an independent evaluation route.
     """
     if spec.kind is PotentialKind.STEP:
         raise DomainError("hyperbolic form applies to the partner potentials only")
-    mu = spec.m / math.sqrt(2.0)
-    x = np.asarray(x, dtype=float)
+    mu = _SIGN[spec.kind] * spec.m / math.sqrt(2.0)
+    x = _real_x(x)
     th = np.tanh(0.5 * x)
-    second = 0.25 * mu * np.sqrt(1.0 - th) / np.cosh(0.5 * x)
-    if spec.kind is PotentialKind.PLUS:
-        return mu * mu * (1.0 + th) - second
-    return mu * mu * (1.0 + th) + second
+    return mu * mu * (1.0 + th) - 0.25 * mu * np.sqrt(1.0 - th) / np.cosh(0.5 * x)
 
 
 def potential_antiderivative(spec: PotentialSpec, x):
@@ -151,20 +154,17 @@ def potential_antiderivative(spec: PotentialSpec, x):
     """
     if spec.kind is PotentialKind.STEP:
         raise DomainError("antiderivative is provided for the partner potentials only")
-    m = spec.m
-    log_term = m * m * np.logaddexp(0.0, x)
-    half = m * np.exp(0.5 * (x - np.logaddexp(0.0, x)))
-    if spec.kind is PotentialKind.PLUS:
-        return log_term - half
-    return log_term + half
+    m, x = _SIGN[spec.kind] * spec.m, _real_x(x)  # V- at -m
+    softplus = np.logaddexp(0.0, x)
+    return m * m * softplus - m * np.exp(0.5 * (x - softplus))
 
 
 def shape_invariance_check(m: float, x):
     """V+(x, m) - V-(x, -m); identically zero.
 
     The partner pair is multiplicatively shape invariant with parameter map
-    m -> -m and vanishing remainder, so this difference is an exact-zero
-    contract checked by the tests.  Accepts any real, finite m != 0.
+    m -> -m and vanishing remainder; V- is evaluated as V+ at -m, so this
+    difference is exactly zero.  Accepts any real, finite m != 0.
     """
     if not (finite_real(m) and m != 0):
         raise DomainError(f"shape invariance check requires a real, finite m != 0, got m = {m!r}")

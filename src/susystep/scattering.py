@@ -6,9 +6,9 @@ space; hyperbolic-ratio closed forms are rearranged into exponential
 differences so they stay finite for arbitrarily large omega.
 
 The amplitudes and closed forms take omega as a number or as a 1-d array
-(an omega column).  Each amplitude call makes one Gamma-ratio call, its
-products stacked along the column; a column gives array fields, a number
-Python-number fields from the same numpy products.
+(an omega column), a number being the one-element column: all is taken in
+numpy, a number giving Python numbers of the same bits.  Each amplitude
+call makes one Gamma-ratio call, its products stacked along the column.
 """
 
 from __future__ import annotations
@@ -55,13 +55,11 @@ class AsymptoticCoefficients:
     bII_plus: complex
 
 
-def _squared_modulus(value):
-    """|value|^2 as r * r with r = |value|; for an array r = hypot(re, im),
-    which rounds as Python's abs(complex) does (numpy's abs on complex may
-    differ by an ulp), and r * r, not r ** 2, which on a float is pow() and
-    may round apart from the array's square."""
-    r = np.hypot(value.real, value.imag) if isinstance(value, np.ndarray) else abs(value)
-    return r * r
+def _squared_modulus(omega, value):
+    """|value|^2 per omega as r * r with r = hypot(re, im), not numpy's abs on
+    complex (which may differ by an ulp) nor r ** 2 (pow() on a numpy scalar)."""
+    r = np.hypot(np.real(value), np.imag(value))
+    return _per_omega(omega, r * r)[0]
 
 
 @dataclass(frozen=True)
@@ -73,7 +71,7 @@ class ScatteringResult:
     step.  ``flux`` is R2 + (kprime/omega) T2; for the analytic amplitudes
     it equals 1 to rounding, for oracle-extracted ones to the integrator's
     accuracy.  For an omega column, ``omega``, ``R``, ``T`` and the derived
-    fields are arrays.
+    fields are arrays.  Its builders check (omega, m), so ``kprime`` reads them unchecked.
     """
 
     omega: float
@@ -84,15 +82,15 @@ class ScatteringResult:
 
     @property
     def kprime(self) -> float:
-        return transmitted_wavenumber(self.omega, self.m)
+        return _per_omega(self.omega, _kprime(self.omega, self.m))[0]
 
     @property
     def R2(self) -> float:
-        return _squared_modulus(self.R)
+        return _squared_modulus(self.omega, self.R)
 
     @property
     def T2(self) -> float:
-        return _squared_modulus(self.T)
+        return _squared_modulus(self.omega, self.T)
 
     @property
     def flux(self) -> float:
@@ -106,19 +104,21 @@ def _coupling(m) -> float:
     return float(m)
 
 
+def _kprime(omega, m):
+    """k' = sqrt(omega - m) sqrt(omega + m) for omega > m >= 0: it neither overflows nor cancels."""
+    return np.sqrt(omega - m) * np.sqrt(omega + m)
+
+
 def _check_scattering_regime(omega, m: float):
-    """(omega, m, k') for the float m and an omega checked in one numpy pass to
-    be real (not a bool), finite and above m: a float for a number (a numpy
-    scalar or 0-d array too), a float array for a 1-d array.  k' is formed as
-    sqrt(omega - m) sqrt(omega + m), which neither overflows nor cancels."""
+    """(omega, m, k') for the float m and an omega checked in one numpy pass to be
+    real (not a bool), finite and above m: 0-d for a number, 1-d for a column."""
     omega = real_array(omega, "omega")
     if omega.ndim > 1:
         raise DomainError(f"omega must be a number or a 1-d array, got shape {omega.shape}")
     below = omega[~((omega > m) & (omega < math.inf))]
     if below.size:
         raise DomainError(f"scattering requires a finite omega > m (~propagating transmitted wave); got omega = {below[0]}, m = {m}")
-    omega, xp = (omega, np) if omega.ndim else (float(omega), math)
-    return omega, m, xp.sqrt(omega - m) * xp.sqrt(omega + m)
+    return omega, m, _kprime(omega, m)
 
 
 def transmitted_wavenumber(omega, m: float):
@@ -126,7 +126,8 @@ def transmitted_wavenumber(omega, m: float):
     array; ``DomainError`` unless m >= 0 and omega > m are real (not bools) and finite."""
     if not (finite_real(m) and m >= 0):
         raise DomainError(f"k' requires a real, finite m >= 0, got m = {m}")
-    return _check_scattering_regime(omega, float(m))[2]
+    omega, _, kprime = _check_scattering_regime(omega, float(m))
+    return _per_omega(omega, kprime)[0]
 
 
 def _gamma_arguments(omega, m: float):
@@ -155,10 +156,9 @@ def _gamma_products(*pairs):
                              "quasinormal frequency or degenerate parameters") from err
 
 
-def _per_omega(omega, *rows):
-    """``_gamma_products`` rows, or numpy products of them, as they are for
-    an omega column and as Python complex numbers for a number omega."""
-    return rows if isinstance(omega, np.ndarray) else [complex(row[0]) for row in rows]
+def _per_omega(omega, *values):
+    """The numpy values as they are for an omega column, as Python numbers (``.item()``) for a number."""
+    return values if np.ndim(omega) else tuple(v.item() for v in values)
 
 
 def asymptotic_coefficients(omega: float, m: float) -> AsymptoticCoefficients:
@@ -206,23 +206,22 @@ def reflection_transmission(kind: PotentialKind, omega, m: float) -> ScatteringR
         ([0.5 + 2j * omega, 1.0 - 2j * kprime], [1.0 + d, 0.5 + d]),
     )
     sign = 1.0 if kind is PotentialKind.PLUS else -1.0
-    R, T = _per_omega(omega, sign * d_m * (t_core * r_factor), (1.0 + sign * d_m) * t_core)
+    omega, R, T = _per_omega(omega, omega, sign * d_m * (t_core * r_factor), (1.0 + sign * d_m) * t_core)
     return ScatteringResult(omega=omega, m=m, kind=kind, R=R, T=T)
 
 
 def _closed_form_parts(omega, m, scale):
-    """(checked omega, ``xp`` (numpy for a column, math for a number), k', b, c, sinh(a)/sinh(c)) for
-    a = scale (omega - k') = scale m^2/(omega + k'), b = scale k', c = a + 2b: the
-    ratio is e^(-2b) expm1(-2a)/expm1(-2c), finite even where m^2 overflows, and
-    cancels neither at threshold (a ~ c) nor for m << omega.  ``DomainError`` where c overflows."""
+    """(checked omega, k', b, c, sinh(a)/sinh(c)) for a = scale (omega - k') =
+    scale m^2/(omega + k'), b = scale k', c = a + 2b: the ratio is e^(-2b)
+    expm1(-2a)/expm1(-2c), finite even where m^2 overflows, and cancels neither
+    at threshold (a ~ c) nor for m << omega.  ``DomainError`` where c overflows."""
     omega, m, kprime = _check_scattering_regime(omega, _coupling(m))
-    xp = np if isinstance(omega, np.ndarray) else math
     with np.errstate(over="ignore"):
         c = scale * (omega + kprime)
     if not np.isfinite(c).all():
         raise DomainError("omega is too large for the closed form: its exponent overflows a double")
     a, b = scale * (m * m / (omega + kprime)), scale * kprime
-    return omega, xp, kprime, b, c, xp.exp(-2.0 * b) * xp.expm1(-2.0 * a) / xp.expm1(-2.0 * c)
+    return omega, kprime, b, c, np.exp(-2.0 * b) * np.expm1(-2.0 * a) / np.expm1(-2.0 * c)
 
 
 def coefficients_closed_form(omega, m: float):
@@ -237,11 +236,11 @@ def coefficients_closed_form(omega, m: float):
     no intermediate ever overflows (plain sinh would at omega ~ 113) or
     cancels.  An omega column gives two arrays.
     """
-    omega, xp, kprime, b, c, r2 = _closed_form_parts(omega, m, 2.0 * math.pi)
+    omega, kprime, b, c, r2 = _closed_form_parts(omega, m, 2.0 * math.pi)
     # 2 cosh(2 pi w) sinh(2 pi k') / sinh(2 pi (w + k')):
     # exponents cancel exactly, leaving expm1 factors only.
-    t2 = (omega / kprime) * (1.0 + xp.exp(-2.0 * c + 2.0 * b)) * (-xp.expm1(-2.0 * b)) / (-xp.expm1(-2.0 * c))
-    return r2, t2
+    t2 = (omega / kprime) * (1.0 + np.exp(-2.0 * c + 2.0 * b)) * (-np.expm1(-2.0 * b)) / (-np.expm1(-2.0 * c))
+    return _per_omega(omega, r2, t2)
 
 
 def susy_relation_check(omega, m: float):
@@ -250,10 +249,10 @@ def susy_relation_check(omega, m: float):
     k' = sqrt(omega^2 - m^2)); arrays for an omega column.  R+ + R- is 0.0
     by construction (``reflection_transmission`` forms R- as -R+ from the
     same Gamma products), so only the T relation can fail."""
-    res_plus = reflection_transmission(PotentialKind.PLUS, omega, m)
-    res_minus = reflection_transmission(PotentialKind.MINUS, omega, m)
+    res_plus, res_minus = (reflection_transmission(kind, np.atleast_1d(omega), m)
+                           for kind in (PotentialKind.PLUS, PotentialKind.MINUS))
     factor = 1j * res_plus.omega / (res_plus.m + 1j * res_plus.kprime)
-    return res_plus.R + res_minus.R, res_plus.T - factor * res_minus.T
+    return _per_omega(omega, res_plus.R + res_minus.R, res_plus.T - factor * res_minus.T)
 
 
 def step_amplitudes(omega, m: float) -> ScatteringResult:
@@ -275,9 +274,8 @@ def step_amplitudes(omega, m: float) -> ScatteringResult:
     """
     omega, m, kprime, s, d, _ = _gamma_arguments(omega, m)
     total = omega + kprime
-    # 1/(1 - s) = (1 + s)/(1 + (omega + k')^2), applied as x (1 + s) =
-    # x + s x: complex division and complex-by-complex products round apart
-    # on numbers and arrays, products by the imaginary s do not
+    # 1/(1 - s) = (1 + s)/(1 + (omega + k')^2), applied as x (1 + s) = x + s x:
+    # products by the imaginary s only, no complex division
     q = m / total
     scale = 1.0 / (1.0 + total * total)
     t, r_factor = _gamma_products(
@@ -285,7 +283,7 @@ def step_amplitudes(omega, m: float) -> ScatteringResult:
         ([1.0 + 2j * omega, 1.0 - 2j * kprime], [1.0 + d, 1.0 + d]),
     )
     r = t * r_factor
-    R, T = _per_omega(omega, q * q * scale * (r + s * r), 2.0 * omega / total * scale * (t + s * t))
+    omega, R, T = _per_omega(omega, omega, q * q * scale * (r + s * r), 2.0 * omega / total * scale * (t + s * t))
     return ScatteringResult(omega=omega, m=m, kind=PotentialKind.STEP, R=R, T=T)
 
 
@@ -294,8 +292,9 @@ def step_coefficients_closed_form(omega, m: float):
     (omega/k') sinh(2 pi omega) sinh(2 pi k')/sinh^2(pi(omega + k')) =
     (omega/k') expm1(-4 pi omega) expm1(-4 pi k')/expm1(-2 pi(omega + k'))^2, in
     exponent differences as :func:`coefficients_closed_form`; arrays for a column."""
-    omega, xp, kprime, b, c, r = _closed_form_parts(omega, m, math.pi)
-    return r * r, (omega / kprime) * xp.expm1(-4.0 * math.pi * omega) * xp.expm1(-4.0 * b) / xp.expm1(-2.0 * c) ** 2
+    omega, kprime, b, c, r = _closed_form_parts(omega, m, math.pi)
+    t2 = (omega / kprime) * np.expm1(-4.0 * math.pi * omega) * np.expm1(-4.0 * b) / np.square(np.expm1(-2.0 * c))
+    return _per_omega(omega, r * r, t2)
 
 
 def step_reflection_closed_form(omega, m: float):

@@ -105,9 +105,10 @@ def _lngamma_array(z):
     Re w >= 1/2 each pair product (w + k)(w + k + 1) has its argument inside
     (-pi, pi), so its log adds no branch jump.  (v - 1/2) log v - v and the
     pair logs are summed with error-free products and sums (a complex sum
-    rounds its real and imaginary parts apart), elementwise, so an element's
-    value does not depend on the others.  An argument whose evaluation
-    overflows (possible from |z| ~ 1e154 up) raises ``DomainError``."""
+    rounds its real and imaginary parts apart), elementwise, the pair products
+    in an array of their own (an in-place product rounds apart), so an element's
+    value does not depend on the others or the column's length.  An argument
+    whose evaluation overflows (from |z| ~ 1e154 up) raises ``DomainError``."""
     with np.errstate(all="ignore"):
         reflect = z.real < 0.5
         w = np.where(reflect, 1.0 - z, z)
@@ -131,7 +132,7 @@ def _lngamma_array(z):
         if small.any():
             pairs = w[small] + _PAIR_OFFSETS
             shifted, shifted_low = total[small], low[small]
-            for log_pair in np.log(pairs * (pairs + 1.0)):
+            for log_pair in np.log(np.multiply(pairs, pairs + 1.0, out=np.empty_like(pairs))):
                 shifted, error = _two_sum(shifted, -log_pair)
                 shifted_low = shifted_low + error
             total[small], low[small] = shifted, shifted_low

@@ -12,7 +12,6 @@ from susystep.errors import DomainError
 from susystep.potentials import (
     PotentialKind,
     PotentialSpec,
-    _dw,
     potential,
     potential_antiderivative,
     potential_hyperbolic,
@@ -22,6 +21,12 @@ from susystep.potentials import (
     v_plus,
     v_step,
 )
+
+
+def _dw(x, m):
+    # dW/dx = -(m/2) e^(x/2) / (e^x + 1)^(3/2), as the partner potentials form it
+    return -0.5 * m * np.exp(0.5 * x - 1.5 * np.logaddexp(0.0, x))
+
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -164,7 +169,7 @@ def test_superpotential_derivative_closed_form():
     xs = np.linspace(-15.0, 15.0, 101)
     h = 1e-6
     num = (superpotential(xs + h, 1.3) - superpotential(xs - h, 1.3)) / (2 * h)
-    assert float(np.max(np.abs(num - _dw(xs, 1.3, np.logaddexp(0.0, xs))))) < 1e-9
+    assert float(np.max(np.abs(num - _dw(xs, 1.3)))) < 1e-9
 
 
 def test_exponential_approach_to_right_asymptote():
@@ -220,6 +225,40 @@ def test_shape_invariance_property(m, x):
     assert abs(float(shape_invariance_check(-m, x))) < 1e-14
 
 
+_PLUS_1 = PotentialSpec.plus(1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: v_plus(True, 1.0), lambda: v_minus(np.array([False, True]), 1.0), lambda: v_step(True, 1.0),
+    lambda: potential_hyperbolic(_PLUS_1, np.array([1 + 1j])), lambda: v_step(np.array([1 + 1j]), 1.0),
+    lambda: v_plus(1 + 1j, 1.0), lambda: potential(_PLUS_1, "1.0"),
+    lambda: v_plus(math.inf, 1.0), lambda: superpotential(math.inf, 1.0), lambda: v_plus(math.nan, 1.0),
+    lambda: v_step(np.array([0.0, -math.inf]), 1.0), lambda: potential_antiderivative(_PLUS_1, math.nan),
+    lambda: shape_invariance_check(1.0, math.inf),
+], ids=["bool", "bool array", "step bool", "hyperbolic complex array", "step complex array", "complex", "string",
+        "inf", "superpotential inf", "nan", "step -inf", "antiderivative nan", "shape invariance inf"])
+def test_an_x_that_is_not_real_and_finite_is_a_domain_error(call):
+    # a bool is not x = 1, an imaginary part is never dropped, and a
+    # non-finite x does not give NaN with a RuntimeWarning
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_signed_partner_forms_equal_their_two_term_forms_bitwise():
+    # V- is evaluated as V+ at -m, which a double negates exactly
+    xs = np.linspace(-60.0, 60.0, 2401)
+    for m in (0.3, 1.0, 2.7):
+        mu = m / math.sqrt(2.0)
+        th = np.tanh(0.5 * xs)
+        first, second = mu * mu * (1.0 + th), 0.25 * mu * np.sqrt(1.0 - th) / np.cosh(0.5 * xs)
+        log_term, half = m * m * np.logaddexp(0.0, xs), m * np.exp(0.5 * (xs - np.logaddexp(0.0, xs)))
+        for spec, sign in ((PotentialSpec.plus(m), 1.0), (PotentialSpec.minus(m), -1.0)):
+            expected = first - second if sign > 0 else first + second
+            assert potential_hyperbolic(spec, xs).tobytes() == expected.tobytes()
+            expected = log_term - half if sign > 0 else log_term + half
+            assert potential_antiderivative(spec, xs).tobytes() == expected.tobytes()
+
+
 def test_shape_invariance_rejects_zero():
     with pytest.raises(DomainError):
         shape_invariance_check(0.0, 1.0)
@@ -249,7 +288,7 @@ def test_partners_are_w_squared_plus_minus_the_derivative_bitwise():
     xs = np.linspace(-60.0, 60.0, 12001)
     for m in (0.3, 1.0, 2.7):
         w2 = m * m * np.exp(xs - np.logaddexp(0.0, xs))
-        dw = _dw(xs, m, np.logaddexp(0.0, xs))
+        dw = _dw(xs, m)
         assert v_plus(xs, m).tobytes() == (w2 + dw).tobytes()
         assert v_minus(xs, m).tobytes() == (w2 - dw).tobytes()
 

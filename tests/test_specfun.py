@@ -147,6 +147,22 @@ def test_lngamma_array_matches_number_calls():
         lngamma(np.array([1.5, -2.0]))
 
 
+def test_long_lngamma_column_equals_the_number_calls():
+    # past 3276 arguments with |z| < 10 the (5, k) pair products pass 256 KiB,
+    # where numpy would turn x * temporary into an in-place multiply that
+    # rounds differently; a 24 000-element column mixing shifted, unshifted
+    # and reflected arguments keeps the number calls' bits
+    rng = np.random.default_rng(5)
+    z = np.concatenate([rng.uniform(-9.0, 9.0, 8000) + 1j * rng.uniform(-9.0, 9.0, 8000),
+                        rng.uniform(-300.0, 300.0, 8000) + 1j * rng.uniform(-300.0, 300.0, 8000),
+                        rng.uniform(-50.0, 0.4, 8000) + 1j * rng.uniform(-400.0, 400.0, 8000)])
+    rng.shuffle(z)
+    assert lngamma(z).tobytes() == np.array([lngamma(v) for v in z.tolist()]).tobytes()
+    small = z[np.abs(np.where(z.real < 0.5, 1.0 - z, z)) < 10.0][:4000]
+    assert small.size == 4000
+    assert gamma_ratio([small], []).tobytes() == np.array([gamma_ratio([v], []) for v in small.tolist()]).tobytes()
+
+
 def test_lngamma_pole_rejection():
     for z in (0.0, -1.0, -7.0, -3.0 + 1e-11j, 5e-10):
         with pytest.raises(PoleError):
