@@ -54,11 +54,9 @@ from .solutions import (
     exact_solution,
     exact_solution_at_z,
     make_exponents,
-    rotated_component,
     sample_wavefield,
     wave_equation_residual,
     wronskian,
-    x_to_z,
 )
 from .specfun import gamma_ratio, hyp2f1, lngamma
 

@@ -105,7 +105,9 @@ def superpotential(x, m):
 
 
 def v_plus(x, m):
-    """V+(x, m) = W^2 + dW/dx = m^2 e^x/(e^x+1) - (m/2) e^(x/2)/(e^x+1)^(3/2)."""
+    """V+(x, m) = W^2 + dW/dx = m^2 e^x/(e^x+1) - (m/2) e^(x/2)/(e^x+1)^(3/2), m real and finite."""
+    if not finite_real(m):
+        raise DomainError(f"partner potentials require a real, finite m, got m = {m!r}")
     x = _real_x(x)
     softplus = np.logaddexp(0.0, x)
     return m * m * np.exp(x - softplus) - 0.5 * m * np.exp(0.5 * x - 1.5 * softplus)
@@ -113,11 +115,12 @@ def v_plus(x, m):
 
 def v_minus(x, m):
     """V-(x, m) = W^2 - dW/dx = m^2 e^x/(e^x+1) + (m/2) e^(x/2)/(e^x+1)^(3/2) = V+(x, -m)."""
-    return v_plus(x, -m)
+    return v_plus(x, -m if finite_real(m) else m)  # -True would pass as -1
 
 
 def v_step(x, v0, alpha=1.0):
-    """Smooth step (V0/2)(1 + tanh(x / 2 alpha))."""
+    """Smooth step (V0/2)(1 + tanh(x / 2 alpha)); v0 and alpha pass :class:`PotentialSpec`'s checks."""
+    PotentialSpec.step(v0, alpha)
     return 0.5 * v0 * (1.0 + np.tanh(0.5 * _real_x(x) / alpha))
 
 

@@ -25,28 +25,13 @@ from .errors import DegenerateCError, DomainError, ZeroFrequencyError, finite_re
 from .potentials import PotentialKind, superpotential
 
 __all__ = [
-    "SolutionParams", "WaveField", "x_to_z", "b_exponent", "make_exponents", "exact_solution", "exact_solution_at_z",
-    "rotated_component", "coupled_residual", "wave_equation_residual", "wronskian", "sample_wavefield"
+    "SolutionParams", "WaveField", "b_exponent", "make_exponents", "exact_solution", "exact_solution_at_z",
+    "coupled_residual", "wave_equation_residual", "wronskian", "sample_wavefield"
 ]
 
 _QUARTER_TURN = cmath.exp(-0.25j * cmath.pi)
 # A rounded stencil offset (x + k h) - x may miss k h by this fraction of h.
 _STENCIL_SLIP = 1e-6
-
-
-def x_to_z(x):
-    """z = e^x / (e^x + 1), the map onto (0, 1); overflow-safe.  x is a
-    real number (a float is returned) or array (an array of its shape).
-
-    In floating point the value saturates to exactly 0.0 or 1.0 once |x|
-    exceeds ~37 (x = +-inf gives that limit, a NaN ``DomainError``); the
-    solution evaluators below avoid that loss by working with log z and
-    log(1-z) directly.
-    """
-    z = _logs_from_x(real_array(x, "x"))[0]
-    if np.isnan(z).any():
-        raise DomainError("x = nan has no z")
-    return z if np.ndim(z) else float(z)
 
 
 def _logs_from_x(x):
@@ -87,7 +72,7 @@ def _x_grid(grid, min_points=0):
     bad = xs[~np.isfinite(xs)]
     if bad.size:
         raise DomainError(f"x = {bad[0]} is not finite")
-    if not np.all(np.diff(xs) > 0):
+    if not (xs[1:] > xs[:-1]).all():
         raise DomainError("the x grid must be strictly increasing")
     return xs
 
@@ -159,20 +144,22 @@ class WaveField:
             raise DomainError("wavefunction values must be finite")
 
 
-def make_exponents(omega, m: float) -> SolutionParams:
+def make_exponents(omega, m) -> SolutionParams:
     """The :class:`SolutionParams` record of (omega, m).
 
-    ``omega`` is a number, giving ``complex`` fields, or a 1-d array,
-    giving a record whose fields are columns (``m`` stays a float).  A
-    number is the one-element case of one checked numpy pass, so a column
-    record equals the one-omega records bit for bit.
+    ``omega`` and ``m`` are numbers, giving ``complex`` fields (``m`` a
+    float), or 1-d arrays of one length (a number stands for every element),
+    a column of (omega, m) cases giving a record whose fields are columns
+    (``m`` one only if given as one).  A number is the one-element case of
+    one checked numpy pass, so a column record equals its one-case records
+    bit for bit.
 
     Raises
     ------
     DomainError
-        For an omega that is not a number or a 1-d array, a non-finite
-        omega, or an m that is not a real, finite number other than 0
-        (a bool is not one).
+        For an omega or m that is not a number or a 1-d array, columns of
+        two lengths, a non-finite omega, or an m that is not real, finite
+        and other than 0 (a bool is not real), in any case.
     ZeroFrequencyError
         For omega = 0, where the first-order factorization that couples
         Z+ and Z- breaks down.  A column with a zero element raises this
@@ -181,12 +168,16 @@ def make_exponents(omega, m: float) -> SolutionParams:
         When c1 = 2 i omega + 1/2 is within tolerance of an integer and
         the second power-series solution would pick up logarithms.
     """
-    column, omega = np.ndim(omega) > 0, np.atleast_1d(omega)
+    columns = np.ndim(omega) > 0, not isinstance(m, numbers.Number) and np.ndim(m) > 0
+    omega, ms = np.atleast_1d(omega), real_array(m, "m") if columns[1] else m
     if omega.ndim > 1 or omega.dtype.kind not in "iufc":
         raise DomainError(f"omega must be a number or a 1-d array, got omega = {omega}")
-    if not (finite_real(m) and m != 0 and np.isfinite(omega).all()):
+    valid = ms.ndim == 1 and np.isfinite(ms).all() and (ms != 0).all() if columns[1] else finite_real(m) and m != 0
+    if not (valid and np.isfinite(omega).all()):
         raise DomainError(f"solutions require finite omega and a real, finite m != 0, got omega = {omega}, m = {m}")
-    omega, m = omega.astype(complex), float(m)
+    if all(columns) and omega.shape != ms.shape:
+        raise DomainError(f"omega and m columns must have one length, got {omega.size} and {ms.size}")
+    omega, m = (np.broadcast_to(omega, ms.shape) if columns[1] else omega).astype(complex), ms if columns[1] else float(m)
     if (abs(omega) < 1e-12).any():
         raise ZeroFrequencyError("solutions require omega != 0")
     C1 = 1j * omega
@@ -199,37 +190,43 @@ def make_exponents(omega, m: float) -> SolutionParams:
     b1 = C1 + B1
     fields = dict(omega=omega, B1=B1, C1=C1, C2=C1 + 0.5, a1=a1, b1=b1, c1=c1, a2=b1 + 1.0, b2=a1, c2=c1 + 1.0,
                   G2=1j * (a1 - c1) * b1 / (m * c1), H2=1j * (1.0 - c1) / m)
+    column = any(columns)
     return SolutionParams(m=m, **{name: v if column else complex(v[0]) for name, v in fields.items()})
 
 
 def _one_omega(omega, m) -> SolutionParams:
     """``make_exponents(omega, m)`` for the functions that evaluate one
-    wavefunction, which take one omega: an omega array raises
-    ``DomainError`` naming its shape."""
-    if not isinstance(omega, numbers.Number) and np.ndim(omega):
-        raise DomainError(f"omega must be a number here, got an array of shape {np.shape(omega)}; "
-                          "make_exponents takes omega columns")
+    wavefunction, which take one (omega, m) case: an omega or m array
+    raises ``DomainError`` naming its shape."""
+    for name, value in (("omega", omega), ("m", m)):
+        if not isinstance(value, numbers.Number) and np.ndim(value):
+            raise DomainError(f"{name} must be a number here, got an array of shape {np.shape(value)}; "
+                              "make_exponents, wronskian and wave_equation_residual take (omega, m) columns")
     return make_exponents(omega, m)
 
 
 def _rotated(j, branches, p, z, log_z, log_u):
-    """Rotated components (R-tilde)_j of a tuple of solution branches at
-    every point of the (z, log z, log u) column arrays, a row per branch,
-    from one ``hyp2f1`` call with a parameter set per branch."""
+    """(R-tilde)_j of a tuple of solution branches for each case of ``p`` (a number
+    record is one) at the (z, log z, log u) points, 1-d or a row per case, as (branch,
+    case, point) from one ``hyp2f1`` call: a parameter set per branch and case, branch-major."""
     C, a, b, c = (p.C1, p.a1, p.b1, p.c1) if j == 1 else (p.C2, p.a2, p.b2, p.c2)
-    sets = {"I": (1.0 if j == 1 else p.G2, C, a, b, c),  # (scale, power, a, b, c)
-            "II": (1.0 if j == 1 else p.H2, C + 1.0 - c, a - c + 1.0, b - c + 1.0, 2.0 - c)}
+    one = c * 0 + 1.0  # 1 in the shape of a case column
+    sets = {"I": (one if j == 1 else p.G2, C, p.B1, a, b, c),  # (scale, power of z, power of 1 - z, a, b, c)
+            "II": (one if j == 1 else p.H2, C + 1.0 - c, p.B1, a - c + 1.0, b - c + 1.0, 2.0 - c)}
     if not branches or not all(isinstance(branch, str) and branch in sets for branch in branches):
         raise DomainError(f"branches must each be 'I' or 'II', got {branches!r}")
-    scale, power, a, b, c = np.array([sets[branch] for branch in branches], dtype=complex).T
+    scale, power, B1, a, b, c = np.array([sets[branch] for branch in branches], dtype=complex).swapaxes(0, 1).reshape(6, -1)
+    if z.ndim == 2:
+        z, log_z, log_u = (np.tile(v, (len(branches), 1)) for v in (z, log_z, log_u))
     f = specfun.hyp2f1(a, b, c, z, log_u)
     with np.errstate(over="ignore", invalid="ignore"):
-        factor = np.exp(power[:, None] * log_z + p.B1 * log_u)
+        factor = np.exp(power[:, None] * log_z + B1[:, None] * log_u)
     if not np.isfinite(factor).all():
-        i = np.argmin(np.isfinite(factor).all(axis=0))
-        raise DomainError(f"the power factor z^C (1-z)^B overflows at x = {log_z[i] - log_u[i]}, omega = {p.omega}")
+        k, i = np.argwhere(~np.isfinite(factor))[0]
+        x = np.broadcast_to(log_z - log_u, factor.shape)[k, i]
+        raise DomainError(f"the power factor z^C (1-z)^B overflows at x = {x}, omega = {p.omega}")
     # a product of its own: numpy's in-place ``x * temporary`` rounds apart
-    return np.multiply(scale[:, None] * factor, f, out=factor)
+    return np.multiply(scale[:, None] * factor, f, out=factor).reshape(len(branches), -1, factor.shape[-1])
 
 
 def _signs(sign, many=False):
@@ -241,12 +238,17 @@ def _signs(sign, many=False):
 
 
 def _solution_from_logs(branches, signs, p, z, log_z, log_u):
-    """Z_sign^branch at every point of the column arrays, a row per branch
+    """Z_sign^branch at every point of ``_rotated``'s arrays, a row per branch
     of the ``branches`` tuple, each with a row per row of the ``_signs``
-    column: the R-tilde columns are evaluated once for all."""
-    shape = (len(branches),) + (1,) * (signs.ndim - 1) + (-1,)
-    r1, r2 = (_rotated(j, branches, p, z, log_z, log_u).reshape(shape) for j in (1, 2))
-    return np.multiply(_QUARTER_TURN, r1 + signs * 1j * r2)
+    column, then a row per case: the R-tilde columns are evaluated once for all."""
+    r1, r2 = (_rotated(j, branches, p, z, log_z, log_u)[(slice(None),) + (None,) * (signs.ndim - 1)] for j in (1, 2))
+    return np.multiply(_QUARTER_TURN, r1 + signs[..., None] * 1j * r2)
+
+
+def _case_rows(values, cases, column, number):
+    """``values`` (..., case, point) with the cases leading (none for a number record), no points for a number z."""
+    values = np.moveaxis(values, -2, 0) if cases else values[..., 0, :]
+    return values if column else values[..., 0] if values.ndim > 1 else number(values[0])
 
 
 def exact_solution(branch, sign, omega, m, x) -> complex:
@@ -269,33 +271,21 @@ def exact_solution(branch, sign, omega, m, x) -> complex:
     (complex omega, |x| in the hundreds).
     """
     p = _one_omega(omega, m)
-    return complex(_solution_from_logs((branch,), _signs(sign), p, *_logs_from_x(_x_grid([x])))[0, 0])
+    return complex(_solution_from_logs((branch,), _signs(sign), p, *_logs_from_x(_x_grid([x])))[0, 0, 0])
 
 
 def exact_solution_at_z(branch, sign, omega, m, z) -> complex:
     """Same as :func:`exact_solution` but parametrized by z in (0, 1)."""
     p = _one_omega(omega, m)
-    return complex(_solution_from_logs((branch,), _signs(sign), p, *_logs_from_z(_unit_column([z])[1]))[0, 0])
-
-
-def rotated_component(j, branch, omega, m, z) -> complex:
-    """Rotated component (R-tilde)_j (j = 1, 2) of a solution branch at z.
-
-    These are the functions in which the first-order system decouples;
-    Z+/- = e^(-i pi/4) ((R-tilde)_1 +/- i (R-tilde)_2).
-    """
-    if j not in (1, 2):
-        raise DomainError(f"component index must be 1 or 2, got {j!r}")
-    p = _one_omega(omega, m)
-    return complex(_rotated(j, (branch,), p, *_logs_from_z(_unit_column([z])[1]))[0, 0])
+    return complex(_solution_from_logs((branch,), _signs(sign), p, *_logs_from_z(_unit_column([z])[1]))[0, 0, 0])
 
 
 def _stencil(x, h):
-    """The points x + k h, k = -2..2, of ``_five_point``, five per element
-    of x in a flat array, h a number or of x's shape.  ``DomainError`` where
-    the stencil collapses: unless h^2, which ``_five_point`` divides by, is
-    a normal double and every rounded offset (x + k h) - x is within
-    ``_STENCIL_SLIP`` h of k h."""
+    """The points x + k h, k = -2..2, of ``_five_point``, five per element of
+    the 1-d x along the last axis, h a number, of x's shape or rows of it.
+    ``DomainError`` where the stencil collapses: unless h^2, which
+    ``_five_point`` divides by, is a normal double and every rounded offset
+    (x + k h) - x is within ``_STENCIL_SLIP`` h of k h."""
     x = np.asarray(x, dtype=float)[..., None]
     h = np.asarray(h, dtype=float)[..., None]
     offsets = np.arange(-2, 3) * h
@@ -304,7 +294,7 @@ def _stencil(x, h):
     if collapsed.any():
         step = np.broadcast_to(h, collapsed.shape)[collapsed][0]
         raise DomainError(f"the five-point stencil of step h = {step} collapses in double precision")
-    return points.reshape(-1)
+    return points.reshape(*points.shape[:-2], -1)
 
 
 def _five_point(samples, h):
@@ -332,7 +322,7 @@ def coupled_residual(omega, m, x_grid, branch="I") -> float:
     p = _one_omega(omega, m)
     h = 0.5 * float(np.min(np.diff(xs)))
     points = _logs_from_x(_stencil(xs, h))
-    (zp, zm), (dzp, dzm), _ = _five_point(_solution_from_logs((branch,), np.array([[1], [-1]]), p, *points)[0], h)
+    (zp, zm), (dzp, dzm), _ = _five_point(_solution_from_logs((branch,), np.array([[1], [-1]]), p, *points)[0, :, 0], h)
     w = superpotential(xs, m)
     iw = 1j * complex(omega)
     res = np.maximum(np.abs(dzp - w * zp - iw * zm), np.abs(dzm + w * zm - iw * zp))
@@ -349,21 +339,24 @@ def wave_equation_residual(branch, sign, omega, m, z):
     at z in (0, 1), with five-point derivatives of step
     0.01 z(1-z) / max(1, |omega|), which follows the wave's oscillation as
     omega grows.  A 1-d array of z (every element checked first) or of
-    signs gives the number calls' values, a row per sign, and a tuple of
-    branches, such as ("I", "II"), a row per branch ahead of those; all
-    branches and signs share one ``hyp2f1`` call per R-tilde component.
+    signs gives the number calls' values, a row per sign, a tuple of
+    branches, such as ("I", "II"), a row per branch ahead of those, and
+    (omega, m) columns (see ``make_exponents``) a row per case ahead of all.
+    All cases (each with its own stencil), branches and signs share one
+    ``hyp2f1`` call per R-tilde component.
     """
     column, z = _unit_column(z)
-    branches, signs, p = branch if isinstance(branch, tuple) else (branch,), _signs(sign, many=True), _one_omega(omega, m)
-    h = 0.01 * z * (1.0 - z) / max(1.0, abs(p.omega))
+    branches, signs, p = branch if isinstance(branch, tuple) else (branch,), _signs(sign, many=True), make_exponents(omega, m)
+    h = 0.01 * z * (1.0 - z) / np.maximum(1.0, np.abs(p.omega))[..., None]
     points = _logs_from_z(_stencil(z, h))
     f0, d1, d2 = _five_point(_solution_from_logs(branches, signs, p, *points), h)
+    # q takes f0's ndim: numpy rounds a one-element complex product of two ndims apart
+    omega, m, signs = np.reshape(omega, (-1, 1)), np.reshape(m, (-1, 1)), signs[None, ..., None]
     q = (omega * omega - m * m) / (1 - z) + omega * omega / z + signs * m / (2.0 * np.sqrt(z))
     res = (1 - 2 * z) * d1 + z * (1 - z) * d2 + q * f0
     scale = np.abs(q * f0) + np.abs((1 - 2 * z) * d1) + np.abs(z * (1 - z) * d2)
     residual = np.abs(res) / scale
-    residual = residual if isinstance(branch, tuple) else residual[0]
-    return residual if column else residual[..., 0] if residual.ndim > 1 else float(residual[0])
+    return _case_rows(residual if isinstance(branch, tuple) else residual[0], np.ndim(p.omega) > 0, column, float)
 
 
 def wronskian(sign, omega, m, z):
@@ -377,16 +370,16 @@ def wronskian(sign, omega, m, z):
     The derivatives are evaluated numerically (five-point stencil) so the
     constancy check is independent of the algebra that predicts it.  A 1-d
     array of z (every element checked first) or of signs gives the number
-    calls' values, a row per sign.  Z^I and Z^II, with all signs, share
-    one ``hyp2f1`` call per R-tilde component.
+    calls' values, a row per sign, and (omega, m) columns a row per case
+    ahead of those.  Z^I and Z^II, with all signs and cases, share one
+    ``hyp2f1`` call per R-tilde component.
     """
     column, z = _unit_column(z)
     h = 1e-3 * np.minimum(np.minimum(z, 1.0 - z), 0.5)
     points = _logs_from_z(_stencil(z, h))
-    signs, p = _signs(sign, many=True), _one_omega(omega, m)
+    signs, p = _signs(sign, many=True), make_exponents(omega, m)
     (zi, zii), (di, dii), _ = _five_point(_solution_from_logs(("I", "II"), signs, p, *points), h)
-    value = z * (1.0 - z) * (zi * dii - zii * di)
-    return value if column else value[..., 0] if value.ndim > 1 else complex(value[0])
+    return _case_rows(z * (1.0 - z) * (zi * dii - zii * di), np.ndim(p.omega) > 0, column, complex)
 
 
 def sample_wavefield(branch, sign, omega, m, grid) -> WaveField:
@@ -398,6 +391,6 @@ def sample_wavefield(branch, sign, omega, m, grid) -> WaveField:
     """
     xs = _x_grid(grid)
     p = _one_omega(omega, m)
-    values = _solution_from_logs((branch,), _signs(sign), p, *_logs_from_x(xs))[0]
+    values = _solution_from_logs((branch,), _signs(sign), p, *_logs_from_x(xs))[0, 0]
     kind = PotentialKind.PLUS if sign == 1 else PotentialKind.MINUS
     return WaveField(grid=xs, values=values, omega=omega, m=float(m), kind=kind, branch=branch)

@@ -21,6 +21,7 @@ concurrently.  The evaluation strategy:
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -247,23 +248,23 @@ def gamma_ratio(numerators, denominators):
     return values if column else complex(values[0])
 
 
-def _gauss_series(a, b, c, z):
+def _gauss_series(a, b, c, z, counts):
     """Raw Gauss series sum_k (a)_k (b)_k / ((c)_k k!) z^k (DLMF 15.2.1) of
-    each parameter set of the 1-d complex arrays a, b, c at every element
-    of a 1-d float array z, as a (sets, z.size) array, in one pass over the
-    set-major column in rounds of up to ``_SERIES_BLOCK`` terms: each set's
-    Python-complex ratios r_k multiply its slice of z into a block of r_k z,
-    then t_k = t_(k-1) * (r_k z), S_k = S_(k-1) + t_k and one stop test per
+    each parameter set of the 1-d complex arrays a, b, c at its ``counts``
+    elements of the set-major 1-d float array z, in z's order, in one pass
+    in rounds of up to ``_SERIES_BLOCK`` terms: each set's Python-complex
+    ratios r_k multiply its slice of z into a block of r_k z, then
+    t_k = t_(k-1) * (r_k z), S_k = S_(k-1) + t_k and one stop test per
     block.  An element stops at its first |t_k| <= 1e-16 |S_k|, as a
     term-by-term loop stops it, and leaves the live arrays, so no value
     depends on the other elements, sets or block size.  Assumes 0 <= z < 1
     and c off the pole set."""
-    sets, n = list(zip(a.tolist(), b.tolist(), c.tolist())), z.size
-    out = np.empty(len(sets) * n, dtype=complex)
-    live = np.arange(out.size)
-    w = np.concatenate([z] * len(sets), dtype=complex)  # the live z; numpy would cast it for each complex product
-    term = total = np.ones(out.size, dtype=complex)
-    bounds = starts = [i * n for i in range(len(sets) + 1)]  # set i holds live[bounds[i]:bounds[i + 1]]
+    sets = list(zip(a.tolist(), b.tolist(), c.tolist()))
+    out = np.empty(z.size, dtype=complex)
+    live = np.arange(z.size)
+    w = z.astype(complex)  # the live z; numpy would cast it for each complex product
+    term = total = np.ones(z.size, dtype=complex)
+    bounds = starts = [0, *itertools.accumulate(counts)]  # set i holds live[bounds[i]:bounds[i + 1]]
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing series runs out of terms
         while live.size and k < MAX_SERIES_TERMS:
@@ -290,10 +291,10 @@ def _gauss_series(a, b, c, z):
                 live, w, term, total = live[keep], w[keep], term[keep], total[keep]
                 bounds = np.searchsorted(live, starts).tolist() if len(sets) > 1 else [0, live.size]
     if live.size:
-        i, e = divmod(int(live[0]), n)
-        raise NonConvergenceError(f"Gauss series for 2F1({a[i]}, {b[i]}; {c[i]}; {z[e]}) did not converge in "
+        i = np.searchsorted(starts, live[0], "right") - 1
+        raise NonConvergenceError(f"Gauss series for 2F1({a[i]}, {b[i]}; {c[i]}; {z[live[0]]}) did not converge in "
                                   f"{MAX_SERIES_TERMS} terms")
-    return out.reshape(len(sets), n)
+    return out
 
 
 def _connection_ratio(numerators, denominators):
@@ -309,40 +310,40 @@ def _connection_ratio(numerators, denominators):
     return np.where(dead, 0.0, ratio)
 
 
-def _hyp2f1_complement(a, b, c, u, log_u):
+def _hyp2f1_complement(a, b, c, u, log_u, counts):
     """Connection-formula values of 2F1(a,b;c;1-u) at each complement u=1-z,
 
         G(c)G(c-a-b)/(G(c-a)G(c-b)) * 2F1(a, b; a+b+1-c; u)
       + G(c)G(a+b-c)/(G(a)G(b)) * u^(c-a-b) * 2F1(c-a, c-b; c+1-a-b; u)
 
-    with principal-branch powers (u > 0 on the physical domain), a row per
-    parameter set of the 1-d complex arrays a, b, c; ``hyp2f1`` takes this
-    route above ``Z_SWITCH``, and it holds on the whole overlap window.
-    ``u`` and ``log_u`` = log u are 1-d float arrays of one length.  Each
-    Gamma ratio is formed once for all sets, each series summed in one
-    pass over the sets whose ratio is not 0.  Needs c-a-b off the integers.
+    with principal-branch powers (u > 0 on the physical domain), at ``u``
+    and ``log_u`` = log u laid out as ``_gauss_series`` takes z; ``hyp2f1``
+    takes this route above ``Z_SWITCH``, and it holds on the whole overlap
+    window.  Each Gamma ratio is formed once for all sets, each series summed
+    in one pass over the sets whose ratio is not 0.  Needs c-a-b off the integers.
     """
     s = c - a - b
     for v in s.tolist():
         if abs(v - round(v.real)) < POLE_TOL:
             raise DegenerateParamsError(f"c - a - b = {v} is within {POLE_TOL} of an integer; the formula degenerates")
-    values = np.zeros((s.size, u.size), dtype=complex)
+    values = np.zeros(u.size, dtype=complex)
     for ratio, params, exponent in ((_connection_ratio([c, s], [c - a, c - b]), (a, b, 1.0 - s), None),
                                     (_connection_ratio([c, -s], [a, b]), (c - a, c - b, 1.0 + s), s)):
-        on = ratio.nonzero()[0]
-        if not on.size:
+        live = ratio.nonzero()[0]
+        if not live.size:
             continue
-        on = slice(None) if on.size == s.size else on  # views where every set is live
-        # each product into an array of its own, as in ``_gauss_series``
-        series = _gauss_series(*(v[on] for v in params), u)
+        # the live sets, their elements and counts: views where every set is live
+        live, on, n = ((slice(None), slice(None), counts) if live.size == s.size
+                       else (live, (ratio != 0).repeat(counts), np.asarray(counts)[live]))
+        series = _gauss_series(*(v[live] for v in params), u[on], n)
         if exponent is not None:
             with np.errstate(over="ignore", invalid="ignore"):
-                power = np.exp(exponent[on, None] * log_u)
+                power = np.exp(exponent[live].repeat(n) * log_u[on])
             if not np.isfinite(power).all():
-                raise ResultOverflowError("(1 - z)^(c - a - b) overflows at log(1 - z) = "
-                                          f"{log_u[~np.isfinite(power).all(axis=0)][0]}")
+                raise ResultOverflowError(f"(1 - z)^(c - a - b) overflows at log(1 - z) = {log_u[on][~np.isfinite(power)][0]}")
+            # each product into an array of its own, as in ``_gauss_series``
             series = np.multiply(power, series, out=np.empty_like(power))
-        values[on] += ratio[on, None] * series
+        values[on] += np.multiply(ratio[live].repeat(n), series, out=np.empty_like(series))
     return values
 
 
@@ -357,23 +358,24 @@ def hyp2f1(a, b, c, z, log_u=None):
     where z has rounded to 1.0 (x above ~37).
 
     a, b and c are numbers, or three 1-d arrays of one length whose
-    elements are parameter sets, each giving a row.  Uses the Gauss series
-    for ``z <= Z_SWITCH`` and the connection formula toward z = 1
-    otherwise, with its Gamma ratios formed once per call.  Each series is
-    summed once over the elements on its route for all sets, each element
-    stopping at its own first |t_k| <= 1e-16 |S_k|, so array elements and
-    rows equal their number calls bit for bit.  Relative accuracy is
-    ~1e-11 or better away from the c-a-b integer degeneracy.  Every element
-    and set is checked before any is evaluated.
+    elements are parameter sets, each giving a row; then z and log_u may
+    also be 2-d, a row of points per set.  The Gauss series serves
+    ``z <= Z_SWITCH``, the connection formula toward z = 1 the rest, its
+    Gamma ratios formed once per call.  Each series is summed once over
+    the elements on its route for all sets, each element stopping at its
+    own first |t_k| <= 1e-16 |S_k|, so array elements and rows equal their
+    number calls bit for bit.  Relative accuracy is ~1e-11 or better away
+    from the c-a-b integer degeneracy.  Every element and set is checked
+    before any is evaluated.
 
     Raises
     ------
     PoleError
         If c is within ``POLE_TOL`` of a non-positive integer.
     DomainError
-        If a, b, c are not finite numbers or 1-d arrays of one length, or
-        unless z >= 0 and log_u is finite and <= 0, with exp(log_u) within
-        a few eps (absolutely) of 1 - z.
+        If a, b, c are not finite numbers or 1-d arrays of one length, z has
+        no row per set, or unless z >= 0 and log_u is finite and <= 0, with
+        exp(log_u) within a few eps (absolutely) of 1 - z.
     NonConvergenceError
         If a series fails to meet the term-ratio stop within
         ``MAX_SERIES_TERMS`` terms at some element (the first is named).
@@ -398,19 +400,25 @@ def hyp2f1(a, b, c, z, log_u=None):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         log_u = real_array(log_u, "log_u") if given else np.log1p(-z)
         u = np.exp(log_u) if given else 1.0 - z
-    if z.ndim > 1 or log_u.shape != z.shape:
-        raise DomainError("z and log_u must be floats or 1-d arrays of one length")
+    if z.ndim > 1 + sets or log_u.shape != z.shape or (z.ndim == 2 and len(z) != a.size):
+        raise DomainError("z and log_u must be floats or 1-d arrays of one length, or 2-d with a row per parameter set")
     # absolute: z rounds to 1.0 past x ~ 37 while exp(log_u) stays exact
     ok = (z >= 0.0) & np.isfinite(log_u) & (log_u <= 0.0) & (np.abs(u - (1.0 - z)) <= _COMPLEMENT_ULPS * _EPS)
     if not ok.all():
-        i = np.flatnonzero(~ok)[0] if ok.ndim else ()
+        i = tuple(np.argwhere(~ok)[0])
         raise DomainError(f"z = {z[i]}, log_u = {log_u[i] if given else None}: need 0 <= z < 1 and a "
                           "supplied log_u finite, <= 0 and with exp(log_u) within a few eps of 1 - z")
-    z, u, log_u = z.reshape(-1), u.reshape(-1), log_u.reshape(-1)
+    if z.ndim < 2:
+        z, u, log_u = z.reshape(-1), u.reshape(-1), log_u.reshape(-1)
     far = z > Z_SWITCH
-    values = np.empty((a.size, z.size), dtype=complex)
+    values = np.empty((a.size, z.shape[-1]), dtype=complex)
+    # the kernels take every set's points as one set-major column: z rows as they are, a shared z tiled
     for route, kernel, args in ((~far, _gauss_series, (z,)), (far, _hyp2f1_complement, (u, log_u))):
         if a.size and route.any():
-            values[:, route] = kernel(a, b, c, *(v[route] for v in args))
+            if z.ndim == 2:
+                values[route] = kernel(a, b, c, *(v[route] for v in args), np.count_nonzero(route, axis=1))
+            else:
+                flat = kernel(a, b, c, *(np.concatenate([v[route]] * a.size) for v in args), [np.count_nonzero(route)] * a.size)
+                values[:, route] = flat.reshape(a.size, -1)
     values = values[:, 0] if scalar else values
     return values if sets else complex(values[0]) if scalar else values[0]

@@ -4,7 +4,8 @@ Each check evaluates one analytic contract (closed-form equivalence, flux
 conservation, SUSY identities, Wronskian constancy, wave-equation
 residuals, quasinormal poles, potential identities) and reports its worst
 residual against the contracted tolerance; the Wronskian and wave-equation
-checks take both branches and partners from one 2F1 call per component.
+checks each take all their (omega, m) cases, both branches and both
+partners from one 2F1 call per component.
 The SUSY check can fail only through its T relation: R- is -R+ by
 construction, so R+ + R- reads exactly 0.
 ``full`` adds the two oracle checks, which read one oracle sweep per run:
@@ -93,19 +94,15 @@ def _susy_relations():
 
 
 def _wronskian_constancy():
-    worst, signs = 0.0, np.array([1, -1])
-    for omega, m in ((2.0, 1.0), (1.5, 1.0), (3.0, 2.0)):
-        c1 = 2j * omega + 0.5
-        expected = signs[:, None] * 2.0 * omega / m * (1.0 - c1)
-        values = solutions.wronskian(signs, omega, m, np.array([0.2, 0.5, 0.8]))
-        worst = max(worst, np.max(np.abs(values - expected)), np.max(np.abs(values[:, 0] - values[:, -1])))
-    return worst
+    omega, m, signs = np.array([[2.0], [1.5], [3.0]]), np.array([[1.0], [1.0], [2.0]]), np.array([1, -1])
+    values = solutions.wronskian(signs, omega[:, 0], m[:, 0], np.array([0.2, 0.5, 0.8]))  # (case, sign, z)
+    expected = signs * 2.0 * omega / m * (1.0 - (2j * omega + 0.5))  # (case, sign)
+    return max(np.max(np.abs(values - expected[..., None])), np.max(np.abs(values[..., 0] - values[..., -1])))
 
 
 def _wave_equation_residual():
     z = np.linspace(0.05, 0.95, 19)
-    return max(np.max(solutions.wave_equation_residual(("I", "II"), np.array([1, -1]), omega, m, z))
-               for omega, m in ((2.0, 1.0), (1.5, 1.0)))
+    return np.max(solutions.wave_equation_residual(("I", "II"), np.array([1, -1]), np.array([2.0, 1.5]), 1.0, z))
 
 
 def _qnm_poles():

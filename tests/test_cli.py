@@ -340,9 +340,8 @@ _PARTNER_CHECKS = {"Wronskian value and constancy": "_wronskian_constancy",
 
 
 def test_partner_checks_share_each_r_tilde_column(monkeypatch):
-    # each (omega, m) takes one call per component for both branches and
-    # both signs: 2 components x 3 pairs for the Wronskian, x 2 pairs for
-    # the wave equation
+    # each check takes one call per component for all its (omega, m)
+    # cases, both branches and both signs
     calls, made = [], {}
     hyp2f1 = specfun.hyp2f1
     monkeypatch.setattr(specfun, "hyp2f1", lambda *args: calls.append(args) or hyp2f1(*args))
@@ -358,7 +357,7 @@ def test_partner_checks_share_each_r_tilde_column(monkeypatch):
     for name in _PARTNER_CHECKS.values():
         monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
     assert all(r.passed for r in run_checks(FULL))
-    assert made == {"_wronskian_constancy": 6, "_wave_equation_residual": 4}
+    assert made == {"_wronskian_constancy": 2, "_wave_equation_residual": 2}
 
 
 def _scale_sign_row(monkeypatch, row):

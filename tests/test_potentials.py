@@ -273,6 +273,48 @@ def test_superpotential_and_shape_invariance_check_refuse_a_non_real_m(m):
         shape_invariance_check(m, 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf, True, False, np.True_, 1.0 + 1j, 1.0 + 0j, "1.0", None,
+                               np.array([1.0, 2.0]), 10**400],
+                         ids=["nan", "inf", "-inf", "True", "False", "np.True_", "complex", "complex 0j", "str", "None",
+                              "array", "huge int"])
+def test_partner_potentials_refuse_a_non_real_m(m):
+    # a NaN m gave NaN values, a bool m counted as 1 and a complex m gave
+    # complex values; V- negates m only after its check, so -True is not -1
+    for v in (v_plus, v_minus):
+        with pytest.raises(DomainError, match="real, finite m"):
+            v(0.5, m)
+        with pytest.raises(DomainError, match="real, finite m"):
+            v(np.array([0.0, 1.0]), m)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("v0, alpha", [(math.inf, 1.0), (math.nan, 1.0), (True, 1.0), (1.0 + 1j, 1.0), (1.0, 0.0),
+                                       (1.0, -0.5), (1.0, math.nan), (1.0, math.inf), (1.0, True), (1.0, 10**400),
+                                       (np.array([1.0, 2.0]), 1.0)],
+                         ids=["v0 inf", "v0 nan", "v0 True", "v0 complex", "alpha 0", "alpha < 0", "alpha nan",
+                              "alpha inf", "alpha True", "alpha huge int", "v0 array"])
+def test_step_refuses_parameters_its_spec_refuses(v0, alpha):
+    # v_step takes v0 and alpha by PotentialSpec's rule: v_step(1.0, inf)
+    # returned inf and alpha = 0 divided by zero
+    with pytest.raises(DomainError):
+        PotentialSpec.step(v0, alpha)
+    with pytest.raises(DomainError):
+        v_step(0.5, v0, alpha)
+
+
+@pytest.mark.filterwarnings("error")
+def test_valid_partner_and_step_parameters_keep_their_values():
+    xs = np.linspace(-5.0, 5.0, 11)
+    for m in (1.3, -1.3, 0.0, 2, np.float32(0.7), np.int64(3)):
+        softplus = np.logaddexp(0.0, xs)
+        expected = m * m * np.exp(xs - softplus) - 0.5 * m * np.exp(0.5 * xs - 1.5 * softplus)
+        assert v_plus(xs, m).tobytes() == expected.tobytes()
+        assert v_minus(xs, m).tobytes() == v_plus(xs, -m).tobytes()
+    assert v_step(xs, 2.0, 0.5).tobytes() == (0.5 * 2.0 * (1.0 + np.tanh(0.5 * xs / 0.5))).tobytes()
+    assert v_step(xs, -1.0).tobytes() == (0.5 * -1.0 * (1.0 + np.tanh(0.5 * xs / 1.0))).tobytes()
+
+
 def test_vectorized_evaluation_matches_scalars():
     xs = np.array([-3.0, 0.0, 2.5])
     arr = v_plus(xs, 1.2)

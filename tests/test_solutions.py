@@ -6,8 +6,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from susystep.errors import DegenerateCError, DomainError, ZeroFrequencyError
 import susystep.solutions as solutions_mod
@@ -19,63 +17,30 @@ from susystep.solutions import (
     exact_solution,
     exact_solution_at_z,
     make_exponents,
-    rotated_component,
     sample_wavefield,
     wave_equation_residual,
     wronskian,
-    x_to_z,
 )
-
-SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
 OMEGA_M_PAIRS = [(2.0, 1.0), (1.5, 1.0), (3.0, 2.0)]
 
 
 # ---------------------------------------------------------- coordinate map
 
-def z_to_x(z):
-    """The inverse map x = ln(z / (1 - z)) for z in (0, 1)."""
-    return math.log(z) - math.log1p(-z)
+def test_x_zero_is_z_one_half():
+    # z = e^x / (e^x + 1) maps x = 0 (either zero) onto z = 1/2
+    for branch in ("I", "II"):
+        at_z = exact_solution_at_z(branch, 1, 2.0, 1.0, 0.5)
+        assert exact_solution(branch, 1, 2.0, 1.0, 0.0) == at_z == exact_solution(branch, 1, 2.0, 1.0, -0.0)
 
 
-def test_map_at_origin():
-    assert x_to_z(0.0) == 0.5
-    assert z_to_x(0.5) == 0.0
-
-
-def test_map_trivial_point():
-    assert math.isclose(z_to_x(1.0 / (1.0 + math.e)), -1.0, rel_tol=1e-14)
-
-
-def test_map_limits():
-    assert x_to_z(800.0) == 1.0  # saturates in floating point
-    assert 1.0 - x_to_z(30.0) < 1e-13
-    assert 0.0 < x_to_z(-30.0) < 1e-13
-
-
-def test_map_of_an_x_array_is_the_float_calls():
-    x = np.concatenate([np.linspace(-40.0, 40.0, 161), [-800.0, -0.0, 1e-300, 800.0]])
-    z = x_to_z(x)
-    expected = [x_to_z(v) for v in x.tolist()]
-    assert all(type(v) is float for v in expected)
-    assert z.tobytes() == np.array(expected).tobytes()
-    assert x_to_z(x.reshape(5, 33)).tobytes() == z.tobytes()
-
-
-@given(x=st.floats(-30.0, 9.0))
-@SETTINGS
-def test_map_inverse_pair(x):
-    assert abs(z_to_x(x_to_z(x)) - x) <= 1e-12 * max(1.0, abs(x))
-
-
-@given(x=st.floats(-30.0, 30.0))
-@SETTINGS
-def test_map_inverse_pair_full_range(x):
-    # past x ~ 10 the roundtrip is limited by the quantization of 1 - z in
-    # a single double (spacing 2^-53 near 1), not by the formulas; the
-    # bound below is that floor with a 4x margin
-    tol = 1e-12 * max(1.0, abs(x)) + 2.3e-16 * math.exp(max(x, 0.0))
-    assert abs(z_to_x(x_to_z(x)) - x) <= tol
+def test_wavefield_past_the_saturation_of_z_matches_pointwise():
+    # past |x| ~ 37 z rounds to 0.0 or 1.0; the log-space map keeps every
+    # point finite, and a grid's values keep the bits of its one-point calls
+    grid = np.concatenate([[-800.0], np.linspace(-40.0, 0.0, 81), [1e-300], np.linspace(0.5, 40.0, 80), [800.0]])
+    field = sample_wavefield("I", 1, 2.0, 1.0, grid)
+    assert field.values.tobytes() == np.array([exact_solution("I", 1, 2.0, 1.0, x) for x in grid.tolist()]).tobytes()
+    assert np.all(np.isfinite(field.values.view(float)))
 
 
 # ------------------------------------------------------------ exponent sets
@@ -174,6 +139,42 @@ def test_record_of_an_omega_column():
         make_exponents(2.0, 1 + 0j)
 
 
+_FIELDS = ("omega", "B1", "C1", "C2", "a1", "b1", "c1", "a2", "b2", "c2", "G2", "H2")
+
+
+@pytest.mark.parametrize("omega, m", [
+    (np.array([2.0, 1.5, 3.0, 0.5 + 0.5j]), np.array([1.0, 1.0, 2.0, 1.3])),
+    (2.0, np.array([1.0, 0.5, -2.0])),
+    (np.array([2.0, 30.0]), np.array([1, 4])),
+], ids=["both columns", "an m column", "an int m column"])
+def test_record_of_an_omega_m_case_column(omega, m):
+    # every field of every case equals its one-case record bit for bit
+    column = make_exponents(omega, m)
+    cases = list(zip(*np.broadcast_arrays(omega, m)))
+    assert column.m.dtype == float and column.m.tolist() == [float(v) for _, v in cases]
+    for i, (w, v) in enumerate(cases):
+        one = make_exponents(complex(w), float(v))
+        for name in _FIELDS:
+            assert getattr(column, name).shape == (len(cases),), name
+            assert np.array(getattr(column, name)[i]).tobytes() == np.array(getattr(one, name)).tobytes(), name
+
+
+@pytest.mark.parametrize("omega, m, error", [
+    (np.array([2.0, 3.0]), np.array([1.0, 1.0, 2.0]), "one length"),
+    (np.array([2.0]), np.array([1.0, 2.0]), "one length"),
+    (2.0, np.ones((2, 2)), "finite"),
+    (2.0, np.array([1.0, 0.0]), "finite"),
+    (2.0, np.array([1.0, math.nan]), "finite"),
+    (2.0, np.array([1.0, math.inf]), "finite"),
+    (2.0, np.array([True, True]), "real"),
+    (2.0, np.array([1.0, 2.0]) + 0j, "real"),
+    (2.0, [1.0, "2"], "real"),
+], ids=["lengths", "one-element omega column", "2-d m", "m = 0", "m nan", "m inf", "bool m", "complex m", "str m"])
+def test_an_m_column_takes_the_number_checks_elementwise(omega, m, error):
+    with pytest.raises(DomainError, match=error):
+        make_exponents(omega, m)
+
+
 def test_one_parameter_record_per_evaluated_point(monkeypatch):
     calls = []
 
@@ -247,6 +248,13 @@ def test_wave_equation_residual_step_follows_omega(omega):
             assert np.max(wave_equation_residual(branch, sign, omega, 1.0, z)) < 1e-7
 
 
+def rotated(j, branch, omega, m, z):
+    """The rotated component (R-tilde)_j of a branch at z, from the partner
+    solutions Z+/- = e^(-i pi/4) ((R-tilde)_1 +/- i (R-tilde)_2)."""
+    plus, minus = (exact_solution_at_z(branch, sign, omega, m, z) for sign in (1, -1))
+    return cmath.exp(0.25j * cmath.pi) * ((plus + minus) / 2 if j == 1 else (plus - minus) / 2j)
+
+
 def test_second_derivative_identity():
     # d/dz[z(1-z) R'] = (B^2/(1-z) + (C^2 - C/2)/z) R + (1/2)(1-z) R'
     omega, m = 2.0, 1.0
@@ -256,7 +264,7 @@ def test_second_derivative_identity():
         B, C = consts[j]
         for z in np.linspace(0.1, 0.9, 9):
             h = 0.01 * z * (1.0 - z)
-            f = [rotated_component(j, "I", omega, m, z + k * h) for k in (-2, -1, 0, 1, 2)]
+            f = [rotated(j, "I", omega, m, z + k * h) for k in (-2, -1, 0, 1, 2)]
             d1 = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h)
             d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
             lhs = (1 - 2 * z) * d1 + z * (1 - z) * d2
@@ -287,11 +295,11 @@ def test_recurrence_consistency():
     omega, m = 2.0, 1.0
     for z in (0.2, 0.45, 0.7):
         h = 1e-3 * min(z, 1 - z)
-        f = [rotated_component(1, "I", omega, m, z + k * h) for k in (-2, -1, 1, 2)]
+        f = [rotated(1, "I", omega, m, z + k * h) for k in (-2, -1, 1, 2)]
         d1 = (f[0] - 8 * f[1] + 8 * f[2] - f[3]) / (12 * h)
-        r1 = rotated_component(1, "I", omega, m, z)
+        r1 = rotated(1, "I", omega, m, z)
         rebuilt = (z * (1 - z) * d1 - 1j * omega * r1) / (-1j * m * math.sqrt(z))
-        closed = rotated_component(2, "I", omega, m, z)
+        closed = rotated(2, "I", omega, m, z)
         assert abs(rebuilt - closed) <= 1e-9 * max(1.0, abs(closed))
 
 
@@ -365,12 +373,13 @@ def test_stencil_checks_pass_where_verify_evaluates():
 
 def test_residuals_over_a_z_column_match_the_float_calls(monkeypatch):
     z = np.linspace(0.05, 0.95, 19)
-    for branch in ("I", "II"):
-        for sign in (1, -1):
-            got = wave_equation_residual(branch, sign, 1.5, 1.0, z)
-            expected = [wave_equation_residual(branch, sign, 1.5, 1.0, v) for v in z.tolist()]
-            assert all(type(v) is float for v in expected)
-            assert got.tobytes() == np.array(expected).tobytes()
+    for omega in (1.5, 0.5 + 0.5j, 2.0 + 0.3j):  # a complex omega makes q complex
+        for branch in ("I", "II"):
+            for sign in (1, -1):
+                got = wave_equation_residual(branch, sign, omega, 1.0, z)
+                expected = [wave_equation_residual(branch, sign, omega, 1.0, v) for v in z.tolist()]
+                assert all(type(v) is float for v in expected)
+                assert got.tobytes() == np.array(expected).tobytes()
     for sign in (1, -1):
         got = wronskian(sign, 2.0, 1.0, z)
         expected = [wronskian(sign, 2.0, 1.0, v) for v in z.tolist()]
@@ -436,6 +445,78 @@ def test_branch_tuple_rows_equal_the_single_branch_evaluations(monkeypatch, omeg
     assert np.array(merged[1]).tobytes() == np.array(wronskian(1, omega, 1.0, z)).tobytes()
 
 
+# (omega, m) cases: real omega on both routes and both sides of the threshold,
+# complex omega, and one case repeated
+_CASES = (np.array([2.0, 1.5, 3.0, 10.0, 0.6, 0.5 + 0.5j, 2.0]), np.array([1.0, 1.0, 2.0, 0.5, 1.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("z", [_BOTH_ROUTES, np.array([0.2, 0.5, 0.8]), 0.3, 0.7],
+                         ids=["column", "verify column", "Gauss float", "connection float"])
+@pytest.mark.parametrize("sign", [1, -1, np.array([1, -1])], ids=["+1", "-1", "sign array"])
+def test_case_rows_equal_the_number_calls(z, sign):
+    # one evaluation of every case's R-tilde columns; each case's row keeps
+    # the bits of its number call, for every branch tuple and sign array
+    omega, m = _CASES
+    got = wronskian(sign, omega, m, z)
+    assert got.shape == (omega.size,) + np.shape(sign) + np.shape(z)
+    for row, w, v in zip(got, omega.tolist(), m.tolist()):
+        assert row.tobytes() == np.array(wronskian(sign, w, v, z)).tobytes()
+    for branch in ("I", "II", ("I", "II"), ("II",)):
+        got = wave_equation_residual(branch, sign, omega, m, z)
+        assert got.shape == (omega.size,) + np.shape(branch)[:1] + np.shape(sign) + np.shape(z)
+        for row, w, v in zip(got, omega.tolist(), m.tolist()):
+            assert row.tobytes() == np.array(wave_equation_residual(branch, sign, w, v, z)).tobytes()
+
+
+@pytest.mark.parametrize("omega, m", [(np.array([2.0, 1.5]), 1.0), (2.0, np.array([1.0, 0.5])),
+                                      (np.array([2.0]), np.array([1.0]))],
+                         ids=["omega column", "m column", "one-element columns"])
+def test_a_number_stands_for_every_case(omega, m):
+    z = np.array([0.2, 0.5, 0.8])
+    cases = list(zip(*(v.tolist() for v in np.broadcast_arrays(omega, m))))
+    for check, args in ((wronskian, (np.array([1, -1]),)), (wave_equation_residual, (("I", "II"), -1))):
+        got = check(*args, omega, m, z)
+        assert len(got) == len(cases)
+        for row, (w, v) in zip(got, cases):
+            assert row.tobytes() == check(*args, w, v, z).tobytes()
+
+
+def test_all_cases_share_one_hyp2f1_call_per_component(monkeypatch):
+    calls, ratios = [], []
+    hyp2f1, ratio = specfun_mod.hyp2f1, specfun_mod.gamma_ratio
+    monkeypatch.setattr(specfun_mod, "hyp2f1", lambda *args: calls.append(args) or hyp2f1(*args))
+    monkeypatch.setattr(specfun_mod, "gamma_ratio", lambda *args: ratios.append(args) or ratio(*args))
+    omega, m = _CASES
+    wronskian(np.array([1, -1]), omega, m, _BOTH_ROUTES)
+    # Z^I and Z^II of every case are parameter sets of one call; the
+    # Wronskian's stencil does not depend on the case, so all share one z
+    assert [(args[0].size, np.shape(args[3])) for args in calls] == [(2 * omega.size, (5 * _BOTH_ROUTES.size,))] * 2
+    assert len(ratios) == 4  # two connection ratios per component, for all sets
+    calls.clear()
+    wave_equation_residual(("I", "II"), np.array([1, -1]), omega, m, _BOTH_ROUTES)
+    # the wave equation's step follows |omega|: a row of stencil points per set
+    assert [(args[0].size, np.shape(args[3])) for args in calls] == [(2 * omega.size,
+                                                                     (2 * omega.size, 5 * _BOTH_ROUTES.size))] * 2
+
+
+@pytest.mark.parametrize("omega, m, error", [
+    (np.array([2.0, 3.0]), np.array([1.0, 1.0, 2.0]), DomainError),
+    (np.array([[2.0, 3.0]]), 1.0, DomainError),
+    (2.0, np.array([[1.0, 2.0]]), DomainError),
+    (np.array([2.0, 0.0, 3.0]), 1.0, ZeroFrequencyError),
+    (np.array([2.0, -0.25j]), np.array([1.0, 2.0]), DegenerateCError),
+], ids=["lengths", "2-d omega", "2-d m", "zero omega", "degenerate c1"])
+@pytest.mark.parametrize("check", [lambda omega, m: wronskian(np.array([1, -1]), omega, m, _BOTH_ROUTES),
+                                   lambda omega, m: wave_equation_residual(("I", "II"), 1, omega, m, _BOTH_ROUTES)],
+                         ids=["wronskian", "wave_equation_residual"])
+def test_a_bad_case_is_refused_before_any_2f1(monkeypatch, omega, m, error, check):
+    calls = []
+    monkeypatch.setattr(specfun_mod, "hyp2f1", lambda *args: calls.append(args))
+    with pytest.raises(error):
+        check(omega, m)
+    assert calls == []
+
+
 @pytest.mark.parametrize("branch", ["III", ("I", "III"), (), ["I", "II"], ("I", ("II",))],
                          ids=["III", "tuple with III", "empty tuple", "list", "nested tuple"])
 def test_a_branch_tuple_holds_only_i_and_ii(monkeypatch, branch):
@@ -448,11 +529,9 @@ def test_a_branch_tuple_holds_only_i_and_ii(monkeypatch, branch):
 
 @pytest.mark.parametrize("call", [lambda b: exact_solution(b, 1, 2.0, 1.0, 0.3),
                                   lambda b: exact_solution_at_z(b, 1, 2.0, 1.0, 0.3),
-                                  lambda b: rotated_component(1, b, 2.0, 1.0, 0.3),
                                   lambda b: sample_wavefield(b, 1, 2.0, 1.0, [0.0, 1.0]),
                                   lambda b: coupled_residual(2.0, 1.0, [0.0, 0.5, 1.0], b)],
-                         ids=["exact_solution", "exact_solution_at_z", "rotated_component", "sample_wavefield",
-                              "coupled_residual"])
+                         ids=["exact_solution", "exact_solution_at_z", "sample_wavefield", "coupled_residual"])
 def test_a_branch_tuple_is_a_domain_error_where_one_wavefunction_is_returned(call):
     with pytest.raises(DomainError, match="'I' or 'II'"):
         call(("I", "II"))
@@ -488,15 +567,6 @@ def test_a_sign_other_than_plus_or_minus_one_is_a_domain_error(monkeypatch, call
 @pytest.mark.parametrize("signs", [np.array([1, -1]), np.array([1]), [1, -1]], ids=["pair", "one", "list"])
 def test_a_sign_array_is_a_domain_error_where_one_wavefunction_is_returned(monkeypatch, call, args, signs):
     _refuses_sign(monkeypatch, call, args, signs)
-
-
-def test_x_to_z_of_nan_is_a_domain_error():
-    for x in (math.nan, np.array([0.0, math.nan])):
-        with pytest.raises(DomainError, match="nan"):
-            x_to_z(x)
-    # the infinities keep their exact limits
-    assert (x_to_z(math.inf), x_to_z(-math.inf)) == (1.0, 0.0)
-    assert x_to_z(np.array([-math.inf, 0.0, math.inf])).tolist() == [0.0, 0.5, 1.0]
 
 
 # ----------------------------------------------------------------- wavefield
@@ -582,13 +652,12 @@ def test_non_finite_numbers_are_domain_errors(call, args, message):
     (exact_solution, ("I", 1, 2.0, 1.0, 1j)),
     (exact_solution, ("I", 1, 2.0, 1.0, 0.3 + 0j)),
     (exact_solution_at_z, ("I", 1, 2.0, 1.0, 0.3 + 0j)),
-    (rotated_component, (1, "I", 2.0, 1.0, 0.3 + 0j)),
     (wronskian, (1, 2.0, 1.0, 0.3 + 0j)),
     (wronskian, (1, 2.0, 1.0, np.array([0.3, 0.5 + 1e-3j]))),
     (wave_equation_residual, ("I", 1, 2.0, 1.0, 0.3 + 0j)),
     (wave_equation_residual, ("I", 1, 2.0, 1.0, np.array([0.3, 0.5]) + 0j)),
 ], ids=["wavefield grid", "wavefield grid of zero imaginary part", "coupled_residual grid", "exact_solution 1j",
-        "exact_solution 0.3+0j", "exact_solution_at_z", "rotated_component", "wronskian number", "wronskian column",
+        "exact_solution 0.3+0j", "exact_solution_at_z", "wronskian number", "wronskian column",
         "wave_equation_residual number", "wave_equation_residual column"])
 def test_a_complex_grid_or_z_is_a_domain_error(monkeypatch, call, args):
     # a complex dtype is refused, not cast to its real part
@@ -602,20 +671,18 @@ def test_a_complex_grid_or_z_is_a_domain_error(monkeypatch, call, args):
 _OMEGAS = np.array([2.0, 3.0])
 
 
-@pytest.mark.parametrize("call, args", [
-    (exact_solution, ("I", 1, _OMEGAS, 1.0, 0.3)),
-    (exact_solution_at_z, ("I", 1, _OMEGAS, 1.0, 0.3)),
-    (rotated_component, (1, "I", _OMEGAS, 1.0, 0.3)),
-    (sample_wavefield, ("I", 1, _OMEGAS, 1.0, [0.0, 1.0])),
-    (coupled_residual, (_OMEGAS, 1.0, [0.0, 1.0, 2.0])),
-    (wave_equation_residual, ("I", 1, _OMEGAS, 1.0, np.linspace(0.1, 0.9, 5))),
-    (wronskian, (1, _OMEGAS, 1.0, 0.3)),
-], ids=["exact_solution", "exact_solution_at_z", "rotated_component", "sample_wavefield", "coupled_residual",
-        "wave_equation_residual", "wronskian"])
-def test_an_omega_array_is_a_domain_error(call, args):
-    # these take one omega; make_exponents alone takes omega columns
-    with pytest.raises(DomainError, match=r"omega must be a number here, got an array of shape \(2,\)"):
-        call(*args)
+_ONE_CASE = [(exact_solution, ("I", 1, "omega", "m", 0.3)), (exact_solution_at_z, ("I", 1, "omega", "m", 0.3)),
+             (sample_wavefield, ("I", 1, "omega", "m", [0.0, 1.0])), (coupled_residual, ("omega", "m", [0.0, 1.0, 2.0]))]
+
+
+@pytest.mark.parametrize("call, args", _ONE_CASE, ids=[c.__name__ for c, _ in _ONE_CASE])
+@pytest.mark.parametrize("name", ["omega", "m"])
+def test_an_omega_or_m_array_is_a_domain_error(call, args, name):
+    # these evaluate one wavefunction, so take one (omega, m) case; make_exponents,
+    # wronskian and wave_equation_residual take case columns
+    given = {"omega": 2.0, "m": 1.0, name: _OMEGAS}
+    with pytest.raises(DomainError, match=rf"{name} must be a number here, got an array of shape \(2,\)"):
+        call(*[given.get(a, a) if isinstance(a, str) else a for a in args])
 
 
 def test_power_factor_overflow_is_a_domain_error():
@@ -662,13 +729,11 @@ def test_solution_invalid_arguments():
         exact_solution("III", 1, 2.0, 1.0, 0.0)
     with pytest.raises(DomainError):
         exact_solution("I", 0, 2.0, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        rotated_component(3, "I", 2.0, 1.0, 0.5)
 
 
 def test_solution_stable_at_extreme_x():
     # log-form power factors keep the closed form finite far outside the
-    # saturation range of x_to_z
+    # range where z = e^x / (e^x + 1) saturates to 0.0 or 1.0
     for x in (-600.0, -80.0, 80.0, 600.0):
         val = exact_solution("I", 1, 2.0, 1.0, x)
         assert cmath.isfinite(val)

@@ -520,7 +520,7 @@ def _one_set(a, b, c):
 
 def _one_set_series(a, b, c, z):
     """The Gauss series kernel's row of the one set (a, b, c)."""
-    return specfun_mod._gauss_series(*_one_set(a, b, c), z)[0]
+    return specfun_mod._gauss_series(*_one_set(a, b, c), z, [z.size])
 
 
 def _term_by_term(a, b, c, z):
@@ -741,13 +741,86 @@ def test_parameter_sets_must_be_three_1d_arrays_of_one_length(args):
         hyp2f1(*args)
 
 
+# ------------------------------------------------------------------ z rows
+
+def _rows_equal_one_set_row_calls(triples, z, log_u=None):
+    """hyp2f1 over the parameter sets of ``triples`` with a row of z per set:
+    each row has the bits of its one-set call at its own z row."""
+    got = hyp2f1(*_set_columns(triples), z, log_u)
+    assert got.shape == z.shape and got.dtype == complex
+    for i, (a, b, c) in enumerate(triples):
+        expected = hyp2f1(a, b, c, z[i], None if log_u is None else log_u[i])
+        assert got[i].tobytes() == expected.tobytes(), i
+    return got
+
+
+def test_z_rows_equal_the_one_set_calls():
+    # rows all on the Gauss route, all on the connection route, and rows
+    # straddling Z_SWITCH with a different split each
+    triples = _solution_sets(2.0, 1.0) + _solution_sets(30.0, 2.0)
+    rng = np.random.default_rng(7)
+    z = np.stack([np.linspace(0.0, 0.5, 9), np.linspace(0.51, 0.97, 9), *rng.uniform(0.0, 1.0, (5, 9)),
+                  np.concatenate([np.full(8, 0.2), [Z_SWITCH]])])
+    _rows_equal_one_set_row_calls(triples, z)
+
+
+def test_long_z_rows_equal_the_one_set_calls():
+    # rows past 16384 elements each, on both routes: the per-set values the
+    # flat kernels repeat over a row multiply into arrays of their own
+    z = np.random.default_rng(3).uniform(0.0, 1.0, (2, 16400))
+    _rows_equal_one_set_row_calls(_solution_sets(12.0, 1.0)[:2], z)
+
+
+def test_z_rows_with_exact_complements():
+    z = np.array([[0.3, 1.0, 0.8], [1.0, 1.0, 0.1]])
+    log_u = np.array([[math.log1p(-0.3), -800.0, math.log1p(-0.8)], [math.log(1e-17), math.log(1e-200), math.log1p(-0.1)]])
+    got = _rows_equal_one_set_row_calls(_solution_sets(2.0, 1.0)[:2], z, log_u)
+    assert np.all(np.isfinite(got))
+
+
+def test_z_rows_of_a_set_whose_connection_coefficient_vanishes():
+    # the dead set's first connection term is exactly 0 on its own row; the
+    # other rows keep their one-set bits, and the Gamma ratios stay one call each
+    dead = (2.5 + 1.0j, 0.3 - 0.2j, 1.5 + 1.0j)
+    triples = [_solution_sets(2.0, 1.0)[0], dead, _solution_sets(2.0, 1.0)[1]]
+    z = np.stack([np.linspace(0.1, 0.9, 5), np.linspace(0.55, 0.95, 5), np.linspace(0.45, 0.65, 5)])
+    got = _rows_equal_one_set_row_calls(triples, z)
+    for v, value in zip(z[1], got[1]):
+        expected = hyp2f1_oracle(*dead, float(v))
+        assert abs(value - expected) <= 1e-10 * abs(expected)
+
+
+@pytest.mark.parametrize("args", [
+    (1.0, 1.0, 2.0, np.array([[0.1, 0.2]])),
+    (*_set_columns([(1.0, 1.0, 2.0)] * 2), np.full((3, 2), 0.3)),
+    (*_set_columns([(1.0, 1.0, 2.0)] * 2), np.full((2, 2, 1), 0.3)),
+    (*_set_columns([(1.0, 1.0, 2.0)] * 2), np.full((2, 2), 0.7), np.full(2, math.log(0.3))),
+], ids=["number parameters", "a row too many", "3-d", "log_u of another shape"])
+def test_z_rows_need_a_row_per_set(monkeypatch, args):
+    evaluated = []
+    monkeypatch.setattr(specfun_mod, "_gauss_series", lambda *a: evaluated.append(a))
+    with pytest.raises(DomainError, match="row per"):
+        hyp2f1(*args)
+    assert evaluated == []
+
+
+def test_z_rows_are_checked_before_any_series(monkeypatch):
+    evaluated = []
+    monkeypatch.setattr(specfun_mod, "_gauss_series", lambda *a: evaluated.append(a))
+    columns = _set_columns(_solution_sets(2.0, 1.0)[:2])
+    for z in ([[0.1, 0.2], [0.3, -0.1]], [[0.1, 0.2], [0.3, 1.0]], [[0.1, math.nan], [0.3, 0.4]]):
+        with pytest.raises(DomainError, match=r"z = "):
+            hyp2f1(*columns, np.array(z))
+    assert evaluated == []
+
+
 # ------------------------------------------------------- connection formula
 
 def via_connection(a, b, c, z):
     """2F1(a, b; c; z) from the connection-formula kernel that ``hyp2f1``
     takes above ``Z_SWITCH``, forced at any z."""
     z = np.array([z])
-    return complex(specfun_mod._hyp2f1_complement(*_one_set(a, b, c), 1.0 - z, np.log1p(-z))[0, 0])
+    return complex(specfun_mod._hyp2f1_complement(*_one_set(a, b, c), 1.0 - z, np.log1p(-z), np.array([1]))[0])
 
 
 def test_series_connection_consistency_at_nominal_switch():
