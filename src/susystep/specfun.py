@@ -11,12 +11,12 @@ concurrently.  The evaluation strategy:
 * ``hyp2f1`` -- the defining Gauss series up to ``z = Z_SWITCH``; beyond
   that the connection formula toward z = 1 (``_hyp2f1_complement``), whose
   series argument ``1 - z`` is then small.  A number is the one-element
-  column, (a, b, c) a one-element column of parameter sets.  Each series
-  is summed in one numpy pass over its part of the column for all sets,
-  up to 16 terms per numpy round with one stop test per round; every
-  element stops at the first term that meets its own term-ratio rule, as
-  a term-by-term loop would, so no value depends on the block or the
-  other sets.  Each connection Gamma ratio is one call for all sets.
+  column, (a, b, c) a one-element column of parameter sets.  A call sums
+  the Gauss series at its near points and both connection series for all
+  sets in one numpy pass, up to 32 terms per round with one stop test per
+  round; every element stops at the first term that meets its own
+  term-ratio rule, as a term-by-term loop would, so no value depends on
+  the block or the other series.  Each connection Gamma ratio is one call.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ Z_SWITCH = 0.5
 
 MAX_SERIES_TERMS = 10_000
 _SERIES_STOP = 1e-16
-# ``_gauss_series`` sums up to _SERIES_BLOCK terms per numpy round, so its
-# stop test and compaction run once per block, not once per term; a round
-# holds at most _SERIES_ROUND element-terms (64 KiB per buffer) unless one
-# term is longer, so long columns keep cache-sized buffers.
-_SERIES_BLOCK = 16
+# ``_gauss_series`` sums up to _SERIES_BLOCK terms per numpy round, with one stop
+# test and compaction per block: 32, as a pass ends in rounds over a few elements,
+# which cost more than their terms.  A round holds at most _SERIES_ROUND element-
+# terms (64 KiB per buffer) unless one term is longer: cache-sized buffers.
+_SERIES_BLOCK = 32
 _SERIES_ROUND = 4096
 
 # exp(log_u), for a supplied log_u, may differ from 1 - z by this many
@@ -257,8 +257,8 @@ def _gauss_series(a, b, c, z, counts):
     t_k = t_(k-1) * (r_k z), S_k = S_(k-1) + t_k and one stop test per
     block.  An element stops at its first |t_k| <= 1e-16 |S_k|, as a
     term-by-term loop stops it, and leaves the live arrays, so no value
-    depends on the other elements, sets or block size.  Assumes 0 <= z < 1
-    and c off the pole set."""
+    depends on the other elements, sets or block size; a set with no live
+    element costs nothing.  Assumes 0 <= z < 1 and c off the pole set."""
     sets = list(zip(a.tolist(), b.tolist(), c.tolist()))
     out = np.empty(z.size, dtype=complex)
     live = np.arange(z.size)
@@ -274,8 +274,9 @@ def _gauss_series(a, b, c, z, counts):
             # differently, and from 256 KiB on makes ``x * temporary`` one.
             factors = np.empty((rows, live.size), dtype=complex)
             for (p, q, r), lo, hi in zip(sets, bounds, bounds[1:]):
-                ratios = [(p + j) * (q + j) / ((r + j) * (j + 1.0)) for j in range(k, k + rows)]
-                np.multiply(np.array(ratios)[:, None], w[lo:hi], out=factors[:, lo:hi])
+                if lo < hi:  # a set whose elements have all stopped costs nothing
+                    ratios = [(p + j) * (q + j) / ((r + j) * (j + 1.0)) for j in range(k, k + rows)]
+                    np.multiply(np.array(ratios)[:, None], w[lo:hi], out=factors[:, lo:hi])
             terms, totals = np.empty_like(factors), np.empty_like(factors)
             for j in range(rows):
                 term = np.multiply(term, factors[j], out=terms[j])
@@ -310,7 +311,7 @@ def _connection_ratio(numerators, denominators):
     return np.where(dead, 0.0, ratio)
 
 
-def _hyp2f1_complement(a, b, c, u, log_u, counts):
+def _hyp2f1_complement(a, b, c, u, log_u, counts, z_near, near_counts):
     """Connection-formula values of 2F1(a,b;c;1-u) at each complement u=1-z,
 
         G(c)G(c-a-b)/(G(c-a)G(c-b)) * 2F1(a, b; a+b+1-c; u)
@@ -319,32 +320,33 @@ def _hyp2f1_complement(a, b, c, u, log_u, counts):
     with principal-branch powers (u > 0 on the physical domain), at ``u``
     and ``log_u`` = log u laid out as ``_gauss_series`` takes z; ``hyp2f1``
     takes this route above ``Z_SWITCH``, and it holds on the whole overlap
-    window.  Each Gamma ratio is formed once for all sets, each series summed
-    in one pass over the sets whose ratio is not 0.  Needs c-a-b off the integers.
+    window.  After the Gamma ratios (one call each for all sets), one pass sums
+    the series of (a, b, c) at each set's ``near_counts`` points of ``z_near``,
+    then both series above, with no points for a set whose ratio is 0.  Returns
+    (values at z_near, values at u).  Needs c-a-b off the integers.
     """
     s = c - a - b
     for v in s.tolist():
         if abs(v - round(v.real)) < POLE_TOL:
             raise DegenerateParamsError(f"c - a - b = {v} is within {POLE_TOL} of an integer; the formula degenerates")
+    ratios = _connection_ratio([c, s], [c - a, c - b]), _connection_ratio([c, -s], [a, b])
+    # a set whose ratio is 0 sums no series: it counts no element and its elements leave the column
+    n = [counts * (ratio != 0) for ratio in ratios]
+    on = [(ratio != 0).repeat(counts) for ratio in ratios]
+    params = (np.concatenate(v if z_near.size else v[1:]) for v in ([a, a, c - a], [b, b, c - b], [c, 1.0 - s, 1.0 + s]))
+    flat = _gauss_series(*params, np.concatenate([z_near, u[on[0]], u[on[1]]]),
+                         np.concatenate([near_counts, *n] if z_near.size else n))
+    hi = z_near.size + np.count_nonzero(on[0])  # the first series' end in the pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = np.exp(s.repeat(n[1]) * log_u[on[1]])
+    if not np.isfinite(power).all():
+        raise ResultOverflowError(f"(1 - z)^(c - a - b) overflows at log(1 - z) = {log_u[on[1]][~np.isfinite(power)][0]}")
+    # each product into an array of its own, as in ``_gauss_series``
+    second = np.multiply(power, flat[hi:], out=np.empty_like(power))
     values = np.zeros(u.size, dtype=complex)
-    for ratio, params, exponent in ((_connection_ratio([c, s], [c - a, c - b]), (a, b, 1.0 - s), None),
-                                    (_connection_ratio([c, -s], [a, b]), (c - a, c - b, 1.0 + s), s)):
-        live = ratio.nonzero()[0]
-        if not live.size:
-            continue
-        # the live sets, their elements and counts: views where every set is live
-        live, on, n = ((slice(None), slice(None), counts) if live.size == s.size
-                       else (live, (ratio != 0).repeat(counts), np.asarray(counts)[live]))
-        series = _gauss_series(*(v[live] for v in params), u[on], n)
-        if exponent is not None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                power = np.exp(exponent[live].repeat(n) * log_u[on])
-            if not np.isfinite(power).all():
-                raise ResultOverflowError(f"(1 - z)^(c - a - b) overflows at log(1 - z) = {log_u[on][~np.isfinite(power)][0]}")
-            # each product into an array of its own, as in ``_gauss_series``
-            series = np.multiply(power, series, out=np.empty_like(power))
-        values[on] += np.multiply(ratio[live].repeat(n), series, out=np.empty_like(series))
-    return values
+    values[on[0]] += np.multiply(ratios[0].repeat(n[0]), flat[z_near.size:hi], out=np.empty(hi - z_near.size, dtype=complex))
+    values[on[1]] += np.multiply(ratios[1].repeat(n[1]), second, out=np.empty_like(second))
+    return flat[:z_near.size], values
 
 
 def hyp2f1(a, b, c, z, log_u=None):
@@ -361,10 +363,10 @@ def hyp2f1(a, b, c, z, log_u=None):
     elements are parameter sets, each giving a row; then z and log_u may
     also be 2-d, a row of points per set.  The Gauss series serves
     ``z <= Z_SWITCH``, the connection formula toward z = 1 the rest, its
-    Gamma ratios formed once per call.  Each series is summed once over
-    the elements on its route for all sets, each element stopping at its
-    own first |t_k| <= 1e-16 |S_k|, so array elements and rows equal their
-    number calls bit for bit.  Relative accuracy is ~1e-11 or better away
+    Gamma ratios formed once per call.  All series of a call, for all sets,
+    are summed in one pass, each element stopping at its own first
+    |t_k| <= 1e-16 |S_k|, so array elements and rows equal their number
+    calls bit for bit.  Relative accuracy is ~1e-11 or better away
     from the c-a-b integer degeneracy.  Every element and set is checked
     before any is evaluated.
 
@@ -377,12 +379,12 @@ def hyp2f1(a, b, c, z, log_u=None):
         no row per set, or unless z >= 0 and log_u is finite and <= 0, with
         exp(log_u) within a few eps (absolutely) of 1 - z.
     NonConvergenceError
-        If a series fails to meet the term-ratio stop within
-        ``MAX_SERIES_TERMS`` terms at some element (the first is named).
+        If a series fails to meet the term-ratio stop within ``MAX_SERIES_TERMS``
+        terms at some element (the first is named, near points first).
     ResultOverflowError (an OverflowError)
         If (1 - z)^(c-a-b) overflows on the connection route.
     DegenerateParamsError
-        If some ``z > Z_SWITCH`` and some c-a-b is near an integer.
+        If some ``z > Z_SWITCH`` and some c-a-b is near an integer (before any series).
     """
     try:
         params = np.array([a, b, c], dtype=complex)
@@ -408,17 +410,15 @@ def hyp2f1(a, b, c, z, log_u=None):
         i = tuple(np.argwhere(~ok)[0])
         raise DomainError(f"z = {z[i]}, log_u = {log_u[i] if given else None}: need 0 <= z < 1 and a "
                           "supplied log_u finite, <= 0 and with exp(log_u) within a few eps of 1 - z")
-    if z.ndim < 2:
-        z, u, log_u = z.reshape(-1), u.reshape(-1), log_u.reshape(-1)
+    if z.ndim < 2:  # a shared z is every set's row
+        z, u, log_u = (v.reshape(1, -1).repeat(a.size, axis=0) for v in (z, u, log_u))
+    # the kernels take every set's points as one set-major column, in boolean indexing's order
     far = z > Z_SWITCH
-    values = np.empty((a.size, z.shape[-1]), dtype=complex)
-    # the kernels take every set's points as one set-major column: z rows as they are, a shared z tiled
-    for route, kernel, args in ((~far, _gauss_series, (z,)), (far, _hyp2f1_complement, (u, log_u))):
-        if a.size and route.any():
-            if z.ndim == 2:
-                values[route] = kernel(a, b, c, *(v[route] for v in args), np.count_nonzero(route, axis=1))
-            else:
-                flat = kernel(a, b, c, *(np.concatenate([v[route]] * a.size) for v in args), [np.count_nonzero(route)] * a.size)
-                values[:, route] = flat.reshape(a.size, -1)
+    if far.any():
+        near, n_far = ~far, far.sum(axis=1)
+        values = np.empty(z.shape, dtype=complex)
+        values[near], values[far] = _hyp2f1_complement(a, b, c, u[far], log_u[far], n_far, z[near], z.shape[1] - n_far)
+    else:
+        values = _gauss_series(a, b, c, z.ravel(), [z.shape[1]] * a.size).reshape(z.shape)
     values = values[:, 0] if scalar else values
     return values if sets else complex(values[0]) if scalar else values[0]

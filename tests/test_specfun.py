@@ -717,12 +717,51 @@ def test_a_degenerate_set_raises_as_its_one_set_call():
         hyp2f1(*_set_columns([triples[0], (1.0, 1.0, -2.0)]), 0.3)
 
 
-def test_parameter_sets_take_one_series_pass_per_route(monkeypatch):
+def _recording_passes(monkeypatch):
+    """Patch ``_gauss_series`` to record the points of each parameter set of each pass."""
     passes = []
     series = specfun_mod._gauss_series
-    monkeypatch.setattr(specfun_mod, "_gauss_series", lambda *args: passes.append(len(args[0])) or series(*args))
-    hyp2f1(*_set_columns(_solution_sets(2.0, 1.0)[:3]), np.linspace(0.05, 0.95, 19))
-    assert passes == [3, 3, 3]  # the Gauss route, then the two connection series
+    monkeypatch.setattr(specfun_mod, "_gauss_series", lambda *args: passes.append(list(args[4])) or series(*args))
+    return passes
+
+
+def test_parameter_sets_take_one_series_pass_per_route(monkeypatch):
+    # a call sums all its series in one pass: each set's Gauss series at the
+    # near points, then each set's two connection series at 1 - z
+    passes = _recording_passes(monkeypatch)
+    columns = _set_columns(_solution_sets(2.0, 1.0)[:3])
+    for z in (np.linspace(0.05, 0.95, 19), np.linspace(0.05, 0.45, 9), np.linspace(0.55, 0.95, 9)):
+        hyp2f1(*columns, z)
+    sets = [len(counts) for counts in passes]
+    assert sets[:2] == [9, 3] and len(sets) == 3 and sets[2] <= 6  # mixed, near-only, far-only
+    assert passes[0] == [10] * 3 + [9] * 6  # z <= 1/2 at 10 points, z > 1/2 at 9
+
+
+def test_a_mixed_column_with_a_vanishing_connection_coefficient_equals_the_one_set_calls(monkeypatch):
+    # the dead set's first connection series sums no point of the pass; its
+    # Gauss series at the near points and its second connection series do
+    dead = (2.5 + 1.0j, 0.3 - 0.2j, 1.5 + 1.0j)  # c - a = -1
+    triples = [_solution_sets(2.0, 1.0)[0], dead, _solution_sets(2.0, 1.0)[1]]
+    passes = _recording_passes(monkeypatch)
+    z = np.linspace(0.05, 0.95, 19)
+    got = _rows_equal_one_set_calls(triples, z)
+    assert passes[0] == [10] * 3 + [9, 0, 9] + [9] * 3
+    for v, value in zip(z[::3], got[1][::3]):
+        expected = hyp2f1_oracle(*dead, float(v))
+        assert abs(value - expected) <= 1e-10 * abs(expected)
+
+
+def test_a_mixed_column_checks_its_connection_before_any_series(monkeypatch):
+    # the connection formula's checks precede the one pass, so a degenerate
+    # c - a - b is raised before a near element runs out of terms
+    monkeypatch.setattr(specfun_mod, "MAX_SERIES_TERMS", 5)
+    with pytest.raises(NonConvergenceError):
+        hyp2f1(1.0, 1.0, 3.0, 0.4)
+    with pytest.raises(DegenerateParamsError):
+        hyp2f1(1.0, 1.0, 3.0, np.array([0.4, 0.999]))
+    # the first unconverged element is named, near points first
+    with pytest.raises(NonConvergenceError, match=r"; 0\.4\) did not converge in 5 terms"):
+        hyp2f1(1.0, 1.0, 2.5, np.array([0.999, 0.4]))
 
 
 def test_no_parameter_sets_give_no_rows():
@@ -820,7 +859,10 @@ def via_connection(a, b, c, z):
     """2F1(a, b; c; z) from the connection-formula kernel that ``hyp2f1``
     takes above ``Z_SWITCH``, forced at any z."""
     z = np.array([z])
-    return complex(specfun_mod._hyp2f1_complement(*_one_set(a, b, c), 1.0 - z, np.log1p(-z), np.array([1]))[0])
+    near, far = specfun_mod._hyp2f1_complement(*_one_set(a, b, c), 1.0 - z, np.log1p(-z), np.array([1]),
+                                                np.array([]), np.array([0]))
+    assert near.shape == (0,)
+    return complex(far[0])
 
 
 def test_series_connection_consistency_at_nominal_switch():
