@@ -8,20 +8,15 @@ concurrently.  The evaluation strategy:
 * ``lngamma`` and ``gamma_ratio`` -- one numpy log-Gamma pass, a number
   being its one-element case: the reflection formula for Re(z) < 1/2, then
   a compensated Stirling series, summed at z + 10 inside |z| = 10.
-* ``hyp2f1`` -- the defining Gauss series up to ``z = Z_SWITCH``; beyond
-  that the connection formula toward z = 1 (``_hyp2f1_complement``), whose
-  series argument ``1 - z`` is then small.  A number is the one-element
-  column, (a, b, c) a one-element column of parameter sets.  A call sums
-  the Gauss series at its near points and both connection series for all
-  sets in one numpy pass, up to 32 terms per round with one stop test per
-  round; every element stops at the first term that meets its own
-  term-ratio rule, as a term-by-term loop would, so no value depends on
-  the block or the other series.  Each connection Gamma ratio is one call.
+* ``hyp2f1`` -- the Gauss series up to ``z = Z_SWITCH``, beyond it the
+  connection formula toward z = 1 (``_hyp2f1_complement``, its series in
+  1 - z); a number is the one-element column of one parameter set.  A call
+  sums all its series in one ``_gauss_series`` pass, each element to its own
+  stop, and makes one call per connection Gamma ratio.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -248,51 +243,70 @@ def gamma_ratio(numerators, denominators):
     return values if column else complex(values[0])
 
 
+def _ratio_table(a, b, c, rows):
+    """(rows, sets) table of r_k = (a + k) (b + k) / ((c + k) (k + 1.0)), k < rows, of the sets
+    of the 1-d complex arrays a, b, c in CPython 3.11's complex bits, from real numpy operations
+    (numpy's complex products and quotients round apart): an int k adds as (k, 0.0), a product
+    is (pr - qs, ps + qr), a quotient Smith's (CACM Algorithm 116), by the larger part of D."""
+    k = np.arange(rows, dtype=float)[:, None]
+    A, B, C = a + k, b + k, c + k  # numpy's complex sum is Python's
+    nr, ni = A.real * B.real - A.imag * B.imag, A.real * B.imag + A.imag * B.real
+    dr, di = C.real * (k + 1.0), C.imag * (k + 1.0)  # the product's bits, as no part of C is -0.0
+    flip = np.abs(dr) < np.abs(di)  # Smith's form by Im D is its form by Re D on N (-i) / D (-i)
+    nr, ni, dr, di = np.where(flip, ni, nr), np.where(flip, -nr, ni), np.where(flip, di, dr), np.where(flip, -dr, di)
+    ratio = di / dr
+    denom = dr + di * ratio
+    out = np.empty((rows, a.size), dtype=complex)
+    np.divide(nr + ni * ratio, denom, out=out.real)
+    np.divide(ni - nr * ratio, denom, out=out.imag)
+    return out
+
+
 def _gauss_series(a, b, c, z, counts):
-    """Raw Gauss series sum_k (a)_k (b)_k / ((c)_k k!) z^k (DLMF 15.2.1) of
-    each parameter set of the 1-d complex arrays a, b, c at its ``counts``
-    elements of the set-major 1-d float array z, in z's order, in one pass
-    in rounds of up to ``_SERIES_BLOCK`` terms: each set's Python-complex
-    ratios r_k multiply its slice of z into a block of r_k z, then
-    t_k = t_(k-1) * (r_k z), S_k = S_(k-1) + t_k and one stop test per
-    block.  An element stops at its first |t_k| <= 1e-16 |S_k|, as a
-    term-by-term loop stops it, and leaves the live arrays, so no value
-    depends on the other elements, sets or block size; a set with no live
-    element costs nothing.  Assumes 0 <= z < 1 and c off the pole set."""
-    sets = list(zip(a.tolist(), b.tolist(), c.tolist()))
+    """Raw Gauss series sum_k (a)_k (b)_k / ((c)_k k!) z^k (DLMF 15.2.1) of each parameter set
+    of the 1-d complex arrays a, b, c at its ``counts`` elements of the set-major 1-d float array
+    z, in z's order, in one pass of rounds of up to ``_SERIES_BLOCK`` terms: a live element takes
+    its set's (``owner``'s) rows of one ``_ratio_table``, grown by doubling, to r_k z, then t_k =
+    t_(k-1) r_k z and S_k = S_(k-1) + t_k, and stops at its first |t_k| <= 1e-16 |S_k| as a term-
+    by-term loop does: no value depends on the other elements, sets or block size, nor a round's
+    cost on the number of sets.  Assumes 0 <= z < 1 and c off the pole set."""
     out = np.empty(z.size, dtype=complex)
-    live = np.arange(z.size)
+    live, owner = np.arange(z.size), np.arange(a.size).repeat(counts)
     w = z.astype(complex)  # the live z; numpy would cast it for each complex product
     term = total = np.ones(z.size, dtype=complex)
-    bounds = starts = [0, *itertools.accumulate(counts)]  # set i holds live[bounds[i]:bounds[i + 1]]
+    table = _ratio_table(a, b, c, 4 * _SERIES_BLOCK)  # a one-point pass mostly ends within it: one fill
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing series runs out of terms
         while live.size and k < MAX_SERIES_TERMS:
             rows = min(_SERIES_BLOCK, max(1, _SERIES_ROUND // live.size), MAX_SERIES_TERMS - k)
-            # row j holds r_(k+j) z, t_(k+j) and S_(k+j).  Each product goes to
-            # an array of its own: numpy rounds an in-place complex multiply
-            # differently, and from 256 KiB on makes ``x * temporary`` one.
-            factors = np.empty((rows, live.size), dtype=complex)
-            for (p, q, r), lo, hi in zip(sets, bounds, bounds[1:]):
-                if lo < hi:  # a set whose elements have all stopped costs nothing
-                    ratios = [(p + j) * (q + j) / ((r + j) * (j + 1.0)) for j in range(k, k + rows)]
-                    np.multiply(np.array(ratios)[:, None], w[lo:hi], out=factors[:, lo:hi])
+            if k + rows > len(table):
+                table = _ratio_table(a, b, c, max(2 * len(table), k + rows))
+            # row j holds r_(k+j) z, t_(k+j) and S_(k+j).  The rows are C-ordered (``take``'s new
+            # array is, a fancy-index gather is not), as numpy may round strided complex products
+            # apart, and each term is written by ``out=`` to a row of its own, never to a temporary.
+            factors = table[k:k + rows].take(owner, axis=1, mode="clip")
+            np.multiply(factors, w, out=factors)
             terms, totals = np.empty_like(factors), np.empty_like(factors)
             for j in range(rows):
                 term = np.multiply(term, factors[j], out=terms[j])
-                total = np.add(total, term, out=totals[j])
+            size = np.abs(terms)
+            if rows < _SERIES_BLOCK:  # numpy accumulates column by column: dearer on wide blocks
+                for j in range(rows):
+                    total = np.add(total, terms[j], out=totals[j])
+            else:  # S_(k-1) + t_k in place of t_k (term is the last row), then the running sums
+                np.add(terms[0], total, out=terms[0])
+                total = np.add.accumulate(terms, axis=0, out=totals)[-1]
             k += rows
-            hit = np.abs(terms) <= _SERIES_STOP * np.abs(totals)
+            hit = size <= _SERIES_STOP * np.abs(totals)
             done = np.logical_or.reduce(hit)
             stops = done.nonzero()[0]  # indexes faster than the mask on 2-d arrays
             if stops.size:
                 # an element's first hit is where a term-by-term loop stops it
                 out[live[stops]] = totals[hit[:, stops].argmax(axis=0), stops]
                 keep = ~done
-                live, w, term, total = live[keep], w[keep], term[keep], total[keep]
-                bounds = np.searchsorted(live, starts).tolist() if len(sets) > 1 else [0, live.size]
+                live, owner, w, term, total = live[keep], owner[keep], w[keep], term[keep], total[keep]
     if live.size:
-        i = np.searchsorted(starts, live[0], "right") - 1
+        i = owner[0]
         raise NonConvergenceError(f"Gauss series for 2F1({a[i]}, {b[i]}; {c[i]}; {z[live[0]]}) did not converge in "
                                   f"{MAX_SERIES_TERMS} terms")
     return out
@@ -317,18 +331,16 @@ def _hyp2f1_complement(a, b, c, u, log_u, counts, z_near, near_counts):
         G(c)G(c-a-b)/(G(c-a)G(c-b)) * 2F1(a, b; a+b+1-c; u)
       + G(c)G(a+b-c)/(G(a)G(b)) * u^(c-a-b) * 2F1(c-a, c-b; c+1-a-b; u)
 
-    with principal-branch powers (u > 0 on the physical domain), at ``u``
-    and ``log_u`` = log u laid out as ``_gauss_series`` takes z; ``hyp2f1``
-    takes this route above ``Z_SWITCH``, and it holds on the whole overlap
-    window.  After the Gamma ratios (one call each for all sets), one pass sums
+    with principal-branch powers (u > 0 on the physical domain), at ``u`` and
+    ``log_u`` = log u laid out as ``_gauss_series`` takes z (``hyp2f1``'s route
+    above ``Z_SWITCH``).  After the Gamma ratios, one call each, one pass sums
     the series of (a, b, c) at each set's ``near_counts`` points of ``z_near``,
-    then both series above, with no points for a set whose ratio is 0.  Returns
-    (values at z_near, values at u).  Needs c-a-b off the integers.
-    """
+    then both series above, none for a set whose ratio is 0.  Returns (values at
+    z_near, values at u).  Needs c-a-b off the integers."""
     s = c - a - b
-    for v in s.tolist():
-        if abs(v - round(v.real)) < POLE_TOL:
-            raise DegenerateParamsError(f"c - a - b = {v} is within {POLE_TOL} of an integer; the formula degenerates")
+    near = np.abs(s - np.rint(s.real)) < POLE_TOL
+    if near.any():
+        raise DegenerateParamsError(f"c - a - b = {s[near][0]} is within {POLE_TOL} of an integer; the formula degenerates")
     ratios = _connection_ratio([c, s], [c - a, c - b]), _connection_ratio([c, -s], [a, b])
     # a set whose ratio is 0 sums no series: it counts no element and its elements leave the column
     n = [counts * (ratio != 0) for ratio in ratios]
@@ -361,14 +373,12 @@ def hyp2f1(a, b, c, z, log_u=None):
 
     a, b and c are numbers, or three 1-d arrays of one length whose
     elements are parameter sets, each giving a row; then z and log_u may
-    also be 2-d, a row of points per set.  The Gauss series serves
-    ``z <= Z_SWITCH``, the connection formula toward z = 1 the rest, its
-    Gamma ratios formed once per call.  All series of a call, for all sets,
-    are summed in one pass, each element stopping at its own first
-    |t_k| <= 1e-16 |S_k|, so array elements and rows equal their number
-    calls bit for bit.  Relative accuracy is ~1e-11 or better away
-    from the c-a-b integer degeneracy.  Every element and set is checked
-    before any is evaluated.
+    also be 2-d, a row of points per set.  The Gauss series serves ``z <=
+    Z_SWITCH``, the connection formula toward z = 1 the rest, all in one pass
+    where each element stops at its own first |t_k| <= 1e-16 |S_k|, so array
+    elements and rows equal their number calls bit for bit.  Relative accuracy
+    is ~1e-11 or better away from the c-a-b integer degeneracy.  Every element
+    and set is checked before any is evaluated.
 
     Raises
     ------
@@ -396,7 +406,7 @@ def hyp2f1(a, b, c, z, log_u=None):
     if not np.isfinite(params).all():
         raise DomainError(f"2F1 parameters must be finite, got a = {a}, b = {b}, c = {c}")
     sets, (a, b, c) = params.ndim == 2, params.reshape(3, -1)
-    _gamma_arguments(c.tolist(), 0)  # c sits in the series' denominators
+    _gamma_arguments([c], 0)  # c sits in the series' denominators
     scalar, given = np.ndim(z) == 0, log_u is not None
     z = real_array(z, "z")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -3,14 +3,13 @@
 Each check evaluates one analytic contract (closed-form equivalence, flux
 conservation, SUSY identities, Wronskian constancy, wave-equation
 residuals, quasinormal poles, potential identities) and reports its worst
-residual against the contracted tolerance; the Wronskian and wave-equation
-checks each take all their (omega, m) cases, both branches and both
-partners from one 2F1 call per component.
-The SUSY check can fail only through its T relation: R- is -R+ by
-construction, so R+ + R- reads exactly 0.
-``full`` adds the two oracle checks, which read one oracle sweep per run:
-one Magnus-4 march per (spec, omega) at ``ORACLE_CONFIG``, timed in the
-agreement row.
+residual against the contracted tolerance.  A run evaluates each (kind, m)
+amplitude column once; the Wronskian and wave-equation checks each take all
+their (omega, m) cases, branches and partners from one 2F1 call per
+component.  The SUSY check can fail only through its T relation: R- is -R+
+by construction, so R+ + R- reads exactly 0.  ``full`` adds the two oracle
+checks, which read one oracle sweep per run: one Magnus-4 march per (spec,
+omega) at ``ORACLE_CONFIG``, timed in the agreement row.
 """
 
 from __future__ import annotations
@@ -63,34 +62,22 @@ def _check(name, tolerance, fn):
                        seconds=time.perf_counter() - start)
 
 
-def _closed_form_equivalence():
+def _closed_form_equivalence(amplitudes):
     worst = 0.0
     for m in (0.5, 1.0, 2.0):
-        omega = _omega_grid(m)
-        res = scattering.reflection_transmission(PotentialKind.PLUS, omega, m)
-        r2, t2 = scattering.coefficients_closed_form(omega, m)
+        res = amplitudes(PotentialKind.PLUS, m)
+        r2, t2 = scattering.coefficients_closed_form(_omega_grid(m), m)
         worst = max(worst, np.max(np.abs(res.R2 - r2) / np.maximum(np.abs(r2), np.abs(res.R2))))
         worst = max(worst, np.max(np.abs(res.T2 - t2) / np.maximum(np.abs(t2), np.abs(res.T2))))
     return worst
 
 
-def _flux_conservation():
-    worst = 0.0
-    for m in (0.5, 1.0, 2.0):
-        omega = _omega_grid(m)
-        for res in (scattering.reflection_transmission(PotentialKind.PLUS, omega, m),
-                    scattering.reflection_transmission(PotentialKind.MINUS, omega, m),
-                    scattering.step_amplitudes(omega, m)):
-            worst = max(worst, np.max(np.abs(res.flux - 1.0)))
-    return worst
+def _flux_conservation(amplitudes):
+    return max(np.max(np.abs(amplitudes(kind, m).flux - 1.0)) for m in (0.5, 1.0, 2.0) for kind in PotentialKind)
 
 
 def _susy_relations():
-    worst = 0.0
-    for m in (0.5, 1.0, 2.0):
-        r_sum, t_diff = scattering.susy_relation_check(_omega_grid(m, count=20), m)
-        worst = max(worst, np.max(np.abs(r_sum)), np.max(np.abs(t_diff)))
-    return worst
+    return max(np.max(np.abs(v)) for m in (0.5, 1.0, 2.0) for v in scattering.susy_relation_check(_omega_grid(m, count=20), m))
 
 
 def _wronskian_constancy():
@@ -165,9 +152,11 @@ def run_checks(level: str = QUICK, inject_failure: bool = False):
     """Run the verification suite; returns a list of CheckResult."""
     if level not in (QUICK, FULL):
         raise DomainError(f"level must be {QUICK!r} or {FULL!r}, got {level!r}")
+    amplitudes = functools.cache(lambda kind, m: scattering.step_amplitudes(_omega_grid(m), m) if kind is PotentialKind.STEP
+                                 else scattering.reflection_transmission(kind, _omega_grid(m), m))
     results = [
-        _check("closed-form equivalence (Gamma vs sinh)", 1e-10, _closed_form_equivalence),
-        _check("flux conservation", 1e-9, _flux_conservation),
+        _check("closed-form equivalence (Gamma vs sinh)", 1e-10, lambda: _closed_form_equivalence(amplitudes)),
+        _check("flux conservation", 1e-9, lambda: _flux_conservation(amplitudes)),
         _check("SUSY amplitude relations", 1e-11, _susy_relations),
         _check("Wronskian value and constancy", 1e-9, _wronskian_constancy),
         _check("wave-equation residual in z", 1e-8, _wave_equation_residual),

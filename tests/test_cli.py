@@ -401,6 +401,19 @@ def test_susy_check_judges_the_t_relation(monkeypatch):
     assert not check.passed and 1e-9 < check.max_residual < 2e-9
 
 
+def test_verify_evaluates_each_amplitude_column_once(monkeypatch):
+    # the closed-form and flux checks read one amplitude column per (kind, m)
+    # and run: V+, V- and the step at three m, 50 omegas each, none twice
+    calls = []
+    for name in ("reflection_transmission", "step_amplitudes"):
+        exact = getattr(scattering, name)
+        monkeypatch.setattr(scattering, name, lambda *args, _exact=exact: calls.append(args) or _exact(*args))
+    for run in (1, 2):
+        assert all(r.passed for r in run_checks())
+        columns = [(args[0] if len(args) == 3 else PotentialKind.STEP, args[-1]) for args in calls if np.size(args[-2]) == 50]
+        assert len(columns) == 9 * run and len(set(columns)) == 9
+
+
 def test_verify_unknown_level_is_a_domain_error():
     with pytest.raises(DomainError):
         run_checks("thorough")

@@ -594,6 +594,59 @@ def test_blocked_series_of_an_empty_column():
     assert _one_set_series(1.0 + 0j, 1.0 + 0j, 2.0 + 0j, np.array([])).shape == (0,)
 
 
+# ------------------------------------------------------------- ratio table
+
+def _python_ratios(a, b, c, rows):
+    """The term ratios as Python complex arithmetic forms them, a row per k."""
+    sets = list(zip(np.asarray(a, complex).tolist(), np.asarray(b, complex).tolist(), np.asarray(c, complex).tolist()))
+    return np.array([[(p + k) * (q + k) / ((r + k) * (k + 1.0)) for p, q, r in sets] for k in range(rows)],
+                    dtype=complex).reshape(rows, len(sets))
+
+
+def _ratio_edge_sets():
+    """Parameter sets at the edges of CPython's complex product and quotient."""
+    triples = [
+        (0.5 + 2j, 1.5 + 2j, 1.5 + 0.0j), (0.5 + 2j, 1.5 + 2j, complex(1.5, -0.0)),  # Im c = 0.0 and -0.0
+        (complex(2.0, -0.0), complex(-3.0, -0.0), complex(0.5, -0.0)),  # Im a, b = -0.0, and N = 0 at k = 3
+        (1.0, 2.0, 3.0), (-4.0, 7.0, 2.5), (3.0, -2.0, -6.5),  # integer a and b, Re (c + k) of either sign
+        # |Re D| = |Im D| at k = 1 and k = 3, where Re D = -Im D and the quotient's real part is a signed
+        # zero, -0.0 as CPython divides by Re D on a tie, +0.0 by Im D
+        (0.5 + 1j, 2.0, 2.0 + 3j), (-2.0 + 1j, -1.0, -5.0 + 2j),
+        (40.0 + 900j, -700.0 + 5j, 600.0 - 800j), (1e-3j, 1e3, 999.0 + 1e3j),  # |c| up to about 1e3
+    ]
+    return [np.array(column, dtype=complex) for column in zip(*triples)]
+
+
+def test_ratio_table_is_cpython_complex_arithmetic_bit_for_bit():
+    # the series kernel's values keep the bits of Python-complex ratios
+    # (a + k)(b + k)/((c + k)(k + 1.0)), which depend on CPython's complex
+    # arithmetic: its int-to-complex promotion, its product and Smith's
+    # quotient; numpy's complex operators round apart, so the table emulates
+    # them in real operations, and this pins every bit of it
+    a, b, c = _ratio_edge_sets()
+    k = np.arange(8.0)[:, None]
+    assert (np.abs((c + k).real) == np.abs((c + k).imag)).sum() >= 2  # |Re D| = |Im D| is reached
+    table = specfun_mod._ratio_table(a, b, c, 300)
+    assert np.signbit(table[3, 7].real) and table[3, 7].real == 0.0
+    assert table.shape == (300, a.size) and table.tobytes() == _python_ratios(a, b, c, 300).tobytes()
+    assert np.signbit(table.imag).any() and np.signbit(table.real).any()  # signed zeros and signs are pinned too
+    rng = np.random.default_rng(28)
+    for sets in (1, 2, 7, 20):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(3, 1))
+        a, b, c = (rng.normal(size=(3, sets)) + 1j * rng.normal(size=(3, sets))) * scale
+        rows = int(rng.integers(1, 300))
+        assert specfun_mod._ratio_table(a, b, c, rows).tobytes() == _python_ratios(a, b, c, rows).tobytes()
+
+
+def test_ratio_table_of_the_solution_sets():
+    # the parameter sets the solutions take, up to the largest k a
+    # wavefield pass reaches, and the rows of a table grown by doubling
+    triples = _solution_sets(2.0, 1.0) + _solution_sets(30.0, 2.0) + _solution_sets(1.0 + 1e-9, 1.0)
+    a, b, c = _set_columns(triples)
+    assert specfun_mod._ratio_table(a, b, c, 512).tobytes() == _python_ratios(a, b, c, 512).tobytes()
+    assert specfun_mod._ratio_table(a, b, c, 128).tobytes() == specfun_mod._ratio_table(a, b, c, 512)[:128].tobytes()
+
+
 def test_long_gauss_column_equals_the_number_calls():
     # past 16384 elements (256 KiB of complex) numpy turns x * temporary into
     # an in-place multiply, which rounds differently; the kernel writes each
@@ -762,6 +815,78 @@ def test_a_mixed_column_checks_its_connection_before_any_series(monkeypatch):
     # the first unconverged element is named, near points first
     with pytest.raises(NonConvergenceError, match=r"; 0\.4\) did not converge in 5 terms"):
         hyp2f1(1.0, 1.0, 2.5, np.array([0.999, 0.4]))
+
+
+def _recording_tables(monkeypatch):
+    """Patch ``_ratio_table`` to record the rows of each table a pass builds."""
+    rows = []
+    table = specfun_mod._ratio_table
+    monkeypatch.setattr(specfun_mod, "_ratio_table", lambda *args: rows.append(args[3]) or table(*args))
+    return rows
+
+
+def test_a_pass_grows_its_table_after_some_sets_have_stopped(monkeypatch):
+    # across Z_SWITCH, the omega = 1.5 sets stop inside the first table and
+    # the omega = 30 sets need it doubled: the table grows while sets have
+    # no live element, and every row keeps the bits of its one-set call
+    tables = _recording_tables(monkeypatch)
+    z = np.linspace(0.05, 0.95, 19)
+    for triple in _solution_sets(1.5, 1.0):
+        hyp2f1(*triple, z)
+    assert set(tables) == {4 * specfun_mod._SERIES_BLOCK}
+    tables.clear()
+    hyp2f1(*_set_columns(_solution_sets(1.5, 1.0) + _solution_sets(30.0, 1.0)), z)
+    assert tables == [4 * specfun_mod._SERIES_BLOCK, 8 * specfun_mod._SERIES_BLOCK]
+    _rows_equal_one_set_calls(_solution_sets(1.5, 1.0) + _solution_sets(30.0, 1.0), z)
+
+
+def test_kernel_sets_that_stop_hundreds_of_terms_apart(monkeypatch):
+    # one set stops within two terms, one near 200 and one near 700: the
+    # table doubles three times with the first set done, and each set's
+    # values equal its one-set pass and the term-by-term loop bit for bit
+    p = make_exponents(2.0, 1.0)
+    triples = [(p.a1, p.b1, p.c1), (0.5 + 1j, 1.5, 2.5 - 1j), (1.0 + 0j, 1.0 + 0j, 2.0 + 0j)]
+    grids = [np.geomspace(1e-20, 1e-6, 400), np.linspace(0.8, 0.9, 400), np.linspace(0.94, 0.96, 400)]
+    points = [_stopping_at(*t, ks, grid) for t, ks, grid in zip(triples, ([1, 2], [190, 200], [690, 700]), grids)]
+    tables = _recording_tables(monkeypatch)
+    got = specfun_mod._gauss_series(*_set_columns(triples), np.concatenate(points), [v.size for v in points])
+    assert tables == [128, 256, 512, 1024] and 4 * specfun_mod._SERIES_BLOCK == 128
+    for t, v, row in zip(triples, points, np.split(got, np.cumsum([v.size for v in points])[:-1])):
+        assert row.tobytes() == _one_set_series(*t, v).tobytes() == _term_by_term(*t, v)[0].tobytes()
+
+
+def test_an_unconverged_element_is_named_with_its_own_set(monkeypatch):
+    # the third of four sets holds the one element that runs out of terms:
+    # the message names that set's a, b and c and the element's z
+    monkeypatch.setattr(specfun_mod, "MAX_SERIES_TERMS", 20)
+    a, b, c = _set_columns([(1.0, 1.0, 2.0), (0.5 + 1j, 1.5, 2.5 - 1j), (2.0 + 0.5j, 0.25, 3.5 + 2j), (1.5, 2.5, 4.0)])
+    message = f"Gauss series for 2F1({a[2]}, {b[2]}; {c[2]}; 0.4) did not converge in 20 terms"
+    with pytest.raises(NonConvergenceError, match=re.escape(message)):
+        specfun_mod._gauss_series(a, b, c, np.array([0.01, 0.02, 0.01, 0.02, 0.4, 0.03]), [2, 1, 2, 1])
+    rows = np.array([[0.01, 0.02], [0.01, 0.03], [0.02, 0.4], [0.03, 0.01]])
+    with pytest.raises(NonConvergenceError, match=re.escape(message)):
+        hyp2f1(a, b, c, rows)
+    rows[2, 1] = 0.04
+    assert np.isfinite(hyp2f1(a, b, c, rows)).all()
+
+
+def test_an_18_set_column_names_its_first_bad_set(monkeypatch):
+    # the pole and degeneracy checks each take one numpy pass over the sets;
+    # of two bad sets, the 7th and the 12th, the 7th is named, before any series
+    triples = (_solution_sets(2.0, 1.0) * 5)[:18]
+    poles, degenerate = list(triples), list(triples)
+    poles[6], poles[11] = (1.0, 1.0, -3.0), (1.0, 1.0, -5.0)
+    degenerate[6], degenerate[11] = (0.25, 0.25, 2.5000000001), (1.0, 1.0, 5.0)
+    passes = _recording_passes(monkeypatch)
+    z = np.array([0.1, 0.7])
+    with pytest.raises(PoleError, match=re.escape(str(PoleError(-3 + 0j, "denominator")))):
+        hyp2f1(*_set_columns(poles), z)
+    with pytest.raises(DegenerateParamsError) as one_set:
+        hyp2f1(*degenerate[6], z)
+    assert str(one_set.value).startswith("c - a - b = (2.0000000001")
+    with pytest.raises(DegenerateParamsError, match=re.escape(str(one_set.value))):
+        hyp2f1(*_set_columns(degenerate), z)
+    assert passes == []
 
 
 def test_no_parameter_sets_give_no_rows():
