@@ -25,6 +25,7 @@ __all__ = ["IntegrationConfig", "DEFAULT_CONFIG", "integrate_wavefunction", "ext
 
 _BLOWUP_LIMIT = 1e12
 _COND_LIMIT = 1e8
+_SCAN_STEPS = 2 ** 15  # a column's omegas share Magnus scans of at most this many steps (or one omega)
 # Width of the left matching window: 5 units keep the slowly decaying
 # e^(x/2) contamination near the left boundary below the 1e-6 flux budget
 # even just above threshold (a 10-unit window admits ~1.4e-6 flux error at
@@ -62,14 +63,12 @@ DEFAULT_CONFIG = IntegrationConfig()
 
 
 def _prepare(spec: PotentialSpec, omega, cfg: IntegrationConfig):
-    """(omegas, v, h) for the marches at omega: omega as Python floats
-    ([omega] for a number, a 1-d array's elements in order), V sampled by
-    one call of ``potential`` on the 2n + 1 point half-step grid of the
-    n-step march, and the step h.  Every omega passes the domain and
-    threshold checks before V is sampled, and the step bound
-    (max|V - omega^2|) h^2 < 0.01 (see ``_march``) before any march.  A
-    step that goes down (V0 < 0) has no real coupling sqrt(V0) and raises
-    ``DomainError`` first."""
+    """(v, h, omegas) for the marches at omega: V sampled by one ``potential``
+    call on the 2n + 1 point half-step grid of the n-step march, the step h,
+    and omega as Python floats ([omega] for a number, a 1-d array's elements
+    in order).  Every omega passes the domain and threshold checks before
+    V is sampled, the step bound (max|V - omega^2|) h^2 < 0.01 before any march;
+    a step that goes down (V0 < 0, no real coupling) raises ``DomainError`` first."""
     asym = spec.right_asymptote
     if asym < 0:
         raise DomainError(f"the oracle solves a step that goes up, V0 >= 0; got V0 = {asym}")
@@ -96,7 +95,7 @@ def _prepare(spec: PotentialSpec, omega, cfg: IntegrationConfig):
         if not stiffness < 0.01:
             raise ConfigError(f"step {h} too coarse at omega = {w}: "
                               f"(max|V - omega^2|) step^2 = {stiffness:.3g} is not below 0.01")
-    return omegas, v, h
+    return v, h, omegas
 
 
 def _running_products(rows):
@@ -107,69 +106,67 @@ def _running_products(rows):
     return rows
 
 
-def _march(spec: PotentialSpec, cfg: IntegrationConfig, v, h: float, omega: float) -> WaveField:
-    """The Magnus-4 march of one omega over the half-step samples v: the
-    field on the n + 1 point grid.  Besides the field it holds the packed
-    step rows, two complex numbers per step, and no other omega's data."""
+def _march(spec: PotentialSpec, cfg: IntegrationConfig, v, h: float, omegas) -> list:
+    """The field of each omega (a list of floats) on the n + 1 point grid, marched over the
+    half-step samples v as :func:`integrate_wavefunction` describes, in one scan with omega
+    the leading axis; besides the fields it holds two complex numbers per step and omega."""
     n = (v.size - 1) // 2
-    w2 = omega * omega
-    # step i (right to left) maps (Z, Z') at x_max - i h to x_max - (i + 1) h
-    # by the real matrix [[a, b], [c, d]], stored as its rows a + ib and
-    # c + id; the steps are laid out as (groups, width, width) blocks,
-    # padded with identities.  A running product's rows pack the same way,
-    # so row r of S P is S[r, 0] P[0] + S[r, 1] P[1]: real-by-complex products.
-    # A step is exp(Omega) = cosh(s) I + (sinh(s)/s) Omega, Omega^2 = s^2 I, for
-    # the Magnus-4 Omega = [[-e, -h], [-h qs, e]] at Simpson nodes of
-    # q = V - omega^2: qs = (q0 + 4 qm + q1)/6 and e = h^2 (q1 - q0)/12
+    # step i (right to left) maps (Z, Z') at x_max - i h to x_max - (i + 1) h by the real
+    # matrix [[a, b], [c, d]], stored as its rows a + ib and c + id and laid out as (groups,
+    # width, width) blocks padded with identities; a running product's rows pack the same way,
+    # so row r of S P is S[r, 0] P[0] + S[r, 1] P[1]: real-by-complex products.  A step is
+    # exp(Omega) = cosh(s) I + (sinh(s)/s) Omega, Omega^2 = s^2 I, for the Magnus-4 Omega =
+    # [[-e, -h], [-h qs, e]], q = V - omega^2: qs = (q0 + 4 qm + q1)/6 and e = h^2 (q1 - q0)/12
     hm = -h
     width = round(n ** (1 / 3)) + 1
     groups = -(-n // (width * width))
     ends = v[::-2]
-    dqs = (ends[:-1] + 4.0 * v[-2::-2] + ends[1:]) * (hm / 6.0) - hm * w2  # -h qs
+    dqs = (ends[:-1] + 4.0 * v[-2::-2] + ends[1:]) * (hm / 6.0) - hm * np.square(omegas)[:, None]  # -h qs
     e = (ends[1:] - ends[:-1]) * (h * h / 12.0)
     s2 = e * e + hm * dqs
     cosh_s, sinhc_s = series = np.multiply.outer((1.0 / math.factorial(8), 1.0 / math.factorial(9)), s2)
     for k in (6, 4, 2):  # Horner in s^2, exact to rounding for |s^2| <= 0.01
-        series += [[1.0 / math.factorial(k)], [1.0 / math.factorial(k + 1)]]
+        series += [[[1.0 / math.factorial(k)]], [[1.0 / math.factorial(k + 1)]]]
         series *= s2
     series += 1.0
-    e *= sinhc_s
-    rows = np.empty((2, groups * width * width), dtype=complex)
-    np.subtract(cosh_s, e, out=rows[0].real[:n])
-    np.multiply(sinhc_s, hm, out=rows[0].imag[:n])
-    np.multiply(sinhc_s, dqs, out=rows[1].real[:n])
-    np.add(cosh_s, e, out=rows[1].imag[:n])
-    rows[:, n:] = [[1.0], [1j]]
+    e = e * sinhc_s
+    rows = np.empty((2, len(omegas), groups * width * width), dtype=complex)
+    np.subtract(cosh_s, e, out=rows[0].real[:, :n])
+    np.multiply(sinhc_s, hm, out=rows[0].imag[:, :n])
+    np.multiply(sinhc_s, dqs, out=rows[1].real[:, :n])
+    np.add(cosh_s, e, out=rows[1].imag[:, :n])
+    rows[..., n:] = [[[1.0]], [[1j]]]
     del dqs, e, s2, series, cosh_s, sinhc_s
-    rows = rows.reshape(2, groups, width, width)
+    rows = rows.reshape(2, len(omegas), groups, width, width)
 
-    kprime = math.sqrt(w2 - spec.right_asymptote)
-    zc = cmath.exp(1j * kprime * cfg.x_max)
-    dz = 1j * kprime * zc
-    # buf[-1] is the initial point and buf[-2::-1] the march order, so the
-    # grid's values are the last n + 1 entries
-    buf = np.empty(groups * width * width + 1, dtype=complex)
-    buf[-1] = zc
-    entering = np.empty((2, groups, width), dtype=complex)  # (Z, Z') entering each block
+    kprime = (math.sqrt(w * w - spec.right_asymptote) for w in omegas)
+    starts = [(z, 1j * kp * z) for kp in kprime for z in [cmath.exp(1j * kp * cfg.x_max)]]  # (Z, Z') at x_max
+    # buf[:, -1] is the initial point and buf[:, -2::-1] the march order, so
+    # the grid's values are the last n + 1 entries of each row
+    buf = np.empty((len(omegas), groups * width * width + 1), dtype=complex)
+    buf[:, -1] = [z for z, _ in starts]
+    entering = np.empty((2, len(omegas), groups, width), dtype=complex)  # (Z, Z') entering each block
     with np.errstate(over="ignore", invalid="ignore"):
         # running products inside the blocks, then of the block totals inside
         # the groups; the state carried over the groups, then into each block
         totals = _running_products(_running_products(rows)[..., -1].copy())
-        for k, (ab, cd) in enumerate(zip(*totals[..., -1].tolist())):
-            entering[:, k, 0] = zc, dz
-            zc, dz = ab.real * zc + ab.imag * dz, cd.real * zc + cd.imag * dz
-        entering[..., 1:] = totals[..., :-1].real * entering[0, :, :1] + totals[..., :-1].imag * entering[1, :, :1]
-        march = buf[-2::-1].reshape(groups, width, width)
+        for i, ((zc, dz), group_totals) in enumerate(zip(starts, zip(*totals[..., -1].tolist()))):
+            for k, (ab, cd) in enumerate(zip(*group_totals)):
+                entering[:, i, k, 0] = zc, dz
+                zc, dz = ab.real * zc + ab.imag * dz, cd.real * zc + cd.imag * dz
+        entering[..., 1:] = totals[..., :-1].real * entering[0, ..., :1] + totals[..., :-1].imag * entering[1, ..., :1]
+        march = buf[:, -2::-1].reshape(len(omegas), groups, width, width)
         np.multiply(rows[0].real, entering[0, ..., None], out=march)
         march += rows[0].imag * entering[1, ..., None]
-        values = buf[groups * width * width - n:]
-        bad = np.flatnonzero(~(np.abs(values[:n]) <= _BLOWUP_LIMIT))
-    if bad.size:
-        raise BlowUpError(f"|Z| exceeded {_BLOWUP_LIMIT:g} at x = {cfg.x_max + (n - bad[-1]) * hm:.3f}; "
-                          f"omega = {omega} is below threshold or the step too coarse")
+        values = buf[:, groups * width * width - n:]
+        bad = ~(np.abs(values[:, :n]) <= _BLOWUP_LIMIT)
+    if bad.any():
+        row = bad.any(axis=1).argmax()  # the first omega in column order; bad[row, ::-1] runs in march order
+        raise BlowUpError(f"|Z| exceeded {_BLOWUP_LIMIT:g} at x = {cfg.x_max + (1 + bad[row, ::-1].argmax()) * hm:.3f}; "
+                          f"omega = {omegas[row]} is below threshold or the step too coarse")
 
-    return WaveField(grid=np.linspace(cfg.x_min, cfg.x_max, n + 1), values=values, omega=omega, m=_coupling(spec),
-                     kind=spec.kind, meta={"spec": spec, "config": cfg})
+    return [WaveField(grid=np.linspace(cfg.x_min, cfg.x_max, n + 1), values=z, omega=w, m=_coupling(spec), kind=spec.kind,
+                      meta={"spec": spec, "config": cfg}) for w, z in zip(omegas, values)]
 
 
 def _coupling(spec: PotentialSpec) -> float:
@@ -194,11 +191,10 @@ def integrate_wavefunction(spec: PotentialSpec, omega: float, cfg: IntegrationCo
     a product of at most about 3 n^(1/3) matrices taken in march order, so
     rounding accumulates as in a point-by-point march (to about 1e-13).
 
-    ``omega`` is one real number; this is the one-omega case of the march
-    that :func:`numerical_rt` runs over an omega column.  Beyond the field
-    itself (n + 1 complex values and the grid), the march holds about
-    2 n complex numbers (the packed step rows) and the 2n + 1 potential
-    samples.
+    ``omega`` is one real number: the one-omega scan of the march that
+    :func:`numerical_rt` runs over an omega column.  Beyond the field (n + 1
+    complex values and the grid), it holds 2 n complex numbers (the packed
+    step rows) and the 2n + 1 potential samples.
 
     Raises
     ------
@@ -216,8 +212,7 @@ def integrate_wavefunction(spec: PotentialSpec, omega: float, cfg: IntegrationCo
     """
     if np.ndim(omega) > 0:
         raise DomainError(f"integrate_wavefunction takes one omega; got an array of shape {np.shape(omega)}")
-    omegas, v, h = _prepare(spec, omega, cfg)
-    return _march(spec, cfg, v, h, omegas[0])
+    return _march(spec, cfg, *_prepare(spec, omega, cfg))[0]
 
 
 def extract_rt(field: WaveField) -> ScatteringResult:
@@ -249,8 +244,7 @@ def extract_rt(field: WaveField) -> ScatteringResult:
     cond = sv[0] / sv[-1] if x_win.size >= 2 and sv[-1] > 0 else math.inf
     if not cond < _COND_LIMIT:
         raise IllConditionedError(f"matching fit condition number {cond:.3g} exceeds {_COND_LIMIT:g}")
-    return ScatteringResult(omega=omega, m=m, kind=field.kind,
-                            R=complex(b_refl / a_in), T=complex(1.0 / a_in))
+    return ScatteringResult(omega=omega, m=m, kind=field.kind, R=complex(b_refl / a_in), T=complex(1.0 / a_in))
 
 
 def numerical_rt(spec: PotentialSpec, omega, cfg: IntegrationConfig = DEFAULT_CONFIG) -> ScatteringResult:
@@ -261,13 +255,17 @@ def numerical_rt(spec: PotentialSpec, omega, cfg: IntegrationConfig = DEFAULT_CO
     are arrays, each element equal bit for bit to the one-omega call: the
     potential is sampled once for the column, every element is checked
     (domain and threshold before the potential is sampled, stability
-    before any march), and then each omega is marched and fitted in turn,
-    so the memory held is that of one omega whatever the column's length.
+    before any march), and then the omegas are marched, in column order,
+    in scans of as many omegas as fit in 2^15 steps (at least one), and
+    fitted, so at most max(n, 2^15) steps per scan are held whatever the
+    column's length (n per omega).
     Raises as :func:`integrate_wavefunction` and :func:`extract_rt`.
     """
     if np.ndim(omega) == 0:
         return extract_rt(integrate_wavefunction(spec, omega, cfg))
-    omegas, v, h = _prepare(spec, omega, cfg)
-    fits = [extract_rt(_march(spec, cfg, v, h, w)) for w in omegas]
+    v, h, omegas = _prepare(spec, omega, cfg)
+    per_scan, fits = max(1, _SCAN_STEPS // ((v.size - 1) // 2)), []
+    for start in range(0, len(omegas), per_scan):
+        fits += map(extract_rt, _march(spec, cfg, v, h, omegas[start:start + per_scan]))
     R, T = np.array([(fit.R, fit.T) for fit in fits], dtype=complex).reshape(-1, 2).T
     return ScatteringResult(omega=np.array(omegas), m=_coupling(spec), kind=spec.kind, R=R, T=T)

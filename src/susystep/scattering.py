@@ -5,10 +5,10 @@ All Gamma products run through :func:`susystep.specfun.gamma_ratio` in log
 space; hyperbolic-ratio closed forms are rearranged into exponential
 differences so they stay finite for arbitrarily large omega.
 
-The amplitudes and closed forms take omega as a number or as a 1-d array
-(an omega column), a number being the one-element column: all is taken in
-numpy, a number giving Python numbers of the same bits.  Each amplitude
-call makes one Gamma-ratio call, its products stacked along the column.
+The amplitudes, the closed forms and the SUSY check take omega and m as
+numbers or as 1-d case columns of one length (a number stands for every
+case), all in numpy, a number pair giving Python numbers of the same bits.
+An amplitude call, for one partner kind or a tuple, makes one Gamma-ratio call.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def _squared_modulus(omega, value):
     """|value|^2 per omega as r * r with r = hypot(re, im), not numpy's abs on
     complex (which may differ by an ulp) nor r ** 2 (pow() on a numpy scalar)."""
     r = np.hypot(np.real(value), np.imag(value))
-    return _per_omega(omega, r * r)[0]
+    return _per_case(omega, r * r)[0]
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,8 @@ class ScatteringResult:
     ``m`` is the coupling solved: m for the partners, sqrt(V0) for the
     step.  ``flux`` is R2 + (kprime/omega) T2; for the analytic amplitudes
     it equals 1 to rounding, for oracle-extracted ones to the integrator's
-    accuracy.  For an omega column, ``omega``, ``R``, ``T`` and the derived
-    fields are arrays.  Its builders check (omega, m), so ``kprime`` reads them unchecked.
+    accuracy.  For case columns, ``omega``, ``R``, ``T``, the derived fields and
+    an m column are arrays.  Its builders check (omega, m), so ``kprime`` reads them unchecked.
     """
 
     omega: float
@@ -82,7 +82,7 @@ class ScatteringResult:
 
     @property
     def kprime(self) -> float:
-        return _per_omega(self.omega, _kprime(self.omega, self.m))[0]
+        return _per_case(self.omega, _kprime(self.omega, self.m))[0]
 
     @property
     def R2(self) -> float:
@@ -97,11 +97,16 @@ class ScatteringResult:
         return self.R2 + (self.kprime / self.omega) * self.T2
 
 
-def _coupling(m) -> float:
-    """m as a float; ``DomainError`` unless it is a real number in (0, inf) and not a bool."""
-    if not (finite_real(m) and m > 0):
-        raise DomainError(f"require a real, finite m > 0, got m = {m}")
-    return float(m)
+def _coupling(m, column=False):
+    """m as a float, or where ``column`` a 1-d array as a float array; ``DomainError`` unless
+    m (each element) is a real number in (0, inf) and not a bool."""
+    if column and not isinstance(m, numbers.Number):
+        ms = real_array(m, "m")
+        if ms.ndim == 1 and ((ms > 0) & (ms < math.inf)).all():
+            return ms
+    elif finite_real(m) and m > 0:
+        return float(m)
+    raise DomainError(f"require a real, finite m > 0 (or a 1-d column of them), got m = {m}")
 
 
 def _kprime(omega, m):
@@ -109,15 +114,20 @@ def _kprime(omega, m):
     return np.sqrt(omega - m) * np.sqrt(omega + m)
 
 
-def _check_scattering_regime(omega, m: float):
-    """(omega, m, k') for the float m and an omega checked in one numpy pass to be
-    real (not a bool), finite and above m: 0-d for a number, 1-d for a column."""
+def _check_scattering_regime(omega, m):
+    """(omega, m, k') for a float m or m column and an omega checked in one numpy pass to be real
+    (not a bool), finite and above m: 0-d for a number pair, else 1-d (a number omega repeated)."""
     omega = real_array(omega, "omega")
     if omega.ndim > 1:
         raise DomainError(f"omega must be a number or a 1-d array, got shape {omega.shape}")
-    below = omega[~((omega > m) & (omega < math.inf))]
-    if below.size:
-        raise DomainError(f"scattering requires a finite omega > m (~propagating transmitted wave); got omega = {below[0]}, m = {m}")
+    if isinstance(m, np.ndarray) and omega.shape != m.shape:
+        if omega.ndim:
+            raise DomainError(f"omega and m columns must have one length, got {omega.size} and {m.size}")
+        omega = np.repeat(omega, m.size)
+    below = ~((omega > m) & (omega < math.inf))
+    if below.any():
+        w, mb = (np.broadcast_to(v, omega.shape)[below][0] for v in (omega, m))
+        raise DomainError(f"scattering requires a finite omega > m (~propagating transmitted wave); got omega = {w}, m = {mb}")
     return omega, m, _kprime(omega, m)
 
 
@@ -127,7 +137,7 @@ def transmitted_wavenumber(omega, m: float):
     if not (finite_real(m) and m >= 0):
         raise DomainError(f"k' requires a real, finite m >= 0, got m = {m}")
     omega, _, kprime = _check_scattering_regime(omega, float(m))
-    return _per_omega(omega, kprime)[0]
+    return _per_case(omega, kprime)[0]
 
 
 def _gamma_arguments(omega, m: float):
@@ -135,7 +145,7 @@ def _gamma_arguments(omega, m: float):
     and d/m, with d written as i m^2/(omega + k') so it never cancels.  Past
     omega = 1e4 each log-Gamma near +-2i omega carries about |z| eps of
     error and the products miss 1e-10: any such element raises."""
-    omega, m, kprime = _check_scattering_regime(omega, _coupling(m))
+    omega, m, kprime = _check_scattering_regime(omega, _coupling(m, column=True))
     if np.any(omega > 1e4):
         raise DomainError(f"the Gamma products hold their accuracy for omega <= 1e4, got omega = {np.max(omega)}; "
                           "the closed forms hold at any omega")
@@ -145,7 +155,7 @@ def _gamma_arguments(omega, m: float):
 
 def _gamma_products(*pairs):
     """``gamma_ratio(numerators, denominators)`` of each pair of one arity, a
-    row of one element per omega (one for a number) per pair, in one call
+    row of one element per case (one for a number pair) per pair, in one call
     over the pairs stacked along the column; a pole raises ``GammaPoleError``."""
     numerators, denominators = ([np.concatenate([np.atleast_1d(v) for v in args]) for args in zip(*side)]
                                 for side in zip(*pairs))
@@ -156,8 +166,8 @@ def _gamma_products(*pairs):
                              "quasinormal frequency or degenerate parameters") from err
 
 
-def _per_omega(omega, *values):
-    """The numpy values as they are for an omega column, as Python numbers (``.item()``) for a number."""
+def _per_case(omega, *values):
+    """The numpy values as they are for a checked omega column, as Python numbers (``.item()``) for a number."""
     return values if np.ndim(omega) else tuple(v.item() for v in values)
 
 
@@ -180,34 +190,38 @@ def asymptotic_coefficients(omega: float, m: float) -> AsymptoticCoefficients:
         ([2.0 - c1, -2j * kprime], [1.0 - a1, 1.0 - b1]),
     )
     fac_in, fac_out = 1.0 + d_m, 1.0 + b1 / m
-    return AsymptoticCoefficients(1.0 + 0.0j, 0.0j, 0.0j, (c1 - 1.0) / m, *_per_omega(
+    return AsymptoticCoefficients(1.0 + 0.0j, 0.0j, 0.0j, (c1 - 1.0) / m, *_per_case(
         omega, aI_plus * fac_in, d * bI_plus * fac_out, aII_plus * fac_in, bII_plus * fac_out))
 
 
-def reflection_transmission(kind: PotentialKind, omega, m: float) -> ScatteringResult:
-    """Reflection and transmission amplitudes of V+ or V- (omega a number or
-    a 1-d array), with s = i(omega + k') and d = i omega - i k' =
+def reflection_transmission(kind, omega, m):
+    """Reflection and transmission amplitudes of V+ or V- (omega and m numbers
+    or case columns), with s = i(omega + k') and d = i omega - i k' =
     i m^2/(omega + k'):
 
         R+ = (d/m) G(1/2-s)G(1-s)G(1/2+2iw) / (G(1/2-2iw)G(1+d)G(1/2+d))
         T+- = (1 +- d/m) G(1/2-s)G(1-s) / (G(1/2-2iw)G(1-2ik'))
 
     and R- = -R+, R+ as T's Gamma core times G(1/2+2iw)G(1-2ik')/(G(1+d)
-    G(1/2+d)), in one call.  1/G(d) = d/G(1+d) (DLMF 5.5.1) takes out the
-    factor that is near a pole for m << omega.  |R|^2 and |T|^2 meet the
-    closed forms to 1e-10 relative for any m > 0 and m < omega <= 1e4;
-    above that ``DomainError`` is raised (the closed forms hold at any omega).
+    G(1/2+d)), in one call for a kind or a tuple of kinds (a tuple of results).
+    1/G(d) = d/G(1+d) (DLMF 5.5.1) takes out the factor that is near a pole for
+    m << omega.  |R|^2 and |T|^2 meet the closed forms to 1e-10 relative for any
+    m > 0 and m < omega <= 1e4; above that ``DomainError`` is raised (the closed forms hold at any omega).
     """
-    if kind not in (PotentialKind.PLUS, PotentialKind.MINUS):
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not kinds or not all(k in (PotentialKind.PLUS, PotentialKind.MINUS) for k in kinds):
         raise DomainError("reflection_transmission handles the partner kinds; use step_amplitudes for the step")
     omega, m, kprime, s, d, d_m = _gamma_arguments(omega, m)
     t_core, r_factor = _gamma_products(
         ([0.5 - s, 1.0 - s], [0.5 - 2j * omega, 1.0 - 2j * kprime]),
         ([0.5 + 2j * omega, 1.0 - 2j * kprime], [1.0 + d, 0.5 + d]),
     )
-    sign = 1.0 if kind is PotentialKind.PLUS else -1.0
-    omega, R, T = _per_omega(omega, omega, sign * d_m * (t_core * r_factor), (1.0 + sign * d_m) * t_core)
-    return ScatteringResult(omega=omega, m=m, kind=kind, R=R, T=T)
+    r_core, results = t_core * r_factor, []
+    for k in kinds:
+        sign = 1.0 if k is PotentialKind.PLUS else -1.0
+        w, R, T = _per_case(omega, omega, sign * d_m * r_core, (1.0 + sign * d_m) * t_core)
+        results.append(ScatteringResult(omega=w, m=m, kind=k, R=R, T=T))
+    return tuple(results) if isinstance(kind, tuple) else results[0]
 
 
 def _closed_form_parts(omega, m, scale):
@@ -215,7 +229,7 @@ def _closed_form_parts(omega, m, scale):
     scale m^2/(omega + k'), b = scale k', c = a + 2b: the ratio is e^(-2b)
     expm1(-2a)/expm1(-2c), finite even where m^2 overflows, and cancels neither
     at threshold (a ~ c) nor for m << omega.  ``DomainError`` where c overflows."""
-    omega, m, kprime = _check_scattering_regime(omega, _coupling(m))
+    omega, m, kprime = _check_scattering_regime(omega, _coupling(m, column=True))
     with np.errstate(over="ignore"):
         c = scale * (omega + kprime)
     if not np.isfinite(c).all():
@@ -224,7 +238,7 @@ def _closed_form_parts(omega, m, scale):
     return omega, kprime, b, c, np.exp(-2.0 * b) * np.expm1(-2.0 * a) / np.expm1(-2.0 * c)
 
 
-def coefficients_closed_form(omega, m: float):
+def coefficients_closed_form(omega, m):
     """Closed hyperbolic forms of the partner reflection/transmission
     coefficients,
 
@@ -234,31 +248,32 @@ def coefficients_closed_form(omega, m: float):
 
     rearranged into exponential differences (``_closed_form_parts``), so
     no intermediate ever overflows (plain sinh would at omega ~ 113) or
-    cancels.  An omega column gives two arrays.
+    cancels.  Case columns give two arrays.
     """
     omega, kprime, b, c, r2 = _closed_form_parts(omega, m, 2.0 * math.pi)
     # 2 cosh(2 pi w) sinh(2 pi k') / sinh(2 pi (w + k')):
     # exponents cancel exactly, leaving expm1 factors only.
     t2 = (omega / kprime) * (1.0 + np.exp(-2.0 * c + 2.0 * b)) * (-np.expm1(-2.0 * b)) / (-np.expm1(-2.0 * c))
-    return _per_omega(omega, r2, t2)
+    return _per_case(omega, r2, t2)
 
 
-def susy_relation_check(omega, m: float):
+def susy_relation_check(omega, m):
     """Partnership identities: returns (R+ + R-, T+ - (i k/(m + i k')) T-),
     both of which the closed amplitudes satisfy identically (k = omega,
-    k' = sqrt(omega^2 - m^2)); arrays for an omega column.  R+ + R- is 0.0
-    by construction (``reflection_transmission`` forms R- as -R+ from the
-    same Gamma products), so only the T relation can fail."""
-    res_plus, res_minus = (reflection_transmission(kind, np.atleast_1d(omega), m)
-                           for kind in (PotentialKind.PLUS, PotentialKind.MINUS))
-    factor = 1j * res_plus.omega / (res_plus.m + 1j * res_plus.kprime)
-    return _per_omega(omega, res_plus.R + res_minus.R, res_plus.T - factor * res_minus.T)
+    k' = sqrt(omega^2 - m^2)); arrays for case columns.  R+ + R- is 0.0 by
+    construction (one ``reflection_transmission`` call forms R- as -R+ from
+    the same Gamma products), so only the T relation can fail."""
+    number = not (np.ndim(omega) or np.ndim(m))  # taken as a one-element column, in numpy
+    plus, minus = reflection_transmission((PotentialKind.PLUS, PotentialKind.MINUS),
+                                          np.atleast_1d(omega) if number else omega, m)
+    factor = 1j * plus.omega / (plus.m + 1j * plus.kprime)
+    return _per_case(omega if number else plus.omega, plus.R + minus.R, plus.T - factor * minus.T)
 
 
-def step_amplitudes(omega, m: float) -> ScatteringResult:
+def step_amplitudes(omega, m) -> ScatteringResult:
     """Amplitudes of the smooth step with height V0 = m^2 and width
-    alpha = 1 (the comparison convention used throughout), omega a number
-    or a 1-d array, with s and d as in :func:`reflection_transmission`:
+    alpha = 1 (the comparison convention used throughout), omega and m
+    numbers or case columns, with s and d as in :func:`reflection_transmission`:
 
         R^S = (d/s) G(1+2iw)G(1-s)^2 / (G(1-2iw)G(1+d)^2)
         T^S = (2iw/s) G(1-s)^2 / (G(1-2iw)G(1-2ik'))
@@ -283,21 +298,21 @@ def step_amplitudes(omega, m: float) -> ScatteringResult:
         ([1.0 + 2j * omega, 1.0 - 2j * kprime], [1.0 + d, 1.0 + d]),
     )
     r = t * r_factor
-    omega, R, T = _per_omega(omega, omega, q * q * scale * (r + s * r), 2.0 * omega / total * scale * (t + s * t))
+    omega, R, T = _per_case(omega, omega, q * q * scale * (r + s * r), 2.0 * omega / total * scale * (t + s * t))
     return ScatteringResult(omega=omega, m=m, kind=PotentialKind.STEP, R=R, T=T)
 
 
-def step_coefficients_closed_form(omega, m: float):
+def step_coefficients_closed_form(omega, m):
     """|R^S|^2 = sinh^2(pi(omega - k'))/sinh^2(pi(omega + k')) and |T^S|^2 =
     (omega/k') sinh(2 pi omega) sinh(2 pi k')/sinh^2(pi(omega + k')) =
     (omega/k') expm1(-4 pi omega) expm1(-4 pi k')/expm1(-2 pi(omega + k'))^2, in
-    exponent differences as :func:`coefficients_closed_form`; arrays for a column."""
+    exponent differences as :func:`coefficients_closed_form`; arrays for case columns."""
     omega, kprime, b, c, r = _closed_form_parts(omega, m, math.pi)
     t2 = (omega / kprime) * np.expm1(-4.0 * math.pi * omega) * np.expm1(-4.0 * b) / np.square(np.expm1(-2.0 * c))
-    return _per_omega(omega, r * r, t2)
+    return _per_case(omega, r * r, t2)
 
 
-def step_reflection_closed_form(omega, m: float):
+def step_reflection_closed_form(omega, m):
     """|R^S|^2 of :func:`step_coefficients_closed_form` alone."""
     return step_coefficients_closed_form(omega, m)[0]
 

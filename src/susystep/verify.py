@@ -3,13 +3,13 @@
 Each check evaluates one analytic contract (closed-form equivalence, flux
 conservation, SUSY identities, Wronskian constancy, wave-equation
 residuals, quasinormal poles, potential identities) and reports its worst
-residual against the contracted tolerance.  A run evaluates each (kind, m)
-amplitude column once; the Wronskian and wave-equation checks each take all
-their (omega, m) cases, branches and partners from one 2F1 call per
-component.  The SUSY check can fail only through its T relation: R- is -R+
-by construction, so R+ + R- reads exactly 0.  ``full`` adds the two oracle
-checks, which read one oracle sweep per run: one Magnus-4 march per (spec,
-omega) at ``ORACLE_CONFIG``, timed in the agreement row.
+residual against the contracted tolerance.  A run makes one (V+, V-) and
+one step amplitude call over its 150 (omega, m) cases, timed in the
+closed-form row, and one SUSY call over 60; the Wronskian and wave-equation
+checks each take all their cases, branches and partners from one 2F1 call
+per component.  The SUSY check can fail only through its T relation: R- is
+-R+ by construction.  ``full`` adds two oracle checks on one sweep per run,
+timed in the agreement row: a Magnus-4 scan per spec at ``ORACLE_CONFIG``.
 """
 
 from __future__ import annotations
@@ -51,8 +51,10 @@ class CheckResult:
         return self.max_residual < self.tolerance
 
 
-def _omega_grid(m: float, count: int = 50):
-    return m * (1.0 + 5.0 * np.arange(1, count + 1) / count)
+def _cases(count=50):
+    """The (omega, m) case columns of the amplitude checks: m (1 + 5 i/count), i = 1 .. count, for m = 0.5, 1, 2."""
+    m = np.repeat((0.5, 1.0, 2.0), count)
+    return m * (1.0 + 5.0 * np.tile(np.arange(1, count + 1), 3) / count), m
 
 
 def _check(name, tolerance, fn):
@@ -63,21 +65,17 @@ def _check(name, tolerance, fn):
 
 
 def _closed_form_equivalence(amplitudes):
-    worst = 0.0
-    for m in (0.5, 1.0, 2.0):
-        res = amplitudes(PotentialKind.PLUS, m)
-        r2, t2 = scattering.coefficients_closed_form(_omega_grid(m), m)
-        worst = max(worst, np.max(np.abs(res.R2 - r2) / np.maximum(np.abs(r2), np.abs(res.R2))))
-        worst = max(worst, np.max(np.abs(res.T2 - t2) / np.maximum(np.abs(t2), np.abs(res.T2))))
-    return worst
+    plus = amplitudes()[0]
+    closed = scattering.coefficients_closed_form(plus.omega, plus.m)
+    return max(np.max(np.abs(got - c) / np.maximum(np.abs(c), np.abs(got))) for got, c in zip((plus.R2, plus.T2), closed))
 
 
 def _flux_conservation(amplitudes):
-    return max(np.max(np.abs(amplitudes(kind, m).flux - 1.0)) for m in (0.5, 1.0, 2.0) for kind in PotentialKind)
+    return max(np.max(np.abs(res.flux - 1.0)) for res in amplitudes())
 
 
 def _susy_relations():
-    return max(np.max(np.abs(v)) for m in (0.5, 1.0, 2.0) for v in scattering.susy_relation_check(_omega_grid(m, count=20), m))
+    return max(np.max(np.abs(v)) for v in scattering.susy_relation_check(*_cases(count=20)))
 
 
 def _wronskian_constancy():
@@ -119,29 +117,21 @@ def _potential_identities():
 
 
 def _figure_difference_window():
+    # contract: visible in a difference plot (> 1e-4) yet invisible at reflection-plot scale (< 0.05)
     grid = np.linspace(1.05, 3.0, 391)
     peak = np.max(np.abs(scattering.coefficients_closed_form(grid, 1.0)[0]
                          - scattering.step_reflection_closed_form(grid, 1.0)))
-    # contract: visible in a difference plot (> 1e-4) yet invisible at
-    # reflection-plot scale (< 0.05)
-    if not 1e-4 < peak < 0.05:
-        return 1.0
-    return 0.0
+    return 0.0 if 1e-4 < peak < 0.05 else 1.0
 
 
+# V+, V- and the step at m = 1, as the amplitude columns; omega = 1.2, 1.5, 2 and 3 are cases of the m = 1 grid
 _ORACLE_SPECS = (PotentialSpec.plus(1.0), PotentialSpec.minus(1.0), PotentialSpec.step(1.0))
+_ORACLE_CASES = np.array([51, 54, 59, 69])
 
 
-def _oracle_agreement(sweep):
-    worst = 0.0
-    for spec in _ORACLE_SPECS:
-        num = sweep(spec)
-        if spec.kind is PotentialKind.STEP:
-            ana = scattering.step_amplitudes(num.omega, 1.0)
-        else:
-            ana = scattering.reflection_transmission(spec.kind, num.omega, 1.0)
-        worst = max(worst, np.max(np.abs(num.R - ana.R)), np.max(np.abs(num.T - ana.T)))
-    return worst
+def _oracle_agreement(sweep, amplitudes):
+    return max(max(np.max(np.abs(num.R - ana.R[_ORACLE_CASES])), np.max(np.abs(num.T - ana.T[_ORACLE_CASES])))
+               for num, ana in zip(map(sweep, _ORACLE_SPECS), amplitudes()))
 
 
 def _oracle_flux(sweep):
@@ -152,8 +142,8 @@ def run_checks(level: str = QUICK, inject_failure: bool = False):
     """Run the verification suite; returns a list of CheckResult."""
     if level not in (QUICK, FULL):
         raise DomainError(f"level must be {QUICK!r} or {FULL!r}, got {level!r}")
-    amplitudes = functools.cache(lambda kind, m: scattering.step_amplitudes(_omega_grid(m), m) if kind is PotentialKind.STEP
-                                 else scattering.reflection_transmission(kind, _omega_grid(m), m))
+    cases, partners = _cases(), (PotentialKind.PLUS, PotentialKind.MINUS)
+    amplitudes = functools.cache(lambda: (*scattering.reflection_transmission(partners, *cases), scattering.step_amplitudes(*cases)))
     results = [
         _check("closed-form equivalence (Gamma vs sinh)", 1e-10, lambda: _closed_form_equivalence(amplitudes)),
         _check("flux conservation", 1e-9, lambda: _flux_conservation(amplitudes)),
@@ -165,16 +155,11 @@ def run_checks(level: str = QUICK, inject_failure: bool = False):
         _check("reflection-difference window", 0.5, _figure_difference_window),
     ]
     if level == FULL:
-        sweep = functools.cache(lambda spec: oracle.numerical_rt(spec, np.array([1.2, 1.5, 2.0, 3.0]), ORACLE_CONFIG))
-        results.append(_check("oracle amplitude agreement", 1e-8, lambda: _oracle_agreement(sweep)))
+        sweep = functools.cache(lambda spec: oracle.numerical_rt(spec, cases[0][_ORACLE_CASES], ORACLE_CONFIG))
+        results.append(_check("oracle amplitude agreement", 1e-8, lambda: _oracle_agreement(sweep, amplitudes)))
         results.append(_check("oracle flux conservation", 1e-9, lambda: _oracle_flux(sweep)))
-    if inject_failure:
-        # Negative control: report the Wronskian check against a constant
-        # perturbed by 1e-3; it must fail and drive a nonzero exit status.
-        def perturbed():
-            value = solutions.wronskian(1, 2.0, 1.0, 0.3)
-            expected = 2.0 * 2.0 / 1.0 * (1.0 - (2j * 2.0 + 0.5)) + 1e-3
-            return abs(value - expected)
-
-        results.append(_check("failure injection (perturbed constant)", 1e-9, perturbed))
+    if inject_failure:  # negative control: the Wronskian against a constant off by 1e-3 must fail
+        expected = 2.0 * 2.0 / 1.0 * (1.0 - (2j * 2.0 + 0.5)) + 1e-3
+        results.append(_check("failure injection (perturbed constant)", 1e-9,
+                              lambda: abs(solutions.wronskian(1, 2.0, 1.0, 0.3) - expected)))
     return results

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from susystep import scattering, solutions, specfun, verify
+from susystep import oracle, scattering, solutions, specfun, verify
 from susystep.cli import main
 from susystep.errors import DomainError
 from susystep.potentials import PotentialKind
@@ -389,29 +389,70 @@ def test_partner_checks_judge_the_plus_row(monkeypatch):
 
 def test_susy_check_judges_the_t_relation(monkeypatch):
     # negative control: R- is -R+ by construction, so the check can fail
-    # only through T; a T- off by 1e-9 reads 1.29e-9 against 1e-11
-    exact = scattering.reflection_transmission
+    # only through T; a T- off by 1e-9 in the one (V+, V-) call the check
+    # makes reads 1.29e-9 against 1e-11
+    exact, kinds = scattering.reflection_transmission, []
 
     def t_minus_scaled(kind, omega, m):
-        result = exact(kind, omega, m)
-        return dataclasses.replace(result, T=result.T * (1.0 + 1e-9)) if kind is PotentialKind.MINUS else result
+        kinds.append(kind)
+        results = exact(kind, omega, m)
+        scaled = tuple(dataclasses.replace(r, T=r.T * (1.0 + 1e-9)) if r.kind is PotentialKind.MINUS else r
+                       for r in (results if isinstance(kind, tuple) else (results,)))
+        return scaled if isinstance(kind, tuple) else scaled[0]
 
     monkeypatch.setattr(scattering, "reflection_transmission", t_minus_scaled)
     (check,) = [r for r in run_checks() if r.name == "SUSY amplitude relations"]
     assert not check.passed and 1e-9 < check.max_residual < 2e-9
+    assert kinds == [(PotentialKind.PLUS, PotentialKind.MINUS)] * 2  # the amplitude pass, then the SUSY check
+
+
+def _amplitude_cases(count):
+    """The per-m omega grids the amplitude checks once looped over, m-major, as (omega, m) lists."""
+    cases = [(m * (1.0 + 5.0 * i / count), m) for m in (0.5, 1.0, 2.0) for i in range(1, count + 1)]
+    return [w for w, _ in cases], [m for _, m in cases]
 
 
 def test_verify_evaluates_each_amplitude_column_once(monkeypatch):
-    # the closed-form and flux checks read one amplitude column per (kind, m)
-    # and run: V+, V- and the step at three m, 50 omegas each, none twice
+    # the closed-form and flux checks read one (V+, V-) call and one step
+    # call per run over the 150 (omega, m) cases of the former per-m grids
+    # (50 omegas at each of three m); no run reuses another's
     calls = []
     for name in ("reflection_transmission", "step_amplitudes"):
         exact = getattr(scattering, name)
         monkeypatch.setattr(scattering, name, lambda *args, _exact=exact: calls.append(args) or _exact(*args))
+    omega, m = _amplitude_cases(50)
     for run in (1, 2):
         assert all(r.passed for r in run_checks())
-        columns = [(args[0] if len(args) == 3 else PotentialKind.STEP, args[-1]) for args in calls if np.size(args[-2]) == 50]
-        assert len(columns) == 9 * run and len(set(columns)) == 9
+        columns = [args for args in calls if np.size(args[-2]) == 150]
+        assert [args[0] if len(args) == 3 else PotentialKind.STEP for args in columns] == \
+            [(PotentialKind.PLUS, PotentialKind.MINUS), PotentialKind.STEP] * run
+        assert all(args[-2].tolist() == omega and args[-1].tolist() == m for args in columns)
+
+
+def test_verify_judges_susy_on_one_call_over_its_cases(monkeypatch):
+    # the SUSY check makes one call over its 60 (omega, m) cases: 20 omegas at each of three m
+    calls = []
+    exact = scattering.susy_relation_check
+    monkeypatch.setattr(scattering, "susy_relation_check", lambda *args: calls.append(args) or exact(*args))
+    assert all(r.passed for r in run_checks())
+    assert [(omega.tolist(), m.tolist()) for omega, m in calls] == [_amplitude_cases(20)]
+
+
+def test_full_verify_makes_few_gamma_passes_and_scans(monkeypatch):
+    # structure guard: a full run makes 17 gamma_ratio calls (32 when each
+    # (kind, m) and each oracle spec had its own): one (V+, V-), one step and
+    # one SUSY amplitude call, the 6 off-pole |1/T| calls of the qnm check and
+    # 8 from the 2F1 connection formula; and 3 Magnus scans, one per oracle
+    # spec (12 marches when each omega had its own)
+    ratios, scans = [], []
+    for module in (specfun, scattering):
+        exact = module.gamma_ratio
+        monkeypatch.setattr(module, "gamma_ratio", lambda *args, _exact=exact, _module=module:
+                            ratios.append(_module) or _exact(*args))
+    march = oracle._march
+    monkeypatch.setattr(oracle, "_march", lambda *args: scans.append(args) or march(*args))
+    assert all(r.passed for r in run_checks(FULL))
+    assert (ratios.count(scattering), ratios.count(specfun), len(scans)) == (3 + 6, 8, 3)
 
 
 def test_verify_unknown_level_is_a_domain_error():

@@ -5,6 +5,7 @@ paths of the configuration and matching machinery."""
 import cmath
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -264,30 +265,70 @@ def test_oracle_sweep_flux():
 
 def test_full_verify_marches_each_spec_and_omega_once(monkeypatch):
     # one oracle sweep per run serves both oracle checks, and no run reuses
-    # another's: 3 specs x 4 omegas, the potential sampled once per spec
+    # another's: one scan per spec holding its 4 omegas, the potential
+    # sampled once per spec
     specs = (PotentialSpec.plus(1.0), PotentialSpec.minus(1.0), PotentialSpec.step(1.0))
-    omega = np.array([1.2, 1.5, 2.0, 3.0])
-    flux = max(float(np.max(np.abs(numerical_rt(spec, omega, ORACLE_CONFIG).flux - 1.0))) for spec in specs)
+    omega = [1.2, 1.5, 2.0, 3.0]
+    flux = max(float(np.max(np.abs(numerical_rt(spec, np.array(omega), ORACLE_CONFIG).flux - 1.0))) for spec in specs)
     sampled = _counting(monkeypatch, "potential")
     marched = _counting(monkeypatch, "_march")
     for run in (1, 2):
         results = run_checks(FULL)
         assert len(results) == 10 and all(r.passed for r in results)
-        assert len(marched) == 12 * run and len(sampled) == 3 * run
-        assert {(args[0], args[4]) for args in marched} == {(spec, w) for spec in specs for w in omega.tolist()}
+        assert len(marched) == 3 * run and len(sampled) == 3 * run
+        assert [(args[0], args[4]) for args in marched[-3:]] == [(spec, omega) for spec in specs]
         assert results[-1].name == "oracle flux conservation" and results[-1].max_residual == flux
 
 
 def test_full_verify_sweep_stays_coarse(monkeypatch):
     # verify's oracle sweep marches at most 4 500 steps per omega (a
-    # potential column of at most 9 001 samples), and its two oracle checks
-    # hold R and T to 1e-8 and flux to 1e-9
+    # potential column of at most 9 001 samples), one scan per spec holding
+    # its 4 omegas, and its two oracle checks hold R and T to 1e-8 and flux
+    # to 1e-9
     marched = _counting(monkeypatch, "_march")
     results = run_checks(FULL)
-    assert marched and all(args[2].size <= 9001 for args in marched)
+    assert len(marched) == 3 and all(args[2].size <= 9001 and len(args[4]) == 4 for args in marched)
     assert [(r.name, r.tolerance) for r in results[-2:]] == [("oracle amplitude agreement", 1e-8),
                                                             ("oracle flux conservation", 1e-9)]
     assert all(r.passed for r in results[-2:])
+
+
+@pytest.mark.parametrize("budget, scans", [(1, [[3.0], [1.2], [2.0], [1.5], [2.5]]),
+                                           (2 * 6000, [[3.0, 1.2], [2.0, 1.5], [2.5]]),
+                                           (2 ** 15, [[3.0, 1.2, 2.0, 1.5, 2.5]])])
+@pytest.mark.parametrize("spec", [PotentialSpec.plus(1.0), PotentialSpec.step(1.0, 1.0)])
+def test_column_scans_are_the_one_omega_calls(monkeypatch, spec, budget, scans):
+    # a column's omegas share scans of at most _SCAN_STEPS steps (n = 6000
+    # per omega here), in column order; however the column is split, every
+    # element equals its one-omega call bit for bit
+    one = [numerical_rt(spec, w, COARSE) for w in (3.0, 1.2, 2.0, 1.5, 2.5)]
+    monkeypatch.setattr(oracle_mod, "_SCAN_STEPS", budget)
+    marched = _counting(monkeypatch, "_march")
+    col = numerical_rt(spec, np.array([3.0, 1.2, 2.0, 1.5, 2.5]), COARSE)
+    assert [args[4] for args in marched] == scans
+    assert col.R.tobytes() == np.array([r.R for r in one]).tobytes()
+    assert col.T.tobytes() == np.array([r.T for r in one]).tobytes()
+    empty = numerical_rt(spec, np.array([]), COARSE)
+    assert empty.R.shape == empty.T.shape == (0,) and len(marched) == len(scans)
+
+
+@pytest.mark.parametrize("omega, first, x", [
+    ([50.0, 2.0, 90.0], 50.0, "29.650"),  # 2.0 blows up first in march order, at x = 29.701
+    ([95.0, 90.0, 2.0], 90.0, "29.096"),  # 95.0 oscillates: omega^2 > V
+])
+def test_shared_scan_blowup_names_the_first_omega_in_column_order(monkeypatch, omega, first, x):
+    # V = 9004 everywhere grows each mode at its own rate sqrt(V - omega^2); in
+    # one scan the error names the first blown-up omega in column order and
+    # that omega's own first x past the limit, as its one-omega march does
+    monkeypatch.setattr(oracle_mod, "potential", lambda spec, x: np.full(np.shape(x), 4.0 + 9000.0))
+    monkeypatch.setattr(oracle_mod, "_SCAN_STEPS", 10 ** 6)
+    marched = _counting(monkeypatch, "_march")
+    message = re.escape(f"at x = {x}; omega = {first} ")
+    with pytest.raises(BlowUpError, match=message):
+        numerical_rt(PotentialSpec.plus(1.0), np.array(omega))
+    assert len(marched) == 1
+    with pytest.raises(BlowUpError, match=message):
+        integrate_wavefunction(PotentialSpec.plus(1.0), first)
 
 
 # --------------------------------------------------------------- error paths

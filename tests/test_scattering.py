@@ -419,6 +419,108 @@ def test_a_bool_n_or_m_is_a_domain_error(call, args):
         call(*args)
 
 
+# ----------------------------------------------- kind tuples and case columns
+
+_FIELDS = ("omega", "m", "R", "T", "R2", "T2", "kprime", "flux")
+
+
+def _same(got, expected):
+    """Field by field, the same bits and the same types (Python numbers for a number pair)."""
+    for field in _FIELDS:
+        a, b = getattr(got, field), getattr(expected, field)
+        assert type(a) is type(b) and np.array(a).tobytes() == np.array(b).tobytes(), field
+
+
+@pytest.mark.parametrize("omega, m", [
+    (2.0, 0.5), (np.array([1.2, 2.0, 7.5]), 0.5), (np.array([1.2, 2.5, 0.9, 40.0, 3.0]), np.array([1.0, 0.5, 0.3, 2.0, 2.9])),
+    (3.0, np.array([0.5, 1.0, 2.9])),
+], ids=["numbers", "omega column", "case columns", "number omega, m column"])
+def test_a_kind_tuple_is_the_one_kind_calls(monkeypatch, omega, m):
+    # one Gamma pass serves every kind of the tuple, in the tuple's order
+    import susystep.scattering as scattering_mod
+
+    calls = []
+    ratio = scattering_mod.gamma_ratio
+    monkeypatch.setattr(scattering_mod, "gamma_ratio", lambda *args: calls.append(args) or ratio(*args))
+    results = reflection_transmission((MINUS, PLUS, MINUS), omega, m)
+    assert len(calls) == 1 and isinstance(results, tuple) and [r.kind for r in results] == [MINUS, PLUS, MINUS]
+    for got in results:
+        _same(got, reflection_transmission(got.kind, omega, m))
+    (plus,) = reflection_transmission((PLUS,), omega, m)
+    _same(plus, reflection_transmission(PLUS, omega, m))
+
+
+@pytest.mark.parametrize("kind", [(), (PLUS, STEP), [PLUS, MINUS], (PLUS, "minus"), STEP])
+def test_a_kind_tuple_holds_partner_kinds_only(monkeypatch, kind):
+    import susystep.scattering as scattering_mod
+
+    evaluated = []
+    monkeypatch.setattr(scattering_mod, "gamma_ratio", lambda *args: evaluated.append(args))
+    with pytest.raises(DomainError):
+        reflection_transmission(kind, 2.0, 1.0)
+    assert evaluated == []
+
+
+def test_case_columns_equal_the_number_calls():
+    # each (omega, m) case of a column keeps its number call's bits: 300
+    # seeded cases from 1e-8 above threshold to 20 m, m in [0.01, 5]
+    rng = np.random.default_rng(29)
+    m = rng.uniform(0.01, 5.0, 300)
+    omega = m * (1.0 + rng.permutation(np.geomspace(1e-8, 20.0, 300)))
+    pairs = list(zip(omega.tolist(), m.tolist()))
+    for fn in (coefficients_closed_form, step_coefficients_closed_form, susy_relation_check):
+        assert np.array(fn(omega, m)).T.tobytes() == np.array([fn(w, x) for w, x in pairs]).tobytes(), fn.__name__
+    assert step_reflection_closed_form(omega, m).tobytes() == np.array([step_reflection_closed_form(*p) for p in pairs]).tobytes()
+    for fn in (lambda w, x: reflection_transmission(PLUS, w, x), lambda w, x: reflection_transmission(MINUS, w, x),
+               step_amplitudes):
+        got, expected = fn(omega, m), [fn(w, x) for w, x in pairs]
+        assert got.m.tolist() == m.tolist()
+        for field in ("omega", "R", "T", "R2", "T2", "kprime", "flux"):
+            assert getattr(got, field).tobytes() == np.array([getattr(e, field) for e in expected]).tobytes(), field
+
+
+def test_a_number_omega_stands_for_every_case_of_an_m_column():
+    m = np.array([0.5, 1.0, 2.0, 2.9])
+    for fn in (coefficients_closed_form, step_coefficients_closed_form, susy_relation_check):
+        assert np.array(fn(3.0, m)).T.tobytes() == np.array([fn(3.0, x) for x in m.tolist()]).tobytes(), fn.__name__
+    for fn in (lambda w, x: reflection_transmission(PLUS, w, x), step_amplitudes):
+        got, expected = fn(3.0, m), [fn(3.0, x) for x in m.tolist()]
+        assert got.omega.tolist() == [3.0] * 4
+        for field in ("R", "T", "kprime", "flux"):
+            assert getattr(got, field).tobytes() == np.array([getattr(e, field) for e in expected]).tobytes(), field
+
+
+@pytest.mark.parametrize("omega, m", [
+    (np.array([2.0, 3.0]), np.array([1.0, math.nan])), (np.array([2.0, 3.0]), np.array([1.0, 0.0])),
+    (np.array([2.0, 3.0]), np.array([1.0, -0.5])), (np.array([2.0, 3.0]), np.array([True, True])),
+    (np.array([2.0, 3.0]), np.array([1.0, 1.0 + 0j])), (np.array([2.0, 3.0]), np.array([[1.0, 1.0]])),
+    (np.array([2.0, 3.0]), np.array([1.0, 1.0, 1.0])), (np.array([2.0]), np.array([1.0, 1.0])),
+    (np.array([2.0, 3.0]), [1.0, math.inf]), (np.array([2.0, 3.0]), np.array([1.0, 3.5])), (2.0, np.array([1.0, 2.0])),
+    (2.0, np.array(["1.0"])),
+], ids=["nan", "zero", "negative", "bool", "complex", "2-d", "longer", "shorter", "inf list", "above its omega",
+        "above the number omega", "strings"])
+def test_a_bad_m_column_is_a_domain_error_before_any_gamma(monkeypatch, omega, m):
+    import susystep.scattering as scattering_mod
+
+    evaluated = []
+    monkeypatch.setattr(scattering_mod, "gamma_ratio", lambda *args: evaluated.append(args))
+    monkeypatch.setattr(scattering_mod, "make_exponents", lambda *args: evaluated.append(args))
+    for fn in (lambda w, x: reflection_transmission((PLUS, MINUS), w, x), lambda w, x: reflection_transmission(PLUS, w, x),
+               step_amplitudes, susy_relation_check, asymptotic_coefficients, coefficients_closed_form,
+               step_coefficients_closed_form, step_reflection_closed_form):
+        with pytest.raises(DomainError):
+            fn(omega, m)
+    assert evaluated == []
+
+
+@pytest.mark.parametrize("m", [np.array([1.0, 2.0]), np.array([1.0]), [1.0, 2.0]], ids=["column", "one element", "list"])
+def test_qnm_and_inverse_transmission_refuse_an_m_column(m):
+    for call in (lambda: qnm(PLUS, 1, m), lambda: qnm(STEP, 1, m), lambda: qnm_pole_check(PLUS, 1, m),
+                 lambda: inverse_transmission_magnitude(PLUS, 2.0, m)):
+        with pytest.raises(DomainError):
+            call()
+
+
 @pytest.mark.parametrize("omega, m", [(0.5, 1.0), (1.0, 1.0), (np.array([2.0, 0.5, 3.0]), 1.0), (True, 0.0),
                                       (np.array([True, True]), 0.5), (math.nan, 1.0), (math.inf, 1.0), (2.0, -1.0),
                                       (2.0, math.nan), (2.0, True), (1.5 + 0j, 1.0), (np.ones((2, 2)) * 2.0, 1.0)],
