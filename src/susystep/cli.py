@@ -109,9 +109,8 @@ def _cmd_qnm(args):
         raise SusystepError("n-max must be >= 0")
     ns = range(args.n_max + 1)
     omegas = np.array([scattering.qnm(kind, n, args.m) for n in ns])
-    residuals = None if kind is PotentialKind.STEP else [scattering.qnm_pole_check(kind, n, args.m) for n in ns]
-    table = {"n": ns, "re_omega": omegas.real, "im_omega": omegas.imag, "pole_residual": residuals}
-    _emit(table, args)
+    residuals = None if kind is PotentialKind.STEP else scattering.inverse_transmission_magnitude(kind, omegas, args.m)
+    _emit({"n": ns, "re_omega": omegas.real, "im_omega": omegas.imag, "pole_residual": residuals}, args)
     return 0
 
 

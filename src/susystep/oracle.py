@@ -165,8 +165,8 @@ def _march(spec: PotentialSpec, cfg: IntegrationConfig, v, h: float, omegas) -> 
         raise BlowUpError(f"|Z| exceeded {_BLOWUP_LIMIT:g} at x = {cfg.x_max + (1 + bad[row, ::-1].argmax()) * hm:.3f}; "
                           f"omega = {omegas[row]} is below threshold or the step too coarse")
 
-    return [WaveField(grid=np.linspace(cfg.x_min, cfg.x_max, n + 1), values=z, omega=w, m=_coupling(spec), kind=spec.kind,
-                      meta={"spec": spec, "config": cfg}) for w, z in zip(omegas, values)]
+    grid = np.linspace(cfg.x_min, cfg.x_max, n + 1)
+    return [WaveField(grid, z, w, _coupling(spec), spec.kind, meta={"spec": spec, "config": cfg}) for w, z in zip(omegas, values)]
 
 
 def _coupling(spec: PotentialSpec) -> float:
@@ -235,12 +235,12 @@ def extract_rt(field: WaveField) -> ScatteringResult:
     if not (omega.imag == 0 and omega.real > m >= 0):
         raise DomainError(f"extract_rt needs a real field omega above its coupling m >= 0; got omega = {omega}, m = {m}")
     omega = float(omega.real)
-    xs = field.grid
-    sel = xs <= xs[0] + _MATCH_WINDOW
-    x_win = xs[sel]
+    xs = field.grid  # strictly increasing: the window is a leading slice
+    stop = np.searchsorted(xs, xs[0] + _MATCH_WINDOW, side="right")
+    x_win = xs[:stop]
     incoming = np.exp(1j * omega * x_win)
     design = np.column_stack([incoming, incoming.conj()])
-    (a_in, b_refl), _, _, sv = np.linalg.lstsq(design, field.values[sel], rcond=None)
+    (a_in, b_refl), _, _, sv = np.linalg.lstsq(design, field.values[:stop], rcond=None)
     cond = sv[0] / sv[-1] if x_win.size >= 2 and sv[-1] > 0 else math.inf
     if not cond < _COND_LIMIT:
         raise IllConditionedError(f"matching fit condition number {cond:.3g} exceeds {_COND_LIMIT:g}")

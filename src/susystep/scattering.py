@@ -5,15 +5,14 @@ All Gamma products run through :func:`susystep.specfun.gamma_ratio` in log
 space; hyperbolic-ratio closed forms are rearranged into exponential
 differences so they stay finite for arbitrarily large omega.
 
-The amplitudes, the closed forms and the SUSY check take omega and m as
-numbers or as 1-d case columns of one length (a number stands for every
-case), all in numpy, a number pair giving Python numbers of the same bits.
-An amplitude call, for one partner kind or a tuple, makes one Gamma-ratio call.
+The amplitudes, the closed forms and the SUSY check take omega and m as numbers or as 1-d
+case columns of one length (a number stands for every case), |1/T| a complex omega column
+at one m, all in numpy, numbers giving Python numbers of the same bits.  An amplitude call,
+for one partner kind or a tuple, makes one Gamma-ratio call, and |1/T| at most one.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ import numpy as np
 from .errors import DomainError, GammaPoleError, PoleError, finite_real, real_array
 from .potentials import PotentialKind
 from .solutions import b_exponent, make_exponents
-from .specfun import POLE_TOL, gamma_ratio
+from .specfun import gamma_ratio, near_pole
 
 __all__ = [
     "AsymptoticCoefficients", "ScatteringResult", "asymptotic_coefficients", "reflection_transmission",
@@ -337,46 +336,45 @@ def qnm(kind: PotentialKind, n: int, m: float) -> complex:
     raise DomainError(f"unknown potential kind {kind!r}")
 
 
-def inverse_transmission_magnitude(kind: PotentialKind, omega: complex, m: float) -> float:
-    """|1/T| for a partner potential at complex omega, via the
-    Legendre-duplication rewrite of the transmission amplitude
+def inverse_transmission_magnitude(kind: PotentialKind, omega, m: float):
+    """|1/T| for a partner potential at complex omega, a number (giving a
+    float) or a 1-d column (an array equal to its number calls bit for bit),
+    via the Legendre-duplication rewrite of the transmission amplitude
 
         T = pref * sqrt(pi) 2^(2iw + 2ik') G(1 - 2iw - 2ik')
                           / (G(1/2 - 2iw) G(1 - 2ik'))
 
-    which stays evaluable where the hypergeometric parameter c1 is an
-    integer.  A pole of the numerator Gamma means T is infinite, so 0.0 is
-    returned (the amplitude-pole signal that locates quasinormal
-    frequencies).  A pole of a denominator Gamma raises GammaPoleError;
-    an omega that is not one finite number, or an m that is not a real
-    0 < m < inf (a bool is neither), raises DomainError.
+    which stays evaluable where c1 is an integer.  Where the numerator Gamma
+    has a pole |1/T| is 0.0 (the signal that locates quasinormal frequencies),
+    where pref is 0 inf; the rest take one Gamma pass.  A denominator pole
+    raises GammaPoleError naming the first such omega; an omega that is not
+    finite, 1-d and real or complex, or an m not a real 0 < m < inf (a bool
+    is neither), DomainError, all before any Gamma pass.
     """
     if kind not in (PotentialKind.PLUS, PotentialKind.MINUS):
         raise DomainError("transmission poles are computed for the partner kinds")
-    m = _coupling(m)
-    if isinstance(omega, bool) or not (isinstance(omega, numbers.Number) and cmath.isfinite(omega)):
-        raise DomainError(f"omega must be a finite number, got omega = {omega}")
-    omega = complex(omega)
-    B = complex(b_exponent(omega, m))
+    m, column = _coupling(m), np.asarray(omega)
+    if column.dtype.kind not in "iufc" or column.ndim > 1 or not np.isfinite(column).all():
+        raise DomainError(f"omega must be a finite number or a 1-d column of them, got omega = {omega}")
+    w = np.atleast_1d(column).astype(complex)
+    B = b_exponent(w, m)
     kprime = -1j * B
-    numerator_arg = 1.0 - 2j * omega - 2j * kprime
-    dist = numerator_arg - round(numerator_arg.real)
-    if round(numerator_arg.real) <= 0 and abs(dist) < POLE_TOL:
-        return 0.0  # T has a Gamma pole here: |1/T| vanishes
-    sign = 1.0 if kind is PotentialKind.PLUS else -1.0
-    pref = 1.0 + sign * (1j * omega - B) / m
-    if pref == 0.0:
-        return float("inf")
-    ratio = complex(_gamma_products(([0.5 - 2j * omega, 1.0 - 2j * kprime], [numerator_arg]))[0, 0])
-    inv_t = ratio / (pref * _SQRT_PI * cmath.exp((2j * omega + 2j * kprime) * _LOG_2))
-    return abs(inv_t)
+    # G(1/2 - 2iw), G(1 - 2ik') and the numerator G(1 - 2iw - 2ik')
+    args = np.stack([0.5 - 2j * w, 1.0 - 2j * kprime, 1.0 - 2j * w - 2j * kprime])
+    poles = near_pole(args)
+    pref = 1.0 + (1.0 if kind is PotentialKind.PLUS else -1.0) * (1j * w - B) / m
+    out = np.where(poles[2], 0.0, math.inf)
+    live = ~poles[2] & (pref != 0.0)
+    if (stuck := live & poles[:2].any(axis=0)).any():
+        raise GammaPoleError(f"a denominator Gamma of T has a pole at omega = {w[stuck][0]}")
+    if live.any():
+        ratio = gamma_ratio(list(args[:2, live]), [args[2, live]])  # its poles are ruled out above
+        inv_t = ratio / (pref[live] * _SQRT_PI * np.exp((2j * w + 2j * kprime)[live] * _LOG_2))
+        out[live] = np.hypot(inv_t.real, inv_t.imag)
+    return _per_case(column, out)[0]
 
 
 def qnm_pole_check(kind: PotentialKind, n: int, m: float) -> float:
-    """|1/T| evaluated at the closed-form quasinormal frequency.
-
-    The frequency always places the transmission numerator Gamma at a
-    non-positive integer, so the returned magnitude is 0.0 up to the pole
-    tolerance; perturbing the frequency moves it far from zero.
-    """
+    """|1/T| at the closed-form quasinormal frequency, which places the transmission numerator Gamma
+    at a non-positive integer: 0.0 up to the pole tolerance (a perturbed frequency gives far more)."""
     return inverse_transmission_magnitude(kind, qnm(kind, n, m), m)

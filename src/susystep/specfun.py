@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateParamsError, DomainError, NonConvergenceError, PoleError, ResultOverflowError, real_array
 
-__all__ = ["POLE_TOL", "Z_SWITCH", "MAX_SERIES_TERMS", "lngamma", "gamma_ratio", "hyp2f1"]
+__all__ = ["POLE_TOL", "Z_SWITCH", "MAX_SERIES_TERMS", "near_pole", "lngamma", "gamma_ratio", "hyp2f1"]
 
 # An argument within this distance of a non-positive integer is treated as
 # sitting on a Gamma pole; the same tolerance flags integer degeneracies.
@@ -152,6 +152,11 @@ def _lngamma_array(z):
     return out
 
 
+def near_pole(z):
+    """Whether each element of a complex array is within ``POLE_TOL`` of a non-positive integer (a Gamma pole)."""
+    return np.abs(z - np.minimum(np.rint(z.real), 0.0)) < POLE_TOL
+
+
 def _gamma_arguments(args, n_num):
     """(column, stack): whether any argument is a 1-d array, and the
     arguments broadcast into a (len(args), n) complex array, n = 1 for
@@ -175,7 +180,7 @@ def _gamma_arguments(args, n_num):
         raise DomainError("a Gamma argument is an int past the double range") from None
     finite = np.isfinite(stack)
     with np.errstate(invalid="ignore"):
-        bad = ~finite | (np.abs(stack - np.minimum(np.rint(stack.real), 0.0)) < POLE_TOL)
+        bad = ~finite | near_pole(stack)
     if bad.any():
         k = np.flatnonzero(bad.any(axis=1))[0]
         if not finite[k].all():
@@ -320,7 +325,7 @@ def _connection_ratio(numerators, denominators):
     except PoleError as err:
         if err.location != "denominator":
             raise
-    dead = (np.abs(np.array(denominators) - np.minimum(np.rint(np.real(denominators)), 0.0)) < POLE_TOL).any(axis=0)
+    dead = near_pole(np.array(denominators)).any(axis=0)
     ratio = gamma_ratio(*([np.where(dead, 1.0, v) for v in side] for side in (numerators, denominators)))
     return np.where(dead, 0.0, ratio)
 

@@ -7,9 +7,11 @@ residual against the contracted tolerance.  A run makes one (V+, V-) and
 one step amplitude call over its 150 (omega, m) cases, timed in the
 closed-form row, and one SUSY call over 60; the Wronskian and wave-equation
 checks each take all their cases, branches and partners from one 2F1 call
-per component.  The SUSY check can fail only through its T relation: R- is
--R+ by construction.  ``full`` adds two oracle checks on one sweep per run,
-timed in the agreement row: a Magnus-4 scan per spec at ``ORACLE_CONFIG``.
+per component; one |1/T| call covers the 6 quasinormal poles (no Gamma pass)
+and one the 6 perturbed frequencies; a potential and an antiderivative call
+(at x +- h) cover each partner.  The SUSY check can fail only through its T
+relation: R- is -R+ by construction.  ``full`` adds two oracle checks on one
+sweep per run, timed in the agreement row: a Magnus-4 scan per spec at ``ORACLE_CONFIG``.
 """
 
 from __future__ import annotations
@@ -91,29 +93,25 @@ def _wave_equation_residual():
 
 
 def _qnm_poles():
-    worst = 0.0
-    for n in range(6):
-        worst = max(worst, scattering.qnm_pole_check(PotentialKind.PLUS, n, 1.0))
-        omega = scattering.qnm(PotentialKind.PLUS, n, 1.0)
-        off = scattering.inverse_transmission_magnitude(PotentialKind.PLUS, omega + 0.1, 1.0)
-        if off <= 1e-3:  # perturbed frequency must NOT look like a pole
-            worst = max(worst, 1.0)
-    return worst
+    omegas = np.array([scattering.qnm(PotentialKind.PLUS, n, 1.0) for n in range(6)])
+    at_poles = scattering.inverse_transmission_magnitude(PotentialKind.PLUS, omegas, 1.0)
+    off = scattering.inverse_transmission_magnitude(PotentialKind.PLUS, omegas + 0.1, 1.0)
+    return max(np.max(at_poles), 1.0 if np.any(off <= 1e-3) else 0.0)  # a perturbed frequency must NOT look like a pole
 
 
 def _potential_identities():
     rng = np.random.default_rng(20240813)
     xs = rng.uniform(-40.0, 40.0, size=64)
     ms = rng.uniform(0.2, 4.0, size=8)
-    worst = 0.0
+    h, residuals = 1e-5, []
+    sides = xs + np.array([[h], [-h]])  # x + h and x - h, one antiderivative call per partner
     for m in ms:
-        worst = max(worst, float(np.max(np.abs(shape_invariance_check(m, xs)))))
+        residuals.append(shape_invariance_check(m, xs))
         for spec in (PotentialSpec.plus(m), PotentialSpec.minus(m)):
-            worst = max(worst, float(np.max(np.abs(potential(spec, xs) - potential_hyperbolic(spec, xs)))))
-            h = 1e-5
-            deriv = (potential_antiderivative(spec, xs + h) - potential_antiderivative(spec, xs - h)) / (2 * h)
-            worst = max(worst, float(np.max(np.abs(deriv - potential(spec, xs)))))
-    return worst
+            v = potential(spec, xs)
+            ahead, behind = potential_antiderivative(spec, sides)
+            residuals += [v - potential_hyperbolic(spec, xs), (ahead - behind) / (2 * h) - v]
+    return np.max(np.abs(residuals))
 
 
 def _figure_difference_window():

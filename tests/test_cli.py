@@ -202,6 +202,18 @@ def test_qnm_rows_are_the_library_values(capsys, kind):
     assert rows == _cell_text([range(13), [w.real for w in omegas], [w.imag for w in omegas], residuals])
 
 
+@pytest.mark.parametrize("kind", ["plus", "minus", "step"])
+def test_qnm_takes_its_residuals_from_one_column_call(capsys, monkeypatch, kind):
+    # one |1/T| call over the 11 frequencies (none for the step), no per-row pole check
+    calls = []
+    exact = scattering.inverse_transmission_magnitude
+    monkeypatch.setattr(scattering, "inverse_transmission_magnitude", lambda *args: calls.append(args) or exact(*args))
+    monkeypatch.setattr(scattering, "qnm_pole_check", lambda *args: pytest.fail("a one-omega pole check"))
+    code, out, _ = run_cli(capsys, "qnm", "--kind", kind, "--m", "1.7")
+    assert code == 0 and len(parse_csv(out)[1]) == 11
+    assert [omega.shape for _, omega, _ in calls] == ([] if kind == "step" else [(11,)])
+
+
 def test_potential_evaluates_each_column_once(capsys, monkeypatch):
     import susystep.cli as cli_mod
 
@@ -439,11 +451,12 @@ def test_verify_judges_susy_on_one_call_over_its_cases(monkeypatch):
 
 
 def test_full_verify_makes_few_gamma_passes_and_scans(monkeypatch):
-    # structure guard: a full run makes 17 gamma_ratio calls (32 when each
-    # (kind, m) and each oracle spec had its own): one (V+, V-), one step and
-    # one SUSY amplitude call, the 6 off-pole |1/T| calls of the qnm check and
-    # 8 from the 2F1 connection formula; and 3 Magnus scans, one per oracle
-    # spec (12 marches when each omega had its own)
+    # structure guard: a full run makes 12 gamma_ratio calls (32 when each
+    # (kind, m) and each oracle spec had its own, 17 when each perturbed
+    # frequency of the qnm check had its own): one (V+, V-), one step and one
+    # SUSY amplitude call, one |1/T| call at the 6 perturbed frequencies (none
+    # at the 6 poles) and 8 from the 2F1 connection formula; and 3 Magnus
+    # scans, one per oracle spec (12 marches when each omega had its own)
     ratios, scans = [], []
     for module in (specfun, scattering):
         exact = module.gamma_ratio
@@ -452,7 +465,37 @@ def test_full_verify_makes_few_gamma_passes_and_scans(monkeypatch):
     march = oracle._march
     monkeypatch.setattr(oracle, "_march", lambda *args: scans.append(args) or march(*args))
     assert all(r.passed for r in run_checks(FULL))
-    assert (ratios.count(scattering), ratios.count(specfun), len(scans)) == (3 + 6, 8, 3)
+    assert (ratios.count(scattering), ratios.count(specfun), len(scans)) == (3 + 1, 8, 3)
+
+
+def test_verify_takes_the_qnm_check_from_two_omega_columns(monkeypatch):
+    # one |1/T| call at the 6 quasinormal frequencies of V+ (m = 1) and one at
+    # the same frequencies + 0.1; no one-omega call
+    calls = []
+    exact = scattering.inverse_transmission_magnitude
+    monkeypatch.setattr(scattering, "inverse_transmission_magnitude",
+                        lambda *args: calls.append(args) or exact(*args))
+    monkeypatch.setattr(scattering, "qnm_pole_check", lambda *args: pytest.fail("a one-omega pole check"))
+    assert all(r.passed for r in run_checks())
+    poles = [scattering.qnm(PotentialKind.PLUS, n, 1.0) for n in range(6)]
+    assert [(kind, omega.tolist(), m) for kind, omega, m in calls] == [
+        (PotentialKind.PLUS, poles, 1.0), (PotentialKind.PLUS, [w + 0.1 for w in poles], 1.0)]
+
+
+def test_full_verify_makes_56_potential_identity_calls(monkeypatch):
+    # per coupling (8): one shape-invariance check, and per partner one
+    # potential, one hyperbolic-form and one antiderivative call, the latter
+    # at x + h and x - h together (88 calls when each side had its own and
+    # the potential was evaluated twice)
+    counts = dict.fromkeys(("shape_invariance_check", "potential", "potential_hyperbolic", "potential_antiderivative"), 0)
+    for name in counts:
+        exact = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args, _name=name, _exact=exact:
+                            counts.__setitem__(_name, counts[_name] + 1) or _exact(*args))
+    assert all(r.passed for r in run_checks(FULL))
+    assert counts == {"shape_invariance_check": 8, "potential": 16, "potential_hyperbolic": 16,
+                      "potential_antiderivative": 16}
+    assert sum(counts.values()) == 56
 
 
 def test_verify_unknown_level_is_a_domain_error():

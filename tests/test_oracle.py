@@ -400,6 +400,23 @@ def test_ill_conditioned_window():
         extract_rt(field)
 
 
+@pytest.mark.parametrize("spec, omega, cfg, points", [
+    (FREE, 0.15, IntegrationConfig(-30.0, 30.0, 0.5), 11),  # x = -25.0 is a grid point, the window's edge
+    (PotentialSpec.plus(1.0), 2.0, ORACLE_CONFIG, None),
+    (PotentialSpec.step(1.0), 1.5, IntegrationConfig(-31.3, 30.0, 0.05), None),
+])
+def test_fit_window_is_the_grid_points_within_five_units(spec, omega, cfg, points):
+    # the window, a leading slice of the grid, is every point x <= x_min + 5 (the
+    # edge included): the same fit, bit for bit, as a mask over the whole grid
+    field = integrate_wavefunction(spec, omega, cfg)
+    sel = field.grid <= field.grid[0] + 5.0
+    assert points is None or sel.sum() == points
+    incoming = np.exp(1j * omega * field.grid[sel])
+    (a_in, b_refl), *_ = np.linalg.lstsq(np.column_stack([incoming, incoming.conj()]), field.values[sel], rcond=None)
+    res = extract_rt(field)
+    assert (res.R, res.T) == (complex(b_refl / a_in), complex(1.0 / a_in))
+
+
 def test_a_step_that_goes_down_is_a_domain_error(monkeypatch):
     # sqrt(V0), the coupling the oracle reports, is not real for V0 < 0:
     # a typed error before the potential is sampled, not math's ValueError

@@ -3,6 +3,7 @@ conservation, SUSY identities, step comparison, and quasinormal poles."""
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -720,6 +721,71 @@ def test_inverse_transmission_denominator_pole():
         inverse_transmission_magnitude(PLUS, -0.75j, 2.0)
 
 
+def _itm_column(kind, m):
+    """Eight quasinormal poles, 16 complex omegas beside them, 4 real omegas above m and omega = 0."""
+    poles = [qnm(kind, n, m) for n in range(8)]
+    return np.array(poles + [w + 0.1 for w in poles] + [w + 0.3 - 0.2j for w in poles]
+                    + [1.01 * m, 2.0 * m, 7.5 * m, 40.0, 0.0])
+
+
+@pytest.mark.parametrize("m", [0.7, 1.0, 2.0])
+@pytest.mark.parametrize("kind", [PLUS, MINUS])
+def test_an_omega_column_is_the_number_calls(monkeypatch, kind, m):
+    # poles (0.0, no Gamma pass), off-pole real and complex omega, and omega = 0,
+    # where the V+ prefactor vanishes (inf) unless 1 - 2m is a pole (0.0)
+    import susystep.scattering as scattering_mod
+
+    omega = _itm_column(kind, m)
+    expected = [inverse_transmission_magnitude(kind, w, m) for w in omega.tolist()]
+    assert all(type(v) is float for v in expected)
+    calls = []
+    ratio = scattering_mod.gamma_ratio
+    monkeypatch.setattr(scattering_mod, "gamma_ratio", lambda *args: calls.append(args[1][0].size) or ratio(*args))
+    got = inverse_transmission_magnitude(kind, omega, m)
+    assert got.dtype == float and got.tobytes() == np.array(expected).tobytes()
+    assert (got[:8] == 0.0).all() and (got[8:-1] > 1e-3).all()
+    # at omega = 0, 1 - 2ik' = 1 - 2m is a pole for m = 1 and 2; for m = 0.7 the V+ prefactor is 0
+    if m != 0.7:
+        assert got[-1] == 0.0
+    else:
+        assert (got[-1] == math.inf) if kind is PLUS else (0.0 < got[-1] < math.inf)
+    assert calls == [20 + (kind is MINUS and m == 0.7)]  # the elements left, in one Gamma pass
+    real = omega[-5:-1].real
+    assert inverse_transmission_magnitude(kind, real, m).tobytes() == got[-5:-1].tobytes()
+    calls.clear()
+    assert inverse_transmission_magnitude(kind, omega[:8], m).tolist() == [0.0] * 8 and calls == []
+    assert inverse_transmission_magnitude(kind, np.array([], dtype=complex), m).shape == (0,) and calls == []
+
+
+@pytest.mark.parametrize("omega", [
+    np.array([[2.0, 3.0]]), np.array([True, True]), True, np.True_, np.array([2.0, math.nan]),
+    np.array([2.0, complex(math.inf, 0.0)]), math.inf, complex(1.0, math.nan), "2.0", np.array(["2.0"]),
+    [2.0, None], 10 ** 400,
+], ids=["2-d", "bool column", "bool", "numpy bool", "nan", "complex inf", "inf", "complex nan", "string",
+        "string column", "object column", "int past a double"])
+def test_a_bad_omega_is_a_domain_error_before_any_gamma(monkeypatch, omega):
+    import susystep.scattering as scattering_mod
+
+    monkeypatch.setattr(scattering_mod, "gamma_ratio", lambda *args: pytest.fail("a Gamma pass ran"))
+    with pytest.raises(DomainError):
+        inverse_transmission_magnitude(PLUS, omega, 1.0)
+
+
+def test_a_denominator_pole_names_the_first_omega_of_the_column(monkeypatch):
+    # omega = sqrt(3), m = 2 puts G(1 - 2ik') on a pole, omega = -0.75i puts
+    # G(1/2 - 2iw) on one; the first in column order is named, whichever
+    # Gamma it is in, before any Gamma pass
+    import susystep.scattering as scattering_mod
+
+    for w in (math.sqrt(3.0), -0.75j):
+        with pytest.raises(GammaPoleError):
+            inverse_transmission_magnitude(PLUS, w, 2.0)
+    monkeypatch.setattr(scattering_mod, "gamma_ratio", lambda *args: pytest.fail("a Gamma pass ran"))
+    for column, first in (([3.0, math.sqrt(3.0), 2.5, -0.75j], "1.732"), ([3.0, -0.75j, math.sqrt(3.0)], "-0.75j")):
+        with pytest.raises(GammaPoleError, match=re.escape(first)):
+            inverse_transmission_magnitude(PLUS, np.array(column), 2.0)
+
+
 def test_qnm_degenerate_c_values_still_resolve():
     # at n = 0 and n = 3 (m = 1) the hypergeometric c1 is an integer and the
     # series solutions degenerate, yet the duplication form of T stays
@@ -734,14 +800,14 @@ def test_qnm_degenerate_c_values_still_resolve():
 @pytest.mark.parametrize("call, args", [
     (qnm, (PotentialKind.PLUS, 1, 1 + 0j)),
     (inverse_transmission_magnitude, (PotentialKind.PLUS, 2.0, 1 + 0j)),
-    (inverse_transmission_magnitude, (PotentialKind.PLUS, np.array([2.0, 3.0]), 1.0)),
+    (inverse_transmission_magnitude, (PotentialKind.PLUS, np.array([[2.0, 3.0]]), 1.0)),
     (reflection_transmission, (PotentialKind.PLUS, 2.0, 1 + 0j)),
     (coefficients_closed_form, (np.array([2.0, 3.0]), np.float64(1.0) + 0j)),
-], ids=["qnm m complex", "inverse_transmission m complex", "inverse_transmission omega column",
+], ids=["qnm m complex", "inverse_transmission m complex", "inverse_transmission 2-d omega",
         "reflection_transmission m complex", "closed form m complex"])
 def test_a_complex_coupling_or_an_omega_column_is_a_domain_error(call, args):
     # one coupling check serves the amplitudes, the closed forms, qnm and
-    # inverse_transmission_magnitude; |1/T| takes one omega
+    # inverse_transmission_magnitude; |1/T| takes a number or a 1-d omega column
     with pytest.raises(DomainError):
         call(*args)
 

@@ -163,6 +163,32 @@ def test_long_lngamma_column_equals_the_number_calls():
     assert gamma_ratio([small], []).tobytes() == np.array([gamma_ratio([v], []) for v in small.tolist()]).tobytes()
 
 
+def _kernel_column(kind, rng, n=40):
+    re_, im = {"all small": ((0.5, 7.0), (-7.0, 7.0)), "all large": ((0.5, 60.0), (15.0, 60.0)),
+               "all reflected": ((-40.0, 0.4), (-300.0, 300.0)), "reflected small": ((-6.0, 0.4), (-6.0, 6.0)),
+               "unreflected": ((0.5, 30.0), (-30.0, 30.0)), "mixed": ((-12.0, 12.0), (-12.0, 12.0))}[kind]
+    return rng.uniform(*re_, n) + 1j * rng.uniform(*im, n)
+
+
+@pytest.mark.parametrize("kind", ["all small", "all large", "all reflected", "reflected small", "unreflected", "mixed"])
+def test_uniform_lngamma_columns_equal_the_number_calls(kind):
+    # a column that is uniform in the reflection or in the |w| < 10 shift, or
+    # mixes both, equals the one-element calls and the same arguments inside a
+    # column that mixes both
+    z = _kernel_column(kind, np.random.default_rng(11))
+    reflect = z.real < 0.5
+    masks = (reflect, np.abs(np.where(reflect, 1.0 - z, z)) < 10.0)  # reflected; shifted
+    flags = {"all small": (False, True), "all large": (False, False), "all reflected": (True, None),
+             "reflected small": (True, True), "unreflected": (False, None), "mixed": ("mixed", "mixed")}[kind]
+    for mask, flag in zip(masks, flags):
+        assert (mask.any() and not mask.all()) if flag == "mixed" else flag is None or (mask == flag).all()
+    got = lngamma(z)
+    assert got.tobytes() == np.array([lngamma(v) for v in z.tolist()]).tobytes()
+    padding = np.array([-3.5 + 0.5j, 0.7 + 0.2j, 40.0 + 3.0j])  # reflected, shifted, unshifted
+    assert lngamma(np.concatenate([padding, z, padding]))[3:-3].tobytes() == got.tobytes()
+    assert gamma_ratio([z], [padding[1]]).tobytes() == np.array([gamma_ratio([v], [padding[1]]) for v in z.tolist()]).tobytes()
+
+
 def test_lngamma_pole_rejection():
     for z in (0.0, -1.0, -7.0, -3.0 + 1e-11j, 5e-10):
         with pytest.raises(PoleError):
