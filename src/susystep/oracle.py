@@ -39,9 +39,8 @@ class IntegrationConfig:
 
     The step must keep (max|V - omega^2|) step^2 < 0.01.  At the default
     +-30 window the partners' e^(x/2) tail sets the error of R and T
-    (7.5e-7 at omega = 1.2 m); ``verify`` marches +-45 at step 0.02 to
-    reach 5e-10.  R and T are fitted over the leftmost 5 units of the
-    window (``_MATCH_WINDOW``).
+    (7.5e-7 at omega = 1.2 m); ``verify`` marches [-55, 30] at step 0.028 to
+    reach 4.8e-10.  R and T are fitted over the leftmost 5 units (``_MATCH_WINDOW``).
     """
 
     x_min: float = -30.0

@@ -1,17 +1,15 @@
 """Self-verification suites behind the ``verify`` CLI subcommand.
 
-Each check evaluates one analytic contract (closed-form equivalence, flux
-conservation, SUSY identities, Wronskian constancy, wave-equation
-residuals, quasinormal poles, potential identities) and reports its worst
-residual against the contracted tolerance.  A run makes one (V+, V-) and
-one step amplitude call over its 150 (omega, m) cases, timed in the
-closed-form row, and one SUSY call over 60; the Wronskian and wave-equation
-checks each take all their cases, branches and partners from one 2F1 call
-per component; one |1/T| call covers the 6 quasinormal poles (no Gamma pass)
-and one the 6 perturbed frequencies; a potential and an antiderivative call
-(at x +- h) cover each partner.  The SUSY check can fail only through its T
-relation: R- is -R+ by construction.  ``full`` adds two oracle checks on one
-sweep per run, timed in the agreement row: a Magnus-4 scan per spec at ``ORACLE_CONFIG``.
+Each check evaluates one analytic contract (closed-form equivalence, flux conservation, SUSY
+identities, Wronskian constancy, wave-equation residuals, quasinormal poles, potential identities)
+and reports its worst residual against the contracted tolerance.  A run makes one (V+, V-) and one
+step amplitude call over its 150 (omega, m) cases, timed in the closed-form row, and one SUSY call
+over 60; the Wronskian and wave-equation checks each take all their cases, branches and partners
+from one 2F1 call per component; one |1/T| call covers the 6 quasinormal poles (no Gamma pass) and
+one the 6 perturbed frequencies; a potential and an antiderivative call (at x +- h) cover each
+partner.  The SUSY check can fail only through its T relation: R- is -R+ by construction.  ``full``
+adds two oracle checks on one sweep per run, timed in the agreement row: a Magnus-4 scan per spec of
+its 4 omegas over x in [-55, 30] at step 0.028 (``ORACLE_CONFIG``, 3 036 steps per omega).
 """
 
 from __future__ import annotations
@@ -38,7 +36,9 @@ __all__ = ["CheckResult", "run_checks", "QUICK", "FULL", "ORACLE_CONFIG"]
 QUICK = "quick"
 FULL = "full"
 
-ORACLE_CONFIG = oracle.IntegrationConfig(x_min=-45.0, x_max=45.0, step=0.02)
+# Error budget in R and T: right tail e^(-x), 1.4e-13 beyond x = 30; left tail e^(x/2), 2.8e-12 beyond -55 (4.2e-10 beyond -45);
+# Magnus-4 step h^4, 4.7e-10 at 0.028.  DEFAULT_CONFIG's 7.5e-7 is its -30 left edge; bench/test_bench.py pins its 60 000 steps.
+ORACLE_CONFIG = oracle.IntegrationConfig(x_min=-55.0, x_max=30.0, step=0.028)
 
 
 @dataclass(frozen=True)

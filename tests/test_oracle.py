@@ -14,6 +14,8 @@ import pytest
 from _oracles import magnus_march_oracle
 
 import susystep.oracle as oracle_mod
+import susystep.scattering as scattering_mod
+import susystep.verify as verify_mod
 from susystep.errors import BlowUpError, ConfigError, DomainError, IllConditionedError
 from susystep.oracle import IntegrationConfig, extract_rt, integrate_wavefunction, numerical_rt
 from susystep.potentials import PotentialKind, PotentialSpec, potential
@@ -281,16 +283,63 @@ def test_full_verify_marches_each_spec_and_omega_once(monkeypatch):
 
 
 def test_full_verify_sweep_stays_coarse(monkeypatch):
-    # verify's oracle sweep marches at most 4 500 steps per omega (a
-    # potential column of at most 9 001 samples), one scan per spec holding
+    # verify's oracle sweep marches at most 3 036 steps per omega (a
+    # potential column of at most 6 073 samples), one scan per spec holding
     # its 4 omegas, and its two oracle checks hold R and T to 1e-8 and flux
     # to 1e-9
     marched = _counting(monkeypatch, "_march")
     results = run_checks(FULL)
-    assert len(marched) == 3 and all(args[2].size <= 9001 and len(args[4]) == 4 for args in marched)
+    assert len(marched) == 3 and all(args[2].size <= 6073 and len(args[4]) == 4 for args in marched)
     assert [(r.name, r.tolerance) for r in results[-2:]] == [("oracle amplitude agreement", 1e-8),
                                                             ("oracle flux conservation", 1e-9)]
     assert all(r.passed for r in results[-2:])
+
+
+def _oracle_rows(results):
+    return [r.max_residual for r in results if r.name.startswith("oracle ")]
+
+
+def test_oracle_config_is_within_its_error_budget(monkeypatch):
+    # ORACLE_CONFIG's window and step beat the old [-45, 45] at step 0.02 on
+    # both oracle residuals, and its right edge at x = 30 leaves R and T of the
+    # 12 (spec, omega) within 1e-12 of an edge at 45
+    agreement, flux = _oracle_rows(run_checks(FULL))
+    monkeypatch.setattr(verify_mod, "ORACLE_CONFIG", IntegrationConfig(-45.0, 45.0, 0.02))
+    old_agreement, old_flux = _oracle_rows(run_checks(FULL))
+    assert agreement < old_agreement and flux < old_flux
+    wide = dataclasses.replace(ORACLE_CONFIG, x_max=45.0)
+    for spec in (PotentialSpec.plus(1.0), PotentialSpec.minus(1.0), PotentialSpec.step(1.0)):
+        near, far = (numerical_rt(spec, np.array([1.2, 1.5, 2.0, 3.0]), cfg) for cfg in (ORACLE_CONFIG, wide))
+        assert np.max(np.abs(near.R - far.R)) <= 1e-12 and np.max(np.abs(near.T - far.T)) <= 1e-12
+
+
+def _rephased(real):
+    return lambda *args: tuple(dataclasses.replace(res, R=res.R * cmath.exp(1e-3j)) for res in real(*args))
+
+
+def _minus_reflects_as_plus(real):
+    def amplitudes(*args):
+        plus, minus = real(*args)
+        return plus, dataclasses.replace(minus, R=plus.R)
+    return amplitudes
+
+
+def _stiffer_plus(real):
+    return lambda spec, x: real(spec, x) * (1.0 + 1e-6 * (spec.kind is PotentialKind.PLUS))
+
+
+@pytest.mark.parametrize("module, name, fault", [
+    (scattering_mod, "reflection_transmission", _rephased),  # R phase x e^(1e-3 i): agreement 1.55e-5
+    (scattering_mod, "reflection_transmission", _minus_reflects_as_plus),  # R- = +R+: 3.10e-2
+    (oracle_mod, "potential", _stiffer_plus),  # V+ x (1 + 1e-6): 2.90e-5
+], ids=["R-phase", "R-minus-as-plus", "V-plus-scaled"])
+def test_oracle_agreement_sees_its_faults(monkeypatch, module, name, fault):
+    # three faults that reach the oracle's amplitudes still fail its agreement
+    # check at ORACLE_CONFIG, each by more than 1000 times its tolerance (no
+    # other check sees the R phase)
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    row = next(r for r in run_checks(FULL) if r.name == "oracle amplitude agreement")
+    assert row.max_residual > 1e3 * row.tolerance
 
 
 @pytest.mark.parametrize("budget, scans", [(1, [[3.0], [1.2], [2.0], [1.5], [2.5]]),
