@@ -2,10 +2,9 @@
 wave equation Z'' + (omega^2 - V) Z = 0 in x, and extraction of reflection
 and transmission amplitudes by least-squares boundary matching.
 
-The integration marches right-to-left from a pure transmitted wave
-Z = e^(i k' x) at x_max, which pins the solution without solving a
-two-point boundary problem and matches the amplitude conventions of the
-analytic formulas directly.
+The integration marches right-to-left from a unit transmitted wave at
+x_max, which pins the solution without solving a two-point boundary
+problem; both window edges take the potential's leading tail to first order.
 """
 
 from __future__ import annotations
@@ -26,22 +25,12 @@ __all__ = ["IntegrationConfig", "DEFAULT_CONFIG", "integrate_wavefunction", "ext
 _BLOWUP_LIMIT = 1e12
 _COND_LIMIT = 1e8
 _SCAN_STEPS = 2 ** 15  # a column's omegas share Magnus scans of at most this many steps (or one omega)
-# Width of the left matching window: 5 units keep the slowly decaying
-# e^(x/2) contamination near the left boundary below the 1e-6 flux budget
-# even just above threshold (a 10-unit window admits ~1.4e-6 flux error at
-# omega = 1.2 m).
-_MATCH_WINDOW = 5.0
+_MATCH_WINDOW = 5.0  # width of the left matching window
 
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Fixed-step integration window and step.
-
-    The step must keep (max|V - omega^2|) step^2 < 0.01.  At the default
-    +-30 window the partners' e^(x/2) tail sets the error of R and T
-    (7.5e-7 at omega = 1.2 m); ``verify`` marches [-55, 30] at step 0.028 to
-    reach 4.8e-10.  R and T are fitted over the leftmost 5 units (``_MATCH_WINDOW``).
-    """
+    """Fixed-step integration window and step; the step must keep (max|V - omega^2|) step^2 < 0.01."""
 
     x_min: float = -30.0
     x_max: float = 30.0
@@ -138,8 +127,10 @@ def _march(spec: PotentialSpec, cfg: IntegrationConfig, v, h: float, omegas) -> 
     del dqs, e, s2, series, cosh_s, sinhc_s
     rows = rows.reshape(2, len(omegas), groups, width, width)
 
+    (kr, cr), x = spec.tails[1], cfg.x_max
     kprime = (math.sqrt(w * w - spec.right_asymptote) for w in omegas)
-    starts = [(z, 1j * kp * z) for kp in kprime for z in [cmath.exp(1j * kp * cfg.x_max)]]  # (Z, Z') at x_max
+    starts = [(z * (1 + b), z * (1j * kp * (1 + b) - kr * b)) for kp in kprime  # (Z, Z') at x_max
+              for z, b in [(cmath.exp(1j * kp * x), cr * math.exp(-kr * x) / (kr * kr - 2j * kp * kr))]]
     # buf[:, -1] is the initial point and buf[:, -2::-1] the march order, so
     # the grid's values are the last n + 1 entries of each row
     buf = np.empty((len(omegas), groups * width * width + 1), dtype=complex)
@@ -176,8 +167,9 @@ def _coupling(spec: PotentialSpec) -> float:
 def integrate_wavefunction(spec: PotentialSpec, omega: float, cfg: IntegrationConfig = DEFAULT_CONFIG) -> WaveField:
     """Integrate Z'' = (V - omega^2) Z from x_max down to x_min.
 
-    Initial data at x_max is the pure transmitted wave Z = e^(i k' x),
-    Z' = i k' e^(i k' x) with k' = sqrt(omega^2 - V(+inf)).  Fourth-order
+    Initial data at x_max is the unit transmitted wave with the first-order term of the right
+    tail V - V(+inf) ~ cR e^(-kR x) (``spec.tails``): Z = e^(i k' x) (1 + b), Z' = e^(i k' x)
+    (i k' (1 + b) - kR b), b = cR e^(-kR x)/(kR^2 - 2i k' kR), k' = sqrt(omega^2 - V(+inf)).  Fourth-order
     Magnus steps (Iserles & Norsett 1999; Blanes et al. 2009) at Simpson
     nodes of V, pre-sampled on the half-step grid, with error O(step^4):
     each a real 2x2 matrix on (Z, Z'), its rows packed into complex
@@ -215,20 +207,18 @@ def integrate_wavefunction(spec: PotentialSpec, omega: float, cfg: IntegrationCo
 
 
 def extract_rt(field: WaveField) -> ScatteringResult:
-    """Fit Z ~ A e^(i omega x) + B e^(-i omega x) over the field's leftmost
-    5 units and return R = B/A, T = 1/A (transmitted amplitude was set to 1
-    by the integration initial data), at the field's own omega and coupling
-    m, as Python ``complex`` numbers.
-
-    A least-squares fit over the whole window averages out the residual
-    exponentially small contamination near the boundary.  Raises
+    """Fit Z ~ A u + B conj(u) over the field's leftmost 5 units and return
+    R = B/A, T = 1/A (the march's unit transmitted wave), at the field's own
+    omega and coupling m, as Python ``complex`` numbers.  u = e^(i omega x)
+    (1 + cL e^(kL x)/(kL^2 + 2i omega kL)) is the incoming wave with its
+    first-order term for the left tail V - V(-inf) ~ cL e^(kL x).  Raises
     DomainError unless the field came from :func:`integrate_wavefunction`
     (the only source of the unit transmitted wave) and its omega is real
     and above m >= 0, and IllConditionedError if the design matrix has
     condition number above 1e8 (e.g. a step so coarse that the window
     holds one grid point).
     """
-    if field.branch is not None or "config" not in field.meta:
+    if field.branch is not None or "spec" not in field.meta:
         raise DomainError("extract_rt needs a field integrated by integrate_wavefunction (unit transmitted wave)")
     omega, m = field.omega, field.m
     if not (omega.imag == 0 and omega.real > m >= 0):
@@ -237,7 +227,8 @@ def extract_rt(field: WaveField) -> ScatteringResult:
     xs = field.grid  # strictly increasing: the window is a leading slice
     stop = np.searchsorted(xs, xs[0] + _MATCH_WINDOW, side="right")
     x_win = xs[:stop]
-    incoming = np.exp(1j * omega * x_win)
+    (k, c), _ = field.meta["spec"].tails
+    incoming = np.exp(1j * omega * x_win) * (1.0 + np.exp(k * x_win) * (c / (k * k + 2j * omega * k)))
     design = np.column_stack([incoming, incoming.conj()])
     (a_in, b_refl), _, _, sv = np.linalg.lstsq(design, field.values[:stop], rcond=None)
     cond = sv[0] / sv[-1] if x_win.size >= 2 and sv[-1] > 0 else math.inf

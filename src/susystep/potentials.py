@@ -79,6 +79,14 @@ class PotentialSpec:
             return self.v0
         return self.m * self.m
 
+    @property
+    def tails(self) -> tuple:
+        """((kL, cL), (kR, cR)), the leading tails V - V(-inf) ~ cL e^(kL x) and V - V(+inf) ~ cR e^(-kR x)."""
+        if self.kind is PotentialKind.STEP:
+            return (1.0 / self.alpha, self.v0), (1.0 / self.alpha, -self.v0)
+        half = 0.5 * _SIGN[self.kind] * self.m
+        return (0.5, -half), (1.0, -(self.m * self.m + half))
+
 
 _SIGN = {PotentialKind.PLUS: 1.0, PotentialKind.MINUS: -1.0}  # m -> -m maps V+ to V-
 

@@ -5,7 +5,8 @@ plain 64-step recurrence into the Stirling regime (no Lanczos, no
 compensated summation), the hypergeometric reference is a brute-force
 extended-precision summation of the defining series in mpmath, and the
 wave-equation reference is a point-by-point complex fourth-order Magnus
-march whose step exponentials come from ``cmath``.
+march whose step exponentials come from ``cmath``, and the potentials'
+reference evaluates their closed forms in mpmath.
 """
 
 import cmath
@@ -83,10 +84,10 @@ def hyp2f1_derivative_oracle(a, b, c, z, dps=40):
         return complex(complex(a) * complex(b) / complex(c) * value)
 
 
-def magnus_march_oracle(v, omega, kprime, x_min, x_max, n):
+def magnus_march_oracle(v, omega, start, x_min, x_max, n):
     """Reference fourth-order Magnus march of Z'' = (V - omega^2) Z from
     x_max down to x_min in n equal steps, one complex step at a time,
-    starting from the unit transmitted wave e^(i k' x).  ``v`` samples the
+    starting from the caller's (Z, Z') = ``start`` at x_max.  ``v`` samples the
     potential on an array of x; it is called once, on the 2n + 1 point
     half-step grid.  Each step with d = -h and q = V - omega^2 at its start,
     middle and end has the exponent [[-e, d], [d qs, e]], qs = (q0 + 4 qm +
@@ -97,8 +98,7 @@ def magnus_march_oracle(v, omega, kprime, x_min, x_max, n):
     xs_half = [x_min + (x_max - x_min) * k / (2 * n) for k in range(2 * n + 1)]
     xs_half[-1] = x_max
     q = [float(vk) - omega * omega for vk in v(xs_half)]
-    zc = cmath.exp(1j * kprime * x_max)
-    dz = 1j * kprime * zc
+    zc, dz = start
     values = [zc]
     d = -h
     for i in range(n):
@@ -123,3 +123,21 @@ def step_coefficients_oracle(omega, m, dps=40):
         r2 = (mp.sinh(mp.pi * (w - kprime)) / mp.sinh(mp.pi * (w + kprime))) ** 2
         t2 = (w / kprime) * mp.sinh(2 * mp.pi * w) * mp.sinh(2 * mp.pi * kprime) / mp.sinh(mp.pi * (w + kprime)) ** 2
         return float(r2), float(t2), float(kprime)
+
+
+def potential_oracle(kind, x, m=1.0, v0=1.0, alpha=1.0, dps=50):
+    """(V, V - V(+inf)) at x, each rounded once to a double, from the closed
+    forms in mpmath at ``dps`` digits: V+- = m^2 e^x/(e^x + 1) -+ (m/2)
+    e^(x/2)/(e^x + 1)^(3/2) for ``kind`` "plus" or "minus" (V(+inf) = m^2),
+    or (v0/2)(1 + tanh(x/(2 alpha))) = v0/(1 + e^(-x/alpha)) for "step"
+    (V(+inf) = v0), the second form free of 1 + tanh's cancellation at x < 0."""
+    with mp.workdps(dps):
+        x = mp.mpf(x)
+        if kind == "step":
+            top = mp.mpf(v0)
+            v = top / (1 + mp.exp(-x / mp.mpf(alpha)))
+        else:
+            m, ex = mp.mpf(m), mp.exp(x)
+            top = m * m
+            v = top * ex / (ex + 1) - (1 if kind == "plus" else -1) * m / 2 * mp.exp(x / 2) / (ex + 1) ** mp.mpf(1.5)
+        return float(v), float(v - top)

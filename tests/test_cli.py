@@ -117,7 +117,7 @@ def test_scatter_with_oracle(capsys):
     header, rows = parse_csv(out)
     assert header[-2:] == ["R2_num", "T2_num"]
     for r in rows:
-        assert abs(float(r[1]) - float(r[5])) < 1e-5
+        assert abs(float(r[1]) - float(r[5])) < 1e-10
 
 
 @pytest.mark.parametrize("kind", ["plus", "minus", "step"])

@@ -15,7 +15,6 @@ from _oracles import magnus_march_oracle
 
 import susystep.oracle as oracle_mod
 import susystep.scattering as scattering_mod
-import susystep.verify as verify_mod
 from susystep.errors import BlowUpError, ConfigError, DomainError, IllConditionedError
 from susystep.oracle import IntegrationConfig, extract_rt, integrate_wavefunction, numerical_rt
 from susystep.potentials import PotentialKind, PotentialSpec, potential
@@ -146,11 +145,16 @@ TWO_STEPS = IntegrationConfig(step=30.0)  # n = 2: 1 group of 2 x 2, padded; one
 )
 def test_march_matches_sequential_reference(spec, omega, cfg):
     # the three-level step-matrix march against a point-by-point complex march
+    # from the same start, the transmitted wave with its right-tail term: they
+    # agree to rounding (3.9e-14 of max|Z| and 2.9e-14 of |R| + |T| measured)
     field = integrate_wavefunction(spec, omega, cfg)
     n = field.values.size - 1
     kprime = math.sqrt(omega * omega - spec.right_asymptote)
-    ref = np.asarray(magnus_march_oracle(lambda xs: potential(spec, np.asarray(xs)), omega, kprime, cfg.x_min, cfg.x_max, n))
-    assert float(np.max(np.abs(field.values - ref))) <= 1e-10 * float(np.max(np.abs(ref)))
+    _, (k, c) = spec.tails
+    wave, tail = cmath.exp(1j * kprime * cfg.x_max), c * math.exp(-k * cfg.x_max) / (k * k - 2j * kprime * k)
+    start = wave * (1 + tail), wave * (1j * kprime * (1 + tail) - k * tail)
+    ref = np.asarray(magnus_march_oracle(lambda xs: potential(spec, np.asarray(xs)), omega, start, cfg.x_min, cfg.x_max, n))
+    assert float(np.max(np.abs(field.values - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
     if cfg is TWO_STEPS:
         return  # its 5-unit matching window holds one grid point: no fit
     num = extract_rt(field)
@@ -158,8 +162,8 @@ def test_march_matches_sequential_reference(spec, omega, cfg):
     # R = B/A and T = 1/A share the error of the fitted A, so both are
     # measured against the amplitude scale |R| + |T| (R is ~1e-8 at omega = 3)
     scale = abs(seq.R) + abs(seq.T)
-    assert abs(num.R - seq.R) <= 1e-10 * scale
-    assert abs(num.T - seq.T) <= 1e-10 * scale
+    assert abs(num.R - seq.R) <= 1e-12 * scale
+    assert abs(num.T - seq.T) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("spec", [PotentialSpec.plus(1.0), PotentialSpec.minus(1.0), PotentialSpec.step(1.0, 1.0)])
@@ -283,13 +287,13 @@ def test_full_verify_marches_each_spec_and_omega_once(monkeypatch):
 
 
 def test_full_verify_sweep_stays_coarse(monkeypatch):
-    # verify's oracle sweep marches at most 3 036 steps per omega (a
-    # potential column of at most 6 073 samples), one scan per spec holding
+    # verify's oracle sweep marches at most 1 607 steps per omega (a
+    # potential column of at most 3 215 samples), one scan per spec holding
     # its 4 omegas, and its two oracle checks hold R and T to 1e-8 and flux
     # to 1e-9
     marched = _counting(monkeypatch, "_march")
     results = run_checks(FULL)
-    assert len(marched) == 3 and all(args[2].size <= 6073 and len(args[4]) == 4 for args in marched)
+    assert len(marched) == 3 and all(args[2].size <= 3215 and len(args[4]) == 4 for args in marched)
     assert [(r.name, r.tolerance) for r in results[-2:]] == [("oracle amplitude agreement", 1e-8),
                                                             ("oracle flux conservation", 1e-9)]
     assert all(r.passed for r in results[-2:])
@@ -299,18 +303,18 @@ def _oracle_rows(results):
     return [r.max_residual for r in results if r.name.startswith("oracle ")]
 
 
-def test_oracle_config_is_within_its_error_budget(monkeypatch):
-    # ORACLE_CONFIG's window and step beat the old [-45, 45] at step 0.02 on
-    # both oracle residuals, and its right edge at x = 30 leaves R and T of the
-    # 12 (spec, omega) within 1e-12 of an edge at 45
+def test_oracle_config_is_within_its_error_budget():
+    # ORACLE_CONFIG's window and step beat both oracle residuals of the
+    # uncorrected [-55, 30] march at step 0.028 (4.75e-10 and 8.2e-13), and
+    # its edges leave R and T of the 12 (spec, omega) within 1e-12 of an edge
+    # at x = 45 (3.7e-13 measured) and 2e-12 of one at -55 (1.4e-12 measured)
     agreement, flux = _oracle_rows(run_checks(FULL))
-    monkeypatch.setattr(verify_mod, "ORACLE_CONFIG", IntegrationConfig(-45.0, 45.0, 0.02))
-    old_agreement, old_flux = _oracle_rows(run_checks(FULL))
-    assert agreement < old_agreement and flux < old_flux
-    wide = dataclasses.replace(ORACLE_CONFIG, x_max=45.0)
+    assert agreement < 4.75e-10 and flux < 8.2e-13
+    wider = [dataclasses.replace(ORACLE_CONFIG, x_max=45.0), dataclasses.replace(ORACLE_CONFIG, x_min=-55.0)]
     for spec in (PotentialSpec.plus(1.0), PotentialSpec.minus(1.0), PotentialSpec.step(1.0)):
-        near, far = (numerical_rt(spec, np.array([1.2, 1.5, 2.0, 3.0]), cfg) for cfg in (ORACLE_CONFIG, wide))
-        assert np.max(np.abs(near.R - far.R)) <= 1e-12 and np.max(np.abs(near.T - far.T)) <= 1e-12
+        near, right, left = (numerical_rt(spec, np.array([1.2, 1.5, 2.0, 3.0]), cfg) for cfg in (ORACLE_CONFIG, *wider))
+        for far, bound in ((right, 1e-12), (left, 2e-12)):
+            assert np.max(np.abs(near.R - far.R)) <= bound and np.max(np.abs(near.T - far.T)) <= bound
 
 
 def _rephased(real):
@@ -340,6 +344,33 @@ def test_oracle_agreement_sees_its_faults(monkeypatch, module, name, fault):
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
     row = next(r for r in run_checks(FULL) if r.name == "oracle amplitude agreement")
     assert row.max_residual > 1e3 * row.tolerance
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["left", "right"])
+def test_oracle_agreement_sees_a_flipped_tail(monkeypatch, side):
+    # either edge's tail term taken with the wrong sign fails the agreement
+    # check at ORACLE_CONFIG by more than 10 times its tolerance (1.5e-6 at
+    # the left edge and 9.2e-7 at the right measured)
+    real = PotentialSpec.tails.fget
+
+    def flipped(spec):
+        tails = list(real(spec))
+        k, c = tails[side]
+        tails[side] = k, -c
+        return tuple(tails)
+
+    monkeypatch.setattr(PotentialSpec, "tails", property(flipped))
+    row = next(r for r in run_checks(FULL) if r.name == "oracle amplitude agreement")
+    assert row.max_residual > 10 * row.tolerance
+
+
+def test_default_config_keeps_its_steps_and_one_potential_call(monkeypatch):
+    # the tail terms come from closed forms, not samples: DEFAULT_CONFIG still
+    # marches 60 000 steps over one 120 001-point potential call
+    sampled, marched = _counting(monkeypatch, "potential"), _counting(monkeypatch, "_march")
+    numerical_rt(PotentialSpec.plus(1.0), 2.0)
+    assert len(sampled) == 1 and sampled[0][1].size == 120_001
+    assert len(marched) == 1 and marched[0][2].size == 2 * 60_000 + 1
 
 
 @pytest.mark.parametrize("budget, scans", [(1, [[3.0], [1.2], [2.0], [1.5], [2.5]]),
@@ -456,14 +487,21 @@ def test_ill_conditioned_window():
 ])
 def test_fit_window_is_the_grid_points_within_five_units(spec, omega, cfg, points):
     # the window, a leading slice of the grid, is every point x <= x_min + 5 (the
-    # edge included): the same fit, bit for bit, as a mask over the whole grid
+    # edge included): the same fit, bit for bit, as a mask over the whole grid,
+    # of the incoming wave with its left-tail term and its conjugate
     field = integrate_wavefunction(spec, omega, cfg)
     sel = field.grid <= field.grid[0] + 5.0
     assert points is None or sel.sum() == points
-    incoming = np.exp(1j * omega * field.grid[sel])
+    (k, c), _ = spec.tails
+    x = field.grid[sel]
+    incoming = np.exp(1j * omega * x) * (1.0 + np.exp(k * x) * (c / (k * k + 2j * omega * k)))
     (a_in, b_refl), *_ = np.linalg.lstsq(np.column_stack([incoming, incoming.conj()]), field.values[sel], rcond=None)
     res = extract_rt(field)
     assert (res.R, res.T) == (complex(b_refl / a_in), complex(1.0 / a_in))
+    if spec is FREE:  # no tail: the plain plane-wave fit, bit for bit
+        plain = np.exp(1j * omega * x)
+        (a_in, b_refl), *_ = np.linalg.lstsq(np.column_stack([plain, plain.conj()]), field.values[sel], rcond=None)
+        assert (res.R, res.T) == (complex(b_refl / a_in), complex(1.0 / a_in))
 
 
 def test_a_step_that_goes_down_is_a_domain_error(monkeypatch):
@@ -501,5 +539,6 @@ def test_extract_rt_needs_an_integrated_field():
     with pytest.raises(DomainError):
         extract_rt(sample_wavefield("I", 1, 2.0, 1.0, np.linspace(-30, 30, 6001)))
     field = integrate_wavefunction(FREE, 2.0)
-    with pytest.raises(DomainError):
-        extract_rt(dataclasses.replace(field, meta={}))
+    for meta in ({}, {"config": field.meta["config"]}):  # the fit reads the spec's left tail
+        with pytest.raises(DomainError):
+            extract_rt(dataclasses.replace(field, meta=meta))

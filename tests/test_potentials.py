@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from _oracles import potential_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -376,3 +377,21 @@ def test_numpy_float32_parameters_stay_accepted():
     assert PotentialSpec.plus(np.float32(1.5)).m == np.float32(1.5)
     assert susystep.IntegrationConfig(step=np.float32(0.5)).step == 0.5
     assert susystep.qnm(PotentialKind.PLUS, 2, np.float32(1.0)) == susystep.qnm(PotentialKind.PLUS, 2, 1.0)
+
+
+@pytest.mark.parametrize("spec", [PotentialSpec.plus(m) for m in (0.5, 1.0, 2.0)]
+                         + [PotentialSpec.minus(m) for m in (0.5, 1.0, 2.0)]
+                         + [PotentialSpec.step(1.0, 1.0), PotentialSpec.step(4.0, 0.5)],
+                         ids=["plus-0.5", "plus-1", "plus-2", "minus-0.5", "minus-1", "minus-2", "step-1-1", "step-4-0.5"])
+def test_tails_are_the_leading_terms_at_both_ends(spec):
+    # V - V(-inf) ~ cL e^(kL x) and V - V(+inf) ~ cR e^(-kR x) to a relative
+    # remainder below 1e-8 at x = -40 and 30 (at most 8.2e-9, V+- at m = 2; V-
+    # at m = 1/2 has no e^(-x) term, cR = 0, and its remainder is held against
+    # m^2 e^(-x)).  The remainders are read from the closed form in mpmath, which
+    # potential matches to rounding there: in doubles V - V(+inf) at x = 30 keeps
+    # about 3 digits, and the step's 1 + tanh(x/(2 alpha)) at -40 rounds to 0
+    (kl, cl), (kr, cr) = spec.tails
+    for x, unit, c in ((-40.0, math.exp(-40.0 * kl), cl), (30.0, math.exp(-30.0 * kr), cr)):
+        v, above = potential_oracle(spec.kind.value, x, m=spec.m, v0=spec.v0, alpha=spec.alpha)
+        assert abs((v if x < 0 else above) - c * unit) < 1e-8 * (abs(c) or spec.right_asymptote) * unit, x
+        assert abs(float(potential(spec, x)) - v) <= 1e-14 * spec.right_asymptote, x
