@@ -127,9 +127,11 @@ def v_minus(x, m):
 
 
 def v_step(x, v0, alpha=1.0):
-    """Smooth step (V0/2)(1 + tanh(x / 2 alpha)); v0 and alpha pass :class:`PotentialSpec`'s checks."""
+    """Smooth step (V0/2)(1 + tanh(x / 2 alpha)) = v0 e^y/(1 + e^y), y = x / alpha, at full relative
+    accuracy in the left tail; v0 and alpha pass :class:`PotentialSpec`'s checks."""
     PotentialSpec.step(v0, alpha)
-    return 0.5 * v0 * (1.0 + np.tanh(0.5 * _real_x(x) / alpha))
+    y = _real_x(x) / alpha
+    return v0 * np.exp(y - np.logaddexp(0.0, y))
 
 
 def potential(spec: PotentialSpec, x):

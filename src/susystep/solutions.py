@@ -30,8 +30,6 @@ __all__ = [
 ]
 
 _QUARTER_TURN = cmath.exp(-0.25j * cmath.pi)
-# A rounded stencil offset (x + k h) - x may miss k h by this fraction of h.
-_STENCIL_SLIP = 1e-6
 
 
 def _logs_from_x(x):
@@ -205,10 +203,13 @@ def _one_omega(omega, m) -> SolutionParams:
     return make_exponents(omega, m)
 
 
-def _rotated(j, branches, p, z, log_z, log_u):
+def _rotated(j, branches, p, z, log_z, log_u, order=0):
     """(R-tilde)_j of a tuple of solution branches for each case of ``p`` (a number
-    record is one) at the (z, log z, log u) points, 1-d or a row per case, as (branch,
-    case, point) from one ``hyp2f1`` call: a parameter set per branch and case, branch-major."""
+    record is one) at the 1-d (z, log z, log u) points, as (branch, case, point) from one
+    ``hyp2f1`` call: a parameter set per branch and case, branch-major.  ``order`` 1 or 2
+    gives each branch R and its first ``order`` x-derivatives, d/dx = z(1-z) d/dz (finite at
+    every z in (0, 1)), as (branch, derivative, case, point): DLMF 15.5.2's shifted sets
+    (a + k, b + k, c + k) join the call."""
     C, a, b, c = (p.C1, p.a1, p.b1, p.c1) if j == 1 else (p.C2, p.a2, p.b2, p.c2)
     one = c * 0 + 1.0  # 1 in the shape of a case column
     sets = {"I": (one if j == 1 else p.G2, C, p.B1, a, b, c),  # (scale, power of z, power of 1 - z, a, b, c)
@@ -216,15 +217,24 @@ def _rotated(j, branches, p, z, log_z, log_u):
     if not branches or not all(isinstance(branch, str) and branch in sets for branch in branches):
         raise DomainError(f"branches must each be 'I' or 'II', got {branches!r}")
     scale, power, B1, a, b, c = np.array([sets[branch] for branch in branches], dtype=complex).swapaxes(0, 1).reshape(6, -1)
-    if z.ndim == 2:
-        z, log_z, log_u = (np.tile(v, (len(branches), 1)) for v in (z, log_z, log_u))
-    f = specfun.hyp2f1(a, b, c, z, log_u)
+    shifted = np.concatenate([(a + k, b + k, c + k) for k in range(order + 1)], axis=1) if order else (a, b, c)
+    f = specfun.hyp2f1(*shifted, z, log_u)  # d^k/dz^k 2F1(a, b; c; z) = (a)_k (b)_k / (c)_k 2F1(a + k, b + k; c + k; z)
     with np.errstate(over="ignore", invalid="ignore"):
         factor = np.exp(power[:, None] * log_z + B1[:, None] * log_u)
     if not np.isfinite(factor).all():
         k, i = np.argwhere(~np.isfinite(factor))[0]
         x = np.broadcast_to(log_z - log_u, factor.shape)[k, i]
         raise DomainError(f"the power factor z^C (1-z)^B overflows at x = {x}, omega = {p.omega}")
+    if order:
+        u, f = np.exp(log_u), f.reshape(order + 1, len(a), -1)
+        zu, gamma = z * u, power[:, None] * u - B1[:, None] * z  # gamma = d/dx log(z^C (1-z)^B)
+        df = zu * (a * b / c)[:, None] * f[1]  # d/dx 2F1; rows hold R, R' and R'' over the power factor
+        rows = [f[0], gamma * f[0] + df]
+        if order == 2:
+            d2f = (1.0 - 2.0 * z) * df + zu * zu * (a * (a + 1.0) * b * (b + 1.0) / (c * (c + 1.0)))[:, None] * f[2]
+            rows.append((gamma * gamma - (power + B1)[:, None] * zu) * f[0] + 2.0 * gamma * df + d2f)
+        product = scale[:, None] * factor
+        return np.stack([(product * row).reshape(len(branches), -1, z.size) for row in rows], axis=1)
     # a product of its own: numpy's in-place ``x * temporary`` rounds apart
     return np.multiply(scale[:, None] * factor, f, out=factor).reshape(len(branches), -1, factor.shape[-1])
 
@@ -237,11 +247,13 @@ def _signs(sign, many=False):
     return signs[..., None]
 
 
-def _solution_from_logs(branches, signs, p, z, log_z, log_u):
+def _solution_from_logs(branches, signs, p, z, log_z, log_u, order=0):
     """Z_sign^branch at every point of ``_rotated``'s arrays, a row per branch
-    of the ``branches`` tuple, each with a row per row of the ``_signs``
-    column, then a row per case: the R-tilde columns are evaluated once for all."""
-    r1, r2 = (_rotated(j, branches, p, z, log_z, log_u)[(slice(None),) + (None,) * (signs.ndim - 1)] for j in (1, 2))
+    of the ``branches`` tuple, each with its derivative rows for an ``order``,
+    each with a row per row of the ``_signs`` column, then a row per case:
+    the R-tilde columns are evaluated once for all."""
+    r1, r2 = (_rotated(j, branches, p, z, log_z, log_u, order) for j in (1, 2))
+    r1, r2 = (np.expand_dims(r, -3) for r in (r1, r2)) if signs.ndim > 1 else (r1, r2)
     return np.multiply(_QUARTER_TURN, r1 + signs[..., None] * 1j * r2)
 
 
@@ -280,49 +292,19 @@ def exact_solution_at_z(branch, sign, omega, m, z) -> complex:
     return complex(_solution_from_logs((branch,), _signs(sign), p, *_logs_from_z(_unit_column([z])[1]))[0, 0, 0])
 
 
-def _stencil(x, h):
-    """The points x + k h, k = -2..2, of ``_five_point``, five per element of
-    the 1-d x along the last axis, h a number, of x's shape or rows of it.
-    ``DomainError`` where the stencil collapses: unless h^2, which
-    ``_five_point`` divides by, is a normal double and every rounded offset
-    (x + k h) - x is within ``_STENCIL_SLIP`` h of k h."""
-    x = np.asarray(x, dtype=float)[..., None]
-    h = np.asarray(h, dtype=float)[..., None]
-    offsets = np.arange(-2, 3) * h
-    points = x + offsets
-    collapsed = ~(h * h >= np.finfo(float).tiny) | (np.abs((points - x) - offsets) > _STENCIL_SLIP * h)
-    if collapsed.any():
-        step = np.broadcast_to(h, collapsed.shape)[collapsed][0]
-        raise DomainError(f"the five-point stencil of step h = {step} collapses in double precision")
-    return points.reshape(*points.shape[:-2], -1)
-
-
-def _five_point(samples, h):
-    """(f(x), f'(x), f''(x)) by five-point central differences of step h
-    from the samples of f at ``_stencil(x, h)``, five per x along the
-    trailing axis."""
-    fm2, fm1, f0, fp1, fp2 = np.moveaxis(samples.reshape(*samples.shape[:-1], -1, 5), -1, 0)
-    d1 = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
-    d2 = (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * h * h)
-    return f0, d1, d2
-
-
 def coupled_residual(omega, m, x_grid, branch="I") -> float:
     """Largest scaled residual of the coupled first-order system
 
         (d/dx - W) Z+ = i omega Z-,      (d/dx + W) Z- = i omega Z+
 
-    over ``x_grid``, with Z+/- reconstructed from the rotated components
-    and d/dx taken by five-point central differences with step equal to
-    half the smallest grid spacing.  Requires a finite, strictly increasing
-    grid of at least 3 points; all stencil points are evaluated in one
-    ``hyp2f1`` call per component.
+    over ``x_grid``, with Z+/- and their exact x-derivatives reconstructed
+    from the rotated components.  Requires a finite, strictly increasing
+    grid of at least 3 points; all points are evaluated in one ``hyp2f1``
+    call per component.
     """
     xs = _x_grid(x_grid, 3)
     p = _one_omega(omega, m)
-    h = 0.5 * float(np.min(np.diff(xs)))
-    points = _logs_from_x(_stencil(xs, h))
-    (zp, zm), (dzp, dzm), _ = _five_point(_solution_from_logs((branch,), np.array([[1], [-1]]), p, *points)[0, :, 0], h)
+    (zp, zm), (dzp, dzm) = _solution_from_logs((branch,), np.array([[1], [-1]]), p, *_logs_from_x(xs), 1)[0, :, :, 0]
     w = superpotential(xs, m)
     iw = 1j * complex(omega)
     res = np.maximum(np.abs(dzp - w * zp - iw * zm), np.abs(dzm + w * zm - iw * zp))
@@ -336,26 +318,23 @@ def wave_equation_residual(branch, sign, omega, m, z):
         d/dz[z(1-z) Z'] + q(z) Z = 0,
         q = (omega^2 - m^2)/(1-z) + omega^2/z + sign m/(2 sqrt z),
 
-    at z in (0, 1), with five-point derivatives of step
-    0.01 z(1-z) / max(1, |omega|), which follows the wave's oscillation as
-    omega grows.  A 1-d array of z (every element checked first) or of
-    signs gives the number calls' values, a row per sign, a tuple of
-    branches, such as ("I", "II"), a row per branch ahead of those, and
-    (omega, m) columns (see ``make_exponents``) a row per case ahead of all.
-    All cases (each with its own stencil), branches and signs share one
+    at z in (0, 1): |sum of the three terms| over the sum of their moduli,
+    with exact derivatives (DLMF 15.5.2), every term taken times z(1-z) so
+    that none overflows as z -> 0.  A 1-d array of z (every element checked
+    first) or of signs gives the number calls' values, a row per sign, a
+    tuple of branches, such as ("I", "II"), a row per branch ahead of those,
+    and (omega, m) columns (see ``make_exponents``) a row per case ahead of
+    all.  All cases, branches, signs and derivative orders share one
     ``hyp2f1`` call per R-tilde component.
     """
     column, z = _unit_column(z)
     branches, signs, p = branch if isinstance(branch, tuple) else (branch,), _signs(sign, many=True), make_exponents(omega, m)
-    h = 0.01 * z * (1.0 - z) / np.maximum(1.0, np.abs(p.omega))[..., None]
-    points = _logs_from_z(_stencil(z, h))
-    f0, d1, d2 = _five_point(_solution_from_logs(branches, signs, p, *points), h)
+    f0, d1, d2 = _solution_from_logs(branches, signs, p, *_logs_from_z(z), 2).swapaxes(0, 1)  # Z, dZ/dx, d2Z/dx2
     # q takes f0's ndim: numpy rounds a one-element complex product of two ndims apart
     omega, m, signs = np.reshape(omega, (-1, 1)), np.reshape(m, (-1, 1)), signs[None, ..., None]
-    q = (omega * omega - m * m) / (1 - z) + omega * omega / z + signs * m / (2.0 * np.sqrt(z))
-    res = (1 - 2 * z) * d1 + z * (1 - z) * d2 + q * f0
-    scale = np.abs(q * f0) + np.abs((1 - 2 * z) * d1) + np.abs(z * (1 - z) * d2)
-    residual = np.abs(res) / scale
+    q = omega * omega - m * m * z + signs * m * np.sqrt(z) * (1.0 - z) / 2.0  # z(1-z) q, which is omega^2 - V
+    first = (1 - 2 * z) * d1  # z(1-z) (1-2z) Z', and d2 - first is z^2 (1-z)^2 Z''
+    residual = np.abs(d2 + q * f0) / (np.abs(q * f0) + np.abs(first) + np.abs(d2 - first))
     return _case_rows(residual if isinstance(branch, tuple) else residual[0], np.ndim(p.omega) > 0, column, float)
 
 
@@ -367,19 +346,18 @@ def wronskian(sign, omega, m, z):
     value is z-independent:  +/- (2 omega / m)(1 - c1) for the unit
     normalization G1 = H1 = 1 of every solution here.
 
-    The derivatives are evaluated numerically (five-point stencil) so the
-    constancy check is independent of the algebra that predicts it.  A 1-d
+    The derivatives are exact, from DLMF 15.5.2's shifted parameter sets;
+    the constant is predicted from the exponents alone, so a wrong
+    hypergeometric value, connection ratio or normalization shows.  A 1-d
     array of z (every element checked first) or of signs gives the number
     calls' values, a row per sign, and (omega, m) columns a row per case
-    ahead of those.  Z^I and Z^II, with all signs and cases, share one
-    ``hyp2f1`` call per R-tilde component.
+    ahead of those.  Z^I and Z^II, with their derivatives and all signs and
+    cases, share one ``hyp2f1`` call per R-tilde component.
     """
     column, z = _unit_column(z)
-    h = 1e-3 * np.minimum(np.minimum(z, 1.0 - z), 0.5)
-    points = _logs_from_z(_stencil(z, h))
     signs, p = _signs(sign, many=True), make_exponents(omega, m)
-    (zi, zii), (di, dii), _ = _five_point(_solution_from_logs(("I", "II"), signs, p, *points), h)
-    return _case_rows(z * (1.0 - z) * (zi * dii - zii * di), np.ndim(p.omega) > 0, column, complex)
+    (zi, di), (zii, dii) = _solution_from_logs(("I", "II"), signs, p, *_logs_from_z(z), 1)  # d/dx = z(1-z) d/dz
+    return _case_rows(zi * dii - zii * di, np.ndim(p.omega) > 0, column, complex)
 
 
 def sample_wavefield(branch, sign, omega, m, grid) -> WaveField:

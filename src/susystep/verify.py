@@ -4,12 +4,14 @@ Each check evaluates one analytic contract (closed-form equivalence, flux conser
 identities, Wronskian constancy, wave-equation residuals, quasinormal poles, potential identities)
 and reports its worst residual against the contracted tolerance.  A run makes one (V+, V-) and one
 step amplitude call over its 150 (omega, m) cases, timed in the closed-form row, and one SUSY call
-over 60; the Wronskian and wave-equation checks each take all their cases, branches and partners
-from one 2F1 call per component; one |1/T| call covers the 6 quasinormal poles (no Gamma pass) and
-one the 6 perturbed frequencies; a potential and an antiderivative call (at x +- h) cover each
-partner.  The SUSY check can fail only through its T relation: R- is -R+ by construction.  ``full``
-adds two oracle checks on one sweep per run, timed in the agreement row: a Magnus-4 scan per spec of
-its 4 omegas over x in [-30, 15] at step 0.028 (``ORACLE_CONFIG``, 1 607 steps per omega).
+over 60; the Wronskian and wave-equation checks each take all their cases, branches and partners,
+and the shifted parameter sets of their exact derivatives, from one 2F1 call per component, and
+are held relative to the Wronskian's constant and to the equation's term sizes; one |1/T| call
+covers the 6 quasinormal poles (no Gamma pass) and one the 6 perturbed frequencies; a potential
+and an antiderivative call (at x +- h) cover each partner.  The SUSY check can fail only through
+its T relation: R- is -R+ by construction.  ``full`` adds two oracle checks on one sweep per run,
+timed in the agreement row: a Magnus-4 scan per spec of its 4 omegas over x in [-30, 15] at step
+0.028 (``ORACLE_CONFIG``, 1 607 steps per omega).
 """
 
 from __future__ import annotations
@@ -82,8 +84,8 @@ def _susy_relations():
 def _wronskian_constancy():
     omega, m, signs = np.array([[2.0], [1.5], [3.0]]), np.array([[1.0], [1.0], [2.0]]), np.array([1, -1])
     values = solutions.wronskian(signs, omega[:, 0], m[:, 0], np.array([0.2, 0.5, 0.8]))  # (case, sign, z)
-    expected = signs * 2.0 * omega / m * (1.0 - (2j * omega + 0.5))  # (case, sign)
-    return max(np.max(np.abs(values - expected[..., None])), np.max(np.abs(values[..., 0] - values[..., -1])))
+    expected = (signs * 2.0 * omega / m * (1.0 - (2j * omega + 0.5)))[..., None]  # (case, sign, 1)
+    return max(np.max(np.abs(v) / np.abs(expected)) for v in (values - expected, values[..., :1] - values[..., -1:]))
 
 
 def _wave_equation_residual():
@@ -145,8 +147,8 @@ def run_checks(level: str = QUICK, inject_failure: bool = False):
         _check("closed-form equivalence (Gamma vs sinh)", 1e-10, lambda: _closed_form_equivalence(amplitudes)),
         _check("flux conservation", 1e-9, lambda: _flux_conservation(amplitudes)),
         _check("SUSY amplitude relations", 1e-11, _susy_relations),
-        _check("Wronskian value and constancy", 1e-9, _wronskian_constancy),
-        _check("wave-equation residual in z", 1e-8, _wave_equation_residual),
+        _check("Wronskian value and constancy", 1e-11, _wronskian_constancy),
+        _check("wave-equation residual in z", 1e-10, _wave_equation_residual),
         _check("quasinormal transmission poles", 1e-6, _qnm_poles),
         _check("potential identities", 1e-8, _potential_identities),
         _check("reflection-difference window", 0.5, _figure_difference_window),

@@ -127,12 +127,12 @@ def test_criterion_5_wavefunction_validity():
         for sign in (1, -1):
             expected = sign * 2.0 * omega / m * (1.0 - c1)
             samples = [wronskian(sign, omega, m, z) for z in (0.2, 0.5, 0.8)]
-            worst_wronskian = max(worst_wronskian, max(abs(v - expected) for v in samples))
-            worst_wronskian = max(worst_wronskian, abs(samples[0] - samples[2]))
-    passed = worst_ode < 1e-7 and worst_wronskian < 1e-9
+            worst_wronskian = max(worst_wronskian, max(abs(v - expected) for v in samples) / abs(expected))
+            worst_wronskian = max(worst_wronskian, abs(samples[0] - samples[2]) / abs(expected))
+    passed = worst_ode < 1e-7 and worst_wronskian < 1e-11
     _report(5, "wave equation residual and Wronskian", passed,
             f"max scaled residual {worst_ode:.3e} (tol 1e-7), "
-            f"max Wronskian deviation {worst_wronskian:.3e} (tol 1e-9)",
+            f"max relative Wronskian deviation {worst_wronskian:.3e} (tol 1e-11)",
             time.perf_counter() - start, 5.0)
 
 

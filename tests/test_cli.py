@@ -393,10 +393,42 @@ def test_partner_checks_judge_the_minus_row(monkeypatch):
 
 
 def test_partner_checks_judge_the_plus_row(monkeypatch):
-    # the wave-equation check reads 9.1e-8 here, so its tolerance is 1e-8
+    # the wave-equation check reads 9.1e-8 here (1.06e-7 for the minus row)
+    # against its 1e-10, where it reads 6.2e-15 unfaulted
     _scale_sign_row(monkeypatch, 0)
     failed = {r.name for r in run_checks() if not r.passed}
     assert failed == set(_PARTNER_CHECKS)
+
+
+def _scaled_constant(field):
+    """A fault on ``make_exponents``' record: the constant ``field`` times 1 + 1e-6."""
+    return lambda p, *_: dataclasses.replace(p, **{field: getattr(p, field) * (1 + 1e-6)})
+
+
+_WRONSKIAN, _WAVE = _PARTNER_CHECKS
+_AMPLITUDE_CHECKS = {"closed-form equivalence (Gamma vs sinh)", "flux conservation"}
+# fault -> ((module, name, fault(value, *args)) for every binding its callers
+# read, the checks that fail).  A factor that F, F' and F'' share at one z
+# scales Z, Z' and Z'' alike, so the wave equation stays blind to the 2F1
+# faults, and only the Wronskian's known constant sees them.
+_FAULTS = {
+    "hyp2f1 x (1 + 1e-6)": ([(specfun, "hyp2f1", lambda f, *_: f * (1 + 1e-6))], {_WRONSKIAN}),
+    "Gauss series x (1 + 1e-7 z)": ([(specfun, "_gauss_series", lambda f, a, b, c, z, counts: f * (1 + 1e-7 * z))],
+                                    {_WRONSKIAN}),
+    "gamma_ratio x (1 + 1e-9)": ([(module, "gamma_ratio", lambda r, *_: r * (1 + 1e-9)) for module in (specfun, scattering)],
+                                 {_WRONSKIAN} | _AMPLITUDE_CHECKS),
+    "G2 x (1 + 1e-6)": ([(solutions, "make_exponents", _scaled_constant("G2"))], {_WRONSKIAN, _WAVE}),
+    "H2 x (1 + 1e-6)": ([(solutions, "make_exponents", _scaled_constant("H2"))], {_WRONSKIAN, _WAVE}),
+}
+
+
+@pytest.mark.parametrize("fault", list(_FAULTS))
+def test_each_solution_layer_fault_fails_its_checks(monkeypatch, fault):
+    patches, expected = _FAULTS[fault]
+    for module, name, scale in patches:
+        exact = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, exact=exact, scale=scale: scale(exact(*args), *args))
+    assert {r.name for r in run_checks() if not r.passed} == expected
 
 
 def test_susy_check_judges_the_t_relation(monkeypatch):

@@ -312,8 +312,8 @@ def test_valid_partner_and_step_parameters_keep_their_values():
         expected = m * m * np.exp(xs - softplus) - 0.5 * m * np.exp(0.5 * xs - 1.5 * softplus)
         assert v_plus(xs, m).tobytes() == expected.tobytes()
         assert v_minus(xs, m).tobytes() == v_plus(xs, -m).tobytes()
-    assert v_step(xs, 2.0, 0.5).tobytes() == (0.5 * 2.0 * (1.0 + np.tanh(0.5 * xs / 0.5))).tobytes()
-    assert v_step(xs, -1.0).tobytes() == (0.5 * -1.0 * (1.0 + np.tanh(0.5 * xs / 1.0))).tobytes()
+    assert v_step(xs, 2.0, 0.5).tobytes() == (2.0 * np.exp(xs / 0.5 - np.logaddexp(0.0, xs / 0.5))).tobytes()
+    assert v_step(xs, -1.0).tobytes() == (-1.0 * np.exp(xs / 1.0 - np.logaddexp(0.0, xs / 1.0))).tobytes()
 
 
 def test_vectorized_evaluation_matches_scalars():
@@ -395,3 +395,14 @@ def test_tails_are_the_leading_terms_at_both_ends(spec):
         v, above = potential_oracle(spec.kind.value, x, m=spec.m, v0=spec.v0, alpha=spec.alpha)
         assert abs((v if x < 0 else above) - c * unit) < 1e-8 * (abs(c) or spec.right_asymptote) * unit, x
         assert abs(float(potential(spec, x)) - v) <= 1e-14 * spec.right_asymptote, x
+
+
+@pytest.mark.parametrize("x", [-10.0, -20.0, -30.0, -40.0])
+def test_step_keeps_its_relative_accuracy_in_the_left_tail(x):
+    # v0 exp(y - logaddexp(0, y)), y = x/alpha, reads the 50-digit closed form to
+    # 1.2e-15 at worst here; (v0/2)(1 + tanh(y/2)) cancelled to 2.5e-13, 9.0e-9
+    # and 1.7e-4 at x = -10, -20 and -30 (v0 = alpha = 1) and read 0 at -40
+    for v0, alpha in ((1.0, 1.0), (4.0, 0.5), (2.0, 2.0)):
+        v, _ = potential_oracle("step", x, v0=v0, alpha=alpha)
+        assert abs(float(v_step(x, v0, alpha)) - v) <= 4e-15 * v
+        assert v_step(np.array([x, 0.0]), v0, alpha)[0] == v_step(x, v0, alpha)

@@ -227,12 +227,12 @@ def test_wave_equation_residual_below_threshold():
 
 
 def test_library_wave_equation_residual():
+    # exact derivatives: the worst reads 6.2e-15
     zs = np.linspace(0.05, 0.95, 7)
     for branch in ("I", "II"):
         for sign in (1, -1):
             worst = max(wave_equation_residual(branch, sign, 1.5, 1.0, z) for z in zs)
-            assert worst < 1e-7
-            assert worst == pytest.approx(max(zform_residual(branch, sign, 1.5, 1.0, float(z)) for z in zs), rel=1e-3)
+            assert worst < 1e-13
     for z in (0.0, 1.0, 1.3, -0.2):
         with pytest.raises(DomainError):
             wave_equation_residual("I", 1, 2.0, 1.0, z)
@@ -240,12 +240,13 @@ def test_library_wave_equation_residual():
 
 @pytest.mark.parametrize("omega", [5.0, 8.0, 10.0])
 def test_wave_equation_residual_step_follows_omega(omega):
-    # the step 0.01 z(1-z) / max(1, |omega|) follows the wave: the unscaled
-    # 0.01 z(1-z) left worst residuals of 4.9e-8, 2.6e-7 and 6.0e-7 here
+    # exact derivatives take no step that must follow the wave as omega
+    # grows: the worst reads 1.2e-14, 4.5e-14 and 6.9e-13, the last the
+    # Gauss series' large-omega loss on z <= 1/2
     z = np.linspace(0.05, 0.95, 19)
     for branch in ("I", "II"):
         for sign in (1, -1):
-            assert np.max(wave_equation_residual(branch, sign, omega, 1.0, z)) < 1e-7
+            assert np.max(wave_equation_residual(branch, sign, omega, 1.0, z)) < 1e-11
 
 
 def rotated(j, branch, omega, m, z):
@@ -305,19 +306,21 @@ def test_recurrence_consistency():
 
 # ---------------------------------------------------------- coupled residual
 
+# exact derivatives: the three read 1.0e-15, 1.0e-15 and 1.8e-16
+
 def test_coupled_residual_real_frequency():
     grid = np.linspace(-10.0, 10.0, 1001)
-    assert coupled_residual(2.0, 1.0, grid) < 1e-7
+    assert coupled_residual(2.0, 1.0, grid) < 1e-13
 
 
 def test_coupled_residual_complex_frequency():
     grid = np.linspace(-6.0, 6.0, 601)
-    assert coupled_residual(0.5 + 0.5j, 1.0, grid) < 1e-6
+    assert coupled_residual(0.5 + 0.5j, 1.0, grid) < 1e-13
 
 
 def test_coupled_residual_second_branch():
     grid = np.linspace(-8.0, 8.0, 801)
-    assert coupled_residual(1.5, 1.0, grid, branch="II") < 1e-7
+    assert coupled_residual(1.5, 1.0, grid, branch="II") < 1e-13
 
 
 def test_coupled_residual_needs_three_points():
@@ -355,20 +358,30 @@ def test_wronskian_matches_closed_form_on_pairs():
 
 
 @pytest.mark.parametrize("z", [1 - 1e-16, 1 - 1e-14, 1e-300, 1e-320, 5e-324])
-def test_collapsed_stencil_is_a_domain_error(z):
-    # near 1 the offsets z + k h round onto z; near 0 h or h^2 underflows
-    with pytest.raises(DomainError, match="stencil"):
-        wronskian(1, 2.0, 1.0, z)
-    with pytest.raises(DomainError, match="stencil"):
-        wave_equation_residual("I", 1, 2.0, 1.0, z)
+def test_checks_hold_to_the_ends_of_the_unit_interval(z):
+    # the derivatives are d/dx = z(1-z) d/dz, so no term overflows as z -> 0
+    # or 1: the Wronskian reads its constant to 4.2e-15 and the residual
+    # 6.9e-15 at worst here (z-derivatives would overflow below z ~ 1e-154)
+    omega, m = np.array([2.0, 1.5, 3.0]), np.array([1.0, 1.0, 2.0])
+    expected = np.array([1, -1]) * (2.0 * omega / m * (0.5 - 2j * omega))[:, None]
+    assert np.max(np.abs(wronskian(np.array([1, -1]), omega, m, z) / expected - 1.0)) < 1e-13
+    assert np.max(wave_equation_residual(("I", "II"), np.array([1, -1]), omega, m, z)) < 1e-13
 
 
 def test_stencil_checks_pass_where_verify_evaluates():
-    # the stencil depends on z only; these are the z values verify uses
+    # the z values verify uses, and both sides of each end of (0, 1): the
+    # checks hold at the last doubles inside and raise DomainError at the ends
     for z in (0.2, 0.3, 0.5, 0.8):
         assert cmath.isfinite(wronskian(1, 2.0, 1.0, z))
     for z in np.linspace(0.05, 0.95, 19):
         assert math.isfinite(wave_equation_residual("I", 1, 2.0, 1.0, z))
+    for inside, end in ((5e-324, 0.0), (1.0 - 2.0**-53, 1.0)):
+        assert abs(wronskian(1, 2.0, 1.0, inside) - (2.0 - 16.0j)) < 1e-13 * abs(2.0 - 16.0j)
+        assert wave_equation_residual("I", 1, 2.0, 1.0, inside) < 1e-13
+        with pytest.raises(DomainError):
+            wronskian(1, 2.0, 1.0, end)
+        with pytest.raises(DomainError):
+            wave_equation_residual("I", 1, 2.0, 1.0, end)
 
 
 def test_residuals_over_a_z_column_match_the_float_calls(monkeypatch):
@@ -388,7 +401,7 @@ def test_residuals_over_a_z_column_match_the_float_calls(monkeypatch):
     # every element is checked before any is evaluated
     calls = []
     monkeypatch.setattr(specfun_mod, "hyp2f1", lambda *args: calls.append(args))
-    for bad in ([0.3, 1.2], [0.3, 0.0], [0.3, 1 - 1e-16], [[0.3, 0.5]]):
+    for bad in ([0.3, 1.2], [0.3, 0.0], [0.3, math.nan], [[0.3, 0.5]]):
         with pytest.raises(DomainError):
             wave_equation_residual("I", 1, 2.0, 1.0, np.array(bad))
         with pytest.raises(DomainError):
@@ -488,15 +501,14 @@ def test_all_cases_share_one_hyp2f1_call_per_component(monkeypatch):
     monkeypatch.setattr(specfun_mod, "gamma_ratio", lambda *args: ratios.append(args) or ratio(*args))
     omega, m = _CASES
     wronskian(np.array([1, -1]), omega, m, _BOTH_ROUTES)
-    # Z^I and Z^II of every case are parameter sets of one call; the
-    # Wronskian's stencil does not depend on the case, so all share one z
-    assert [(args[0].size, np.shape(args[3])) for args in calls] == [(2 * omega.size, (5 * _BOTH_ROUTES.size,))] * 2
+    # Z^I and Z^II of every case are parameter sets of one call, and so are
+    # their (a + 1, b + 1, c + 1) sets for the first derivative; all share z
+    assert [(args[0].size, np.shape(args[3])) for args in calls] == [(2 * 2 * omega.size, _BOTH_ROUTES.shape)] * 2
     assert len(ratios) == 4  # two connection ratios per component, for all sets
     calls.clear()
     wave_equation_residual(("I", "II"), np.array([1, -1]), omega, m, _BOTH_ROUTES)
-    # the wave equation's step follows |omega|: a row of stencil points per set
-    assert [(args[0].size, np.shape(args[3])) for args in calls] == [(2 * omega.size,
-                                                                     (2 * omega.size, 5 * _BOTH_ROUTES.size))] * 2
+    # and the (a + 2, b + 2, c + 2) sets for the second
+    assert [(args[0].size, np.shape(args[3])) for args in calls] == [(3 * 2 * omega.size, _BOTH_ROUTES.shape)] * 2
 
 
 @pytest.mark.parametrize("omega, m, error", [
