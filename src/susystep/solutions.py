@@ -59,14 +59,14 @@ def _logs_from_z(z):
     return z, np.log(z), np.log1p(-z)
 
 
-def _x_grid(grid, min_points=0):
+def _x_grid(grid, nonempty=False):
     """``grid`` as a float array, checked to be a real, 1-d, finite, strictly
-    increasing x grid of at least ``min_points`` points."""
+    increasing x grid, of at least one point if ``nonempty``."""
     xs = real_array(grid, "x")
     if xs.ndim != 1:
         raise DomainError(f"the x grid must be 1-d, got shape {xs.shape}")
-    if xs.size < min_points:
-        raise DomainError(f"the x grid needs at least {min_points} points")
+    if nonempty and not xs.size:
+        raise DomainError("the x grid is empty")
     bad = xs[~np.isfinite(xs)]
     if bad.size:
         raise DomainError(f"x = {bad[0]} is not finite")
@@ -299,10 +299,10 @@ def coupled_residual(omega, m, x_grid, branch="I") -> float:
 
     over ``x_grid``, with Z+/- and their exact x-derivatives reconstructed
     from the rotated components.  Requires a finite, strictly increasing
-    grid of at least 3 points; all points are evaluated in one ``hyp2f1``
+    grid of at least one point; all points are evaluated in one ``hyp2f1``
     call per component.
     """
-    xs = _x_grid(x_grid, 3)
+    xs = _x_grid(x_grid, nonempty=True)
     p = _one_omega(omega, m)
     (zp, zm), (dzp, dzm) = _solution_from_logs((branch,), np.array([[1], [-1]]), p, *_logs_from_x(xs), 1)[0, :, :, 0]
     w = superpotential(xs, m)

@@ -10,8 +10,8 @@ are held relative to the Wronskian's constant and to the equation's term sizes; 
 covers the 6 quasinormal poles (no Gamma pass) and one the 6 perturbed frequencies; a potential
 and an antiderivative call (at x +- h) cover each partner.  The SUSY check can fail only through
 its T relation: R- is -R+ by construction.  ``full`` adds two oracle checks on one sweep per run,
-timed in the agreement row: a Magnus-4 scan per spec of its 4 omegas over x in [-30, 15] at step
-0.028 (``ORACLE_CONFIG``, 1 607 steps per omega).
+timed in the agreement row: a sixth-order Magnus scan per spec of its 4 omegas over x in [-30, 15]
+at step 0.1 (``ORACLE_CONFIG``, 450 steps per omega).
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ __all__ = ["CheckResult", "run_checks", "QUICK", "FULL", "ORACLE_CONFIG"]
 QUICK = "quick"
 FULL = "full"
 
-# Error budget in R and T, the edges' tails taken to first order: 3.7e-13 beyond x = 15, 1.4e-12 beyond -30; step h^4, 4.7e-10
-ORACLE_CONFIG = oracle.IntegrationConfig(x_min=-30.0, x_max=15.0, step=0.028)
+# Error budget in R and T, the edges' tails taken to first order: 1.3e-13 beyond x = 15, 1.6e-12 beyond -30; step h^6, 7.8e-11
+ORACLE_CONFIG = oracle.IntegrationConfig(x_min=-30.0, x_max=15.0, step=0.1)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@
 These deliberately share no code with the package: log-Gamma comes from a
 plain 64-step recurrence into the Stirling regime (no Lanczos, no
 compensated summation), the hypergeometric reference is a brute-force
-extended-precision summation of the defining series in mpmath, and the
-wave-equation reference is a point-by-point complex fourth-order Magnus
-march whose step exponentials come from ``cmath``, and the potentials'
-reference evaluates their closed forms in mpmath.
+extended-precision summation of the defining series in mpmath, the
+wave-equation reference is a point-by-point complex sixth-order Magnus
+march that samples V at the true Gauss-Legendre nodes of each step and
+takes its step exponentials from ``cmath``, and the potentials' reference
+evaluates their closed forms in mpmath.
 """
 
 import cmath
@@ -84,31 +85,48 @@ def hyp2f1_derivative_oracle(a, b, c, z, dps=40):
         return complex(complex(a) * complex(b) / complex(c) * value)
 
 
+def _combine(*terms):
+    """The 2x2 matrix sum of coefficient * matrix over (coefficient, matrix) pairs."""
+    return [[sum(k * m[i][j] for k, m in terms) for j in range(2)] for i in range(2)]
+
+
+def _commutator(x, y):
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return [[b * g - c * f, a * f + b * h - e * b - f * d], [c * e + d * g - g * a - h * c, c * f - b * g]]
+
+
 def magnus_march_oracle(v, omega, start, x_min, x_max, n):
-    """Reference fourth-order Magnus march of Z'' = (V - omega^2) Z from
-    x_max down to x_min in n equal steps, one complex step at a time,
-    starting from the caller's (Z, Z') = ``start`` at x_max.  ``v`` samples the
-    potential on an array of x; it is called once, on the 2n + 1 point
-    half-step grid.  Each step with d = -h and q = V - omega^2 at its start,
-    middle and end has the exponent [[-e, d], [d qs, e]], qs = (q0 + 4 qm +
-    q1)/6 and e = d^2 (q1 - q0)/12, whose exponential is cosh(s) I +
-    (sinh(s)/s) Omega with s = sqrt(e^2 + d^2 qs) taken by ``cmath``.
-    Returns the n + 1 values on the grid in increasing x."""
+    """Reference sixth-order Magnus march (Blanes, Casas & Ros 2000) of
+    Z'' = (V - omega^2) Z from x_max down to x_min in n equal steps, one
+    complex step at a time, starting from the caller's (Z, Z') = ``start`` at
+    x_max.  ``v`` samples the potential on an array of x; it is called once,
+    on the three Gauss-Legendre nodes of every step.  Each step, d = -h and
+    A_k = [[0, 1], [q_k, 0]] with q = V - omega^2 at its nodes in march
+    order, has the exponent Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 +
+    C2]/240 with a1 = d A2, a2 = sqrt(15) d (A3 - A1)/3, a3 = 10 d (A3 - 2 A2
+    + A1)/3, C1 = [a1, a2] and C2 = -[a1, 2 a3 + C1]/60, formed as 2x2
+    matrices; its exponential is cosh(s) I + (sinh(s)/s) Omega with s^2 =
+    -det Omega, taken by ``cmath``.  Returns the n + 1 values on the grid in
+    increasing x."""
     h = (x_max - x_min) / n
-    xs_half = [x_min + (x_max - x_min) * k / (2 * n) for k in range(2 * n + 1)]
-    xs_half[-1] = x_max
-    q = [float(vk) - omega * omega for vk in v(xs_half)]
+    nodes = (0.5 - math.sqrt(15) / 10, 0.5, 0.5 + math.sqrt(15) / 10)  # fractions of a step, in march order
+    q = [float(vk) - omega * omega for vk in v([x_max - (i + f) * h for i in range(n) for f in nodes])]
     zc, dz = start
     values = [zc]
     d = -h
     for i in range(n):
-        q0, qm, q1 = q[2 * (n - i)], q[2 * (n - i) - 1], q[2 * (n - i) - 2]
-        qs = (q0 + 4.0 * qm + q1) / 6.0
-        e = d * d * (q1 - q0) / 12.0
-        s = cmath.sqrt(e * e + d * d * qs)
+        a_1, a_2, a_3 = ([[0.0, 1.0], [qk, 0.0]] for qk in q[3 * i:3 * i + 3])
+        alpha1 = _combine((d, a_2))
+        alpha2 = _combine((math.sqrt(15) * d / 3, a_3), (-math.sqrt(15) * d / 3, a_1))
+        alpha3 = _combine((10 * d / 3, a_3), (-20 * d / 3, a_2), (10 * d / 3, a_1))
+        c1 = _commutator(alpha1, alpha2)
+        c2 = _combine((-1 / 60, _commutator(alpha1, _combine((2, alpha3), (1, c1)))))
+        bracket = _commutator(_combine((-20, alpha1), (-1, alpha3), (1, c1)), _combine((1, alpha2), (1, c2)))
+        (o00, o01), (o10, o11) = _combine((1, alpha1), (1 / 12, alpha3), (1 / 240, bracket))
+        s = cmath.sqrt(o00 * o00 + o01 * o10)
         cosh_s, sinhc_s = cmath.cosh(s), (cmath.sinh(s) / s if s else 1.0)
-        zc, dz = ((cosh_s - sinhc_s * e) * zc + sinhc_s * d * dz,
-                  sinhc_s * d * qs * zc + (cosh_s + sinhc_s * e) * dz)
+        zc, dz = (cosh_s + sinhc_s * o00) * zc + sinhc_s * o01 * dz, sinhc_s * o10 * zc + (cosh_s + sinhc_s * o11) * dz
         values.append(zc)
     return values[::-1]
 

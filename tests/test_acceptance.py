@@ -98,7 +98,7 @@ def test_criterion_4_oracle_equivalence():
                 ana = reflection_transmission(spec.kind, omega, 1.0)
             worst = max(worst, abs(num.R - ana.R), abs(num.T - ana.T))
     _report(4, "integrated R, T agree with analytic amplitudes", worst < 1e-10,
-            f"max |amplitude difference| {worst:.3e} (tol 1e-10, Magnus-4, x in [-30,30], step 1e-3)",
+            f"max |amplitude difference| {worst:.3e} (tol 1e-10, sixth-order Magnus, x in [-30,30], step 1e-3)",
             time.perf_counter() - start, 60.0)
 
 

@@ -47,24 +47,56 @@ def test_free_particle_extraction():
 
 def test_convergence_order():
     # halving the step must shrink the field's deviation from an h/4 march
-    # by at least 2^(order-1) = 8; Magnus-4 gives ~16.  The free particle
-    # cannot show this (its steps are exact), so V+ is marched
+    # by at least 2^(order-1) = 32; the sixth-order step gives ~64 (errors
+    # 7.8e-9 -> 1.2e-10 at omega = 1.2 and 3.7e-8 -> 5.7e-10 at 2, against
+    # about 1e-13 for the reference; at steps 0.02 and 0.01 both errors sit
+    # at rounding).  The free particle cannot show this (its steps are
+    # exact), so V+ is marched
     spec = PotentialSpec.plus(1.0)
     for omega in (1.2, 2.0):
-        ref = integrate_wavefunction(spec, omega, IntegrationConfig(step=0.0025)).values
+        ref = integrate_wavefunction(spec, omega, IntegrationConfig(step=0.025)).values
         errs = []
-        for step, stride in ((0.02, 8), (0.01, 4)):
+        for step, stride in ((0.2, 8), (0.1, 4)):
             field = integrate_wavefunction(spec, omega, IntegrationConfig(step=step))
             errs.append(float(np.max(np.abs(field.values - ref[::stride]))))
-        assert errs[0] / errs[1] >= 2.0 ** (4 - 1), omega
+        assert errs[0] / errs[1] >= 2.0 ** (6 - 1), omega
 
 
-@pytest.mark.parametrize("s2", [0.00999, -0.00999, -1e-3])
+def test_end_steps_keep_the_order(monkeypatch):
+    # the first and last steps take one-sided stencils; V = 1 + sin(x)/2 has
+    # structure at both window edges, where V+'s tails hide the end steps, and
+    # the order stays 6 there (ratio 63.8 measured; a quadratic end stencil reads 19.9)
+    monkeypatch.setattr(oracle_mod, "potential", lambda spec, x: 1.0 + 0.5 * np.sin(x))
+    ref = integrate_wavefunction(FREE, 2.0, IntegrationConfig(-6.0, 6.0, 0.0125)).values
+    errs = [float(np.max(np.abs(integrate_wavefunction(FREE, 2.0, IntegrationConfig(-6.0, 6.0, step)).values - ref[::stride])))
+            for step, stride in ((0.2, 16), (0.1, 8))]
+    assert errs[0] / errs[1] >= 2.0 ** (6 - 1)
+
+
+def test_step_is_the_commutator_formula_for_a_quadratic_potential(monkeypatch):
+    # the stencils' moments and their Gauss-node values are exact for a
+    # quadratic V, so at any step the closed-form Omega must meet the
+    # reference's 2x2 commutators to rounding, every term of it: at step 0.5
+    # (|s^2| up to 0.59) they agree to 2.5e-16 of max|Z| = 24.9, where dropping
+    # the h^7 term h^2 c^2/324 of oe alone moves the field by 1.1e-6
+    def quadratic(x):
+        x = np.asarray(x, dtype=float)
+        return 0.05 * x * x - 0.3 * x + 1.0
+
+    monkeypatch.setattr(oracle_mod, "potential", lambda spec, x: quadratic(x))
+    omega, cfg = 1.5, IntegrationConfig(-6.0, 6.0, 0.5)
+    field = integrate_wavefunction(FREE, omega, cfg)
+    wave = cmath.exp(1j * omega * cfg.x_max)
+    ref = np.asarray(magnus_march_oracle(quadratic, omega, (wave, 1j * omega * wave), cfg.x_min, cfg.x_max, 24))
+    assert float(np.max(np.abs(field.values - ref))) <= 1e-14 * float(np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("s2", [1.99999, -1.99999, -1e-3])
 def test_step_series_meet_cmath_at_the_bound(monkeypatch, s2):
     # under a constant potential q = V - omega^2 each step is exactly
     # cosh(s) I + (sinh(s)/s) [[0, -h], [-h q, 0]] with s^2 = h^2 q; the
-    # march sums cosh and sinh(s)/s as 5-term series, which must meet
-    # cmath's to rounding up to the step bound |s^2| < 0.01
+    # march sums cosh and sinh(s)/s as 11-term series, which must meet
+    # cmath's to rounding up to the step bound |s^2| < 2
     omega, h = 0.002, 30.0
     q = s2 / (h * h)
     monkeypatch.setattr(oracle_mod, "potential", lambda spec, x: np.full(np.shape(x), q + omega * omega))
@@ -77,7 +109,8 @@ def test_step_series_meet_cmath_at_the_bound(monkeypatch, s2):
     for _ in range(2):
         zc, dz = cosh_s * zc - h * sinhc_s * dz, -h * q * sinhc_s * zc + cosh_s * dz
         expected.append(zc)
-    assert np.max(np.abs(field.values - expected[::-1])) <= 1e-15
+    # relative to max|Z|, which grows to 8.5 at s^2 = 2 (2.1e-16 and 3.3e-16 measured at the edges)
+    assert np.max(np.abs(field.values - expected[::-1])) <= 1e-15 * np.max(np.abs(expected))
 
 
 def test_field_matches_solution_combination():
@@ -141,12 +174,15 @@ TWO_STEPS = IntegrationConfig(step=30.0)  # n = 2: 1 group of 2 x 2, padded; one
      for spec in (PotentialSpec.plus(1.0), PotentialSpec.minus(1.0), PotentialSpec.step(1.0, 1.0))
      for omega in (1.2, 3.0)]
     + [(PotentialSpec.plus(1.0), 2.0, UNPADDED), (PotentialSpec.minus(1.0), 1.5, oracle_mod.DEFAULT_CONFIG),
-       (FREE, 0.01, FEW_STEPS), (FREE, 0.002, TWO_STEPS)],  # omega h under the 0.1 stability bound
+       (FREE, 0.01, FEW_STEPS), (FREE, 0.002, TWO_STEPS)],  # omega h under the step bound sqrt(2)
 )
 def test_march_matches_sequential_reference(spec, omega, cfg):
     # the three-level step-matrix march against a point-by-point complex march
-    # from the same start, the transmitted wave with its right-tail term: they
-    # agree to rounding (3.9e-14 of max|Z| and 2.9e-14 of |R| + |T| measured)
+    # from the same start, the transmitted wave with its right-tail term, that
+    # samples V at the Gauss nodes themselves and forms each Omega from 2x2
+    # commutators: they agree to rounding, so the stencil's moments and the
+    # closed-form Omega add no error above it (3.8e-14 of max|Z| and 2.9e-14 of
+    # |R| + |T| measured, both at DEFAULT_CONFIG's 60 000 steps)
     field = integrate_wavefunction(spec, omega, cfg)
     n = field.values.size - 1
     kprime = math.sqrt(omega * omega - spec.right_asymptote)
@@ -154,7 +190,7 @@ def test_march_matches_sequential_reference(spec, omega, cfg):
     wave, tail = cmath.exp(1j * kprime * cfg.x_max), c * math.exp(-k * cfg.x_max) / (k * k - 2j * kprime * k)
     start = wave * (1 + tail), wave * (1j * kprime * (1 + tail) - k * tail)
     ref = np.asarray(magnus_march_oracle(lambda xs: potential(spec, np.asarray(xs)), omega, start, cfg.x_min, cfg.x_max, n))
-    assert float(np.max(np.abs(field.values - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
+    assert float(np.max(np.abs(field.values - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
     if cfg is TWO_STEPS:
         return  # its 5-unit matching window holds one grid point: no fit
     num = extract_rt(field)
@@ -162,8 +198,8 @@ def test_march_matches_sequential_reference(spec, omega, cfg):
     # R = B/A and T = 1/A share the error of the fitted A, so both are
     # measured against the amplitude scale |R| + |T| (R is ~1e-8 at omega = 3)
     scale = abs(seq.R) + abs(seq.T)
-    assert abs(num.R - seq.R) <= 1e-12 * scale
-    assert abs(num.T - seq.T) <= 1e-12 * scale
+    assert abs(num.R - seq.R) <= 1e-13 * scale
+    assert abs(num.T - seq.T) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("spec", [PotentialSpec.plus(1.0), PotentialSpec.minus(1.0), PotentialSpec.step(1.0, 1.0)])
@@ -229,18 +265,19 @@ def test_column_checks_every_omega_before_any_work(monkeypatch):
     with pytest.raises(ConfigError, match="omega = 0.5"):  # below threshold: before the potential
         numerical_rt(PotentialSpec.plus(1.0), np.array([2.0, 3.0, 0.5]))
     assert sampled == [] and marched == []
-    with pytest.raises(ConfigError, match="at omega = 100.0"):  # too stiff: before any march
-        numerical_rt(PotentialSpec.plus(1.0), np.array([2.0, 3.0, 100.0]))
+    with pytest.raises(ConfigError, match="at omega = 1500.0"):  # step bound: before any march
+        numerical_rt(PotentialSpec.plus(1.0), np.array([2.0, 3.0, 1500.0]))
     assert len(sampled) == 1 and marched == []
 
 
 def test_stability_bound_at_its_edge():
-    # V = 0, so max|V - omega^2| = omega^2 - min V: omega^2 h^2 = 0.01 (to
-    # rounding) is rejected, just below it passes
+    # V = 0, so max|V - omega^2| = omega^2 - min V: omega^2 h^2 = 2 (exactly,
+    # in floats) is rejected, just below it passes
     cfg = IntegrationConfig(step=0.05)
-    with pytest.raises(ConfigError):
-        integrate_wavefunction(FREE, 2.0, cfg)
-    integrate_wavefunction(FREE, 1.99, cfg)
+    assert (28.2842712474619 * 28.2842712474619 - 0.0) * 0.05 * 0.05 == 2.0  # as _prepare rounds it
+    with pytest.raises(ConfigError, match=r"h\^2 = 2 >= 2\.0$"):
+        integrate_wavefunction(FREE, 28.2842712474619, cfg)
+    integrate_wavefunction(FREE, 28.28427, cfg)
 
 
 def test_column_blowup_names_omega_and_x(monkeypatch):
@@ -287,13 +324,13 @@ def test_full_verify_marches_each_spec_and_omega_once(monkeypatch):
 
 
 def test_full_verify_sweep_stays_coarse(monkeypatch):
-    # verify's oracle sweep marches at most 1 607 steps per omega (a
-    # potential column of at most 3 215 samples), one scan per spec holding
+    # verify's oracle sweep marches at most 450 steps per omega (a
+    # potential column of at most 901 samples), one scan per spec holding
     # its 4 omegas, and its two oracle checks hold R and T to 1e-8 and flux
     # to 1e-9
     marched = _counting(monkeypatch, "_march")
     results = run_checks(FULL)
-    assert len(marched) == 3 and all(args[2].size <= 3215 and len(args[4]) == 4 for args in marched)
+    assert len(marched) == 3 and all(args[2].size <= 901 and len(args[4]) == 4 for args in marched)
     assert [(r.name, r.tolerance) for r in results[-2:]] == [("oracle amplitude agreement", 1e-8),
                                                             ("oracle flux conservation", 1e-9)]
     assert all(r.passed for r in results[-2:])
@@ -304,12 +341,13 @@ def _oracle_rows(results):
 
 
 def test_oracle_config_is_within_its_error_budget():
-    # ORACLE_CONFIG's window and step beat both oracle residuals of the
-    # uncorrected [-55, 30] march at step 0.028 (4.75e-10 and 8.2e-13), and
-    # its edges leave R and T of the 12 (spec, omega) within 1e-12 of an edge
-    # at x = 45 (3.7e-13 measured) and 2e-12 of one at -55 (1.4e-12 measured)
+    # ORACLE_CONFIG's window and sixth-order step keep agreement below 1e-10
+    # (7.7e-11 measured; the step's h^6 term, 7.8e-11 against a march at step
+    # 0.025) and flux below the uncorrected [-55, 30] march's 8.2e-13 (5.3e-13),
+    # and its edges leave R and T of the 12 (spec, omega) within 1e-12 of an
+    # edge at x = 45 (1.3e-13 measured) and 2e-12 of one at -55 (1.6e-12)
     agreement, flux = _oracle_rows(run_checks(FULL))
-    assert agreement < 4.75e-10 and flux < 8.2e-13
+    assert agreement < 1e-10 and flux < 8.2e-13
     wider = [dataclasses.replace(ORACLE_CONFIG, x_max=45.0), dataclasses.replace(ORACLE_CONFIG, x_min=-55.0)]
     for spec in (PotentialSpec.plus(1.0), PotentialSpec.minus(1.0), PotentialSpec.step(1.0)):
         near, right, left = (numerical_rt(spec, np.array([1.2, 1.5, 2.0, 3.0]), cfg) for cfg in (ORACLE_CONFIG, *wider))
@@ -362,6 +400,18 @@ def test_oracle_agreement_sees_a_flipped_tail(monkeypatch, side):
     monkeypatch.setattr(PotentialSpec, "tails", property(flipped))
     row = next(r for r in run_checks(FULL) if r.name == "oracle amplitude agreement")
     assert row.max_residual > 10 * row.tolerance
+
+
+@pytest.mark.parametrize("kind", [PotentialKind.PLUS, PotentialKind.MINUS])
+def test_marches_omega_up_to_60_at_step_0_02(kind):
+    # the step bound admits omega = 60 at step 0.02 (omega^2 h^2 = 1.44 < 2),
+    # and the march keeps its accuracy there: against the closed forms,
+    # |dR| <= 9.1e-15 and |dT| <= 1.7e-13 measured (R itself is below 1e-27)
+    spec = PotentialSpec.plus(1.0) if kind is PotentialKind.PLUS else PotentialSpec.minus(1.0)
+    omega = np.array([10.0, 30.0, 60.0])
+    num = numerical_rt(spec, omega, IntegrationConfig(x_min=-30.0, x_max=15.0, step=0.02))
+    ana = reflection_transmission(kind, omega, 1.0)
+    assert np.max(np.abs(num.R - ana.R)) <= 3e-14 and np.max(np.abs(num.T - ana.T)) <= 6e-13
 
 
 def test_default_config_keeps_its_steps_and_one_potential_call(monkeypatch):
@@ -438,8 +488,10 @@ def test_below_threshold_rejected():
 
 
 def test_too_coarse_step_rejected():
-    with pytest.raises(ConfigError):
-        integrate_wavefunction(PotentialSpec.plus(1.0), 2.0, IntegrationConfig(step=0.2))
+    # max|V+ - omega^2| = 4.056 (V+ dips to -0.056): 2.28 at step 0.75, 1.99 at 0.7
+    with pytest.raises(ConfigError, match="too coarse at omega = 2.0"):
+        integrate_wavefunction(PotentialSpec.plus(1.0), 2.0, IntegrationConfig(step=0.75))
+    integrate_wavefunction(PotentialSpec.plus(1.0), 2.0, IntegrationConfig(step=0.7))
 
 
 def test_blowup_guard(monkeypatch):
@@ -463,14 +515,18 @@ def test_blowup_of_an_overflowing_march(monkeypatch):
 
 
 def test_non_finite_potential_rejected(monkeypatch):
-    def one_nan(spec, x):
-        v = np.array(potential(spec, x), dtype=float)
-        v[7] = np.nan
-        return v
+    # an explicit check names the first non-finite sample, before any march
+    marched = _counting(monkeypatch, "_march")
+    for bad in (np.nan, np.inf, -np.inf):
+        def one_bad(spec, x):
+            v = np.array(potential(spec, x), dtype=float)
+            v[7] = bad
+            return v
 
-    monkeypatch.setattr(oracle_mod, "potential", one_nan)
-    with pytest.raises(ConfigError):
-        integrate_wavefunction(PotentialSpec.plus(1.0), 2.0)
+        monkeypatch.setattr(oracle_mod, "potential", one_bad)
+        with pytest.raises(ConfigError, match=r"not finite on the grid, at x = -29\.9965$"):
+            integrate_wavefunction(PotentialSpec.plus(1.0), 2.0)
+    assert marched == []
 
 
 def test_ill_conditioned_window():

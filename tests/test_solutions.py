@@ -323,11 +323,13 @@ def test_coupled_residual_second_branch():
     assert coupled_residual(1.5, 1.0, grid, branch="II") < 1e-13
 
 
-def test_coupled_residual_needs_three_points():
-    with pytest.raises(DomainError):
-        coupled_residual(2.0, 1.0, np.array([0.0]))
-    with pytest.raises(DomainError):
-        coupled_residual(2.0, 1.0, np.array([0.0, 1.0]))
+def test_coupled_residual_takes_any_nonempty_grid():
+    # the derivatives are exact, so one or two points evaluate as a long
+    # grid does (1.7e-16 and 6.8e-16 measured); an empty grid has no residual
+    assert coupled_residual(2.0, 1.0, np.array([0.0])) < 1e-13
+    assert coupled_residual(2.0, 1.0, np.array([-3.0, 1.0])) < 1e-13
+    with pytest.raises(DomainError, match="empty"):
+        coupled_residual(2.0, 1.0, np.array([]))
 
 
 # ----------------------------------------------------------------- wronskian
