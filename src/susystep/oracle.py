@@ -121,6 +121,7 @@ def _march(spec: PotentialSpec, cfg: IntegrationConfig, v, h: float, omegas) -> 
     w2 = np.square(omegas)[:, None]
     oe = p * dq2 + c * (5.0 * hm / 18.0 + c * (hm * h2 / 324.0)) - hg2 * (30.0 / h2) - w2 * dq2
     oh = hg * ((h2 / 180.0) * c + (h2 / 15.0) * p - 1.0) - w2 * ((h2 / 15.0) * hg)
+    del ahead, p, c, hg, hg2, hc, dq2
     s2 = oh * oh + on * oe
     cosh_s, sinhc_s = (s2 * coefficients[-1] + coefficients[-2] for coefficients in _SERIES)
     for series, coefficients in zip((cosh_s, sinhc_s), _SERIES):
@@ -134,7 +135,7 @@ def _march(spec: PotentialSpec, cfg: IntegrationConfig, v, h: float, omegas) -> 
     np.multiply(sinhc_s, oe, out=rows[1].real[:, :n])
     np.subtract(cosh_s, oh, out=rows[1].imag[:, :n])
     rows[..., n:] = [[[1.0]], [[1j]]]
-    del p, c, hg, hg2, hc, on, dq2, oe, oh, s2, cosh_s, sinhc_s, ahead
+    del on, oe, oh, s2, cosh_s, sinhc_s
     rows = rows.reshape(2, len(omegas), groups, width, width)
 
     (kr, cr), x = spec.tails[1], cfg.x_max

@@ -205,11 +205,10 @@ def _one_omega(omega, m) -> SolutionParams:
 
 def _rotated(j, branches, p, z, log_z, log_u, order=0):
     """(R-tilde)_j of a tuple of solution branches for each case of ``p`` (a number
-    record is one) at the 1-d (z, log z, log u) points, as (branch, case, point) from one
-    ``hyp2f1`` call: a parameter set per branch and case, branch-major.  ``order`` 1 or 2
-    gives each branch R and its first ``order`` x-derivatives, d/dx = z(1-z) d/dz (finite at
-    every z in (0, 1)), as (branch, derivative, case, point): DLMF 15.5.2's shifted sets
-    (a + k, b + k, c + k) join the call."""
+    record is one) at the 1-d (z, log z, log u) points, with its first ``order`` (0, 1 or 2)
+    x-derivatives, d/dx = z(1-z) d/dz (finite at every z in (0, 1)), as (branch, order,
+    case, point) from one ``hyp2f1`` call: a parameter set per branch and case, branch-major,
+    and DLMF 15.5.2's shifted sets (a + k, b + k, c + k), k <= order, in turn."""
     C, a, b, c = (p.C1, p.a1, p.b1, p.c1) if j == 1 else (p.C2, p.a2, p.b2, p.c2)
     one = c * 0 + 1.0  # 1 in the shape of a case column
     sets = {"I": (one if j == 1 else p.G2, C, p.B1, a, b, c),  # (scale, power of z, power of 1 - z, a, b, c)
@@ -217,26 +216,25 @@ def _rotated(j, branches, p, z, log_z, log_u, order=0):
     if not branches or not all(isinstance(branch, str) and branch in sets for branch in branches):
         raise DomainError(f"branches must each be 'I' or 'II', got {branches!r}")
     scale, power, B1, a, b, c = np.array([sets[branch] for branch in branches], dtype=complex).swapaxes(0, 1).reshape(6, -1)
-    shifted = np.concatenate([(a + k, b + k, c + k) for k in range(order + 1)], axis=1) if order else (a, b, c)
-    f = specfun.hyp2f1(*shifted, z, log_u)  # d^k/dz^k 2F1(a, b; c; z) = (a)_k (b)_k / (c)_k 2F1(a + k, b + k; c + k; z)
+    shifted = np.concatenate([(a + k, b + k, c + k) for k in range(order + 1)], axis=1)
+    # d^k/dz^k 2F1(a, b; c; z) = (a)_k (b)_k / (c)_k 2F1(a + k, b + k; c + k; z)
+    f = specfun.hyp2f1(*shifted, z, log_u).reshape(order + 1, len(a), z.size)
     with np.errstate(over="ignore", invalid="ignore"):
         factor = np.exp(power[:, None] * log_z + B1[:, None] * log_u)
     if not np.isfinite(factor).all():
-        k, i = np.argwhere(~np.isfinite(factor))[0]
-        x = np.broadcast_to(log_z - log_u, factor.shape)[k, i]
+        x = np.broadcast_to(log_z - log_u, factor.shape)[~np.isfinite(factor)][0]
         raise DomainError(f"the power factor z^C (1-z)^B overflows at x = {x}, omega = {p.omega}")
+    rows = [f[0]]  # R, R' and R'' over the power factor
     if order:
-        u, f = np.exp(log_u), f.reshape(order + 1, len(a), -1)
+        u = np.exp(log_u)
         zu, gamma = z * u, power[:, None] * u - B1[:, None] * z  # gamma = d/dx log(z^C (1-z)^B)
-        df = zu * (a * b / c)[:, None] * f[1]  # d/dx 2F1; rows hold R, R' and R'' over the power factor
-        rows = [f[0], gamma * f[0] + df]
+        df = zu * (a * b / c)[:, None] * f[1]  # d/dx 2F1
+        rows.append(gamma * f[0] + df)
         if order == 2:
             d2f = (1.0 - 2.0 * z) * df + zu * zu * (a * (a + 1.0) * b * (b + 1.0) / (c * (c + 1.0)))[:, None] * f[2]
             rows.append((gamma * gamma - (power + B1)[:, None] * zu) * f[0] + 2.0 * gamma * df + d2f)
-        product = scale[:, None] * factor
-        return np.stack([(product * row).reshape(len(branches), -1, z.size) for row in rows], axis=1)
-    # a product of its own: numpy's in-place ``x * temporary`` rounds apart
-    return np.multiply(scale[:, None] * factor, f, out=factor).reshape(len(branches), -1, factor.shape[-1])
+    product = scale[:, None] * factor
+    return np.stack([(product * row).reshape(len(branches), len(a) // len(branches), z.size) for row in rows], axis=1)
 
 
 def _signs(sign, many=False):
@@ -249,9 +247,9 @@ def _signs(sign, many=False):
 
 def _solution_from_logs(branches, signs, p, z, log_z, log_u, order=0):
     """Z_sign^branch at every point of ``_rotated``'s arrays, a row per branch
-    of the ``branches`` tuple, each with its derivative rows for an ``order``,
-    each with a row per row of the ``_signs`` column, then a row per case:
-    the R-tilde columns are evaluated once for all."""
+    of the ``branches`` tuple, each with a row per derivative order up to
+    ``order``, each with a row per row of the ``_signs`` column, then a row
+    per case: the R-tilde columns are evaluated once for all."""
     r1, r2 = (_rotated(j, branches, p, z, log_z, log_u, order) for j in (1, 2))
     r1, r2 = (np.expand_dims(r, -3) for r in (r1, r2)) if signs.ndim > 1 else (r1, r2)
     return np.multiply(_QUARTER_TURN, r1 + signs[..., None] * 1j * r2)
@@ -283,13 +281,13 @@ def exact_solution(branch, sign, omega, m, x) -> complex:
     (complex omega, |x| in the hundreds).
     """
     p = _one_omega(omega, m)
-    return complex(_solution_from_logs((branch,), _signs(sign), p, *_logs_from_x(_x_grid([x])))[0, 0, 0])
+    return complex(_solution_from_logs((branch,), _signs(sign), p, *_logs_from_x(_x_grid([x])))[0, 0, 0, 0])
 
 
 def exact_solution_at_z(branch, sign, omega, m, z) -> complex:
     """Same as :func:`exact_solution` but parametrized by z in (0, 1)."""
     p = _one_omega(omega, m)
-    return complex(_solution_from_logs((branch,), _signs(sign), p, *_logs_from_z(_unit_column([z])[1]))[0, 0, 0])
+    return complex(_solution_from_logs((branch,), _signs(sign), p, *_logs_from_z(_unit_column([z])[1]))[0, 0, 0, 0])
 
 
 def coupled_residual(omega, m, x_grid, branch="I") -> float:
@@ -369,6 +367,6 @@ def sample_wavefield(branch, sign, omega, m, grid) -> WaveField:
     """
     xs = _x_grid(grid)
     p = _one_omega(omega, m)
-    values = _solution_from_logs((branch,), _signs(sign), p, *_logs_from_x(xs))[0, 0]
+    values = _solution_from_logs((branch,), _signs(sign), p, *_logs_from_x(xs))[0, 0, 0]
     kind = PotentialKind.PLUS if sign == 1 else PotentialKind.MINUS
     return WaveField(grid=xs, values=values, omega=omega, m=float(m), kind=kind, branch=branch)

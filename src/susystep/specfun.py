@@ -377,22 +377,23 @@ def hyp2f1(a, b, c, z, log_u=None):
     where z has rounded to 1.0 (x above ~37).
 
     a, b and c are numbers, or three 1-d arrays of one length whose
-    elements are parameter sets, each giving a row; then z and log_u may
-    also be 2-d, a row of points per set.  The Gauss series serves ``z <=
-    Z_SWITCH``, the connection formula toward z = 1 the rest, all in one pass
-    where each element stops at its own first |t_k| <= 1e-16 |S_k|, so array
-    elements and rows equal their number calls bit for bit.  Relative accuracy
-    is ~1e-11 or better away from the c-a-b integer degeneracy.  Every element
-    and set is checked before any is evaluated.
+    elements are parameter sets, each giving a row at the shared z.  The
+    Gauss series serves ``z <= Z_SWITCH``, the connection formula toward
+    z = 1 the rest, all in one pass where each element stops at its own
+    first |t_k| <= 1e-16 |S_k|, so array elements and rows equal their
+    number calls bit for bit.  Relative accuracy is ~1e-11 or better away
+    from the c-a-b integer degeneracy.  Every element and set is checked
+    before any is evaluated.
 
     Raises
     ------
     PoleError
         If c is within ``POLE_TOL`` of a non-positive integer.
     DomainError
-        If a, b, c are not finite numbers or 1-d arrays of one length, z has
-        no row per set, or unless z >= 0 and log_u is finite and <= 0, with
-        exp(log_u) within a few eps (absolutely) of 1 - z.
+        If a, b, c are not finite numbers or 1-d arrays of one length, z or
+        log_u is not a float or a 1-d array (of z's shape), or unless z >= 0
+        and log_u is finite and <= 0, with exp(log_u) within a few eps
+        (absolutely) of 1 - z.
     NonConvergenceError
         If a series fails to meet the term-ratio stop within ``MAX_SERIES_TERMS``
         terms at some element (the first is named, near points first).
@@ -417,17 +418,16 @@ def hyp2f1(a, b, c, z, log_u=None):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         log_u = real_array(log_u, "log_u") if given else np.log1p(-z)
         u = np.exp(log_u) if given else 1.0 - z
-    if z.ndim > 1 + sets or log_u.shape != z.shape or (z.ndim == 2 and len(z) != a.size):
-        raise DomainError("z and log_u must be floats or 1-d arrays of one length, or 2-d with a row per parameter set")
+    if z.ndim > 1 or log_u.shape != z.shape:
+        raise DomainError("z and log_u must be floats or 1-d arrays of one length")
     # absolute: z rounds to 1.0 past x ~ 37 while exp(log_u) stays exact
     ok = (z >= 0.0) & np.isfinite(log_u) & (log_u <= 0.0) & (np.abs(u - (1.0 - z)) <= _COMPLEMENT_ULPS * _EPS)
     if not ok.all():
         i = tuple(np.argwhere(~ok)[0])
         raise DomainError(f"z = {z[i]}, log_u = {log_u[i] if given else None}: need 0 <= z < 1 and a "
                           "supplied log_u finite, <= 0 and with exp(log_u) within a few eps of 1 - z")
-    if z.ndim < 2:  # a shared z is every set's row
-        z, u, log_u = (v.reshape(1, -1).repeat(a.size, axis=0) for v in (z, u, log_u))
-    # the kernels take every set's points as one set-major column, in boolean indexing's order
+    # the kernels take the shared z as every set's row of one set-major column, in boolean indexing's order
+    z, u, log_u = (v.reshape(1, -1).repeat(a.size, axis=0) for v in (z, u, log_u))
     far = z > Z_SWITCH
     if far.any():
         near, n_far = ~far, far.sum(axis=1)

@@ -300,6 +300,20 @@ def test_column_holds_one_omega_at_a_time():
     assert peak(np.array([1.2, 1.5, 2.0, 3.0])) <= 1.25 * peak(2.0)
 
 
+def test_one_march_frees_its_step_coefficients_before_the_step_rows():
+    # the quartic's coefficients (p, c, g and their products) go once the Omega
+    # entries exist: one 60 000-step march peaks at about 7.2 MB of numpy
+    # allocations, against 9.6 MB with the coefficients held to the step rows
+    spec = PotentialSpec.plus(1.0)
+    integrate_wavefunction(spec, 2.0)
+    tracemalloc.start()
+    try:
+        integrate_wavefunction(spec, 2.0)
+        assert tracemalloc.get_traced_memory()[1] < 7.5e6
+    finally:
+        tracemalloc.stop()
+
+
 def test_oracle_sweep_flux():
     for omega in (1.2, 1.5, 2.0, 3.0):
         res = numerical_rt(PotentialSpec.plus(1.0), omega)

@@ -332,6 +332,30 @@ def test_coupled_residual_takes_any_nonempty_grid():
         coupled_residual(2.0, 1.0, np.array([]))
 
 
+_NO_Z = np.array([])
+
+
+@pytest.mark.parametrize("call, shape, dtype", [
+    (lambda: sample_wavefield("I", 1, 2.0, 1.0, []), (0,), complex),
+    (lambda: wronskian(1, 2.0, 1.0, _NO_Z), (0,), complex),
+    (lambda: wronskian(np.array([1, -1]), 2.0, 1.0, _NO_Z), (2, 0), complex),
+    (lambda: wronskian(1, np.array([2.0, 3.0, 1.5]), 1.0, _NO_Z), (3, 0), complex),
+    (lambda: wave_equation_residual("II", -1, 2.0, 1.0, _NO_Z), (0,), float),
+    (lambda: wave_equation_residual("I", np.array([1, -1]), 2.0, 1.0, _NO_Z), (2, 0), float),
+    (lambda: wave_equation_residual(("I", "II"), 1, 2.0, 1.0, _NO_Z), (2, 0), float),
+    (lambda: wave_equation_residual("I", 1, np.array([2.0, 3.0]), np.array([1.0, 0.5]), _NO_Z), (2, 0), float),
+], ids=["sample_wavefield", "wronskian", "wronskian sign array", "wronskian cases", "residual", "residual sign array",
+        "residual branch tuple", "residual cases"])
+def test_an_empty_grid_or_z_column_gives_an_empty_result(call, shape, dtype):
+    # no points evaluate to no values, in the rows a point would have (coupled_residual,
+    # a maximum over its grid, keeps its DomainError: see the test above)
+    got = call()
+    if isinstance(got, WaveField):
+        assert got.grid.shape == (0,) and got.branch == "I"
+        got = got.values
+    assert got.shape == shape and got.dtype == dtype
+
+
 # ----------------------------------------------------------------- wronskian
 
 def test_wronskian_reference_value():
