@@ -24,10 +24,10 @@ __all__ = ["IntegrationConfig", "DEFAULT_CONFIG", "integrate_wavefunction", "ext
 
 _BLOWUP_LIMIT = 1e12
 _COND_LIMIT = 1e8
-_SCAN_STEPS = 2 ** 15  # a column's omegas share Magnus scans of at most this many steps (or one omega)
+_SCAN_STEPS = 2 ** 15  # a call's (spec, omega) rows share Magnus scans of at most this many steps (or one row)
 _MATCH_WINDOW = 5.0  # width of the left matching window
 # (max|V - omega^2|) step^2, so each |s^2|, stays below 2; cosh(s), sinh(s)/s to s^20 are exact to rounding to |s^2| = 3
-_S2_LIMIT, _SERIES = 2.0, [[1 / math.factorial(k + odd) for k in range(0, 22, 2)] for odd in (0, 1)]
+_S2_LIMIT, _SERIES = 2.0, np.array([[1 / math.factorial(k + odd) for odd in (0, 1)] for k in range(0, 22, 2)])[..., None, None]
 # (p, c, g) of a step from the quartic through the 5 half-step samples around it, which for an end step _GHOST
 # extends by one: its moments b_i = int u^i q du (u in [-1/2, 1/2] along the step) as Gauss-node values q_k,
 # p - omega^2 = q2 = 9/4 b0 - 15 b2, c = q1 - 2 q2 + q3 = 54 b2 - 9/2 b0 and g = (q3 - q1) sqrt(15)/36 = b1
@@ -44,27 +44,21 @@ class IntegrationConfig:
     step: float = 1e-3
 
     def __post_init__(self):
-        rules = (("x_min", self.x_min < -5.0, "< -5"), ("x_max", self.x_max > 5.0, "> 5"),
-                 ("step", self.step > 0, "positive"))
-        for name, ok, rule in rules:
-            value = getattr(self, name)
-            if not finite_real(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-            if not ok:
-                raise ConfigError(f"{name} must be {rule}, got {value}")
+        for name, sign, bound in (("x_min", -1.0, -5.0), ("x_max", 1.0, 5.0), ("step", 1.0, 0.0)):
+            if not (finite_real(value := getattr(self, name)) and sign * value > sign * bound):  # no comparison of a non-real
+                raise ConfigError(f"{name} must be a finite real number {'<' if sign < 0 else '>'} {bound:g}, got {value!r}")
 
 
 DEFAULT_CONFIG = IntegrationConfig()
 
 
-def _prepare(spec: PotentialSpec, omega, cfg: IntegrationConfig):
-    """(v, h, omegas) for the marches at omega: V sampled by one ``potential`` call on the 2n + 1
-    point half-step grid of the n-step march, the step h, and omega as Python floats ([omega] for
-    a number, a 1-d array's elements in order).  Every omega passes the domain and threshold checks
-    before V is sampled, and V must be finite and every omega meet the step bound before any march;
-    a step that goes down (V0 < 0, no real coupling) raises ``DomainError`` first."""
-    asym = spec.right_asymptote
-    if asym < 0:
+def _prepare(specs, omega, cfg: IntegrationConfig):
+    """(v, h, omegas): a row per spec of V, sampled by one ``potential`` call on the 2n + 1 point
+    half-step grid of the n-step march, the step h, and omega as Python floats ([omega] for a
+    number, a 1-d array's elements in order).  Every (spec, omega) passes the domain and threshold
+    checks before V is sampled, and each V must be finite and meet the step bound at every omega before
+    any march; a step that goes down (V0 < 0, no real coupling) raises ``DomainError`` first."""
+    if (asym := min((spec.right_asymptote for spec in specs), default=0.0)) < 0:
         raise DomainError(f"the oracle solves a step that goes up, V0 >= 0; got V0 = {asym}")
     column = real_array(omega, "omega")
     if column.ndim > 1:
@@ -73,22 +67,24 @@ def _prepare(spec: PotentialSpec, omega, cfg: IntegrationConfig):
     for w in omegas:
         if not (math.isfinite(w) and w > 0):
             raise DomainError(f"omega = {w} is not a finite positive frequency")
-        if not w * w > asym:
-            raise ConfigError(f"omega = {w} is below the propagation threshold sqrt({asym}) of the right asymptote")
-
+        for spec in specs:  # omega^2 > V0 can round true at omega = sqrt(V0), which is not above it
+            if not (w * w > spec.right_asymptote and w > _coupling(spec)):
+                raise ConfigError(f"omega = {w} is below the propagation threshold sqrt({spec.right_asymptote}) of the right asymptote")
     n = int(round((cfg.x_max - cfg.x_min) / cfg.step))
     if n < 2:
         raise ConfigError("fewer than 2 integration steps; shrink step or widen the window")
     h = (cfg.x_max - cfg.x_min) / n
-    v = np.asarray(potential(spec, np.linspace(cfg.x_min, cfg.x_max, 2 * n + 1)), dtype=float)
-    if not np.isfinite(v).all():
-        raise ConfigError(f"the potential is not finite on the grid, at x = {cfg.x_min + np.isfinite(v).argmin() * h / 2:g}")
-    # rounding is monotone, so max|V - omega^2| is exactly the larger of max V - omega^2 and omega^2 - min V
-    v_lo, v_hi = float(v.min()), float(v.max())
-    for w in omegas:
-        if not (reach := max(v_hi - w * w, w * w - v_lo) * h * h) < _S2_LIMIT:
-            raise ConfigError(f"step {h} too coarse at omega = {w}: (max|V - omega^2|) h^2 = {reach:.3g} >= {_S2_LIMIT}")
-    return v, h, omegas
+    v = []  # each spec's samples, stacked once sampling is done
+    for spec in specs:
+        v.append(row := np.asarray(potential(spec, np.linspace(cfg.x_min, cfg.x_max, 2 * n + 1)), dtype=float))
+        if not np.isfinite(row).all():
+            raise ConfigError(f"the potential is not finite on the grid, at x = {cfg.x_min + np.isfinite(row).argmin() * h / 2:g}")
+        # rounding is monotone, so max|V - omega^2| is exactly the larger of max V - omega^2 and omega^2 - min V
+        v_lo, v_hi = float(row.min()), float(row.max())
+        for w in omegas:
+            if not (reach := max(v_hi - w * w, w * w - v_lo) * h * h) < _S2_LIMIT:
+                raise ConfigError(f"step {h} too coarse at omega = {w}: (max|V - omega^2|) h^2 = {reach:.3g} >= {_S2_LIMIT}")
+    return np.array(v).reshape(len(specs), 2 * n + 1), h, omegas
 
 
 def _running_products(rows):
@@ -99,11 +95,11 @@ def _running_products(rows):
     return rows
 
 
-def _march(spec: PotentialSpec, cfg: IntegrationConfig, v, h: float, omegas) -> list:
-    """The field of each omega (a list of floats) on the n + 1 point grid, marched over the
-    half-step samples v as :func:`integrate_wavefunction` describes, in one scan with omega
-    the leading axis; besides the fields it holds two complex numbers per step and omega."""
-    n = (v.size - 1) // 2
+def _march(specs, cfg: IntegrationConfig, v, h: float, rows):
+    """(grid, values): the n + 1 point grid and the field on it of each row (i, omega), specs[i] at
+    omega marched over the samples v[i] as :func:`integrate_wavefunction` describes, in one scan
+    with the rows (a spec's consecutive) the leading axis; it holds 2 complex numbers per step and row."""
+    n = (v.shape[1] - 1) // 2
     # step i (right to left) maps (Z, Z') at x_max - i h to x_max - (i + 1) h by the real
     # matrix [[a, b], [c, d]], stored as its rows a + ib and c + id and laid out as (groups,
     # width, width) blocks padded with identities; a running product's rows pack the same way,
@@ -114,60 +110,77 @@ def _march(spec: PotentialSpec, cfg: IntegrationConfig, v, h: float, omegas) -> 
     hm, h2 = -h, h * h
     width = round(n ** (1 / 3)) + 1
     groups = -(-n // (width * width))
-    ahead = np.concatenate([[_GHOST @ v[:-6:-1]], v[::-1], [_GHOST @ v[:5]]])  # march order, a sample past each end
-    p, c, hg = _STENCIL @ np.lib.stride_tricks.sliding_window_view(ahead, 5)[::2].T * [[1.0], [1.0], [h2]]  # hg = h^2 g
-    hg2, hc = hg * hg * (hm / 25.0), c * (hm * h2 / 54.0)
-    on, dq2 = hm - hc + hg2, hm + hc + hg2
-    w2 = np.square(omegas)[:, None]
-    oe = p * dq2 + c * (5.0 * hm / 18.0 + c * (hm * h2 / 324.0)) - hg2 * (30.0 / h2) - w2 * dq2
-    oh = hg * ((h2 / 180.0) * c + (h2 / 15.0) * p - 1.0) - w2 * ((h2 / 15.0) * hg)
-    del ahead, p, c, hg, hg2, hc, dq2
+    on, oe, oh = np.empty((3, len(rows), n))
+    for i in dict.fromkeys(j for j, _ in rows):  # a spec's rows share p, c and g
+        at = [r for r, row in enumerate(rows) if row[0] == i]
+        w2 = np.square([rows[r][1] for r in at])[:, None]
+        # the samples in march order, one past each end: a temporary that goes with the stencil product
+        p, c, hg = _STENCIL @ np.lib.stride_tricks.sliding_window_view(np.concatenate(
+            [[_GHOST @ v[i, :-6:-1]], v[i, ::-1], [_GHOST @ v[i, :5]]]), 5)[::2].T * [[1.0], [1.0], [h2]]  # hg = h^2 g
+        hg2, hc = hg * hg * (hm / 25.0), c * (hm * h2 / 54.0)
+        on[at], dq2 = hm - hc + hg2, hm + hc + hg2
+        del hc  # before oe's temporaries, which set the march's memory peak
+        oe[at] = p * dq2 + c * (5.0 * hm / 18.0 + c * (hm * h2 / 324.0)) - hg2 * (30.0 / h2) - w2 * dq2
+        oh[at] = hg * ((h2 / 180.0) * c + (h2 / 15.0) * p - 1.0) - w2 * ((h2 / 15.0) * hg)
+    del p, c, hg, hg2, dq2
     s2 = oh * oh + on * oe
-    cosh_s, sinhc_s = (s2 * coefficients[-1] + coefficients[-2] for coefficients in _SERIES)
-    for series, coefficients in zip((cosh_s, sinhc_s), _SERIES):
-        for k in coefficients[-3::-1]:  # Horner in s^2
-            series *= s2
-            series += k
+    cosh_s, sinhc_s = series = s2 * _SERIES[-1] + _SERIES[-2]
+    for k in _SERIES[-3::-1]:  # Horner in s^2, both series in one array
+        series *= s2
+        series += k
     oh *= sinhc_s
-    rows = np.empty((2, len(omegas), groups * width * width), dtype=complex)
-    np.add(cosh_s, oh, out=rows[0].real[:, :n])
-    np.multiply(sinhc_s, on, out=rows[0].imag[:, :n])
-    np.multiply(sinhc_s, oe, out=rows[1].real[:, :n])
-    np.subtract(cosh_s, oh, out=rows[1].imag[:, :n])
-    rows[..., n:] = [[[1.0]], [[1j]]]
-    del on, oe, oh, s2, cosh_s, sinhc_s
-    rows = rows.reshape(2, len(omegas), groups, width, width)
+    steps = np.empty((2, len(rows), groups * width * width), dtype=complex)
+    np.add(cosh_s, oh, out=steps[0].real[:, :n])
+    np.multiply(sinhc_s, on, out=steps[0].imag[:, :n])
+    np.multiply(sinhc_s, oe, out=steps[1].real[:, :n])
+    np.subtract(cosh_s, oh, out=steps[1].imag[:, :n])
+    steps[..., n:] = [[[1.0]], [[1j]]]
+    del on, oe, oh, s2, series, cosh_s, sinhc_s
+    steps = steps.reshape(2, len(rows), groups, width, width)
 
-    (kr, cr), x = spec.tails[1], cfg.x_max
-    kprime = (math.sqrt(w * w - spec.right_asymptote) for w in omegas)
-    starts = [(z * (1 + b), z * (1j * kp * (1 + b) - kr * b)) for kp in kprime  # (Z, Z') at x_max
+    starts = [(z * (1 + b), z * (1j * kp * (1 + b) - kr * b)) for i, w in rows  # (Z, Z') at x_max
+              for (kr, cr), kp, x in [(specs[i].tails[1], math.sqrt(w * w - specs[i].right_asymptote), cfg.x_max)]
               for z, b in [(cmath.exp(1j * kp * x), cr * math.exp(-kr * x) / (kr * kr - 2j * kp * kr))]]
     # buf[:, -1] is the initial point and buf[:, -2::-1] the march order, so
     # the grid's values are the last n + 1 entries of each row
-    buf = np.empty((len(omegas), groups * width * width + 1), dtype=complex)
+    buf = np.empty((len(rows), groups * width * width + 1), dtype=complex)
     buf[:, -1] = [z for z, _ in starts]
-    entering = np.empty((2, len(omegas), groups, width), dtype=complex)  # (Z, Z') entering each block
+    entering = np.empty((2, len(rows), groups, width), dtype=complex)  # (Z, Z') entering each block
     with np.errstate(over="ignore", invalid="ignore"):
         # running products inside the blocks, then of the block totals inside
         # the groups; the state carried over the groups, then into each block
-        totals = _running_products(_running_products(rows)[..., -1].copy())
-        for i, ((zc, dz), group_totals) in enumerate(zip(starts, zip(*totals[..., -1].tolist()))):
-            for k, (ab, cd) in enumerate(zip(*group_totals)):
-                entering[:, i, k, 0] = zc, dz
-                zc, dz = ab.real * zc + ab.imag * dz, cd.real * zc + cd.imag * dz
+        totals = _running_products(_running_products(steps)[..., -1].copy())
+        state = np.array(starts, dtype=complex).T
+        for k in range(groups):
+            entering[..., k, 0] = state
+            state = totals[..., k, -1].real * state[0] + totals[..., k, -1].imag * state[1]
         entering[..., 1:] = totals[..., :-1].real * entering[0, ..., :1] + totals[..., :-1].imag * entering[1, ..., :1]
-        march = buf[:, -2::-1].reshape(len(omegas), groups, width, width)
-        np.multiply(rows[0].real, entering[0, ..., None], out=march)
-        march += rows[0].imag * entering[1, ..., None]
+        march = buf[:, -2::-1].reshape(len(rows), groups, width, width)
+        np.multiply(steps[0].real, entering[0, ..., None], out=march)
+        march += steps[0].imag * entering[1, ..., None]
         values = buf[:, groups * width * width - n:]
         bad = ~(np.abs(values[:, :n]) <= _BLOWUP_LIMIT)
     if bad.any():
-        row = bad.any(axis=1).argmax()  # the first omega in column order; bad[row, ::-1] runs in march order
-        raise BlowUpError(f"|Z| exceeded {_BLOWUP_LIMIT:g} at x = {cfg.x_max + (1 + bad[row, ::-1].argmax()) * hm:.3f}; "
-                          f"omega = {omegas[row]} is below threshold or the step too coarse")
+        r = bad.any(axis=1).argmax()  # the first row in order; bad[r, ::-1] runs in march order
+        raise BlowUpError(f"|Z| exceeded {_BLOWUP_LIMIT:g} at x = {cfg.x_max + (1 + bad[r, ::-1].argmax()) * hm:.3f}; "
+                          f"omega = {rows[r][1]} is below threshold or the step too coarse for {specs[rows[r][0]]}")
+    return np.linspace(cfg.x_min, cfg.x_max, n + 1), values
 
-    grid = np.linspace(cfg.x_min, cfg.x_max, n + 1)
-    return [WaveField(grid, z, w, _coupling(spec), spec.kind, meta={"spec": spec, "config": cfg}) for w, z in zip(omegas, values)]
+
+def _fit(grid, values, specs, rows):
+    """(R, T) arrays: :func:`extract_rt`'s fit of each value row (i, omega) on the strictly increasing
+    grid, the field of specs[i] at omega.  One batched SVD of the rows' design matrices gives each
+    least-squares solution and condition number, so a row fits the same alone or among others."""
+    x = grid[:np.searchsorted(grid, grid[0] + _MATCH_WINDOW, side="right")]
+    kl, omega = np.array([(specs[i].tails[0][0], w) for i, w in rows]).T[..., None]
+    tail = np.array([[c / (k * k + 2j * w * k)] for i, w in rows for k, c in [specs[i].tails[0]]])
+    incoming = np.exp(1j * omega * x) * (1.0 + np.exp(kl * x) * tail)
+    u, s, vh = np.linalg.svd(np.stack([incoming, incoming.conj()], axis=-1), full_matrices=False)
+    bad = ~(s[:, 0] < _COND_LIMIT * s[:, -1]) | (x.size < 2)  # a one-point window cannot fit two amplitudes
+    if bad.any():
+        raise IllConditionedError(f"matching fit at omega = {rows[bad.argmax()][1]} has condition number above {_COND_LIMIT:g}")
+    a_in, b_refl = (vh.conj().transpose(0, 2, 1) @ (u.conj().transpose(0, 2, 1) @ values[:, :x.size, None] / s[..., None]))[..., 0].T
+    return b_refl / a_in, 1.0 / a_in
 
 
 def _coupling(spec: PotentialSpec) -> float:
@@ -186,77 +199,68 @@ def integrate_wavefunction(spec: PotentialSpec, omega: float, cfg: IntegrationCo
     (one ``potential`` call on the 2n + 1 point half-step grid): real 2x2 matrices on (Z, Z'),
     their rows packed into complex numbers, from cosh and sinh series that the step bound keeps
     exact to rounding.  The error does not grow with omega (Iserles 2002): at step 0.02,
-    omega = 60 meets the closed-form R and T to about 2e-13.  The march is a three-level scan:
-    one pass forms the running products inside blocks of w = round(n^(1/3)) + 1 steps, a second
-    those of the block totals inside groups of w blocks, the state is carried from group to
-    group, and each value is its block's running product applied to the state entering the
-    block.  Each value is thus a product of at most about 3 n^(1/3) matrices taken in march
-    order, so rounding accumulates as in a point-by-point march (to about 1e-13).
-
-    ``omega`` is one real number: the one-omega scan of the march that
-    :func:`numerical_rt` runs over an omega column.  Beyond the field (n + 1
-    complex values and the grid), it holds 2 n complex numbers (the packed
-    step rows) and the 2n + 1 potential samples.
+    omega = 60 meets the closed-form R and T to about 2e-13.  The march is a three-level scan
+    (running products inside blocks of w = round(n^(1/3)) + 1 steps, then of the block totals
+    inside groups of w blocks, the state carried from group to group), so each value is a product
+    of at most about 3 n^(1/3) matrices in march order and rounding accumulates as in a
+    point-by-point march (to about 1e-13).  ``omega`` is one real number: this is the one-row
+    scan of :func:`numerical_rt`'s march.  Beyond the field (n + 1 values and the grid) it holds
+    2 n complex numbers (the packed step rows) and the 2n + 1 samples.
 
     Raises DomainError if omega is not a real, finite, positive number (complex, nan, negative,
     a string, an array) or the spec is a step that goes down (V0 < 0); ConfigError if omega is
-    not above the right asymptote (no propagating transmitted wave), there are fewer than 2
-    steps, V is not finite or the step bound (max|V - omega^2|) step^2 < 2 fails; BlowUpError if
-    |Z| exceeds 1e12 (or is not finite) during the march, naming omega and the first such x in
-    march order.
+    not above sqrt of the right asymptote (no propagating transmitted wave), there are fewer than
+    2 steps, V is not finite or the step bound (max|V - omega^2|) step^2 < 2 fails; BlowUpError
+    if |Z| exceeds 1e12 (or is not finite) in the march, naming omega, spec and first such x.
     """
     if np.ndim(omega) > 0:
         raise DomainError(f"integrate_wavefunction takes one omega; got an array of shape {np.shape(omega)}")
-    return _march(spec, cfg, *_prepare(spec, omega, cfg))[0]
+    v, h, (w,) = _prepare((spec,), omega, cfg)
+    grid, values = _march((spec,), cfg, v, h, [(0, w)])
+    return WaveField(grid, values[0], w, _coupling(spec), spec.kind, meta={"spec": spec, "config": cfg})
 
 
 def extract_rt(field: WaveField) -> ScatteringResult:
-    """Fit Z ~ A u + B conj(u) over the field's leftmost 5 units and return
-    R = B/A, T = 1/A (the march's unit transmitted wave), at the field's own
-    omega and coupling m, as Python ``complex`` numbers.  u = e^(i omega x)
-    (1 + cL e^(kL x)/(kL^2 + 2i omega kL)) is the incoming wave with its
-    first-order term for the left tail V - V(-inf) ~ cL e^(kL x).  Raises
-    DomainError unless the field came from :func:`integrate_wavefunction`
-    (the only source of the unit transmitted wave) and its omega is real
-    and above m >= 0, and IllConditionedError if the design matrix has
-    condition number above 1e8 (e.g. a step so coarse that the window
-    holds one grid point).
+    """Fit Z ~ A u + B conj(u) over the field's leftmost 5 units (a leading slice of its grid) and
+    return R = B/A, T = 1/A (the march's unit transmitted wave) as Python ``complex`` numbers, at the
+    field's own omega and coupling m; u = e^(i omega x) (1 + cL e^(kL x)/(kL^2 + 2i omega kL)) is
+    the incoming wave with its first-order term for the left tail V - V(-inf) ~ cL e^(kL x).  The
+    one-row call of the fit that :func:`numerical_rt` makes for a scan's rows at once.  Raises
+    DomainError unless the field came from :func:`integrate_wavefunction` (the only source of the
+    unit transmitted wave) and its omega is real and above m >= 0, and IllConditionedError if the
+    design matrix has condition number above 1e8 (e.g. a window holding one grid point).
     """
     if field.branch is not None or "spec" not in field.meta:
         raise DomainError("extract_rt needs a field integrated by integrate_wavefunction (unit transmitted wave)")
     omega, m = field.omega, field.m
     if not (omega.imag == 0 and omega.real > m >= 0):
         raise DomainError(f"extract_rt needs a real field omega above its coupling m >= 0; got omega = {omega}, m = {m}")
-    omega = float(omega.real)
-    xs = field.grid  # strictly increasing: the window is a leading slice
-    stop = np.searchsorted(xs, xs[0] + _MATCH_WINDOW, side="right")
-    x_win = xs[:stop]
-    (k, c), _ = field.meta["spec"].tails
-    incoming = np.exp(1j * omega * x_win) * (1.0 + np.exp(k * x_win) * (c / (k * k + 2j * omega * k)))
-    design = np.column_stack([incoming, incoming.conj()])
-    (a_in, b_refl), _, _, sv = np.linalg.lstsq(design, field.values[:stop], rcond=None)
-    cond = sv[0] / sv[-1] if x_win.size >= 2 and sv[-1] > 0 else math.inf
-    if not cond < _COND_LIMIT:
-        raise IllConditionedError(f"matching fit condition number {cond:.3g} exceeds {_COND_LIMIT:g}")
-    return ScatteringResult(omega=omega, m=m, kind=field.kind, R=complex(b_refl / a_in), T=complex(1.0 / a_in))
+    R, T = _fit(field.grid, field.values[None], (field.meta["spec"],), [(0, float(omega.real))])
+    return ScatteringResult(omega=float(omega.real), m=m, kind=field.kind, R=complex(R[0]), T=complex(T[0]))
 
 
-def numerical_rt(spec: PotentialSpec, omega, cfg: IntegrationConfig = DEFAULT_CONFIG) -> ScatteringResult:
+def numerical_rt(spec, omega, cfg: IntegrationConfig = DEFAULT_CONFIG):
     """Integrate and extract: :func:`extract_rt` of the march at omega.
 
-    ``omega`` is a real number or a 1-d real array (an omega column).  A column gives one result
-    whose ``omega``, ``R``, ``T`` and ``kprime`` are arrays, each element equal bit for bit to the
-    one-omega call: the potential is sampled once for the column, every element is checked (domain
-    and threshold before the potential is sampled, the step bound before any march), and then the
-    omegas are marched, in column order, in scans of as many omegas as fit in 2^15 steps (at least
-    one), and fitted, so at most max(n, 2^15) steps per scan are held whatever the column's length
-    (n per omega).  Raises as :func:`integrate_wavefunction` and :func:`extract_rt`.
+    ``spec`` is a :class:`PotentialSpec` or a tuple of them (a tuple of results, in order), and
+    ``omega`` a real number (each spec then marched and fitted alone) or a 1-d real array (an
+    omega column), giving array ``omega``, ``R``, ``T`` and ``kprime``, each element equal bit for
+    bit to the one-spec, one-omega call.  A column samples each spec's potential once and checks
+    every (spec, omega) (domain and threshold before any sampling, the step bound before any
+    march); then its (spec, omega) rows, spec-major, are marched in scans of as many rows as fit in
+    2^15 steps (at least one), each scan fitted at once, so a scan holds at most max(n, 2^15) steps
+    (n per row).  Raises as :func:`integrate_wavefunction` and :func:`extract_rt`; a blow-up names
+    the first (spec, omega) in row order.
     """
+    specs = spec if isinstance(spec, tuple) else (spec,)
     if np.ndim(omega) == 0:
-        return extract_rt(integrate_wavefunction(spec, omega, cfg))
-    v, h, omegas = _prepare(spec, omega, cfg)
-    per_scan, fits = max(1, _SCAN_STEPS // ((v.size - 1) // 2)), []
-    for start in range(0, len(omegas), per_scan):
-        fits += map(extract_rt, _march(spec, cfg, v, h, omegas[start:start + per_scan]))
-    R, T = np.array([(fit.R, fit.T) for fit in fits], dtype=complex).reshape(-1, 2).T
-    return ScatteringResult(omega=np.array(omegas), m=_coupling(spec), kind=spec.kind, R=R, T=T)
+        results = tuple(extract_rt(integrate_wavefunction(s, omega, cfg)) for s in specs)
+    else:
+        v, h, omegas = _prepare(specs, omega, cfg)
+        rows = [(i, w) for i in range(len(specs)) for w in omegas]
+        per_scan, rt = max(1, _SCAN_STEPS // ((v.shape[1] - 1) // 2)), np.empty((2, len(rows)), dtype=complex)
+        for at in (slice(start, start + per_scan) for start in range(0, len(rows), per_scan)):
+            rt[:, at] = _fit(*_march(specs, cfg, v, h, rows[at]), specs, rows[at])
+        results = tuple(ScatteringResult(omega=np.array(omegas), m=_coupling(s), kind=s.kind, R=r, T=t)
+                        for s, r, t in zip(specs, *rt.reshape(2, len(specs), len(omegas))))
+    return results if isinstance(spec, tuple) else results[0]

@@ -160,8 +160,8 @@ def near_pole(z):
 def _gamma_arguments(args, n_num):
     """(column, stack): whether any argument is a 1-d array, and the
     arguments broadcast into a (len(args), n) complex array, n = 1 for
-    numbers.  A bool or non-finite argument (or an int past the double range)
-    raises ``DomainError``, one within ``POLE_TOL`` of a non-positive
+    numbers.  A bool, non-numeric or non-finite argument (or an int past the
+    double range) raises ``DomainError``, one within ``POLE_TOL`` of a non-positive
     integer ``PoleError``, located in the numerator for the first ``n_num``
     arguments; the first argument with either, then its first element, is
     reported."""
@@ -176,8 +176,8 @@ def _gamma_arguments(args, n_num):
     try:
         for row, v in zip(stack, args):
             row[...] = v
-    except OverflowError:
-        raise DomainError("a Gamma argument is an int past the double range") from None
+    except (OverflowError, TypeError, ValueError):  # an int past the double range, a string, a non-number
+        raise DomainError(f"a Gamma argument must be a number that a double holds, got {type(v).__name__} {str(v)[:40]}") from None
     finite = np.isfinite(stack)
     with np.errstate(invalid="ignore"):
         bad = ~finite | near_pole(stack)

@@ -10,8 +10,8 @@ are held relative to the Wronskian's constant and to the equation's term sizes; 
 covers the 6 quasinormal poles (no Gamma pass) and one the 6 perturbed frequencies; a potential
 and an antiderivative call (at x +- h) cover each partner.  The SUSY check can fail only through
 its T relation: R- is -R+ by construction.  ``full`` adds two oracle checks on one sweep per run,
-timed in the agreement row: a sixth-order Magnus scan per spec of its 4 omegas over x in [-30, 15]
-at step 0.1 (``ORACLE_CONFIG``, 450 steps per omega).
+timed in the agreement row: one sixth-order Magnus scan of the 3 specs' 12 (spec, omega) rows over
+x in [-30, 15] at step 0.1 (``ORACLE_CONFIG``, 450 steps per row) and one batched fit.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ def _closed_form_equivalence(amplitudes):
     return max(np.max(np.abs(got - c) / np.maximum(np.abs(c), np.abs(got))) for got, c in zip((plus.R2, plus.T2), closed))
 
 
-def _flux_conservation(amplitudes):
-    return max(np.max(np.abs(res.flux - 1.0)) for res in amplitudes())
+def _flux_conservation(results):
+    return max(np.max(np.abs(res.flux - 1.0)) for res in results())
 
 
 def _susy_relations():
@@ -130,11 +130,7 @@ _ORACLE_CASES = np.array([51, 54, 59, 69])
 
 def _oracle_agreement(sweep, amplitudes):
     return max(max(np.max(np.abs(num.R - ana.R[_ORACLE_CASES])), np.max(np.abs(num.T - ana.T[_ORACLE_CASES])))
-               for num, ana in zip(map(sweep, _ORACLE_SPECS), amplitudes()))
-
-
-def _oracle_flux(sweep):
-    return max(np.max(np.abs(sweep(spec).flux - 1.0)) for spec in _ORACLE_SPECS)
+               for num, ana in zip(sweep(), amplitudes()))
 
 
 def run_checks(level: str = QUICK, inject_failure: bool = False):
@@ -154,9 +150,9 @@ def run_checks(level: str = QUICK, inject_failure: bool = False):
         _check("reflection-difference window", 0.5, _figure_difference_window),
     ]
     if level == FULL:
-        sweep = functools.cache(lambda spec: oracle.numerical_rt(spec, cases[0][_ORACLE_CASES], ORACLE_CONFIG))
+        sweep = functools.cache(lambda: oracle.numerical_rt(_ORACLE_SPECS, cases[0][_ORACLE_CASES], ORACLE_CONFIG))
         results.append(_check("oracle amplitude agreement", 1e-8, lambda: _oracle_agreement(sweep, amplitudes)))
-        results.append(_check("oracle flux conservation", 1e-9, lambda: _oracle_flux(sweep)))
+        results.append(_check("oracle flux conservation", 1e-9, lambda: _flux_conservation(sweep)))
     if inject_failure:  # negative control: the Wronskian against a constant off by 1e-3 must fail
         expected = 2.0 * 2.0 / 1.0 * (1.0 - (2j * 2.0 + 0.5)) + 1e-3
         results.append(_check("failure injection (perturbed constant)", 1e-9,

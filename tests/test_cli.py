@@ -487,8 +487,9 @@ def test_full_verify_makes_few_gamma_passes_and_scans(monkeypatch):
     # (kind, m) and each oracle spec had its own, 17 when each perturbed
     # frequency of the qnm check had its own): one (V+, V-), one step and one
     # SUSY amplitude call, one |1/T| call at the 6 perturbed frequencies (none
-    # at the 6 poles) and 8 from the 2F1 connection formula; and 3 Magnus
-    # scans, one per oracle spec (12 marches when each omega had its own)
+    # at the 6 poles) and 8 from the 2F1 connection formula; and one Magnus
+    # scan of the 12 (spec, omega) oracle rows (3 when each spec had its own,
+    # 12 when each omega had its own)
     ratios, scans = [], []
     for module in (specfun, scattering):
         exact = module.gamma_ratio
@@ -497,7 +498,8 @@ def test_full_verify_makes_few_gamma_passes_and_scans(monkeypatch):
     march = oracle._march
     monkeypatch.setattr(oracle, "_march", lambda *args: scans.append(args) or march(*args))
     assert all(r.passed for r in run_checks(FULL))
-    assert (ratios.count(scattering), ratios.count(specfun), len(scans)) == (3 + 1, 8, 3)
+    assert len(scans[0][4]) == 12
+    assert (ratios.count(scattering), ratios.count(specfun), len(scans)) == (3 + 1, 8, 1)
 
 
 def test_verify_takes_the_qnm_check_from_two_omega_columns(monkeypatch):

@@ -302,14 +302,16 @@ def test_column_holds_one_omega_at_a_time():
 
 def test_one_march_frees_its_step_coefficients_before_the_step_rows():
     # the quartic's coefficients (p, c, g and their products) go once the Omega
-    # entries exist: one 60 000-step march peaks at about 7.2 MB of numpy
-    # allocations, against 9.6 MB with the coefficients held to the step rows
+    # entries exist, and the ghost-extended samples with the stencil product:
+    # one 60 000-step march peaks at about 6.24 MB of numpy allocations, against
+    # 7.20 MB with those samples held to the Omega entries and 9.6 MB with the
+    # coefficients held to the step rows
     spec = PotentialSpec.plus(1.0)
     integrate_wavefunction(spec, 2.0)
     tracemalloc.start()
     try:
         integrate_wavefunction(spec, 2.0)
-        assert tracemalloc.get_traced_memory()[1] < 7.5e6
+        assert tracemalloc.get_traced_memory()[1] < 6.6e6
     finally:
         tracemalloc.stop()
 
@@ -322,8 +324,8 @@ def test_oracle_sweep_flux():
 
 def test_full_verify_marches_each_spec_and_omega_once(monkeypatch):
     # one oracle sweep per run serves both oracle checks, and no run reuses
-    # another's: one scan per spec holding its 4 omegas, the potential
-    # sampled once per spec
+    # another's: one scan of the 12 (spec, omega) rows, spec-major, the
+    # potential sampled once per spec
     specs = (PotentialSpec.plus(1.0), PotentialSpec.minus(1.0), PotentialSpec.step(1.0))
     omega = [1.2, 1.5, 2.0, 3.0]
     flux = max(float(np.max(np.abs(numerical_rt(spec, np.array(omega), ORACLE_CONFIG).flux - 1.0))) for spec in specs)
@@ -332,19 +334,20 @@ def test_full_verify_marches_each_spec_and_omega_once(monkeypatch):
     for run in (1, 2):
         results = run_checks(FULL)
         assert len(results) == 10 and all(r.passed for r in results)
-        assert len(marched) == 3 * run and len(sampled) == 3 * run
-        assert [(args[0], args[4]) for args in marched[-3:]] == [(spec, omega) for spec in specs]
+        assert len(marched) == run and len(sampled) == 3 * run
+        assert [args[0] for args in sampled[-3:]] == list(specs)
+        assert marched[-1][0] == specs and marched[-1][4] == [(i, w) for i in range(3) for w in omega]
         assert results[-1].name == "oracle flux conservation" and results[-1].max_residual == flux
 
 
 def test_full_verify_sweep_stays_coarse(monkeypatch):
     # verify's oracle sweep marches at most 450 steps per omega (a
-    # potential column of at most 901 samples), one scan per spec holding
-    # its 4 omegas, and its two oracle checks hold R and T to 1e-8 and flux
-    # to 1e-9
+    # potential column of at most 901 samples per spec), one scan of the
+    # 3 specs' 12 (spec, omega) rows, and its two oracle checks hold R and T
+    # to 1e-8 and flux to 1e-9
     marched = _counting(monkeypatch, "_march")
     results = run_checks(FULL)
-    assert len(marched) == 3 and all(args[2].size <= 901 and len(args[4]) == 4 for args in marched)
+    assert len(marched) == 1 and marched[0][2].shape[0] == 3 and marched[0][2].shape[1] <= 901 and len(marched[0][4]) == 12
     assert [(r.name, r.tolerance) for r in results[-2:]] == [("oracle amplitude agreement", 1e-8),
                                                             ("oracle flux conservation", 1e-9)]
     assert all(r.passed for r in results[-2:])
@@ -449,11 +452,70 @@ def test_column_scans_are_the_one_omega_calls(monkeypatch, spec, budget, scans):
     monkeypatch.setattr(oracle_mod, "_SCAN_STEPS", budget)
     marched = _counting(monkeypatch, "_march")
     col = numerical_rt(spec, np.array([3.0, 1.2, 2.0, 1.5, 2.5]), COARSE)
-    assert [args[4] for args in marched] == scans
+    assert [[w for _, w in args[4]] for args in marched] == scans
     assert col.R.tobytes() == np.array([r.R for r in one]).tobytes()
     assert col.T.tobytes() == np.array([r.T for r in one]).tobytes()
     empty = numerical_rt(spec, np.array([]), COARSE)
     assert empty.R.shape == empty.T.shape == (0,) and len(marched) == len(scans)
+
+
+SPECS = (PotentialSpec.plus(1.0), PotentialSpec.minus(1.0), PotentialSpec.step(1.0, 1.0))
+
+
+def test_spec_tuple_is_the_one_spec_and_one_omega_calls():
+    # a tuple of specs gives a tuple of results in its order, each equal bit
+    # for bit to its one-spec column call and to its one-omega calls; a number
+    # omega gives each spec's one-omega result, an empty column empty columns
+    omega = np.array([3.0, 1.2, 2.0, 1.5])
+    results = numerical_rt(SPECS, omega, COARSE)
+    assert type(results) is tuple and [res.kind for res in results] == [spec.kind for spec in SPECS]
+    for spec, res in zip(SPECS, results):
+        col = numerical_rt(spec, omega, COARSE)
+        one = [numerical_rt(spec, w, COARSE) for w in omega.tolist()]
+        assert res.m == col.m == one[0].m and res.omega.tolist() == omega.tolist()
+        for name in ("R", "T", "kprime", "flux"):
+            assert getattr(res, name).tobytes() == getattr(col, name).tobytes() == np.array([getattr(r, name) for r in one]).tobytes()
+    assert numerical_rt(SPECS, 2.0, COARSE) == tuple(numerical_rt(spec, 2.0, COARSE) for spec in SPECS)
+    assert numerical_rt(SPECS[1:2], omega, COARSE)[0].R.tobytes() == results[1].R.tobytes()
+    empty = numerical_rt(SPECS, np.array([]), COARSE)
+    assert [(res.kind, res.R.shape, res.T.shape, res.kprime.shape) for res in empty] == [(spec.kind, (0,), (0,), (0,)) for spec in SPECS]
+
+
+@pytest.mark.parametrize("budget, sizes", [(1, [1] * 6), (2 * 6000, [2, 2, 2]), (4 * 6000, [4, 2]), (2 ** 15, [5, 1])])
+def test_spec_tuple_scans_split_inside_and_across_specs(monkeypatch, budget, sizes):
+    # a tuple's (spec, omega) rows, spec-major, share scans of at most
+    # _SCAN_STEPS steps (n = 6000 per row here), split inside a spec or across
+    # specs; each spec's potential is sampled once for all its scans, and every
+    # element still equals its one-omega call bit for bit
+    specs, omega = SPECS[::2], [3.0, 1.2, 2.5]
+    one = [[numerical_rt(spec, w, COARSE) for w in omega] for spec in specs]
+    monkeypatch.setattr(oracle_mod, "_SCAN_STEPS", budget)
+    sampled, marched = _counting(monkeypatch, "potential"), _counting(monkeypatch, "_march")
+    results = numerical_rt(specs, np.array(omega), COARSE)
+    rows, ends = [(i, w) for i in range(2) for w in omega], np.cumsum([0] + sizes).tolist()
+    assert [args[4] for args in marched] == [rows[start:end] for start, end in zip(ends, ends[1:])]
+    assert [args[0] for args in sampled] == list(specs)
+    for res, ref in zip(results, one):
+        assert res.R.tobytes() == np.array([r.R for r in ref]).tobytes()
+        assert res.T.tobytes() == np.array([r.T for r in ref]).tobytes()
+
+
+@pytest.mark.parametrize("stiff, first", [((PotentialKind.MINUS,), 1), ((PotentialKind.PLUS, PotentialKind.MINUS), 0)])
+def test_shared_scan_blowup_names_the_first_spec_and_omega_in_row_order(monkeypatch, stiff, first):
+    # V = 9004 for the stiff kinds and 4 for the others: at omega = 2 a stiff
+    # spec's mode grows at sqrt(9000), while omega = 95 oscillates; in one scan
+    # of the rows (spec, omega), spec-major, the error names the first blown-up
+    # row, with the x that its own one-spec, one-omega march names
+    specs = SPECS[:2]
+    monkeypatch.setattr(oracle_mod, "potential", lambda spec, x: np.full(np.shape(x), 4.0 + 9000.0 * (spec.kind in stiff)))
+    marched = _counting(monkeypatch, "_march")
+    with pytest.raises(BlowUpError) as shared:
+        numerical_rt(specs, np.array([95.0, 2.0]), COARSE)
+    assert len(marched) == 1 and len(marched[0][4]) == 4
+    with pytest.raises(BlowUpError) as alone:
+        integrate_wavefunction(specs[first], 2.0, COARSE)
+    assert str(shared.value) == str(alone.value)
+    assert "omega = 2.0 " in str(alone.value) and str(alone.value).endswith(repr(specs[first]))
 
 
 @pytest.mark.parametrize("omega, first, x", [
@@ -488,9 +550,12 @@ def test_config_validation():
         IntegrationConfig(step=-1e-3)
 
 
-@pytest.mark.parametrize("field, value", [("x_min", -math.inf), ("x_max", math.inf), ("step", math.inf)])
+@pytest.mark.parametrize("field, value", [("x_min", -math.inf), ("x_max", math.inf), ("step", math.inf),
+                                          ("step", 1j), ("step", "a"), ("step", None), ("x_min", None), ("x_max", "a")])
 def test_config_rejects_non_finite_fields(field, value):
-    with pytest.raises(ConfigError, match="finite"):
+    # a field that is not a finite real number (a complex, a string or None
+    # too, which a comparison would refuse with a bare TypeError)
+    with pytest.raises(ConfigError, match=f"{field} must be a finite real number"):
         IntegrationConfig(**{field: value})
 
 
@@ -499,6 +564,14 @@ def test_below_threshold_rejected():
         integrate_wavefunction(PotentialSpec.plus(1.0), 0.5)
     with pytest.raises(ConfigError):
         integrate_wavefunction(PotentialSpec.plus(1.0), 1.0)
+    # omega = sqrt(2) rounded squares above V0 = 2 but is not above the
+    # coupling sqrt(V0) that extract_rt holds it to: refused before any work
+    assert math.sqrt(2.0) ** 2 > 2.0
+    for call in (integrate_wavefunction, numerical_rt):
+        with pytest.raises(ConfigError, match="below the propagation threshold"):
+            call(PotentialSpec.step(2.0), math.sqrt(2.0))
+    with pytest.raises(ConfigError, match="below the propagation threshold"):
+        numerical_rt(PotentialSpec.step(2.0), np.array([2.0, math.sqrt(2.0)]))
 
 
 def test_too_coarse_step_rejected():
@@ -557,21 +630,25 @@ def test_ill_conditioned_window():
 ])
 def test_fit_window_is_the_grid_points_within_five_units(spec, omega, cfg, points):
     # the window, a leading slice of the grid, is every point x <= x_min + 5 (the
-    # edge included): the same fit, bit for bit, as a mask over the whole grid,
-    # of the incoming wave with its left-tail term and its conjugate
+    # edge included): the same fit, bit for bit, as of the field cut to a mask
+    # over the whole grid; and that fit is numpy's least-squares fit of the
+    # incoming wave with its left-tail term and its conjugate, to rounding (the
+    # SVD solve and lstsq differ by 9.6e-16 of |R| + |T| at most here and on
+    # verify's 12 rows)
     field = integrate_wavefunction(spec, omega, cfg)
     sel = field.grid <= field.grid[0] + 5.0
     assert points is None or sel.sum() == points
+    res = extract_rt(field)
+    cut = extract_rt(dataclasses.replace(field, grid=field.grid[sel], values=field.values[sel]))
+    assert (res.R, res.T) == (cut.R, cut.T)
     (k, c), _ = spec.tails
     x = field.grid[sel]
     incoming = np.exp(1j * omega * x) * (1.0 + np.exp(k * x) * (c / (k * k + 2j * omega * k)))
-    (a_in, b_refl), *_ = np.linalg.lstsq(np.column_stack([incoming, incoming.conj()]), field.values[sel], rcond=None)
-    res = extract_rt(field)
-    assert (res.R, res.T) == (complex(b_refl / a_in), complex(1.0 / a_in))
-    if spec is FREE:  # no tail: the plain plane-wave fit, bit for bit
-        plain = np.exp(1j * omega * x)
-        (a_in, b_refl), *_ = np.linalg.lstsq(np.column_stack([plain, plain.conj()]), field.values[sel], rcond=None)
-        assert (res.R, res.T) == (complex(b_refl / a_in), complex(1.0 / a_in))
+    plain = np.exp(1j * omega * x)
+    for wave in [incoming] + [plain] * (spec is FREE):  # no tail: the plain plane-wave fit
+        (a_in, b_refl), *_ = np.linalg.lstsq(np.column_stack([wave, wave.conj()]), field.values[sel], rcond=None)
+        scale = abs(res.R) + abs(res.T)
+        assert abs(res.R - b_refl / a_in) <= 4e-15 * scale and abs(res.T - 1.0 / a_in) <= 4e-15 * scale
 
 
 def test_a_step_that_goes_down_is_a_domain_error(monkeypatch):

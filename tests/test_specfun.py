@@ -223,6 +223,15 @@ def test_a_bool_gamma_argument_is_a_domain_error(call):
         call()
 
 
+@pytest.mark.parametrize("call", [lambda: lngamma("a"), lambda: lngamma(b"x"), lambda: lngamma(object()),
+                                  lambda: gamma_ratio(["a"], [1.0]), lambda: gamma_ratio([1.0], [np.array(["a", "b"])])],
+                         ids=["lngamma str", "lngamma bytes", "lngamma object", "gamma_ratio str", "gamma_ratio str column"])
+def test_a_non_numeric_gamma_argument_is_a_domain_error(call):
+    # numpy's complex parse refuses these with a bare ValueError or TypeError
+    with pytest.raises(DomainError, match="must be a number"):
+        call()
+
+
 def test_gamma_ratio_recurrence():
     z = 3.7
     assert abs(gamma_ratio([z + 1.0], [z]) - z) < 1e-13
