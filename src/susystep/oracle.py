@@ -53,8 +53,8 @@ DEFAULT_CONFIG = IntegrationConfig()
 
 
 def _prepare(specs, omega, cfg: IntegrationConfig):
-    """(v, h, omegas): a row per spec of V, sampled by one ``potential`` call on the 2n + 1 point
-    half-step grid of the n-step march, the step h, and omega as Python floats ([omega] for a
+    """(v, n, omegas): a list with a row per spec of V, sampled by one ``potential`` call on the
+    2n + 1 point half-step grid of the n-step march, n, and omega as Python floats ([omega] for a
     number, a 1-d array's elements in order).  Every (spec, omega) passes the domain and threshold
     checks before V is sampled, and each V must be finite and meet the step bound at every omega before
     any march; a step that goes down (V0 < 0, no real coupling) raises ``DomainError`` first."""
@@ -74,7 +74,7 @@ def _prepare(specs, omega, cfg: IntegrationConfig):
     if n < 2:
         raise ConfigError("fewer than 2 integration steps; shrink step or widen the window")
     h = (cfg.x_max - cfg.x_min) / n
-    v = []  # each spec's samples, stacked once sampling is done
+    v = []
     for spec in specs:
         v.append(row := np.asarray(potential(spec, np.linspace(cfg.x_min, cfg.x_max, 2 * n + 1)), dtype=float))
         if not np.isfinite(row).all():
@@ -84,7 +84,7 @@ def _prepare(specs, omega, cfg: IntegrationConfig):
         for w in omegas:
             if not (reach := max(v_hi - w * w, w * w - v_lo) * h * h) < _S2_LIMIT:
                 raise ConfigError(f"step {h} too coarse at omega = {w}: (max|V - omega^2|) h^2 = {reach:.3g} >= {_S2_LIMIT}")
-    return np.array(v).reshape(len(specs), 2 * n + 1), h, omegas
+    return v, n, omegas
 
 
 def _running_products(rows):
@@ -95,11 +95,11 @@ def _running_products(rows):
     return rows
 
 
-def _march(specs, cfg: IntegrationConfig, v, h: float, rows):
+def _march(specs, cfg: IntegrationConfig, v, n: int, rows):
     """(grid, values): the n + 1 point grid and the field on it of each row (i, omega), specs[i] at
     omega marched over the samples v[i] as :func:`integrate_wavefunction` describes, in one scan
     with the rows (a spec's consecutive) the leading axis; it holds 2 complex numbers per step and row."""
-    n = (v.shape[1] - 1) // 2
+    h = (cfg.x_max - cfg.x_min) / n
     # step i (right to left) maps (Z, Z') at x_max - i h to x_max - (i + 1) h by the real
     # matrix [[a, b], [c, d]], stored as its rows a + ib and c + id and laid out as (groups,
     # width, width) blocks padded with identities; a running product's rows pack the same way,
@@ -110,19 +110,19 @@ def _march(specs, cfg: IntegrationConfig, v, h: float, rows):
     hm, h2 = -h, h * h
     width = round(n ** (1 / 3)) + 1
     groups = -(-n // (width * width))
-    on, oe, oh = np.empty((3, len(rows), n))
+    parts = []  # (on, oe, oh) of each spec's rows, joined only for several specs: a fresh block costs one row 20%
     for i in dict.fromkeys(j for j, _ in rows):  # a spec's rows share p, c and g
-        at = [r for r, row in enumerate(rows) if row[0] == i]
-        w2 = np.square([rows[r][1] for r in at])[:, None]
+        w2 = np.square([w for j, w in rows if j == i])[:, None]
         # the samples in march order, one past each end: a temporary that goes with the stencil product
         p, c, hg = _STENCIL @ np.lib.stride_tricks.sliding_window_view(np.concatenate(
-            [[_GHOST @ v[i, :-6:-1]], v[i, ::-1], [_GHOST @ v[i, :5]]]), 5)[::2].T * [[1.0], [1.0], [h2]]  # hg = h^2 g
+            [[_GHOST @ v[i][:-6:-1]], v[i][::-1], [_GHOST @ v[i][:5]]]), 5)[::2].T * [[1.0], [1.0], [h2]]  # hg = h^2 g
         hg2, hc = hg * hg * (hm / 25.0), c * (hm * h2 / 54.0)
-        on[at], dq2 = hm - hc + hg2, hm + hc + hg2
+        on, dq2 = hm - hc + hg2, hm + hc + hg2
         del hc  # before oe's temporaries, which set the march's memory peak
-        oe[at] = p * dq2 + c * (5.0 * hm / 18.0 + c * (hm * h2 / 324.0)) - hg2 * (30.0 / h2) - w2 * dq2
-        oh[at] = hg * ((h2 / 180.0) * c + (h2 / 15.0) * p - 1.0) - w2 * ((h2 / 15.0) * hg)
-    del p, c, hg, hg2, dq2
+        oe = p * dq2 + c * (5.0 * hm / 18.0 + c * (hm * h2 / 324.0)) - hg2 * (30.0 / h2) - w2 * dq2
+        parts.append((np.broadcast_to(on, oe.shape), oe, hg * ((h2 / 180.0) * c + (h2 / 15.0) * p - 1.0) - w2 * ((h2 / 15.0) * hg)))
+    on, oe, oh = parts[0] if len(parts) == 1 else (np.concatenate(part) for part in zip(*parts))
+    del p, c, hg, hg2, dq2, parts
     s2 = oh * oh + on * oe
     cosh_s, sinhc_s = series = s2 * _SERIES[-1] + _SERIES[-2]
     for k in _SERIES[-3::-1]:  # Horner in s^2, both series in one array
@@ -176,9 +176,9 @@ def _fit(grid, values, specs, rows):
     tail = np.array([[c / (k * k + 2j * w * k)] for i, w in rows for k, c in [specs[i].tails[0]]])
     incoming = np.exp(1j * omega * x) * (1.0 + np.exp(kl * x) * tail)
     u, s, vh = np.linalg.svd(np.stack([incoming, incoming.conj()], axis=-1), full_matrices=False)
-    bad = ~(s[:, 0] < _COND_LIMIT * s[:, -1]) | (x.size < 2)  # a one-point window cannot fit two amplitudes
-    if bad.any():
-        raise IllConditionedError(f"matching fit at omega = {rows[bad.argmax()][1]} has condition number above {_COND_LIMIT:g}")
+    if (bad := ~(s[:, 0] < _COND_LIMIT * s[:, -1]) | (x.size < 2)).any():  # a one-point window cannot fit two amplitudes
+        i, w = rows[bad.argmax()]  # the first row in order
+        raise IllConditionedError(f"matching fit at omega = {w} for {specs[i]} has condition number above {_COND_LIMIT:g}")
     a_in, b_refl = (vh.conj().transpose(0, 2, 1) @ (u.conj().transpose(0, 2, 1) @ values[:, :x.size, None] / s[..., None]))[..., 0].T
     return b_refl / a_in, 1.0 / a_in
 
@@ -215,8 +215,8 @@ def integrate_wavefunction(spec: PotentialSpec, omega: float, cfg: IntegrationCo
     """
     if np.ndim(omega) > 0:
         raise DomainError(f"integrate_wavefunction takes one omega; got an array of shape {np.shape(omega)}")
-    v, h, (w,) = _prepare((spec,), omega, cfg)
-    grid, values = _march((spec,), cfg, v, h, [(0, w)])
+    v, n, (w,) = _prepare((spec,), omega, cfg)
+    grid, values = _march((spec,), cfg, v, n, [(0, w)])
     return WaveField(grid, values[0], w, _coupling(spec), spec.kind, meta={"spec": spec, "config": cfg})
 
 
@@ -249,18 +249,18 @@ def numerical_rt(spec, omega, cfg: IntegrationConfig = DEFAULT_CONFIG):
     every (spec, omega) (domain and threshold before any sampling, the step bound before any
     march); then its (spec, omega) rows, spec-major, are marched in scans of as many rows as fit in
     2^15 steps (at least one), each scan fitted at once, so a scan holds at most max(n, 2^15) steps
-    (n per row).  Raises as :func:`integrate_wavefunction` and :func:`extract_rt`; a blow-up names
-    the first (spec, omega) in row order.
+    (n per row).  Raises as :func:`integrate_wavefunction` and :func:`extract_rt`; a blow-up or an
+    ill-conditioned fit names the first such (spec, omega) in row order.
     """
     specs = spec if isinstance(spec, tuple) else (spec,)
     if np.ndim(omega) == 0:
         results = tuple(extract_rt(integrate_wavefunction(s, omega, cfg)) for s in specs)
     else:
-        v, h, omegas = _prepare(specs, omega, cfg)
+        v, n, omegas = _prepare(specs, omega, cfg)
         rows = [(i, w) for i in range(len(specs)) for w in omegas]
-        per_scan, rt = max(1, _SCAN_STEPS // ((v.shape[1] - 1) // 2)), np.empty((2, len(rows)), dtype=complex)
+        per_scan, rt = max(1, _SCAN_STEPS // n), np.empty((2, len(rows)), dtype=complex)
         for at in (slice(start, start + per_scan) for start in range(0, len(rows), per_scan)):
-            rt[:, at] = _fit(*_march(specs, cfg, v, h, rows[at]), specs, rows[at])
+            rt[:, at] = _fit(*_march(specs, cfg, v, n, rows[at]), specs, rows[at])
         results = tuple(ScatteringResult(omega=np.array(omegas), m=_coupling(s), kind=s.kind, R=r, T=t)
                         for s, r, t in zip(specs, *rt.reshape(2, len(specs), len(omegas))))
     return results if isinstance(spec, tuple) else results[0]
