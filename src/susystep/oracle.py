@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigError, DomainError, IllConditionedError, finite_real, real_array
+from .errors import BlowUpError, ConfigError, DomainError, IllConditionedError, finite_real
 from .potentials import PotentialKind, PotentialSpec, potential
-from .scattering import ScatteringResult
+from .scattering import ScatteringResult, transmitted_wavenumber
 from .solutions import WaveField
 
 __all__ = ["IntegrationConfig", "DEFAULT_CONFIG", "integrate_wavefunction", "extract_rt", "numerical_rt"]
@@ -55,21 +55,13 @@ DEFAULT_CONFIG = IntegrationConfig()
 def _prepare(specs, omega, cfg: IntegrationConfig):
     """(v, n, omegas): a list with a row per spec of V, sampled by one ``potential`` call on the
     2n + 1 point half-step grid of the n-step march, n, and omega as Python floats ([omega] for a
-    number, a 1-d array's elements in order).  Every (spec, omega) passes the domain and threshold
-    checks before V is sampled, and each V must be finite and meet the step bound at every omega before
-    any march; a step that goes down (V0 < 0, no real coupling) raises ``DomainError`` first."""
+    number, a 1-d array's elements in order).  ``transmitted_wavenumber`` checks omega against the
+    specs' largest coupling before V is sampled, and each V must be finite and meet the step bound
+    at every omega before any march; a step that goes down (V0 < 0) raises ``DomainError`` first."""
     if (asym := min((spec.right_asymptote for spec in specs), default=0.0)) < 0:
         raise DomainError(f"the oracle solves a step that goes up, V0 >= 0; got V0 = {asym}")
-    column = real_array(omega, "omega")
-    if column.ndim > 1:
-        raise DomainError(f"the oracle takes omega as a number or a 1-d array, got shape {column.shape}")
-    omegas = column.reshape(-1).tolist()
-    for w in omegas:
-        if not (math.isfinite(w) and w > 0):
-            raise DomainError(f"omega = {w} is not a finite positive frequency")
-        for spec in specs:  # omega^2 > V0 can round true at omega = sqrt(V0), which is not above it
-            if not (w * w > spec.right_asymptote and w > _coupling(spec)):
-                raise ConfigError(f"omega = {w} is below the propagation threshold sqrt({spec.right_asymptote}) of the right asymptote")
+    transmitted_wavenumber(omega, max(map(_coupling, specs), default=0.0))
+    omegas = np.asarray(omega, dtype=float).reshape(-1).tolist()
     n = int(round((cfg.x_max - cfg.x_min) / cfg.step))
     if n < 2:
         raise ConfigError("fewer than 2 integration steps; shrink step or widen the window")
@@ -139,7 +131,8 @@ def _march(specs, cfg: IntegrationConfig, v, n: int, rows):
     steps = steps.reshape(2, len(rows), groups, width, width)
 
     starts = [(z * (1 + b), z * (1j * kp * (1 + b) - kr * b)) for i, w in rows  # (Z, Z') at x_max
-              for (kr, cr), kp, x in [(specs[i].tails[1], math.sqrt(w * w - specs[i].right_asymptote), cfg.x_max)]
+              for (kr, cr), c, x in [(specs[i].tails[1], _coupling(specs[i]), cfg.x_max)]
+              for kp in [math.sqrt(w - c) * math.sqrt(w + c)]  # ScatteringResult.kprime's k', positive for w > c
               for z, b in [(cmath.exp(1j * kp * x), cr * math.exp(-kr * x) / (kr * kr - 2j * kp * kr))]]
     # buf[:, -1] is the initial point and buf[:, -2::-1] the march order, so
     # the grid's values are the last n + 1 entries of each row
@@ -193,7 +186,8 @@ def integrate_wavefunction(spec: PotentialSpec, omega: float, cfg: IntegrationCo
 
     Initial data at x_max is the unit transmitted wave with the first-order term of the right
     tail V - V(+inf) ~ cR e^(-kR x) (``spec.tails``): Z = e^(i k' x) (1 + b), Z' = e^(i k' x)
-    (i k' (1 + b) - kR b), b = cR e^(-kR x)/(kR^2 - 2i k' kR), k' = sqrt(omega^2 - V(+inf)).
+    (i k' (1 + b) - kR b), b = cR e^(-kR x)/(kR^2 - 2i k' kR), with the k' of the result's ``kprime``
+    and ``flux``: sqrt(omega - c) sqrt(omega + c) for the coupling c (m, or sqrt(V(+inf)) for the step).
     Sixth-order Magnus steps (Blanes, Casas & Ros 2000; Blanes et al. 2009), error O(step^6),
     take V at their Gauss nodes from the quartic through the 5 half-step samples around each
     (one ``potential`` call on the 2n + 1 point half-step grid): real 2x2 matrices on (Z, Z'),
@@ -207,11 +201,11 @@ def integrate_wavefunction(spec: PotentialSpec, omega: float, cfg: IntegrationCo
     scan of :func:`numerical_rt`'s march.  Beyond the field (n + 1 values and the grid) it holds
     2 n complex numbers (the packed step rows) and the 2n + 1 samples.
 
-    Raises DomainError if omega is not a real, finite, positive number (complex, nan, negative,
-    a string, an array) or the spec is a step that goes down (V0 < 0); ConfigError if omega is
-    not above sqrt of the right asymptote (no propagating transmitted wave), there are fewer than
-    2 steps, V is not finite or the step bound (max|V - omega^2|) step^2 < 2 fails; BlowUpError
-    if |Z| exceeds 1e12 (or is not finite) in the march, naming omega, spec and first such x.
+    Raises DomainError if omega is not one number that ``transmitted_wavenumber`` accepts above the
+    coupling c (complex, nan, a string, an array, at or below c) or the spec is a step that goes down
+    (V0 < 0); ConfigError if there are fewer than 2 steps, V is not finite or the step bound
+    (max|V - omega^2|) step^2 < 2 fails; BlowUpError if |Z| exceeds 1e12 (or is not finite) in the
+    march, naming omega, spec and first such x.
     """
     if np.ndim(omega) > 0:
         raise DomainError(f"integrate_wavefunction takes one omega; got an array of shape {np.shape(omega)}")
@@ -227,40 +221,38 @@ def extract_rt(field: WaveField) -> ScatteringResult:
     the incoming wave with its first-order term for the left tail V - V(-inf) ~ cL e^(kL x).  The
     one-row call of the fit that :func:`numerical_rt` makes for a scan's rows at once.  Raises
     DomainError unless the field came from :func:`integrate_wavefunction` (the only source of the
-    unit transmitted wave) and its omega is real and above m >= 0, and IllConditionedError if the
-    design matrix has condition number above 1e8 (e.g. a window holding one grid point).
+    unit transmitted wave) and ``transmitted_wavenumber`` accepts its (omega, m), and
+    IllConditionedError if the design matrix has condition number above 1e8 (e.g. a one-point window).
     """
     if field.branch is not None or "spec" not in field.meta:
         raise DomainError("extract_rt needs a field integrated by integrate_wavefunction (unit transmitted wave)")
-    omega, m = field.omega, field.m
-    if not (omega.imag == 0 and omega.real > m >= 0):
-        raise DomainError(f"extract_rt needs a real field omega above its coupling m >= 0; got omega = {omega}, m = {m}")
-    R, T = _fit(field.grid, field.values[None], (field.meta["spec"],), [(0, float(omega.real))])
-    return ScatteringResult(omega=float(omega.real), m=m, kind=field.kind, R=complex(R[0]), T=complex(T[0]))
+    transmitted_wavenumber(field.omega, field.m)
+    R, T = _fit(field.grid, field.values[None], (field.meta["spec"],), [(0, float(field.omega))])
+    return ScatteringResult(omega=float(field.omega), m=field.m, kind=field.kind, R=complex(R[0]), T=complex(T[0]))
 
 
 def numerical_rt(spec, omega, cfg: IntegrationConfig = DEFAULT_CONFIG):
     """Integrate and extract: :func:`extract_rt` of the march at omega.
 
     ``spec`` is a :class:`PotentialSpec` or a tuple of them (a tuple of results, in order), and
-    ``omega`` a real number (each spec then marched and fitted alone) or a 1-d real array (an
-    omega column), giving array ``omega``, ``R``, ``T`` and ``kprime``, each element equal bit for
-    bit to the one-spec, one-omega call.  A column samples each spec's potential once and checks
-    every (spec, omega) (domain and threshold before any sampling, the step bound before any
-    march); then its (spec, omega) rows, spec-major, are marched in scans of as many rows as fit in
-    2^15 steps (at least one), each scan fitted at once, so a scan holds at most max(n, 2^15) steps
-    (n per row).  Raises as :func:`integrate_wavefunction` and :func:`extract_rt`; a blow-up or an
+    ``omega`` a real number (Python-number fields) or a 1-d real array (array ``omega``, ``R``,
+    ``T`` and ``kprime``), each element equal bit for bit to the one-spec, one-omega call
+    ``extract_rt(integrate_wavefunction(...))``.  Any other call is one checked scan: every (spec,
+    omega) is checked before any sampling and the step bound before any march, each potential is
+    sampled once, and the (spec, omega) rows, spec-major, are marched in scans of as many rows as
+    fit in 2^15 steps (at least one; at most max(n, 2^15) steps, n per row), each fitted at once.
+    Raises as :func:`integrate_wavefunction` and :func:`extract_rt`; a blow-up or an
     ill-conditioned fit names the first such (spec, omega) in row order.
     """
+    if not isinstance(spec, tuple) and np.ndim(omega) == 0:
+        return extract_rt(integrate_wavefunction(spec, omega, cfg))
     specs = spec if isinstance(spec, tuple) else (spec,)
-    if np.ndim(omega) == 0:
-        results = tuple(extract_rt(integrate_wavefunction(s, omega, cfg)) for s in specs)
-    else:
-        v, n, omegas = _prepare(specs, omega, cfg)
-        rows = [(i, w) for i in range(len(specs)) for w in omegas]
-        per_scan, rt = max(1, _SCAN_STEPS // n), np.empty((2, len(rows)), dtype=complex)
-        for at in (slice(start, start + per_scan) for start in range(0, len(rows), per_scan)):
-            rt[:, at] = _fit(*_march(specs, cfg, v, n, rows[at]), specs, rows[at])
-        results = tuple(ScatteringResult(omega=np.array(omegas), m=_coupling(s), kind=s.kind, R=r, T=t)
-                        for s, r, t in zip(specs, *rt.reshape(2, len(specs), len(omegas))))
+    v, n, omegas = _prepare(specs, omega, cfg)
+    rows = [(i, w) for i in range(len(specs)) for w in omegas]
+    per_scan, rt = max(1, _SCAN_STEPS // n), np.empty((2, len(rows)), dtype=complex)
+    for at in (slice(start, start + per_scan) for start in range(0, len(rows), per_scan)):
+        rt[:, at] = _fit(*_march(specs, cfg, v, n, rows[at]), specs, rows[at])
+    rt = rt.reshape(2, len(specs), len(omegas)) if np.ndim(omega) else rt.tolist()  # a number: Python numbers
+    results = tuple(ScatteringResult(omega=np.array(omegas) if np.ndim(omega) else omegas[0], m=_coupling(s),
+                                     kind=s.kind, R=r, T=t) for s, r, t in zip(specs, *rt))
     return results if isinstance(spec, tuple) else results[0]

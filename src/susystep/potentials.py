@@ -113,9 +113,9 @@ def superpotential(x, m):
 
 
 def v_plus(x, m):
-    """V+(x, m) = W^2 + dW/dx = m^2 e^x/(e^x+1) - (m/2) e^(x/2)/(e^x+1)^(3/2), m real and finite."""
-    if not finite_real(m):
-        raise DomainError(f"partner potentials require a real, finite m, got m = {m!r}")
+    """V+(x, m) = W^2 + dW/dx = m^2 e^x/(e^x+1) - (m/2) e^(x/2)/(e^x+1)^(3/2), m real with m^2 finite."""
+    if not (finite_real(m) and math.isfinite(float(m) * float(m))):
+        raise DomainError(f"partner potentials require a real, finite m with m^2 finite, got m = {m!r}")
     x = _real_x(x)
     softplus = np.logaddexp(0.0, x)
     return m * m * np.exp(x - softplus) - 0.5 * m * np.exp(0.5 * x - 1.5 * softplus)
@@ -177,7 +177,7 @@ def shape_invariance_check(m: float, x):
 
     The partner pair is multiplicatively shape invariant with parameter map
     m -> -m and vanishing remainder; V- is evaluated as V+ at -m, so this
-    difference is exactly zero.  Accepts any real, finite m != 0.
+    difference is exactly zero.  Accepts any real m != 0 with m^2 finite.
     """
     if not (finite_real(m) and m != 0):
         raise DomainError(f"shape invariance check requires a real, finite m != 0, got m = {m!r}")

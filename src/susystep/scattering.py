@@ -323,12 +323,13 @@ def qnm(kind: PotentialKind, n: int, m: float) -> complex:
         partner: omega = -(i/4) (n + 1 - 4 m^2/(n+1))
 
     Reported verbatim, including the low overtones with non-negative
-    imaginary part; no stability filtering is applied.  A bool n or m is
-    a DomainError.
+    imaginary part; no stability filtering is applied.  A bool n or m, or
+    an m whose square overflows, is a DomainError.
     """
     if not (finite_real(n) and isinstance(n, numbers.Integral) and n >= 0):
         raise DomainError(f"overtone index must be an integer >= 0 within the double range, got {n!r}")
-    m = _coupling(m)
+    if not math.isfinite((m := _coupling(m)) * m):
+        raise DomainError(f"quasinormal frequencies require m > 0 with m^2 finite, got m = {m}")
     if kind is PotentialKind.STEP:
         return -0.5j * (n + 1.0 - m * m / (n + 1.0))
     if kind in (PotentialKind.PLUS, PotentialKind.MINUS):

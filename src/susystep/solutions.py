@@ -156,8 +156,8 @@ def make_exponents(omega, m) -> SolutionParams:
     ------
     DomainError
         For an omega or m that is not a number or a 1-d array, columns of
-        two lengths, a non-finite omega, or an m that is not real, finite
-        and other than 0 (a bool is not real), in any case.
+        two lengths, a non-finite omega or record (omega^2 or m^2 overflows), or
+        an m that is not real, finite and other than 0 (a bool is not real), in any case.
     ZeroFrequencyError
         For omega = 0, where the first-order factorization that couples
         Z+ and Z- breaks down.  A column with a zero element raises this
@@ -183,11 +183,14 @@ def make_exponents(omega, m) -> SolutionParams:
     degenerate = c1[abs(c1 - c1.real.round()) < specfun.POLE_TOL]
     if degenerate.size:
         raise DegenerateCError(f"c1 = {degenerate[0]} is within tolerance of an integer")
-    B1 = b_exponent(omega, m)
-    a1 = C1 + B1 + 0.5
-    b1 = C1 + B1
-    fields = dict(omega=omega, B1=B1, C1=C1, C2=C1 + 0.5, a1=a1, b1=b1, c1=c1, a2=b1 + 1.0, b2=a1, c2=c1 + 1.0,
-                  G2=1j * (a1 - c1) * b1 / (m * c1), H2=1j * (1.0 - c1) / m)
+    with np.errstate(over="ignore", invalid="ignore"):  # a record that overflows raises below
+        B1 = b_exponent(omega, m)
+        a1 = C1 + B1 + 0.5
+        b1 = C1 + B1
+        fields = dict(omega=omega, B1=B1, C1=C1, C2=C1 + 0.5, a1=a1, b1=b1, c1=c1, a2=b1 + 1.0, b2=a1, c2=c1 + 1.0,
+                      G2=1j * (a1 - c1) * b1 / (m * c1), H2=1j * (1.0 - c1) / m)
+    if (overflow := ~np.isfinite(np.stack(list(fields.values()))).all(axis=0)).any():  # name the first such case
+        raise DomainError(f"omega = {omega[overflow][0]}, m = {np.broadcast_to(m, omega.shape)[overflow][0]}: the record overflows")
     column = any(columns)
     return SolutionParams(m=m, **{name: v if column else complex(v[0]) for name, v in fields.items()})
 

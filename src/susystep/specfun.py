@@ -279,9 +279,9 @@ def _gauss_series(a, b, c, z, counts):
     live, owner = np.arange(z.size), np.arange(a.size).repeat(counts)
     w = z.astype(complex)  # the live z; numpy would cast it for each complex product
     term = total = np.ones(z.size, dtype=complex)
-    table = _ratio_table(a, b, c, 4 * _SERIES_BLOCK)  # a one-point pass mostly ends within it: one fill
     k = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing series runs out of terms
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing series runs out of terms, or to inf
+        table = _ratio_table(a, b, c, 4 * _SERIES_BLOCK)  # a one-point pass mostly ends within it: one fill
         while live.size and k < MAX_SERIES_TERMS:
             rows = min(_SERIES_BLOCK, max(1, _SERIES_ROUND // live.size), MAX_SERIES_TERMS - k)
             if k + rows > len(table):
@@ -398,7 +398,7 @@ def hyp2f1(a, b, c, z, log_u=None):
         If a series fails to meet the term-ratio stop within ``MAX_SERIES_TERMS``
         terms at some element (the first is named, near points first).
     ResultOverflowError (an OverflowError)
-        If (1 - z)^(c-a-b) overflows on the connection route.
+        If a value (the first is named) or (1 - z)^(c-a-b) on the connection route overflows.
     DegenerateParamsError
         If some ``z > Z_SWITCH`` and some c-a-b is near an integer (before any series).
     """
@@ -435,5 +435,8 @@ def hyp2f1(a, b, c, z, log_u=None):
         values[near], values[far] = _hyp2f1_complement(a, b, c, u[far], log_u[far], n_far, z[near], z.shape[1] - n_far)
     else:
         values = _gauss_series(a, b, c, z.ravel(), [z.shape[1]] * a.size).reshape(z.shape)
+    if not (finite := np.isfinite(values)).all():
+        i, j = np.argwhere(~finite)[0]  # the first in (set, z) order
+        raise ResultOverflowError(f"2F1({a[i]}, {b[i]}; {c[i]}; {z[i, j]}) overflows a double")
     values = values[:, 0] if scalar else values
     return values if sets else complex(values[0]) if scalar else values[0]

@@ -262,7 +262,7 @@ def test_integrate_takes_one_omega():
 def test_column_checks_every_omega_before_any_work(monkeypatch):
     sampled = _counting(monkeypatch, "potential")
     marched = _counting(monkeypatch, "_march")
-    with pytest.raises(ConfigError, match="omega = 0.5"):  # below threshold: before the potential
+    with pytest.raises(DomainError, match="omega = 0.5"):  # below threshold: before the potential
         numerical_rt(PotentialSpec.plus(1.0), np.array([2.0, 3.0, 0.5]))
     assert sampled == [] and marched == []
     with pytest.raises(ConfigError, match="at omega = 1500.0"):  # step bound: before any march
@@ -580,18 +580,52 @@ def test_config_rejects_non_finite_fields(field, value):
 
 
 def test_below_threshold_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         integrate_wavefunction(PotentialSpec.plus(1.0), 0.5)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         integrate_wavefunction(PotentialSpec.plus(1.0), 1.0)
     # omega = sqrt(2) rounded squares above V0 = 2 but is not above the
     # coupling sqrt(V0) that extract_rt holds it to: refused before any work
     assert math.sqrt(2.0) ** 2 > 2.0
     for call in (integrate_wavefunction, numerical_rt):
-        with pytest.raises(ConfigError, match="below the propagation threshold"):
+        with pytest.raises(DomainError, match="propagating transmitted wave"):
             call(PotentialSpec.step(2.0), math.sqrt(2.0))
-    with pytest.raises(ConfigError, match="below the propagation threshold"):
+    with pytest.raises(DomainError, match="propagating transmitted wave"):
         numerical_rt(PotentialSpec.step(2.0), np.array([2.0, math.sqrt(2.0)]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda w: reflection_transmission(PotentialKind.PLUS, w, 2.0),
+    lambda w: coefficients_closed_form(w, 2.0),
+    lambda w: integrate_wavefunction(PotentialSpec.plus(2.0), w),
+    lambda w: numerical_rt(PotentialSpec.plus(2.0), w),
+    lambda w: numerical_rt(PotentialSpec.plus(2.0), np.array([3.0, w])),
+    lambda w: numerical_rt((PotentialSpec.step(1.0), PotentialSpec.plus(2.0)), w),
+    lambda w: numerical_rt((PotentialSpec.step(1.0), PotentialSpec.plus(2.0)), np.array([3.0, w])),
+], ids=["amplitudes", "closed form", "integrate", "numerical_rt number", "numerical_rt column",
+        "numerical_rt tuple", "numerical_rt tuple column"])
+@pytest.mark.parametrize("omega", [1.5, 2.0])
+def test_below_threshold_is_one_domain_error(monkeypatch, call, omega):
+    # the oracle checks omega by the scattering layer's rule: an omega at or
+    # below the coupling is the amplitudes' DomainError, before any sampling
+    sampled = _counting(monkeypatch, "potential")
+    with pytest.raises(DomainError, match=f"omega = {omega}, m = 2.0"):
+        call(omega)
+    assert sampled == []
+
+
+def test_spec_tuple_at_a_number_is_one_checked_scan(monkeypatch):
+    # the second spec's coupling 2 is above omega = 1.5: nothing is marched;
+    # a tuple that passes is the one-element column, marched in one scan
+    marched = _counting(monkeypatch, "_march")
+    with pytest.raises(DomainError, match="omega = 1.5, m = 2.0"):
+        numerical_rt((PotentialSpec.plus(1.0), PotentialSpec.step(4.0)), 1.5)
+    assert marched == []
+    numerical_rt(SPECS, 2.0, COARSE)
+    assert [args[4] for args in marched] == [[(0, 2.0), (1, 2.0), (2, 2.0)]]
+    with pytest.raises(DomainError):
+        numerical_rt((), "a")
+    assert numerical_rt((), 2.0) == ()
 
 
 def test_too_coarse_step_rejected():

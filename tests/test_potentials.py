@@ -372,6 +372,21 @@ def test_an_int_past_the_double_range_is_a_typed_error(call, error):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: v_plus(-800.0, 1e200),  # m^2 e^x is inf * 0 in the left tail, where V+ is about 1e53
+    lambda: v_plus(0.3, 1e308),
+    lambda: v_minus(0.3, 1e308),
+    lambda: shape_invariance_check(1e308, [0.0]),  # inf - inf
+    lambda: susystep.qnm(PotentialKind.PLUS, 1, 1e200),  # 4 m^2/(n + 1) is inf
+    lambda: susystep.qnm(PotentialKind.STEP, 1, 1e200),
+], ids=["v_plus left tail", "v_plus", "v_minus", "shape invariance", "qnm", "step qnm"])
+def test_a_coupling_whose_square_overflows_is_a_domain_error(call):
+    # PotentialSpec's rule: a finite m whose square is past a double is refused
+    with pytest.raises(DomainError, match=r"m\^2 finite"):
+        call()
+    assert v_plus(0.3, 1e154) > 0 and susystep.qnm(PotentialKind.PLUS, 1, 1e154).imag > 0  # m^2 = 1e308
+
+
 def test_numpy_float32_parameters_stay_accepted():
     # the double-range check must not overflow casting its bound to float32
     assert PotentialSpec.plus(np.float32(1.5)).m == np.float32(1.5)

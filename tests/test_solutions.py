@@ -3,6 +3,7 @@ asymptotics, the coupled-system recurrence, and Wronskian constancy."""
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,17 @@ def test_exponents_satisfy_indicial_equations():
 def test_exponent_at_threshold_vanishes():
     p = make_exponents(1.0, 1.0)
     assert p.B1 == 0.0
+
+
+@pytest.mark.parametrize("omega, m, first", [
+    (1e200, 1.0, "omega = (1e+200+0j), m = 1.0"),  # B1 = inf j, G2 = nan+nanj
+    (2e200, 1e200, "omega = (2e+200+0j), m = 1e+200"),  # m^2 - omega^2 = inf - inf: B1 = nan+nanj
+    (np.array([2.0, 1e200, 3e200]), 1.0, "omega = (1e+200+0j), m = 1.0"),  # the first such case
+    (2.0, np.array([1.0, 1e200]), "omega = (2+0j), m = 1e+200"),
+])
+def test_a_record_that_overflows_is_a_domain_error(omega, m, first):
+    with pytest.raises(DomainError, match=re.escape(first)):
+        make_exponents(omega, m)
 
 
 def test_zero_frequency_rejected():

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from susystep.errors import DegenerateParamsError, DomainError, NonConvergenceError, PoleError, SusystepError
+from susystep.errors import (DegenerateParamsError, DomainError, NonConvergenceError, PoleError, ResultOverflowError,
+                             SusystepError)
 import susystep.specfun as specfun_mod
 from susystep.solutions import exact_solution, make_exponents
 from susystep.specfun import (
@@ -398,6 +399,15 @@ def test_saturated_z_uses_the_exact_complement():
         hyp2f1(1.0, 1.0, 0.5, 1.0, log_u=-800.0)
     for x in (-600.0, 600.0):
         assert cmath.isfinite(exact_solution("I", 1, 2.0, 1.0, x))
+
+
+def test_an_overflowing_series_is_a_typed_error():
+    # a = 1e308 overflows the first term ratio to inf, so the value is not a
+    # double: hyp2f1 names the first such element (set order, then z)
+    with pytest.raises(ResultOverflowError, match=re.escape("2F1((1e+308+0j), (0.5+0j); (1.5+0j); 0.3) overflows")):
+        hyp2f1(1e308, 0.5, 1.5, 0.3)
+    with pytest.raises(ResultOverflowError, match=re.escape("2F1((1e+308+0j), (0.5+0j); (1.5+0j); 0.1) overflows")):
+        hyp2f1(np.array([1.0, 1e308, 1e308]), np.full(3, 0.5), np.full(3, 1.5), np.array([0.1, 0.3]))
 
 
 def test_complement_must_match_z():
