@@ -115,7 +115,7 @@ def _cmd_qnm(args):
 
 
 def _cmd_verify(args):
-    results = run_checks(args.level, inject_failure=args.inject_failure)
+    results = run_checks(args.level)
     name_width = max(len(r.name) for r in results)
     print(f"{'check':<{name_width}}  {'max residual':>13}  {'tolerance':>10}  status")
     for r in results:
@@ -165,8 +165,6 @@ def _build_parser() -> _Parser:
 
     v = sub.add_parser("verify", description="Run the self-verification suite")
     v.add_argument("--level", choices=[verify.QUICK, verify.FULL], default=verify.QUICK)
-    v.add_argument("--inject-failure", action="store_true",
-                   help="add a deliberately failing check (negative control)")
     v.set_defaults(func=_cmd_verify)
     return parser
 

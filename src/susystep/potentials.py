@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, finite_real, real_array
+from .errors import DomainError, ResultOverflowError, finite_real, real_array
 
 __all__ = [
     "PotentialKind", "PotentialSpec", "superpotential", "v_plus", "v_minus", "v_step", "potential",
@@ -163,13 +163,18 @@ def potential_antiderivative(spec: PotentialSpec, x):
         m^2 ln(e^x + 1) -/+ m e^(x/2) / (e^x + 1)^(1/2)
 
     with the integration constant fixed to 0.  Grows like m^2 x as
-    x -> +infinity, so the full-line integral of V+/- diverges.
+    x -> +infinity, so the full-line integral of V+/- diverges.  A value
+    past the double range raises ``ResultOverflowError`` naming the first such x.
     """
     if spec.kind is PotentialKind.STEP:
         raise DomainError("antiderivative is provided for the partner potentials only")
     m, x = _SIGN[spec.kind] * spec.m, _real_x(x)  # V- at -m
     softplus = np.logaddexp(0.0, x)
-    return m * m * softplus - m * np.exp(0.5 * (x - softplus))
+    with np.errstate(over="ignore"):
+        value = m * m * softplus - m * np.exp(0.5 * (x - softplus))
+    if not np.isfinite(value).all():
+        raise ResultOverflowError(f"the antiderivative overflows a double at x = {x[~np.isfinite(value)][0]}")
+    return value
 
 
 def shape_invariance_check(m: float, x):

@@ -5,10 +5,10 @@ All Gamma products run through :func:`susystep.specfun.gamma_ratio` in log
 space; hyperbolic-ratio closed forms are rearranged into exponential
 differences so they stay finite for arbitrarily large omega.
 
-The amplitudes, the closed forms and the SUSY check take omega and m as numbers or as 1-d
-case columns of one length (a number stands for every case), |1/T| a complex omega column
-at one m, all in numpy, numbers giving Python numbers of the same bits.  An amplitude call,
-for one partner kind or a tuple, makes one Gamma-ratio call, and |1/T| at most one.
+The amplitudes and the closed forms take omega and m as numbers or as 1-d case columns of one
+length (a number stands for every case), |1/T| a complex omega column at one m, all in numpy,
+numbers giving Python numbers of the same bits; the SUSY check takes one amplitude call's (V+, V-).
+An amplitude call, for one partner kind or a tuple, makes one Gamma-ratio call, and |1/T| at most one.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GammaPoleError, PoleError, finite_real, real_array
-from .potentials import PotentialKind
+from .potentials import PotentialKind, PotentialSpec
 from .solutions import b_exponent, make_exponents
 from .specfun import gamma_ratio, near_pole
 
@@ -96,10 +96,10 @@ class ScatteringResult:
         return self.R2 + (self.kprime / self.omega) * self.T2
 
 
-def _coupling(m, column=False):
-    """m as a float, or where ``column`` a 1-d array as a float array; ``DomainError`` unless
-    m (each element) is a real number in (0, inf) and not a bool."""
-    if column and not isinstance(m, numbers.Number):
+def _coupling(m):
+    """m as a float, or a 1-d array as a float array; ``DomainError`` unless m (each
+    element) is a real number in (0, inf) and not a bool."""
+    if not isinstance(m, numbers.Number):
         ms = real_array(m, "m")
         if ms.ndim == 1 and ((ms > 0) & (ms < math.inf)).all():
             return ms
@@ -144,7 +144,7 @@ def _gamma_arguments(omega, m: float):
     and d/m, with d written as i m^2/(omega + k') so it never cancels.  Past
     omega = 1e4 each log-Gamma near +-2i omega carries about |z| eps of
     error and the products miss 1e-10: any such element raises."""
-    omega, m, kprime = _check_scattering_regime(omega, _coupling(m, column=True))
+    omega, m, kprime = _check_scattering_regime(omega, _coupling(m))
     if np.any(omega > 1e4):
         raise DomainError(f"the Gamma products hold their accuracy for omega <= 1e4, got omega = {np.max(omega)}; "
                           "the closed forms hold at any omega")
@@ -228,7 +228,7 @@ def _closed_form_parts(omega, m, scale):
     scale m^2/(omega + k'), b = scale k', c = a + 2b: the ratio is e^(-2b)
     expm1(-2a)/expm1(-2c), finite even where m^2 overflows, and cancels neither
     at threshold (a ~ c) nor for m << omega.  ``DomainError`` where c overflows."""
-    omega, m, kprime = _check_scattering_regime(omega, _coupling(m, column=True))
+    omega, m, kprime = _check_scattering_regime(omega, _coupling(m))
     with np.errstate(over="ignore"):
         c = scale * (omega + kprime)
     if not np.isfinite(c).all():
@@ -256,17 +256,19 @@ def coefficients_closed_form(omega, m):
     return _per_case(omega, r2, t2)
 
 
-def susy_relation_check(omega, m):
-    """Partnership identities: returns (R+ + R-, T+ - (i k/(m + i k')) T-),
-    both of which the closed amplitudes satisfy identically (k = omega,
-    k' = sqrt(omega^2 - m^2)); arrays for case columns.  R+ + R- is 0.0 by
-    construction (one ``reflection_transmission`` call forms R- as -R+ from
-    the same Gamma products), so only the T relation can fail."""
-    number = not (np.ndim(omega) or np.ndim(m))  # taken as a one-element column, in numpy
-    plus, minus = reflection_transmission((PotentialKind.PLUS, PotentialKind.MINUS),
-                                          np.atleast_1d(omega) if number else omega, m)
-    factor = 1j * plus.omega / (plus.m + 1j * plus.kprime)
-    return _per_case(omega if number else plus.omega, plus.R + minus.R, plus.T - factor * minus.T)
+def susy_relation_check(plus: ScatteringResult, minus: ScatteringResult):
+    """Partnership identities of the V+ and V- results of one case or case column, as
+    ``reflection_transmission((PLUS, MINUS), omega, m)`` returns them: (R+ + R-, T+ - (i k/(m + i k')) T-),
+    which the closed amplitudes satisfy identically (k = omega, k' = sqrt(omega^2 - m^2)).  From that call
+    R+ + R- is 0.0 by construction (R- is -R+), so only the T relation can fail.  Any other pair (wrong
+    kinds, or a different omega or m) is a ``DomainError``; a case gives Python numbers, a column arrays."""
+    if not (isinstance(plus, ScatteringResult) and isinstance(minus, ScatteringResult)
+            and (plus.kind, minus.kind) == (PotentialKind.PLUS, PotentialKind.MINUS)
+            and np.array_equal(plus.omega, minus.omega) and np.array_equal(plus.m, minus.m)):
+        raise DomainError("susy_relation_check takes a V+ and a V- result at one (omega, m)")
+    omega, kprime = np.atleast_1d(plus.omega), np.atleast_1d(plus.kprime)  # numpy arithmetic for a case too
+    factor = 1j * omega / (plus.m + 1j * kprime)
+    return _per_case(plus.omega, np.add(plus.R, minus.R), plus.T - factor * minus.T)
 
 
 def step_amplitudes(omega, m) -> ScatteringResult:
@@ -328,8 +330,7 @@ def qnm(kind: PotentialKind, n: int, m: float) -> complex:
     """
     if not (finite_real(n) and isinstance(n, numbers.Integral) and n >= 0):
         raise DomainError(f"overtone index must be an integer >= 0 within the double range, got {n!r}")
-    if not math.isfinite((m := _coupling(m)) * m):
-        raise DomainError(f"quasinormal frequencies require m > 0 with m^2 finite, got m = {m}")
+    m = float(PotentialSpec.plus(m).m)  # its rule: m > 0 with m^2 finite
     if kind is PotentialKind.STEP:
         return -0.5j * (n + 1.0 - m * m / (n + 1.0))
     if kind in (PotentialKind.PLUS, PotentialKind.MINUS):
@@ -349,12 +350,12 @@ def inverse_transmission_magnitude(kind: PotentialKind, omega, m: float):
     has a pole |1/T| is 0.0 (the signal that locates quasinormal frequencies),
     where pref is 0 inf; the rest take one Gamma pass.  A denominator pole
     raises GammaPoleError naming the first such omega; an omega that is not
-    finite, 1-d and real or complex, or an m not a real 0 < m < inf (a bool
-    is neither), DomainError, all before any Gamma pass.
+    finite, 1-d and real or complex, or an m not a real 0 < m < inf with m^2
+    finite (a bool is neither), DomainError, all before any Gamma pass.
     """
     if kind not in (PotentialKind.PLUS, PotentialKind.MINUS):
         raise DomainError("transmission poles are computed for the partner kinds")
-    m, column = _coupling(m), np.asarray(omega)
+    m, column = float(PotentialSpec.plus(m).m), np.asarray(omega)
     if column.dtype.kind not in "iufc" or column.ndim > 1 or not np.isfinite(column).all():
         raise DomainError(f"omega must be a finite number or a 1-d column of them, got omega = {omega}")
     w = np.atleast_1d(column).astype(complex)

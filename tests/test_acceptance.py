@@ -79,7 +79,7 @@ def test_criterion_3_susy_relations():
     worst = 0.0
     for m in (0.5, 1.0, 2.0):
         for omega in _omega_grid(m):
-            r_sum, t_diff = susy_relation_check(omega, m)
+            r_sum, t_diff = susy_relation_check(*reflection_transmission((PLUS, MINUS), omega, m))
             worst = max(worst, abs(r_sum), abs(t_diff))
     _report(3, "SUSY relations R+ = -R- and T+ = (iw/(m+ik')) T-", worst < 1e-11,
             f"max residual {worst:.3e} (tol 1e-11)",

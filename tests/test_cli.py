@@ -256,6 +256,15 @@ def test_scatter_domain_error_exit_code(capsys):
     assert "omega-min" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["scatter", "--omega-min", "2", "--omega-max", "1.5"], "susystep scatter: omega-max must be >= omega-min"),
+    (["scatter", "--omega-min", "2", "--omega-max", "3", "--n-points", "0"], "susystep scatter: n-points must be at least 1"),
+    (["qnm", "--n-max", "-1"], "susystep qnm: n-max must be >= 0"),
+], ids=["omega-max below omega-min", "no scatter points", "negative n-max"])
+def test_a_bad_table_range_is_a_domain_error(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", message + "\n")
+
+
 # ----------------------------------------------------------------------- qnm
 
 def test_qnm_step_rows(capsys):
@@ -341,10 +350,21 @@ def test_verify_quick_passes(capsys):
     assert "all" in out and "passed" in out
 
 
-def test_verify_failure_injection(capsys):
-    code, out, err = run_cli(capsys, "verify", "--level", "quick", "--inject-failure")
+def test_verify_failure_injection(capsys, monkeypatch):
+    # negative control: Wronskian values off their constant by 1e-3 fail the run
+    exact = solutions.wronskian
+    monkeypatch.setattr(solutions, "wronskian", lambda *args: exact(*args) + 1e-3)
+    code, out, err = run_cli(capsys, "verify", "--level", "quick")
     assert code == 3
-    assert "FAIL" in out
+    assert [line.split("  ")[0] for line in out.splitlines() if "FAIL" in line] == ["Wronskian value and constancy"]
+    assert err == "1 of 8 checks failed\n"
+
+
+def test_verify_has_no_failure_injection_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--inject-failure"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --inject-failure" in capsys.readouterr().err
 
 
 _PARTNER_CHECKS = {"Wronskian value and constancy": "_wronskian_constancy",
@@ -433,8 +453,8 @@ def test_each_solution_layer_fault_fails_its_checks(monkeypatch, fault):
 
 def test_susy_check_judges_the_t_relation(monkeypatch):
     # negative control: R- is -R+ by construction, so the check can fail
-    # only through T; a T- off by 1e-9 in the one (V+, V-) call the check
-    # makes reads 1.29e-9 against 1e-11
+    # only through T; a T- off by 1e-9 in the run's one (V+, V-) call reads
+    # 1.55e-9 against 1e-11 (the flux row, reading the same T-, fails too)
     exact, kinds = scattering.reflection_transmission, []
 
     def t_minus_scaled(kind, omega, m):
@@ -445,14 +465,16 @@ def test_susy_check_judges_the_t_relation(monkeypatch):
         return scaled if isinstance(kind, tuple) else scaled[0]
 
     monkeypatch.setattr(scattering, "reflection_transmission", t_minus_scaled)
-    (check,) = [r for r in run_checks() if r.name == "SUSY amplitude relations"]
+    results = run_checks()
+    (check,) = [r for r in results if r.name == "SUSY amplitude relations"]
     assert not check.passed and 1e-9 < check.max_residual < 2e-9
-    assert kinds == [(PotentialKind.PLUS, PotentialKind.MINUS)] * 2  # the amplitude pass, then the SUSY check
+    assert {r.name for r in results if not r.passed} == {"flux conservation", check.name}
+    assert kinds == [(PotentialKind.PLUS, PotentialKind.MINUS)]  # the amplitude pass the SUSY check reads
 
 
-def _amplitude_cases(count):
+def _amplitude_cases():
     """The per-m omega grids the amplitude checks once looped over, m-major, as (omega, m) lists."""
-    cases = [(m * (1.0 + 5.0 * i / count), m) for m in (0.5, 1.0, 2.0) for i in range(1, count + 1)]
+    cases = [(m * (1.0 + 5.0 * i / 50), m) for m in (0.5, 1.0, 2.0) for i in range(1, 51)]
     return [w for w, _ in cases], [m for _, m in cases]
 
 
@@ -464,7 +486,7 @@ def test_verify_evaluates_each_amplitude_column_once(monkeypatch):
     for name in ("reflection_transmission", "step_amplitudes"):
         exact = getattr(scattering, name)
         monkeypatch.setattr(scattering, name, lambda *args, _exact=exact: calls.append(args) or _exact(*args))
-    omega, m = _amplitude_cases(50)
+    omega, m = _amplitude_cases()
     for run in (1, 2):
         assert all(r.passed for r in run_checks())
         columns = [args for args in calls if np.size(args[-2]) == 150]
@@ -474,20 +496,27 @@ def test_verify_evaluates_each_amplitude_column_once(monkeypatch):
 
 
 def test_verify_judges_susy_on_one_call_over_its_cases(monkeypatch):
-    # the SUSY check makes one call over its 60 (omega, m) cases: 20 omegas at each of three m
-    calls = []
-    exact = scattering.susy_relation_check
-    monkeypatch.setattr(scattering, "susy_relation_check", lambda *args: calls.append(args) or exact(*args))
+    # the SUSY check makes one call on the (V+, V-) results of the run's one
+    # amplitude call over its 150 (omega, m) cases
+    calls, pairs = [], []
+    exact_check, exact_amplitudes = scattering.susy_relation_check, scattering.reflection_transmission
+    monkeypatch.setattr(scattering, "susy_relation_check", lambda *args: calls.append(args) or exact_check(*args))
+    monkeypatch.setattr(scattering, "reflection_transmission",
+                        lambda *args: pairs.append(exact_amplitudes(*args)) or pairs[-1])
     assert all(r.passed for r in run_checks())
-    assert [(omega.tolist(), m.tolist()) for omega, m in calls] == [_amplitude_cases(20)]
+    omega, m = _amplitude_cases()
+    assert len(calls) == len(pairs) == 1 and all(a is b for a, b in zip(calls[0], pairs[0], strict=True))
+    assert [(r.kind, r.omega.tolist(), r.m.tolist()) for r in calls[0]] == [
+        (PotentialKind.PLUS, omega, m), (PotentialKind.MINUS, omega, m)]
 
 
 def test_full_verify_makes_few_gamma_passes_and_scans(monkeypatch):
-    # structure guard: a full run makes 12 gamma_ratio calls (32 when each
+    # structure guard: a full run makes 11 gamma_ratio calls (32 when each
     # (kind, m) and each oracle spec had its own, 17 when each perturbed
-    # frequency of the qnm check had its own): one (V+, V-), one step and one
-    # SUSY amplitude call, one |1/T| call at the 6 perturbed frequencies (none
-    # at the 6 poles) and 8 from the 2F1 connection formula; and one Magnus
+    # frequency of the qnm check had its own, 12 when the SUSY check made its
+    # own amplitude call): one (V+, V-) and one step amplitude call, one |1/T|
+    # call (a Gamma pass at the 6 perturbed frequencies, none at the 6 poles)
+    # and 8 from the 2F1 connection formula; and one Magnus
     # scan of the 12 (spec, omega) oracle rows (3 when each spec had its own,
     # 12 when each omega had its own)
     ratios, scans = [], []
@@ -499,12 +528,12 @@ def test_full_verify_makes_few_gamma_passes_and_scans(monkeypatch):
     monkeypatch.setattr(oracle, "_march", lambda *args: scans.append(args) or march(*args))
     assert all(r.passed for r in run_checks(FULL))
     assert len(scans[0][4]) == 12
-    assert (ratios.count(scattering), ratios.count(specfun), len(scans)) == (3 + 1, 8, 1)
+    assert (ratios.count(scattering), ratios.count(specfun), len(scans)) == (2 + 1, 8, 1)
 
 
-def test_verify_takes_the_qnm_check_from_two_omega_columns(monkeypatch):
-    # one |1/T| call at the 6 quasinormal frequencies of V+ (m = 1) and one at
-    # the same frequencies + 0.1; no one-omega call
+def test_verify_takes_the_qnm_check_from_one_omega_column(monkeypatch):
+    # one |1/T| call at the 6 quasinormal frequencies of V+ (m = 1) and the
+    # same frequencies + 0.1; no one-omega call
     calls = []
     exact = scattering.inverse_transmission_magnitude
     monkeypatch.setattr(scattering, "inverse_transmission_magnitude",
@@ -513,7 +542,7 @@ def test_verify_takes_the_qnm_check_from_two_omega_columns(monkeypatch):
     assert all(r.passed for r in run_checks())
     poles = [scattering.qnm(PotentialKind.PLUS, n, 1.0) for n in range(6)]
     assert [(kind, omega.tolist(), m) for kind, omega, m in calls] == [
-        (PotentialKind.PLUS, poles, 1.0), (PotentialKind.PLUS, [w + 0.1 for w in poles], 1.0)]
+        (PotentialKind.PLUS, poles + [w + 0.1 for w in poles], 1.0)]
 
 
 def test_full_verify_makes_56_potential_identity_calls(monkeypatch):

@@ -568,6 +568,8 @@ def test_config_validation():
         IntegrationConfig(step=0.0)
     with pytest.raises(ConfigError):
         IntegrationConfig(step=-1e-3)
+    with pytest.raises(ConfigError, match="fewer than 2 integration steps"):  # one step spans the window
+        numerical_rt(PotentialSpec.plus(1.0), 2.0, IntegrationConfig(step=100.0))
 
 
 @pytest.mark.parametrize("field, value", [("x_min", -math.inf), ("x_max", math.inf), ("step", math.inf),

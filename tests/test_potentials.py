@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import susystep
-from susystep.errors import DomainError
+from susystep.errors import DomainError, ResultOverflowError
 from susystep.potentials import (
     PotentialKind,
     PotentialSpec,
@@ -206,6 +206,19 @@ def test_antiderivative_diverges():
     assert float(f(spec, 50.0)) > float(f(spec, 10.0)) > float(f(spec, 0.0))
 
 
+def test_an_antiderivative_past_the_double_range_is_a_typed_error():
+    # m^2 = 1e308 is finite, m^2 softplus(x) is not from x ~ 1.6 on; the first such x is named,
+    # and a column without one keeps the formula's bits
+    m = 1e154
+    spec = PotentialSpec.minus(m)
+    for x in (800.0, np.array([-800.0, 0.0, 800.0, 1.7])):
+        with pytest.raises(ResultOverflowError, match=r"at x = 800\.0$"):
+            potential_antiderivative(spec, x)
+    xs = np.array([-800.0, -3.0, 0.0, 0.5])
+    softplus = np.logaddexp(0.0, xs)
+    assert potential_antiderivative(spec, xs).tobytes() == (m * m * softplus + m * np.exp(0.5 * (xs - softplus))).tobytes()
+
+
 def test_antiderivative_rejects_step():
     with pytest.raises(DomainError):
         potential_antiderivative(PotentialSpec.step(1.0), 0.0)
@@ -379,7 +392,9 @@ def test_an_int_past_the_double_range_is_a_typed_error(call, error):
     lambda: shape_invariance_check(1e308, [0.0]),  # inf - inf
     lambda: susystep.qnm(PotentialKind.PLUS, 1, 1e200),  # 4 m^2/(n + 1) is inf
     lambda: susystep.qnm(PotentialKind.STEP, 1, 1e200),
-], ids=["v_plus left tail", "v_plus", "v_minus", "shape invariance", "qnm", "step qnm"])
+    lambda: susystep.inverse_transmission_magnitude(PotentialKind.PLUS, 2.0, 1e200),  # m^2 - omega^2 is inf
+    lambda: susystep.inverse_transmission_magnitude(PotentialKind.MINUS, np.array([2.0, -0.5j]), 1e200),
+], ids=["v_plus left tail", "v_plus", "v_minus", "shape invariance", "qnm", "step qnm", "|1/T|", "|1/T| column"])
 def test_a_coupling_whose_square_overflows_is_a_domain_error(call):
     # PotentialSpec's rule: a finite m whose square is past a double is refused
     with pytest.raises(DomainError, match=r"m\^2 finite"):

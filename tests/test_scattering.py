@@ -2,13 +2,14 @@
 conservation, SUSY identities, step comparison, and quasinormal poles."""
 
 import cmath
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
 
-from susystep.errors import DegenerateCError, DomainError, GammaPoleError
+from susystep.errors import DegenerateCError, DomainError, GammaPoleError, PoleError
 from susystep.potentials import PotentialKind
 from susystep.scattering import (
     asymptotic_coefficients,
@@ -32,6 +33,11 @@ PLUS, MINUS, STEP = PotentialKind.PLUS, PotentialKind.MINUS, PotentialKind.STEP
 
 def omega_grid(m, count=50):
     return [m * (1.0 + 5.0 * i / count) for i in range(1, count + 1)]
+
+
+def _susy(omega, m):
+    """The SUSY check of one (V+, V-) amplitude call at (omega, m)."""
+    return susy_relation_check(*reflection_transmission((PLUS, MINUS), omega, m))
 
 
 # -------------------------------------------------- asymptotic coefficients
@@ -212,7 +218,7 @@ def test_numpy_scalars_match_python_floats(omega, m):
     for kind in (PLUS, MINUS):
         assert reflection_transmission(kind, omega, m) == reflection_transmission(kind, *ref)
     assert step_amplitudes(omega, m) == step_amplitudes(*ref)
-    assert susy_relation_check(omega, m) == susy_relation_check(*ref)
+    assert _susy(omega, m) == _susy(*ref)
     assert coefficients_closed_form(omega, m) == coefficients_closed_form(*ref)
     assert step_coefficients_closed_form(omega, m) == step_coefficients_closed_form(*ref)
     assert step_reflection_closed_form(omega, m) == step_reflection_closed_form(*ref)
@@ -239,7 +245,7 @@ def test_array_amplitudes_match_scalar_calls(m):
         assert got.kprime.tolist() == [e.kprime for e in expected]
         for field in ("R", "T", "R2", "T2", "flux"):
             assert getattr(got, field).tobytes() == np.array([getattr(e, field) for e in expected]).tobytes()
-    for fn in (coefficients_closed_form, step_coefficients_closed_form, susy_relation_check):
+    for fn in (coefficients_closed_form, step_coefficients_closed_form, _susy):
         got = np.array(fn(omega, m)).T
         assert got.tobytes() == np.array([fn(w, m) for w in omega.tolist()]).tobytes(), fn.__name__
     assert step_reflection_closed_form(omega, m).tobytes() == step_coefficients_closed_form(omega, m)[0].tobytes()
@@ -256,7 +262,7 @@ def test_a_long_omega_column_equals_the_number_calls(m):
     # m = 0.5 the amplitudes stack 8000 log-Gamma arguments with |w| < 10
     omega = m * (1.0 + np.geomspace(1e-8, 4.0, 1000))
     for fn in (lambda w: coefficients_closed_form(w, m), lambda w: step_coefficients_closed_form(w, m),
-               lambda w: susy_relation_check(w, m)):
+               lambda w: _susy(w, m)):
         assert np.array(fn(omega)).T.tobytes() == _number_calls(fn, omega).tobytes()
     for fn in (lambda w: step_reflection_closed_form(w, m), lambda w: transmitted_wavenumber(w, m)):
         assert fn(omega).tobytes() == _number_calls(fn, omega).tobytes()
@@ -312,7 +318,7 @@ def test_gamma_products_hold_up_to_omega_1e4(m, omega):
     r2_step, t2_step = step_coefficients_closed_form(omega, m)
     for got, expected in ((plus.R2, r2), (plus.T2, t2), (step.R2, r2_step), (step.T2, t2_step), (step.flux, 1.0)):
         assert np.all(np.abs(got - expected) <= 1e-10 * expected)
-    susy_relation_check(omega, m)
+    _susy(omega, m)
     asymptotic_coefficients(1e4, m)
 
 
@@ -323,8 +329,7 @@ def test_gamma_products_raise_above_omega_1e4(monkeypatch, omega):
     evaluated = []
     monkeypatch.setattr(scattering_mod, "gamma_ratio", lambda *args: evaluated.append(args))
     monkeypatch.setattr(scattering_mod, "make_exponents", lambda *args: evaluated.append(args))
-    for fn in (lambda w, m: reflection_transmission(PLUS, w, m), step_amplitudes, susy_relation_check,
-               asymptotic_coefficients):
+    for fn in (lambda w, m: reflection_transmission(PLUS, w, m), step_amplitudes, asymptotic_coefficients):
         with pytest.raises(DomainError, match="omega <= 1e4"):
             fn(omega, 1.0)
     assert evaluated == []
@@ -341,15 +346,15 @@ def test_array_regime_checked_before_any_gamma(monkeypatch, omega):
 
     evaluated = []
     monkeypatch.setattr(scattering_mod, "gamma_ratio", lambda *args: evaluated.append(args))
-    for fn in (lambda w, m: reflection_transmission(PLUS, w, m), step_amplitudes, susy_relation_check,
-               coefficients_closed_form, step_coefficients_closed_form, step_reflection_closed_form):
+    for fn in (lambda w, m: reflection_transmission(PLUS, w, m), step_amplitudes, coefficients_closed_form,
+               step_coefficients_closed_form, step_reflection_closed_form):
         with pytest.raises(DomainError):
             fn(np.asarray(omega), 1.0)
     assert evaluated == []
 
 
 _ONE_OMEGA_CALLS = (lambda w: reflection_transmission(PLUS, w, 0.5), lambda w: reflection_transmission(MINUS, w, 0.5),
-                    lambda w: step_amplitudes(w, 0.5), lambda w: susy_relation_check(w, 0.5),
+                    lambda w: step_amplitudes(w, 0.5), lambda w: _susy(w, 0.5),
                     lambda w: asymptotic_coefficients(w, 0.5), lambda w: coefficients_closed_form(w, 0.5),
                     lambda w: step_coefficients_closed_form(w, 0.5), lambda w: step_reflection_closed_form(w, 0.5))
 
@@ -367,7 +372,7 @@ def test_a_number_omega_gives_python_numbers(omega):
     for value in (*coefficients_closed_form(omega, 0.5), *step_coefficients_closed_form(omega, 0.5),
                   step_reflection_closed_form(omega, 0.5), transmitted_wavenumber(omega, 0.5)):
         assert type(value) is float
-    assert all(type(value) is complex for value in susy_relation_check(omega, 0.5))
+    assert all(type(value) is complex for value in _susy(omega, 0.5))
     assert type(reflection_transmission(PLUS, omega, 0.5).kprime) is float
 
 
@@ -469,7 +474,7 @@ def test_case_columns_equal_the_number_calls():
     m = rng.uniform(0.01, 5.0, 300)
     omega = m * (1.0 + rng.permutation(np.geomspace(1e-8, 20.0, 300)))
     pairs = list(zip(omega.tolist(), m.tolist()))
-    for fn in (coefficients_closed_form, step_coefficients_closed_form, susy_relation_check):
+    for fn in (coefficients_closed_form, step_coefficients_closed_form, _susy):
         assert np.array(fn(omega, m)).T.tobytes() == np.array([fn(w, x) for w, x in pairs]).tobytes(), fn.__name__
     assert step_reflection_closed_form(omega, m).tobytes() == np.array([step_reflection_closed_form(*p) for p in pairs]).tobytes()
     for fn in (lambda w, x: reflection_transmission(PLUS, w, x), lambda w, x: reflection_transmission(MINUS, w, x),
@@ -482,7 +487,7 @@ def test_case_columns_equal_the_number_calls():
 
 def test_a_number_omega_stands_for_every_case_of_an_m_column():
     m = np.array([0.5, 1.0, 2.0, 2.9])
-    for fn in (coefficients_closed_form, step_coefficients_closed_form, susy_relation_check):
+    for fn in (coefficients_closed_form, step_coefficients_closed_form, _susy):
         assert np.array(fn(3.0, m)).T.tobytes() == np.array([fn(3.0, x) for x in m.tolist()]).tobytes(), fn.__name__
     for fn in (lambda w, x: reflection_transmission(PLUS, w, x), step_amplitudes):
         got, expected = fn(3.0, m), [fn(3.0, x) for x in m.tolist()]
@@ -507,8 +512,8 @@ def test_a_bad_m_column_is_a_domain_error_before_any_gamma(monkeypatch, omega, m
     monkeypatch.setattr(scattering_mod, "gamma_ratio", lambda *args: evaluated.append(args))
     monkeypatch.setattr(scattering_mod, "make_exponents", lambda *args: evaluated.append(args))
     for fn in (lambda w, x: reflection_transmission((PLUS, MINUS), w, x), lambda w, x: reflection_transmission(PLUS, w, x),
-               step_amplitudes, susy_relation_check, asymptotic_coefficients, coefficients_closed_form,
-               step_coefficients_closed_form, step_reflection_closed_form):
+               step_amplitudes, asymptotic_coefficients, coefficients_closed_form, step_coefficients_closed_form,
+               step_reflection_closed_form):
         with pytest.raises(DomainError):
             fn(omega, m)
     assert evaluated == []
@@ -544,13 +549,13 @@ def test_transmitted_wavenumber_values():
 # -------------------------------------------------------------- SUSY checks
 
 def test_susy_relations_at_reference():
-    r_sum, t_diff = susy_relation_check(2.0, 1.0)
+    r_sum, t_diff = _susy(2.0, 1.0)
     assert abs(r_sum) < 1e-11
     assert abs(t_diff) < 1e-11
 
 
 def test_susy_relations_near_threshold():
-    r_sum, t_diff = susy_relation_check(1.01, 1.0)
+    r_sum, t_diff = _susy(1.01, 1.0)
     assert abs(r_sum) < 1e-8
     assert abs(t_diff) < 1e-8
 
@@ -558,9 +563,27 @@ def test_susy_relations_near_threshold():
 def test_susy_relations_grid():
     for m in (0.5, 1.0, 2.0):
         for omega in omega_grid(m, count=25):
-            r_sum, t_diff = susy_relation_check(omega, m)
+            r_sum, t_diff = _susy(omega, m)
             assert abs(r_sum) < 1e-11
             assert abs(t_diff) < 1e-11
+
+
+@pytest.mark.parametrize("pair", [
+    lambda p, n: (n, p), lambda p, n: (p, p), lambda p, n: (p, step_amplitudes(2.0, 1.0)),
+    lambda p, n: (p, reflection_transmission(MINUS, 2.5, 1.0)), lambda p, n: (p, reflection_transmission(MINUS, 2.0, 0.5)),
+    lambda p, n: (p, dataclasses.replace(n, omega=np.array([2.0]))), lambda p, n: (2.0, 1.0), lambda p, n: (p, None),
+], ids=["swapped", "two plus", "step", "other omega", "other m", "case and column", "numbers", "not a result"])
+def test_a_mismatched_susy_pair_is_a_domain_error(pair):
+    plus, minus = reflection_transmission((PLUS, MINUS), 2.0, 1.0)
+    with pytest.raises(DomainError, match=r"a V\+ and a V- result"):
+        susy_relation_check(*pair(plus, minus))
+
+
+def test_susy_columns_at_another_m_are_a_domain_error():
+    plus, minus = reflection_transmission((PLUS, MINUS), np.array([2.0, 3.0]), np.array([1.0, 1.5]))
+    with pytest.raises(DomainError):
+        susy_relation_check(plus, dataclasses.replace(minus, m=np.array([1.0, 1.25])))
+    assert susy_relation_check(plus, minus)[1].shape == (2,)
 
 
 # ------------------------------------------------------------ step potential
@@ -721,6 +744,21 @@ def test_inverse_transmission_denominator_pole():
         inverse_transmission_magnitude(PLUS, -0.75j, 2.0)
 
 
+def test_a_foreign_kind_is_a_domain_error():
+    with pytest.raises(DomainError, match="unknown potential kind 'plus'"):
+        qnm("plus", 0, 1.0)
+    with pytest.raises(DomainError, match="partner kinds"):
+        inverse_transmission_magnitude(STEP, 2.0, 1.0)
+
+
+def test_asymptotic_coefficients_name_a_gamma_pole():
+    # 1e-15 above threshold at m = 1e-4, k' = 4.7e-12 puts G(2i k') within the pole tolerance of 0;
+    # the only route into the pole handler of the amplitudes' Gamma products
+    with pytest.raises(GammaPoleError, match=r"Gamma product hit a pole at argument .* \(numerator\)") as err:
+        asymptotic_coefficients(1e-4 * (1 + 1e-15), 1e-4)
+    assert isinstance(err.value.__cause__, PoleError)
+
+
 def _itm_column(kind, m):
     """Eight quasinormal poles, 16 complex omegas beside them, 4 real omegas above m and omega = 0."""
     poles = [qnm(kind, n, m) for n in range(8)]
@@ -806,8 +844,8 @@ def test_qnm_degenerate_c_values_still_resolve():
 ], ids=["qnm m complex", "inverse_transmission m complex", "inverse_transmission 2-d omega",
         "reflection_transmission m complex", "closed form m complex"])
 def test_a_complex_coupling_or_an_omega_column_is_a_domain_error(call, args):
-    # one coupling check serves the amplitudes, the closed forms, qnm and
-    # inverse_transmission_magnitude; |1/T| takes a number or a 1-d omega column
+    # one coupling check serves the amplitudes and the closed forms, PotentialSpec's
+    # serves qnm and inverse_transmission_magnitude; |1/T| takes a number or a 1-d omega column
     with pytest.raises(DomainError):
         call(*args)
 
