@@ -55,6 +55,7 @@ from .solutions import (
     exact_solution_at_z,
     make_exponents,
     sample_wavefield,
+    solution_checks,
     wave_equation_residual,
     wronskian,
 )

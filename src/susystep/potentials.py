@@ -1,11 +1,10 @@
-"""Closed-form evaluation of the superpotential W, its partner potentials
-V+ and V-, and the reference smooth step potential, together with their
-hyperbolic forms, antiderivatives, and the shape-invariance identity.
+"""Closed-form evaluation of the superpotential W, its partner potentials V+ and V-, and the reference smooth
+step potential, together with their hyperbolic forms, antiderivatives, and the shape-invariance identity.
 
-All evaluators accept scalars or numpy arrays and are overflow-safe for
-|x| up to the largest representable exponents: every exponential ratio is
-computed through ``exp(... - logaddexp(0, x))``.  x must be real (not a
-bool or complex) and finite (``DomainError`` otherwise); V- is V+ at -m.
+All evaluators accept scalars or numpy arrays and are overflow-safe for |x| up to the largest representable
+exponents: every exponential ratio is computed through ``exp(... - logaddexp(0, x))``.  x must be real (not a
+bool or complex) and finite (``DomainError`` otherwise); V- is V+ at -m.  The forms that take a spec also take a
+tuple of specs, and the shape-invariance check an m column: a row per spec or m, all from one numpy pass.
 """
 
 from __future__ import annotations
@@ -116,7 +115,11 @@ def v_plus(x, m):
     """V+(x, m) = W^2 + dW/dx = m^2 e^x/(e^x+1) - (m/2) e^(x/2)/(e^x+1)^(3/2), m real with m^2 finite."""
     if not (finite_real(m) and math.isfinite(float(m) * float(m))):
         raise DomainError(f"partner potentials require a real, finite m with m^2 finite, got m = {m!r}")
-    x = _real_x(x)
+    return _partner(m, _real_x(x))
+
+
+def _partner(m, x):
+    """V+ at the signed coupling m, a number or a column ahead of x's shape, from x's factors evaluated once."""
     softplus = np.logaddexp(0.0, x)
     return m * m * np.exp(x - softplus) - 0.5 * m * np.exp(0.5 * x - 1.5 * softplus)
 
@@ -129,61 +132,73 @@ def v_minus(x, m):
 def v_step(x, v0, alpha=1.0):
     """Smooth step (V0/2)(1 + tanh(x / 2 alpha)) = v0 e^y/(1 + e^y), y = x / alpha, at full relative
     accuracy in the left tail; v0 and alpha pass :class:`PotentialSpec`'s checks."""
-    PotentialSpec.step(v0, alpha)
-    y = _real_x(x) / alpha
-    return v0 * np.exp(y - np.logaddexp(0.0, y))
+    return potential(PotentialSpec.step(v0, alpha), x)
 
 
-def potential(spec: PotentialSpec, x):
-    """Evaluate the potential described by ``spec`` at x (scalar or array)."""
-    if spec.kind is PotentialKind.STEP:
-        return v_step(x, spec.v0, spec.alpha)
-    return v_plus(x, _SIGN[spec.kind] * spec.m)
+def _spec_rows(spec, x, only=""):
+    """(x checked, and whether each spec of ``spec``, one or a tuple, is a step, and its signed m (V- is V+ at -m), v0
+    and alpha as columns ahead of x's shape); ``DomainError`` for a non-spec, or a step if ``only`` names the form."""
+    specs, x = spec if isinstance(spec, tuple) else (spec,), _real_x(x)
+    if not all(isinstance(s, PotentialSpec) for s in specs):
+        raise DomainError(f"spec must be a PotentialSpec or a tuple of them, got {spec!r}")
+    if (step := np.array([s.kind is PotentialKind.STEP for s in specs], dtype=bool)).any() and only:
+        raise DomainError(f"{only} the partner potentials only")
+    return x, step, *np.reshape([(_SIGN.get(s.kind, 1.0) * s.m, s.v0, s.alpha) for s in specs], (-1, 3) + (1,) * x.ndim).swapaxes(0, 1)
 
 
-def potential_hyperbolic(spec: PotentialSpec, x):
+def potential(spec, x):
+    """Evaluate the potential described by ``spec`` at x (scalar or array); a tuple of specs gives one row per spec
+    ahead of x's shape (none for an empty tuple), each equal to its one-spec call bit for bit."""
+    x, step, m, v0, alpha = _spec_rows(spec, x)
+    values = np.empty(step.shape + x.shape)
+    if not step.all():  # one numpy pass per form, whose factors of x alone are evaluated once
+        values[~step] = _partner(m[~step], x)
+    values[step] = v0[step] * np.exp((y := x / alpha[step]) - np.logaddexp(0.0, y))
+    return values if isinstance(spec, tuple) else values[0]
+
+
+def potential_hyperbolic(spec, x):
     """Partner potentials in tanh form,
 
         mu^2 (1 + tanh(x/2)) -/+ (mu/4) sqrt(1 - tanh(x/2)) / cosh(x/2)
 
-    with mu = m / sqrt(2) (-m for V-).  Algebraically identical to ``potential`` for
-    the partner kinds; kept as an independent evaluation route.
+    with mu = m / sqrt(2) (-m for V-).  Algebraically identical to ``potential`` for the partner kinds, and takes a
+    tuple of specs as it does; kept as an independent evaluation route.
     """
-    if spec.kind is PotentialKind.STEP:
-        raise DomainError("hyperbolic form applies to the partner potentials only")
-    mu = _SIGN[spec.kind] * spec.m / math.sqrt(2.0)
-    x = _real_x(x)
-    th = np.tanh(0.5 * x)
-    return mu * mu * (1.0 + th) - 0.25 * mu * np.sqrt(1.0 - th) / np.cosh(0.5 * x)
+    x, _, m, _, _ = _spec_rows(spec, x, "hyperbolic form applies to")
+    mu, th = m / math.sqrt(2.0), np.tanh(0.5 * x)
+    with np.errstate(over="ignore"):  # cosh(x/2) overflows only where sqrt(1 - tanh(x/2)) is 0
+        values = mu * mu * (1.0 + th) - 0.25 * mu * np.sqrt(1.0 - th) / np.cosh(0.5 * x)
+    return values if isinstance(spec, tuple) else values[0]
 
 
-def potential_antiderivative(spec: PotentialSpec, x):
+def potential_antiderivative(spec, x):
     """An antiderivative of V+/-:
 
         m^2 ln(e^x + 1) -/+ m e^(x/2) / (e^x + 1)^(1/2)
 
-    with the integration constant fixed to 0.  Grows like m^2 x as
-    x -> +infinity, so the full-line integral of V+/- diverges.  A value
-    past the double range raises ``ResultOverflowError`` naming the first such x.
+    with the integration constant fixed to 0, for a spec or a tuple of them, as ``potential`` takes.  Grows like
+    m^2 x as x -> +infinity, so the full-line integral of V+/- diverges.  A value past the double range raises
+    ``ResultOverflowError`` naming the first such x.
     """
-    if spec.kind is PotentialKind.STEP:
-        raise DomainError("antiderivative is provided for the partner potentials only")
-    m, x = _SIGN[spec.kind] * spec.m, _real_x(x)  # V- at -m
+    x, _, m, _, _ = _spec_rows(spec, x, "antiderivative is provided for")
     softplus = np.logaddexp(0.0, x)
     with np.errstate(over="ignore"):
         value = m * m * softplus - m * np.exp(0.5 * (x - softplus))
-    if not np.isfinite(value).all():
-        raise ResultOverflowError(f"the antiderivative overflows a double at x = {x[~np.isfinite(value)][0]}")
-    return value
+    if not (finite := np.isfinite(value)).all():
+        raise ResultOverflowError(f"the antiderivative overflows a double at x = {np.broadcast_to(x, value.shape)[~finite][0]}")
+    return value if isinstance(spec, tuple) else value[0]
 
 
-def shape_invariance_check(m: float, x):
+def shape_invariance_check(m, x):
     """V+(x, m) - V-(x, -m); identically zero.
 
     The partner pair is multiplicatively shape invariant with parameter map
     m -> -m and vanishing remainder; V- is evaluated as V+ at -m, so this
-    difference is exactly zero.  Accepts any real m != 0 with m^2 finite.
+    difference is exactly zero.  Accepts any real m != 0 with m^2 finite, or a 1-d column of them: a row per m.
     """
-    if not (finite_real(m) and m != 0):
-        raise DomainError(f"shape invariance check requires a real, finite m != 0, got m = {m!r}")
-    return v_plus(x, m) - v_minus(x, -m)
+    ms, x = real_array(m, "m"), _real_x(x)
+    with np.errstate(over="ignore"):
+        if ms.ndim > 1 or not (np.isfinite(ms * ms).all() and (ms != 0).all()):
+            raise DomainError(f"shape invariance check requires real m != 0 with m^2 finite, or a 1-d column, got m = {m!r}")
+    return _partner(m := ms.reshape(ms.shape + (1,) * x.ndim), x) - _partner(-(-m), x)

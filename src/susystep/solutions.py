@@ -1,11 +1,10 @@
 """Exact wavefunctions of the partner potentials.
 
-The construction: map x to z = e^x/(e^x+1), peel off power factors
-z^C (1-z)^B with exponents solving the indicial equations, and the
-remainder satisfies the Gauss hypergeometric equation.  Each linearly
-independent solution Z_+/-^I, Z_+/-^II is a fixed linear combination of two
-hypergeometric terms whose coefficients are locked to each other by the
-coupled first-order system.
+The construction: map x to z = e^x/(e^x+1), peel off power factors z^C (1-z)^B with exponents solving the
+indicial equations, and the remainder satisfies the Gauss hypergeometric equation.  Each linearly independent
+solution Z_+/-^I, Z_+/-^II is a fixed linear combination of two hypergeometric terms whose coefficients are
+locked to each other by the coupled first-order system.  ``solution_checks`` gives the Wronskian and the
+wave-equation residual in z from one evaluation of both solutions and their exact derivatives.
 
 Power factors are evaluated from log z and log(1-z) computed directly from
 x (never via the subtraction 1 - z), so the closed forms stay accurate all
@@ -26,7 +25,7 @@ from .potentials import PotentialKind, superpotential
 
 __all__ = [
     "SolutionParams", "WaveField", "b_exponent", "make_exponents", "exact_solution", "exact_solution_at_z",
-    "coupled_residual", "wave_equation_residual", "wronskian", "sample_wavefield"
+    "coupled_residual", "solution_checks", "wave_equation_residual", "wronskian", "sample_wavefield"
 ]
 
 _QUARTER_TURN = cmath.exp(-0.25j * cmath.pi)
@@ -84,9 +83,13 @@ def b_exponent(omega, m: float):
     the positive real root (solution decaying to the right).  Complex
     omega: the root with positive imaginary part, continuous from the
     omega > m case; when the root is real (omega on the imaginary axis)
-    the tie is broken toward positive real part.
+    the tie is broken toward positive real part.  A root past the double
+    range raises ``DomainError`` naming the first such (omega, m).
     """
-    r = np.sqrt(m * m - omega * omega + 0j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.sqrt(m * m - omega * omega + 0j)
+    if not (finite := np.isfinite(r)).all():
+        raise DomainError("B overflows at omega = {}, m = {}".format(*(v[~finite][0] for v in np.broadcast_arrays(omega, m))))
     return np.where(r.imag < -1e-14 * np.abs(r), -r, r)[()]  # a (near-)real root keeps the principal Re >= 0
 
 
@@ -178,12 +181,12 @@ def make_exponents(omega, m) -> SolutionParams:
     omega, m = (np.broadcast_to(omega, ms.shape) if columns[1] else omega).astype(complex), ms if columns[1] else float(m)
     if (abs(omega) < 1e-12).any():
         raise ZeroFrequencyError("solutions require omega != 0")
-    C1 = 1j * omega
-    c1 = 2.0 * C1 + 0.5
-    degenerate = c1[abs(c1 - c1.real.round()) < specfun.POLE_TOL]
-    if degenerate.size:
-        raise DegenerateCError(f"c1 = {degenerate[0]} is within tolerance of an integer")
     with np.errstate(over="ignore", invalid="ignore"):  # a record that overflows raises below
+        C1 = 1j * omega
+        c1 = 2.0 * C1 + 0.5
+        degenerate = c1[abs(c1 - c1.real.round()) < specfun.POLE_TOL]
+        if degenerate.size:
+            raise DegenerateCError(f"c1 = {degenerate[0]} is within tolerance of an integer")
         B1 = b_exponent(omega, m)
         a1 = C1 + B1 + 0.5
         b1 = C1 + B1
@@ -202,7 +205,7 @@ def _one_omega(omega, m) -> SolutionParams:
     for name, value in (("omega", omega), ("m", m)):
         if not isinstance(value, numbers.Number) and np.ndim(value):
             raise DomainError(f"{name} must be a number here, got an array of shape {np.shape(value)}; "
-                              "make_exponents, wronskian and wave_equation_residual take (omega, m) columns")
+                              "make_exponents and the z checks, such as wronskian, take (omega, m) columns")
     return make_exponents(omega, m)
 
 
@@ -258,12 +261,6 @@ def _solution_from_logs(branches, signs, p, z, log_z, log_u, order=0):
     return np.multiply(_QUARTER_TURN, r1 + signs[..., None] * 1j * r2)
 
 
-def _case_rows(values, cases, column, number):
-    """``values`` (..., case, point) with the cases leading (none for a number record), no points for a number z."""
-    values = np.moveaxis(values, -2, 0) if cases else values[..., 0, :]
-    return values if column else values[..., 0] if values.ndim > 1 else number(values[0])
-
-
 def exact_solution(branch, sign, omega, m, x) -> complex:
     """Closed-form wavefunction Z_sign^branch at position x.
 
@@ -313,52 +310,49 @@ def coupled_residual(omega, m, x_grid, branch="I") -> float:
     return float(np.max(res / scale))
 
 
+def _z_checks(branch, sign, omega, m, z, order):
+    """[Wronskian, for ``branch`` ("I", "II")] + [residual of ``branch``, at ``order`` 2], as ``solution_checks``."""
+    column, z = _unit_column(z)
+    branches, signs, p = branch if isinstance(branch, tuple) else (branch,), _signs(sign, many=True), make_exponents(omega, m)
+    f0, d1, *d2 = _solution_from_logs(branches, signs, p, *_logs_from_z(z), order).swapaxes(0, 1)  # Z, dZ/dx, d2Z/dx2
+    rows = [(f0[0] * d1[1] - f0[1] * d1[0], complex)] if branch == ("I", "II") else []  # d/dx = z(1-z) d/dz
+    if d2:
+        # q takes f0's ndim: numpy rounds a one-element complex product of two ndims apart
+        omega, m, signs = np.reshape(omega, (-1, 1)), np.reshape(m, (-1, 1)), signs[None, ..., None]
+        q = omega * omega - m * m * z + signs * m * np.sqrt(z) * (1.0 - z) / 2.0  # z(1-z) q, which is omega^2 - V
+        first = (1 - 2 * z) * d1  # z(1-z) (1-2z) Z', and d2 - first is z^2 (1-z)^2 Z''
+        residual = np.abs(d2[0] + q * f0) / (np.abs(q * f0) + np.abs(first) + np.abs(d2[0] - first))
+        rows.append((residual if isinstance(branch, tuple) else residual[0], float))
+    rows = [(np.moveaxis(v, -2, 0) if np.ndim(p.omega) else v[..., 0, :], number) for v, number in rows]  # cases leading
+    return [v if column else v[..., 0] if v.ndim > 1 else number(v[0]) for v, number in rows]  # no points for a number z
+
+
+def solution_checks(sign, omega, m, z):
+    """(``wronskian``, ``wave_equation_residual`` of ("I", "II")) at z in (0, 1), each equal to its own call bit for bit,
+    from one evaluation of Z^I, Z^II and their exact x-derivatives, d/dx = z(1-z) d/dz, up to order 2 (DLMF 15.5.2's
+    sets (a + k, b + k, c + k)): one ``hyp2f1`` call per R-tilde component.  A 1-d array of z (checked whole) or of
+    signs gives the number calls' values, a row per sign, a tuple of branches a row per branch ahead of those, and
+    (omega, m) columns (see ``make_exponents``) a row per case ahead of all."""
+    return tuple(_z_checks(("I", "II"), sign, omega, m, z, 2))
+
+
 def wave_equation_residual(branch, sign, omega, m, z):
-    """Scaled residual of the wave equation in z for Z_sign^branch,
+    """Scaled residual of the wave equation in z for Z_sign^branch, one or a tuple such as ("I", "II"),
 
         d/dz[z(1-z) Z'] + q(z) Z = 0,
         q = (omega^2 - m^2)/(1-z) + omega^2/z + sign m/(2 sqrt z),
 
-    at z in (0, 1): |sum of the three terms| over the sum of their moduli,
-    with exact derivatives (DLMF 15.5.2), every term taken times z(1-z) so
-    that none overflows as z -> 0.  A 1-d array of z (every element checked
-    first) or of signs gives the number calls' values, a row per sign, a
-    tuple of branches, such as ("I", "II"), a row per branch ahead of those,
-    and (omega, m) columns (see ``make_exponents``) a row per case ahead of
-    all.  All cases, branches, signs and derivative orders share one
-    ``hyp2f1`` call per R-tilde component.
+    |sum of the three terms| over the sum of their moduli, every term taken times z(1-z); see ``solution_checks``.
     """
-    column, z = _unit_column(z)
-    branches, signs, p = branch if isinstance(branch, tuple) else (branch,), _signs(sign, many=True), make_exponents(omega, m)
-    f0, d1, d2 = _solution_from_logs(branches, signs, p, *_logs_from_z(z), 2).swapaxes(0, 1)  # Z, dZ/dx, d2Z/dx2
-    # q takes f0's ndim: numpy rounds a one-element complex product of two ndims apart
-    omega, m, signs = np.reshape(omega, (-1, 1)), np.reshape(m, (-1, 1)), signs[None, ..., None]
-    q = omega * omega - m * m * z + signs * m * np.sqrt(z) * (1.0 - z) / 2.0  # z(1-z) q, which is omega^2 - V
-    first = (1 - 2 * z) * d1  # z(1-z) (1-2z) Z', and d2 - first is z^2 (1-z)^2 Z''
-    residual = np.abs(d2 + q * f0) / (np.abs(q * f0) + np.abs(first) + np.abs(d2 - first))
-    return _case_rows(residual if isinstance(branch, tuple) else residual[0], np.ndim(p.omega) > 0, column, float)
+    return _z_checks(branch, sign, omega, m, z, 2)[-1]
 
 
 def wronskian(sign, omega, m, z):
-    """Flux-form Wronskian z(1-z) (Z^I dZ^II/dz - Z^II dZ^I/dz) at z.
-
-    The z(1-z) weight is the self-adjoint coefficient of the transformed
-    wave equation (equivalently, this is the plain x-Wronskian), so the
-    value is z-independent:  +/- (2 omega / m)(1 - c1) for the unit
-    normalization G1 = H1 = 1 of every solution here.
-
-    The derivatives are exact, from DLMF 15.5.2's shifted parameter sets;
-    the constant is predicted from the exponents alone, so a wrong
-    hypergeometric value, connection ratio or normalization shows.  A 1-d
-    array of z (every element checked first) or of signs gives the number
-    calls' values, a row per sign, and (omega, m) columns a row per case
-    ahead of those.  Z^I and Z^II, with their derivatives and all signs and
-    cases, share one ``hyp2f1`` call per R-tilde component.
-    """
-    column, z = _unit_column(z)
-    signs, p = _signs(sign, many=True), make_exponents(omega, m)
-    (zi, di), (zii, dii) = _solution_from_logs(("I", "II"), signs, p, *_logs_from_z(z), 1)  # d/dx = z(1-z) d/dz
-    return _case_rows(zi * dii - zii * di, np.ndim(p.omega) > 0, column, complex)
+    """Flux-form Wronskian z(1-z) (Z^I dZ^II/dz - Z^II dZ^I/dz) at z, from the sets of orders 0 and 1 only: the z(1-z)
+    weight is the self-adjoint coefficient of the transformed wave equation (this is the plain x-Wronskian), so the
+    value is z-independent, +/- (2 omega / m)(1 - c1) for the unit normalization G1 = H1 = 1, which the exponents alone
+    predict: a wrong hypergeometric value, connection ratio or normalization shows.  See ``solution_checks``."""
+    return _z_checks(("I", "II"), sign, omega, m, z, 1)[0]
 
 
 def sample_wavefield(branch, sign, omega, m, grid) -> WaveField:

@@ -254,9 +254,9 @@ def _ratio_table(a, b, c, rows):
     (numpy's complex products and quotients round apart): an int k adds as (k, 0.0), a product
     is (pr - qs, ps + qr), a quotient Smith's (CACM Algorithm 116), by the larger part of D."""
     k = np.arange(rows, dtype=float)[:, None]
-    A, B, C = a + k, b + k, c + k  # numpy's complex sum is Python's
-    nr, ni = A.real * B.real - A.imag * B.imag, A.real * B.imag + A.imag * B.real
-    dr, di = C.real * (k + 1.0), C.imag * (k + 1.0)  # the product's bits, as no part of C is -0.0
+    (ar, ai), (br, bi), (cr, ci) = ((v.real + k, v.imag + 0.0) for v in (a, b, c))
+    nr, ni = ar * br - ai * bi, ar * bi + ai * br
+    dr, di = cr * (k + 1.0), ci * (k + 1.0)  # the product's bits, as no part of c + k is -0.0
     flip = np.abs(dr) < np.abs(di)  # Smith's form by Im D is its form by Re D on N (-i) / D (-i)
     nr, ni, dr, di = np.where(flip, ni, nr), np.where(flip, -nr, ni), np.where(flip, di, dr), np.where(flip, -dr, di)
     ratio = di / dr
@@ -322,10 +322,8 @@ def _connection_ratio(numerators, denominators):
     denominator pole (its connection coefficient dies), found before any log-Gamma."""
     try:
         return gamma_ratio(numerators, denominators)
-    except PoleError as err:
-        if err.location != "denominator":
-            raise
-    dead = near_pole(np.array(denominators)).any(axis=0)
+    except PoleError:  # a numerator pole raises again in the retry
+        dead = near_pole(np.array(denominators)).any(axis=0)
     ratio = gamma_ratio(*([np.where(dead, 1.0, v) for v in side] for side in (numerators, denominators)))
     return np.where(dead, 0.0, ratio)
 
@@ -415,13 +413,13 @@ def hyp2f1(a, b, c, z, log_u=None):
     _gamma_arguments([c], 0)  # c sits in the series' denominators
     scalar, given = np.ndim(z) == 0, log_u is not None
     z = real_array(z, "z")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a z or log_u out of range raises below
         log_u = real_array(log_u, "log_u") if given else np.log1p(-z)
         u = np.exp(log_u) if given else 1.0 - z
-    if z.ndim > 1 or log_u.shape != z.shape:
-        raise DomainError("z and log_u must be floats or 1-d arrays of one length")
-    # absolute: z rounds to 1.0 past x ~ 37 while exp(log_u) stays exact
-    ok = (z >= 0.0) & np.isfinite(log_u) & (log_u <= 0.0) & (np.abs(u - (1.0 - z)) <= _COMPLEMENT_ULPS * _EPS)
+        if z.ndim > 1 or log_u.shape != z.shape:
+            raise DomainError("z and log_u must be floats or 1-d arrays of one length")
+        # absolute: z rounds to 1.0 past x ~ 37 while exp(log_u) stays exact
+        ok = (z >= 0.0) & np.isfinite(log_u) & (log_u <= 0.0) & (np.abs(u - (1.0 - z)) <= _COMPLEMENT_ULPS * _EPS)
     if not ok.all():
         i = tuple(np.argwhere(~ok)[0])
         raise DomainError(f"z = {z[i]}, log_u = {log_u[i] if given else None}: need 0 <= z < 1 and a "

@@ -4,11 +4,12 @@ Each check evaluates one analytic contract (closed-form equivalence, flux conser
 identities, Wronskian constancy, wave-equation residuals, quasinormal poles, potential identities)
 and reports its worst residual against the contracted tolerance.  A run makes one (V+, V-) and one
 step amplitude call over its 150 (omega, m) cases, timed in the closed-form row; the flux and SUSY
-rows read the same results.  The Wronskian and wave-equation checks each take all their cases,
-branches and partners, and the shifted parameter sets of their exact derivatives, from one 2F1
-call per component, and are held relative to the Wronskian's constant and to the equation's term
-sizes; one |1/T| call covers the 6 quasinormal poles (no Gamma pass) and the 6 perturbed
-frequencies; a potential and an antiderivative call (at x +- h) cover each partner.  The SUSY
+rows read the same results.  The Wronskian and wave-equation rows read one ``solution_checks`` call
+per run, timed in the Wronskian row: both branches and partners of 3 (omega, m) cases at 21 z, with
+the shifted parameter sets of their exact derivatives, in one 2F1 call per component (4 Gamma
+passes); they are held relative to the Wronskian's constant and to the equation's term sizes.  One
+|1/T| call covers the 6 quasinormal poles (no Gamma pass) and the 6 perturbed frequencies, and one
+call per potential function covers the 8 couplings' 16 partners (the antiderivative at x +- h).  The SUSY
 check can fail only through its T relation: R- is -R+ by construction.  ``full`` adds two oracle
 checks on one sweep per run, timed in the agreement row: one sixth-order Magnus scan of the 3
 specs' 12 (spec, omega) rows over x in [-30, 15] at step 0.1 (``ORACLE_CONFIG``, 450 steps per
@@ -78,16 +79,21 @@ def _flux_conservation(results):
     return max(np.max(np.abs(res.flux - 1.0)) for res in results())
 
 
-def _wronskian_constancy():
-    omega, m, signs = np.array([[2.0], [1.5], [3.0]]), np.array([[1.0], [1.0], [2.0]]), np.array([1, -1])
-    values = solutions.wronskian(signs, omega[:, 0], m[:, 0], np.array([0.2, 0.5, 0.8]))  # (case, sign, z)
+# the Wronskian row reads all 3 cases at z = 0.2, 0.5 (Z_SWITCH), 0.8, the wave-equation row 2 cases at the linspace
+_SOLUTION_CASES = np.array([2.0, 1.5, 3.0]), np.array([1.0, 1.0, 2.0])
+_SOLUTION_Z = np.array(sorted({*np.linspace(0.05, 0.95, 19).tolist(), 0.2, 0.5, 0.8}))  # np.union1d costs 1.7 MB of RSS
+_WRONSKIAN_Z, _WAVE_Z = np.searchsorted(_SOLUTION_Z, [0.2, 0.5, 0.8]), np.searchsorted(_SOLUTION_Z, np.linspace(0.05, 0.95, 19))
+
+
+def _wronskian_constancy(solved):
+    (omega, m), signs = (v[:, None] for v in _SOLUTION_CASES), np.array([1, -1])
+    values = solved()[0][..., _WRONSKIAN_Z]  # (case, sign, z)
     expected = (signs * 2.0 * omega / m * (1.0 - (2j * omega + 0.5)))[..., None]  # (case, sign, 1)
     return max(np.max(np.abs(v) / np.abs(expected)) for v in (values - expected, values[..., :1] - values[..., -1:]))
 
 
-def _wave_equation_residual():
-    z = np.linspace(0.05, 0.95, 19)
-    return np.max(solutions.wave_equation_residual(("I", "II"), np.array([1, -1]), np.array([2.0, 1.5]), 1.0, z))
+def _wave_equation_residual(solved):
+    return np.max(solved()[1][:2, ..., _WAVE_Z])
 
 
 def _qnm_poles():
@@ -98,17 +104,12 @@ def _qnm_poles():
 
 def _potential_identities():
     rng = np.random.default_rng(20240813)
-    xs = rng.uniform(-40.0, 40.0, size=64)
-    ms = rng.uniform(0.2, 4.0, size=8)
-    h, residuals = 1e-5, []
-    sides = xs + np.array([[h], [-h]])  # x + h and x - h, one antiderivative call per partner
-    for m in ms:
-        residuals.append(shape_invariance_check(m, xs))
-        for spec in (PotentialSpec.plus(m), PotentialSpec.minus(m)):
-            v = potential(spec, xs)
-            ahead, behind = potential_antiderivative(spec, sides)
-            residuals += [v - potential_hyperbolic(spec, xs), (ahead - behind) / (2 * h) - v]
-    return np.max(np.abs(residuals))
+    xs, ms = rng.uniform(-40.0, 40.0, size=64), rng.uniform(0.2, 4.0, size=8)
+    h, specs = 1e-5, tuple(spec for m in ms for spec in (PotentialSpec.plus(m), PotentialSpec.minus(m)))
+    v = potential(specs, xs)  # one call per function for the 8 couplings' 16 partners
+    sides = potential_antiderivative(specs, xs + np.array([[h], [-h]]))  # (spec, x + h or x - h, x)
+    residuals = [shape_invariance_check(ms, xs), v - potential_hyperbolic(specs, xs), (sides[:, 0] - sides[:, 1]) / (2 * h) - v]
+    return max(np.max(np.abs(r)) for r in residuals)
 
 
 def _figure_difference_window():
@@ -135,12 +136,13 @@ def run_checks(level: str = QUICK):
         raise DomainError(f"level must be {QUICK!r} or {FULL!r}, got {level!r}")
     cases, partners = _cases(), (PotentialKind.PLUS, PotentialKind.MINUS)
     amplitudes = functools.cache(lambda: (*scattering.reflection_transmission(partners, *cases), scattering.step_amplitudes(*cases)))
+    solved = functools.cache(lambda: solutions.solution_checks(np.array([1, -1]), *_SOLUTION_CASES, _SOLUTION_Z))
     results = [
         _check("closed-form equivalence (Gamma vs sinh)", 1e-10, lambda: _closed_form_equivalence(amplitudes)),
         _check("flux conservation", 1e-9, lambda: _flux_conservation(amplitudes)),
         _check("SUSY amplitude relations", 1e-11, lambda: np.max(np.abs(scattering.susy_relation_check(*amplitudes()[:2])))),
-        _check("Wronskian value and constancy", 1e-11, _wronskian_constancy),
-        _check("wave-equation residual in z", 1e-10, _wave_equation_residual),
+        _check("Wronskian value and constancy", 1e-11, lambda: _wronskian_constancy(solved)),
+        _check("wave-equation residual in z", 1e-10, lambda: _wave_equation_residual(solved)),
         _check("quasinormal transmission poles", 1e-6, _qnm_poles),
         _check("potential identities", 1e-8, _potential_identities),
         _check("reflection-difference window", 0.5, _figure_difference_window),

@@ -159,3 +159,27 @@ def potential_oracle(kind, x, m=1.0, v0=1.0, alpha=1.0, dps=50):
             top = m * m
             v = top * ex / (ex + 1) - (1 if kind == "plus" else -1) * m / 2 * mp.exp(x / 2) / (ex + 1) ** mp.mpf(1.5)
         return float(v), float(v - top)
+
+
+def wavefunction_oracle(branch, sign, omega, m, x, dps=30):
+    """Z_sign^branch(x) for real omega != m and m > 0, unit normalization G1 = H1 = 1, in mpmath at ``dps``
+    digits from the closed form: z = e^x/(e^x + 1) and 1 - z = 1/(e^x + 1) in extended precision, B1 =
+    sqrt(m^2 - omega^2) (+i sqrt(omega^2 - m^2) above threshold), C1 = i omega, C2 = C1 + 1/2, a1 = C1 + B1 +
+    1/2, b1 = C1 + B1, c1 = 2 C1 + 1/2, a2 = b1 + 1, b2 = a1, c2 = c1 + 1, G2 = i (a1 - c1) b1/(m c1) and
+    H2 = i (1 - c1)/m; Z = e^(-i pi/4) (R1 + sign i R2) with, for branch I, R1 = z^C1 (1-z)^B1 2F1(a1, b1; c1; z)
+    and R2 = G2 z^C2 (1-z)^B1 2F1(a2, b2; c2; z), and for branch II each component's second solution at z = 0,
+    z^(C+1-c) (1-z)^B1 2F1(a-c+1, b-c+1; 2-c; z), R2's scaled by H2.  The 2F1 values are mpmath's own (its
+    transformations near z = 1), not a summed series."""
+    with mp.workdps(dps):
+        w, m, ex = mp.mpf(omega), mp.mpf(m), mp.exp(mp.mpf(x))
+        z, u = ex / (ex + 1), 1 / (ex + 1)
+        B1 = mp.sqrt(m * m - w * w) if w < m else 1j * mp.sqrt(w * w - m * m)
+        C1 = 1j * w
+        a1, b1, c1 = C1 + B1 + mp.mpf(0.5), C1 + B1, 2 * C1 + mp.mpf(0.5)
+        components = []
+        for scale, C, a, b, c in ((1, C1, a1, b1, c1), (1j * (a1 - c1) * b1 / (m * c1) if branch == "I" else 1j * (1 - c1) / m,
+                                                        C1 + mp.mpf(0.5), b1 + 1, a1, c1 + 1)):
+            if branch == "II":
+                C, a, b, c = C + 1 - c, a - c + 1, b - c + 1, 2 - c
+            components.append(scale * z ** C * u ** B1 * mp.hyp2f1(a, b, c, z))
+        return complex(mp.exp(-0.25j * mp.pi) * (components[0] + sign * 1j * components[1]))

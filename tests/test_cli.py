@@ -352,8 +352,8 @@ def test_verify_quick_passes(capsys):
 
 def test_verify_failure_injection(capsys, monkeypatch):
     # negative control: Wronskian values off their constant by 1e-3 fail the run
-    exact = solutions.wronskian
-    monkeypatch.setattr(solutions, "wronskian", lambda *args: exact(*args) + 1e-3)
+    exact = solutions.solution_checks
+    monkeypatch.setattr(solutions, "solution_checks", lambda *args: (lambda w, r: (w + 1e-3, r))(*exact(*args)))
     code, out, err = run_cli(capsys, "verify", "--level", "quick")
     assert code == 3
     assert [line.split("  ")[0] for line in out.splitlines() if "FAIL" in line] == ["Wronskian value and constancy"]
@@ -372,24 +372,35 @@ _PARTNER_CHECKS = {"Wronskian value and constancy": "_wronskian_constancy",
 
 
 def test_partner_checks_share_each_r_tilde_column(monkeypatch):
-    # each check takes one call per component for all its (omega, m)
-    # cases, both branches and both signs
-    calls, made = [], {}
-    hyp2f1 = specfun.hyp2f1
+    # both checks read one solution_checks call per run, timed in the
+    # Wronskian row: one 2F1 call per component for all (omega, m) cases,
+    # both branches, both signs, derivative orders 0-2 and the union of the
+    # rows' z grids (2 + 2 calls when each check made its own)
+    calls, made, evaluated = [], {}, []
+    hyp2f1, exact = specfun.hyp2f1, solutions.solution_checks
     monkeypatch.setattr(specfun, "hyp2f1", lambda *args: calls.append(args) or hyp2f1(*args))
+    monkeypatch.setattr(solutions, "solution_checks", lambda *args: evaluated.append(args) or exact(*args))
 
     def counted(name, check):
-        def run():
+        def run(*args):
             before = len(calls)
-            worst = check()
+            worst = check(*args)
             made[name] = len(calls) - before
             return worst
         return run
 
     for name in _PARTNER_CHECKS.values():
         monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
-    assert all(r.passed for r in run_checks(FULL))
-    assert made == {"_wronskian_constancy": 2, "_wave_equation_residual": 2}
+    for run in (1, 2):
+        assert all(r.passed for r in run_checks(FULL))
+        assert made == {"_wronskian_constancy": 2, "_wave_equation_residual": 0}
+        assert len(evaluated) == run
+    sign, omega, m, z = evaluated[0]
+    assert (sign.tolist(), omega.tolist(), m.tolist()) == ([1, -1], [2.0, 1.5, 3.0], [1.0, 1.0, 2.0])
+    assert z.size == 21 and specfun.Z_SWITCH in z.tolist()
+    assert {0.2, 0.8} | set(np.linspace(0.05, 0.95, 19).tolist()) <= set(z.tolist())
+    # (case, branch, order) parameter sets at the 21 z, one call per component and run
+    assert [(args[0].size, np.shape(args[3])) for args in calls] == [(3 * 2 * 3, (21,))] * 2 * 2
 
 
 def _scale_sign_row(monkeypatch, row):
@@ -511,12 +522,14 @@ def test_verify_judges_susy_on_one_call_over_its_cases(monkeypatch):
 
 
 def test_full_verify_makes_few_gamma_passes_and_scans(monkeypatch):
-    # structure guard: a full run makes 11 gamma_ratio calls (32 when each
+    # structure guard: a full run makes 7 gamma_ratio calls (32 when each
     # (kind, m) and each oracle spec had its own, 17 when each perturbed
     # frequency of the qnm check had its own, 12 when the SUSY check made its
-    # own amplitude call): one (V+, V-) and one step amplitude call, one |1/T|
-    # call (a Gamma pass at the 6 perturbed frequencies, none at the 6 poles)
-    # and 8 from the 2F1 connection formula; and one Magnus
+    # own amplitude call, 11 when the Wronskian and wave-equation checks each
+    # made their own 2F1 calls): one (V+, V-) and one step amplitude call, one
+    # |1/T| call (a Gamma pass at the 6 perturbed frequencies, none at the 6
+    # poles) and 4 from the 2F1 connection formula, two per R-tilde component
+    # of the one solution evaluation; and one Magnus
     # scan of the 12 (spec, omega) oracle rows (3 when each spec had its own,
     # 12 when each omega had its own)
     ratios, scans = [], []
@@ -528,7 +541,7 @@ def test_full_verify_makes_few_gamma_passes_and_scans(monkeypatch):
     monkeypatch.setattr(oracle, "_march", lambda *args: scans.append(args) or march(*args))
     assert all(r.passed for r in run_checks(FULL))
     assert len(scans[0][4]) == 12
-    assert (ratios.count(scattering), ratios.count(specfun), len(scans)) == (2 + 1, 8, 1)
+    assert (ratios.count(scattering), ratios.count(specfun), len(scans)) == (2 + 1, 4, 1)
 
 
 def test_verify_takes_the_qnm_check_from_one_omega_column(monkeypatch):
@@ -545,20 +558,27 @@ def test_verify_takes_the_qnm_check_from_one_omega_column(monkeypatch):
         (PotentialKind.PLUS, poles + [w + 0.1 for w in poles], 1.0)]
 
 
-def test_full_verify_makes_56_potential_identity_calls(monkeypatch):
-    # per coupling (8): one shape-invariance check, and per partner one
-    # potential, one hyperbolic-form and one antiderivative call, the latter
-    # at x + h and x - h together (88 calls when each side had its own and
-    # the potential was evaluated twice)
-    counts = dict.fromkeys(("shape_invariance_check", "potential", "potential_hyperbolic", "potential_antiderivative"), 0)
-    for name in counts:
+def test_full_verify_makes_one_potential_identity_call_per_function(monkeypatch):
+    # one call per function for the 8 couplings: the shape-invariance check
+    # on their m column, and the potential, hyperbolic-form and antiderivative
+    # calls on the 16 partner specs, the antiderivative at x + h and x - h
+    # together (56 calls when each coupling and partner had its own, 88 when
+    # each side had its own and the potential was evaluated twice)
+    calls = dict.fromkeys(("shape_invariance_check", "potential", "potential_hyperbolic", "potential_antiderivative"))
+    for name in calls:
         exact = getattr(verify, name)
-        monkeypatch.setattr(verify, name, lambda *args, _name=name, _exact=exact:
-                            counts.__setitem__(_name, counts[_name] + 1) or _exact(*args))
+        calls[name] = []
+        monkeypatch.setattr(verify, name, lambda *args, _calls=calls[name], _exact=exact:
+                            _calls.append(args) or _exact(*args))
     assert all(r.passed for r in run_checks(FULL))
-    assert counts == {"shape_invariance_check": 8, "potential": 16, "potential_hyperbolic": 16,
-                      "potential_antiderivative": 16}
-    assert sum(counts.values()) == 56
+    assert {name: len(made) for name, made in calls.items()} == dict.fromkeys(calls, 1)
+    (ms, xs), = calls["shape_invariance_check"]
+    assert ms.shape == (8,) and xs.shape == (64,)
+    for name in ("potential", "potential_hyperbolic", "potential_antiderivative"):
+        (specs, x), = calls[name]
+        assert [(s.kind, s.m) for s in specs] == [(kind, m) for m in ms.tolist()
+                                                   for kind in (PotentialKind.PLUS, PotentialKind.MINUS)]
+        assert x.shape == ((2, 64) if name == "potential_antiderivative" else (64,))
 
 
 def test_verify_unknown_level_is_a_domain_error():

@@ -436,3 +436,91 @@ def test_step_keeps_its_relative_accuracy_in_the_left_tail(x):
         v, _ = potential_oracle("step", x, v0=v0, alpha=alpha)
         assert abs(float(v_step(x, v0, alpha)) - v) <= 4e-15 * v
         assert v_step(np.array([x, 0.0]), v0, alpha)[0] == v_step(x, v0, alpha)
+
+
+# ------------------------------------------------------------- spec tuples
+
+_MIXED = (PotentialSpec.plus(1.3), PotentialSpec.step(2.0, 0.5), PotentialSpec.minus(0.7), PotentialSpec.step(1.0),
+          PotentialSpec.minus(1.3), PotentialSpec.plus(np.float64(2.9)))
+_PARTNERS = tuple(s for s in _MIXED if s.kind is not PotentialKind.STEP)
+_XS = np.concatenate([np.linspace(-60.0, 60.0, 241), [-800.0, 0.0, 700.0]])
+
+
+def _rows_are_the_one_spec_calls(call, specs, x):
+    got = call(specs, x)
+    assert got.shape == (len(specs),) + np.shape(x) and got.dtype == float
+    for row, spec in zip(got, specs):
+        one = call(spec, x)
+        assert type(row) is type(one) and np.asarray(row).tobytes() == np.asarray(one).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x", [_XS, 0.3, _XS.reshape(2, -1)], ids=["1-d", "number", "2-d"])
+def test_each_row_of_a_spec_tuple_is_its_one_spec_call(x):
+    # one numpy pass per form for every spec, partners and steps mixed
+    _rows_are_the_one_spec_calls(potential, _MIXED, x)
+    _rows_are_the_one_spec_calls(potential_hyperbolic, _PARTNERS, x)
+    _rows_are_the_one_spec_calls(potential_antiderivative, _PARTNERS, x)
+
+
+def test_antiderivative_rows_at_verify_sides():
+    # verify's x + h and x - h sides, a 2-d x: (spec, side, x)
+    xs = np.random.default_rng(20240813).uniform(-40.0, 40.0, size=64)
+    sides = xs + np.array([[1e-5], [-1e-5]])
+    _rows_are_the_one_spec_calls(potential_antiderivative, _PARTNERS, sides)
+    for row, spec in zip(potential_antiderivative(_PARTNERS, sides), _PARTNERS):
+        assert row[1].tobytes() == potential_antiderivative(spec, sides[1]).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_shape_invariance_check_takes_an_m_column():
+    ms = np.array([1.3, -0.7, 2.9, 1e154, 3])
+    got = shape_invariance_check(ms, _XS)
+    assert got.shape == (ms.size, _XS.size)
+    for row, m in zip(got, ms.tolist()):
+        assert row.tobytes() == shape_invariance_check(m, _XS).tobytes()
+    assert shape_invariance_check(ms, 0.5).tobytes() == np.array([shape_invariance_check(m, 0.5) for m in ms]).tobytes()
+    for bad in (np.array([1.0, 0.0]), np.array([1.0, 1e200]), np.array([[1.0]]), np.array([1.0, math.nan]),
+                np.array([True]), np.array([1.0 + 0j])):
+        with pytest.raises(DomainError):
+            shape_invariance_check(bad, _XS)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_empty_spec_tuple_gives_no_rows():
+    # as numerical_rt gives no results: an empty tuple has no rows, whatever x's shape;
+    # x is still checked
+    for call in (potential, potential_hyperbolic, potential_antiderivative):
+        assert call((), _XS).shape == (0, _XS.size) and call((), 0.3).shape == (0,)
+        with pytest.raises(DomainError):
+            call((), [math.nan])
+    assert shape_invariance_check(np.array([]), _XS).shape == (0, _XS.size)
+
+
+@pytest.mark.parametrize("call", [potential, potential_hyperbolic, potential_antiderivative])
+def test_a_tuple_holds_only_specs(call):
+    for specs in ((PotentialSpec.plus(1.0), "plus"), (PotentialSpec.plus(1.0), (PotentialSpec.plus(1.0),)), [_PLUS_1]):
+        with pytest.raises(DomainError, match="PotentialSpec"):
+            call(specs, _XS)
+
+
+@pytest.mark.parametrize("call", [potential_hyperbolic, potential_antiderivative])
+def test_a_step_in_a_tuple_is_refused_by_the_partner_forms(call):
+    with pytest.raises(DomainError, match="partner potentials only"):
+        call((PotentialSpec.plus(1.0), PotentialSpec.step(1.0)), _XS)
+
+
+def test_an_overflowing_antiderivative_row_names_its_x():
+    # the first such x in (spec, x) order
+    specs = (PotentialSpec.plus(1.0), PotentialSpec.minus(1e154))
+    with pytest.raises(ResultOverflowError, match=r"at x = 800\.0$"):
+        potential_antiderivative(specs, np.array([-800.0, 0.5, 800.0, 1.7]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x", [1e308, -1e308, 800.0, -800.0])
+def test_hyperbolic_form_at_a_huge_x_has_no_warning(x):
+    # cosh(x/2) overflows to inf only where sqrt(1 - tanh(x/2)) is 0; the
+    # value stays the exponential form's: m^2 at 1e308, 0 at -1e308
+    for spec in (PotentialSpec.plus(1.0), PotentialSpec.minus(1.0)):
+        assert potential_hyperbolic(spec, x) == pytest.approx(float(potential(spec, x)), rel=1e-15, abs=0.0)

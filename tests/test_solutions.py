@@ -8,7 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from susystep.errors import DegenerateCError, DomainError, ZeroFrequencyError
+from _oracles import wavefunction_oracle
+from susystep.errors import DegenerateCError, DegenerateParamsError, DomainError, ZeroFrequencyError
 import susystep.solutions as solutions_mod
 import susystep.specfun as specfun_mod
 from susystep.solutions import (
@@ -19,6 +20,7 @@ from susystep.solutions import (
     exact_solution_at_z,
     make_exponents,
     sample_wavefield,
+    solution_checks,
     wave_equation_residual,
     wronskian,
 )
@@ -788,3 +790,99 @@ def test_solution_stable_at_extreme_x():
         val = exact_solution("I", 1, 2.0, 1.0, x)
         assert cmath.isfinite(val)
         assert abs(val) < 10.0
+
+
+# ---------------------------------------------------------- solution_checks
+
+# verify's evaluation: its three (omega, m) cases at the union of its two z grids
+_VERIFY_CASES = (np.array([2.0, 1.5, 3.0]), np.array([1.0, 1.0, 2.0]))
+_VERIFY_Z = np.union1d(np.linspace(0.05, 0.95, 19), [0.2, 0.5, 0.8])
+
+
+@pytest.mark.parametrize("sign", [np.array([1, -1]), 1, -1], ids=["both signs", "plus", "minus"])
+@pytest.mark.parametrize("cases", [_VERIFY_CASES, (2.0, 1.0), (np.array([1.5]), 1.0)],
+                         ids=["verify's cases", "one case", "one-element column"])
+@pytest.mark.parametrize("z", [_VERIFY_Z, 0.3, 0.5, np.array([0.5])], ids=["verify's z", "number z", "z = 0.5", "[0.5]"])
+def test_solution_checks_are_the_wronskian_and_residual_calls(sign, cases, z):
+    # one evaluation of Z^I and Z^II up to order 2 gives both checks, each
+    # equal to its own call bit for bit, its Python-number type included
+    assert _VERIFY_Z.size == 21 and specfun_mod.Z_SWITCH in _VERIFY_Z.tolist()
+    got = solution_checks(sign, *cases, z)
+    expected = wronskian(sign, *cases, z), wave_equation_residual(("I", "II"), sign, *cases, z)
+    assert len(got) == 2
+    for value, want in zip(got, expected):
+        assert type(value) is type(want) and np.shape(value) == np.shape(want)
+        assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
+
+
+def test_solution_checks_make_one_hyp2f1_call_per_component(monkeypatch):
+    calls = []
+    hyp2f1 = specfun_mod.hyp2f1
+    monkeypatch.setattr(specfun_mod, "hyp2f1", lambda *args: calls.append(args) or hyp2f1(*args))
+    solution_checks(np.array([1, -1]), *_VERIFY_CASES, _VERIFY_Z)
+    # (order, case, branch) parameter sets: orders 0-2 of both branches of the three cases
+    assert [(args[0].size, np.shape(args[3])) for args in calls] == [(3 * 3 * 2, (21,))] * 2
+
+
+@pytest.mark.parametrize("z, error", [(1.5, DomainError), (np.array([[0.3]]), DomainError), (0.3 + 0j, DomainError)])
+def test_solution_checks_refuse_what_the_checks_refuse(monkeypatch, z, error):
+    calls = []
+    monkeypatch.setattr(specfun_mod, "hyp2f1", lambda *args: calls.append(args))
+    with pytest.raises(error):
+        solution_checks(1, 2.0, 1.0, z)
+    with pytest.raises(DomainError, match="sign must be"):
+        solution_checks(0, 2.0, 1.0, 0.3)
+    assert calls == []
+
+
+# ----------------------------------------------------------- mpmath oracle
+
+_ORACLE_X = np.array([-5.0, -1.0, 0.0, 0.3, 1.0, 5.0])  # z from 0.0067 to 0.9933: both 2F1 routes
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("omega", [1.2, 2.0, 5.0, 10.0])
+def test_wavefunctions_match_the_mpmath_oracle(omega, m):
+    # both branches and partners, below threshold (1.2 < 2) and above it, to
+    # 1e-11 relative (the worst reads 1.5e-12, at omega = 10, x = 0: the
+    # Gauss series at z = 1/2); omega stays below 30, where the series loses
+    # digits.  omega = m = 2 is threshold: there c - a - b = -2 B1 = 0, so
+    # the Gauss route holds and the connection formula raises its typed error
+    near = _ORACLE_X if omega != m else _ORACLE_X[_ORACLE_X <= 0.0]
+    for branch in ("I", "II"):
+        for sign in (1, -1):
+            expected = np.array([wavefunction_oracle(branch, sign, omega, m, x) for x in near])
+            points = np.array([exact_solution(branch, sign, omega, m, x) for x in near])
+            for got in (points, sample_wavefield(branch, sign, omega, m, near).values):
+                assert np.max(np.abs(got - expected) / np.abs(expected)) < 1e-11
+            if omega == m:
+                with pytest.raises(DegenerateParamsError):
+                    sample_wavefield(branch, sign, omega, m, _ORACLE_X)
+
+
+# ------------------------------------------------------ overflowing inputs
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("omega, m, first", [
+    (1e308, 1.0, "omega = 1e+308, m = 1.0"),  # omega^2 is inf: B was inf j
+    (np.array([2.0, 1e200, 3.0]), 1.0, "omega = 1e+200, m = 1.0"),  # B was inf j with an overflow warning
+    (2.0, np.array([1.0, 1e200]), "omega = 2.0, m = 1e+200"),
+    (2e200, 1e200, "omega = 2e+200, m = 1e+200"),  # inf - inf
+])
+def test_b_exponent_refuses_a_root_past_the_double_range(omega, m, first):
+    with pytest.raises(DomainError, match=re.escape(first)):
+        b_exponent(omega, m)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_b_exponent_keeps_its_bits_where_it_is_finite():
+    omega = np.array([2.0, 0.5, 0.75j, 2.0 + 0.1j, 1e150, 1.0])
+    r = np.sqrt(1.0 - omega * omega + 0j)
+    assert b_exponent(omega, 1.0).tobytes() == np.where(r.imag < -1e-14 * np.abs(r), -r, r).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_make_exponents_at_a_huge_omega_raises_without_a_warning():
+    # c1 = 2 i omega + 1/2 overflowed outside the error state, with a warning
+    with pytest.raises(DomainError, match=re.escape("omega = (1e+308+0j), m = 1.0")):
+        make_exponents(1e308, 1.0)

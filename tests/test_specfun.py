@@ -1083,3 +1083,25 @@ def test_hypergeometric_ode_residual():
 
 def test_switch_point_constant():
     assert Z_SWITCH == 0.5
+
+
+@pytest.mark.parametrize("denominators", [[np.array([2.0, 3.0])], [np.array([2.0, -2.0])]],
+                         ids=["no denominator pole", "a denominator pole in the other set"])
+def test_a_connection_ratio_numerator_pole_raises_in_the_retry(denominators):
+    # the connection formula's numerators (c, +-(c - a - b)) never sit on a
+    # pole (a c pole or an integer c - a - b raises first), but one that did
+    # would raise the numerator PoleError: the dead-set retry meets it again
+    with pytest.raises(PoleError) as err:
+        specfun_mod._connection_ratio([np.array([-1.0 + 0j, 2.5])], denominators)
+    assert err.value.location == "numerator" and err.value.argument == -1.0
+    # a denominator pole alone kills its set's ratio
+    got = specfun_mod._connection_ratio([np.array([1.5 + 0j, 2.5])], [np.array([2.0, -2.0])])
+    assert got[1] == 0.0 and got[0] == gamma_ratio([np.array([1.5 + 0j])], [np.array([2.0])])[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan, np.array([0.3, math.inf])])
+def test_a_non_finite_z_is_a_domain_error_without_a_warning(z):
+    # 1 - z - (1 - z) at z = inf warned "invalid value in subtract" before the error
+    with pytest.raises(DomainError, match="need 0 <= z < 1"):
+        hyp2f1(1.0, 1.0, 2.0, z)
