@@ -1,18 +1,14 @@
 """Command-line front end.
 
-Subcommands emit CSV (header row, LF endings, 17 significant digits so
-values survive a round-trip) either to stdout or to ``--output``.  Each
-builds its table as one dict from header name to column: an equal-length
-float array, range or list, or ``None`` for a column of empty cells.
-Writing to a file also drops a JSON run manifest next to it, with the
-keys ``command``, ``parameters`` (every option of the subcommand, as
-resolved), ``output_path`` and ``schema_version``.  ``scatter`` tabulates
-the sinh closed forms (any omega > m, no Gamma function).  The parser is
-built once, at import, and only read afterwards: each ``main`` call parses
-into a fresh namespace, so ``main`` is safe to call concurrently.
+Subcommands emit CSV (header row, LF endings, 17 significant digits so values survive a round-trip) either to
+stdout or to ``--output``.  Each builds its table as one dict from header name to column: an equal-length float
+array, range or list, or ``None`` for a column of empty cells.  Writing to a file also drops a JSON run manifest next
+to it, with the keys ``command``, ``parameters`` (every option of the subcommand, as resolved), ``output_path`` and
+``schema_version``.  ``scatter`` tabulates the sinh closed forms (any omega > m, no Gamma function), checking its
+omega column once.  The parser is built once, at import, and only read afterwards: each ``main`` call parses into a
+fresh namespace, so ``main`` is safe to call concurrently.
 
-Exit codes: 0 success, 1 usage error, 2 domain error, 3 verification
-failure.
+Exit codes: 0 success, 1 usage error, 2 domain error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -90,13 +86,10 @@ def _cmd_scatter(args):
     if args.n_points < 1:
         raise SusystepError("n-points must be at least 1")
     omegas = np.linspace(args.omega_min, args.omega_max, args.n_points)
-    step = kind is PotentialKind.STEP
-    r2, t2 = (scattering.step_coefficients_closed_form if step else scattering.coefficients_closed_form)(omegas, args.m)
-    table = {"omega": omegas, "R2": r2, "T2": t2, "flux": r2 + scattering.transmitted_wavenumber(omegas, args.m) / omegas * t2}
-    if not step:
-        table["R2_minus_step"] = r2 - scattering.step_reflection_closed_form(omegas, args.m)
+    r2, t2, flux, excess = scattering.closed_form_columns(kind, omegas, args.m)
+    table = {"omega": omegas, "R2": r2, "T2": t2, "flux": flux} | ({} if excess is None else {"R2_minus_step": excess})
     if args.with_oracle:
-        spec = PotentialSpec.step(args.m * args.m) if step else PotentialSpec(kind, args.m)
+        spec = PotentialSpec.step(args.m * args.m) if kind is PotentialKind.STEP else PotentialSpec(kind, args.m)
         num = oracle.numerical_rt(spec, omegas)
         table.update(R2_num=num.R2, T2_num=num.T2)
     _emit(table, args)

@@ -161,19 +161,26 @@ def _march(specs, cfg: IntegrationConfig, v, n: int, rows):
 
 
 def _fit(grid, values, specs, rows):
-    """(R, T) arrays: :func:`extract_rt`'s fit of each value row (i, omega) on the strictly increasing
-    grid, the field of specs[i] at omega.  One batched SVD of the rows' design matrices gives each
-    least-squares solution and condition number, so a row fits the same alone or among others."""
+    """(R, T) arrays: :func:`extract_rt`'s fit of each value row (i, omega) on the strictly increasing grid, the field
+    of specs[i] at omega.  A u + B conj(u) = alpha Re u + beta Im u, A = (alpha - i beta)/2, B = (alpha + i beta)/2:
+    modified Gram-Schmidt on the real columns Re u, Im u, the field a third column (Bjorck), in reductions along the
+    last axis, so a row fits the same alone or among others.  The 2x2 R has [u, conj(u)]'s condition number."""
     x = grid[:np.searchsorted(grid, grid[0] + _MATCH_WINDOW, side="right")]
     kl, omega = np.array([(specs[i].tails[0][0], w) for i, w in rows]).T[..., None]
     tail = np.array([[c / (k * k + 2j * w * k)] for i, w in rows for k, c in [specs[i].tails[0]]])
     incoming = np.exp(1j * omega * x) * (1.0 + np.exp(kl * x) * tail)
-    u, s, vh = np.linalg.svd(np.stack([incoming, incoming.conj()], axis=-1), full_matrices=False)
-    if (bad := ~(s[:, 0] < _COND_LIMIT * s[:, -1]) | (x.size < 2)).any():  # a one-point window cannot fit two amplitudes
+    p, q, z = incoming.real, incoming.imag, values[:, :x.size]
+    dot = lambda a, b: np.sum(a * b, axis=-1, keepdims=True)  # row by row, kept as a column
+    with np.errstate(divide="ignore", invalid="ignore"):  # a degenerate window fails the condition test
+        p = p / (r11 := np.sqrt(dot(p, p)))
+        q = q - (r12 := dot(p, q)) * p
+        beta = dot(q, z - (c1 := dot(p, z)) * p) / (qq := dot(q, q))
+        s_max = (np.hypot(r11 + (r22 := np.sqrt(qq)), r12) + np.hypot(r11 - r22, r12)) / 2.0  # and s_min = r11 r22/s_max
+    if (bad := ~(s_max < _COND_LIMIT * (r11 * r22 / s_max))[:, 0] | (x.size < 2)).any():  # one point cannot fit two amplitudes
         i, w = rows[bad.argmax()]  # the first row in order
         raise IllConditionedError(f"matching fit at omega = {w} for {specs[i]} has condition number above {_COND_LIMIT:g}")
-    a_in, b_refl = (vh.conj().transpose(0, 2, 1) @ (u.conj().transpose(0, 2, 1) @ values[:, :x.size, None] / s[..., None]))[..., 0].T
-    return b_refl / a_in, 1.0 / a_in
+    alpha = (c1 - r12 * beta) / r11
+    return ((alpha + 1j * beta) / (alpha - 1j * beta))[:, 0], (2.0 / (alpha - 1j * beta))[:, 0]
 
 
 def _coupling(spec: PotentialSpec) -> float:
@@ -184,28 +191,25 @@ def _coupling(spec: PotentialSpec) -> float:
 def integrate_wavefunction(spec: PotentialSpec, omega: float, cfg: IntegrationConfig = DEFAULT_CONFIG) -> WaveField:
     """Integrate Z'' = (V - omega^2) Z from x_max down to x_min.
 
-    Initial data at x_max is the unit transmitted wave with the first-order term of the right
-    tail V - V(+inf) ~ cR e^(-kR x) (``spec.tails``): Z = e^(i k' x) (1 + b), Z' = e^(i k' x)
-    (i k' (1 + b) - kR b), b = cR e^(-kR x)/(kR^2 - 2i k' kR), with the k' of the result's ``kprime``
-    and ``flux``: sqrt(omega - c) sqrt(omega + c) for the coupling c (m, or sqrt(V(+inf)) for the step).
-    Sixth-order Magnus steps (Blanes, Casas & Ros 2000; Blanes et al. 2009), error O(step^6),
-    take V at their Gauss nodes from the quartic through the 5 half-step samples around each
-    (one ``potential`` call on the 2n + 1 point half-step grid): real 2x2 matrices on (Z, Z'),
-    their rows packed into complex numbers, from cosh and sinh series that the step bound keeps
-    exact to rounding.  The error does not grow with omega (Iserles 2002): at step 0.02,
-    omega = 60 meets the closed-form R and T to about 2e-13.  The march is a three-level scan
-    (running products inside blocks of w = round(n^(1/3)) + 1 steps, then of the block totals
-    inside groups of w blocks, the state carried from group to group), so each value is a product
-    of at most about 3 n^(1/3) matrices in march order and rounding accumulates as in a
-    point-by-point march (to about 1e-13).  ``omega`` is one real number: this is the one-row
-    scan of :func:`numerical_rt`'s march.  Beyond the field (n + 1 values and the grid) it holds
-    2 n complex numbers (the packed step rows) and the 2n + 1 samples.
+    Initial data at x_max is the unit transmitted wave with the first-order term of the right tail
+    V - V(+inf) ~ cR e^(-kR x) (``spec.tails``): Z = e^(i k' x) (1 + b), Z' = e^(i k' x) (i k' (1 + b) - kR b),
+    b = cR e^(-kR x)/(kR^2 - 2i k' kR), with the k' of the result's ``kprime`` and ``flux``: sqrt(omega - c)
+    sqrt(omega + c) for the coupling c (m, or sqrt(V(+inf)) for the step).  Sixth-order Magnus steps (Blanes, Casas &
+    Ros 2000; Blanes et al. 2009), error O(step^6), take V at their Gauss nodes from the quartic through the 5
+    half-step samples around each (one ``potential`` call on the 2n + 1 point half-step grid): real 2x2 matrices on
+    (Z, Z'), their rows packed into complex numbers, from cosh and sinh series that the step bound keeps exact to
+    rounding.  The error does not grow with omega (Iserles 2002): at step 0.02, omega = 60 meets the closed-form R and
+    T to about 2e-13.  The march is a three-level scan (running products inside blocks of w = round(n^(1/3)) + 1
+    steps, then of the block totals inside groups of w blocks, the state carried from group to group), so each value
+    is a product of at most about 3 n^(1/3) matrices in march order and rounding accumulates as in a point-by-point
+    march (to about 1e-13).  ``omega`` is one real number: this is the one-row scan of :func:`numerical_rt`'s march.
+    Beyond the field (n + 1 values and the grid) it holds 2 n complex numbers (the packed step rows) and the 2n + 1
+    samples.
 
-    Raises DomainError if omega is not one number that ``transmitted_wavenumber`` accepts above the
-    coupling c (complex, nan, a string, an array, at or below c) or the spec is a step that goes down
-    (V0 < 0); ConfigError if there are fewer than 2 steps, V is not finite or the step bound
-    (max|V - omega^2|) step^2 < 2 fails; BlowUpError if |Z| exceeds 1e12 (or is not finite) in the
-    march, naming omega, spec and first such x.
+    Raises DomainError if omega is not one number that ``transmitted_wavenumber`` accepts above the coupling c
+    (complex, nan, a string, an array, at or below c) or the spec is a step that goes down (V0 < 0); ConfigError if
+    there are fewer than 2 steps, V is not finite or the step bound (max|V - omega^2|) step^2 < 2 fails; BlowUpError
+    if |Z| exceeds 1e12 (or is not finite) in the march, naming omega, spec and first such x.
     """
     if np.ndim(omega) > 0:
         raise DomainError(f"integrate_wavefunction takes one omega; got an array of shape {np.shape(omega)}")
@@ -215,14 +219,14 @@ def integrate_wavefunction(spec: PotentialSpec, omega: float, cfg: IntegrationCo
 
 
 def extract_rt(field: WaveField) -> ScatteringResult:
-    """Fit Z ~ A u + B conj(u) over the field's leftmost 5 units (a leading slice of its grid) and
-    return R = B/A, T = 1/A (the march's unit transmitted wave) as Python ``complex`` numbers, at the
-    field's own omega and coupling m; u = e^(i omega x) (1 + cL e^(kL x)/(kL^2 + 2i omega kL)) is
-    the incoming wave with its first-order term for the left tail V - V(-inf) ~ cL e^(kL x).  The
-    one-row call of the fit that :func:`numerical_rt` makes for a scan's rows at once.  Raises
-    DomainError unless the field came from :func:`integrate_wavefunction` (the only source of the
-    unit transmitted wave) and ``transmitted_wavenumber`` accepts its (omega, m), and
-    IllConditionedError if the design matrix has condition number above 1e8 (e.g. a one-point window).
+    """Fit Z ~ A u + B conj(u) over the field's leftmost 5 units (a leading slice of its grid) and return R = B/A,
+    T = 1/A (the march's unit transmitted wave) as Python ``complex`` numbers, at the field's own omega and coupling m;
+    u = e^(i omega x) (1 + cL e^(kL x)/(kL^2 + 2i omega kL)) is the incoming wave with its first-order term for the
+    left tail V - V(-inf) ~ cL e^(kL x).  The fit is a closed-form least-squares solve (no ``numpy.linalg`` call), the
+    one-row call of the one :func:`numerical_rt` makes for a scan's rows at once.  Raises DomainError unless the field
+    came from :func:`integrate_wavefunction` (the only source of the unit transmitted wave) and
+    ``transmitted_wavenumber`` accepts its (omega, m), and IllConditionedError if [u, conj(u)] over the window has
+    condition number above 1e8 (e.g. a one-point window).
     """
     if field.branch is not None or "spec" not in field.meta:
         raise DomainError("extract_rt needs a field integrated by integrate_wavefunction (unit transmitted wave)")
@@ -234,15 +238,14 @@ def extract_rt(field: WaveField) -> ScatteringResult:
 def numerical_rt(spec, omega, cfg: IntegrationConfig = DEFAULT_CONFIG):
     """Integrate and extract: :func:`extract_rt` of the march at omega.
 
-    ``spec`` is a :class:`PotentialSpec` or a tuple of them (a tuple of results, in order), and
-    ``omega`` a real number (Python-number fields) or a 1-d real array (array ``omega``, ``R``,
-    ``T`` and ``kprime``), each element equal bit for bit to the one-spec, one-omega call
-    ``extract_rt(integrate_wavefunction(...))``.  Any other call is one checked scan: every (spec,
-    omega) is checked before any sampling and the step bound before any march, each potential is
-    sampled once, and the (spec, omega) rows, spec-major, are marched in scans of as many rows as
-    fit in 2^15 steps (at least one; at most max(n, 2^15) steps, n per row), each fitted at once.
-    Raises as :func:`integrate_wavefunction` and :func:`extract_rt`; a blow-up or an
-    ill-conditioned fit names the first such (spec, omega) in row order.
+    ``spec`` is a :class:`PotentialSpec` or a tuple of them (a tuple of results, in order), and ``omega`` a real
+    number (Python-number fields) or a 1-d real array (array ``omega``, ``R``, ``T`` and ``kprime``), each element
+    equal bit for bit to the one-spec, one-omega call ``extract_rt(integrate_wavefunction(...))``.  Any other call is
+    one checked scan: every (spec, omega) is checked before any sampling and the step bound before any march, each
+    potential is sampled once, and the (spec, omega) rows, spec-major, are marched in scans of as many rows as fit in
+    2^15 steps (at least one; at most max(n, 2^15) steps, n per row), fitted together.  Raises as
+    :func:`integrate_wavefunction` and :func:`extract_rt`; a blow-up or an ill-conditioned fit names the first such
+    (spec, omega) in row order.
     """
     if not isinstance(spec, tuple) and np.ndim(omega) == 0:
         return extract_rt(integrate_wavefunction(spec, omega, cfg))

@@ -1,14 +1,13 @@
-"""Reflection/transmission amplitudes, flux conservation, SUSY relations,
-and quasinormal frequencies for the partner potentials and the smooth step.
+"""Reflection/transmission amplitudes, flux conservation, SUSY relations, and quasinormal frequencies for the
+partner potentials and the smooth step.
 
-All Gamma products run through :func:`susystep.specfun.gamma_ratio` in log
-space; hyperbolic-ratio closed forms are rearranged into exponential
-differences so they stay finite for arbitrarily large omega.
+All Gamma products run through :func:`susystep.specfun.gamma_ratio` in log space; hyperbolic-ratio closed forms are
+rearranged into exponential differences so they stay finite for arbitrarily large omega.
 
-The amplitudes and the closed forms take omega and m as numbers or as 1-d case columns of one
-length (a number stands for every case), |1/T| a complex omega column at one m, all in numpy,
-numbers giving Python numbers of the same bits; the SUSY check takes one amplitude call's (V+, V-).
-An amplitude call, for one partner kind or a tuple, makes one Gamma-ratio call, and |1/T| at most one.
+The amplitudes and the closed forms take omega and m as numbers or as 1-d case columns of one length (a number stands
+for every case), |1/T| a complex omega column at one m, all in numpy, numbers giving Python numbers of the same bits;
+the SUSY check takes one amplitude call's (V+, V-).  An amplitude call, for one partner kind or a tuple, makes one
+Gamma-ratio call, and |1/T| at most one; a closed-form call checks (omega, m) once for all its columns.
 """
 
 from __future__ import annotations
@@ -27,7 +26,8 @@ from .specfun import gamma_ratio, near_pole
 __all__ = [
     "AsymptoticCoefficients", "ScatteringResult", "asymptotic_coefficients", "reflection_transmission",
     "coefficients_closed_form", "susy_relation_check", "step_amplitudes", "step_coefficients_closed_form",
-    "step_reflection_closed_form", "transmitted_wavenumber", "qnm", "qnm_pole_check", "inverse_transmission_magnitude"
+    "step_reflection_closed_form", "closed_form_columns", "transmitted_wavenumber", "qnm", "qnm_pole_check",
+    "inverse_transmission_magnitude"
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -223,37 +223,47 @@ def reflection_transmission(kind, omega, m):
     return tuple(results) if isinstance(kind, tuple) else results[0]
 
 
-def _closed_form_parts(omega, m, scale):
-    """(checked omega, k', b, c, sinh(a)/sinh(c)) for a = scale (omega - k') =
+def _closed_form_parts(omega, m, kprime, scale):
+    """(b, c, sinh(a)/sinh(c)) at a checked (omega, m, k') for a = scale (omega - k') =
     scale m^2/(omega + k'), b = scale k', c = a + 2b: the ratio is e^(-2b)
     expm1(-2a)/expm1(-2c), finite even where m^2 overflows, and cancels neither
     at threshold (a ~ c) nor for m << omega.  ``DomainError`` where c overflows."""
-    omega, m, kprime = _check_scattering_regime(omega, _coupling(m))
     with np.errstate(over="ignore"):
         c = scale * (omega + kprime)
     if not np.isfinite(c).all():
         raise DomainError("omega is too large for the closed form: its exponent overflows a double")
     a, b = scale * (m * m / (omega + kprime)), scale * kprime
-    return omega, kprime, b, c, np.exp(-2.0 * b) * np.expm1(-2.0 * a) / np.expm1(-2.0 * c)
+    return b, c, np.exp(-2.0 * b) * np.expm1(-2.0 * a) / np.expm1(-2.0 * c)
+
+
+def closed_form_columns(kind, omega, m):
+    """Closed hyperbolic forms of the partners' coefficients (either partner kind: they are equal),
+
+        |R|^2 = sinh(2 pi (omega - k')) / sinh(2 pi (omega + k'))
+        |T|^2 = (omega/k') 2 cosh(2 pi omega) sinh(2 pi k') / sinh(2 pi (omega + k')),
+
+    or of the step's, |R^S|^2 = sinh^2(pi (omega - k'))/sinh^2(pi (omega + k')) and |T^S|^2 = (omega/k') sinh(2 pi
+    omega) sinh(2 pi k')/sinh^2(pi (omega + k')), with the flux |R|^2 + (k'/omega)|T|^2 and a partner's |R|^2 less
+    the step's (None for the step): the ``scatter`` table's columns, numbers or case columns, from one check of
+    (omega, m).  Each is rearranged into exponential differences (``_closed_form_parts``), so no intermediate ever
+    overflows (plain sinh would at omega ~ 113) or cancels.  A kind that is none of the three is a ``DomainError``.
+    """
+    if kind not in (PotentialKind.PLUS, PotentialKind.MINUS, PotentialKind.STEP):
+        raise DomainError(f"unknown potential kind {kind!r}")
+    omega, m, kprime = _check_scattering_regime(omega, _coupling(m))
+    b, c, r = _closed_form_parts(omega, m, kprime, math.pi)
+    if kind is PotentialKind.STEP:  # (omega/k') expm1(-4 pi omega) expm1(-4 pi k')/expm1(-2 pi (omega + k'))^2
+        r2, t2 = r * r, (omega / kprime) * np.expm1(-4.0 * math.pi * omega) * np.expm1(-4.0 * b) / np.square(np.expm1(-2.0 * c))
+    else:  # 2 cosh(2 pi w) sinh(2 pi k')/sinh(2 pi (w + k')): exponents cancel exactly, leaving expm1 factors only
+        b, c, r2 = _closed_form_parts(omega, m, kprime, 2.0 * math.pi)
+        t2 = (omega / kprime) * (1.0 + np.exp(-2.0 * c + 2.0 * b)) * (-np.expm1(-2.0 * b)) / (-np.expm1(-2.0 * c))
+    excess = None if kind is PotentialKind.STEP else _per_case(omega, r2 - r * r)[0]
+    return (*_per_case(omega, r2, t2, r2 + kprime / omega * t2), excess)
 
 
 def coefficients_closed_form(omega, m):
-    """Closed hyperbolic forms of the partner reflection/transmission
-    coefficients,
-
-        |R|^2 = sinh(2 pi (omega - k')) / sinh(2 pi (omega + k'))
-        |T|^2 = (omega/k') 2 cosh(2 pi omega) sinh(2 pi k')
-                                            / sinh(2 pi (omega + k'))
-
-    rearranged into exponential differences (``_closed_form_parts``), so
-    no intermediate ever overflows (plain sinh would at omega ~ 113) or
-    cancels.  Case columns give two arrays.
-    """
-    omega, kprime, b, c, r2 = _closed_form_parts(omega, m, 2.0 * math.pi)
-    # 2 cosh(2 pi w) sinh(2 pi k') / sinh(2 pi (w + k')):
-    # exponents cancel exactly, leaving expm1 factors only.
-    t2 = (omega / kprime) * (1.0 + np.exp(-2.0 * c + 2.0 * b)) * (-np.expm1(-2.0 * b)) / (-np.expm1(-2.0 * c))
-    return _per_case(omega, r2, t2)
+    """(|R|^2, |T|^2) of the partners' closed forms, as :func:`closed_form_columns` gives them."""
+    return closed_form_columns(PotentialKind.PLUS, omega, m)[:2]
 
 
 def susy_relation_check(plus: ScatteringResult, minus: ScatteringResult):
@@ -304,13 +314,8 @@ def step_amplitudes(omega, m) -> ScatteringResult:
 
 
 def step_coefficients_closed_form(omega, m):
-    """|R^S|^2 = sinh^2(pi(omega - k'))/sinh^2(pi(omega + k')) and |T^S|^2 =
-    (omega/k') sinh(2 pi omega) sinh(2 pi k')/sinh^2(pi(omega + k')) =
-    (omega/k') expm1(-4 pi omega) expm1(-4 pi k')/expm1(-2 pi(omega + k'))^2, in
-    exponent differences as :func:`coefficients_closed_form`; arrays for case columns."""
-    omega, kprime, b, c, r = _closed_form_parts(omega, m, math.pi)
-    t2 = (omega / kprime) * np.expm1(-4.0 * math.pi * omega) * np.expm1(-4.0 * b) / np.square(np.expm1(-2.0 * c))
-    return _per_case(omega, r * r, t2)
+    """(|R^S|^2, |T^S|^2) of the step's closed forms, as :func:`closed_form_columns` gives them."""
+    return closed_form_columns(PotentialKind.STEP, omega, m)[:2]
 
 
 def step_reflection_closed_form(omega, m):
@@ -339,19 +344,17 @@ def qnm(kind: PotentialKind, n: int, m: float) -> complex:
 
 
 def inverse_transmission_magnitude(kind: PotentialKind, omega, m: float):
-    """|1/T| for a partner potential at complex omega, a number (giving a
-    float) or a 1-d column (an array equal to its number calls bit for bit),
-    via the Legendre-duplication rewrite of the transmission amplitude
+    """|1/T| for a partner potential at complex omega, a number (giving a float) or a 1-d column (an array equal to
+    its number calls bit for bit), via the Legendre-duplication rewrite of the transmission amplitude
 
-        T = pref * sqrt(pi) 2^(2iw + 2ik') G(1 - 2iw - 2ik')
-                          / (G(1/2 - 2iw) G(1 - 2ik'))
+        T = pref * sqrt(pi) 2^(2iw + 2ik') G(1 - 2iw - 2ik') / (G(1/2 - 2iw) G(1 - 2ik'))
 
-    which stays evaluable where c1 is an integer.  Where the numerator Gamma
-    has a pole |1/T| is 0.0 (the signal that locates quasinormal frequencies),
-    where pref is 0 inf; the rest take one Gamma pass.  A denominator pole
-    raises GammaPoleError naming the first such omega; an omega that is not
-    finite, 1-d and real or complex, or an m not a real 0 < m < inf with m^2
-    finite (a bool is neither), DomainError, all before any Gamma pass.
+    which stays evaluable where c1 is an integer.  Where the numerator Gamma has a pole |1/T| is 0.0 (the signal that
+    locates quasinormal frequencies), where pref is 0 inf; the rest take one Gamma pass.  A denominator pole raises
+    GammaPoleError naming the first such omega; an omega that is not finite, 1-d and real or complex, or an m not a
+    real 0 < m < inf with m^2 finite (a bool is neither), DomainError, all before any Gamma pass.  So does an omega
+    where |omega| + |B| reaches 1e6, past which the Gamma arguments' rounding exceeds the pole tolerance, or one
+    where 2^(2iw + 2ik') overflows (for a real omega, from m ~ 512 up, where |1/T| is below about 1e-300).
     """
     if kind not in (PotentialKind.PLUS, PotentialKind.MINUS):
         raise DomainError("transmission poles are computed for the partner kinds")
@@ -367,11 +370,15 @@ def inverse_transmission_magnitude(kind: PotentialKind, omega, m: float):
     pref = 1.0 + (1.0 if kind is PotentialKind.PLUS else -1.0) * (1j * w - B) / m
     out = np.where(poles[2], 0.0, math.inf)
     live = ~poles[2] & (pref != 0.0)
+    exponent = (2j * w + 2j * kprime) * _LOG_2  # of 2^(2iw + 2ik') = e^exponent
+    # the arguments' rounding, about 4 (|w| + |B|) eps, must stay below POLE_TOL, and e^exponent finite where used
+    if (bad := ~(np.abs(w) + np.abs(B) < 1e6) | live & ~(exponent.real < 709.78)).any():
+        raise DomainError(f"|1/T| at omega = {w[bad][0]} is past its Gamma arguments' pole tolerance or 2^(2iw + 2ik') overflows")
     if (stuck := live & poles[:2].any(axis=0)).any():
         raise GammaPoleError(f"a denominator Gamma of T has a pole at omega = {w[stuck][0]}")
     if live.any():
         ratio = gamma_ratio(list(args[:2, live]), [args[2, live]])  # its poles are ruled out above
-        inv_t = ratio / (pref[live] * _SQRT_PI * np.exp((2j * w + 2j * kprime)[live] * _LOG_2))
+        inv_t = ratio / (pref[live] * _SQRT_PI * np.exp(exponent[live]))
         out[live] = np.hypot(inv_t.real, inv_t.imag)
     return _per_case(column, out)[0]
 

@@ -4,11 +4,15 @@ manifests, exit codes, and the verification subcommand."""
 import dataclasses
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import susystep
 from susystep import oracle, scattering, solutions, specfun, verify
 from susystep.cli import main
 from susystep.errors import DomainError
@@ -149,6 +153,25 @@ def test_scatter_rows_are_the_array_form(capsys, kind):
     flux = r2 + (transmitted_wavenumber(omega, 0.7) / omega) * t2
     columns = [omega, r2, t2, flux] + ([] if kind == "step" else [r2 - step_reflection_closed_form(omega, 0.7)])
     assert rows == _cell_text(columns)
+
+
+@pytest.mark.parametrize("kind", ["plus", "minus", "step"])
+def test_scatter_checks_its_omega_column_once(capsys, monkeypatch, kind):
+    # one (omega, m) check per table (three for a partner table when the flux
+    # read transmitted_wavenumber and R2_minus_step step_reflection_closed_form)
+    # and one closed-form evaluation per kind: the step's |R|^2 beside the
+    # partners' pair, without the step's |T|^2 that was computed and dropped
+    import susystep.scattering as scattering_mod
+
+    checks, scales = [], []
+    check, parts = scattering_mod._check_scattering_regime, scattering_mod._closed_form_parts
+    monkeypatch.setattr(scattering_mod, "_check_scattering_regime", lambda *args: checks.append(args) or check(*args))
+    monkeypatch.setattr(scattering_mod, "_closed_form_parts", lambda *args: scales.append(args[-1]) or parts(*args))
+    monkeypatch.setattr(scattering_mod, "transmitted_wavenumber", lambda *args: pytest.fail("a second omega check"))
+    code, out, _ = run_cli(capsys, "scatter", "--kind", kind, "--m", "0.7",
+                           "--omega-min", "0.71", "--omega-max", "30", "--n-points", "57")
+    assert code == 0 and len(parse_csv(out)[1]) == 57
+    assert len(checks) == 1 and scales == [math.pi] + [2.0 * math.pi] * (kind != "step")
 
 
 @pytest.mark.parametrize("kind", ["plus", "minus", "step"])
@@ -542,6 +565,18 @@ def test_full_verify_makes_few_gamma_passes_and_scans(monkeypatch):
     assert all(r.passed for r in run_checks(FULL))
     assert len(scans[0][4]) == 12
     assert (ratios.count(scattering), ratios.count(specfun), len(scans)) == (2 + 1, 4, 1)
+
+
+def test_full_verify_leaves_numpy_random_unloaded():
+    # numpy 2 imports numpy.random (about 5 MB of a run's peak memory) on first
+    # use; verify's potential identities take fixed grids, so a fresh
+    # interpreter's full run never loads it
+    script = ("import contextlib, io, sys\nfrom susystep import cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = cli.main(['verify', '--level', 'full'])\nprint(code, 'numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(Path(susystep.__file__).parents[1]),
+                                                                     os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert proc.stdout.split() == ["0", "False"]
 
 
 def test_verify_takes_the_qnm_check_from_one_omega_column(monkeypatch):

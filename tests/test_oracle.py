@@ -686,10 +686,10 @@ def test_ill_conditioned_window():
 ])
 def test_fit_window_is_the_grid_points_within_five_units(spec, omega, cfg, points):
     # the window, a leading slice of the grid, is every point x <= x_min + 5 (the
-    # edge included): bit for bit, the SVD solve of the incoming wave with its
+    # edge included): bit for bit, the closed-form fit of the incoming wave with its
     # left-tail term and its conjugate over a mask of the whole grid; and that
-    # fit is numpy's least-squares fit, to rounding (the SVD solve and lstsq
-    # differ by 9.6e-16 of |R| + |T| at most here and on verify's 12 rows)
+    # fit is numpy's least-squares fit, to rounding (the two differ by 6.7e-16
+    # of |R| + |T| at most here and on verify's 12 rows)
     field = integrate_wavefunction(spec, omega, cfg)
     sel = field.grid <= field.grid[0] + 5.0
     assert points is None or sel.sum() == points
@@ -697,14 +697,99 @@ def test_fit_window_is_the_grid_points_within_five_units(spec, omega, cfg, point
     (k, c), _ = spec.tails
     x = field.grid[sel]
     incoming = np.exp(1j * omega * x) * (1.0 + np.exp(k * x) * (c / (k * k + 2j * omega * k)))
-    u, s, vh = np.linalg.svd(np.stack([incoming, incoming.conj()], axis=-1)[None], full_matrices=False)
-    a_in, b_refl = (vh.conj().transpose(0, 2, 1) @ (u.conj().transpose(0, 2, 1) @ field.values[None, sel, None] / s[..., None]))[0, :, 0]
-    assert (res.R, res.T) == (complex(b_refl / a_in), complex(1.0 / a_in))
+    assert (res.R, res.T) == _closed_form_fit(incoming, field.values[sel])
     plain = np.exp(1j * omega * x)
     for wave in [incoming] + [plain] * (spec is FREE):  # no tail: the plain plane-wave fit
         (a_in, b_refl), *_ = np.linalg.lstsq(np.column_stack([wave, wave.conj()]), field.values[sel], rcond=None)
         scale = abs(res.R) + abs(res.T)
         assert abs(res.R - b_refl / a_in) <= 4e-15 * scale and abs(res.T - 1.0 / a_in) <= 4e-15 * scale
+
+
+def _closed_form_fit(u, values):
+    """(R, T) of the least-squares fit values ~ A u + B conj(u) = alpha Re u + beta Im u, written out: modified
+    Gram-Schmidt on Re u and Im u with the values as a third column, R = B/A and T = 1/A as Python numbers."""
+    p, q, z = u.real[None], u.imag[None], values[None]
+    dot = lambda a, b: np.sum(a * b, axis=-1, keepdims=True)  # row by row, kept as a column
+    p = p / (r11 := np.sqrt(dot(p, p)))
+    q = q - (r12 := dot(p, q)) * p
+    beta = dot(q, z - (c1 := dot(p, z)) * p) / dot(q, q)
+    alpha = (c1 - r12 * beta) / r11
+    return complex(((alpha + 1j * beta) / (alpha - 1j * beta))[0, 0]), complex((2.0 / (alpha - 1j * beta))[0, 0])
+
+
+def _svd_fit(u, values):
+    """(R, T) of the same fit through the SVD of the (window x 2) design matrix [u, conj(u)], with its condition
+    number: the batched solve that the fit replaced."""
+    left, s, vh = np.linalg.svd(np.stack([u, u.conj()], axis=-1)[None], full_matrices=False)
+    a_in, b_refl = (vh.conj().transpose(0, 2, 1) @ (left.conj().transpose(0, 2, 1) @ values[None, :, None] / s[..., None]))[0, :, 0]
+    return complex(b_refl / a_in), complex(1.0 / a_in), s[0, 0] / s[0, -1]
+
+
+def _window(spec, omega, cfg):
+    """The field of spec at omega and, on the fit's window, its incoming wave and values."""
+    field = integrate_wavefunction(spec, omega, cfg)
+    sel = field.grid <= field.grid[0] + 5.0
+    (k, c), _ = spec.tails
+    x = field.grid[sel]
+    return field, np.exp(1j * omega * x) * (1.0 + np.exp(k * x) * (c / (k * k + 2j * omega * k))), field.values[sel]
+
+
+def _lstsq_fit(u, values):
+    (a_in, b_refl), *_ = np.linalg.lstsq(np.column_stack([u, u.conj()]), values, rcond=None)
+    return b_refl / a_in, 1.0 / a_in
+
+
+@pytest.mark.parametrize("spec", [PotentialSpec.plus(1.0), PotentialSpec.minus(1.0), PotentialSpec.step(1.0)], ids=str)
+def test_the_fit_on_verifys_rows_is_lstsq_to_rounding(spec):
+    # verify's 12 (spec, omega) rows: each fit meets numpy's lstsq to 4e-15 of
+    # |R| + |T| (6.7e-16 at most), and the shared sweep's rows are the one-row
+    # fits bit for bit
+    omegas = np.array([1.2, 1.5, 2.0, 3.0])
+    swept = numerical_rt(spec, omegas, ORACLE_CONFIG)
+    for j, omega in enumerate(omegas.tolist()):
+        field, u, values = _window(spec, omega, ORACLE_CONFIG)
+        res = extract_rt(field)
+        assert (swept.R[j], swept.T[j]) == (res.R, res.T)
+        R, T = _lstsq_fit(u, values)
+        scale = abs(res.R) + abs(res.T)
+        assert abs(res.R - R) <= 4e-15 * scale and abs(res.T - T) <= 4e-15 * scale
+
+
+@pytest.mark.parametrize("m, omega, kappa", [(0.01, 0.0102, 67.9), (0.001, 0.00101, 685.8)])
+@pytest.mark.parametrize("kind", [PotentialKind.PLUS, PotentialKind.MINUS])
+def test_an_ill_conditioned_fit_is_no_further_from_lstsq_or_the_amplitudes(kind, m, omega, kappa):
+    # just above threshold the incoming wave barely turns over the 5-unit
+    # window, so [u, conj(u)] has condition number 68 and 686 at the default
+    # config.  Against lstsq the closed-form fit reads 4.2e-16 / 3.9e-16 (m =
+    # 0.01) and 3.5e-15 / 1.0e-15 (m = 0.001) of |R| + |T| for V+ / V-, where
+    # the SVD solve read 2.8e-15 / 2.8e-14 and 1.1e-13 / 1.3e-13.  Against the
+    # Gamma amplitudes both carry the march's error, 5e-13 to 1.7e-12; the
+    # closed form is closer for three of the four and 2.1e-15 further for V+ at
+    # m = 0.01 (8.791e-13 against 8.770e-13), within the SVD's own distance
+    # from lstsq (2.8e-15 of |R| + |T|), which is the slack allowed
+    spec = PotentialSpec(kind, m)
+    field, u, values = _window(spec, omega, oracle_mod.DEFAULT_CONFIG)
+    res = extract_rt(field)
+    R_svd, T_svd, cond = _svd_fit(u, values)
+    assert cond == pytest.approx(kappa, rel=1e-3)
+    R_ls, T_ls = _lstsq_fit(u, values)
+    scale = abs(R_ls) + abs(T_ls)
+    closed_ls, svd_ls = (max(abs(R - R_ls), abs(T - T_ls)) / scale for R, T in ((res.R, res.T), (R_svd, T_svd)))
+    assert closed_ls <= svd_ls and closed_ls <= 4e-15
+    exact = reflection_transmission(kind, omega, m)
+    closed_ana, svd_ana = (max(abs(R - exact.R), abs(T - exact.T)) for R, T in ((res.R, res.T), (R_svd, T_svd)))
+    assert closed_ana <= svd_ana + svd_ls * scale
+
+
+def test_the_fit_calls_no_linalg(monkeypatch):
+    # the fit and every verify check run with numpy's SVD and lstsq refusing
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy.linalg solve ran")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    assert numerical_rt(PotentialSpec.plus(1.0), 2.0, ORACLE_CONFIG).T != 0
+    assert all(r.passed for r in run_checks(FULL))
 
 
 def test_a_step_that_goes_down_is_a_domain_error(monkeypatch):

@@ -13,6 +13,7 @@ from susystep.errors import DegenerateCError, DomainError, GammaPoleError, PoleE
 from susystep.potentials import PotentialKind
 from susystep.scattering import (
     asymptotic_coefficients,
+    closed_form_columns,
     coefficients_closed_form,
     inverse_transmission_magnitude,
     qnm,
@@ -735,6 +736,68 @@ def test_inverse_transmission_consistent_with_gamma_product():
         res = reflection_transmission(PLUS, omega, 1.0)
         inv = inverse_transmission_magnitude(PLUS, omega, 1.0)
         assert abs(inv - 1.0 / abs(res.T)) <= 1e-10 * inv
+
+
+@pytest.mark.parametrize("kind", [PLUS, MINUS, STEP])
+def test_closed_form_columns_are_the_closed_form_calls(kind):
+    # the scatter table's columns from one check: the kind's pair, the flux that
+    # transmitted_wavenumber gives and the partners' |R|^2 less the step's, bit
+    # for bit, a number being the one-element column
+    omega, m = np.linspace(0.71, 3e4, 41), 0.7
+    r2, t2, flux, excess = closed_form_columns(kind, omega, m)
+    pair = step_coefficients_closed_form(omega, m) if kind is STEP else coefficients_closed_form(omega, m)
+    assert [v.tobytes() for v in (r2, t2)] == [v.tobytes() for v in pair]
+    assert flux.tobytes() == (r2 + transmitted_wavenumber(omega, m) / omega * t2).tobytes()
+    assert excess is None if kind is STEP else excess.tobytes() == (r2 - step_reflection_closed_form(omega, m)).tobytes()
+    for i in (0, 17, 40):
+        one = closed_form_columns(kind, omega[i], m)
+        assert one == tuple(v if v is None else v[i] for v in (r2, t2, flux, excess))
+        assert [type(v) for v in one] == [float] * 3 + [type(None) if kind is STEP else float]
+    for bad in (0.7, np.array([1.0, 0.5]), 1e308):  # at or below m; 2 pi (omega + k') overflows
+        with pytest.raises(DomainError):
+            closed_form_columns(kind, bad, m)
+    with pytest.raises(DomainError, match="unknown potential kind 'plus'"):
+        closed_form_columns("plus", omega, m)
+
+
+def test_inverse_transmission_below_a_large_m_meets_mpmath_up_to_the_overflow():
+    # at omega = 2 < m, |1/T| falls like 2^(-2 sqrt(m^2 - 4)): 3.5e-295 at m = 500
+    # (mpmath, 40 digits), which the duplication form still meets
+    assert inverse_transmission_magnitude(PLUS, 2.0, 500.0) == pytest.approx(3.5068520874433621442e-295, rel=1e-11)
+
+
+@pytest.mark.parametrize("m", [520.0, 1e4])
+def test_an_overflowing_power_of_two_is_a_domain_error(monkeypatch, m):
+    # 2^(2iw + 2ik') overflows from m ~ 512 up at omega = 2, where nan came back
+    # with numpy RuntimeWarnings (these are errors here); the first such omega
+    # is named, before any Gamma pass
+    import susystep.scattering as scattering_mod
+
+    monkeypatch.setattr(scattering_mod, "gamma_ratio", lambda *args: pytest.fail("a Gamma pass ran"))
+    with pytest.raises(DomainError, match=re.escape("at omega = (2+0j) ") + ".*overflows"):
+        inverse_transmission_magnitude(PLUS, 2.0, m)
+    with pytest.raises(DomainError, match=re.escape("at omega = (2+0j) ")):
+        inverse_transmission_magnitude(MINUS, np.array([2.0 * m, 2.0, 3.0]), m)
+
+
+def test_a_lost_precision_argument_is_a_domain_error_not_a_pole():
+    # at m = 1e154 every Gamma argument 1 - 2ik' ~ -2e154 is a whole double, so
+    # omega = 2 was reported as a denominator pole (GammaPoleError) and -0.5i as
+    # a numerator pole (0.0); |omega| + |B| >= 1e6 is now a DomainError
+    for omega in (2.0, -0.5j):
+        with pytest.raises(DomainError, match=re.escape(f"at omega = {complex(omega)} ") + ".*pole tolerance"):
+            inverse_transmission_magnitude(PLUS, omega, 1e154)
+    with pytest.raises(DomainError, match="pole tolerance"):
+        inverse_transmission_magnitude(PLUS, 2.0, 1e6)
+    assert 0.0 < inverse_transmission_magnitude(PLUS, 2.0 + 1e-3j, 3.0)
+
+
+def test_high_overtone_poles_stay_exact_zeros():
+    # the range check applies only where the Gamma pass runs: a pole's |1/T| is
+    # 0.0 whatever 2^(2iw + 2ik') is (about 2^2000 at n = 2000, 2^1e5 at n = 1e5)
+    for kind in (PLUS, MINUS):
+        poles = np.array([qnm(kind, n, 1.0) for n in (2000, 100_000)])
+        assert inverse_transmission_magnitude(kind, poles, 1.0).tolist() == [0.0, 0.0]
 
 
 def test_inverse_transmission_denominator_pole():
