@@ -42,7 +42,6 @@ from .scattering import (
     qnm_pole_check,
     reflection_transmission,
     step_amplitudes,
-    step_coefficients_closed_form,
     step_reflection_closed_form,
     susy_relation_check,
 )
@@ -50,14 +49,11 @@ from .solutions import (
     SolutionParams,
     WaveField,
     b_exponent,
-    coupled_residual,
     exact_solution,
     exact_solution_at_z,
     make_exponents,
     sample_wavefield,
     solution_checks,
-    wave_equation_residual,
-    wronskian,
 )
 from .specfun import gamma_ratio, hyp2f1, lngamma
 

@@ -228,7 +228,7 @@ def extract_rt(field: WaveField) -> ScatteringResult:
     ``transmitted_wavenumber`` accepts its (omega, m), and IllConditionedError if [u, conj(u)] over the window has
     condition number above 1e8 (e.g. a one-point window).
     """
-    if field.branch is not None or "spec" not in field.meta:
+    if not isinstance(field, WaveField) or field.branch is not None or "spec" not in field.meta:
         raise DomainError("extract_rt needs a field integrated by integrate_wavefunction (unit transmitted wave)")
     transmitted_wavenumber(field.omega, field.m)
     R, T = _fit(field.grid, field.values[None], (field.meta["spec"],), [(0, float(field.omega))])

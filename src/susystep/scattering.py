@@ -6,8 +6,9 @@ rearranged into exponential differences so they stay finite for arbitrarily larg
 
 The amplitudes and the closed forms take omega and m as numbers or as 1-d case columns of one length (a number stands
 for every case), |1/T| a complex omega column at one m, all in numpy, numbers giving Python numbers of the same bits;
-the SUSY check takes one amplitude call's (V+, V-).  An amplitude call, for one partner kind or a tuple, makes one
-Gamma-ratio call, and |1/T| at most one; a closed-form call checks (omega, m) once for all its columns.
+the SUSY check takes one amplitude call's (V+, V-).  An amplitude call, for one kind or a tuple of the partners and
+the step, makes one Gamma-ratio call, and |1/T| at most one; a closed-form call checks (omega, m) once for all its
+columns.  A kind is checked to be a ``PotentialKind`` before it is compared with one.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from .specfun import gamma_ratio, near_pole
 
 __all__ = [
     "AsymptoticCoefficients", "ScatteringResult", "asymptotic_coefficients", "reflection_transmission",
-    "coefficients_closed_form", "susy_relation_check", "step_amplitudes", "step_coefficients_closed_form",
-    "step_reflection_closed_form", "closed_form_columns", "transmitted_wavenumber", "qnm", "qnm_pole_check",
-    "inverse_transmission_magnitude"
+    "coefficients_closed_form", "susy_relation_check", "step_amplitudes", "step_reflection_closed_form",
+    "closed_form_columns", "transmitted_wavenumber", "qnm", "qnm_pole_check", "inverse_transmission_magnitude"
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -193,33 +193,56 @@ def asymptotic_coefficients(omega: float, m: float) -> AsymptoticCoefficients:
         omega, aI_plus * fac_in, d * bI_plus * fac_out, aII_plus * fac_in, bII_plus * fac_out))
 
 
+def _check_kinds(kinds, allowed=tuple(PotentialKind)):
+    """``DomainError`` unless ``kinds`` is a nonempty tuple of ``allowed`` kinds, each tested by ``isinstance``
+    first, so that an array or any other object never meets an enum comparison."""
+    for k in kinds or ((),):
+        if not isinstance(k, PotentialKind):
+            raise DomainError(f"unknown potential kind {k!r}")
+        if k not in allowed:
+            raise DomainError(f"{k} is not computed here: only the partner kinds are")
+
+
 def reflection_transmission(kind, omega, m):
-    """Reflection and transmission amplitudes of V+ or V- (omega and m numbers
-    or case columns), with s = i(omega + k') and d = i omega - i k' =
-    i m^2/(omega + k'):
+    """Reflection and transmission amplitudes of V+, V- or the smooth step (omega and m numbers or case
+    columns), with s = i(omega + k') and d = i omega - i k' = i m^2/(omega + k'):
 
         R+ = (d/m) G(1/2-s)G(1-s)G(1/2+2iw) / (G(1/2-2iw)G(1+d)G(1/2+d))
         T+- = (1 +- d/m) G(1/2-s)G(1-s) / (G(1/2-2iw)G(1-2ik'))
+        R^S = (d/s) G(1+2iw)G(1-s)^2 / (G(1-2iw)G(1+d)^2)
+        T^S = (2iw/s) G(1-s)^2 / (G(1-2iw)G(1-2ik'))
 
-    and R- = -R+, R+ as T's Gamma core times G(1/2+2iw)G(1-2ik')/(G(1+d)
-    G(1/2+d)), in one call for a kind or a tuple of kinds (a tuple of results).
-    1/G(d) = d/G(1+d) (DLMF 5.5.1) takes out the factor that is near a pole for
-    m << omega.  |R|^2 and |T|^2 meet the closed forms to 1e-10 relative for any
-    m > 0 and m < omega <= 1e4; above that ``DomainError`` is raised (the closed forms hold at any omega).
+    and R- = -R+.  The step has height V0 = m^2 and width alpha = 1 (the comparison convention used
+    throughout); d/s = m^2/(omega + k')^2 and 2iw/s = 2 omega/(omega + k') are real.  Each R is its T's Gamma
+    core times G(1/2+2iw)G(1-2ik')/(G(1+d)G(1/2+d)), or G(1+2iw)G(1-2ik')/G(1+d)^2 for the step, and a kind or
+    a tuple of kinds (a tuple of results) takes one Gamma-ratio call.  1/G(d) = d/G(1+d), G(-s) = -G(1-s)/s and
+    G(+-2iw) = G(1+-2iw)/(+-2iw) (DLMF 5.5.1) keep every argument a unit away from the poles for m << omega and
+    however small omega is; the step's G(1-s)^2 is G(1-s)G(2-s)/(1-s), whose two log-Gamma errors do not add up
+    coherently as a square's do.  |R|^2 and |T|^2 meet the closed forms to 1e-10 relative for any m > 0 and
+    m < omega <= 1e4; above that ``DomainError`` is raised (the closed forms hold at any omega).
     """
     kinds = kind if isinstance(kind, tuple) else (kind,)
-    if not kinds or not all(k in (PotentialKind.PLUS, PotentialKind.MINUS) for k in kinds):
-        raise DomainError("reflection_transmission handles the partner kinds; use step_amplitudes for the step")
+    _check_kinds(kinds)
     omega, m, kprime, s, d, d_m = _gamma_arguments(omega, m)
-    t_core, r_factor = _gamma_products(
+    step, partners = PotentialKind.STEP in kinds, any(k is not PotentialKind.STEP for k in kinds)
+    rows = iter(_gamma_products(*([
         ([0.5 - s, 1.0 - s], [0.5 - 2j * omega, 1.0 - 2j * kprime]),
         ([0.5 + 2j * omega, 1.0 - 2j * kprime], [1.0 + d, 0.5 + d]),
-    )
-    r_core, results = t_core * r_factor, []
-    for k in kinds:
-        sign = 1.0 if k is PotentialKind.PLUS else -1.0
-        w, R, T = _per_case(omega, omega, sign * d_m * r_core, (1.0 + sign * d_m) * t_core)
-        results.append(ScatteringResult(omega=w, m=m, kind=k, R=R, T=T))
+    ] if partners else []), *([
+        ([1.0 - s, 2.0 - s], [1.0 - 2j * omega, 1.0 - 2j * kprime]),
+        ([1.0 + 2j * omega, 1.0 - 2j * kprime], [1.0 + d, 1.0 + d]),
+    ] if step else [])))
+    amplitudes = {}
+    if partners:
+        t_core = next(rows)
+        r_core = t_core * next(rows)
+        for sign, k in ((1.0, PotentialKind.PLUS), (-1.0, PotentialKind.MINUS)):
+            amplitudes[k] = sign * d_m * r_core, (1.0 + sign * d_m) * t_core
+    if step:  # 1/(1 - s) = (1 + s)/(1 + (omega + k')^2), as x (1 + s) = x + s x: no complex division
+        t, total = next(rows), omega + kprime
+        r, q, scale = t * next(rows), m / total, 1.0 / (1.0 + total * total)
+        amplitudes[PotentialKind.STEP] = q * q * scale * (r + s * r), 2.0 * omega / total * scale * (t + s * t)
+    results = [ScatteringResult(_per_case(omega, omega)[0], m, k, *_per_case(omega, *amplitudes[k])) for k in kinds]
     return tuple(results) if isinstance(kind, tuple) else results[0]
 
 
@@ -248,8 +271,7 @@ def closed_form_columns(kind, omega, m):
     (omega, m).  Each is rearranged into exponential differences (``_closed_form_parts``), so no intermediate ever
     overflows (plain sinh would at omega ~ 113) or cancels.  A kind that is none of the three is a ``DomainError``.
     """
-    if kind not in (PotentialKind.PLUS, PotentialKind.MINUS, PotentialKind.STEP):
-        raise DomainError(f"unknown potential kind {kind!r}")
+    _check_kinds((kind,))
     omega, m, kprime = _check_scattering_regime(omega, _coupling(m))
     b, c, r = _closed_form_parts(omega, m, kprime, math.pi)
     if kind is PotentialKind.STEP:  # (omega/k') expm1(-4 pi omega) expm1(-4 pi k')/expm1(-2 pi (omega + k'))^2
@@ -282,45 +304,13 @@ def susy_relation_check(plus: ScatteringResult, minus: ScatteringResult):
 
 
 def step_amplitudes(omega, m) -> ScatteringResult:
-    """Amplitudes of the smooth step with height V0 = m^2 and width
-    alpha = 1 (the comparison convention used throughout), omega and m
-    numbers or case columns, with s and d as in :func:`reflection_transmission`:
-
-        R^S = (d/s) G(1+2iw)G(1-s)^2 / (G(1-2iw)G(1+d)^2)
-        T^S = (2iw/s) G(1-s)^2 / (G(1-2iw)G(1-2ik'))
-
-    where d/s = m^2/(omega + k')^2 and 2iw/s = 2 omega/(omega + k') are
-    real.  G(-s) = -G(1-s)/s and G(+-2iw) = G(1+-2iw)/(+-2iw) (DLMF 5.5.1)
-    keep every argument a unit away from the poles, however small omega
-    is.  G(1-s)^2 is evaluated as G(1-s)G(2-s)/(1-s), whose two log-Gamma
-    errors do not add up coherently as a square's do.  R^S is T^S's Gamma
-    core times G(1+2iw)G(1-2ik')/G(1+d)^2, in one call.  |R^S|^2 and
-    |T^S|^2 meet the closed form to 1e-10 relative for any m > 0 and
-    m < omega <= 1e4; above that ``DomainError`` is raised.
-    """
-    omega, m, kprime, s, d, _ = _gamma_arguments(omega, m)
-    total = omega + kprime
-    # 1/(1 - s) = (1 + s)/(1 + (omega + k')^2), applied as x (1 + s) = x + s x:
-    # products by the imaginary s only, no complex division
-    q = m / total
-    scale = 1.0 / (1.0 + total * total)
-    t, r_factor = _gamma_products(
-        ([1.0 - s, 2.0 - s], [1.0 - 2j * omega, 1.0 - 2j * kprime]),
-        ([1.0 + 2j * omega, 1.0 - 2j * kprime], [1.0 + d, 1.0 + d]),
-    )
-    r = t * r_factor
-    omega, R, T = _per_case(omega, omega, q * q * scale * (r + s * r), 2.0 * omega / total * scale * (t + s * t))
-    return ScatteringResult(omega=omega, m=m, kind=PotentialKind.STEP, R=R, T=T)
-
-
-def step_coefficients_closed_form(omega, m):
-    """(|R^S|^2, |T^S|^2) of the step's closed forms, as :func:`closed_form_columns` gives them."""
-    return closed_form_columns(PotentialKind.STEP, omega, m)[:2]
+    """The smooth step's amplitudes, ``reflection_transmission(PotentialKind.STEP, omega, m)``."""
+    return reflection_transmission(PotentialKind.STEP, omega, m)
 
 
 def step_reflection_closed_form(omega, m):
-    """|R^S|^2 of :func:`step_coefficients_closed_form` alone."""
-    return step_coefficients_closed_form(omega, m)[0]
+    """|R^S|^2 of the step's closed form, as :func:`closed_form_columns` gives it."""
+    return closed_form_columns(PotentialKind.STEP, omega, m)[0]
 
 
 def qnm(kind: PotentialKind, n: int, m: float) -> complex:
@@ -336,11 +326,10 @@ def qnm(kind: PotentialKind, n: int, m: float) -> complex:
     if not (finite_real(n) and isinstance(n, numbers.Integral) and n >= 0):
         raise DomainError(f"overtone index must be an integer >= 0 within the double range, got {n!r}")
     m = float(PotentialSpec.plus(m).m)  # its rule: m > 0 with m^2 finite
+    _check_kinds((kind,))
     if kind is PotentialKind.STEP:
         return -0.5j * (n + 1.0 - m * m / (n + 1.0))
-    if kind in (PotentialKind.PLUS, PotentialKind.MINUS):
-        return -0.25j * (n + 1.0 - 4.0 * m * m / (n + 1.0))
-    raise DomainError(f"unknown potential kind {kind!r}")
+    return -0.25j * (n + 1.0 - 4.0 * m * m / (n + 1.0))
 
 
 def inverse_transmission_magnitude(kind: PotentialKind, omega, m: float):
@@ -356,8 +345,7 @@ def inverse_transmission_magnitude(kind: PotentialKind, omega, m: float):
     where |omega| + |B| reaches 1e6, past which the Gamma arguments' rounding exceeds the pole tolerance, or one
     where 2^(2iw + 2ik') overflows (for a real omega, from m ~ 512 up, where |1/T| is below about 1e-300).
     """
-    if kind not in (PotentialKind.PLUS, PotentialKind.MINUS):
-        raise DomainError("transmission poles are computed for the partner kinds")
+    _check_kinds((kind,), (PotentialKind.PLUS, PotentialKind.MINUS))
     m, column = float(PotentialSpec.plus(m).m), np.asarray(omega)
     if column.dtype.kind not in "iufc" or column.ndim > 1 or not np.isfinite(column).all():
         raise DomainError(f"omega must be a finite number or a 1-d column of them, got omega = {omega}")

@@ -21,11 +21,11 @@ import numpy as np
 
 from . import specfun
 from .errors import DegenerateCError, DomainError, ZeroFrequencyError, finite_real, real_array
-from .potentials import PotentialKind, superpotential
+from .potentials import PotentialKind
 
 __all__ = [
     "SolutionParams", "WaveField", "b_exponent", "make_exponents", "exact_solution", "exact_solution_at_z",
-    "coupled_residual", "solution_checks", "wave_equation_residual", "wronskian", "sample_wavefield"
+    "solution_checks", "sample_wavefield"
 ]
 
 _QUARTER_TURN = cmath.exp(-0.25j * cmath.pi)
@@ -58,14 +58,11 @@ def _logs_from_z(z):
     return z, np.log(z), np.log1p(-z)
 
 
-def _x_grid(grid, nonempty=False):
-    """``grid`` as a float array, checked to be a real, 1-d, finite, strictly
-    increasing x grid, of at least one point if ``nonempty``."""
+def _x_grid(grid):
+    """``grid`` as a float array, checked to be a real, 1-d, finite, strictly increasing x grid."""
     xs = real_array(grid, "x")
     if xs.ndim != 1:
         raise DomainError(f"the x grid must be 1-d, got shape {xs.shape}")
-    if nonempty and not xs.size:
-        raise DomainError("the x grid is empty")
     bad = xs[~np.isfinite(xs)]
     if bad.size:
         raise DomainError(f"x = {bad[0]} is not finite")
@@ -84,10 +81,14 @@ def b_exponent(omega, m: float):
     omega: the root with positive imaginary part, continuous from the
     omega > m case; when the root is real (omega on the imaginary axis)
     the tie is broken toward positive real part.  A root past the double
-    range raises ``DomainError`` naming the first such (omega, m).
+    range raises ``DomainError`` naming the first such (omega, m), and so
+    does a non-numeric omega or m, or an integer past the double range.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = np.sqrt(m * m - omega * omega + 0j)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = np.sqrt(m * m - omega * omega + 0j)
+    except (TypeError, OverflowError) as err:
+        raise DomainError(f"B = sqrt(m^2 - omega^2) needs numbers within the double range ({err})") from err
     if not (finite := np.isfinite(r)).all():
         raise DomainError("B overflows at omega = {}, m = {}".format(*(v[~finite][0] for v in np.broadcast_arrays(omega, m))))
     return np.where(r.imag < -1e-14 * np.abs(r), -r, r)[()]  # a (near-)real root keeps the principal Re >= 0
@@ -205,7 +206,7 @@ def _one_omega(omega, m) -> SolutionParams:
     for name, value in (("omega", omega), ("m", m)):
         if not isinstance(value, numbers.Number) and np.ndim(value):
             raise DomainError(f"{name} must be a number here, got an array of shape {np.shape(value)}; "
-                              "make_exponents and the z checks, such as wronskian, take (omega, m) columns")
+                              "make_exponents and solution_checks take (omega, m) columns")
     return make_exponents(omega, m)
 
 
@@ -290,69 +291,33 @@ def exact_solution_at_z(branch, sign, omega, m, z) -> complex:
     return complex(_solution_from_logs((branch,), _signs(sign), p, *_logs_from_z(_unit_column([z])[1]))[0, 0, 0, 0])
 
 
-def coupled_residual(omega, m, x_grid, branch="I") -> float:
-    """Largest scaled residual of the coupled first-order system
-
-        (d/dx - W) Z+ = i omega Z-,      (d/dx + W) Z- = i omega Z+
-
-    over ``x_grid``, with Z+/- and their exact x-derivatives reconstructed
-    from the rotated components.  Requires a finite, strictly increasing
-    grid of at least one point; all points are evaluated in one ``hyp2f1``
-    call per component.
-    """
-    xs = _x_grid(x_grid, nonempty=True)
-    p = _one_omega(omega, m)
-    (zp, zm), (dzp, dzm) = _solution_from_logs((branch,), np.array([[1], [-1]]), p, *_logs_from_x(xs), 1)[0, :, :, 0]
-    w = superpotential(xs, m)
-    iw = 1j * complex(omega)
-    res = np.maximum(np.abs(dzp - w * zp - iw * zm), np.abs(dzm + w * zm - iw * zp))
-    scale = (1.0 + abs(iw) + np.abs(w)) * (np.abs(zp) + np.abs(zm))
-    return float(np.max(res / scale))
-
-
-def _z_checks(branch, sign, omega, m, z, order):
-    """[Wronskian, for ``branch`` ("I", "II")] + [residual of ``branch``, at ``order`` 2], as ``solution_checks``."""
-    column, z = _unit_column(z)
-    branches, signs, p = branch if isinstance(branch, tuple) else (branch,), _signs(sign, many=True), make_exponents(omega, m)
-    f0, d1, *d2 = _solution_from_logs(branches, signs, p, *_logs_from_z(z), order).swapaxes(0, 1)  # Z, dZ/dx, d2Z/dx2
-    rows = [(f0[0] * d1[1] - f0[1] * d1[0], complex)] if branch == ("I", "II") else []  # d/dx = z(1-z) d/dz
-    if d2:
-        # q takes f0's ndim: numpy rounds a one-element complex product of two ndims apart
-        omega, m, signs = np.reshape(omega, (-1, 1)), np.reshape(m, (-1, 1)), signs[None, ..., None]
-        q = omega * omega - m * m * z + signs * m * np.sqrt(z) * (1.0 - z) / 2.0  # z(1-z) q, which is omega^2 - V
-        first = (1 - 2 * z) * d1  # z(1-z) (1-2z) Z', and d2 - first is z^2 (1-z)^2 Z''
-        residual = np.abs(d2[0] + q * f0) / (np.abs(q * f0) + np.abs(first) + np.abs(d2[0] - first))
-        rows.append((residual if isinstance(branch, tuple) else residual[0], float))
-    rows = [(np.moveaxis(v, -2, 0) if np.ndim(p.omega) else v[..., 0, :], number) for v, number in rows]  # cases leading
-    return [v if column else v[..., 0] if v.ndim > 1 else number(v[0]) for v, number in rows]  # no points for a number z
-
-
 def solution_checks(sign, omega, m, z):
-    """(``wronskian``, ``wave_equation_residual`` of ("I", "II")) at z in (0, 1), each equal to its own call bit for bit,
-    from one evaluation of Z^I, Z^II and their exact x-derivatives, d/dx = z(1-z) d/dz, up to order 2 (DLMF 15.5.2's
-    sets (a + k, b + k, c + k)): one ``hyp2f1`` call per R-tilde component.  A 1-d array of z (checked whole) or of
-    signs gives the number calls' values, a row per sign, a tuple of branches a row per branch ahead of those, and
-    (omega, m) columns (see ``make_exponents``) a row per case ahead of all."""
-    return tuple(_z_checks(("I", "II"), sign, omega, m, z, 2))
+    """(Wronskian, wave-equation residual of ("I", "II")) at z in (0, 1), from one evaluation of Z^I, Z^II and their
+    exact x-derivatives, d/dx = z(1-z) d/dz, up to order 2 (DLMF 15.5.2's sets (a + k, b + k, c + k)): one ``hyp2f1``
+    call per R-tilde component.
 
-
-def wave_equation_residual(branch, sign, omega, m, z):
-    """Scaled residual of the wave equation in z for Z_sign^branch, one or a tuple such as ("I", "II"),
+    The Wronskian is the flux form z(1-z) (Z^I dZ^II/dz - Z^II dZ^I/dz): the z(1-z) weight is the self-adjoint
+    coefficient of the transformed wave equation (this is the plain x-Wronskian), so the value is z-independent,
+    +/- (2 omega / m)(1 - c1) for the unit normalization G1 = H1 = 1, which the exponents alone predict: a wrong
+    hypergeometric value, connection ratio or normalization shows.  The residual is that of the wave equation in z,
 
         d/dz[z(1-z) Z'] + q(z) Z = 0,
         q = (omega^2 - m^2)/(1-z) + omega^2/z + sign m/(2 sqrt z),
 
-    |sum of the three terms| over the sum of their moduli, every term taken times z(1-z); see ``solution_checks``.
-    """
-    return _z_checks(branch, sign, omega, m, z, 2)[-1]
-
-
-def wronskian(sign, omega, m, z):
-    """Flux-form Wronskian z(1-z) (Z^I dZ^II/dz - Z^II dZ^I/dz) at z, from the sets of orders 0 and 1 only: the z(1-z)
-    weight is the self-adjoint coefficient of the transformed wave equation (this is the plain x-Wronskian), so the
-    value is z-independent, +/- (2 omega / m)(1 - c1) for the unit normalization G1 = H1 = 1, which the exponents alone
-    predict: a wrong hypergeometric value, connection ratio or normalization shows.  See ``solution_checks``."""
-    return _z_checks(("I", "II"), sign, omega, m, z, 1)[0]
+    |sum of the three terms| over the sum of their moduli, every term taken times z(1-z), a row per branch.  A 1-d
+    array of z (checked whole) or of signs gives the number calls' values, a row per sign, and (omega, m) columns
+    (see ``make_exponents``) a row per case ahead of all; number arguments give a complex Wronskian."""
+    column, z = _unit_column(z)
+    signs, p = _signs(sign, many=True), make_exponents(omega, m)
+    f0, d1, d2 = _solution_from_logs(("I", "II"), signs, p, *_logs_from_z(z), 2).swapaxes(0, 1)  # Z, dZ/dx, d2Z/dx2
+    # q takes f0's ndim: numpy rounds a one-element complex product of two ndims apart
+    omega, m, signs = np.reshape(omega, (-1, 1)), np.reshape(m, (-1, 1)), signs[None, ..., None]
+    q = omega * omega - m * m * z + signs * m * np.sqrt(z) * (1.0 - z) / 2.0  # z(1-z) q, which is omega^2 - V
+    first = (1 - 2 * z) * d1  # z(1-z) (1-2z) Z', and d2 - first is z^2 (1-z)^2 Z''
+    residual = np.abs(d2 + q * f0) / (np.abs(q * f0) + np.abs(first) + np.abs(d2 - first))
+    rows = [(f0[0] * d1[1] - f0[1] * d1[0], complex), (residual, float)]  # d/dx = z(1-z) d/dz
+    rows = [(np.moveaxis(v, -2, 0) if np.ndim(p.omega) else v[..., 0, :], number) for v, number in rows]  # cases leading
+    return tuple(v if column else v[..., 0] if v.ndim > 1 else number(v[0]) for v, number in rows)
 
 
 def sample_wavefield(branch, sign, omega, m, grid) -> WaveField:

@@ -1,17 +1,17 @@
 """Self-verification suites behind the ``verify`` CLI subcommand.
 
 Each check evaluates one analytic contract (closed-form equivalence, flux conservation, SUSY identities, Wronskian
-constancy, wave-equation residuals, quasinormal poles, potential identities) and reports its worst residual against
-the contracted tolerance.  A run makes one (V+, V-) and one step amplitude call over its 150 (omega, m) cases, timed
-in the closed-form row; the flux and SUSY rows read the same results.  The Wronskian and wave-equation rows read one
-``solution_checks`` call per run, timed in the Wronskian row: both branches and partners of 3 (omega, m) cases at 21
-z, with the shifted parameter sets of their exact derivatives, in one 2F1 call per component (4 Gamma passes); they
-are held relative to the Wronskian's constant and to the equation's term sizes.  One |1/T| call covers the 6
-quasinormal poles (no Gamma pass) and the 6 perturbed frequencies, and one call per potential function covers the 8
-couplings' 16 partners at 64 x (the antiderivative at x +- h), fixed grids that leave ``numpy.random`` unloaded.  The
+constancy, wave-equation residuals, quasinormal poles, potential identities) and reports its worst residual against the
+contracted tolerance.  A run makes one amplitude call for (V+, V-, step) over its 150 (omega, m) cases (one Gamma
+pass), timed in the closed-form row; the flux and SUSY rows read the same results.  The Wronskian and wave-equation
+rows read one ``solution_checks`` call per run, timed in the Wronskian row: both branches and partners of 3 (omega, m)
+cases at 21 z, with the shifted parameter sets of their exact derivatives, in one 2F1 call per component (4 Gamma
+passes); they are held relative to the Wronskian's constant and to the equation's term sizes.  One |1/T| call covers
+the 6 quasinormal poles (no Gamma pass) and the 6 perturbed frequencies, and one call per potential function covers the
+8 couplings' 16 partners at 64 x (the antiderivative at x +- h), fixed grids that leave ``numpy.random`` unloaded.  The
 SUSY check can fail only through its T relation: R- is -R+ by construction.  ``full`` adds two oracle checks on one
-sweep per run, timed in the agreement row: one sixth-order Magnus scan of the 3 specs' 12 (spec, omega) rows over x
-in [-30, 15] at step 0.1 (``ORACLE_CONFIG``, 450 steps per row) and one closed-form fit of them all (no LAPACK call).
+sweep per run, timed in the agreement row: one sixth-order Magnus scan of the 3 specs' 12 (spec, omega) rows over x in
+[-30, 15] at step 0.1 (``ORACLE_CONFIG``, 450 steps per row) and one closed-form fit of them all (no LAPACK call).
 """
 
 from __future__ import annotations
@@ -131,8 +131,8 @@ def run_checks(level: str = QUICK):
     """Run the verification suite; returns a list of CheckResult."""
     if level not in (QUICK, FULL):
         raise DomainError(f"level must be {QUICK!r} or {FULL!r}, got {level!r}")
-    cases, partners = _cases(), (PotentialKind.PLUS, PotentialKind.MINUS)
-    amplitudes = functools.cache(lambda: (*scattering.reflection_transmission(partners, *cases), scattering.step_amplitudes(*cases)))
+    cases, kinds = _cases(), (PotentialKind.PLUS, PotentialKind.MINUS, PotentialKind.STEP)
+    amplitudes = functools.cache(lambda: scattering.reflection_transmission(kinds, *cases))
     solved = functools.cache(lambda: solutions.solution_checks(np.array([1, -1]), *_SOLUTION_CASES, _SOLUTION_Z))
     results = [
         _check("closed-form equivalence (Gamma vs sinh)", 1e-10, lambda: _closed_form_equivalence(amplitudes)),

@@ -31,7 +31,7 @@ from susystep.scattering import (
     step_reflection_closed_form,
     susy_relation_check,
 )
-from susystep.solutions import exact_solution_at_z, wronskian
+from susystep.solutions import exact_solution_at_z, solution_checks
 
 PLUS, MINUS, STEP = PotentialKind.PLUS, PotentialKind.MINUS, PotentialKind.STEP
 
@@ -126,7 +126,7 @@ def test_criterion_5_wavefunction_validity():
         c1 = 0.5 + 2j * omega
         for sign in (1, -1):
             expected = sign * 2.0 * omega / m * (1.0 - c1)
-            samples = [wronskian(sign, omega, m, z) for z in (0.2, 0.5, 0.8)]
+            samples = [solution_checks(sign, omega, m, z)[0] for z in (0.2, 0.5, 0.8)]
             worst_wronskian = max(worst_wronskian, max(abs(v - expected) for v in samples) / abs(expected))
             worst_wronskian = max(worst_wronskian, abs(samples[0] - samples[2]) / abs(expected))
     passed = worst_ode < 1e-7 and worst_wronskian < 1e-11

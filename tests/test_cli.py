@@ -141,15 +141,16 @@ def test_scatter_oracle_columns_are_the_column_call(capsys, kind):
 
 @pytest.mark.parametrize("kind", ["plus", "minus", "step"])
 def test_scatter_rows_are_the_array_form(capsys, kind):
-    from susystep.scattering import (coefficients_closed_form, step_coefficients_closed_form,
-                                     step_reflection_closed_form, transmitted_wavenumber)
+    from susystep.scattering import (closed_form_columns, coefficients_closed_form, step_reflection_closed_form,
+                                     transmitted_wavenumber)
 
     code, out, _ = run_cli(capsys, "scatter", "--kind", kind, "--m", "0.7",
                            "--omega-min", "0.71", "--omega-max", "30", "--n-points", "57")
     assert code == 0
     _, rows = parse_csv(out)
     omega = np.linspace(0.71, 30.0, 57)
-    r2, t2 = (step_coefficients_closed_form if kind == "step" else coefficients_closed_form)(omega, 0.7)
+    step = kind == "step"
+    r2, t2 = closed_form_columns(PotentialKind.STEP, omega, 0.7)[:2] if step else coefficients_closed_form(omega, 0.7)
     flux = r2 + (transmitted_wavenumber(omega, 0.7) / omega) * t2
     columns = [omega, r2, t2, flux] + ([] if kind == "step" else [r2 - step_reflection_closed_form(omega, 0.7)])
     assert rows == _cell_text(columns)
@@ -503,7 +504,7 @@ def test_susy_check_judges_the_t_relation(monkeypatch):
     (check,) = [r for r in results if r.name == "SUSY amplitude relations"]
     assert not check.passed and 1e-9 < check.max_residual < 2e-9
     assert {r.name for r in results if not r.passed} == {"flux conservation", check.name}
-    assert kinds == [(PotentialKind.PLUS, PotentialKind.MINUS)]  # the amplitude pass the SUSY check reads
+    assert kinds == [(PotentialKind.PLUS, PotentialKind.MINUS, PotentialKind.STEP)]  # the run's one amplitude call
 
 
 def _amplitude_cases():
@@ -513,9 +514,9 @@ def _amplitude_cases():
 
 
 def test_verify_evaluates_each_amplitude_column_once(monkeypatch):
-    # the closed-form and flux checks read one (V+, V-) call and one step
-    # call per run over the 150 (omega, m) cases of the former per-m grids
-    # (50 omegas at each of three m); no run reuses another's
+    # the closed-form and flux checks read one (V+, V-, step) call per run
+    # over the 150 (omega, m) cases of the former per-m grids (50 omegas at
+    # each of three m); no run reuses another's
     calls = []
     for name in ("reflection_transmission", "step_amplitudes"):
         exact = getattr(scattering, name)
@@ -524,33 +525,33 @@ def test_verify_evaluates_each_amplitude_column_once(monkeypatch):
     for run in (1, 2):
         assert all(r.passed for r in run_checks())
         columns = [args for args in calls if np.size(args[-2]) == 150]
-        assert [args[0] if len(args) == 3 else PotentialKind.STEP for args in columns] == \
-            [(PotentialKind.PLUS, PotentialKind.MINUS), PotentialKind.STEP] * run
+        assert [args[0] for args in columns] == [(PotentialKind.PLUS, PotentialKind.MINUS, PotentialKind.STEP)] * run
         assert all(args[-2].tolist() == omega and args[-1].tolist() == m for args in columns)
 
 
 def test_verify_judges_susy_on_one_call_over_its_cases(monkeypatch):
     # the SUSY check makes one call on the (V+, V-) results of the run's one
-    # amplitude call over its 150 (omega, m) cases
-    calls, pairs = [], []
+    # amplitude call, for (V+, V-, step), over its 150 (omega, m) cases
+    calls, kinds, results = [], [], []
     exact_check, exact_amplitudes = scattering.susy_relation_check, scattering.reflection_transmission
     monkeypatch.setattr(scattering, "susy_relation_check", lambda *args: calls.append(args) or exact_check(*args))
-    monkeypatch.setattr(scattering, "reflection_transmission",
-                        lambda *args: pairs.append(exact_amplitudes(*args)) or pairs[-1])
+    monkeypatch.setattr(scattering, "reflection_transmission", lambda kind, *args: kinds.append(kind)
+                        or results.append(exact_amplitudes(kind, *args)) or results[-1])
     assert all(r.passed for r in run_checks())
     omega, m = _amplitude_cases()
-    assert len(calls) == len(pairs) == 1 and all(a is b for a, b in zip(calls[0], pairs[0], strict=True))
+    assert kinds == [(PotentialKind.PLUS, PotentialKind.MINUS, PotentialKind.STEP)]
+    assert len(calls) == len(results) == 1 and all(a is b for a, b in zip(calls[0], results[0][:2], strict=True))
     assert [(r.kind, r.omega.tolist(), r.m.tolist()) for r in calls[0]] == [
         (PotentialKind.PLUS, omega, m), (PotentialKind.MINUS, omega, m)]
 
 
 def test_full_verify_makes_few_gamma_passes_and_scans(monkeypatch):
-    # structure guard: a full run makes 7 gamma_ratio calls (32 when each
+    # structure guard: a full run makes 6 gamma_ratio calls (32 when each
     # (kind, m) and each oracle spec had its own, 17 when each perturbed
     # frequency of the qnm check had its own, 12 when the SUSY check made its
     # own amplitude call, 11 when the Wronskian and wave-equation checks each
-    # made their own 2F1 calls): one (V+, V-) and one step amplitude call, one
-    # |1/T| call (a Gamma pass at the 6 perturbed frequencies, none at the 6
+    # made their own 2F1 calls, 7 when the step had its own amplitude call):
+    # one (V+, V-, step) amplitude call, one |1/T| call (a Gamma pass at the 6 perturbed frequencies, none at the 6
     # poles) and 4 from the 2F1 connection formula, two per R-tilde component
     # of the one solution evaluation; and one Magnus
     # scan of the 12 (spec, omega) oracle rows (3 when each spec had its own,
@@ -564,7 +565,7 @@ def test_full_verify_makes_few_gamma_passes_and_scans(monkeypatch):
     monkeypatch.setattr(oracle, "_march", lambda *args: scans.append(args) or march(*args))
     assert all(r.passed for r in run_checks(FULL))
     assert len(scans[0][4]) == 12
-    assert (ratios.count(scattering), ratios.count(specfun), len(scans)) == (2 + 1, 4, 1)
+    assert (ratios.count(scattering), ratios.count(specfun), len(scans)) == (1 + 1, 4, 1)
 
 
 def test_full_verify_leaves_numpy_random_unloaded():

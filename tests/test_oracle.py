@@ -375,13 +375,16 @@ def test_oracle_config_is_within_its_error_budget():
 
 
 def _rephased(real):
-    return lambda *args: tuple(dataclasses.replace(res, R=res.R * cmath.exp(1e-3j)) for res in real(*args))
+    def amplitudes(*args):
+        plus, minus, *rest = real(*args)
+        return *(dataclasses.replace(res, R=res.R * cmath.exp(1e-3j)) for res in (plus, minus)), *rest
+    return amplitudes
 
 
 def _minus_reflects_as_plus(real):
     def amplitudes(*args):
-        plus, minus = real(*args)
-        return plus, dataclasses.replace(minus, R=plus.R)
+        plus, minus, *rest = real(*args)
+        return plus, dataclasses.replace(minus, R=plus.R), *rest
     return amplitudes
 
 
@@ -830,3 +833,11 @@ def test_extract_rt_needs_an_integrated_field():
     for meta in ({}, {"config": field.meta["config"]}):  # the fit reads the spec's left tail
         with pytest.raises(DomainError):
             extract_rt(dataclasses.replace(field, meta=meta))
+
+
+@pytest.mark.parametrize("field", [None, "field", (np.linspace(-30, 30, 61), np.ones(61, dtype=complex))],
+                         ids=["None", "str", "tuple"])
+def test_extract_rt_refuses_what_is_not_a_wavefield(field):
+    # anything but a WaveField raised AttributeError on its first field read
+    with pytest.raises(DomainError, match="integrated by integrate_wavefunction"):
+        extract_rt(field)

@@ -20,7 +20,6 @@ from susystep.scattering import (
     qnm_pole_check,
     reflection_transmission,
     step_amplitudes,
-    step_coefficients_closed_form,
     step_reflection_closed_form,
     susy_relation_check,
     transmitted_wavenumber,
@@ -39,6 +38,11 @@ def omega_grid(m, count=50):
 def _susy(omega, m):
     """The SUSY check of one (V+, V-) amplitude call at (omega, m)."""
     return susy_relation_check(*reflection_transmission((PLUS, MINUS), omega, m))
+
+
+def _step_closed_form(omega, m):
+    """(|R^S|^2, |T^S|^2): the step's pair of ``closed_form_columns``."""
+    return closed_form_columns(STEP, omega, m)[:2]
 
 
 # -------------------------------------------------- asymptotic coefficients
@@ -152,7 +156,7 @@ def test_closed_form_overflow_safety():
 def test_closed_forms_at_huge_omega(omega):
     # omega * omega overflows here; k' = sqrt(omega - m) sqrt(omega + m) does not
     r2, t2 = coefficients_closed_form(omega, 1.0)
-    r2_step, t2_step = step_coefficients_closed_form(omega, 1.0)
+    r2_step, t2_step = _step_closed_form(omega, 1.0)
     assert np.all(np.asarray(step_reflection_closed_form(omega, 1.0)) == np.asarray(r2_step))
     huge = np.asarray(omega) > 1e100
     assert np.all(np.asarray(r2)[huge] == 0.0) and np.all(np.asarray(r2_step)[huge] == 0.0)
@@ -168,7 +172,7 @@ def test_closed_forms_reject_an_overflowing_exponent(omega):
     with pytest.raises(DomainError):
         step_reflection_closed_form(omega, 1.0)
     with pytest.raises(DomainError):
-        step_coefficients_closed_form(omega, 1.0)
+        _step_closed_form(omega, 1.0)
 
 
 @pytest.mark.parametrize("m, omega, r2, r2_step", [
@@ -200,11 +204,6 @@ def test_amplitude_relations_between_partners():
     assert abs(res_p.kprime - math.sqrt(3.0)) < 1e-15
 
 
-def test_rejects_step_kind():
-    with pytest.raises(DomainError):
-        reflection_transmission(STEP, 2.0, 1.0)
-
-
 def test_rejects_threshold_and_below():
     for omega in (1.0, 0.3):
         with pytest.raises(DomainError):
@@ -221,13 +220,13 @@ def test_numpy_scalars_match_python_floats(omega, m):
     assert step_amplitudes(omega, m) == step_amplitudes(*ref)
     assert _susy(omega, m) == _susy(*ref)
     assert coefficients_closed_form(omega, m) == coefficients_closed_form(*ref)
-    assert step_coefficients_closed_form(omega, m) == step_coefficients_closed_form(*ref)
+    assert _step_closed_form(omega, m) == _step_closed_form(*ref)
     assert step_reflection_closed_form(omega, m) == step_reflection_closed_form(*ref)
 
 
 def test_complex_arguments_rejected():
     for fn in (lambda w, m: reflection_transmission(PLUS, w, m), step_amplitudes,
-               coefficients_closed_form, step_coefficients_closed_form, step_reflection_closed_form):
+               coefficients_closed_form, _step_closed_form, step_reflection_closed_form):
         for omega, m in ((2.0 + 0j, 1.0), (2.0, 1.0 + 0j)):
             with pytest.raises(DomainError):
                 fn(omega, m)
@@ -246,10 +245,10 @@ def test_array_amplitudes_match_scalar_calls(m):
         assert got.kprime.tolist() == [e.kprime for e in expected]
         for field in ("R", "T", "R2", "T2", "flux"):
             assert getattr(got, field).tobytes() == np.array([getattr(e, field) for e in expected]).tobytes()
-    for fn in (coefficients_closed_form, step_coefficients_closed_form, _susy):
+    for fn in (coefficients_closed_form, _step_closed_form, _susy):
         got = np.array(fn(omega, m)).T
         assert got.tobytes() == np.array([fn(w, m) for w in omega.tolist()]).tobytes(), fn.__name__
-    assert step_reflection_closed_form(omega, m).tobytes() == step_coefficients_closed_form(omega, m)[0].tobytes()
+    assert step_reflection_closed_form(omega, m).tobytes() == _step_closed_form(omega, m)[0].tobytes()
 
 
 def _number_calls(fn, omega):
@@ -262,7 +261,7 @@ def test_a_long_omega_column_equals_the_number_calls(m):
     # one-element case, so every element keeps the number call's bits.  At
     # m = 0.5 the amplitudes stack 8000 log-Gamma arguments with |w| < 10
     omega = m * (1.0 + np.geomspace(1e-8, 4.0, 1000))
-    for fn in (lambda w: coefficients_closed_form(w, m), lambda w: step_coefficients_closed_form(w, m),
+    for fn in (lambda w: coefficients_closed_form(w, m), lambda w: _step_closed_form(w, m),
                lambda w: _susy(w, m)):
         assert np.array(fn(omega)).T.tobytes() == _number_calls(fn, omega).tobytes()
     for fn in (lambda w: step_reflection_closed_form(w, m), lambda w: transmitted_wavenumber(w, m)):
@@ -316,7 +315,7 @@ def test_gamma_products_at_small_coupling(m, omega, r2, t2, r2_step, t2_step):
 def test_gamma_products_hold_up_to_omega_1e4(m, omega):
     plus, step = reflection_transmission(PLUS, omega, m), step_amplitudes(omega, m)
     r2, t2 = coefficients_closed_form(omega, m)
-    r2_step, t2_step = step_coefficients_closed_form(omega, m)
+    r2_step, t2_step = _step_closed_form(omega, m)
     for got, expected in ((plus.R2, r2), (plus.T2, t2), (step.R2, r2_step), (step.T2, t2_step), (step.flux, 1.0)):
         assert np.all(np.abs(got - expected) <= 1e-10 * expected)
     _susy(omega, m)
@@ -335,7 +334,7 @@ def test_gamma_products_raise_above_omega_1e4(monkeypatch, omega):
             fn(omega, 1.0)
     assert evaluated == []
     coefficients_closed_form(omega, 1.0)  # the closed forms hold at any omega
-    step_coefficients_closed_form(omega, 1.0)
+    _step_closed_form(omega, 1.0)
     step_reflection_closed_form(omega, 1.0)
 
 
@@ -348,7 +347,7 @@ def test_array_regime_checked_before_any_gamma(monkeypatch, omega):
     evaluated = []
     monkeypatch.setattr(scattering_mod, "gamma_ratio", lambda *args: evaluated.append(args))
     for fn in (lambda w, m: reflection_transmission(PLUS, w, m), step_amplitudes, coefficients_closed_form,
-               step_coefficients_closed_form, step_reflection_closed_form):
+               _step_closed_form, step_reflection_closed_form):
         with pytest.raises(DomainError):
             fn(np.asarray(omega), 1.0)
     assert evaluated == []
@@ -357,7 +356,7 @@ def test_array_regime_checked_before_any_gamma(monkeypatch, omega):
 _ONE_OMEGA_CALLS = (lambda w: reflection_transmission(PLUS, w, 0.5), lambda w: reflection_transmission(MINUS, w, 0.5),
                     lambda w: step_amplitudes(w, 0.5), lambda w: _susy(w, 0.5),
                     lambda w: asymptotic_coefficients(w, 0.5), lambda w: coefficients_closed_form(w, 0.5),
-                    lambda w: step_coefficients_closed_form(w, 0.5), lambda w: step_reflection_closed_form(w, 0.5))
+                    lambda w: _step_closed_form(w, 0.5), lambda w: step_reflection_closed_form(w, 0.5))
 
 
 def test_a_zero_d_array_omega_is_the_number_call():
@@ -370,7 +369,7 @@ def test_a_zero_d_array_omega_is_the_number_call():
 
 @pytest.mark.parametrize("omega", [2.0, np.float32(2.0), np.array(2.0)], ids=["float", "float32", "0-d array"])
 def test_a_number_omega_gives_python_numbers(omega):
-    for value in (*coefficients_closed_form(omega, 0.5), *step_coefficients_closed_form(omega, 0.5),
+    for value in (*coefficients_closed_form(omega, 0.5), *_step_closed_form(omega, 0.5),
                   step_reflection_closed_form(omega, 0.5), transmitted_wavenumber(omega, 0.5)):
         assert type(value) is float
     assert all(type(value) is complex for value in _susy(omega, 0.5))
@@ -449,16 +448,21 @@ def test_a_kind_tuple_is_the_one_kind_calls(monkeypatch, omega, m):
     calls = []
     ratio = scattering_mod.gamma_ratio
     monkeypatch.setattr(scattering_mod, "gamma_ratio", lambda *args: calls.append(args) or ratio(*args))
-    results = reflection_transmission((MINUS, PLUS, MINUS), omega, m)
-    assert len(calls) == 1 and isinstance(results, tuple) and [r.kind for r in results] == [MINUS, PLUS, MINUS]
-    for got in results:
-        _same(got, reflection_transmission(got.kind, omega, m))
+    for kinds in ((MINUS, PLUS, MINUS), (PLUS, MINUS, STEP), (STEP, PLUS)):
+        calls.clear()
+        results = reflection_transmission(kinds, omega, m)
+        assert len(calls) == 1 and isinstance(results, tuple) and tuple(r.kind for r in results) == kinds
+        for got in results:
+            _same(got, reflection_transmission(got.kind, omega, m))
+            if got.kind is STEP:
+                _same(got, step_amplitudes(omega, m))
     (plus,) = reflection_transmission((PLUS,), omega, m)
     _same(plus, reflection_transmission(PLUS, omega, m))
 
 
-@pytest.mark.parametrize("kind", [(), (PLUS, STEP), [PLUS, MINUS], (PLUS, "minus"), STEP])
-def test_a_kind_tuple_holds_partner_kinds_only(monkeypatch, kind):
+@pytest.mark.parametrize("kind", [(), [PLUS, MINUS], (PLUS, "minus"), (STEP, np.array([1]))],
+                         ids=["empty", "list", "str in tuple", "array in tuple"])
+def test_a_kind_tuple_holds_potential_kinds_only(monkeypatch, kind):
     import susystep.scattering as scattering_mod
 
     evaluated = []
@@ -475,7 +479,7 @@ def test_case_columns_equal_the_number_calls():
     m = rng.uniform(0.01, 5.0, 300)
     omega = m * (1.0 + rng.permutation(np.geomspace(1e-8, 20.0, 300)))
     pairs = list(zip(omega.tolist(), m.tolist()))
-    for fn in (coefficients_closed_form, step_coefficients_closed_form, _susy):
+    for fn in (coefficients_closed_form, _step_closed_form, _susy):
         assert np.array(fn(omega, m)).T.tobytes() == np.array([fn(w, x) for w, x in pairs]).tobytes(), fn.__name__
     assert step_reflection_closed_form(omega, m).tobytes() == np.array([step_reflection_closed_form(*p) for p in pairs]).tobytes()
     for fn in (lambda w, x: reflection_transmission(PLUS, w, x), lambda w, x: reflection_transmission(MINUS, w, x),
@@ -488,7 +492,7 @@ def test_case_columns_equal_the_number_calls():
 
 def test_a_number_omega_stands_for_every_case_of_an_m_column():
     m = np.array([0.5, 1.0, 2.0, 2.9])
-    for fn in (coefficients_closed_form, step_coefficients_closed_form, _susy):
+    for fn in (coefficients_closed_form, _step_closed_form, _susy):
         assert np.array(fn(3.0, m)).T.tobytes() == np.array([fn(3.0, x) for x in m.tolist()]).tobytes(), fn.__name__
     for fn in (lambda w, x: reflection_transmission(PLUS, w, x), step_amplitudes):
         got, expected = fn(3.0, m), [fn(3.0, x) for x in m.tolist()]
@@ -513,7 +517,7 @@ def test_a_bad_m_column_is_a_domain_error_before_any_gamma(monkeypatch, omega, m
     monkeypatch.setattr(scattering_mod, "gamma_ratio", lambda *args: evaluated.append(args))
     monkeypatch.setattr(scattering_mod, "make_exponents", lambda *args: evaluated.append(args))
     for fn in (lambda w, x: reflection_transmission((PLUS, MINUS), w, x), lambda w, x: reflection_transmission(PLUS, w, x),
-               step_amplitudes, asymptotic_coefficients, coefficients_closed_form, step_coefficients_closed_form,
+               step_amplitudes, asymptotic_coefficients, coefficients_closed_form, _step_closed_form,
                step_reflection_closed_form):
         with pytest.raises(DomainError):
             fn(omega, m)
@@ -644,7 +648,7 @@ def test_step_closed_forms_match_mpmath(m, ratio):
     omega = m * ratio
     r2_ref, t2_ref, kprime = step_coefficients_oracle(omega, m)
     for w in (omega, np.array([omega])):
-        r2, t2 = (float(np.ravel(v)[0]) for v in step_coefficients_closed_form(w, m))
+        r2, t2 = (float(np.ravel(v)[0]) for v in _step_closed_form(w, m))
         # expm1 factors only: no cancellation at threshold, no overflow at 2e4
         assert abs(t2 - t2_ref) <= 1e-13 * t2_ref
         # |R^S|^2 ~ e^(-4 pi k') inherits k''s rounding, amplified by 4 pi k'
@@ -657,7 +661,7 @@ def test_closed_forms_where_m_squared_overflows(omega):
     # m^2 is past a double (a = inf): k' >= 1e192 here, so |R|^2 = 0 and |T|^2 = omega/k'
     m = 1e200
     kprime = np.sqrt(omega - m) * np.sqrt(omega + m)
-    for r2, t2 in (coefficients_closed_form(omega, m), step_coefficients_closed_form(omega, m)):
+    for r2, t2 in (coefficients_closed_form(omega, m), _step_closed_form(omega, m)):
         assert np.all(np.asarray(r2) == 0.0)
         assert np.all(np.abs(t2 - omega / kprime) <= 1e-15 * omega / kprime)
 
@@ -745,7 +749,7 @@ def test_closed_form_columns_are_the_closed_form_calls(kind):
     # for bit, a number being the one-element column
     omega, m = np.linspace(0.71, 3e4, 41), 0.7
     r2, t2, flux, excess = closed_form_columns(kind, omega, m)
-    pair = step_coefficients_closed_form(omega, m) if kind is STEP else coefficients_closed_form(omega, m)
+    pair = _step_closed_form(omega, m) if kind is STEP else coefficients_closed_form(omega, m)
     assert [v.tobytes() for v in (r2, t2)] == [v.tobytes() for v in pair]
     assert flux.tobytes() == (r2 + transmitted_wavenumber(omega, m) / omega * t2).tobytes()
     assert excess is None if kind is STEP else excess.tobytes() == (r2 - step_reflection_closed_form(omega, m)).tobytes()
@@ -812,6 +816,20 @@ def test_a_foreign_kind_is_a_domain_error():
         qnm("plus", 0, 1.0)
     with pytest.raises(DomainError, match="partner kinds"):
         inverse_transmission_magnitude(STEP, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("call", [lambda kind: closed_form_columns(kind, 2.0, 1.0),
+                                  lambda kind: reflection_transmission(kind, 2.0, 1.0),
+                                  lambda kind: qnm(kind, 0, 1.0),
+                                  lambda kind: inverse_transmission_magnitude(kind, 2.0, 1.0)],
+                         ids=["closed_form_columns", "reflection_transmission", "qnm",
+                              "inverse_transmission_magnitude"])
+@pytest.mark.parametrize("kind", [np.array([PLUS, MINUS]), np.array(["plus"]), np.array(PLUS)],
+                         ids=["array of kinds", "array of names", "0-d array of a kind"])
+def test_an_array_kind_is_a_domain_error(call, kind):
+    # each compared the array with the kinds and raised numpy's ValueError (an ambiguous truth value)
+    with pytest.raises(DomainError, match="unknown potential kind"):
+        call(kind)
 
 
 def test_asymptotic_coefficients_name_a_gamma_pole():

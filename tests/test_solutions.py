@@ -1,5 +1,5 @@
 """Exact-wavefunction tests: exponent algebra, wave-equation residuals,
-asymptotics, the coupled-system recurrence, and Wronskian constancy."""
+asymptotics, the coupled first-order system, and Wronskian constancy."""
 
 import cmath
 import math
@@ -10,22 +10,26 @@ import pytest
 
 from _oracles import wavefunction_oracle
 from susystep.errors import DegenerateCError, DegenerateParamsError, DomainError, ZeroFrequencyError
+from susystep.potentials import superpotential
 import susystep.solutions as solutions_mod
 import susystep.specfun as specfun_mod
 from susystep.solutions import (
     WaveField,
     b_exponent,
-    coupled_residual,
     exact_solution,
     exact_solution_at_z,
     make_exponents,
     sample_wavefield,
     solution_checks,
-    wave_equation_residual,
-    wronskian,
 )
 
 OMEGA_M_PAIRS = [(2.0, 1.0), (1.5, 1.0), (3.0, 2.0)]
+
+
+def _residual(branch, sign, omega, m, z):
+    """The wave-equation residual row of ``branch``, "I" or "II", of one ``solution_checks`` call."""
+    rows, row = solution_checks(sign, omega, m, z)[1], ("I", "II").index(branch)
+    return rows[:, row] if np.ndim(omega) or np.ndim(m) else rows[row]
 
 
 # ---------------------------------------------------------- coordinate map
@@ -245,11 +249,11 @@ def test_library_wave_equation_residual():
     zs = np.linspace(0.05, 0.95, 7)
     for branch in ("I", "II"):
         for sign in (1, -1):
-            worst = max(wave_equation_residual(branch, sign, 1.5, 1.0, z) for z in zs)
+            worst = max(_residual(branch, sign, 1.5, 1.0, z) for z in zs)
             assert worst < 1e-13
     for z in (0.0, 1.0, 1.3, -0.2):
         with pytest.raises(DomainError):
-            wave_equation_residual("I", 1, 2.0, 1.0, z)
+            solution_checks(1, 2.0, 1.0, z)
 
 
 @pytest.mark.parametrize("omega", [5.0, 8.0, 10.0])
@@ -258,9 +262,7 @@ def test_wave_equation_residual_step_follows_omega(omega):
     # grows: the worst reads 1.2e-14, 4.5e-14 and 6.9e-13, the last the
     # Gauss series' large-omega loss on z <= 1/2
     z = np.linspace(0.05, 0.95, 19)
-    for branch in ("I", "II"):
-        for sign in (1, -1):
-            assert np.max(wave_equation_residual(branch, sign, omega, 1.0, z)) < 1e-11
+    assert np.max(solution_checks(np.array([1, -1]), omega, 1.0, z)[1]) < 1e-11
 
 
 def rotated(j, branch, omega, m, z):
@@ -320,6 +322,21 @@ def test_recurrence_consistency():
 
 # ---------------------------------------------------------- coupled residual
 
+def coupled_residual(omega, m, x_grid, branch="I"):
+    """Largest scaled residual of the coupled first-order system that the paper's factorization gives,
+
+        (d/dx - W) Z+ = i omega Z-,      (d/dx + W) Z- = i omega Z+,
+
+    over ``x_grid``, with Z+/- and their exact x-derivatives from one evaluation of the rotated components."""
+    xs = np.asarray(x_grid, dtype=float)
+    logs = solutions_mod._logs_from_x(xs)
+    (zp, zm), (dzp, dzm) = solutions_mod._solution_from_logs(
+        (branch,), np.array([[1], [-1]]), make_exponents(omega, m), *logs, order=1)[0, :, :, 0]
+    w, iw = superpotential(xs, m), 1j * complex(omega)
+    res = np.maximum(np.abs(dzp - w * zp - iw * zm), np.abs(dzm + w * zm - iw * zp))
+    return float(np.max(res / ((1.0 + abs(iw) + np.abs(w)) * (np.abs(zp) + np.abs(zm)))))
+
+
 # exact derivatives: the three read 1.0e-15, 1.0e-15 and 1.8e-16
 
 def test_coupled_residual_real_frequency():
@@ -339,11 +356,9 @@ def test_coupled_residual_second_branch():
 
 def test_coupled_residual_takes_any_nonempty_grid():
     # the derivatives are exact, so one or two points evaluate as a long
-    # grid does (1.7e-16 and 6.8e-16 measured); an empty grid has no residual
+    # grid does (1.7e-16 and 6.8e-16 measured)
     assert coupled_residual(2.0, 1.0, np.array([0.0])) < 1e-13
     assert coupled_residual(2.0, 1.0, np.array([-3.0, 1.0])) < 1e-13
-    with pytest.raises(DomainError, match="empty"):
-        coupled_residual(2.0, 1.0, np.array([]))
 
 
 _NO_Z = np.array([])
@@ -351,18 +366,16 @@ _NO_Z = np.array([])
 
 @pytest.mark.parametrize("call, shape, dtype", [
     (lambda: sample_wavefield("I", 1, 2.0, 1.0, []), (0,), complex),
-    (lambda: wronskian(1, 2.0, 1.0, _NO_Z), (0,), complex),
-    (lambda: wronskian(np.array([1, -1]), 2.0, 1.0, _NO_Z), (2, 0), complex),
-    (lambda: wronskian(1, np.array([2.0, 3.0, 1.5]), 1.0, _NO_Z), (3, 0), complex),
-    (lambda: wave_equation_residual("II", -1, 2.0, 1.0, _NO_Z), (0,), float),
-    (lambda: wave_equation_residual("I", np.array([1, -1]), 2.0, 1.0, _NO_Z), (2, 0), float),
-    (lambda: wave_equation_residual(("I", "II"), 1, 2.0, 1.0, _NO_Z), (2, 0), float),
-    (lambda: wave_equation_residual("I", 1, np.array([2.0, 3.0]), np.array([1.0, 0.5]), _NO_Z), (2, 0), float),
+    (lambda: solution_checks(1, 2.0, 1.0, _NO_Z)[0], (0,), complex),
+    (lambda: solution_checks(np.array([1, -1]), 2.0, 1.0, _NO_Z)[0], (2, 0), complex),
+    (lambda: solution_checks(1, np.array([2.0, 3.0, 1.5]), 1.0, _NO_Z)[0], (3, 0), complex),
+    (lambda: solution_checks(-1, 2.0, 1.0, _NO_Z)[1], (2, 0), float),
+    (lambda: solution_checks(np.array([1, -1]), 2.0, 1.0, _NO_Z)[1], (2, 2, 0), float),
+    (lambda: solution_checks(1, np.array([2.0, 3.0]), np.array([1.0, 0.5]), _NO_Z)[1], (2, 2, 0), float),
 ], ids=["sample_wavefield", "wronskian", "wronskian sign array", "wronskian cases", "residual", "residual sign array",
-        "residual branch tuple", "residual cases"])
+        "residual cases"])
 def test_an_empty_grid_or_z_column_gives_an_empty_result(call, shape, dtype):
-    # no points evaluate to no values, in the rows a point would have (coupled_residual,
-    # a maximum over its grid, keeps its DomainError: see the test above)
+    # no points evaluate to no values, in the rows a point would have
     got = call()
     if isinstance(got, WaveField):
         assert got.grid.shape == (0,) and got.branch == "I"
@@ -373,19 +386,19 @@ def test_an_empty_grid_or_z_column_gives_an_empty_result(call, shape, dtype):
 # ----------------------------------------------------------------- wronskian
 
 def test_wronskian_reference_value():
-    got = wronskian(1, 2.0, 1.0, 0.3)
+    got = solution_checks(1, 2.0, 1.0, 0.3)[0]
     assert abs(got - (2.0 - 16.0j)) < 1e-9
 
 
 def test_wronskian_constant_across_z():
-    a = wronskian(1, 2.0, 1.0, 0.2)
-    b = wronskian(1, 2.0, 1.0, 0.8)
+    a = solution_checks(1, 2.0, 1.0, 0.2)[0]
+    b = solution_checks(1, 2.0, 1.0, 0.8)[0]
     assert abs(a - b) < 1e-9
 
 
 def test_wronskian_sign_flip():
-    plus = wronskian(1, 2.0, 1.0, 0.4)
-    minus = wronskian(-1, 2.0, 1.0, 0.4)
+    plus = solution_checks(1, 2.0, 1.0, 0.4)[0]
+    minus = solution_checks(-1, 2.0, 1.0, 0.4)[0]
     assert abs(plus + minus) < 1e-9
 
 
@@ -394,7 +407,7 @@ def test_wronskian_matches_closed_form_on_pairs():
         c1 = 0.5 + 2j * omega
         for sign in (1, -1):
             expected = sign * 2.0 * omega / m * (1.0 - c1)
-            assert abs(wronskian(sign, omega, m, 0.35) - expected) < 1e-9
+            assert abs(solution_checks(sign, omega, m, 0.35)[0] - expected) < 1e-9
 
 
 @pytest.mark.parametrize("z", [1 - 1e-16, 1 - 1e-14, 1e-300, 1e-320, 5e-324])
@@ -404,38 +417,36 @@ def test_checks_hold_to_the_ends_of_the_unit_interval(z):
     # 6.9e-15 at worst here (z-derivatives would overflow below z ~ 1e-154)
     omega, m = np.array([2.0, 1.5, 3.0]), np.array([1.0, 1.0, 2.0])
     expected = np.array([1, -1]) * (2.0 * omega / m * (0.5 - 2j * omega))[:, None]
-    assert np.max(np.abs(wronskian(np.array([1, -1]), omega, m, z) / expected - 1.0)) < 1e-13
-    assert np.max(wave_equation_residual(("I", "II"), np.array([1, -1]), omega, m, z)) < 1e-13
+    wronskian, residual = solution_checks(np.array([1, -1]), omega, m, z)
+    assert np.max(np.abs(wronskian / expected - 1.0)) < 1e-13
+    assert np.max(residual) < 1e-13
 
 
 def test_stencil_checks_pass_where_verify_evaluates():
     # the z values verify uses, and both sides of each end of (0, 1): the
     # checks hold at the last doubles inside and raise DomainError at the ends
     for z in (0.2, 0.3, 0.5, 0.8):
-        assert cmath.isfinite(wronskian(1, 2.0, 1.0, z))
+        assert cmath.isfinite(solution_checks(1, 2.0, 1.0, z)[0])
     for z in np.linspace(0.05, 0.95, 19):
-        assert math.isfinite(wave_equation_residual("I", 1, 2.0, 1.0, z))
+        assert math.isfinite(_residual("I", 1, 2.0, 1.0, z))
     for inside, end in ((5e-324, 0.0), (1.0 - 2.0**-53, 1.0)):
-        assert abs(wronskian(1, 2.0, 1.0, inside) - (2.0 - 16.0j)) < 1e-13 * abs(2.0 - 16.0j)
-        assert wave_equation_residual("I", 1, 2.0, 1.0, inside) < 1e-13
+        wronskian, residual = solution_checks(1, 2.0, 1.0, inside)
+        assert abs(wronskian - (2.0 - 16.0j)) < 1e-13 * abs(2.0 - 16.0j)
+        assert residual[0] < 1e-13
         with pytest.raises(DomainError):
-            wronskian(1, 2.0, 1.0, end)
-        with pytest.raises(DomainError):
-            wave_equation_residual("I", 1, 2.0, 1.0, end)
+            solution_checks(1, 2.0, 1.0, end)
 
 
 def test_residuals_over_a_z_column_match_the_float_calls(monkeypatch):
     z = np.linspace(0.05, 0.95, 19)
     for omega in (1.5, 0.5 + 0.5j, 2.0 + 0.3j):  # a complex omega makes q complex
-        for branch in ("I", "II"):
-            for sign in (1, -1):
-                got = wave_equation_residual(branch, sign, omega, 1.0, z)
-                expected = [wave_equation_residual(branch, sign, omega, 1.0, v) for v in z.tolist()]
-                assert all(type(v) is float for v in expected)
-                assert got.tobytes() == np.array(expected).tobytes()
+        for sign in (1, -1):
+            got = solution_checks(sign, omega, 1.0, z)[1]
+            expected = [solution_checks(sign, omega, 1.0, v)[1] for v in z.tolist()]
+            assert got.tobytes() == np.stack(expected, axis=-1).tobytes()
     for sign in (1, -1):
-        got = wronskian(sign, 2.0, 1.0, z)
-        expected = [wronskian(sign, 2.0, 1.0, v) for v in z.tolist()]
+        got = solution_checks(sign, 2.0, 1.0, z)[0]
+        expected = [solution_checks(sign, 2.0, 1.0, v)[0] for v in z.tolist()]
         assert all(type(v) is complex for v in expected)
         assert got.tobytes() == np.array(expected).tobytes()
     # every element is checked before any is evaluated
@@ -443,9 +454,7 @@ def test_residuals_over_a_z_column_match_the_float_calls(monkeypatch):
     monkeypatch.setattr(specfun_mod, "hyp2f1", lambda *args: calls.append(args))
     for bad in ([0.3, 1.2], [0.3, 0.0], [0.3, math.nan], [[0.3, 0.5]]):
         with pytest.raises(DomainError):
-            wave_equation_residual("I", 1, 2.0, 1.0, np.array(bad))
-        with pytest.raises(DomainError):
-            wronskian(1, 2.0, 1.0, np.array(bad))
+            solution_checks(1, 2.0, 1.0, np.array(bad))
     assert calls == []
 
 
@@ -460,15 +469,12 @@ def test_sign_array_rows_equal_the_number_sign_calls(omega, z):
     # one evaluation of the R-tilde columns serves every sign; each row keeps
     # the bits of its number-sign call
     for signs in (np.array([1, -1]), np.array([-1, 1, 1]), [1.0, -1.0]):
-        got = wronskian(signs, omega, 1.0, z)
-        assert got.shape == (len(signs),) + np.shape(z)
-        for row, sign in zip(got, signs):
-            assert row.tobytes() == np.array(wronskian(sign, omega, 1.0, z)).tobytes()
-        for branch in ("I", "II"):
-            got = wave_equation_residual(branch, signs, omega, 1.0, z)
-            assert got.shape == (len(signs),) + np.shape(z)
-            for row, sign in zip(got, signs):
-                assert row.tobytes() == np.array(wave_equation_residual(branch, sign, omega, 1.0, z)).tobytes()
+        wronskian, residual = solution_checks(signs, omega, 1.0, z)
+        assert wronskian.shape == (len(signs),) + np.shape(z) and residual.shape == (2, len(signs)) + np.shape(z)
+        for i, sign in enumerate(signs):
+            one = solution_checks(sign, omega, 1.0, z)
+            assert wronskian[i].tobytes() == np.array(one[0]).tobytes()
+            assert residual[:, i].tobytes() == one[1].tobytes()
 
 
 def _one_branch_at_a_time(monkeypatch):
@@ -485,17 +491,13 @@ def _one_branch_at_a_time(monkeypatch):
 def test_branch_tuple_rows_equal_the_single_branch_evaluations(monkeypatch, omega, z):
     # Z^I and Z^II share one hyp2f1 call per component, one parameter set
     # each; every row keeps the bits of its single-branch evaluation
-    signs = np.array([1, -1])
-    for sign in (1, signs):
-        got = wave_equation_residual(("I", "II"), sign, omega, 1.0, z)
-        assert got.shape == (2,) + np.shape(sign) + np.shape(z)
-        for row, branch in zip(got, ("I", "II")):
-            assert row.tobytes() == np.array(wave_equation_residual(branch, sign, omega, 1.0, z)).tobytes()
-        assert wave_equation_residual(("II",), sign, omega, 1.0, z).tobytes() == got[1:].tobytes()
-    merged = wronskian(signs, omega, 1.0, z), wronskian(1, omega, 1.0, z)
+    signs = (1, np.array([1, -1]))
+    merged = [solution_checks(sign, omega, 1.0, z) for sign in signs]
+    assert [got[1].shape for got in merged] == [(2,) + np.shape(sign) + np.shape(z) for sign in signs]
     _one_branch_at_a_time(monkeypatch)
-    assert merged[0].tobytes() == wronskian(signs, omega, 1.0, z).tobytes()
-    assert np.array(merged[1]).tobytes() == np.array(wronskian(1, omega, 1.0, z)).tobytes()
+    for got, sign in zip(merged, signs):
+        single = solution_checks(sign, omega, 1.0, z)
+        assert [np.array(v).tobytes() for v in got] == [np.array(v).tobytes() for v in single]
 
 
 # (omega, m) cases: real omega on both routes and both sides of the threshold,
@@ -508,17 +510,14 @@ _CASES = (np.array([2.0, 1.5, 3.0, 10.0, 0.6, 0.5 + 0.5j, 2.0]), np.array([1.0, 
 @pytest.mark.parametrize("sign", [1, -1, np.array([1, -1])], ids=["+1", "-1", "sign array"])
 def test_case_rows_equal_the_number_calls(z, sign):
     # one evaluation of every case's R-tilde columns; each case's row keeps
-    # the bits of its number call, for every branch tuple and sign array
+    # the bits of its number call, for every sign array
     omega, m = _CASES
-    got = wronskian(sign, omega, m, z)
-    assert got.shape == (omega.size,) + np.shape(sign) + np.shape(z)
-    for row, w, v in zip(got, omega.tolist(), m.tolist()):
-        assert row.tobytes() == np.array(wronskian(sign, w, v, z)).tobytes()
-    for branch in ("I", "II", ("I", "II"), ("II",)):
-        got = wave_equation_residual(branch, sign, omega, m, z)
-        assert got.shape == (omega.size,) + np.shape(branch)[:1] + np.shape(sign) + np.shape(z)
-        for row, w, v in zip(got, omega.tolist(), m.tolist()):
-            assert row.tobytes() == np.array(wave_equation_residual(branch, sign, w, v, z)).tobytes()
+    wronskian, residual = solution_checks(sign, omega, m, z)
+    assert wronskian.shape == (omega.size,) + np.shape(sign) + np.shape(z)
+    assert residual.shape == (omega.size, 2) + np.shape(sign) + np.shape(z)
+    for i, (w, v) in enumerate(zip(omega.tolist(), m.tolist())):
+        one = solution_checks(sign, w, v, z)
+        assert wronskian[i].tobytes() == np.array(one[0]).tobytes() and residual[i].tobytes() == one[1].tobytes()
 
 
 @pytest.mark.parametrize("omega, m", [(np.array([2.0, 1.5]), 1.0), (2.0, np.array([1.0, 0.5])),
@@ -527,11 +526,11 @@ def test_case_rows_equal_the_number_calls(z, sign):
 def test_a_number_stands_for_every_case(omega, m):
     z = np.array([0.2, 0.5, 0.8])
     cases = list(zip(*(v.tolist() for v in np.broadcast_arrays(omega, m))))
-    for check, args in ((wronskian, (np.array([1, -1]),)), (wave_equation_residual, (("I", "II"), -1))):
-        got = check(*args, omega, m, z)
-        assert len(got) == len(cases)
-        for row, (w, v) in zip(got, cases):
-            assert row.tobytes() == check(*args, w, v, z).tobytes()
+    for sign in (np.array([1, -1]), -1):
+        got = solution_checks(sign, omega, m, z)
+        assert [len(v) for v in got] == [len(cases)] * 2
+        for i, (w, v) in enumerate(cases):
+            assert [v[i].tobytes() for v in got] == [v.tobytes() for v in solution_checks(sign, w, v, z)]
 
 
 def test_all_cases_share_one_hyp2f1_call_per_component(monkeypatch):
@@ -540,15 +539,11 @@ def test_all_cases_share_one_hyp2f1_call_per_component(monkeypatch):
     monkeypatch.setattr(specfun_mod, "hyp2f1", lambda *args: calls.append(args) or hyp2f1(*args))
     monkeypatch.setattr(specfun_mod, "gamma_ratio", lambda *args: ratios.append(args) or ratio(*args))
     omega, m = _CASES
-    wronskian(np.array([1, -1]), omega, m, _BOTH_ROUTES)
+    solution_checks(np.array([1, -1]), omega, m, _BOTH_ROUTES)
     # Z^I and Z^II of every case are parameter sets of one call, and so are
-    # their (a + 1, b + 1, c + 1) sets for the first derivative; all share z
-    assert [(args[0].size, np.shape(args[3])) for args in calls] == [(2 * 2 * omega.size, _BOTH_ROUTES.shape)] * 2
-    assert len(ratios) == 4  # two connection ratios per component, for all sets
-    calls.clear()
-    wave_equation_residual(("I", "II"), np.array([1, -1]), omega, m, _BOTH_ROUTES)
-    # and the (a + 2, b + 2, c + 2) sets for the second
+    # their (a + k, b + k, c + k) sets for the first and second derivatives; all share z
     assert [(args[0].size, np.shape(args[3])) for args in calls] == [(3 * 2 * omega.size, _BOTH_ROUTES.shape)] * 2
+    assert len(ratios) == 4  # two connection ratios per component, for all sets
 
 
 @pytest.mark.parametrize("omega, m, error", [
@@ -558,14 +553,12 @@ def test_all_cases_share_one_hyp2f1_call_per_component(monkeypatch):
     (np.array([2.0, 0.0, 3.0]), 1.0, ZeroFrequencyError),
     (np.array([2.0, -0.25j]), np.array([1.0, 2.0]), DegenerateCError),
 ], ids=["lengths", "2-d omega", "2-d m", "zero omega", "degenerate c1"])
-@pytest.mark.parametrize("check", [lambda omega, m: wronskian(np.array([1, -1]), omega, m, _BOTH_ROUTES),
-                                   lambda omega, m: wave_equation_residual(("I", "II"), 1, omega, m, _BOTH_ROUTES)],
-                         ids=["wronskian", "wave_equation_residual"])
-def test_a_bad_case_is_refused_before_any_2f1(monkeypatch, omega, m, error, check):
+@pytest.mark.parametrize("sign", [np.array([1, -1]), 1], ids=["sign array", "one sign"])
+def test_a_bad_case_is_refused_before_any_2f1(monkeypatch, omega, m, error, sign):
     calls = []
     monkeypatch.setattr(specfun_mod, "hyp2f1", lambda *args: calls.append(args))
     with pytest.raises(error):
-        check(omega, m)
+        solution_checks(sign, omega, m, _BOTH_ROUTES)
     assert calls == []
 
 
@@ -575,15 +568,14 @@ def test_a_branch_tuple_holds_only_i_and_ii(monkeypatch, branch):
     calls = []
     monkeypatch.setattr(specfun_mod, "hyp2f1", lambda *a: calls.append(a))
     with pytest.raises(DomainError, match="'I' or 'II'"):
-        wave_equation_residual(branch, 1, 2.0, 1.0, 0.3)
+        exact_solution_at_z(branch, 1, 2.0, 1.0, 0.3)
     assert calls == []
 
 
 @pytest.mark.parametrize("call", [lambda b: exact_solution(b, 1, 2.0, 1.0, 0.3),
                                   lambda b: exact_solution_at_z(b, 1, 2.0, 1.0, 0.3),
-                                  lambda b: sample_wavefield(b, 1, 2.0, 1.0, [0.0, 1.0]),
-                                  lambda b: coupled_residual(2.0, 1.0, [0.0, 0.5, 1.0], b)],
-                         ids=["exact_solution", "exact_solution_at_z", "sample_wavefield", "coupled_residual"])
+                                  lambda b: sample_wavefield(b, 1, 2.0, 1.0, [0.0, 1.0])],
+                         ids=["exact_solution", "exact_solution_at_z", "sample_wavefield"])
 def test_a_branch_tuple_is_a_domain_error_where_one_wavefunction_is_returned(call):
     with pytest.raises(DomainError, match="'I' or 'II'"):
         call(("I", "II"))
@@ -591,7 +583,7 @@ def test_a_branch_tuple_is_a_domain_error_where_one_wavefunction_is_returned(cal
 
 _ONE_SIGN = [(exact_solution, ("I", "sign", 2.0, 1.0, 0.3)), (exact_solution_at_z, ("I", "sign", 2.0, 1.0, 0.3)),
              (sample_wavefield, ("I", "sign", 2.0, 1.0, [0.0, 1.0]))]
-_SIGN_ROWS = [(wronskian, ("sign", 2.0, 1.0, 0.3)), (wave_equation_residual, ("I", "sign", 2.0, 1.0, 0.3))]
+_SIGN_ROWS = [(solution_checks, ("sign", 2.0, 1.0, 0.3))]
 
 
 def _refuses_sign(monkeypatch, call, args, sign):
@@ -679,8 +671,6 @@ def test_non_finite_x_rejected():
             exact_solution("I", 1, 2.0, 1.0, x)
         with pytest.raises(DomainError, match="x = "):
             sample_wavefield("I", 1, 2.0, 1.0, [0.0, 1.0, x])
-        with pytest.raises(DomainError, match="x = "):
-            coupled_residual(2.0, 1.0, [-1.0, 0.0, x])
 
 
 @pytest.mark.parametrize("call, args, message", [
@@ -688,9 +678,9 @@ def test_non_finite_x_rejected():
     (make_exponents, (2.0, math.nan), "finite"),
     (make_exponents, (np.array([2.0, math.inf]), 1.0), "finite"),
     (exact_solution, ("I", 1, math.nan, 1.0, 0.3), "finite"),
-    (wronskian, (1, math.inf, 1.0, 0.5), "finite"),
+    (solution_checks, (1, math.inf, 1.0, 0.5), "finite"),
     (sample_wavefield, ("I", 1, 2.0, math.inf, [0.0, 1.0]), "finite"),
-    (wave_equation_residual, ("I", 1, 2.0, 1.0, 1.5), r"z = 1\.5 outside"),
+    (solution_checks, (1, 2.0, 1.0, 1.5), r"z = 1\.5 outside"),
 ], ids=lambda v: v.__name__ if callable(v) else repr(v))
 def test_non_finite_numbers_are_domain_errors(call, args, message):
     with pytest.raises(DomainError, match=message):
@@ -700,17 +690,15 @@ def test_non_finite_numbers_are_domain_errors(call, args, message):
 @pytest.mark.parametrize("call, args", [
     (sample_wavefield, ("I", 1, 2.0, 1.0, np.array([1 + 1j, 2 + 1j]))),
     (sample_wavefield, ("I", 1, 2.0, 1.0, np.array([1.0, 2.0 + 0j]))),
-    (coupled_residual, (2.0, 1.0, np.array([0.0, 1.0, 2.0]) + 0j)),
     (exact_solution, ("I", 1, 2.0, 1.0, 1j)),
     (exact_solution, ("I", 1, 2.0, 1.0, 0.3 + 0j)),
     (exact_solution_at_z, ("I", 1, 2.0, 1.0, 0.3 + 0j)),
-    (wronskian, (1, 2.0, 1.0, 0.3 + 0j)),
-    (wronskian, (1, 2.0, 1.0, np.array([0.3, 0.5 + 1e-3j]))),
-    (wave_equation_residual, ("I", 1, 2.0, 1.0, 0.3 + 0j)),
-    (wave_equation_residual, ("I", 1, 2.0, 1.0, np.array([0.3, 0.5]) + 0j)),
-], ids=["wavefield grid", "wavefield grid of zero imaginary part", "coupled_residual grid", "exact_solution 1j",
-        "exact_solution 0.3+0j", "exact_solution_at_z", "wronskian number", "wronskian column",
-        "wave_equation_residual number", "wave_equation_residual column"])
+    (solution_checks, (1, 2.0, 1.0, 0.3 + 0j)),
+    (solution_checks, (1, 2.0, 1.0, np.array([0.3, 0.5 + 1e-3j]))),
+    (solution_checks, (1, 2.0, 1.0, np.array([0.3, 0.5]) + 0j)),
+], ids=["wavefield grid", "wavefield grid of zero imaginary part", "exact_solution 1j", "exact_solution 0.3+0j",
+        "exact_solution_at_z", "solution_checks number", "solution_checks column",
+        "solution_checks column of zero imaginary part"])
 def test_a_complex_grid_or_z_is_a_domain_error(monkeypatch, call, args):
     # a complex dtype is refused, not cast to its real part
     calls = []
@@ -724,14 +712,14 @@ _OMEGAS = np.array([2.0, 3.0])
 
 
 _ONE_CASE = [(exact_solution, ("I", 1, "omega", "m", 0.3)), (exact_solution_at_z, ("I", 1, "omega", "m", 0.3)),
-             (sample_wavefield, ("I", 1, "omega", "m", [0.0, 1.0])), (coupled_residual, ("omega", "m", [0.0, 1.0, 2.0]))]
+             (sample_wavefield, ("I", 1, "omega", "m", [0.0, 1.0]))]
 
 
 @pytest.mark.parametrize("call, args", _ONE_CASE, ids=[c.__name__ for c, _ in _ONE_CASE])
 @pytest.mark.parametrize("name", ["omega", "m"])
 def test_an_omega_or_m_array_is_a_domain_error(call, args, name):
-    # these evaluate one wavefunction, so take one (omega, m) case; make_exponents,
-    # wronskian and wave_equation_residual take case columns
+    # these evaluate one wavefunction, so take one (omega, m) case; make_exponents
+    # and solution_checks take case columns
     given = {"omega": 2.0, "m": 1.0, name: _OMEGAS}
     with pytest.raises(DomainError, match=rf"{name} must be a number here, got an array of shape \(2,\)"):
         call(*[given.get(a, a) if isinstance(a, str) else a for a in args])
@@ -766,11 +754,8 @@ def test_connection_gamma_ratios_once_per_call(monkeypatch):
     assert 0 < len(calls) <= 4
     for evaluate, expected in ((lambda: exact_solution("I", 1, 2.0, 1.0, 1.0), 4),
                                (lambda: coupled_residual(2.0, 1.0, np.linspace(0.5, 3.0, 11)), 4),
-                               (lambda: wave_equation_residual("II", -1, 2.0, 1.0, 0.7), 4),
-                               (lambda: wave_equation_residual("II", np.array([1, -1]), 2.0, 1.0, 0.7), 4),
-                               (lambda: wave_equation_residual(("I", "II"), np.array([1, -1]), 2.0, 1.0, 0.7), 4),
-                               (lambda: wronskian(1, 2.0, 1.0, 0.7), 4),
-                               (lambda: wronskian(np.array([1, -1]), 2.0, 1.0, 0.7), 4)):
+                               (lambda: solution_checks(-1, 2.0, 1.0, 0.7), 4),
+                               (lambda: solution_checks(np.array([1, -1]), 2.0, 1.0, 0.7), 4)):
         calls.clear()
         evaluate()
         assert len(calls) == expected
@@ -803,16 +788,19 @@ _VERIFY_Z = np.union1d(np.linspace(0.05, 0.95, 19), [0.2, 0.5, 0.8])
 @pytest.mark.parametrize("cases", [_VERIFY_CASES, (2.0, 1.0), (np.array([1.5]), 1.0)],
                          ids=["verify's cases", "one case", "one-element column"])
 @pytest.mark.parametrize("z", [_VERIFY_Z, 0.3, 0.5, np.array([0.5])], ids=["verify's z", "number z", "z = 0.5", "[0.5]"])
-def test_solution_checks_are_the_wronskian_and_residual_calls(sign, cases, z):
-    # one evaluation of Z^I and Z^II up to order 2 gives both checks, each
-    # equal to its own call bit for bit, its Python-number type included
+def test_solution_checks_give_the_wronskian_and_residual_rows(sign, cases, z):
+    # one evaluation of Z^I and Z^II up to order 2 gives both checks: the Wronskian
+    # (a Python complex for number arguments) at its constant +/- (2 omega / m)(1 - c1),
+    # and the residual with a row per branch after any case rows
     assert _VERIFY_Z.size == 21 and specfun_mod.Z_SWITCH in _VERIFY_Z.tolist()
-    got = solution_checks(sign, *cases, z)
-    expected = wronskian(sign, *cases, z), wave_equation_residual(("I", "II"), sign, *cases, z)
-    assert len(got) == 2
-    for value, want in zip(got, expected):
-        assert type(value) is type(want) and np.shape(value) == np.shape(want)
-        assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
+    wronskian, residual = solution_checks(sign, *cases, z)
+    rows = np.shape(cases[0])
+    assert np.shape(wronskian) == rows + np.shape(sign) + np.shape(z)
+    assert residual.shape == rows + (2,) + np.shape(sign) + np.shape(z)
+    assert type(wronskian) is (np.ndarray if np.shape(wronskian) else complex)
+    omega, m = (np.reshape(v, np.shape(v) + (1,) * (np.ndim(sign) + np.ndim(z))) for v in cases)
+    expected = np.reshape(sign, np.shape(sign) + (1,) * np.ndim(z)) * 2.0 * omega / m * (0.5 - 2j * omega)
+    assert np.max(np.abs(wronskian - expected) / np.abs(expected)) < 1e-11 and np.max(residual) < 1e-10
 
 
 def test_solution_checks_make_one_hyp2f1_call_per_component(monkeypatch):
@@ -872,6 +860,15 @@ def test_wavefunctions_match_the_mpmath_oracle(omega, m):
 def test_b_exponent_refuses_a_root_past_the_double_range(omega, m, first):
     with pytest.raises(DomainError, match=re.escape(first)):
         b_exponent(omega, m)
+
+
+@pytest.mark.parametrize("value", ["a", None, 10**400], ids=["str", "None", "int past the double range"])
+@pytest.mark.parametrize("name", ["omega", "m"])
+def test_b_exponent_refuses_a_non_numeric_or_overflowing_argument(name, value):
+    # the arithmetic raised TypeError or OverflowError
+    given = {"omega": 2.0, "m": 1.0, name: value}
+    with pytest.raises(DomainError, match="double range"):
+        b_exponent(given["omega"], given["m"])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
