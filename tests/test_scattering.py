@@ -204,6 +204,13 @@ def test_amplitude_relations_between_partners():
     assert abs(res_p.kprime - math.sqrt(3.0)) < 1e-15
 
 
+def test_rejects_step_kind():
+    # the step has amplitudes and closed forms, but |1/T| uses the partners' Legendre-duplication rewrite
+    for call in (lambda: inverse_transmission_magnitude(STEP, 2.0, 1.0), lambda: qnm_pole_check(STEP, 0, 1.0)):
+        with pytest.raises(DomainError, match="partner kinds"):
+            call()
+
+
 def test_rejects_threshold_and_below():
     for omega in (1.0, 0.3):
         with pytest.raises(DomainError):

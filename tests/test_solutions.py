@@ -371,9 +371,10 @@ _NO_Z = np.array([])
     (lambda: solution_checks(1, np.array([2.0, 3.0, 1.5]), 1.0, _NO_Z)[0], (3, 0), complex),
     (lambda: solution_checks(-1, 2.0, 1.0, _NO_Z)[1], (2, 0), float),
     (lambda: solution_checks(np.array([1, -1]), 2.0, 1.0, _NO_Z)[1], (2, 2, 0), float),
+    (lambda: solution_checks(1, 2.0, 1.0, _NO_Z)[1], (2, 0), float),
     (lambda: solution_checks(1, np.array([2.0, 3.0]), np.array([1.0, 0.5]), _NO_Z)[1], (2, 2, 0), float),
 ], ids=["sample_wavefield", "wronskian", "wronskian sign array", "wronskian cases", "residual", "residual sign array",
-        "residual cases"])
+        "residual branch tuple", "residual cases"])
 def test_an_empty_grid_or_z_column_gives_an_empty_result(call, shape, dtype):
     # no points evaluate to no values, in the rows a point would have
     got = call()
