@@ -6,7 +6,6 @@ closed form.
 """
 
 from .errors import (
-    BlowUpError,
     ConfigError,
     DegenerateCError,
     DegenerateParamsError,

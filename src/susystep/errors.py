@@ -77,11 +77,6 @@ class ConfigError(SusystepError):
     """An integration configuration is inconsistent or unusable."""
 
 
-class BlowUpError(SusystepError):
-    """The integrated wavefunction exceeded the overflow guard; the
-    frequency is below the propagation threshold or the step is too coarse."""
-
-
 class IllConditionedError(SusystepError):
     """The boundary-matching least-squares system is numerically singular."""
 

@@ -37,7 +37,7 @@ class PotentialSpec:
     potentials are recovered through ``shape_invariance_check``'s identity
     V+(x, m) = V-(x, -m) rather than a separate code path).  The step kind
     uses the height ``v0`` and width ``alpha``.  A bool or non-finite
-    parameter, a partner m^2 that overflows or a foreign kind raises ``DomainError``.
+    parameter, a partner m^2 or step 1/alpha that overflows or a foreign kind raises ``DomainError``.
     """
 
     kind: PotentialKind
@@ -50,14 +50,13 @@ class PotentialSpec:
             value = getattr(self, name)
             if not finite_real(value):
                 raise DomainError(f"potential parameters must be real and finite, got {name} = {value}")
-        if self.kind in (PotentialKind.PLUS, PotentialKind.MINUS):
-            if not (self.m > 0 and math.isfinite(float(self.m) * float(self.m))):
-                raise DomainError(f"partner potentials require m > 0 with m^2 finite, got m = {self.m}")
-        elif self.kind is PotentialKind.STEP:
-            if not self.alpha > 0:
-                raise DomainError(f"step potential requires alpha > 0, got alpha = {self.alpha}")
-        else:
+        if not isinstance(self.kind, PotentialKind):  # before any enum comparison, which an array would answer
             raise DomainError(f"unknown potential kind {self.kind!r}")
+        if self.kind is PotentialKind.STEP:
+            if not (self.alpha > 0 and math.isfinite(1.0 / float(self.alpha))):
+                raise DomainError(f"step potential requires alpha > 0 with 1/alpha finite, got alpha = {self.alpha}")
+        elif not (self.m > 0 and math.isfinite(float(self.m) * float(self.m))):
+            raise DomainError(f"partner potentials require m > 0 with m^2 finite, got m = {self.m}")
 
     @classmethod
     def plus(cls, m: float) -> "PotentialSpec":
@@ -153,7 +152,9 @@ def potential(spec, x):
     values = np.empty(step.shape + x.shape)
     if not step.all():  # one numpy pass per form, whose factors of x alone are evaluated once
         values[~step] = _partner(m[~step], x)
-    values[step] = v0[step] * np.exp((y := x / alpha[step]) - np.logaddexp(0.0, y))
+    with np.errstate(over="ignore"):  # from y = 40 on the form rounds to 1 (e^-y < ulp(y)/2): an overflowed y = inf
+        y = np.minimum(x / alpha[step], 40.0)  # reads v0 there, where inf - inf gave nan; y = -inf reads 0 as it is
+    values[step] = v0[step] * np.exp(y - np.logaddexp(0.0, y))
     return values if isinstance(spec, tuple) else values[0]
 
 

@@ -262,6 +262,7 @@ def test_potential_evaluates_each_column_once(capsys, monkeypatch):
     (["--m=-1e200", "--v0", "1"], "m = 1e+200"),
     (["--alpha", "0", "--with-step"], "alpha > 0"),
     (["--alpha", "-1", "--with-step"], "alpha > 0"),
+    (["--alpha", "1e-320", "--with-step"], "1/alpha finite"),  # the step column read nan at x = 10
 ])
 def test_potential_non_finite_parameters_are_domain_errors(capsys, tmp_path, argv, message):
     code, out, err = run_cli(capsys, "potential", "--n-points", "3", *argv)

@@ -12,7 +12,7 @@ import susystep
 PACKAGE = Path(susystep.__file__).resolve().parent
 # Lines of src/ (the benchmark record's ``src_lines``) may fall, never rise:
 # lower this with each change that shrinks the package (the aim is 1978).
-SRC_LINE_CEILING = 2095
+SRC_LINE_CEILING = 2084
 
 
 def _module_aliases(tree, module):

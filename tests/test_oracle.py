@@ -5,9 +5,7 @@ paths of the configuration and matching machinery."""
 import cmath
 import dataclasses
 import math
-import re
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +13,7 @@ from _oracles import magnus_march_oracle
 
 import susystep.oracle as oracle_mod
 import susystep.scattering as scattering_mod
-from susystep.errors import BlowUpError, ConfigError, DomainError, IllConditionedError
+from susystep.errors import ConfigError, DomainError, IllConditionedError
 from susystep.oracle import IntegrationConfig, extract_rt, integrate_wavefunction, numerical_rt
 from susystep.potentials import PotentialKind, PotentialSpec, potential
 from susystep.scattering import (
@@ -280,10 +278,20 @@ def test_stability_bound_at_its_edge():
     integrate_wavefunction(FREE, 28.28427, cfg)
 
 
-def test_column_blowup_names_omega_and_x(monkeypatch):
-    monkeypatch.setattr(oracle_mod, "_BLOWUP_LIMIT", 0.5)
-    with pytest.raises(BlowUpError, match=r"at x = 29\.999; omega = 3\.0 "):
-        numerical_rt(FREE, np.array([3.0, 2.0]))
+@pytest.mark.parametrize("cfg", [ORACLE_CONFIG, IntegrationConfig(step=0.01)], ids=["verify", "step 0.01"])
+def test_no_valid_input_grows_the_field(cfg):
+    # the march keeps no guard on |Z|: at the edges of the accepted domain
+    # (couplings from 1e-8 to 2, V-'s bump for m < 1/2 included, omega from
+    # just above the coupling to 5 times it) the field of a unit transmitted
+    # wave stays within 1 + |R| <= 2, as |T|^2 >= 1 implies; the largest is
+    # 1.334, V- at m = 0.1 and omega = m (1 + 1e-12).  A spec's 6 omegas
+    # share one scan, whose rows are their one-omega marches
+    largest = 0.0
+    for m in (1e-8, 1e-4, 1e-2, 0.1, 0.25, 0.49, 0.5, 1.0, 2.0):
+        for spec in (PotentialSpec.plus(m), PotentialSpec.minus(m), PotentialSpec.step(m * m)):
+            v, n, omegas = oracle_mod._prepare((spec,), m * np.array([1 + 1e-12, 1 + 1e-6, 1.001, 1.2, 2.0, 5.0]), cfg)
+            largest = max(largest, float(np.abs(oracle_mod._march((spec,), cfg, v, n, [(0, w) for w in omegas])[1]).max()))
+    assert largest < 2.0
 
 
 def test_column_holds_one_omega_at_a_time():
@@ -505,24 +513,6 @@ def test_spec_tuple_scans_split_inside_and_across_specs(monkeypatch, budget, siz
         assert res.T.tobytes() == np.array([r.T for r in ref]).tobytes()
 
 
-@pytest.mark.parametrize("stiff, first", [((PotentialKind.MINUS,), 1), ((PotentialKind.PLUS, PotentialKind.MINUS), 0)])
-def test_shared_scan_blowup_names_the_first_spec_and_omega_in_row_order(monkeypatch, stiff, first):
-    # V = 9004 for the stiff kinds and 4 for the others: at omega = 2 a stiff
-    # spec's mode grows at sqrt(9000), while omega = 95 oscillates; in one scan
-    # of the rows (spec, omega), spec-major, the error names the first blown-up
-    # row, with the x that its own one-spec, one-omega march names
-    specs = SPECS[:2]
-    monkeypatch.setattr(oracle_mod, "potential", lambda spec, x: np.full(np.shape(x), 4.0 + 9000.0 * (spec.kind in stiff)))
-    marched = _counting(monkeypatch, "_march")
-    with pytest.raises(BlowUpError) as shared:
-        numerical_rt(specs, np.array([95.0, 2.0]), COARSE)
-    assert len(marched) == 1 and len(marched[0][4]) == 4
-    with pytest.raises(BlowUpError) as alone:
-        integrate_wavefunction(specs[first], 2.0, COARSE)
-    assert str(shared.value) == str(alone.value)
-    assert "omega = 2.0 " in str(alone.value) and str(alone.value).endswith(repr(specs[first]))
-
-
 @pytest.mark.parametrize("specs, first", [(SPECS[:2], 0), (SPECS[1::-1], 1)])
 def test_shared_scan_ill_conditioned_fit_names_the_first_spec_and_omega_in_row_order(monkeypatch, specs, first):
     # at omega = 2 the plus spec's fit has condition number 1.05761848, above
@@ -539,25 +529,6 @@ def test_shared_scan_ill_conditioned_fit_names_the_first_spec_and_omega_in_row_o
         numerical_rt(specs[first], 2.0, COARSE)
     assert str(shared.value) == str(alone.value) == f"matching fit at omega = 2.0 for {specs[first]!r} has condition number above 1.05762"
     numerical_rt(specs[1 - first], np.array([3.0, 2.0]), COARSE)
-
-
-@pytest.mark.parametrize("omega, first, x", [
-    ([50.0, 2.0, 90.0], 50.0, "29.650"),  # 2.0 blows up first in march order, at x = 29.701
-    ([95.0, 90.0, 2.0], 90.0, "29.096"),  # 95.0 oscillates: omega^2 > V
-])
-def test_shared_scan_blowup_names_the_first_omega_in_column_order(monkeypatch, omega, first, x):
-    # V = 9004 everywhere grows each mode at its own rate sqrt(V - omega^2); in
-    # one scan the error names the first blown-up omega in column order and
-    # that omega's own first x past the limit, as its one-omega march does
-    monkeypatch.setattr(oracle_mod, "potential", lambda spec, x: np.full(np.shape(x), 4.0 + 9000.0))
-    monkeypatch.setattr(oracle_mod, "_SCAN_STEPS", 10 ** 6)
-    marched = _counting(monkeypatch, "_march")
-    message = re.escape(f"at x = {x}; omega = {first} ")
-    with pytest.raises(BlowUpError, match=message):
-        numerical_rt(PotentialSpec.plus(1.0), np.array(omega))
-    assert len(marched) == 1
-    with pytest.raises(BlowUpError, match=message):
-        integrate_wavefunction(PotentialSpec.plus(1.0), first)
 
 
 # --------------------------------------------------------------- error paths
@@ -638,41 +609,6 @@ def test_too_coarse_step_rejected():
     with pytest.raises(ConfigError, match="too coarse at omega = 2.0"):
         integrate_wavefunction(PotentialSpec.plus(1.0), 2.0, IntegrationConfig(step=0.75))
     integrate_wavefunction(PotentialSpec.plus(1.0), 2.0, IntegrationConfig(step=0.7))
-
-
-def test_blowup_guard(monkeypatch):
-    # the guard is unreachable through valid configurations (the threshold
-    # and stability preconditions catch the triggering scenarios first),
-    # so exercise it by tightening the limit
-    monkeypatch.setattr(oracle_mod, "_BLOWUP_LIMIT", 0.5)
-    with pytest.raises(BlowUpError, match=r"at x = 29\.999;"):
-        integrate_wavefunction(FREE, 2.0)
-
-
-def test_blowup_of_an_overflowing_march(monkeypatch):
-    # a growing mode at the stability bound overflows float64 long before
-    # x_min; the guard names the first x past the limit and no overflow
-    # warning escapes
-    monkeypatch.setattr(oracle_mod, "potential", lambda spec, x: np.full(np.shape(x), 4.0 + 9000.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(BlowUpError, match=r"at x = 29\.701;"):
-            integrate_wavefunction(PotentialSpec.plus(1.0), 2.0)
-
-
-def test_non_finite_potential_rejected(monkeypatch):
-    # an explicit check names the first non-finite sample, before any march
-    marched = _counting(monkeypatch, "_march")
-    for bad in (np.nan, np.inf, -np.inf):
-        def one_bad(spec, x):
-            v = np.array(potential(spec, x), dtype=float)
-            v[7] = bad
-            return v
-
-        monkeypatch.setattr(oracle_mod, "potential", one_bad)
-        with pytest.raises(ConfigError, match=r"not finite on the grid, at x = -29\.9965$"):
-            integrate_wavefunction(PotentialSpec.plus(1.0), 2.0)
-    assert marched == []
 
 
 def test_ill_conditioned_window():

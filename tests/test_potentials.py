@@ -128,6 +128,24 @@ def test_spec_validation():
             PotentialSpec.plus(m)
     with pytest.raises(DomainError, match="unknown potential kind"):
         PotentialSpec("plus")  # the string, not PotentialKind.PLUS
+    # tested by isinstance before any enum comparison: a 0-d array passed as
+    # PLUS, and a 2-element one raised numpy's ambiguous-truth ValueError
+    for kind in (np.array(PotentialKind.PLUS), np.array([PotentialKind.PLUS, PotentialKind.STEP])):
+        with pytest.raises(DomainError, match="unknown potential kind array"):
+            PotentialSpec(kind, 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("v0, alpha", [(1.0, 0.01), (-2.0, 1e-300), (3.0, 0.5)])
+def test_step_saturates_where_x_over_alpha_overflows(v0, alpha):
+    # x/alpha past the double range reads 0 and v0, where inf - inf gave nan
+    # with warnings; wherever x/alpha is finite the form keeps its bits
+    huge = np.array([-1.7e308, -1e308, 1e308, 1.7e308])
+    assert potential(PotentialSpec.step(v0, alpha), huge).tolist() == v_step(huge, v0, alpha).tolist() == [0.0, 0.0, v0, v0]
+    far = np.geomspace(1e-300, 1e300, 601)
+    xs = np.concatenate([np.linspace(-100.0, 100.0, 20001), far, -far]) * alpha
+    y = xs / alpha
+    assert np.isfinite(y).all() and v_step(xs, v0, alpha).tobytes() == (v0 * np.exp(y - np.logaddexp(0.0, y))).tobytes()
 
 
 @given(x=XS, m=MS)
@@ -305,12 +323,13 @@ def test_partner_potentials_refuse_a_non_real_m(m):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("v0, alpha", [(math.inf, 1.0), (math.nan, 1.0), (True, 1.0), (1.0 + 1j, 1.0), (1.0, 0.0),
                                        (1.0, -0.5), (1.0, math.nan), (1.0, math.inf), (1.0, True), (1.0, 10**400),
-                                       (np.array([1.0, 2.0]), 1.0)],
+                                       (np.array([1.0, 2.0]), 1.0), (1.0, 1e-320), (1.0, np.float64(5e-324))],
                          ids=["v0 inf", "v0 nan", "v0 True", "v0 complex", "alpha 0", "alpha < 0", "alpha nan",
-                              "alpha inf", "alpha True", "alpha huge int", "v0 array"])
+                              "alpha inf", "alpha True", "alpha huge int", "v0 array", "1/alpha inf", "1/alpha inf numpy"])
 def test_step_refuses_parameters_its_spec_refuses(v0, alpha):
     # v_step takes v0 and alpha by PotentialSpec's rule: v_step(1.0, inf)
-    # returned inf and alpha = 0 divided by zero
+    # returned inf and alpha = 0 divided by zero; 1/alpha must be finite,
+    # as a partner's m^2 (tails read inf at alpha = 1e-320)
     with pytest.raises(DomainError):
         PotentialSpec.step(v0, alpha)
     with pytest.raises(DomainError):

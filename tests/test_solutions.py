@@ -91,6 +91,10 @@ def test_exponent_at_threshold_vanishes():
     (2e200, 1e200, "omega = (2e+200+0j), m = 1e+200"),  # m^2 - omega^2 = inf - inf: B1 = nan+nanj
     (np.array([2.0, 1e200, 3e200]), 1.0, "omega = (1e+200+0j), m = 1.0"),  # the first such case
     (2.0, np.array([1.0, 1e200]), "omega = (2+0j), m = 1e+200"),
+    # B1 finite, H2 = i (1 - c1)/m past the double range: the record's own check
+    (1e10, 1e-300, "omega = (10000000000+0j), m = 1e-300: the record overflows"),
+    (np.array([2.0, 3e10, 1e10]), 1e-300, "omega = (30000000000+0j), m = 1e-300: the record overflows"),
+    (np.array([1e10, 1e10]), np.array([1.0, 1e-300]), "omega = (10000000000+0j), m = 1e-300: the record overflows"),
 ])
 def test_a_record_that_overflows_is_a_domain_error(omega, m, first):
     with pytest.raises(DomainError, match=re.escape(first)):
